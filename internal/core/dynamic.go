@@ -273,26 +273,29 @@ func (dc *DynamicColorBound) CurrentPeriod(v int) int64 {
 	return int64(1) << uint(dc.code.Len(uint64(dc.col[v])))
 }
 
-// FrozenSchedule snapshots the current coloring's periodic assignment as an
-// immutable random-access Schedule. The snapshot stays internally consistent
-// (every happy set independent in the graph at freeze time) while the live
-// scheduler keeps absorbing churn — this is the value the serving layer
-// caches between recolorings. The assignment is valid by construction
-// (period = 2^len ≥ 1 and offset = codeword value < 2^len), so the snapshot
-// skips NewFixedPeriodic's copy-and-validate pass: rebuilds sit on the
-// serving path after every recoloring.
-func (dc *DynamicColorBound) FrozenSchedule() (Schedule, error) {
-	periods := make([]int64, dc.d.N())
-	offsets := make([]int64, dc.d.N())
-	for v := range periods {
-		enc := dc.code.Encode(uint64(dc.col[v]))
-		if enc.Len() > 62 {
-			return nil, fmt.Errorf("core: codeword of color %d is %d bits; period overflows int64", dc.col[v], enc.Len())
+// FrozenSchedule snapshots the current coloring as an immutable
+// ClassSchedule with one class per color in use, each color encoded once.
+// The snapshot stays internally consistent (every happy set independent in
+// the graph at freeze time) while the live scheduler keeps absorbing churn
+// — this is the value the serving layer caches between recolorings.
+func (dc *DynamicColorBound) FrozenSchedule() (*ClassSchedule, error) {
+	class := make([]int32, dc.d.N())
+	classOf := make([]int32, len(class)+1) // color → class+1; colors are ≤ deg+1 ≤ n
+	var periods, offsets []int64
+	for v := range class {
+		c := dc.col[v]
+		if classOf[c] == 0 {
+			enc := dc.code.Encode(uint64(c))
+			if enc.Len() > 62 {
+				return nil, fmt.Errorf("core: codeword of color %d is %d bits; period overflows int64", c, enc.Len())
+			}
+			periods = append(periods, int64(1)<<uint(enc.Len()))
+			offsets = append(offsets, int64(enc.Value()))
+			classOf[c] = int32(len(periods))
 		}
-		periods[v] = int64(1) << uint(enc.Len())
-		offsets[v] = int64(enc.Value())
+		class[v] = classOf[c] - 1
 	}
-	return newPeriodicSchedule(dc.Name(), periods, offsets), nil
+	return NewClassSchedule(dc.Name(), periods, offsets, class)
 }
 
 // Color returns v's current color.

@@ -26,10 +26,12 @@ type Schedule interface {
 	HappySet(t int64) []int
 	// Window streams holidays from..to (inclusive, from ≥ 1, to at most
 	// MaxHoliday) in order, calling visit once per holiday. The happy slice
-	// is in increasing node order and only valid for the duration of the
-	// callback — implementations reuse buffers. visit must not call back
-	// into the same Schedule: replay cursors hold their lock across the
-	// callback, so a reentrant query self-deadlocks.
+	// is in increasing node order, read-only, and only valid for the
+	// duration of the callback: implementations reuse buffers, and
+	// ClassSchedule passes its own member storage, which every concurrent
+	// reader of the snapshot shares. visit must not call back into the same
+	// Schedule: replay cursors hold their lock across the callback, so a
+	// reentrant query self-deadlocks.
 	Window(from, to int64, visit func(t int64, happy []int))
 	// NextHappy returns the first holiday ≥ from at which family v is happy,
 	// or 0 if none exists within the implementation's search bound (periodic
@@ -44,21 +46,12 @@ type Schedule interface {
 	RandomAccess() bool
 }
 
-// NodeCounter is the optional interface of schedules that know how many
-// families they cover (the closed-form periodic snapshots do; replay cursors
-// do not). The serving layer uses it to bounds-check family ids against the
-// frozen snapshot it already holds instead of re-locking the live community.
-type NodeCounter interface {
-	Nodes() int
-}
-
 // BitWindower is the optional interface of schedules that can stream a
 // window as word-packed happy bitmaps — one ⌈n/64⌉-word graph.Bitset row per
-// holiday — without materializing []int rows. The closed-form periodic
-// schedules implement it by walking each node's arithmetic progression and
-// OR-ing bits straight into the row block, which is what the binary wire
-// format (internal/wire) serializes. The row passed to visit is only valid
-// for the duration of the callback.
+// holiday — the rows the binary wire format (internal/wire) serializes. The
+// per-family closed form OR-s each node's progression into a row block;
+// ClassSchedule sets the member bits of each firing class. The row passed
+// to visit is only valid for the duration of the callback.
 type BitWindower interface {
 	WindowBits(from, to int64, visit func(t int64, row graph.Bitset))
 }
@@ -116,14 +109,6 @@ type windowScratch struct {
 	happyAt [][]int
 }
 
-// newPeriodicSchedule takes ownership of the slices without copying or
-// re-validating — for construction sites whose assignments are valid by
-// construction (e.g. DynamicColorBound.FrozenSchedule, which rebuilds on
-// every cache invalidation of the serving layer).
-func newPeriodicSchedule(name string, periods, offsets []int64) *periodicSchedule {
-	return &periodicSchedule{name: name, periods: periods, offsets: offsets}
-}
-
 // NewPeriodicSchedule snapshots a perfectly periodic scheduler's closed form
 // (Period/Offset for each of the n nodes) into an immutable random-access
 // Schedule. The scheduler is never advanced — the Periodic contract
@@ -139,10 +124,7 @@ func NewPeriodicSchedule(p Periodic, n int) Schedule {
 }
 
 // NewFixedPeriodic builds a random-access Schedule directly from per-node
-// periods and offsets (period ≥ 1, 0 ≤ offset < period). This is the
-// snapshot form the serving layer caches: a frozen copy of a dynamic
-// scheduler's current assignment that stays valid while the live coloring
-// churns on.
+// periods and offsets (period ≥ 1, 0 ≤ offset < period), copying both.
 func NewFixedPeriodic(name string, periods, offsets []int64) (Schedule, error) {
 	if len(periods) != len(offsets) {
 		return nil, fmt.Errorf("core: %d periods but %d offsets", len(periods), len(offsets))
@@ -165,12 +147,6 @@ func NewFixedPeriodic(name string, periods, offsets []int64) (Schedule, error) {
 
 // Name implements Schedule.
 func (ps *periodicSchedule) Name() string { return ps.name }
-
-// Nodes returns the number of families the closed-form snapshot covers. It
-// is not part of the Schedule interface (replay cursors do not know their
-// node count); callers holding a frozen periodic schedule discover it via
-// the NodeCounter optional interface.
-func (ps *periodicSchedule) Nodes() int { return len(ps.periods) }
 
 // RandomAccess implements Schedule: closed-form queries cost O(1) per node.
 func (ps *periodicSchedule) RandomAccess() bool { return true }

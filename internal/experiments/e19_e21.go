@@ -79,7 +79,7 @@ func E19PolySchedulers(cfg Config) *stats.Table {
 
 // slotPeriod reads an edge slot's firing period off the frozen schedule:
 // the distance between its first two firings (0 for never-happy slots).
-func slotPeriod(ps *poly.Schedule, slot int) int64 {
+func slotPeriod(ps *core.ClassSchedule, slot int) int64 {
 	t1 := ps.NextHappy(slot, 1)
 	if t1 == 0 {
 		return 0

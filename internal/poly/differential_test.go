@@ -16,12 +16,30 @@ func equalSets(a, b []int) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestScheduleAccessPathsAgree is the differential harness of the ISSUE:
-// across ≥ 100 seeded random instances × both schedulers × window
-// alignments, Window, HappySet (the random-access path), and a NextHappy
-// replay must answer byte-identically. HappySet(t) for every t is the
-// ground truth; Window must visit exactly it, and per-slot NextHappy must
-// name exactly the holidays where the slot appears.
+// slotScan is the ground truth the access paths are checked against: for
+// every holiday in [1, horizon], the live slots whose layer's residue class
+// holds it, found by a per-slot t % period == offset scan of the layer
+// assignment — independent of the frozen schedule's class index.
+func slotScan(d *Dyn, horizon int64) [][]int {
+	want := make([][]int, horizon)
+	for tt := int64(1); tt <= horizon; tt++ {
+		for slot, s := range d.slots {
+			if !s.present {
+				continue
+			}
+			if l := d.layers[s.layer]; tt%l.period == l.offset {
+				want[tt-1] = append(want[tt-1], slot)
+			}
+		}
+	}
+	return want
+}
+
+// TestScheduleAccessPathsAgree is the poly differential harness: across
+// ≥ 100 seeded random instances × both schedulers × window alignments,
+// Window, HappySet (the random-access path), and a NextHappy replay must
+// answer byte-identically to slotScan. Window must visit exactly it, and
+// per-slot NextHappy must name exactly the holidays where the slot appears.
 func TestScheduleAccessPathsAgree(t *testing.T) {
 	const horizon = int64(700)
 	windows := [][2]int64{
@@ -43,9 +61,11 @@ func TestScheduleAccessPathsAgree(t *testing.T) {
 			}
 			s := d.FrozenSchedule()
 
-			want := make([][]int, horizon)
+			want := slotScan(d, horizon)
 			for tt := int64(1); tt <= horizon; tt++ {
-				want[tt-1] = s.HappySet(tt)
+				if got := s.HappySet(tt); !equalSets(got, want[tt-1]) {
+					t.Fatalf("seed %d %s: HappySet(%d) = %v, slot scan says %v", seed, code, tt, got, want[tt-1])
+				}
 			}
 			for _, w := range windows {
 				next := w[0]
@@ -54,7 +74,7 @@ func TestScheduleAccessPathsAgree(t *testing.T) {
 						t.Fatalf("seed %d %s: window [%d,%d] visited %d, want %d", seed, code, w[0], w[1], tt, next)
 					}
 					if !equalSets(happy, want[tt-1]) {
-						t.Fatalf("seed %d %s: holiday %d: Window %v ≠ HappySet %v", seed, code, tt, happy, want[tt-1])
+						t.Fatalf("seed %d %s: holiday %d: Window %v ≠ slot scan %v", seed, code, tt, happy, want[tt-1])
 					}
 					next++
 				})

@@ -7,6 +7,7 @@ import (
 
 	"math/rand/v2"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
@@ -145,7 +146,7 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	type frozen struct {
-		s   *Schedule
+		s   *core.ClassSchedule
 		dyn *Dyn // restored copy pinned to the snapshot, for Edge lookups
 	}
 	var cur atomic.Pointer[frozen]

@@ -492,6 +492,41 @@ func (d *Dyn) ApplyBatchResults(edits []core.Edit) []core.EditResult {
 	return results
 }
 
+// FrozenSchedule snapshots the current layer assignment as an immutable
+// core.ClassSchedule whose entities are the edge slots and whose classes
+// are the live layers: slot s is happy exactly at t ≡ offset (mod period)
+// of its layer, and a vacant slot is in no class, so never happy. Disjoint
+// layer classes mean at most one class fires per timeslot, so every happy
+// set is a single layer — a matching. The snapshot stays valid while the
+// live instance churns on — the serving layer's cache contract.
+func (d *Dyn) FrozenSchedule() *core.ClassSchedule {
+	classOf := make([]int32, len(d.layers))
+	periods := make([]int64, 0, len(d.layers))
+	offsets := make([]int64, 0, len(d.layers))
+	for i, l := range d.layers {
+		classOf[i] = -1
+		if l.period > 0 {
+			classOf[i] = int32(len(periods))
+			periods = append(periods, l.period)
+			offsets = append(offsets, l.offset)
+		}
+	}
+	class := make([]int32, len(d.slots))
+	for i, s := range d.slots {
+		class[i] = -1
+		if s.present {
+			class[i] = classOf[s.layer]
+		}
+	}
+	s, err := core.NewClassSchedule(d.Name(), periods, offsets, class)
+	if err != nil {
+		// Unreachable: New, churn and Restore keep every live layer's
+		// period a power of two ≤ MaxPeriod with offset < period.
+		panic(fmt.Sprintf("poly: freezing layers: %v", err))
+	}
+	return s
+}
+
 // Verify checks the structural invariants: every layer is a matching,
 // layer classes are pairwise disjoint, periods are powers of two within
 // range, and the membership indexes agree with the slots. Tests call it

@@ -127,7 +127,7 @@ func TestMatchingEveryTimeslot(t *testing.T) {
 }
 
 // assertMatchings walks the window and fails on any shared endpoint.
-func assertMatchings(t *testing.T, d *Dyn, s *Schedule, from, to int64) {
+func assertMatchings(t *testing.T, d *Dyn, s *core.ClassSchedule, from, to int64) {
 	t.Helper()
 	used := make(map[int]int64, 16)
 	s.Window(from, to, func(tt int64, happy []int) {
@@ -284,9 +284,11 @@ func TestExportRestoreContinuesIdentically(t *testing.T) {
 			t.Fatalf("%s: slot counts diverged: %d vs %d", code, a.Nodes(), b.Nodes())
 		}
 		for v := 0; v < a.Nodes(); v++ {
-			if a.periods[v] != b.periods[v] || a.offsets[v] != b.offsets[v] {
-				t.Fatalf("%s: slot %d assignment diverged: (%d,%d) vs (%d,%d)",
-					code, v, a.periods[v], a.offsets[v], b.periods[v], b.offsets[v])
+			// The first two firings pin a slot's (period, offset).
+			a1, b1 := a.NextHappy(v, 1), b.NextHappy(v, 1)
+			if a1 != b1 || a.NextHappy(v, a1+1) != b.NextHappy(v, b1+1) {
+				t.Fatalf("%s: slot %d assignment diverged: firings (%d,%d) vs (%d,%d)",
+					code, v, a1, a.NextHappy(v, a1+1), b1, b.NextHappy(v, b1+1))
 			}
 		}
 		if d.Relayerings() != r.Relayerings() {

@@ -83,56 +83,62 @@ func TestAppendWindowMatchesWindow(t *testing.T) {
 
 // TestAppendWindowReusesBuffers: handing the previous response back reuses
 // the row slice and the happy-set backing arrays — the steady state the
-// HTTP handler and the load generator rely on for allocation-free serving.
+// HTTP handler and the load generator rely on for allocation-free serving —
+// for classic and poly communities alike.
 func TestAppendWindowReusesBuffers(t *testing.T) {
 	reg := NewRegistry()
-	c, err := reg.Create("c", 16, ringEdges(16), "")
-	if err != nil {
+	if _, err := reg.Create("c", 16, ringEdges(16), ""); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.AppendWindow(nil, 1, 40)
-	if err != nil {
+	if _, err := reg.CreateSpec(CreateSpec{ID: "p", Kind: KindPoly, Families: 16, Edges: ringEdges(16), DefaultDemand: 2}); err != nil {
 		t.Fatal(err)
 	}
-	rowsPtr := unsafe.SliceData(rows)
-	happyPtr := unsafe.SliceData(rows[0].Happy)
-	if happyPtr == nil {
-		t.Fatal("first row has no happy families; pick a denser window")
-	}
-	again, err := c.AppendWindow(rows[:0], 1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unsafe.SliceData(again) != rowsPtr {
-		t.Error("row slice was reallocated on reuse")
-	}
-	if unsafe.SliceData(again[0].Happy) != happyPtr {
-		t.Error("happy backing array was reallocated on reuse")
-	}
-	// Validation failures must not lose the caller's buffer.
-	kept, err := c.AppendWindow(again[:0], 0, 10)
-	if err == nil {
-		t.Fatal("want error for from < 1")
-	}
-	if cap(kept) != cap(again) {
-		t.Error("failed query dropped the reusable buffer")
-	}
-
-	if raceEnabled {
-		return // sync.Pool drops items under the race detector
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		rows, err = c.AppendWindow(rows[:0], 1, 40)
+	for _, id := range []string{"c", "p"} {
+		c, _ := reg.Get(id)
+		rows, err := c.AppendWindow(nil, 1, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Steady-state window serving allocates no row or scratch buffers; the
-	// two remaining allocations are the visit closure and its captured
-	// variable cell (~50 bytes), down from one slice per holiday row.
-	if allocs > 2 {
-		t.Errorf("steady-state AppendWindow allocates %.1f/op, want ≤ 2", allocs)
+		rowsPtr := unsafe.SliceData(rows)
+		happyPtr := unsafe.SliceData(rows[0].Happy)
+		if len(rows[0].Happy) == 0 {
+			t.Fatalf("%s: first row has no happy entities; pick a denser window", id)
+		}
+		again, err := c.AppendWindow(rows[:0], 1, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unsafe.SliceData(again) != rowsPtr {
+			t.Errorf("%s: row slice was reallocated on reuse", id)
+		}
+		if unsafe.SliceData(again[0].Happy) != happyPtr {
+			t.Errorf("%s: happy backing array was reallocated on reuse", id)
+		}
+		// Validation failures must not lose the caller's buffer.
+		kept, err := c.AppendWindow(again[:0], 0, 10)
+		if err == nil {
+			t.Fatal("want error for from < 1")
+		}
+		if cap(kept) != cap(again) {
+			t.Errorf("%s: failed query dropped the reusable buffer", id)
+		}
+
+		if raceEnabled {
+			continue // sync.Pool drops items under the race detector
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			rows, err = c.AppendWindow(rows[:0], 1, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Steady-state window serving allocates no row or scratch buffers;
+		// at most the visit closure and its captured variable cell (~50
+		// bytes) remain, down from one slice per holiday row.
+		if allocs > 2 {
+			t.Errorf("%s: steady-state AppendWindow allocates %.1f/op, want ≤ 2", id, allocs)
+		}
 	}
 }
 

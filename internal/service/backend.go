@@ -24,7 +24,7 @@ const (
 // backend is the per-kind scheduler a Community drives: the classic dynamic
 // color-bound recolorer or the poly edge-layering scheduler. Both expose
 // the same churn vocabulary (core.Edit/EditResult) and freeze to a
-// core.Schedule, which is what lets the locking, journaling, caching, and
+// core.ClassSchedule, which is what lets the locking, journaling, caching, and
 // both wire protocols above stay kind-agnostic. Callers hold the
 // community's write lock for every mutating call and validate edits
 // (validEdge) before applying them.
@@ -55,7 +55,7 @@ type backend interface {
 	// schedules only change when somebody recolors; poly schedules include
 	// the edge slots themselves, so every applied edit changes them.
 	Invalidates(res core.EditResult) bool
-	FrozenSchedule() (core.Schedule, error)
+	FrozenSchedule() (*core.ClassSchedule, error)
 	// exportInto fills the kind-specific fields of a snapshot.
 	exportInto(st *CommunityState)
 }
@@ -95,7 +95,7 @@ func (b *classicBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (i
 
 func (b *classicBackend) Invalidates(res core.EditResult) bool { return res.Recolored }
 
-func (b *classicBackend) FrozenSchedule() (core.Schedule, error) { return b.dyn.FrozenSchedule() }
+func (b *classicBackend) FrozenSchedule() (*core.ClassSchedule, error) { return b.dyn.FrozenSchedule() }
 
 func (b *classicBackend) exportInto(st *CommunityState) {
 	g := b.dyn.Graph()
@@ -166,7 +166,9 @@ func (b *polyBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int,
 // insert between differently colored families leaves every answer valid.
 func (b *polyBackend) Invalidates(res core.EditResult) bool { return res.Applied }
 
-func (b *polyBackend) FrozenSchedule() (core.Schedule, error) { return b.dyn.FrozenSchedule(), nil }
+func (b *polyBackend) FrozenSchedule() (*core.ClassSchedule, error) {
+	return b.dyn.FrozenSchedule(), nil
+}
 
 func (b *polyBackend) exportInto(st *CommunityState) {
 	st.Kind = KindPoly

@@ -349,9 +349,16 @@ func TestServeBinWindowAllocs(t *testing.T) {
 	if _, err := reg.Create("c", 500, [][2]int{{0, 1}, {1, 2}, {3, 4}}, ""); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := reg.CreateSpec(CreateSpec{ID: "p", Kind: KindPoly, Families: 500, Edges: [][2]int{{0, 1}, {1, 2}, {3, 4}}}); err != nil {
+		t.Fatal(err)
+	}
 	a := &apiHandler{HandlerOpts: HandlerOpts{Owner: reg}}
-	for _, span := range []int64{52, 512} {
-		frame := splitOne(t, wire.AppendWindowReq(nil, "c", 1, span))
+	for _, q := range []struct {
+		id   string
+		span int64
+	}{{"c", 52}, {"c", 512}, {"p", 52}, {"p", 512}} {
+		id, span := q.id, q.span
+		frame := splitOne(t, wire.AppendWindowReq(nil, id, 1, span))
 		buf := make([]byte, 0, 1<<20)
 		for i := 0; i < 4; i++ { // warm the core bitmap scratch pool
 			buf = a.serveBinWindow(buf[:0], frame)
@@ -363,11 +370,11 @@ func TestServeBinWindowAllocs(t *testing.T) {
 		// their captured buffer cell; a per-row regression over 512 rows
 		// would blow far past this bound.
 		if allocs > 6 {
-			t.Errorf("span %d: steady-state binary window allocates %.1f/op, want ≤ 6", span, allocs)
+			t.Errorf("%s span %d: steady-state binary window allocates %.1f/op, want ≤ 6", id, span, allocs)
 		}
 		wr, err := frameFromBuf(t, buf).WindowResp()
 		if err != nil || int64(wr.Rows) != span {
-			t.Fatalf("span %d: response invalid after pooled serving: %+v (%v)", span, wr, err)
+			t.Fatalf("%s span %d: response invalid after pooled serving: %+v (%v)", id, span, wr, err)
 		}
 	}
 }

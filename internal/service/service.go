@@ -405,7 +405,7 @@ type Community struct {
 	// be is the kind-specific scheduler (classic color-bound or poly
 	// edge-layering); everything above it is kind-agnostic.
 	be     backend
-	cached core.Schedule // nil when invalidated; rebuilt lazily
+	cached *core.ClassSchedule // nil when invalidated; rebuilt lazily
 	// version counts cache invalidations (recolorings or family-set
 	// changes) — a cheap staleness signal for clients.
 	version int64
@@ -606,11 +606,21 @@ func (c *Community) invalidateLocked() {
 	c.version++
 }
 
-// Schedule returns the community's frozen periodic schedule, rebuilding it
-// only when churn invalidated the cache. The returned Schedule is an
-// immutable value: callers may query it without locks, and it stays
-// consistent even if the community recolors afterwards.
+// Schedule returns the community's frozen schedule, a *core.ClassSchedule
+// (so snapshots compare with ==), rebuilding it only when churn invalidated
+// the cache. It is immutable: callers may query it without locks, and it
+// stays consistent even if the community recolors afterwards.
 func (c *Community) Schedule() (core.Schedule, error) {
+	s, err := c.frozen()
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// frozen returns the cached frozen schedule, freezing a new one when churn
+// invalidated the cache.
+func (c *Community) frozen() (*core.ClassSchedule, error) {
 	c.mu.RLock()
 	if s := c.cached; s != nil {
 		c.mu.RUnlock()
@@ -665,7 +675,7 @@ func (c *Community) AppendWindow(rows []HolidayRow, from, to int64) ([]HolidayRo
 	if span := to - from + 1; span > MaxWindow {
 		return rows, fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
 	}
-	sched, err := c.Schedule()
+	sched, err := c.frozen()
 	if err != nil {
 		return rows, err
 	}
@@ -697,9 +707,9 @@ var emptyHappy = make([]int, 0)
 // called exactly once with the family count n (fixing the ⌈n/64⌉ row width)
 // before the first row; visit then runs once per holiday in order with the
 // packed row, which is only valid for the duration of the callback. The
-// closed-form periodic snapshot emits rows directly (core.BitWindower), so
-// no []int row is ever materialized on this path. On error neither callback
-// has been invoked, so a partially emitted response cannot exist.
+// frozen schedule sets each row's bits straight from its class member lists.
+// On error neither callback has been invoked, so a partially emitted
+// response cannot exist.
 func (c *Community) WindowBits(from, to int64, begin func(n int), visit func(t int64, row graph.Bitset)) error {
 	if from < 1 {
 		return fmt.Errorf("service: window start %d < 1", from)
@@ -713,18 +723,12 @@ func (c *Community) WindowBits(from, to int64, begin func(n int), visit func(t i
 	if span := to - from + 1; span > MaxWindow {
 		return fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
 	}
-	sched, err := c.Schedule()
+	sched, err := c.frozen()
 	if err != nil {
 		return err
 	}
-	n := 0
-	if nc, ok := sched.(core.NodeCounter); ok {
-		n = nc.Nodes()
-	} else {
-		n = c.Families()
-	}
-	begin(n)
-	core.WindowBits(sched, n, from, to, visit)
+	begin(sched.Nodes())
+	sched.WindowBits(from, to, visit)
 	return nil
 }
 
@@ -737,17 +741,11 @@ func (c *Community) NextHappy(v int, from int64) (int64, error) {
 	if from > core.MaxHoliday {
 		return 0, fmt.Errorf("service: holiday %d beyond last servable holiday %d", from, core.MaxHoliday)
 	}
-	sched, err := c.Schedule()
+	sched, err := c.frozen()
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	if nc, ok := sched.(core.NodeCounter); ok {
-		n = nc.Nodes()
-	} else {
-		n = c.Families()
-	}
-	if v < 0 || v >= n {
+	if v < 0 || v >= sched.Nodes() {
 		return 0, fmt.Errorf("service: community %q has no family %d", c.id, v)
 	}
 	return sched.NextHappy(v, from), nil
