@@ -336,7 +336,7 @@ func BenchmarkWindowRandomAccess(b *testing.B) {
 
 func BenchmarkServiceWindowThroughput(b *testing.B) {
 	g := graph.GNP(1024, 8.0/1024, 13)
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	c, err := reg.CreateFromGraph("bench", g, "")
 	if err != nil {
 		b.Fatal(err)

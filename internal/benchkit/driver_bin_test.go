@@ -12,7 +12,7 @@ import (
 // unbatched and batched, and checks the snapshot records the protocol so
 // comparisons against JSON runs refuse to gate.
 func TestRunHTTPBinary(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	srv := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
 	defer srv.Close()
 
@@ -53,7 +53,7 @@ func TestRunHTTPBinary(t *testing.T) {
 // TestDoBatchMapsErrors: per-op failures inside a batch must land at their
 // position while the rest of the batch is served.
 func TestDoBatchMapsErrors(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	if _, err := reg.Create("c", 16, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func (n noBatchDriver) Close() error                                   { return 
 // TestRunBatchNeedsBatchDriver: a batched run over a driver without batch
 // support is a configuration error, not a silent fallback.
 func TestRunBatchNeedsBatchDriver(t *testing.T) {
-	_, err := Run(testScenario(), noBatchDriver{NewInProcDriver(service.NewRegistry())}, Options{Batch: 4})
+	_, err := Run(testScenario(), noBatchDriver{NewInProcDriver(service.New(service.Opts{}))}, Options{Batch: 4})
 	if err == nil || !strings.Contains(err.Error(), "batch") {
 		t.Fatalf("want a batch-support error, got %v", err)
 	}

@@ -69,7 +69,7 @@ func checkSnapshot(t *testing.T, s *Snapshot, wantDriver string) {
 // TestRunInProc drives the in-process serving path end to end and checks
 // the snapshot is internally consistent and survives a file round trip.
 func TestRunInProc(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	d := NewInProcDriver(reg)
 	snap, err := Run(testScenario(), d, Options{Seed: 3, Workers: 2, Rev: "test"})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestRunInProc(t *testing.T) {
 // TestRunHTTP drives the full HTTP stack (handler, routing, JSON) through
 // an httptest server and checks the communities are created and torn down.
 func TestRunHTTP(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	srv := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
 	defer srv.Close()
 	d := NewHTTPDriver(srv.URL, 2)
@@ -114,7 +114,7 @@ func TestRunHTTP(t *testing.T) {
 func TestRunThrottled(t *testing.T) {
 	sc := testScenario()
 	sc.Duration = 500 * time.Millisecond
-	snap, err := Run(sc, NewInProcDriver(service.NewRegistry()), Options{Seed: 5, Workers: 2, QPS: 200})
+	snap, err := Run(sc, NewInProcDriver(service.New(service.Opts{})), Options{Seed: 5, Workers: 2, QPS: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func (e *testError) Error() string { return e.msg }
 // TestRunErrorsExcludedFromQPS: ops that fail must not count toward the
 // gated throughput — failing fast never reads as a speedup.
 func TestRunErrorsExcludedFromQPS(t *testing.T) {
-	d := &failingDriver{inner: NewInProcDriver(service.NewRegistry())}
+	d := &failingDriver{inner: NewInProcDriver(service.New(service.Opts{}))}
 	snap, err := Run(testScenario(), d, Options{Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -174,19 +174,19 @@ func TestRunErrorsExcludedFromQPS(t *testing.T) {
 func TestRunRejectsInvalidScenario(t *testing.T) {
 	sc := testScenario()
 	sc.Mix = OpMix{}
-	if _, err := Run(sc, NewInProcDriver(service.NewRegistry()), Options{}); err == nil {
+	if _, err := Run(sc, NewInProcDriver(service.New(service.Opts{})), Options{}); err == nil {
 		t.Fatal("want error for empty mix")
 	}
 	sc = testScenario()
 	sc.Communities = nil
-	if _, err := Run(sc, NewInProcDriver(service.NewRegistry()), Options{}); err == nil {
+	if _, err := Run(sc, NewInProcDriver(service.New(service.Opts{})), Options{}); err == nil {
 		t.Fatal("want error for no communities")
 	}
 	// Churn ops need two distinct families per community: a one-family
 	// community must be rejected after setup, not panic a worker.
 	sc = testScenario()
 	sc.Communities = append(sc.Communities, CommunitySpec{ID: "solo", Spec: "empty:n=1"})
-	if _, err := Run(sc, NewInProcDriver(service.NewRegistry()), Options{}); err == nil ||
+	if _, err := Run(sc, NewInProcDriver(service.New(service.Opts{})), Options{}); err == nil ||
 		!strings.Contains(err.Error(), "solo") {
 		t.Fatalf("want size error naming the one-family community, got %v", err)
 	}

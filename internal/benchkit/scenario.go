@@ -2,7 +2,7 @@
 // subsystem: it synthesizes multi-community workloads (configurable mixes of
 // window, next-happy, and churn marry/divorce operations over G(n,p), ring,
 // and clique communities at several scales), drives them either in-process
-// against a service.Registry or over HTTP against a live holidayd, and
+// against a service.Owner or over HTTP against a live holidayd, and
 // records latency quantiles, throughput, cache hit ratio, and allocation
 // counts into versioned BENCH_<rev>.json snapshots that successive revisions
 // compare against (see Compare and cmd/holidayload).

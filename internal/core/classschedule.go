@@ -191,9 +191,11 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 	}
 }
 
-// WindowBits implements BitWindower: each holiday's row is cleared and
-// gets the member bits of the classes Window finds firing on it, so no
-// per-class bitmap is stored.
+// WindowBits streams the window as word-packed happy bitmaps, one
+// ⌈n/64⌉-word row per holiday — the rows the binary wire format
+// (internal/wire) serializes. Each holiday's row is cleared and gets the
+// member bits of the classes Window finds firing on it, so no per-class
+// bitmap is stored. The row is only valid for the duration of visit.
 func (cs *ClassSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
 	sc := classScratchPool.Get().(*classScratch)
 	defer classScratchPool.Put(sc)

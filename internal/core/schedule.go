@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/graph"
 )
 
 // Schedule is random access into a scheduler's infinite happy-set sequence.
@@ -46,35 +44,6 @@ type Schedule interface {
 	RandomAccess() bool
 }
 
-// BitWindower is the optional interface of schedules that can stream a
-// window as word-packed happy bitmaps — one ⌈n/64⌉-word graph.Bitset row per
-// holiday — the rows the binary wire format (internal/wire) serializes. The
-// per-family closed form OR-s each node's progression into a row block;
-// ClassSchedule sets the member bits of each firing class. The row passed
-// to visit is only valid for the duration of the callback.
-type BitWindower interface {
-	WindowBits(from, to int64, visit func(t int64, row graph.Bitset))
-}
-
-// WindowBits streams s's window [from, to] as packed bitmap rows over n
-// nodes, using the schedule's native bitmap emission when it has one
-// (BitWindower) and packing the []int rows of Window otherwise. The row is
-// reused across holidays: it is only valid during visit.
-func WindowBits(s Schedule, n int, from, to int64, visit func(t int64, row graph.Bitset)) {
-	if bw, ok := s.(BitWindower); ok {
-		bw.WindowBits(from, to, visit)
-		return
-	}
-	row := graph.NewBitset(n)
-	s.Window(from, to, func(t int64, happy []int) {
-		row.Reset()
-		for _, v := range happy {
-			row.Set(v)
-		}
-		visit(t, row)
-	})
-}
-
 // windowBlock is the number of holidays a Window call buckets at a time,
 // bounding working memory regardless of window length.
 const windowBlock = 4096
@@ -94,11 +63,10 @@ const MaxNextHappyScan = 1 << 16
 // per-node periods and offsets. The assignment is immutable after
 // construction; scratch only holds reusable Window working buffers.
 type periodicSchedule struct {
-	name       string
-	periods    []int64
-	offsets    []int64
-	scratch    sync.Pool // *windowScratch, see Window
-	bitScratch sync.Pool // *bitWindowScratch, see WindowBits
+	name    string
+	periods []int64
+	offsets []int64
+	scratch sync.Pool // *windowScratch, see Window
 }
 
 // windowScratch is the per-Window working set (next-event cursor per node
@@ -229,72 +197,6 @@ func (ps *periodicSchedule) Window(from, to int64, visit func(t int64, happy []i
 		}
 		for t := blo; t <= bhi; t++ {
 			visit(t, happyAt[t-blo])
-		}
-	}
-}
-
-// bitWindowScratch is the per-WindowBits working set: the per-node
-// next-event cursor plus one block of packed rows as a flat word slice,
-// pooled per schedule like windowScratch so steady-state binary serving
-// allocates nothing.
-type bitWindowScratch struct {
-	next []int64
-	rows []uint64
-}
-
-// WindowBits implements BitWindower in closed form: each node's arithmetic
-// progression is walked through the window in windowBlock-sized chunks,
-// OR-ing the node's bit straight into the packed row of every holiday it
-// hosts — no []int row is ever materialized. Work is O(n + window·⌈n/64⌉
-// word clears + happiness events), memory O(n + block·⌈n/64⌉).
-func (ps *periodicSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
-	if to > MaxHoliday {
-		to = MaxHoliday
-	}
-	if from < 1 || to < from {
-		return
-	}
-	n := len(ps.periods)
-	words := (n + 63) / 64
-	ws, _ := ps.bitScratch.Get().(*bitWindowScratch)
-	if ws == nil {
-		ws = &bitWindowScratch{}
-	}
-	defer ps.bitScratch.Put(ws)
-	if cap(ws.next) < n {
-		ws.next = make([]int64, n)
-	}
-	next := ws.next[:n]
-	for v := 0; v < n; v++ {
-		next[v] = ps.NextHappy(v, from)
-	}
-	blockLen := to - from + 1
-	if blockLen > windowBlock {
-		blockLen = windowBlock
-	}
-	need := int(blockLen) * words
-	if cap(ws.rows) < need {
-		ws.rows = make([]uint64, need)
-	}
-	rows := ws.rows[:need]
-	for blo := from; blo <= to; blo += blockLen {
-		bhi := blo + blockLen - 1
-		if bhi > to {
-			bhi = to
-		}
-		cnt := int(bhi - blo + 1)
-		clear(rows[:cnt*words])
-		for v := 0; v < n; v++ {
-			t := next[v]
-			wv, bit := v>>6, uint64(1)<<uint(v&63)
-			for ; t <= bhi; t += ps.periods[v] {
-				rows[int(t-blo)*words+wv] |= bit
-			}
-			next[v] = t
-		}
-		for t := blo; t <= bhi; t++ {
-			i := int(t-blo) * words
-			visit(t, graph.Bitset(rows[i:i+words]))
 		}
 	}
 }

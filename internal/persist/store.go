@@ -121,8 +121,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Journal returns the WAL as the registry hook: pass it to
-// Registry.SetJournal (Load already does).
+// Journal returns the WAL as the owner's journal hook: pass it to
+// Owner.SetJournal or Opts.Journal (Load already attaches it).
 func (s *Store) Journal() service.Journal { return s.wal }
 
 // Load reconstructs a registry from the snapshot plus the WAL records newer
@@ -130,8 +130,8 @@ func (s *Store) Journal() service.Journal { return s.wal }
 // mutations are durable. Restored communities answer window and next-happy
 // queries byte-identically to the process that persisted them: the exact
 // coloring is restored, never re-derived.
-func (s *Store) Load() (*service.Registry, error) {
-	reg := service.NewRegistry()
+func (s *Store) Load() (*service.Owner, error) {
+	reg := service.New(service.Opts{})
 	if s.snap != nil {
 		for _, st := range s.snap.Communities {
 			if _, err := reg.Restore(st); err != nil {
@@ -170,7 +170,7 @@ func (s *Store) Load() (*service.Registry, error) {
 // record ≤ cutoff is either in its community's exported state or belongs
 // to a community created-and-deleted before the export walk; records >
 // cutoff survive compaction and replay idempotently over the snapshot.
-func (s *Store) SaveSnapshot(reg *service.Registry) error {
+func (s *Store) SaveSnapshot(reg *service.Owner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.wal.Sync(); err != nil {

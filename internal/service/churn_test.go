@@ -60,7 +60,7 @@ func answerKey(t *testing.T, c *Community) string {
 // with journals attached — an identical record stream (so replaying a
 // batch-written WAL reconstructs the same state one record at a time).
 func TestChurnBatchMatchesSingleOps(t *testing.T) {
-	regB, regS := NewRegistry(), NewRegistry()
+	regB, regS := New(Opts{}), New(Opts{})
 	jB, jS := &memJournal{}, &memJournal{}
 	regB.SetJournal(jB)
 	regS.SetJournal(jS)
@@ -110,7 +110,7 @@ func TestChurnBatchMatchesSingleOps(t *testing.T) {
 	}
 
 	// The batch path's journal stream replays into the same answers.
-	regR := NewRegistry()
+	regR := New(Opts{})
 	for i, rec := range jB.recs {
 		if err := regR.Apply(uint64(i+1), rec); err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestChurnBatchMatchesSingleOps(t *testing.T) {
 // TestChurnBatchJournalsOnlyEffectiveEdits: no-op edits (including in-batch
 // cancellations) never reach the journal.
 func TestChurnBatchJournalsOnlyEffectiveEdits(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 6, [][2]int{{0, 1}}, "")
@@ -166,7 +166,7 @@ func TestChurnBatchJournalsOnlyEffectiveEdits(t *testing.T) {
 // TestChurnBatchWriteAhead: a journal failure aborts the whole batch before
 // anything is applied.
 func TestChurnBatchWriteAhead(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 4, [][2]int{{0, 1}}, "")
@@ -194,7 +194,7 @@ func TestChurnBatchWriteAhead(t *testing.T) {
 // TestChurnBatchValidation: one invalid edit fails the batch with nothing
 // applied or journaled.
 func TestChurnBatchValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 4, nil, "")
@@ -245,7 +245,7 @@ func (j *batchingJournal) LogBatch(recs []Record) (uint64, error) {
 // TestChurnBatchUsesBatchJournal: a journal implementing BatchJournal gets
 // one LogBatch call per flush, not K Log calls.
 func TestChurnBatchUsesBatchJournal(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &batchingJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 8, nil, "")
@@ -274,7 +274,7 @@ func TestChurnBatchUsesBatchJournal(t *testing.T) {
 // far fewer flushes, every op is answered correctly, and the community stays
 // consistent.
 func TestCoalescerBatchesConcurrentChurn(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &batchingJournal{}
 	reg.SetJournal(j)
 	const n = 128
@@ -346,7 +346,7 @@ func TestCoalescerBatchesConcurrentChurn(t *testing.T) {
 // TestCoalescerTimerFlush: a lone op below the size trigger still completes
 // within the time bound.
 func TestCoalescerTimerFlush(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 4, nil, "")
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestCoalescerTimerFlush(t *testing.T) {
 // TestCoalescerCloseFlushesPending: Close drains open batches, and later
 // ops fall back to direct application.
 func TestCoalescerCloseFlushesPending(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 4, nil, "")
 	if err != nil {
 		t.Fatal(err)

@@ -6,15 +6,17 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // clusterNode is one in-process daemon for forwarding tests: a real
 // listener (the router must know final addresses before handlers exist).
 type clusterNode struct {
-	id    string
-	owner *Owner
-	url   string
+	id     string
+	owner  *Owner
+	router *Router
+	url    string
 }
 
 // startCluster boots n HTTP nodes sharing one topology.
@@ -38,6 +40,7 @@ func startCluster(t *testing.T, n int) []*clusterNode {
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}
+		cn.router = rt
 		srv := &http.Server{Handler: NewHandler(HandlerOpts{Owner: cn.owner, Router: rt, Node: cn.id})}
 		go srv.Serve(lns[i])
 		t.Cleanup(func() { srv.Close() })
@@ -187,7 +190,9 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestPromoteEndpoint: /v1/promote unfences a replica and pins placement.
+// TestPromoteEndpoint: /v1/promote publishes the next epoch's table with
+// the community assigned to the promoting node, and the replica is
+// unfenced by the time the response arrives.
 func TestPromoteEndpoint(t *testing.T) {
 	cns := startCluster(t, 2)
 	id := pickPlacement(t, cns, cns[1].id)
@@ -201,17 +206,29 @@ func TestPromoteEndpoint(t *testing.T) {
 		t.Fatal("fenced replica accepted a write")
 	}
 
+	before := cns[0].router.Epoch()
 	resp, err := http.Post(cns[0].url+"/v1/promote", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"community":%q}`, id)))
 	if err != nil {
 		t.Fatalf("post: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("promote: status %d", resp.StatusCode)
-	}
 	if c.Fenced() {
-		t.Fatal("community still fenced after promotion")
+		t.Fatal("community still fenced when the promote response arrived")
+	}
+	var out struct {
+		Epoch uint64 `json:"epoch"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote: status %d, decode %v", resp.StatusCode, err)
+	}
+	p := cns[0].router.Placement()
+	if out.Epoch != before+1 || p.Epoch != before+1 {
+		t.Fatalf("promote epoch: response %d, installed %d, want %d", out.Epoch, p.Epoch, before+1)
+	}
+	if p.Assign[id] != cns[0].id {
+		t.Fatalf("installed table assigns %q to %q, want %q", id, p.Assign[id], cns[0].id)
 	}
 	if _, err := c.Marry(0, 1); err != nil {
 		t.Fatalf("write after promotion: %v", err)
@@ -224,5 +241,49 @@ func TestPromoteEndpoint(t *testing.T) {
 	wresp.Body.Close()
 	if wresp.StatusCode != http.StatusOK && wresp.StatusCode != http.StatusCreated {
 		t.Fatalf("write via promoted node: status %d", wresp.StatusCode)
+	}
+}
+
+// TestPromoteConcurrent: promotes racing on one node each advance the
+// epoch by one and none loses its assignment — two publishing the same
+// epoch would tie, and the fingerprint winner would drop the other's.
+func TestPromoteConcurrent(t *testing.T) {
+	cns := startCluster(t, 2)
+	const n = 8
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("promote-%d", i)
+		if _, err := cns[0].owner.Create(ids[i], 3, nil, ""); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		cns[0].owner.Fence(ids[i])
+	}
+	before := cns[0].router.Epoch()
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(cns[0].url+"/v1/promote", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"community":%q}`, id)))
+			if err != nil {
+				t.Error("promote:", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("promote %s: status %d", id, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	p := cns[0].router.Placement()
+	if p.Epoch != before+n {
+		t.Fatalf("epoch %d after %d promotes from %d", p.Epoch, n, before)
+	}
+	for _, id := range ids {
+		if c, _ := cns[0].owner.Get(id); p.Assign[id] != cns[0].id || c.Fenced() {
+			t.Fatalf("%s: assigned to %q, fenced %v", id, p.Assign[id], c.Fenced())
+		}
 	}
 }

@@ -56,16 +56,6 @@ type HandlerOpts struct {
 	Handoff func(community string, table Placement) (cutSeq uint64, pause time.Duration, err error)
 }
 
-// HandlerOptions is the pre-cluster options struct of NewHandlerOpts.
-//
-// Deprecated: use HandlerOpts with NewHandler.
-type HandlerOptions struct {
-	// MaxBinBatch caps the frames one /v1/bin request body may carry.
-	MaxBinBatch int
-	// Churn routes single-op churn through the coalescer.
-	Churn *Coalescer
-}
-
 // DefaultMaxBinBatch is the frames-per-request cap of the binary endpoints
 // when HandlerOpts does not override it.
 const DefaultMaxBinBatch = 1024
@@ -179,17 +169,14 @@ func NewHandler(h HandlerOpts) http.Handler {
 	return mux
 }
 
-// NewHandlerOpts is the pre-cluster constructor.
-//
-// Deprecated: use NewHandler(HandlerOpts{...}).
-func NewHandlerOpts(reg *Owner, opts HandlerOptions) http.Handler {
-	return NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: opts.MaxBinBatch, Churn: opts.Churn})
-}
-
 // apiHandler carries the handler configuration and the forwarding client.
 type apiHandler struct {
 	HandlerOpts
 	client *http.Client
+	// promoteMu serializes promotes' read-edit-publish of the placement
+	// table: two racing at one epoch would tie, and the fingerprint winner
+	// would drop the loser's assignment after its install succeeded.
+	promoteMu sync.Mutex
 }
 
 // misplaced reports whether a request for community id must not be served
@@ -381,8 +368,7 @@ func (a *apiHandler) serveAddFamily(w http.ResponseWriter, r *http.Request, c *C
 
 func (a *apiHandler) serveMarry(w http.ResponseWriter, r *http.Request, c *Community) {
 	var req edgeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var recolored bool
@@ -426,8 +412,7 @@ func (a *apiHandler) serveDivorce(w http.ResponseWriter, r *http.Request, c *Com
 
 func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Community) {
 	var reqs []churnOpRequest
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, &reqs) {
 		return
 	}
 	if len(reqs) == 0 {
@@ -591,9 +576,9 @@ type promoteRequest struct {
 	Community string `json:"community"`
 }
 
-// servePromote takes ownership of a community this node replicates: the
-// router publishes an epoch-bumped table pinning the community here and
-// the fence lifts (rebasing the replica into the local journal's sequence
+// servePromote takes ownership of a community this node replicates: it
+// publishes an epoch-bumped table assigning the community here and the
+// fence lifts (rebasing the replica into the local journal's sequence
 // space), so writes land locally from the next request on. The break-glass
 // failover path for when the automatic election cannot run; normal
 // failovers promote without any operator call.
@@ -603,8 +588,7 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req promoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	c, ok := a.Owner.Get(req.Community)
@@ -612,14 +596,31 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q on this node", req.Community))
 		return
 	}
-	if err := a.Router.Override(req.Community, a.Router.Self()); err != nil {
+	p, err := a.promote(req.Community)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	a.Owner.TakeOwnership(req.Community)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"community": req.Community, "node": a.Node, "seq": c.Seq(), "epoch": a.Router.Epoch(),
+		"community": req.Community, "node": a.Node, "seq": c.Seq(), "epoch": p.Epoch,
 	})
+}
+
+// promote publishes the current table one epoch on with community
+// assigned to this node and returns the installed table. The install's
+// fence sync lifts the community's fence before SetPlacement returns; a
+// concurrent install that wins first forces a re-read and another try.
+func (a *apiHandler) promote(community string) (Placement, error) {
+	a.promoteMu.Lock()
+	defer a.promoteMu.Unlock()
+	for {
+		p := a.Router.Placement()
+		p.Epoch++
+		p.Assign[community] = a.Router.Self()
+		if installed, err := a.Router.SetPlacement(p); err != nil || installed {
+			return p, err
+		}
+	}
 }
 
 // servePlacementGet answers with the installed placement table.
@@ -641,8 +642,7 @@ func (a *apiHandler) servePlacementSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p Placement
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, &p) {
 		return
 	}
 	installed, err := a.Router.SetPlacement(p)
@@ -674,8 +674,7 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req handoffRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Community == "" {
@@ -1147,4 +1146,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	status, ae := envelope(status, err)
 	writeJSON(w, status, ae)
+}
+
+// decodeJSON decodes a JSON request body into v, reading at most
+// wire.MaxFrame bytes of it. A malformed or over-long body answers 400
+// and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrame)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		return false
+	}
+	return true
 }

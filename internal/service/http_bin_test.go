@@ -261,11 +261,11 @@ func TestBinaryErrorStatusesMirrorJSON(t *testing.T) {
 // request with a JSON 400 — no per-frame correspondence exists to answer
 // in-band.
 func TestBinaryProtocolViolations(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 
 	winReq := wire.AppendWindowReq(nil, "demo", 1, 4)

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,11 +87,11 @@ func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 
 // TestHTTPChurnValidation: the JSON batch endpoint's whole-request failures.
 func TestHTTPChurnValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 	do := func(body string, wantStatus int) {
 		t.Helper()
@@ -115,6 +116,41 @@ func TestHTTPChurnValidation(t *testing.T) {
 		t.Fatal("a rejected batch applied its valid prefix")
 	}
 	do(churnBody([][3]any{{"marry", 0, 1}, {"divorce", 0, 1}}), http.StatusOK)
+}
+
+// countingReader counts the bytes a handler pulls from a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestHTTPChurnBodyCap: a JSON churn body past wire.MaxFrame is refused
+// with the 400 bad_request envelope after at most MaxFrame+1 bytes are
+// read — the batch cap must not wait for the whole array to decode.
+func TestHTTPChurnBodyCap(t *testing.T) {
+	reg := New(Opts{})
+	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	const edit = `{"op":"marry","u":0,"v":1}`
+	body := &countingReader{r: strings.NewReader(
+		"[" + strings.Repeat(edit+",", (wire.MaxFrame+1<<20)/(len(edit)+1)) + edit + "]")}
+	req := httptest.NewRequest("POST", "/v1/communities/demo/churn", body)
+	rec := httptest.NewRecorder()
+	NewHandler(HandlerOpts{Owner: reg}).ServeHTTP(rec, req)
+	var e Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Fatalf("over-cap churn body: status %d, envelope %+v (%v), want 400 %s", rec.Code, e, err, CodeBadRequest)
+	}
+	if body.n > wire.MaxFrame+1 {
+		t.Fatalf("handler read %d body bytes, want at most %d", body.n, wire.MaxFrame+1)
+	}
 }
 
 // TestBinaryChurnMatchesJSON is the differential proof for the binary churn
@@ -235,11 +271,11 @@ func TestBinaryChurnGroupsAndErrors(t *testing.T) {
 // TestBinaryChurnProtocolViolations: framing problems fail the whole request,
 // like the other binary endpoints.
 func TestBinaryChurnProtocolViolations(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 
 	good := wire.AppendChurnReq(nil, wire.ChurnInsert, "demo", 0, 1)
@@ -268,18 +304,18 @@ func TestBinaryChurnProtocolViolations(t *testing.T) {
 	}
 }
 
-// TestCoalescedSingleOpEndpoints: with HandlerOptions.Churn set, the
+// TestCoalescedSingleOpEndpoints: with HandlerOpts.Churn set, the
 // single-op marry/divorce endpoints route through the coalescer and answer
 // exactly what the direct path answers — including validation failures,
 // which fail fast without joining a batch.
 func TestCoalescedSingleOpEndpoints(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
 	co := NewCoalescer(4, 0)
 	defer co.Close()
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{Churn: co}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, Churn: co}))
 	defer srv.Close()
 
 	post := func(path, body string, wantStatus int, out any) {

@@ -54,10 +54,10 @@ type Record struct {
 	Demand int64 `json:"demand,omitempty"`
 }
 
-// Journal is the durability hook of the registry. When attached (see
-// Registry.SetJournal), every mutation is logged — and must be accepted by
+// Journal is the durability hook of an Owner. When attached (Opts.Journal
+// or Owner.SetJournal), every mutation is logged — and must be accepted by
 // the journal — before it is applied and acknowledged, write-ahead style.
-// Log returns a sequence number that totally orders records; the registry
+// Log returns a sequence number that totally orders records; the owner
 // remembers, per community, the sequence of the last record applied to it,
 // which is how snapshot-plus-replay recovery (internal/persist) skips
 // records already reflected in a snapshot.
@@ -78,14 +78,13 @@ type BatchJournal interface {
 	LogBatch(recs []Record) (last uint64, err error)
 }
 
-// SetJournal attaches (or, with nil, detaches) the owner's journal.
-// Attach before accepting traffic: ops applied while no journal is attached
-// are not logged and will not survive a restart. Restore and Apply never
-// log — recovery replays through them without re-journaling.
-//
-// Deprecated: pass Opts.Journal to New instead; SetJournal remains for the
-// one legitimate late-attach site (recovery replays a WAL into a bare
-// owner, then attaches the same WAL for new writes).
+// SetJournal attaches (or, with nil, detaches) the owner's journal after
+// construction — the late-attach counterpart of Opts.Journal, used when a
+// recovery replays a WAL into a bare owner and then attaches the same WAL
+// for new writes. Attach before accepting traffic: ops applied while no
+// journal is attached are not logged and will not survive a restart.
+// Restore and Apply never log — recovery replays through them without
+// re-journaling.
 func (r *Owner) SetJournal(j Journal) {
 	r.journal.Store(&journalBox{j: j})
 }

@@ -25,7 +25,7 @@ func (j *memJournal) Log(rec Record) (uint64, error) {
 // TestJournalReceivesEveryMutation: each of the five mutation kinds logs
 // exactly one record, with the fields replay needs.
 func TestJournalReceivesEveryMutation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 
@@ -62,7 +62,7 @@ func TestJournalReceivesEveryMutation(t *testing.T) {
 // mutation must not apply — an op the client saw fail cannot silently
 // change the schedule.
 func TestJournalFailureIsWriteAhead(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	// The divorce below must target a real marriage: no-op churn (divorcing
@@ -117,7 +117,7 @@ func TestJournalFailureIsWriteAhead(t *testing.T) {
 // TestExportRestoreRoundTrip: a restored community answers identically and
 // keeps the exported version, recolorings, and sequence.
 func TestExportRestoreRoundTrip(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 12, ringEdges(12), "gamma")
@@ -134,7 +134,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatal("export lost the journal sequence")
 	}
 
-	reg2 := NewRegistry()
+	reg2 := New(Opts{})
 	c2, err := reg2.Restore(st)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestRestoreRejectsImproperColoring(t *testing.T) {
 		Edges:    [][2]int{{0, 1}},
 		Coloring: []int{1, 1}, // monochromatic edge
 	}
-	if _, err := NewRegistry().Restore(st); err == nil {
+	if _, err := New(Opts{}).Restore(st); err == nil {
 		t.Fatal("restore accepted an improper coloring")
 	}
 }
@@ -182,7 +182,7 @@ func TestRestoreRejectsImproperColoring(t *testing.T) {
 // TestApplySkipsReplayedRecords: Apply is idempotent under sequence
 // filtering — a record at or below a community's sequence is a no-op.
 func TestApplySkipsReplayedRecords(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Restore(CommunityState{
 		ID: "c", Families: 3, Edges: [][2]int{{0, 1}},
 		Coloring: []int{1, 2, 1}, Seq: 10,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,15 +151,19 @@ func TestSetPlacementEpochGate(t *testing.T) {
 	}
 }
 
-// TestRouterConcurrentMutationStress hammers every mutator against every
-// reader from many goroutines — run under -race this is the memory-safety
-// proof for the placement plane (the bug class: Override rebuilding the
-// ring while a Place walks it).
+// TestRouterConcurrentMutationStress hammers SetPlacement publishers
+// against every reader from many goroutines — run under -race this is the
+// memory-safety proof for the placement plane (the bug class: an install
+// rebuilding the ring while a Place walks it). Watchers run before
+// SetPlacement returns, so once the publishers stop, every install has
+// been observed.
 func TestRouterConcurrentMutationStress(t *testing.T) {
 	rt := mustRouter(t, RouterOpts{Self: "a", Nodes: testNodes("a", "b", "c")})
 	ks := keys(64)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var installs, observed atomic.Int64
+	rt.OnChange(func(Placement) { observed.Add(1) })
 
 	reader := func(seed int64) {
 		defer wg.Done()
@@ -182,42 +187,49 @@ func TestRouterConcurrentMutationStress(t *testing.T) {
 		go reader(int64(i))
 	}
 
-	wg.Add(1)
-	go func() { // override churn
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		targets := []string{"a", "b", "c"}
-		for i := 0; !stop.Load(); i++ {
-			_ = rt.Override(ks[rng.Intn(len(ks))], targets[rng.Intn(len(targets))])
-		}
-	}()
-	wg.Add(1)
-	go func() { // membership churn: d joins and leaves
-		defer wg.Done()
-		for !stop.Load() {
-			_ = rt.AddNode(Node{ID: "d", Addr: "http://d.example:8080"})
-			rt.RemoveNode("d")
-		}
-	}()
-	wg.Add(1)
-	go func() { // table publishes racing the mutators
+	// publisher republishes the current table one epoch on, changed by
+	// mutate, racing the other publishers for each epoch.
+	publisher := func(mutate func(p *Placement)) {
 		defer wg.Done()
 		for !stop.Load() {
 			p := rt.Placement()
 			p.Epoch++
-			if _, err := rt.SetPlacement(p); err != nil {
+			mutate(&p)
+			ok, err := rt.SetPlacement(p)
+			if err != nil {
 				t.Error("SetPlacement:", err)
 				return
 			}
+			if ok {
+				installs.Add(1)
+			}
 		}
-	}()
+	}
+	rng := rand.New(rand.NewSource(99))
+	targets := []string{"a", "b", "c"}
+	wg.Add(3)
+	go publisher(func(p *Placement) { // assignment churn
+		p.Assign[ks[rng.Intn(len(ks))]] = targets[rng.Intn(len(targets))]
+	})
+	go publisher(func(p *Placement) { // membership churn: d joins and leaves
+		members := len(p.Nodes)
+		p.Nodes = slices.DeleteFunc(p.Nodes, func(n Node) bool { return n.ID == "d" })
+		if len(p.Nodes) == members {
+			p.Nodes = append(p.Nodes, Node{ID: "d", Addr: "http://d.example:8080"})
+		}
+	})
+	go publisher(func(*Placement) {}) // plain republication
 
-	for i := 0; i < 2000; i++ {
+	// Keep the readers racing until the publishers have made real progress.
+	for i := 0; i < 2000 || installs.Load() < 300; i++ {
 		rt.Place(ks[i%len(ks)])
 	}
 	stop.Store(true)
 	wg.Wait()
 
+	if installs.Load() == 0 || observed.Load() != installs.Load() {
+		t.Fatalf("watchers observed %d installs, publishers made %d", observed.Load(), installs.Load())
+	}
 	// The surviving table is still coherent: valid, and every placement
 	// resolves to a member.
 	p := rt.Placement()

@@ -51,11 +51,11 @@ const DefaultVNodes = 64
 // installed table — every process holding the same table computes the same
 // owner for every community, across restarts, with no coordination.
 //
-// Tables advance through SetPlacement (higher epoch wins; same-epoch ties
-// break on the canonical fingerprint), so concurrent publishers — two
-// replicas self-promoting after an owner death, an operator rebalance
-// racing a failover — converge deterministically. Mutators like Override
-// and AddNode are conveniences that bump the epoch by one.
+// After NewRouter, every table change goes through SetPlacement (higher
+// epoch wins; same-epoch ties break on the canonical fingerprint), so
+// concurrent publishers — two replicas self-promoting after an owner death,
+// an operator rebalance racing a failover — converge deterministically, and
+// OnChange watchers see every install before its installer returns.
 //
 // Daemons embed a Router to decide whether to serve, forward, or refuse;
 // clients (holidayctl, the benchmark cluster driver) embed one with an
@@ -105,7 +105,7 @@ func NewRouter(o RouterOpts) (*Router, error) {
 	}
 	sort.Slice(p.Nodes, func(i, j int) bool { return p.Nodes[i].ID < p.Nodes[j].ID })
 	rt := &Router{self: o.Self, vnodes: o.VNodes, p: p}
-	if o.Self != "" && !rt.isMemberLocked(o.Self) {
+	if _, ok := rt.Addr(o.Self); o.Self != "" && !ok {
 		return nil, fmt.Errorf("service: router self %q is not in the topology", o.Self)
 	}
 	rt.ring = buildRing(nil, p.Nodes, o.VNodes)
@@ -127,17 +127,6 @@ func RouterFor(p Placement) (*Router, error) {
 		rt.p.Assign[c] = n
 	}
 	return rt, nil
-}
-
-// isMemberLocked reports whether id names a member; caller holds mu (or the
-// router is still private).
-func (rt *Router) isMemberLocked(id string) bool {
-	for _, n := range rt.p.Nodes {
-		if n.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // buildRing computes the vnode ring for a member list, reusing dst's
@@ -298,44 +287,6 @@ func (rt *Router) ReplAddr(node string) (string, bool) {
 	return "", false
 }
 
-// Override pins a community to a node regardless of the ring by publishing
-// a one-epoch bump of the current table — the break-glass promotion path
-// after its hash-placed owner dies. The node must be a member.
-func (rt *Router) Override(community, node string) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !rt.isMemberLocked(node) {
-		return fmt.Errorf("service: override %q → %q: no such node", community, node)
-	}
-	rt.bumpLocked(func(p *Placement) { p.Assign[community] = node })
-	return nil
-}
-
-// bumpLocked installs a mutated copy of the current table at epoch+1;
-// caller holds mu. Watchers run after the caller releases the lock via
-// notifyAsync — mutator-path installs are always strictly newer, so the
-// deferred notification cannot reorder against a competing install.
-func (rt *Router) bumpLocked(mutate func(*Placement)) {
-	p := rt.p.Clone()
-	if p.Assign == nil {
-		p.Assign = make(map[string]string)
-	}
-	p.Epoch++
-	mutate(&p)
-	sort.Slice(p.Nodes, func(i, j int) bool { return p.Nodes[i].ID < p.Nodes[j].ID })
-	rt.p = p
-	rt.ring = buildRing(rt.ring, p.Nodes, rt.vnodes)
-	if len(rt.watchers) > 0 {
-		watchers := append([]func(Placement){}, rt.watchers...)
-		snap := p.Clone()
-		go func() {
-			for _, w := range watchers {
-				w(snap)
-			}
-		}()
-	}
-}
-
 // Overrides returns a copy of the explicit assignments of the current
 // table (the entries that shadow ring placement).
 func (rt *Router) Overrides() map[string]string {
@@ -346,45 +297,4 @@ func (rt *Router) Overrides() map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// AddNode joins a member to the ring at a new epoch; placement of
-// communities hashing to other members is unchanged (the consistent-hash
-// property the tests pin).
-func (rt *Router) AddNode(n Node) error {
-	if n.ID == "" {
-		return fmt.Errorf("service: AddNode: empty node id")
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.isMemberLocked(n.ID) {
-		return fmt.Errorf("service: AddNode: node %q already a member", n.ID)
-	}
-	rt.bumpLocked(func(p *Placement) { p.Nodes = append(p.Nodes, n) })
-	return nil
-}
-
-// RemoveNode drops a member (and any assignments pointing at it) at a new
-// epoch, reporting whether it was one. Communities it owned move to their
-// next ring point.
-func (rt *Router) RemoveNode(id string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !rt.isMemberLocked(id) {
-		return false
-	}
-	rt.bumpLocked(func(p *Placement) {
-		for i, n := range p.Nodes {
-			if n.ID == id {
-				p.Nodes = append(p.Nodes[:i], p.Nodes[i+1:]...)
-				break
-			}
-		}
-		for c, o := range p.Assign {
-			if o == id {
-				delete(p.Assign, c)
-			}
-		}
-	})
-	return true
 }

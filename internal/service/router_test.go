@@ -65,9 +65,9 @@ func TestRouterBalance(t *testing.T) {
 	}
 }
 
-// TestRouterMinimalMovement pins the consistent-hashing contract: removing
-// a member moves exactly the keys it owned, adding one moves only keys onto
-// the new member, and the moved fraction stays near 1/n.
+// TestRouterMinimalMovement pins the consistent-hashing contract: a table
+// that removes a member moves exactly the keys it owned, adding one moves
+// only keys onto the new member, and the moved fraction stays near 1/n.
 func TestRouterMinimalMovement(t *testing.T) {
 	ks := keys(20000)
 	full := mustRouter(t, RouterOpts{Nodes: testNodes("a", "b", "c", "d")})
@@ -77,8 +77,8 @@ func TestRouterMinimalMovement(t *testing.T) {
 	}
 
 	// Removal: keys not owned by the removed node must not move.
-	if !full.RemoveNode("c") {
-		t.Fatal("RemoveNode(c) = false")
+	if ok, err := full.SetPlacement(Placement{Epoch: 1, Nodes: testNodes("a", "b", "d")}); err != nil || !ok {
+		t.Fatalf("SetPlacement without c = %v, %v", ok, err)
 	}
 	for _, k := range ks {
 		after := full.Place(k)
@@ -110,8 +110,9 @@ func TestRouterMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRouterOverride: promotion overrides win over the ring and die with
-// the node they point at.
+// TestRouterOverride: a table's assignment wins over the ring, a table
+// assigning to a non-member is refused, and an assignment lasts only as
+// long as the tables that carry it.
 func TestRouterOverride(t *testing.T) {
 	rt := mustRouter(t, RouterOpts{Self: "a", Nodes: testNodes("a", "b")})
 	var onB string
@@ -124,23 +125,28 @@ func TestRouterOverride(t *testing.T) {
 	if onB == "" {
 		t.Fatal("no key placed on b")
 	}
-	if err := rt.Override(onB, "a"); err != nil {
-		t.Fatalf("Override: %v", err)
+	pinned := Placement{Epoch: 1, Nodes: testNodes("a", "b"), Assign: map[string]string{onB: "a"}}
+	if ok, err := rt.SetPlacement(pinned); err != nil || !ok {
+		t.Fatalf("SetPlacement(assign %q to a) = %v, %v", onB, ok, err)
 	}
 	if got := rt.Place(onB); got != "a" {
-		t.Fatalf("override ignored: Place(%q) = %s", onB, got)
+		t.Fatalf("assignment ignored: Place(%q) = %s", onB, got)
 	}
 	if !rt.IsLocal(onB) {
-		t.Fatal("IsLocal false for an overridden community")
+		t.Fatal("IsLocal false for an assigned community")
 	}
-	if err := rt.Override("x", "ghost"); err == nil {
-		t.Fatal("Override to a non-member succeeded")
+	ghost := Placement{Epoch: 2, Nodes: testNodes("a", "b"), Assign: map[string]string{"x": "ghost"}}
+	if ok, err := rt.SetPlacement(ghost); err == nil || ok {
+		t.Fatalf("table assigning to a non-member: installed %v, err %v", ok, err)
 	}
-	if !rt.RemoveNode("a") {
-		t.Fatal("RemoveNode(a) = false")
+	if rt.Epoch() != 1 || rt.Place(onB) != "a" {
+		t.Fatalf("refused table changed the router: epoch %d, Place(%q) = %s", rt.Epoch(), onB, rt.Place(onB))
+	}
+	if ok, err := rt.SetPlacement(Placement{Epoch: 2, Nodes: testNodes("a", "b")}); err != nil || !ok {
+		t.Fatalf("SetPlacement(no assignments) = %v, %v", ok, err)
 	}
 	if got := rt.Place(onB); got != "b" {
-		t.Fatalf("override survived its node's removal: Place(%q) = %s", onB, got)
+		t.Fatalf("assignment outlived its table: Place(%q) = %s", onB, got)
 	}
 }
 

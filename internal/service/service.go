@@ -50,12 +50,6 @@ type Owner struct {
 	journal atomic.Pointer[journalBox]
 }
 
-// Registry is the pre-cluster name of Owner.
-//
-// Deprecated: use Owner; the routing/ownership split gave the type its
-// real name. The alias keeps existing callers compiling.
-type Registry = Owner
-
 // Opts configures New. The zero value is a valid standalone configuration.
 type Opts struct {
 	// Journal, when non-nil, is attached before the owner serves anything,
@@ -65,8 +59,7 @@ type Opts struct {
 	Journal Journal
 }
 
-// New returns an empty owner configured by opts — the constructor that
-// replaced the setter-accreted NewRegistry+SetJournal pair.
+// New returns an empty owner configured by opts.
 func New(opts Opts) *Owner {
 	o := &Owner{communities: make(map[string]*Community)}
 	if opts.Journal != nil {
@@ -74,11 +67,6 @@ func New(opts Opts) *Owner {
 	}
 	return o
 }
-
-// NewRegistry returns an empty registry.
-//
-// Deprecated: use New(Opts{}).
-func NewRegistry() *Owner { return New(Opts{}) }
 
 // Create registers a new community of n families with the given initial
 // marriages, scheduled by the dynamic color-bound scheduler over the named
@@ -399,7 +387,7 @@ func validEdge(n, u, v int) error {
 // when the periodic assignment actually changed.
 type Community struct {
 	id  string
-	reg *Registry // for the journal; nil only in zero values
+	reg *Owner // for the journal; nil only in zero values
 
 	mu sync.RWMutex
 	// be is the kind-specific scheduler (classic color-bound or poly

@@ -21,7 +21,7 @@ func ringEdges(n int) [][2]int {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("", 4, nil, ""); err == nil {
 		t.Fatal("want error for empty id")
 	}
@@ -60,7 +60,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // scheduler's own Next sequence at freeze time.
 func TestWindowMatchesDynamicScheduler(t *testing.T) {
 	const n = 20
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("fam", n, ringEdges(n), "omega")
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestWindowMatchesDynamicScheduler(t *testing.T) {
 }
 
 func TestWindowValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("v", 4, nil, "")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestWindowValidation(t *testing.T) {
 // TestScheduleCache: repeated queries hit the cached frozen schedule;
 // churn that recolors invalidates, churn that does not recolor keeps it.
 func TestScheduleCache(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	// A path 0–1–2 plus isolated 3: colors are deterministic greedy.
 	c, err := reg.Create("cache", 4, [][2]int{{0, 1}, {1, 2}}, "")
 	if err != nil {
@@ -195,7 +195,7 @@ func TestScheduleCache(t *testing.T) {
 // TestFrozenScheduleConsistentUnderChurn: a schedule handed out before
 // churn keeps answering from its snapshot.
 func TestFrozenScheduleConsistentUnderChurn(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("snap", 10, ringEdges(10), "")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestFrozenScheduleConsistentUnderChurn(t *testing.T) {
 // is the assertion (the CI runs this package under -race).
 func TestConcurrentQueriesAndChurn(t *testing.T) {
 	const n = 64
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("hammer", n, ringEdges(n), "")
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package wire is the length-prefixed, versioned binary wire format of the
 // serving layer: window answers travel as word-packed happy bitmaps — one
 // ⌈n/64⌉-word graph.Bitset row per holiday, emitted straight from the
-// closed-form periodic schedules (core.WindowBits) without ever
+// frozen class-indexed schedule (core.ClassSchedule.WindowBits) without
 // materializing []int rows — and requests/responses are framed so a single
 // HTTP body can carry a whole batch of pipelined queries.
 //

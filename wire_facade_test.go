@@ -10,27 +10,29 @@ import (
 	"testing"
 
 	holiday "repro"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
 // encodeScheduleWindow renders one window of a schedule as a complete
-// binary window-response frame, exactly as the serving layer does: header
-// first, then one packed ⌈n/64⌉-word row per holiday via core.WindowBits.
+// binary window-response frame: header first, then each holiday's Window
+// row packed into one ⌈n/64⌉-word bitmap.
 func encodeScheduleWindow(sched holiday.Schedule, n int, from, to int64) []byte {
 	buf := wire.AppendWindowRespHeader(nil, n, from, int(to-from+1))
-	core.WindowBits(sched, n, from, to, func(_ int64, row graph.Bitset) {
+	row := graph.NewBitset(n)
+	sched.Window(from, to, func(_ int64, happy []int) {
+		row.Reset()
+		for _, v := range happy {
+			row.Set(v)
+		}
 		buf = row.AppendBytes(buf)
 	})
 	return buf
 }
 
 // TestWireWindowMatchesSchedule: encode → decode must equal Window replay
-// across all algorithms × seeds × window alignments. Closed-form periodic
-// schedules emit bitmaps natively (core.BitWindower); stateful algorithms
-// run through the packing fallback — both must agree with the []int rows
-// bit for bit.
+// across all algorithms × seeds × window alignments, so every algorithm's
+// rows survive the packed wire format bit for bit.
 func TestWireWindowMatchesSchedule(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"gnp":   graph.GNP(72, 0.07, 19),
