@@ -28,11 +28,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -54,11 +54,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	client := &http.Client{Timeout: *timeout}
+	client := service.NewClient(&http.Client{Timeout: *timeout})
 
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "status":
-		err = status(client, topo)
+		err = status(os.Stdout, client, topo)
 	case "place":
 		err = place(topo, rest)
 	case "join":
@@ -66,7 +66,7 @@ func main() {
 	case "rebalance":
 		err = rebalance(topo)
 	case "promote":
-		err = promote(client, topo, rest)
+		err = promote(os.Stdout, client, topo, rest)
 	default:
 		fmt.Fprintf(os.Stderr, "holidayctl: unknown command %q\n", cmd)
 		usage()
@@ -91,47 +91,25 @@ commands:
 	flag.PrintDefaults()
 }
 
-// nodeStatus mirrors the service status response shape holidayctl consumes.
-type nodeStatus struct {
-	Node        string            `json:"node"`
-	Epoch       uint64            `json:"epoch"`
-	Overrides   map[string]string `json:"overrides"`
-	Communities []struct {
-		ID     string `json:"id"`
-		Kind   string `json:"kind"`
-		Role   string `json:"role"`
-		Placed string `json:"placed"`
-		Seq    uint64 `json:"seq"`
-		Lag    uint64 `json:"lag"`
-	} `json:"communities"`
-}
-
-func status(client *http.Client, topo service.Topology) error {
+func status(w io.Writer, client *service.Client, topo service.Topology) error {
 	type row struct {
 		node service.Node
-		st   nodeStatus
+		st   service.NodeStatus
 		err  error
 	}
 	rows := make([]row, 0, len(topo.Nodes))
 	for _, n := range topo.Nodes {
-		r := row{node: n}
-		resp, err := client.Get(strings.TrimRight(n.Addr, "/") + "/v1/status")
-		if err != nil {
-			r.err = err
-		} else {
-			r.err = json.NewDecoder(resp.Body).Decode(&r.st)
-			resp.Body.Close()
-		}
-		rows = append(rows, r)
+		st, err := client.Status(context.Background(), n.Addr)
+		rows = append(rows, row{node: n, st: st, err: err})
 	}
 
 	// The cluster table: epoch and community counts per node. Epochs can
 	// disagree transiently while gossip converges — showing each node's own
 	// epoch is the point.
-	fmt.Printf("%-8s %-24s %-6s %-6s %-6s %-8s\n", "NODE", "ADDR", "STATE", "EPOCH", "OWNS", "FOLLOWS")
+	fmt.Fprintf(w, "%-8s %-24s %-6s %-6s %-6s %-8s\n", "NODE", "ADDR", "STATE", "EPOCH", "OWNS", "FOLLOWS")
 	for _, r := range rows {
 		if r.err != nil {
-			fmt.Printf("%-8s %-24s %-6s %-6s %-6s %-8s  (%v)\n", r.node.ID, r.node.Addr, "down", "-", "-", "-", r.err)
+			fmt.Fprintf(w, "%-8s %-24s %-6s %-6s %-6s %-8s  (%v)\n", r.node.ID, r.node.Addr, "down", "-", "-", "-", r.err)
 			continue
 		}
 		owned, following := 0, 0
@@ -142,7 +120,7 @@ func status(client *http.Client, topo service.Topology) error {
 				following++
 			}
 		}
-		fmt.Printf("%-8s %-24s %-6s %-6d %-6d %-8d\n", r.node.ID, r.node.Addr, "up", r.st.Epoch, owned, following)
+		fmt.Fprintf(w, "%-8s %-24s %-6s %-6d %-6d %-8d\n", r.node.ID, r.node.Addr, "up", r.st.Epoch, owned, following)
 	}
 
 	for _, r := range rows {
@@ -159,7 +137,7 @@ func status(client *http.Client, topo service.Topology) error {
 				// Pre-poly daemons omit the field; they only serve classic.
 				kind = service.KindClassic
 			}
-			fmt.Printf("%-8s %-16s %-8s %-8s seq %-8d placed on %s%s\n", r.node.ID, c.ID, kind, c.Role, c.Seq, c.Placed, lag)
+			fmt.Fprintf(w, "%-8s %-16s %-8s %-8s seq %-8d placed on %s%s\n", r.node.ID, c.ID, kind, c.Role, c.Seq, c.Placed, lag)
 		}
 		if len(r.st.Overrides) > 0 {
 			keys := make([]string, 0, len(r.st.Overrides))
@@ -168,7 +146,7 @@ func status(client *http.Client, topo service.Topology) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Printf("%-8s assign: %s -> %s\n", r.node.ID, k, r.st.Overrides[k])
+				fmt.Fprintf(w, "%-8s assign: %s -> %s\n", r.node.ID, k, r.st.Overrides[k])
 			}
 		}
 	}
@@ -269,7 +247,7 @@ func rebalance(topo service.Topology) error {
 	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	moves, table, err := rb.Rebalance(ctx, strings.TrimRight(seed, "/"), topo.Nodes)
+	moves, table, err := rb.Rebalance(ctx, seed, topo.Nodes)
 	if err != nil {
 		return err
 	}
@@ -292,7 +270,7 @@ func rebalance(topo service.Topology) error {
 // the epoch with an assignment to itself and unfences its replica. Data
 // logged on the old owner after its last replicated record is lost —
 // that's why this is break-glass, not the failover path.
-func promote(client *http.Client, topo service.Topology, args []string) error {
+func promote(w io.Writer, client *service.Client, topo service.Topology, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("promote: want <community> <node>")
 	}
@@ -306,20 +284,15 @@ func promote(client *http.Client, topo service.Topology, args []string) error {
 	if addr == "" {
 		return fmt.Errorf("promote: node %q not in the topology", node)
 	}
-	body, _ := json.Marshal(map[string]string{"community": community})
-	resp, err := client.Post(strings.TrimRight(addr, "/")+"/v1/promote", "application/json", bytes.NewReader(body))
+	out, err := client.Promote(context.Background(), addr, community)
+	if err != nil {
+		return fmt.Errorf("promote: node %s: %w", node, err)
+	}
+	line, err := json.Marshal(out)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("promote: node %s answered %d: %s", node, resp.StatusCode, out.String())
-	}
-	fmt.Printf("promoted: %s\n", strings.TrimSpace(out.String()))
+	fmt.Fprintf(w, "promoted: %s\n", line)
 	return nil
 }
 

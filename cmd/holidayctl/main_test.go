@@ -1,0 +1,123 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/service"
+)
+
+// testCluster is a four-member topology: a and b are live NewHandler nodes,
+// c answers every request 503 with the error envelope, and d's address is
+// closed.
+type testCluster struct {
+	topo   service.Topology
+	owners map[string]*service.Owner
+	rts    map[string]*service.Router
+}
+
+func bootCluster(t *testing.T) *testCluster {
+	t.Helper()
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"code":"unavailable","message":"node c is draining"}`))
+	}))
+	t.Cleanup(draining.Close)
+	closed, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	closed.Close()
+	lns := map[string]net.Listener{}
+	for _, id := range []string{"a", "b"} {
+		if lns[id], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+	}
+	tc := &testCluster{
+		topo: service.Topology{Nodes: []service.Node{
+			{ID: "a", Addr: "http://" + lns["a"].Addr().String()},
+			{ID: "b", Addr: "http://" + lns["b"].Addr().String()},
+			{ID: "c", Addr: draining.URL},
+			{ID: "d", Addr: "http://" + closed.Addr().String()},
+		}},
+		owners: map[string]*service.Owner{},
+		rts:    map[string]*service.Router{},
+	}
+	for id, ln := range lns {
+		rt, err := service.NewRouter(service.RouterOpts{Self: id, Nodes: tc.topo.Nodes})
+		if err != nil {
+			t.Fatalf("NewRouter(%s): %v", id, err)
+		}
+		owner := service.New(service.Opts{})
+		srv := &http.Server{Handler: service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt})}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		tc.owners[id], tc.rts[id] = owner, rt
+	}
+	// a owns x and z; b owns y and follows x.
+	for _, c := range []struct{ node, id string }{{"a", "x"}, {"a", "z"}, {"b", "y"}, {"b", "x"}} {
+		if _, err := tc.owners[c.node].Create(c.id, 4, nil, ""); err != nil {
+			t.Fatalf("create %s on %s: %v", c.id, c.node, err)
+		}
+	}
+	tc.owners["b"].Fence("x")
+	return tc
+}
+
+// TestStatus: live nodes render their epoch and owns/follows counts; a node
+// refusing with 503 and an unreachable one both render as down.
+func TestStatus(t *testing.T) {
+	tc := bootCluster(t)
+	var out bytes.Buffer
+	if err := status(&out, service.NewClient(nil), tc.topo); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 6 && f[1] != "assign:" {
+			if _, dup := rows[f[0]]; !dup {
+				rows[f[0]] = f
+			}
+		}
+	}
+	for node, want := range map[string]string{"a": "up 0 2 0", "b": "up 0 1 1", "c": "down - - -", "d": "down - - -"} {
+		if got := strings.Join(rows[node][2:6], " "); got != want {
+			t.Errorf("node %s row %q, want state/epoch/owns/follows %q\n%s", node, got, want, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "(node c is draining)") {
+		t.Errorf("503 node's row does not carry its message:\n%s", out.String())
+	}
+}
+
+// TestPromote: promoting a community the node does not hold fails with the
+// node's not_found message; promoting a fenced replica succeeds and reports
+// the epoch it was published at.
+func TestPromote(t *testing.T) {
+	tc := bootCluster(t)
+	client := service.NewClient(nil)
+	var out bytes.Buffer
+	err := promote(&out, client, tc.topo, []string{"ghost", "a"})
+	var ae *service.Error
+	if !errors.As(err, &ae) || ae.Code != service.CodeNotFound || !strings.Contains(err.Error(), `no community "ghost" on this node`) {
+		t.Fatalf("promote of an absent community: %v", err)
+	}
+
+	before := tc.rts["b"].Epoch()
+	if err := promote(&out, client, tc.topo, []string{"x", "b"}); err != nil {
+		t.Fatalf("promote x on b: %v", err)
+	}
+	if want := `promoted: {"community":"x","epoch":1,"node":"b","seq":0}` + "\n"; out.String() != want || before != 0 {
+		t.Fatalf("promote printed %q (epoch before %d), want %q", out.String(), before, want)
+	}
+	if c, _ := tc.owners["b"].Get("x"); c.Fenced() || tc.rts["b"].Placement().Assign["x"] != "b" {
+		t.Fatal("promoted replica is still fenced or unassigned")
+	}
+}

@@ -246,7 +246,7 @@ func (d *ClusterDriver) Rotate(ctx context.Context) error {
 	// Re-learn the table from the old owner (the handoff installed it on
 	// both ends) so the next write routes to the new owner, not through a
 	// 421 retry.
-	p, err := rb.FetchPlacement(ctx, d.nodes[fromIdx].base)
+	p, err := d.nodes[fromIdx].ctl.Placement(ctx, d.nodes[fromIdx].base)
 	if err != nil {
 		return fmt.Errorf("benchkit: rotate %q: refresh table: %w", community, err)
 	}

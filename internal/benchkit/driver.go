@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -329,6 +330,7 @@ func (d *InProcDriver) Close() error {
 type HTTPDriver struct {
 	base   string // no trailing slash
 	client *http.Client
+	ctl    *service.Client // control-plane and stats reads, over client
 	ids    []string
 
 	// Proto selects the wire protocol for window/next queries: ProtoJSON
@@ -360,9 +362,11 @@ func NewHTTPDriver(base string, workers int) *HTTPDriver {
 		MaxIdleConnsPerHost: workers * 2,
 		IdleConnTimeout:     30 * time.Second,
 	}
+	client := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	return &HTTPDriver{
 		base:   trimTrailingSlash(base),
-		client: &http.Client{Transport: tr, Timeout: 30 * time.Second},
+		client: client,
+		ctl:    service.NewClient(client),
 		bufs:   sync.Pool{New: func() any { return new(binBufs) }},
 	}
 }
@@ -735,17 +739,7 @@ func (d *HTTPDriver) recoloringsOf(community int) (int64, error) {
 
 // statsOf fetches one community's stats.
 func (d *HTTPDriver) statsOf(id string) (service.Stats, error) {
-	resp, err := d.client.Get(d.base + "/v1/communities/" + url.PathEscape(id))
-	if err != nil {
-		return service.Stats{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := drainExpect(resp, http.StatusOK)
-		return service.Stats{}, fmt.Errorf("benchkit: stats for %q: %w", id, err)
-	}
-	var st service.Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, err := d.ctl.Stats(context.TODO(), d.base, id)
 	if err != nil {
 		return service.Stats{}, fmt.Errorf("benchkit: stats for %q: %w", id, err)
 	}
@@ -755,22 +749,7 @@ func (d *HTTPDriver) statsOf(id string) (service.Stats, error) {
 // localCommunities returns the ids held on this node with their applied
 // journal sequence, from /v1/status (which never forwards).
 func (d *HTTPDriver) localCommunities() (map[string]uint64, error) {
-	resp, err := d.client.Get(d.base + "/v1/status")
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := drainExpect(resp, http.StatusOK)
-		return nil, fmt.Errorf("benchkit: status: %w", err)
-	}
-	var st struct {
-		Communities []struct {
-			ID  string `json:"id"`
-			Seq uint64 `json:"seq"`
-		} `json:"communities"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, err := d.ctl.Status(context.TODO(), d.base)
 	if err != nil {
 		return nil, fmt.Errorf("benchkit: status: %w", err)
 	}

@@ -7,9 +7,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -51,7 +49,7 @@ type Detector struct {
 	deadline  time.Duration
 	interval  time.Duration
 	logf      func(string, ...any)
-	client    *http.Client
+	client    *service.Client
 
 	// seen is the last proof of life per followed node: Run start, then
 	// each heartbeat arrival. Guarded by Run's single goroutine.
@@ -76,7 +74,7 @@ func NewDetector(o DetectorOpts) (*Detector, error) {
 		deadline:  o.Deadline,
 		interval:  o.Interval,
 		logf:      o.Logf,
-		client:    &http.Client{Timeout: 2 * time.Second},
+		client:    service.NewClient(&http.Client{Timeout: 2 * time.Second}),
 		seen:      make(map[string]time.Time),
 	}, nil
 }
@@ -117,7 +115,7 @@ func (d *Detector) Gossip(ctx context.Context) {
 		if n.ID == self || n.Addr == "" {
 			continue
 		}
-		p, err := d.fetchPlacement(ctx, n.Addr)
+		p, err := d.client.Placement(ctx, n.Addr)
 		if err != nil {
 			continue
 		}
@@ -125,7 +123,8 @@ func (d *Detector) Gossip(ctx context.Context) {
 			d.debugf("cluster: adopted epoch %d from %s", p.Epoch, n.ID)
 		}
 		if cur := d.rt.Placement(); cur.Epoch > p.Epoch {
-			d.pushPlacement(ctx, n.Addr, cur)
+			// Best effort: a peer that misses the push pulls next round.
+			_, _ = d.client.Offer(ctx, n.Addr, cur)
 		}
 	}
 }
@@ -140,7 +139,7 @@ func (d *Detector) detect(ctx context.Context) {
 		if time.Since(d.seen[node]) < d.deadline {
 			continue
 		}
-		if addr, ok := d.rt.Addr(node); ok && d.alive(ctx, addr) {
+		if addr, ok := d.rt.Addr(node); ok && d.client.Healthy(ctx, addr) == nil {
 			// Replication is stalled but the node answers HTTP: not a death,
 			// not ours to fail over.
 			d.seen[node] = time.Now()
@@ -148,20 +147,6 @@ func (d *Detector) detect(ctx context.Context) {
 		}
 		d.failover(ctx, node)
 	}
-}
-
-// alive probes a peer's liveness endpoint.
-func (d *Detector) alive(ctx context.Context, addr string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // failover elects a new owner for every community the dead node held, by
@@ -195,7 +180,7 @@ func (d *Detector) failover(ctx context.Context, dead string) {
 		if n.ID == self || n.ID == dead || n.Addr == "" {
 			continue
 		}
-		st, err := d.fetchStatus(ctx, n.Addr)
+		st, err := d.client.Status(ctx, n.Addr)
 		if err != nil {
 			continue
 		}
@@ -231,71 +216,8 @@ func (d *Detector) failover(ctx context.Context, dead string) {
 	delete(d.seen, dead) // don't re-elect every tick while it stays down
 	for _, n := range p.Nodes {
 		if n.ID != self && n.ID != dead && n.Addr != "" {
-			d.pushPlacement(ctx, n.Addr, p)
+			// Best effort: gossip carries the table to peers that miss it.
+			_, _ = d.client.Offer(ctx, n.Addr, p)
 		}
 	}
-}
-
-// peerStatus mirrors the fields of /v1/status the detector reads.
-type peerStatus struct {
-	Node        string `json:"node"`
-	Epoch       uint64 `json:"epoch"`
-	Communities []struct {
-		ID   string `json:"id"`
-		Role string `json:"role"`
-		Seq  uint64 `json:"seq"`
-	} `json:"communities"`
-}
-
-func (d *Detector) fetchStatus(ctx context.Context, addr string) (peerStatus, error) {
-	var st peerStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/status", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("cluster: status from %s: HTTP %d", addr, resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
-}
-
-func (d *Detector) fetchPlacement(ctx context.Context, addr string) (service.Placement, error) {
-	var p service.Placement
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/placement", nil)
-	if err != nil {
-		return p, err
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return p, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return p, fmt.Errorf("cluster: placement from %s: HTTP %d", addr, resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&p)
-	return p, err
-}
-
-func (d *Detector) pushPlacement(ctx context.Context, addr string, p service.Placement) {
-	body, err := json.Marshal(p)
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/placement", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
 }

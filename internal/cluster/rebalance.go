@@ -5,11 +5,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"time"
 
@@ -26,20 +23,15 @@ type Move struct {
 	PauseUS   int64         `json:"pause_us"`
 }
 
+// control is the Rebalancer's control-plane client. Its default timeout,
+// service.DefaultClientTimeout, leaves room for handoffs, which stream a
+// snapshot before they answer.
+var control = service.NewClient(nil)
+
 // Rebalancer drives placement changes against a running cluster.
 type Rebalancer struct {
-	// Client is the HTTP client used; nil means a 30s-timeout default
-	// (handoffs stream snapshots and can take a while).
-	Client *http.Client
 	// Logf, when set, receives per-move progress.
 	Logf func(format string, args ...any)
-}
-
-func (rb *Rebalancer) client() *http.Client {
-	if rb.Client != nil {
-		return rb.Client
-	}
-	return &http.Client{Timeout: 30 * time.Second}
 }
 
 func (rb *Rebalancer) logf(format string, args ...any) {
@@ -62,9 +54,9 @@ func (rb *Rebalancer) logf(format string, args ...any) {
 // node, or an already-balanced cluster) publish the membership tables and
 // stop.
 func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []service.Node) ([]Move, service.Placement, error) {
-	cur, err := rb.FetchPlacement(ctx, seedAddr)
+	cur, err := control.Placement(ctx, seedAddr)
 	if err != nil {
-		return nil, service.Placement{}, err
+		return nil, service.Placement{}, fmt.Errorf("cluster: placement from %s: %w", seedAddr, err)
 	}
 	if len(target) == 0 {
 		return nil, service.Placement{}, fmt.Errorf("cluster: rebalance: empty target membership")
@@ -86,7 +78,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 	}
 
 	// Owners as they stand, from every reachable member's status.
-	owners, err := rb.currentOwners(ctx, cur)
+	owners, err := currentOwners(ctx, cur)
 	if err != nil {
 		return nil, service.Placement{}, err
 	}
@@ -101,7 +93,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 	for id, node := range owners {
 		p.Assign[id] = node
 	}
-	if err := rb.publish(ctx, p); err != nil {
+	if err := publish(ctx, p); err != nil {
 		return nil, service.Placement{}, err
 	}
 
@@ -129,7 +121,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 		if fromAddr == "" {
 			return moves, p, fmt.Errorf("cluster: rebalance: owner %q of %q has no address", from, id)
 		}
-		mv, err := rb.handoff(ctx, fromAddr, id, next)
+		mv, err := handoff(ctx, fromAddr, id, next)
 		if err != nil {
 			return moves, p, fmt.Errorf("cluster: rebalance: move %q %s→%s: %w", id, from, to, err)
 		}
@@ -149,7 +141,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 			return moves, p, fmt.Errorf("cluster: rebalance: shrink: %w", err)
 		}
 	}
-	if err := rb.publish(ctx, p); err != nil {
+	if err := publish(ctx, p); err != nil {
 		return moves, p, err
 	}
 	return moves, p, nil
@@ -160,9 +152,9 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 // published table is the owner's current one, epoch-bumped, with just this
 // community reassigned.
 func (rb *Rebalancer) MoveCommunity(ctx context.Context, ownerAddr, community, to string) (Move, error) {
-	cur, err := rb.FetchPlacement(ctx, ownerAddr)
+	cur, err := control.Placement(ctx, ownerAddr)
 	if err != nil {
-		return Move{}, err
+		return Move{}, fmt.Errorf("cluster: placement from %s: %w", ownerAddr, err)
 	}
 	p := cur.Clone()
 	p.Epoch++
@@ -170,7 +162,7 @@ func (rb *Rebalancer) MoveCommunity(ctx context.Context, ownerAddr, community, t
 		p.Assign = make(map[string]string)
 	}
 	p.Assign[community] = to
-	mv, err := rb.handoff(ctx, ownerAddr, community, p)
+	mv, err := handoff(ctx, ownerAddr, community, p)
 	if err != nil {
 		return Move{}, err
 	}
@@ -181,52 +173,23 @@ func (rb *Rebalancer) MoveCommunity(ctx context.Context, ownerAddr, community, t
 	// for gossip; the handoff already installed it on both ends.
 	for _, n := range p.Nodes {
 		if n.Addr != "" {
-			rb.pushTable(ctx, n.Addr, p)
+			_, _ = control.Offer(ctx, n.Addr, p)
 		}
 	}
 	return mv, nil
 }
 
-// FetchPlacement reads a member's installed table.
-func (rb *Rebalancer) FetchPlacement(ctx context.Context, addr string) (service.Placement, error) {
-	var p service.Placement
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/placement", nil)
-	if err != nil {
-		return p, err
-	}
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return p, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return p, fmt.Errorf("cluster: placement from %s: HTTP %d", addr, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
 // currentOwners maps every community to the node currently owning it, by
-// asking each member which communities it serves unfenced.
-func (rb *Rebalancer) currentOwners(ctx context.Context, p service.Placement) (map[string]string, error) {
+// asking each member which communities it serves unfenced. A member that
+// cannot answer fails the call: its communities would otherwise look
+// ownerless and be re-placed by the ring without a handoff.
+func currentOwners(ctx context.Context, p service.Placement) (map[string]string, error) {
 	owners := make(map[string]string)
 	for _, n := range p.Nodes {
 		if n.Addr == "" {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+"/v1/status", nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := rb.client().Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: status from %s: %w", n.ID, err)
-		}
-		var st peerStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
+		st, err := control.Status(ctx, n.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: status from %s: %w", n.ID, err)
 		}
@@ -241,37 +204,9 @@ func (rb *Rebalancer) currentOwners(ctx context.Context, p service.Placement) (m
 
 // handoff asks a community's owner to stream it to the node the table
 // assigns it to.
-func (rb *Rebalancer) handoff(ctx context.Context, ownerAddr, community string, table service.Placement) (Move, error) {
-	body, err := json.Marshal(struct {
-		Community string            `json:"community"`
-		Table     service.Placement `json:"table"`
-	}{community, table})
+func handoff(ctx context.Context, ownerAddr, community string, table service.Placement) (Move, error) {
+	out, err := control.Handoff(ctx, ownerAddr, service.HandoffRequest{Community: community, Table: table})
 	if err != nil {
-		return Move{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ownerAddr+"/v1/handoff", bytes.NewReader(body))
-	if err != nil {
-		return Move{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return Move{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Message string `json:"message"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return Move{}, fmt.Errorf("handoff refused (HTTP %d): %s", resp.StatusCode, e.Message)
-	}
-	var out struct {
-		Node    string `json:"node"`
-		CutSeq  uint64 `json:"cut_seq"`
-		PauseUS int64  `json:"pause_us"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return Move{}, err
 	}
 	return Move{
@@ -285,14 +220,14 @@ func (rb *Rebalancer) handoff(ctx context.Context, ownerAddr, community string, 
 
 // publish posts a table to every addressable member; at least one install
 // must succeed (gossip spreads it from there).
-func (rb *Rebalancer) publish(ctx context.Context, p service.Placement) error {
+func publish(ctx context.Context, p service.Placement) error {
 	okOne := false
 	var lastErr error
 	for _, n := range p.Nodes {
 		if n.Addr == "" {
 			continue
 		}
-		if err := rb.pushTable(ctx, n.Addr, p); err != nil {
+		if _, err := control.Offer(ctx, n.Addr, p); err != nil {
 			lastErr = err
 			continue
 		}
@@ -300,27 +235,6 @@ func (rb *Rebalancer) publish(ctx context.Context, p service.Placement) error {
 	}
 	if !okOne {
 		return fmt.Errorf("cluster: publish epoch %d reached no member: %w", p.Epoch, lastErr)
-	}
-	return nil
-}
-
-func (rb *Rebalancer) pushTable(ctx context.Context, addr string, p service.Placement) error {
-	body, err := json.Marshal(p)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/placement", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: push table to %s: HTTP %d", addr, resp.StatusCode)
 	}
 	return nil
 }

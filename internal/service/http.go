@@ -514,8 +514,8 @@ func (a *apiHandler) serveNext(w http.ResponseWriter, r *http.Request, c *Commun
 	writeJSON(w, http.StatusOK, nextResponse{Community: c.ID(), Family: v, From: from, Next: next})
 }
 
-// communityStatus is one community's row in the /v1/status answer.
-type communityStatus struct {
+// CommunityStatus is one community's row in the /v1/status answer.
+type CommunityStatus struct {
 	ID string `json:"id"`
 	// Kind is the community's scheduling kind ("classic" or "poly").
 	Kind string `json:"kind,omitempty"`
@@ -531,17 +531,17 @@ type communityStatus struct {
 	Lag uint64 `json:"lag,omitempty"`
 }
 
-// statusResponse is the GET /v1/status answer.
-type statusResponse struct {
+// NodeStatus is the GET /v1/status answer.
+type NodeStatus struct {
 	Node        string            `json:"node,omitempty"`
 	Epoch       uint64            `json:"epoch"`
 	Nodes       []Node            `json:"nodes,omitempty"`
 	Overrides   map[string]string `json:"overrides,omitempty"`
-	Communities []communityStatus `json:"communities"`
+	Communities []CommunityStatus `json:"communities"`
 }
 
 func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
-	resp := statusResponse{Node: a.Node, Communities: []communityStatus{}}
+	resp := NodeStatus{Node: a.Node, Communities: []CommunityStatus{}}
 	if a.Router != nil {
 		resp.Epoch = a.Router.Epoch()
 		resp.Nodes = a.Router.Nodes()
@@ -558,7 +558,7 @@ func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		cs := communityStatus{ID: id, Kind: c.Kind(), Role: "owner", Seq: c.Seq()}
+		cs := CommunityStatus{ID: id, Kind: c.Kind(), Role: "owner", Seq: c.Seq()}
 		if c.Fenced() {
 			cs.Role = "follower"
 			cs.Lag = lag[id]
@@ -571,9 +571,21 @@ func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// promoteRequest is the POST /v1/promote body.
-type promoteRequest struct {
+// PromoteRequest is the POST /v1/promote body.
+type PromoteRequest struct {
 	Community string `json:"community"`
+}
+
+// PromoteResponse is the POST /v1/promote answer: the community now owned
+// here, its journal sequence, and the epoch of the table that assigned it.
+// Promote, placement-offer and handoff replies keep their fields in
+// alphabetical key order: their bodies are pinned byte for byte
+// (TestControlBodiesPinned).
+type PromoteResponse struct {
+	Community string `json:"community"`
+	Epoch     uint64 `json:"epoch"`
+	Node      string `json:"node"`
+	Seq       uint64 `json:"seq"`
 }
 
 // servePromote takes ownership of a community this node replicates: it
@@ -587,7 +599,7 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
 		return
 	}
-	var req promoteRequest
+	var req PromoteRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -601,9 +613,7 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"community": req.Community, "node": a.Node, "seq": c.Seq(), "epoch": p.Epoch,
-	})
+	writeJSON(w, http.StatusOK, PromoteResponse{Community: req.Community, Epoch: p.Epoch, Node: a.Node, Seq: c.Seq()})
 }
 
 // promote publishes the current table one epoch on with community
@@ -650,16 +660,32 @@ func (a *apiHandler) servePlacementSet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"installed": installed, "epoch": a.Router.Epoch(),
-	})
+	writeJSON(w, http.StatusOK, OfferResponse{Epoch: a.Router.Epoch(), Installed: installed})
 }
 
-// handoffRequest is the POST /v1/handoff body: move community to the node
+// OfferResponse is the POST /v1/placement answer: whether the offered table
+// was installed, and the epoch now in force.
+type OfferResponse struct {
+	Epoch     uint64 `json:"epoch"`
+	Installed bool   `json:"installed"`
+}
+
+// HandoffRequest is the POST /v1/handoff body: move community to the node
 // table assigns it to, and install table cluster-wide as the new epoch.
-type handoffRequest struct {
+type HandoffRequest struct {
 	Community string    `json:"community"`
 	Table     Placement `json:"table"`
+}
+
+// HandoffResponse is the POST /v1/handoff answer: the community, the node
+// and epoch it moved to, the journal sequence of the cut, and how long its
+// writes were paused.
+type HandoffResponse struct {
+	Community string `json:"community"`
+	CutSeq    uint64 `json:"cut_seq"`
+	Epoch     uint64 `json:"epoch"`
+	Node      string `json:"node"`
+	PauseUS   int64  `json:"pause_us"`
 }
 
 // serveHandoff runs one live handoff from this node (the community's
@@ -673,7 +699,7 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, Errf(CodeUnavailable, "this node does not serve handoffs"))
 		return
 	}
-	var req handoffRequest
+	var req HandoffRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -686,12 +712,12 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"community": req.Community,
-		"node":      req.Table.Assign[req.Community],
-		"epoch":     req.Table.Epoch,
-		"cut_seq":   cut,
-		"pause_us":  pause.Microseconds(),
+	writeJSON(w, http.StatusOK, HandoffResponse{
+		Community: req.Community,
+		CutSeq:    cut,
+		Epoch:     req.Table.Epoch,
+		Node:      req.Table.Assign[req.Community],
+		PauseUS:   pause.Microseconds(),
 	})
 }
 

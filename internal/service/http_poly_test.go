@@ -118,7 +118,7 @@ func TestHTTPPolyLifecycle(t *testing.T) {
 	}
 
 	// Status reports the kind.
-	var status statusResponse
+	var status NodeStatus
 	do("GET", "/v1/status", "", http.StatusOK, &status)
 	found = false
 	for _, st := range status.Communities {

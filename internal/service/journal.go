@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/poly"
 	"repro/internal/prefixcode"
 )
@@ -166,16 +165,11 @@ func (r *Owner) Restore(st CommunityState) (*Community, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
 	}
-	b := graph.NewBuilder(st.Families)
-	for _, e := range st.Edges {
-		if err := validEdge(st.Families, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-		}
-		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-		}
+	g, err := edgeGraph(st.Families, st.Edges)
+	if err != nil {
+		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
 	}
-	dyn, err := core.RestoreDynamicColorBound(b.Graph(), code, st.Coloring, st.Recolorings)
+	dyn, err := core.RestoreDynamicColorBound(g, code, st.Coloring, st.Recolorings)
 	if err != nil {
 		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
 	}

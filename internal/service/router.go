@@ -275,18 +275,6 @@ func (rt *Router) Addr(node string) (string, bool) {
 	return "", false
 }
 
-// ReplAddr returns the replication listener address of a member node.
-func (rt *Router) ReplAddr(node string) (string, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for _, n := range rt.p.Nodes {
-		if n.ID == node {
-			return n.Repl, true
-		}
-	}
-	return "", false
-}
-
 // Overrides returns a copy of the explicit assignments of the current
 // table (the entries that shadow ring placement).
 func (rt *Router) Overrides() map[string]string {

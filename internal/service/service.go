@@ -76,16 +76,11 @@ func (r *Owner) Create(id string, n int, edges [][2]int, codeName string) (*Comm
 	if n < 1 {
 		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
 	}
-	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		if err := validEdge(n, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
-		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
+	g, err := edgeGraph(n, edges)
+	if err != nil {
+		return nil, fmt.Errorf("service: community %q: %w", id, err)
 	}
-	return r.CreateFromGraph(id, b.Graph(), codeName)
+	return r.CreateFromGraph(id, g, codeName)
 }
 
 // CreateSpec is the kind-dispatching create request: everything POST
@@ -253,16 +248,11 @@ func (r *Owner) createUnlogged(rec Record) (*Community, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
 	}
-	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		if err := validEdge(n, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
-		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
+	g, err := edgeGraph(n, edges)
+	if err != nil {
+		return nil, fmt.Errorf("service: community %q: %w", id, err)
 	}
-	c, err := r.newCommunity(id, b.Graph(), rec.Code)
+	c, err := r.newCommunity(id, g, rec.Code)
 	if err != nil {
 		return nil, err
 	}
@@ -368,6 +358,21 @@ func (r *Owner) List() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// edgeGraph builds the conflict graph of n families over an edge list,
+// rejecting edges outside the families, self-marriages and duplicates.
+func edgeGraph(n int, edges [][2]int) (*graph.Graph, error) {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		if err := validEdge(n, e[0], e[1]); err != nil {
+			return nil, err
+		}
+		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
+			return nil, err
+		}
+	}
+	return b.Graph(), nil
 }
 
 // validEdge checks an edge against the community size.
@@ -651,17 +656,8 @@ func (c *Community) Window(from, to int64) ([]HolidayRow, error) {
 // queries allocate nothing. Rows beyond the returned length keep their
 // buffers for the next reuse.
 func (c *Community) AppendWindow(rows []HolidayRow, from, to int64) ([]HolidayRow, error) {
-	if from < 1 {
-		return rows, fmt.Errorf("service: window start %d < 1", from)
-	}
-	if to > core.MaxHoliday {
-		return rows, fmt.Errorf("service: window end %d beyond last servable holiday %d", to, core.MaxHoliday)
-	}
-	if to < from {
-		return rows, fmt.Errorf("service: window [%d,%d] is empty", from, to)
-	}
-	if span := to - from + 1; span > MaxWindow {
-		return rows, fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
+	if err := checkWindow(from, to); err != nil {
+		return rows, err
 	}
 	sched, err := c.frozen()
 	if err != nil {
@@ -699,6 +695,21 @@ var emptyHappy = make([]int, 0)
 // On error neither callback has been invoked, so a partially emitted
 // response cannot exist.
 func (c *Community) WindowBits(from, to int64, begin func(n int), visit func(t int64, row graph.Bitset)) error {
+	if err := checkWindow(from, to); err != nil {
+		return err
+	}
+	sched, err := c.frozen()
+	if err != nil {
+		return err
+	}
+	begin(sched.Nodes())
+	sched.WindowBits(from, to, visit)
+	return nil
+}
+
+// checkWindow validates the bounds of a window query [from, to]: from ≥ 1,
+// to within the servable horizon, to ≥ from, and at most MaxWindow holidays.
+func checkWindow(from, to int64) error {
 	if from < 1 {
 		return fmt.Errorf("service: window start %d < 1", from)
 	}
@@ -711,12 +722,6 @@ func (c *Community) WindowBits(from, to int64, begin func(n int), visit func(t i
 	if span := to - from + 1; span > MaxWindow {
 		return fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
 	}
-	sched, err := c.frozen()
-	if err != nil {
-		return err
-	}
-	begin(sched.Nodes())
-	sched.WindowBits(from, to, visit)
 	return nil
 }
 
