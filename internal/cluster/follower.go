@@ -247,25 +247,14 @@ func (f *Follower) applySnapshot(data []byte) error {
 	if f.accept != nil && !f.accept(st.ID) {
 		return nil
 	}
-	if c, ok := f.owner.Get(st.ID); ok {
-		if !c.Fenced() {
-			return nil // we own this community now; ignore the old stream
-		}
-		if c.Seq() >= st.Seq {
-			f.track(st.ID, c.Seq())
-			return nil
-		}
-		// Stale replica: drop it through the unlogged replay path, then
-		// restore the snapshot below.
-		if err := f.owner.Apply(st.Seq, service.Record{Op: service.OpDelete, ID: st.ID}); err != nil {
-			return err
-		}
+	if c, ok := f.owner.Get(st.ID); ok && !c.Fenced() {
+		return nil // we own this community now; ignore the old stream
 	}
-	if _, err := f.owner.Restore(st); err != nil {
+	c, err := f.owner.InstallReplica(st)
+	if err != nil {
 		return fmt.Errorf("cluster: restore %q: %w", st.ID, err)
 	}
-	f.owner.Fence(st.ID)
-	f.track(st.ID, st.Seq)
+	f.track(st.ID, c.Seq())
 	return nil
 }
 
@@ -284,16 +273,12 @@ func (f *Follower) applyRecord(seq uint64, data []byte, advance bool) error {
 		}
 	}
 	if replicate {
-		if err := f.owner.Apply(seq, rec); err != nil {
+		if err := f.owner.Replicate(seq, rec); err != nil {
 			return fmt.Errorf("cluster: apply seq %d: %w", seq, err)
 		}
-		switch rec.Op {
-		case service.OpCreate:
-			f.owner.Fence(rec.ID)
-			f.track(rec.ID, seq)
-		case service.OpDelete:
+		if rec.Op == service.OpDelete {
 			f.untrack(rec.ID)
-		default:
+		} else {
 			f.track(rec.ID, seq)
 		}
 	}

@@ -231,7 +231,7 @@ stream:
 				if err := json.Unmarshal(r.Data, &rec); err != nil || rec.ID != id {
 					continue
 				}
-				if err := s.owner.Apply(r.Seq, rec); err != nil {
+				if err := s.owner.Replicate(r.Seq, rec); err != nil {
 					refuse(http.StatusInternalServerError, service.CodeInternal, err.Error())
 					return
 				}
@@ -273,18 +273,8 @@ stream:
 // replica, replacing an older one; states no newer than the local replica
 // are kept as-is (the idempotent re-offer path).
 func (s *Source) installReplica(st service.CommunityState) error {
-	if c, ok := s.owner.Get(st.ID); ok {
-		if c.Seq() >= st.Seq && c.Fenced() {
-			return nil
-		}
-		s.owner.Fence(st.ID)
-		if err := s.owner.Apply(^uint64(0), service.Record{Op: service.OpDelete, ID: st.ID}); err != nil {
-			return fmt.Errorf("cluster: handoff replace %q: %w", st.ID, err)
-		}
-	}
-	if _, err := s.owner.Restore(st); err != nil {
+	if _, err := s.owner.InstallReplica(st); err != nil {
 		return fmt.Errorf("cluster: handoff restore %q: %w", st.ID, err)
 	}
-	s.owner.Fence(st.ID)
 	return nil
 }

@@ -9,15 +9,15 @@
 // ring still covers that point the owner streams just the missing records,
 // otherwise it first sends one Snapshot frame per community (the exported
 // CommunityState, cutoff-stamped) and then the ring — replay through
-// Owner.Apply is idempotent against the cutoffs, so the overlap is
+// Owner.Replicate is idempotent against the cutoffs, so the overlap is
 // harmless. Heartbeat frames advertise the last sequence streamed to the
 // subscriber, so an idle follower still learns it is caught up and can
 // measure lag.
 //
-// Followers fence every community the stream hands them (service.Owner
-// fencing): reads serve from the replica's frozen-schedule caches while
-// direct writes fail closed with not_owner until a promotion lifts the
-// fence.
+// Every community the stream hands a follower is registered fenced
+// (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
+// frozen-schedule caches while direct writes fail closed with not_owner
+// until a promotion lifts the fence.
 package cluster
 
 import (

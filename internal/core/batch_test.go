@@ -29,12 +29,13 @@ func randomEdits(r *rand.Rand, n, k int) []Edit {
 	return edits
 }
 
-// TestApplyBatchMatchesSequential is the differential proof behind the batch
-// write path: applying an edit stream in batches must leave the scheduler in
-// the exact state — coloring, recoloring counter, and therefore every window
-// and next-happy answer — that one-at-a-time application produces. WAL
-// replay applies churn records individually, so any divergence here would
-// break the byte-identical crash-recovery guarantee.
+// TestApplyBatchMatchesSequential is the differential proof behind the one
+// edit entry point: applying an edit stream through Apply, batch by batch,
+// must leave the scheduler in the exact state — coloring, recoloring
+// counter, and therefore every window and next-happy answer — that direct
+// AddEdge/RemoveEdge calls produce. WAL replay applies churn records
+// individually, so any divergence here would break the byte-identical
+// crash-recovery guarantee.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
@@ -52,10 +53,13 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				edits := randomEdits(r, 40, 1+r.IntN(48))
 				res := make([]EditResult, len(edits))
-				rec, err := batched.ApplyBatchResults(edits, res)
-				if err != nil {
-					t.Fatal(err)
+				before := batched.Recolorings
+				for i, e := range edits {
+					if res[i], err = batched.Apply(e); err != nil {
+						t.Fatal(err)
+					}
 				}
+				rec := int(batched.Recolorings - before)
 				seqRec := 0
 				for i, e := range edits {
 					var applied, recolored bool
@@ -114,69 +118,9 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInterleavedSingleAndBatchChurn interleaves single-op churn with
-// batches on the same scheduler — the shape the serving layer produces when
-// the coalescer flushes between direct ops — asserting the §6 invariant
-// after every flush.
-func TestInterleavedSingleAndBatchChurn(t *testing.T) {
-	g := graph.GNP(32, 0.1, 3)
-	dc, err := NewDynamicColorBound(g, prefixcode.Omega{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror, err := NewDynamicColorBound(g, prefixcode.Omega{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewPCG(9, 9))
-	apply := func(edits []Edit, batch bool) {
-		if batch {
-			if _, err := dc.ApplyBatch(edits); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, e := range edits {
-				if e.Op == EditInsert {
-					if _, err := dc.AddEdge(e.U, e.V); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					dc.RemoveEdge(e.U, e.V)
-				}
-			}
-		}
-		for _, e := range edits {
-			if e.Op == EditInsert {
-				if _, err := mirror.AddEdge(e.U, e.V); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				mirror.RemoveEdge(e.U, e.V)
-			}
-		}
-	}
-	for round := 0; round < 60; round++ {
-		k := 1
-		batch := r.IntN(2) == 0
-		if batch {
-			k = 1 + r.IntN(24)
-		}
-		apply(randomEdits(r, 32, k), batch)
-		if err := dc.VerifyProper(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !reflect.DeepEqual(dc.Coloring(), mirror.Coloring()) {
-			t.Fatalf("round %d: interleaved state diverged from sequential mirror", round)
-		}
-	}
-	if dc.Recolorings != mirror.Recolorings {
-		t.Fatalf("recolorings %d != sequential mirror %d", dc.Recolorings, mirror.Recolorings)
-	}
-}
-
-// TestApplyBatchValidation: a batch with any invalid edit must change
-// nothing.
-func TestApplyBatchValidation(t *testing.T) {
+// TestApplyRejectsInvalidEdits: an edit with an unknown op, an endpoint
+// outside the graph or a self-marriage is an error and changes nothing.
+func TestApplyRejectsInvalidEdits(t *testing.T) {
 	g := graph.Path(4)
 	dc, err := NewDynamicColorBound(g, prefixcode.Omega{})
 	if err != nil {
@@ -184,25 +128,18 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 	before := dc.Coloring()
 	m := dc.M()
-	bad := [][]Edit{
-		{{Op: EditInsert, U: 0, V: 2}, {Op: EditInsert, U: 1, V: 1}},  // self-marriage
-		{{Op: EditInsert, U: 0, V: 2}, {Op: EditInsert, U: 0, V: 4}},  // out of range
-		{{Op: EditInsert, U: 0, V: 2}, {Op: EditDelete, U: -1, V: 2}}, // negative node
-		{{Op: EditInsert, U: 0, V: 2}, {Op: EditOp(9), U: 0, V: 3}},   // unknown op
-	}
-	for i, edits := range bad {
-		if _, err := dc.ApplyBatch(edits); err == nil {
-			t.Fatalf("bad batch %d: expected error", i)
+	for i, e := range []Edit{
+		{Op: EditInsert, U: 1, V: 1},  // self-marriage
+		{Op: EditInsert, U: 0, V: 4},  // out of range
+		{Op: EditDelete, U: -1, V: 2}, // negative node
+		{Op: EditOp(9), U: 0, V: 3},   // unknown op
+	} {
+		if _, err := dc.Apply(e); err == nil {
+			t.Fatalf("bad edit %d: expected error", i)
 		}
 		if dc.M() != m || !reflect.DeepEqual(dc.Coloring(), before) {
-			t.Fatalf("bad batch %d mutated state", i)
+			t.Fatalf("bad edit %d mutated state", i)
 		}
-	}
-	if _, err := dc.ApplyBatchResults([]Edit{{Op: EditInsert, U: 0, V: 2}}, make([]EditResult, 2)); err == nil {
-		t.Fatal("mismatched result-slot count must error")
-	}
-	if _, err := dc.ApplyBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
 	}
 }
 
@@ -214,27 +151,25 @@ func TestApplyBatchNoOpEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := make([]EditResult, 4)
-	rec, err := dc.ApplyBatchResults([]Edit{
-		{Op: EditInsert, U: 0, V: 1}, // already married
-		{Op: EditDelete, U: 0, V: 2}, // never married
-		{Op: EditDelete, U: 0, V: 1}, // real divorce
-		{Op: EditDelete, U: 0, V: 1}, // now absent again
-	}, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, false, true, false}
-	for i, w := range want {
-		if res[i].Applied != w {
-			t.Errorf("edit %d applied = %v, want %v", i, res[i].Applied, w)
+	for i, c := range []struct {
+		e       Edit
+		applied bool
+	}{
+		{Edit{Op: EditInsert, U: 0, V: 1}, false}, // already married
+		{Edit{Op: EditDelete, U: 0, V: 2}, false}, // never married
+		{Edit{Op: EditDelete, U: 0, V: 1}, true},  // real divorce
+		{Edit{Op: EditDelete, U: 0, V: 1}, false}, // now absent again
+	} {
+		res, err := dc.Apply(c.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Applied != c.applied {
+			t.Errorf("edit %d applied = %v, want %v", i, res.Applied, c.applied)
 		}
 	}
 	if dc.M() != 1 {
 		t.Errorf("M = %d, want 1", dc.M())
-	}
-	if rec < 0 {
-		t.Errorf("negative recolorings %d", rec)
 	}
 	if !dc.HasEdge(1, 2) || dc.HasEdge(0, 1) {
 		t.Error("edge set does not match applied edits")

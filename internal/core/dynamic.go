@@ -142,7 +142,7 @@ func (dc *DynamicColorBound) RemoveEdge(u, v int) bool {
 	return true
 }
 
-// EditOp selects the kind of one churn edit in a batch.
+// EditOp selects the kind of one churn edit.
 type EditOp uint8
 
 const (
@@ -152,7 +152,7 @@ const (
 	EditDelete
 )
 
-// Edit is one edge insertion or deletion inside a churn batch.
+// Edit is one edge insertion or deletion.
 type Edit struct {
 	Op   EditOp
 	U, V int
@@ -162,75 +162,37 @@ type Edit struct {
 	Demand int64
 }
 
-// EditResult reports what one edit of a batch did: whether it changed the
-// edge set at all (Applied is false for inserting an existing marriage or
-// deleting an absent one) and whether it triggered a recoloring.
+// EditResult reports what one edit did: whether it changed the edge set at
+// all (Applied is false for inserting an existing marriage or deleting an
+// absent one) and whether it triggered a recoloring.
 type EditResult struct {
 	Applied   bool
 	Recolored bool
 }
 
-// ApplyBatch applies K edge edits as one operation and returns the number of
-// recolorings they triggered. Every edit is validated up front, so a bad
-// batch returns an error having changed nothing; after validation the edits
-// are applied in order with exactly the per-edit repair rule of
-// AddEdge/RemoveEdge, and the batch ends in a single VerifyProper-checkable
-// state.
-//
-// The edits are deliberately NOT repaired by one deferred whole-batch
-// recoloring sweep: smallestFree's choices depend on the neighbor colors in
-// effect when each edit lands, so a deferred sweep can legally pick
-// different (equally proper) colors than sequential application — and both
-// WAL replay and the restored-community guarantee promise byte-identical
-// window/next answers to the one-at-a-time history. The batch savings come
-// from everything around the repairs instead: the caller takes one lock,
-// writes one group-committed WAL append, invalidates the schedule cache at
-// most once, verifies once, and the smallestFree scratch stays hot across
-// the whole batch.
-func (dc *DynamicColorBound) ApplyBatch(edits []Edit) (recolorings int, err error) {
-	return dc.ApplyBatchResults(edits, nil)
-}
-
-// ApplyBatchResults is ApplyBatch with per-edit outcomes: when out is
-// non-nil it must have one slot per edit and is filled with what each edit
-// did.
-func (dc *DynamicColorBound) ApplyBatchResults(edits []Edit, out []EditResult) (recolorings int, err error) {
-	if out != nil && len(out) != len(edits) {
-		return 0, fmt.Errorf("core: batch has %d edits but %d result slots", len(edits), len(out))
+// Apply performs one edit with the repair rule of AddEdge or RemoveEdge.
+// It is the one entry point single ops, batches and WAL replay share, so a
+// stream applied in batches is byte-identical to one applied an edit at a
+// time. (A deferred whole-batch recoloring sweep would not be: smallestFree
+// picks from the neighbor colors in effect when each edit lands.) An
+// unknown op, an endpoint outside the graph or a self-marriage is an error
+// that changes nothing; divorcing a node from itself is a no-op.
+func (dc *DynamicColorBound) Apply(e Edit) (EditResult, error) {
+	if n := dc.d.N(); e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		return EditResult{}, fmt.Errorf("core: edit (%d,%d) touches a node outside [0,%d)", e.U, e.V, n)
 	}
-	n := dc.d.N()
-	for i, e := range edits {
-		if e.Op != EditInsert && e.Op != EditDelete {
-			return 0, fmt.Errorf("core: batch edit %d has unknown op %d", i, e.Op)
+	mBefore, rBefore := dc.d.M(), dc.Recolorings
+	switch e.Op {
+	case EditInsert:
+		if _, err := dc.AddEdge(e.U, e.V); err != nil {
+			return EditResult{}, err
 		}
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return 0, fmt.Errorf("core: batch edit %d touches a node outside [0,%d)", i, n)
-		}
-		if e.U == e.V {
-			return 0, fmt.Errorf("core: batch edit %d is a self-marriage at node %d", i, e.U)
-		}
+	case EditDelete:
+		dc.RemoveEdge(e.U, e.V)
+	default:
+		return EditResult{}, fmt.Errorf("core: unknown edit op %d", e.Op)
 	}
-	start := dc.Recolorings
-	for i, e := range edits {
-		mBefore := dc.d.M()
-		rBefore := dc.Recolorings
-		if e.Op == EditInsert {
-			if _, err := dc.AddEdge(e.U, e.V); err != nil {
-				// Unreachable after validation; surface it rather than
-				// swallow a future invariant break.
-				return int(dc.Recolorings - start), err
-			}
-		} else {
-			dc.RemoveEdge(e.U, e.V)
-		}
-		if out != nil {
-			out[i] = EditResult{
-				Applied:   dc.d.M() != mBefore,
-				Recolored: dc.Recolorings != rBefore,
-			}
-		}
-	}
-	return int(dc.Recolorings - start), nil
+	return EditResult{Applied: dc.d.M() != mBefore, Recolored: dc.Recolorings != rBefore}, nil
 }
 
 // HasEdge reports whether the marriage {u, v} currently exists.

@@ -481,17 +481,6 @@ func (d *Dyn) Apply(e core.Edit) core.EditResult {
 	}
 }
 
-// ApplyBatchResults applies edits in order, one result per edit —
-// byte-identical to one-at-a-time application by construction, the
-// property WAL replay depends on.
-func (d *Dyn) ApplyBatchResults(edits []core.Edit) []core.EditResult {
-	results := make([]core.EditResult, len(edits))
-	for i, e := range edits {
-		results[i] = d.Apply(e)
-	}
-	return results
-}
-
 // FrozenSchedule snapshots the current layer assignment as an immutable
 // core.ClassSchedule whose entities are the edge slots and whose classes
 // are the live layers: slot s is happy exactly at t ≡ offset (mod period)

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/poly"
 )
@@ -32,9 +30,6 @@ type backend interface {
 	Kind() string
 	// SchedulerName names the algorithm for stats and frozen schedules.
 	SchedulerName() string
-	// CodeName is the code the kind was created with: a prefix code name
-	// for classic, a poly scheduler code for poly.
-	CodeName() string
 	N() int
 	M() int
 	// Repairs counts the kind's disruption events: recolorings for classic,
@@ -42,14 +37,11 @@ type backend interface {
 	Repairs() int64
 	AddNode() int
 	HasEdge(u, v int) bool
-	// AddEdge inserts an edge; demand is resolved per kind (classic ignores
-	// it, poly substitutes the community default for 0).
-	AddEdge(u, v int, demand int64) (core.EditResult, error)
-	RemoveEdge(u, v int) core.EditResult
-	// ApplyBatch applies validated edits in order, filling out (same length)
-	// with per-edit outcomes, byte-identical to one-at-a-time application.
-	// The returned count is the batch's Repairs delta.
-	ApplyBatch(edits []core.Edit, out []core.EditResult) (repairs int, err error)
+	// Apply performs one validated edit with the kind's repair rule
+	// (poly resolves a 0 demand to the community default; classic
+	// ignores demands) — the one edge-edit entry point, so batched,
+	// single-op and replayed edits cannot diverge.
+	Apply(e core.Edit) (core.EditResult, error)
 	// Invalidates reports whether an edit's outcome requires dropping the
 	// cached frozen schedule (and ticking the community version). Classic
 	// schedules only change when somebody recolors; poly schedules include
@@ -67,31 +59,13 @@ type classicBackend struct {
 
 func (b *classicBackend) Kind() string          { return KindClassic }
 func (b *classicBackend) SchedulerName() string { return b.dyn.Name() }
-func (b *classicBackend) CodeName() string      { return b.dyn.Code().Name() }
 func (b *classicBackend) N() int                { return b.dyn.N() }
 func (b *classicBackend) M() int                { return b.dyn.M() }
 func (b *classicBackend) Repairs() int64        { return b.dyn.Recolorings }
 func (b *classicBackend) AddNode() int          { return b.dyn.AddNode() }
 func (b *classicBackend) HasEdge(u, v int) bool { return b.dyn.HasEdge(u, v) }
 
-func (b *classicBackend) AddEdge(u, v int, _ int64) (core.EditResult, error) {
-	mBefore := b.dyn.M()
-	recolored, err := b.dyn.AddEdge(u, v)
-	if err != nil {
-		return core.EditResult{}, err
-	}
-	return core.EditResult{Applied: b.dyn.M() != mBefore, Recolored: recolored}, nil
-}
-
-func (b *classicBackend) RemoveEdge(u, v int) core.EditResult {
-	before := b.dyn.Recolorings
-	removed := b.dyn.RemoveEdge(u, v)
-	return core.EditResult{Applied: removed, Recolored: b.dyn.Recolorings > before}
-}
-
-func (b *classicBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int, error) {
-	return b.dyn.ApplyBatchResults(edits, out)
-}
+func (b *classicBackend) Apply(e core.Edit) (core.EditResult, error) { return b.dyn.Apply(e) }
 
 func (b *classicBackend) Invalidates(res core.EditResult) bool { return res.Recolored }
 
@@ -119,7 +93,6 @@ type polyBackend struct {
 
 func (b *polyBackend) Kind() string          { return KindPoly }
 func (b *polyBackend) SchedulerName() string { return b.dyn.Name() }
-func (b *polyBackend) CodeName() string      { return b.dyn.Code() }
 func (b *polyBackend) N() int                { return b.dyn.N() }
 func (b *polyBackend) M() int                { return b.dyn.M() }
 func (b *polyBackend) Repairs() int64        { return b.dyn.Relayerings() }
@@ -135,30 +108,9 @@ func (b *polyBackend) demand(d int64) int64 {
 	return poly.ClampDemand(d)
 }
 
-func (b *polyBackend) AddEdge(u, v int, demand int64) (core.EditResult, error) {
-	applied, relayered := b.dyn.AddEdge(u, v, b.demand(demand))
-	return core.EditResult{Applied: applied, Recolored: relayered}, nil
-}
-
-func (b *polyBackend) RemoveEdge(u, v int) core.EditResult {
-	return core.EditResult{Applied: b.dyn.RemoveEdge(u, v)}
-}
-
-func (b *polyBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int, error) {
-	before := b.dyn.Relayerings()
-	for i, e := range edits {
-		switch e.Op {
-		case core.EditInsert:
-			res, _ := b.AddEdge(e.U, e.V, e.Demand)
-			out[i] = res
-		case core.EditDelete:
-			out[i] = b.RemoveEdge(e.U, e.V)
-		default:
-			// Unreachable: the caller validated ops. Surface, don't swallow.
-			return int(b.dyn.Relayerings() - before), fmt.Errorf("poly: batch edit %d has unknown op %d", i, e.Op)
-		}
-	}
-	return int(b.dyn.Relayerings() - before), nil
+func (b *polyBackend) Apply(e core.Edit) (core.EditResult, error) {
+	e.Demand = b.demand(e.Demand)
+	return b.dyn.Apply(e), nil
 }
 
 // Invalidates: a poly schedule's entities are the edge slots, so any edit

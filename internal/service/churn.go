@@ -14,23 +14,25 @@ import (
 const DefaultChurnFlushInterval = 2 * time.Millisecond
 
 // ChurnBatch applies K marriages and divorces as one write operation: one
-// write-lock acquisition, one write-ahead journal append (group-committed
-// when the journal implements BatchJournal), one core.ApplyBatch repair
-// pass, and at most one cache invalidation — against up to K of each under
-// one-at-a-time churn. Readers keep serving the pre-flush frozen schedule
-// for the whole batch: in-flight queries hold immutable snapshots, and the
-// cache is dropped once at the end only if the batch recolored anybody.
+// write-lock acquisition and one write-ahead journal append
+// (group-committed when the journal implements BatchJournal), against up to
+// K of each under one-at-a-time churn. Each edit then goes through
+// applyLocked exactly as a single op or a replayed record does, so batch
+// application is byte-identical to sequential application by construction,
+// which is what lets WAL replay apply the same records one at a time.
+// Readers keep serving the pre-flush frozen schedule for the whole batch:
+// in-flight queries hold immutable snapshots, and however many edits drop
+// the cache under this one lock, the next read refreezes once.
 //
 // Every edit is validated before anything is journaled or applied, so an
 // invalid batch is all-or-nothing. Edits that would not change the edge set
 // (re-marrying a married couple, divorcing strangers) are applied as no-ops
 // and — like their single-op counterparts — excluded from the journal, so
-// replay stays minimal. Batch application is byte-identical to sequential
-// application by construction (see core.ApplyBatch), which is what lets WAL
-// replay apply the same records one at a time.
+// replay stays minimal.
 //
 // out, when non-nil, must have one slot per edit and receives what each
-// edit did.
+// edit did. The returned count is the batch's repairs: recolorings for
+// classic, relayerings for poly.
 func (c *Community) ChurnBatch(edits []core.Edit, out []core.EditResult) (recolorings int, err error) {
 	if out != nil && len(out) != len(edits) {
 		return 0, fmt.Errorf("service: community %q: batch has %d edits but %d result slots", c.id, len(edits), len(out))
@@ -54,45 +56,26 @@ func (c *Community) ChurnBatch(edits []core.Edit, out []core.EditResult) (recolo
 	}
 	// Write-ahead: journal before applying. Which edits are effective (will
 	// change the edge set) is predicted by replaying the batch against
-	// current adjacency plus an in-batch overlay — the same rule ApplyBatch
-	// uses — so only effective edits are logged, without applying first.
+	// current adjacency plus an in-batch overlay, so only effective edits
+	// are logged, without applying first.
 	if c.reg != nil && c.reg.getJournal() != nil {
 		if err := c.logBatchLocked(c.effectiveRecords(edits)); err != nil {
 			return 0, err
 		}
 	}
-	res := out
-	if res == nil {
-		res = make([]core.EditResult, len(edits))
-	}
-	recolorings, err = c.be.ApplyBatch(edits, res)
-	if err != nil {
-		// Unreachable: the batch was validated above. Surface rather than
-		// swallow if core's rules ever drift.
-		return recolorings, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	// The cache is dropped at most once per flush, but version must advance
-	// exactly as one-at-a-time churn would have advanced it — one tick per
-	// invalidating edit (recolorings for classic, applied edits for poly) —
-	// because version is persisted and WAL replay (which applies the
-	// flush's records individually) must land on the same value.
-	if events := countInvalidating(c.be, res); events > 0 {
-		c.cached = nil
-		c.version += int64(events)
-	}
-	return recolorings, nil
-}
-
-// countInvalidating counts the edits of a batch whose outcome invalidates
-// the kind's cached schedule.
-func countInvalidating(be backend, res []core.EditResult) int {
-	n := 0
-	for _, r := range res {
-		if be.Invalidates(r) {
-			n++
+	before := c.be.Repairs()
+	for i, e := range edits {
+		res, err := c.applyLocked(e)
+		if err != nil {
+			// Unreachable: the batch was validated above. Surface rather than
+			// swallow if the backend's rules ever drift.
+			return int(c.be.Repairs() - before), err
+		}
+		if out != nil {
+			out[i] = res
 		}
 	}
-	return n
+	return int(c.be.Repairs() - before), nil
 }
 
 // effectiveRecords returns journal records for exactly the edits that will
@@ -111,10 +94,10 @@ func (c *Community) effectiveRecords(edits []core.Edit) []Record {
 		}
 		switch {
 		case e.Op == core.EditInsert && !present:
-			recs = append(recs, Record{Op: OpMarry, ID: c.id, U: e.U, V: e.V, Demand: e.Demand})
+			recs = append(recs, c.record(e))
 			overlay[k] = true
 		case e.Op == core.EditDelete && present:
-			recs = append(recs, Record{Op: OpDivorce, ID: c.id, U: e.U, V: e.V})
+			recs = append(recs, c.record(e))
 			overlay[k] = false
 		default:
 			overlay[k] = present
@@ -171,7 +154,7 @@ type Coalescer struct {
 	closed  bool
 
 	enqueued atomic.Int64 // ops accepted into batches (or run directly)
-	flushes  atomic.Int64 // ChurnBatch calls issued
+	flushes  atomic.Int64 // ChurnBatch calls issued, plus direct single ops
 }
 
 // pendingChurn is one community's open batch.
@@ -188,9 +171,8 @@ type churnOutcome struct {
 }
 
 // NewCoalescer returns a coalescer flushing at maxBatch ops or flushEvery,
-// whichever comes first. maxBatch < 2 degenerates to direct single-op
-// batches (no queuing, no timer); flushEvery ≤ 0 uses
-// DefaultChurnFlushInterval.
+// whichever comes first. maxBatch < 2 degenerates to direct single ops (no
+// queuing, no timer); flushEvery ≤ 0 uses DefaultChurnFlushInterval.
 func NewCoalescer(maxBatch int, flushEvery time.Duration) *Coalescer {
 	if flushEvery <= 0 {
 		flushEvery = DefaultChurnFlushInterval
@@ -205,7 +187,8 @@ func NewCoalescer(maxBatch int, flushEvery time.Duration) *Coalescer {
 // Churn enqueues one edit for c and blocks until the batch containing it has
 // been journaled and applied, returning what the edit did. Edits that are
 // invalid against the current family count fail fast without joining a
-// batch. After Close, ops run as direct single-op batches.
+// batch. After Close, ops take the single-op write path of Marry and
+// Divorce.
 func (co *Coalescer) Churn(c *Community, e core.Edit) (core.EditResult, error) {
 	if e.Op != core.EditInsert && e.Op != core.EditDelete {
 		return core.EditResult{}, fmt.Errorf("service: community %q: unknown churn op %d", c.ID(), e.Op)
@@ -219,7 +202,8 @@ func (co *Coalescer) Churn(c *Community, e core.Edit) (core.EditResult, error) {
 	co.mu.Lock()
 	if co.closed || co.maxBatch < 2 {
 		co.mu.Unlock()
-		return co.direct(c, e)
+		co.flushes.Add(1)
+		return c.edit(e)
 	}
 	b := co.pending[c]
 	if b == nil {
@@ -291,13 +275,4 @@ func (co *Coalescer) flush(b *pendingChurn) {
 	for i, ch := range b.done {
 		ch <- churnOutcome{res: res[i], err: err}
 	}
-}
-
-// direct applies one edit as a single-op batch, preserving ChurnBatch's
-// validation and journaling semantics.
-func (co *Coalescer) direct(c *Community, e core.Edit) (core.EditResult, error) {
-	co.flushes.Add(1)
-	var res [1]core.EditResult
-	_, err := c.ChurnBatch([]core.Edit{e}, res[:])
-	return res[0], err
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/poly"
 )
 
 // randomBatch draws k edits over n families, mixing inserts, deletes, and
@@ -32,7 +34,8 @@ func randomBatch(r *rand.Rand, n, k int) []core.Edit {
 }
 
 // answerKey condenses a community's externally observable schedule: window
-// rows plus next-happy answers. Equal keys mean byte-identical responses.
+// rows plus next-happy answers for every schedule entity (families for
+// classic, edge slots for poly). Equal keys mean byte-identical responses.
 func answerKey(t *testing.T, c *Community) string {
 	t.Helper()
 	rows, err := c.Window(1, 96)
@@ -43,7 +46,11 @@ func answerKey(t *testing.T, c *Community) string {
 	for _, r := range rows {
 		s += fmt.Sprintf("%d:%v;", r.Holiday, r.Happy)
 	}
-	for v := 0; v < c.Families(); v++ {
+	sched, err := c.frozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < sched.Nodes(); v++ {
 		n, err := c.NextHappy(v, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -53,52 +60,97 @@ func answerKey(t *testing.T, c *Community) string {
 	return s
 }
 
-// TestChurnBatchMatchesSingleOps is the serving-layer half of the
-// differential acceptance test: the same edit stream applied via ChurnBatch
-// and via one-at-a-time Marry/Divorce must produce byte-identical window and
-// next-happy answers after every flush, identical per-edit outcomes, and —
-// with journals attached — an identical record stream (so replaying a
-// batch-written WAL reconstructs the same state one record at a time).
-func TestChurnBatchMatchesSingleOps(t *testing.T) {
-	regB, regS := New(Opts{}), New(Opts{})
-	jB, jS := &memJournal{}, &memJournal{}
-	regB.SetJournal(jB)
-	regS.SetJournal(jS)
-	const n = 28
-	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}}
-	batched, err := regB.Create("c", n, edges, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := regS.Create("c", n, edges, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+// editPathCodes are the kinds and codes the edit-path differential covers:
+// all four prefix codes of the classic kind and both poly schedulers.
+var editPathCodes = []struct{ kind, code string }{
+	{KindClassic, "unary"}, {KindClassic, "gamma"}, {KindClassic, "delta"}, {KindClassic, "omega"},
+	{KindPoly, poly.CodeLayering}, {KindPoly, poly.CodeBucketed},
+}
 
-	r := rand.New(rand.NewPCG(21, 5))
-	for round := 0; round < 40; round++ {
-		edits := randomBatch(r, n, 1+r.IntN(32))
+// editPathSeeds is FuzzEditPaths' seed corpus: every code of editPathCodes,
+// and each poly scheduler with default and with explicit demands.
+var editPathSeeds = []struct {
+	code    uint8
+	seed    uint64
+	ops     uint16
+	demands bool
+}{
+	{0, 1, 200, false},
+	{1, 2, 300, false},
+	{2, 3, 300, false},
+	{3, 21, 400, false},
+	{4, 5, 300, false},
+	{4, 6, 300, true},
+	{5, 7, 300, false},
+	{5, 8, 300, true},
+}
+
+// checkEditPaths is the differential over every write path. One seeded edit
+// stream of the chosen kind and code runs through single ops
+// (MarryDemand/Divorce), through ChurnBatch at random batch sizes with an
+// Export→Restore round trip mid-stream, and through replay of the batch
+// path's journal via Owner.Apply. All of them must agree on every per-edit
+// outcome, on the answers after every batch, on the journals, and on the
+// final Export: coloring or poly state, version and recolorings included.
+func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands bool) {
+	kc := editPathCodes[int(code)%len(editPathCodes)]
+	demands = demands && kc.kind == KindPoly
+	r := rand.New(rand.NewPCG(seed, 0xed17))
+	n := 6 + r.IntN(20)
+	spec := CreateSpec{ID: "c", Families: n, Kind: kc.kind, Code: kc.code}
+	for u := 0; u+1 < n; u += 3 {
+		spec.Edges = append(spec.Edges, [2]int{u, u + 1})
+		if demands {
+			spec.Demands = append(spec.Demands, int64(r.IntN(3))*16) // 0 takes the default
+		}
+	}
+	if demands {
+		spec.DefaultDemand = 32
+	}
+	create := func(j Journal) *Community {
+		c, err := New(Opts{Journal: j}).CreateSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	jS, jB := &memJournal{}, &batchingJournal{}
+	single, batched := create(jS), create(jB)
+
+	restoreAt := r.IntN(int(ops)/2 + 1)
+	for done, round := 0, 0; done < int(ops); round++ {
+		edits := randomBatch(r, n, 1+r.IntN(24))
+		for i := range edits {
+			if demands && edits[i].Op == core.EditInsert && r.IntN(2) == 0 {
+				edits[i].Demand = int64(2) << r.IntN(7)
+			}
+		}
+		if done <= restoreAt && restoreAt < done+len(edits) {
+			c, err := New(Opts{Journal: jB}).Restore(batched.Export())
+			if err != nil {
+				t.Fatalf("round %d: restore: %v", round, err)
+			}
+			batched = c
+		}
+		done += len(edits)
 		res := make([]core.EditResult, len(edits))
 		if _, err := batched.ChurnBatch(edits, res); err != nil {
 			t.Fatal(err)
 		}
 		for i, e := range edits {
+			var want core.EditResult
+			var err error
 			if e.Op == core.EditInsert {
-				recolored, err := single.Marry(e.U, e.V)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res[i].Recolored != recolored {
-					t.Fatalf("round %d edit %d: batch recolored=%v, single %v", round, i, res[i].Recolored, recolored)
-				}
+				want.Applied = !single.be.HasEdge(e.U, e.V)
+				want.Recolored, err = single.MarryDemand(e.U, e.V, e.Demand)
 			} else {
-				removed, recolored, err := single.Divorce(e.U, e.V)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res[i].Applied != removed || res[i].Recolored != recolored {
-					t.Fatalf("round %d edit %d: batch %+v, single removed=%v recolored=%v", round, i, res[i], removed, recolored)
-				}
+				want.Applied, want.Recolored, err = single.Divorce(e.U, e.V)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i] != want {
+				t.Fatalf("round %d edit %d (%+v): batch %+v, single %+v", round, i, e, res[i], want)
 			}
 		}
 		if kb, ks := answerKey(t, batched), answerKey(t, single); kb != ks {
@@ -109,19 +161,54 @@ func TestChurnBatchMatchesSingleOps(t *testing.T) {
 		t.Fatalf("journal streams diverged:\n batch:  %d recs\n single: %d recs", len(jB.recs), len(jS.recs))
 	}
 
-	// The batch path's journal stream replays into the same answers.
-	regR := New(Opts{})
+	replay := New(Opts{})
 	for i, rec := range jB.recs {
-		if err := regR.Apply(uint64(i+1), rec); err != nil {
+		if err := replay.Apply(uint64(i+1), rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	replayed, ok := regR.Get("c")
+	replayed, ok := replay.Get("c")
 	if !ok {
-		t.Fatal("replayed registry lost the community")
+		t.Fatal("replayed owner lost the community")
 	}
-	if answerKey(t, replayed) != answerKey(t, batched) {
-		t.Fatal("replaying the batch-written journal produced different answers")
+	want, err := json.Marshal(single.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Community{"batched": batched, "replayed": replayed} {
+		got, err := json.Marshal(c.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s export differs from single ops:\n got  %s\n want %s", name, got, want)
+		}
+		if answerKey(t, c) != answerKey(t, single) {
+			t.Fatalf("%s answers differ from single ops", name)
+		}
+	}
+}
+
+// FuzzEditPaths drives checkEditPaths with fuzzed kinds, codes, streams and
+// demand mixes.
+func FuzzEditPaths(f *testing.F) {
+	for _, s := range editPathSeeds {
+		f.Add(s.code, s.seed, s.ops, s.demands)
+	}
+	f.Fuzz(func(t *testing.T, code uint8, seed uint64, ops uint16, demands bool) {
+		checkEditPaths(t, code, seed, ops%512, demands)
+	})
+}
+
+// TestChurnBatchMatchesSingleOps runs FuzzEditPaths' seed corpus inline, so
+// `go test` (without -fuzz) holds every write path to the single-op one for
+// all four prefix codes and both poly schedulers.
+func TestChurnBatchMatchesSingleOps(t *testing.T) {
+	for _, s := range editPathSeeds {
+		kc := editPathCodes[s.code]
+		t.Run(fmt.Sprintf("%s/%s/demands=%v", kc.kind, kc.code, s.demands), func(t *testing.T) {
+			checkEditPaths(t, s.code, s.seed, s.ops, s.demands)
+		})
 	}
 }
 
@@ -204,6 +291,7 @@ func TestChurnBatchValidation(t *testing.T) {
 	n := len(j.recs)
 	bad := [][]core.Edit{
 		{{Op: core.EditInsert, U: 0, V: 1}, {Op: core.EditInsert, U: 1, V: 9}},
+		{{Op: core.EditInsert, U: 0, V: 1}, {Op: core.EditDelete, U: -1, V: 2}},
 		{{Op: core.EditInsert, U: 0, V: 1}, {Op: core.EditInsert, U: 2, V: 2}},
 		{{Op: core.EditInsert, U: 0, V: 1}, {Op: core.EditOp(7), U: 0, V: 2}},
 	}
@@ -265,8 +353,8 @@ func TestChurnBatchUsesBatchJournal(t *testing.T) {
 	if len(j.recs) != 4 { // create + 3 marries
 		t.Fatalf("journal has %d records, want 4", len(j.recs))
 	}
-	if c.journalSeq() != j.seq {
-		t.Fatalf("community seq %d, journal seq %d", c.journalSeq(), j.seq)
+	if c.Seq() != j.seq {
+		t.Fatalf("community seq %d, journal seq %d", c.Seq(), j.seq)
 	}
 }
 

@@ -371,20 +371,12 @@ func (a *apiHandler) serveMarry(w http.ResponseWriter, r *http.Request, c *Commu
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	var recolored bool
-	var err error
-	if a.Churn != nil {
-		var res core.EditResult
-		res, err = a.Churn.Churn(c, core.Edit{Op: core.EditInsert, U: req.U, V: req.V, Demand: req.Demand})
-		recolored = res.Recolored
-	} else {
-		recolored, err = c.MarryDemand(req.U, req.V, req.Demand)
-	}
+	res, err := a.edit(c, core.Edit{Op: core.EditInsert, U: req.U, V: req.V, Demand: req.Demand})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"recolored": recolored})
+	writeJSON(w, http.StatusOK, map[string]bool{"recolored": res.Recolored})
 }
 
 func (a *apiHandler) serveDivorce(w http.ResponseWriter, r *http.Request, c *Community) {
@@ -394,20 +386,21 @@ func (a *apiHandler) serveDivorce(w http.ResponseWriter, r *http.Request, c *Com
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query params u and v must be integers"))
 		return
 	}
-	var removed, recolored bool
-	var err error
-	if a.Churn != nil {
-		var res core.EditResult
-		res, err = a.Churn.Churn(c, core.Edit{Op: core.EditDelete, U: u, V: v})
-		removed, recolored = res.Applied, res.Recolored
-	} else {
-		removed, recolored, err = c.Divorce(u, v)
-	}
+	res, err := a.edit(c, core.Edit{Op: core.EditDelete, U: u, V: v})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"removed": removed, "recolored": recolored})
+	writeJSON(w, http.StatusOK, map[string]bool{"removed": res.Applied, "recolored": res.Recolored})
+}
+
+// edit runs one JSON churn op: through the coalescer when batching is on,
+// else as a direct single op.
+func (a *apiHandler) edit(c *Community, e core.Edit) (core.EditResult, error) {
+	if a.Churn != nil {
+		return a.Churn.Churn(c, e)
+	}
+	return c.edit(e)
 }
 
 func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Community) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/poly"
-	"repro/internal/prefixcode"
 )
 
 // Op names one kind of state-changing operation in a journal record. The
@@ -144,65 +143,71 @@ func (c *Community) Export() CommunityState {
 // restore is the recovery path, not a new mutation. Errors on duplicate
 // ids, unknown codes, and colorings that are not proper for the edge set.
 func (r *Owner) Restore(st CommunityState) (*Community, error) {
-	if st.ID == "" {
-		return nil, fmt.Errorf("service: restore: empty community id")
+	c, err := r.restored(st)
+	if err != nil {
+		return nil, err
 	}
+	return r.add(c, nil)
+}
+
+// InstallReplica registers exported state as a replica of a community
+// another node owns: fenced from the moment it is visible, and replacing
+// any local copy — which is fenced in the same step — unless that copy is
+// already a fenced replica at or past st.Seq, in which case it is kept (the
+// idempotent re-offer). It returns the community now registered under the
+// id. Nothing is logged.
+func (r *Owner) InstallReplica(st CommunityState) (*Community, error) {
+	if c, ok := r.Get(st.ID); ok && c.Fenced() && c.Seq() >= st.Seq {
+		return c, nil // current already; skip rebuilding it
+	}
+	c, err := r.restored(st)
+	if err != nil {
+		return nil, err
+	}
+	c.fenced = true
+	return r.add(c, nil)
+}
+
+// restored builds the unregistered community an exported state describes.
+// Coloring and poly state are adopted verbatim, and both are validated
+// (properness, poly.Restore's structural invariants) before the community
+// exists.
+func (r *Owner) restored(st CommunityState) (*Community, error) {
 	if st.Families < 1 {
 		return nil, fmt.Errorf("service: restore %q: %d families", st.ID, st.Families)
 	}
+	var be backend
 	switch st.Kind {
 	case "", KindClassic:
+		code, err := prefixCode(st.Code)
+		if err != nil {
+			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
+		}
+		g, err := edgeGraph(st.Families, st.Edges)
+		if err != nil {
+			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
+		}
+		dyn, err := core.RestoreDynamicColorBound(g, code, st.Coloring, st.Recolorings)
+		if err != nil {
+			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
+		}
+		be = &classicBackend{dyn: dyn}
 	case KindPoly:
-		return r.restorePoly(st)
+		if st.Poly == nil {
+			return nil, fmt.Errorf("service: restore %q: poly kind with no poly state", st.ID)
+		}
+		if st.Poly.N != st.Families {
+			return nil, fmt.Errorf("service: restore %q: %d families but poly state has %d nodes", st.ID, st.Families, st.Poly.N)
+		}
+		dyn, err := poly.Restore(*st.Poly)
+		if err != nil {
+			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
+		}
+		be = &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(st.DefaultDemand)}
 	default:
 		return nil, fmt.Errorf("service: restore %q: unknown kind %q", st.ID, st.Kind)
 	}
-	codeName := st.Code
-	if codeName == "" {
-		codeName = "omega"
-	}
-	code, err := prefixcode.ByName(codeName)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	g, err := edgeGraph(st.Families, st.Edges)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	dyn, err := core.RestoreDynamicColorBound(g, code, st.Coloring, st.Recolorings)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	return r.register(&Community{id: st.ID, reg: r, be: &classicBackend{dyn: dyn}, version: st.Version, seq: st.Seq})
-}
-
-// restorePoly reconstructs a poly-kind community from its exact exported
-// instance state. poly.Restore validates every structural invariant (slot
-// references, layer classes, matching-ness) before the community exists.
-func (r *Owner) restorePoly(st CommunityState) (*Community, error) {
-	if st.Poly == nil {
-		return nil, fmt.Errorf("service: restore %q: poly kind with no poly state", st.ID)
-	}
-	if st.Poly.N != st.Families {
-		return nil, fmt.Errorf("service: restore %q: %d families but poly state has %d nodes", st.ID, st.Families, st.Poly.N)
-	}
-	dyn, err := poly.Restore(*st.Poly)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	be := &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(st.DefaultDemand)}
-	return r.register(&Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq})
-}
-
-// register inserts a restored community, rejecting duplicates.
-func (r *Owner) register(c *Community) (*Community, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[c.id]; dup {
-		return nil, fmt.Errorf("service: restore %q: community already exists", c.id)
-	}
-	r.communities[c.id] = c
-	return c, nil
+	return &Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq}, nil
 }
 
 // Apply replays one journal record at its sequence number without
@@ -214,28 +219,36 @@ func (r *Owner) register(c *Community) (*Community, error) {
 // (their delete is further down the log, or their create preceded an
 // already-applied delete). Errors are reserved for genuinely inconsistent
 // logs, e.g. a marry referencing a family outside the community.
-func (r *Owner) Apply(seq uint64, rec Record) error {
+func (r *Owner) Apply(seq uint64, rec Record) error { return r.apply(seq, rec, false) }
+
+// Replicate is Apply for a replication stream: a replicated create
+// registers its community already fenced, so a community this node only
+// follows is never visible as a writable copy.
+func (r *Owner) Replicate(seq uint64, rec Record) error { return r.apply(seq, rec, true) }
+
+func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 	switch rec.Op {
 	case OpCreate:
-		r.mu.RLock()
-		c, exists := r.communities[rec.ID]
-		r.mu.RUnlock()
-		if exists {
-			if seq <= c.journalSeq() {
+		if c, exists := r.Get(rec.ID); exists {
+			if seq <= c.Seq() {
 				return nil // already in the snapshot
 			}
-			return fmt.Errorf("service: replay create %q at seq %d: community already exists at seq %d", rec.ID, seq, c.journalSeq())
+			return fmt.Errorf("service: replay create %q at seq %d: community already exists at seq %d", rec.ID, seq, c.Seq())
 		}
-		c, err := r.createUnlogged(rec)
+		c, _, err := r.build(CreateSpec{ID: rec.ID, Families: rec.N, Edges: rec.Edges, Code: rec.Code,
+			Kind: rec.Kind, Demands: rec.Demands, DefaultDemand: rec.DefaultDemand})
 		if err != nil {
 			return fmt.Errorf("service: replay seq %d: %w", seq, err)
 		}
-		c.setJournalSeq(seq)
+		c.seq, c.fenced = seq, replica
+		if _, err := r.add(c, nil); err != nil {
+			return fmt.Errorf("service: replay seq %d: %w", seq, err)
+		}
 		return nil
 	case OpDelete:
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if c, ok := r.communities[rec.ID]; ok && seq > c.journalSeq() {
+		if c, ok := r.communities[rec.ID]; ok && seq > c.Seq() {
 			delete(r.communities, rec.ID)
 		}
 		return nil
@@ -249,27 +262,19 @@ func (r *Owner) Apply(seq uint64, rec Record) error {
 		if seq <= c.seq {
 			return nil
 		}
-		switch rec.Op {
-		case OpAddFamily:
+		if rec.Op == OpAddFamily {
 			c.be.AddNode()
 			c.invalidateLocked()
-		case OpMarry:
+		} else {
+			e := core.Edit{Op: core.EditInsert, U: rec.U, V: rec.V, Demand: rec.Demand}
+			if rec.Op == OpDivorce {
+				e.Op = core.EditDelete
+			}
 			if err := validEdge(c.be.N(), rec.U, rec.V); err != nil {
-				return fmt.Errorf("service: replay marry in %q at seq %d: %w", rec.ID, seq, err)
+				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 			}
-			res, err := c.be.AddEdge(rec.U, rec.V, rec.Demand)
-			if err != nil {
-				return fmt.Errorf("service: replay marry in %q at seq %d: %w", rec.ID, seq, err)
-			}
-			if c.be.Invalidates(res) {
-				c.invalidateLocked()
-			}
-		case OpDivorce:
-			if err := validEdge(c.be.N(), rec.U, rec.V); err != nil {
-				return fmt.Errorf("service: replay divorce in %q at seq %d: %w", rec.ID, seq, err)
-			}
-			if res := c.be.RemoveEdge(rec.U, rec.V); c.be.Invalidates(res) {
-				c.invalidateLocked()
+			if _, err := c.applyLocked(e); err != nil {
+				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 			}
 		}
 		c.seq = seq
@@ -277,18 +282,4 @@ func (r *Owner) Apply(seq uint64, rec Record) error {
 	default:
 		return fmt.Errorf("service: replay seq %d: unknown op %q", seq, rec.Op)
 	}
-}
-
-// journalSeq reads the community's last-applied journal sequence.
-func (c *Community) journalSeq() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.seq
-}
-
-// setJournalSeq stamps a freshly replayed create.
-func (c *Community) setJournalSeq(seq uint64) {
-	c.mu.Lock()
-	c.seq = seq
-	c.mu.Unlock()
 }

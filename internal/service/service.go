@@ -73,14 +73,7 @@ func New(opts Opts) *Owner {
 // prefix code ("" means omega, the paper's choice). Errors on duplicate
 // ids, unknown codes, and invalid edges.
 func (r *Owner) Create(id string, n int, edges [][2]int, codeName string) (*Community, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
-	}
-	g, err := edgeGraph(n, edges)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	return r.CreateFromGraph(id, g, codeName)
+	return r.CreateSpec(CreateSpec{ID: id, Families: n, Edges: edges, Code: codeName})
 }
 
 // CreateSpec is the kind-dispatching create request: everything POST
@@ -107,49 +100,100 @@ type CreateSpec struct {
 // are rejected with the bad_request envelope — the error a client can
 // branch on across both transports.
 func (r *Owner) CreateSpec(spec CreateSpec) (*Community, error) {
+	c, logged, err := r.build(spec)
+	if err != nil {
+		return nil, err
+	}
+	return r.add(c, logged)
+}
+
+// CreateFromGraph registers a new community over an existing conflict
+// graph, avoiding the edge-list round trip of Create. The graph is not
+// retained; the community evolves its own dynamic copy. With a journal
+// attached, the creation is logged before the community becomes visible; a
+// journal failure registers nothing.
+func (r *Owner) CreateFromGraph(id string, g *graph.Graph, codeName string) (*Community, error) {
+	c, logged, err := r.buildClassic(id, g, codeName)
+	if err != nil {
+		return nil, err
+	}
+	return r.add(c, logged)
+}
+
+// build makes the unregistered community a create spec describes, plus the
+// function producing the create record that rebuilds it exactly on replay.
+func (r *Owner) build(spec CreateSpec) (*Community, func() Record, error) {
 	switch spec.Kind {
 	case "", KindClassic:
 		if len(spec.Demands) > 0 {
-			return nil, Errf(CodeBadRequest, "community %q: classic communities take no edge demands", spec.ID)
+			return nil, nil, Errf(CodeBadRequest, "community %q: classic communities take no edge demands", spec.ID)
 		}
 		if spec.DefaultDemand != 0 {
-			return nil, Errf(CodeBadRequest, "community %q: classic communities take no default demand", spec.ID)
+			return nil, nil, Errf(CodeBadRequest, "community %q: classic communities take no default demand", spec.ID)
 		}
-		return r.Create(spec.ID, spec.Families, spec.Edges, spec.Code)
 	case KindPoly:
-		return r.createPoly(spec, true)
+		if len(spec.Demands) != 0 && len(spec.Demands) != len(spec.Edges) {
+			return nil, nil, Errf(CodeBadRequest, "community %q: %d demands for %d edges",
+				spec.ID, len(spec.Demands), len(spec.Edges))
+		}
 	default:
-		return nil, Errf(CodeBadRequest, "community %q: unknown kind %q (want %q or %q)",
+		return nil, nil, Errf(CodeBadRequest, "community %q: unknown kind %q (want %q or %q)",
 			spec.ID, spec.Kind, KindClassic, KindPoly)
 	}
+	if spec.Families < 1 {
+		return nil, nil, fmt.Errorf("service: community %q needs at least one family, got %d", spec.ID, spec.Families)
+	}
+	if spec.Kind == KindPoly {
+		return r.buildPoly(spec)
+	}
+	g, err := edgeGraph(spec.Families, spec.Edges)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
+	}
+	return r.buildClassic(spec.ID, g, spec.Code)
 }
 
-// createPoly builds and registers a poly community, journaling the create
-// (with its resolved code, default demand, and per-edge demands, so replay
-// reconstructs it byte-identically) unless logged is false.
-func (r *Owner) createPoly(spec CreateSpec, logged bool) (*Community, error) {
-	if spec.ID == "" {
-		return nil, fmt.Errorf("service: empty community id")
+// buildClassic makes an unregistered classic community over g. Its create
+// record lists g's edges, built only when the record is asked for, so a
+// create without a journal never pays for the list.
+func (r *Owner) buildClassic(id string, g *graph.Graph, codeName string) (*Community, func() Record, error) {
+	if g.N() < 1 {
+		return nil, nil, fmt.Errorf("service: community %q needs at least one family", id)
 	}
-	if spec.Families < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", spec.ID, spec.Families)
+	code, err := prefixCode(codeName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: community %q: %w", id, err)
 	}
-	if len(spec.Demands) != 0 && len(spec.Demands) != len(spec.Edges) {
-		return nil, Errf(CodeBadRequest, "community %q: %d demands for %d edges",
-			spec.ID, len(spec.Demands), len(spec.Edges))
+	dyn, err := core.NewDynamicColorBound(g, code)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: community %q: %w", id, err)
 	}
+	c := &Community{id: id, reg: r, be: &classicBackend{dyn: dyn}}
+	return c, func() Record {
+		edges := make([][2]int, 0, g.M())
+		for _, e := range g.Edges() {
+			edges = append(edges, [2]int{e.U, e.V})
+		}
+		return Record{Op: OpCreate, ID: id, N: g.N(), Edges: edges, Code: code.Name()}
+	}, nil
+}
+
+// buildPoly makes an unregistered poly community. Its create record carries
+// the resolved code, default demand, and per-edge demands, so replay
+// reconstructs it byte-identically.
+func (r *Owner) buildPoly(spec CreateSpec) (*Community, func() Record, error) {
 	dyn, err := poly.New(spec.Families, spec.Code)
 	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
+		return nil, nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
 	}
 	be := &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(spec.DefaultDemand)}
 	demands := make([]int64, len(spec.Edges))
 	for i, e := range spec.Edges {
 		if err := validEdge(spec.Families, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
+			return nil, nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
 		}
 		if dyn.HasEdge(e[0], e[1]) {
-			return nil, fmt.Errorf("service: community %q: duplicate edge (%d,%d)", spec.ID, e[0], e[1])
+			return nil, nil, fmt.Errorf("service: community %q: duplicate edge (%d,%d)", spec.ID, e[0], e[1])
 		}
 		var d int64
 		if i < len(spec.Demands) {
@@ -159,109 +203,62 @@ func (r *Owner) createPoly(spec CreateSpec, logged bool) (*Community, error) {
 		dyn.AddEdge(e[0], e[1], demands[i])
 	}
 	c := &Community{id: spec.ID, reg: r, be: be}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[spec.ID]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", spec.ID)
-	}
-	if logged {
-		if j := r.getJournal(); j != nil {
-			seq, err := j.Log(Record{Op: OpCreate, ID: spec.ID, N: spec.Families, Edges: spec.Edges,
-				Code: dyn.Code(), Kind: KindPoly, Demands: demands, DefaultDemand: be.defaultDemand})
-			if err != nil {
-				return nil, fmt.Errorf("service: community %q: journal: %w", spec.ID, err)
-			}
-			c.seq = seq
-		}
-	}
-	r.communities[spec.ID] = c
-	return c, nil
+	return c, func() Record {
+		return Record{Op: OpCreate, ID: spec.ID, N: spec.Families, Edges: spec.Edges,
+			Code: dyn.Code(), Kind: KindPoly, Demands: demands, DefaultDemand: be.defaultDemand}
+	}, nil
 }
 
-// CreateFromGraph registers a new community over an existing conflict
-// graph, avoiding the edge-list round trip of Create. The graph is not
-// retained; the community evolves its own dynamic copy. With a journal
-// attached, the creation is logged before the community becomes visible; a
-// journal failure registers nothing.
-func (r *Owner) CreateFromGraph(id string, g *graph.Graph, codeName string) (*Community, error) {
-	c, err := r.newCommunity(id, g, codeName)
-	if err != nil {
-		return nil, err
+// prefixCode resolves a classic community's prefix code name; "" means
+// omega, the paper's choice.
+func prefixCode(name string) (prefixcode.Code, error) {
+	if name == "" {
+		name = "omega"
+	}
+	return prefixcode.ByName(name)
+}
+
+// add is the one way a community enters the owner, whether created,
+// restored, replayed or replicated. It rejects an empty id, and under r.mu
+// a duplicate one, then journals logged's record when logged is non-nil and
+// a journal is attached, and inserts c; a journal failure registers nothing.
+//
+// A fenced c is a replica: instead of being rejected it replaces the copy
+// already registered, unless that copy is a fenced replica at or past c's
+// sequence, which is kept and returned. The replaced copy is fenced in the
+// same critical section that swaps c in, so no caller of Get ever finds a
+// writable copy of a community this node only replicates.
+func (r *Owner) add(c *Community, logged func() Record) (*Community, error) {
+	if c.id == "" {
+		return nil, fmt.Errorf("service: empty community id")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.communities[id]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", id)
+	if old, ok := r.communities[c.id]; ok {
+		if !c.fenced {
+			return nil, fmt.Errorf("service: community %q already exists", c.id)
+		}
+		old.mu.Lock()
+		keep := old.fenced && old.seq >= c.seq
+		old.fenced = true
+		old.mu.Unlock()
+		if keep {
+			return old, nil
+		}
 	}
 	// Logging inside r.mu is load-bearing, not incidental: the snapshot
 	// cut-point argument (persist.Store.SaveSnapshot) relies on a create's
 	// sequence assignment and map insertion being one critical section.
 	// Under SyncAlways that puts an fsync under the registry lock, but
 	// creates and deletes are rare next to churn, which only holds c.mu.
-	if j := r.getJournal(); j != nil {
-		edges := make([][2]int, 0, g.M())
-		for _, e := range g.Edges() {
-			edges = append(edges, [2]int{e.U, e.V})
-		}
-		seq, err := j.Log(Record{Op: OpCreate, ID: id, N: g.N(), Edges: edges, Code: c.be.CodeName()})
+	if j := r.getJournal(); j != nil && logged != nil {
+		seq, err := j.Log(logged())
 		if err != nil {
-			return nil, fmt.Errorf("service: community %q: journal: %w", id, err)
+			return nil, fmt.Errorf("service: community %q: journal: %w", c.id, err)
 		}
 		c.seq = seq
 	}
-	r.communities[id] = c
-	return c, nil
-}
-
-// newCommunity validates and builds a community without registering it.
-func (r *Owner) newCommunity(id string, g *graph.Graph, codeName string) (*Community, error) {
-	if id == "" {
-		return nil, fmt.Errorf("service: empty community id")
-	}
-	if g.N() < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family", id)
-	}
-	if codeName == "" {
-		codeName = "omega"
-	}
-	code, err := prefixcode.ByName(codeName)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	dyn, err := core.NewDynamicColorBound(g, code)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	return &Community{id: id, reg: r, be: &classicBackend{dyn: dyn}}, nil
-}
-
-// createUnlogged registers a community from a create record without
-// touching the journal — the replay path for OpCreate records of any kind.
-func (r *Owner) createUnlogged(rec Record) (*Community, error) {
-	if rec.Kind == KindPoly {
-		return r.createPoly(CreateSpec{
-			ID: rec.ID, Families: rec.N, Edges: rec.Edges, Code: rec.Code,
-			Kind: KindPoly, Demands: rec.Demands, DefaultDemand: rec.DefaultDemand,
-		}, false)
-	}
-	id, n, edges := rec.ID, rec.N, rec.Edges
-	if n < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
-	}
-	g, err := edgeGraph(n, edges)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	c, err := r.newCommunity(id, g, rec.Code)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[id]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", id)
-	}
-	r.communities[id] = c
+	r.communities[c.id] = c
 	return c, nil
 }
 
@@ -275,10 +272,10 @@ func (r *Owner) Get(id string) (*Community, bool) {
 
 // Fence marks a community as followed rather than owned: direct writes are
 // rejected with CodeNotOwner from the next acquisition of its lock, while
-// reads and replication (Apply) continue. Reports whether the community
-// exists. The cluster layer fences every community a follower replicates,
-// so churn misrouted during a topology change fails closed instead of
-// silently double-applying.
+// reads and replication (Replicate) continue. Reports whether the community
+// exists. Replicas are registered fenced (InstallReplica, Replicate); Fence
+// is for communities this node held as owner, so churn misrouted during a
+// topology change fails closed instead of silently double-applying.
 func (r *Owner) Fence(id string) bool { return r.setFenced(id, true) }
 
 // Unfence lifts a fence — the promotion path when this node takes
@@ -421,7 +418,11 @@ func (c *Community) ID() string { return c.id }
 // Seq returns the journal sequence of the last record logged for (or
 // replayed into) this community — the read-your-writes token of the
 // cluster API and the basis of follower lag.
-func (c *Community) Seq() uint64 { return c.journalSeq() }
+func (c *Community) Seq() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.seq
+}
 
 // Fenced reports whether direct writes are fenced off (this node follows
 // the community rather than owning it).
@@ -432,8 +433,8 @@ func (c *Community) Fenced() bool {
 }
 
 // fencedErrLocked rejects writes on fenced communities; caller holds c.mu.
-// Replication bypasses it by design: Apply edits the state directly at
-// explicit sequence numbers and never calls the write methods.
+// Replication bypasses it by design: Replicate (like Apply) edits the state
+// at explicit sequence numbers and never calls the write methods.
 func (c *Community) fencedErrLocked() error {
 	if !c.fenced {
 		return nil
@@ -519,30 +520,8 @@ func (c *Community) Marry(u, v int) (recolored bool, err error) {
 // MarryDemand is Marry with an explicit per-edge demand for poly
 // communities (0 means the community default; classic ignores it).
 func (c *Community) MarryDemand(u, v int, demand int64) (recolored bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.fencedErrLocked(); err != nil {
-		return false, err
-	}
-	if err := validEdge(c.be.N(), u, v); err != nil {
-		return false, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	// Re-marrying an existing couple changes nothing: answer without
-	// journaling, so replay never carries records that did no work.
-	if c.be.HasEdge(u, v) {
-		return false, nil
-	}
-	if err := c.logLocked(Record{Op: OpMarry, ID: c.id, U: u, V: v, Demand: demand}); err != nil {
-		return false, err
-	}
-	res, err := c.be.AddEdge(u, v, demand)
-	if err != nil {
-		return false, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	if c.be.Invalidates(res) {
-		c.invalidateLocked()
-	}
-	return res.Recolored, nil
+	res, err := c.edit(core.Edit{Op: core.EditInsert, U: u, V: v, Demand: demand})
+	return res.Recolored, err
 }
 
 // Divorce removes an edge (the kind's deletion path), reporting whether the
@@ -550,28 +529,57 @@ func (c *Community) MarryDemand(u, v int, demand int64) (recolored bool, err err
 // survives deletions the backend says changed nothing it serves.
 // Journaling mirrors Marry.
 func (c *Community) Divorce(u, v int) (removed, recolored bool, err error) {
+	res, err := c.edit(core.Edit{Op: core.EditDelete, U: u, V: v})
+	return res.Applied, res.Recolored, err
+}
+
+// edit is the single-op write path of Marry and Divorce: under the write
+// lock it rejects fenced communities and invalid edges, answers an edit
+// that would not change the edge set (re-marrying a married couple,
+// divorcing strangers) without journaling it, so replay never carries
+// records that did no work, and otherwise logs the record write-ahead and
+// applies the edit.
+func (c *Community) edit(e core.Edit) (core.EditResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.fencedErrLocked(); err != nil {
-		return false, false, err
+		return core.EditResult{}, err
 	}
-	if err := validEdge(c.be.N(), u, v); err != nil {
-		return false, false, fmt.Errorf("service: community %q: %w", c.id, err)
+	if err := validEdge(c.be.N(), e.U, e.V); err != nil {
+		return core.EditResult{}, fmt.Errorf("service: community %q: %w", c.id, err)
 	}
-	// Divorcing a couple that never married is a no-op: don't journal it.
-	// The WAL used to carry a divorce record for these, bloating replay
-	// with records that change nothing.
-	if !c.be.HasEdge(u, v) {
-		return false, false, nil
+	if c.be.HasEdge(e.U, e.V) == (e.Op == core.EditInsert) {
+		return core.EditResult{}, nil
 	}
-	if err := c.logLocked(Record{Op: OpDivorce, ID: c.id, U: u, V: v}); err != nil {
-		return false, false, err
+	if err := c.logLocked(c.record(e)); err != nil {
+		return core.EditResult{}, err
 	}
-	res := c.be.RemoveEdge(u, v)
+	return c.applyLocked(e)
+}
+
+// applyLocked applies one validated edit through the backend and drops the
+// cached schedule when the outcome changed it — the one place an edge edit
+// reaches a backend, whether written, batched, replayed or replicated.
+// Version ticks once per invalidating edit, however the edits arrive,
+// because version is persisted and WAL replay must land on the same value.
+// The caller holds c.mu.
+func (c *Community) applyLocked(e core.Edit) (core.EditResult, error) {
+	res, err := c.be.Apply(e)
+	if err != nil {
+		return res, fmt.Errorf("service: community %q: %w", c.id, err)
+	}
 	if c.be.Invalidates(res) {
 		c.invalidateLocked()
 	}
-	return res.Applied, res.Recolored, nil
+	return res, nil
+}
+
+// record is the journal record of an effective edit.
+func (c *Community) record(e core.Edit) Record {
+	if e.Op == core.EditDelete {
+		return Record{Op: OpDivorce, ID: c.id, U: e.U, V: e.V}
+	}
+	return Record{Op: OpMarry, ID: c.id, U: e.U, V: e.V, Demand: e.Demand}
 }
 
 // logLocked write-ahead logs one of this community's mutation records and
