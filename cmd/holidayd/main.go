@@ -39,11 +39,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -54,129 +57,219 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		demoSpec   = flag.String("demo", "", "create a community 'demo' from a graph spec at startup, e.g. gnp:n=100,p=0.05")
-		demoKind   = flag.String("demo-kind", "", "scheduling kind for the -demo community: 'classic' (default) or 'poly' edge scheduling")
-		demoDemand = flag.Int64("demo-demand", 64,
-			"with -demo-kind poly, the default per-edge frequency demand (a marriage must gather at least once every this many slots)")
-		seed      = flag.Uint64("seed", 1, "random seed for the -demo graph generator")
-		dataDir   = flag.String("data-dir", "", "durability directory (snapshot + churn WAL); empty serves from memory only")
-		snapEvery = flag.Duration("snapshot-every", 5*time.Minute,
-			"periodic snapshot interval with -data-dir; 0 snapshots only on graceful shutdown")
-		walSync = flag.Duration("wal-sync", persist.DefaultSyncInterval,
-			"WAL group-commit fsync interval with -data-dir; 0 fsyncs every record before acking")
-		binMaxBatch = flag.Int("bin-max-batch", service.DefaultMaxBinBatch,
-			"max frames one /v1/bin request may carry")
-		churnBatch = flag.Int("churn-batch", 1,
-			"coalesce up to this many single-op churn requests per community into one amortized flush; 1 applies each op directly")
-		churnFlush = flag.Duration("churn-flush-ms", service.DefaultChurnFlushInterval,
-			"max time a coalesced churn op may wait before its batch is flushed")
-		nodeID = flag.String("node-id", "",
-			"this node's id in the cluster topology; empty runs a single standalone node")
-		peersFile = flag.String("peers", "",
-			"cluster topology file (nodes.json) naming every member; requires -node-id")
-		replAddr = flag.String("repl", "",
-			"replication listen address; defaults to this node's repl entry in the topology")
-		maxQPS = flag.Int("max-qps", 0,
-			"admission limit on data-plane requests per second (0 = unlimited); "+
-				"requests beyond the limit queue rather than fail")
-		follow = flag.String("follow", "",
-			"comma-separated peer node ids to replicate from, or 'all' for every peer with a repl address")
-		failoverAfter = flag.Duration("failover-after", cluster.DefaultDeadline,
-			"missed-heartbeat deadline before a followed owner is probed and, if dead, failed over "+
-				"to its most-caught-up replica; 0 disables automatic failover and placement gossip")
-	)
-	flag.Parse()
-	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "holidayd: -addr must not be empty")
+	cfg, err := parseConfig(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "holidayd:", err)
 		flag.Usage()
 		os.Exit(1)
 	}
-	if *snapEvery < 0 {
-		fmt.Fprintln(os.Stderr, "holidayd: -snapshot-every must be ≥ 0")
-		flag.Usage()
+	// SIGTERM is how docker/k8s stop a container; trapping only SIGINT
+	// used to skip graceful shutdown — and snapshot-on-shutdown — anywhere
+	// but an interactive terminal.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err = run(ctx, cfg)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "holidayd:", err)
 		os.Exit(1)
 	}
-	if *walSync < 0 {
-		fmt.Fprintln(os.Stderr, "holidayd: -wal-sync must be ≥ 0")
-		flag.Usage()
-		os.Exit(1)
-	}
-	if *binMaxBatch < 1 {
-		fmt.Fprintln(os.Stderr, "holidayd: -bin-max-batch must be ≥ 1")
-		flag.Usage()
-		os.Exit(1)
-	}
-	if *churnBatch < 1 {
-		fmt.Fprintln(os.Stderr, "holidayd: -churn-batch must be ≥ 1")
-		flag.Usage()
-		os.Exit(1)
-	}
-	if *churnFlush <= 0 {
-		fmt.Fprintln(os.Stderr, "holidayd: -churn-flush-ms must be > 0")
-		flag.Usage()
-		os.Exit(1)
-	}
-	if (*nodeID == "") != (*peersFile == "") {
-		fmt.Fprintln(os.Stderr, "holidayd: -node-id and -peers must be set together")
-		flag.Usage()
-		os.Exit(1)
-	}
-	switch *demoKind {
-	case "", service.KindClassic, service.KindPoly:
-	default:
-		fmt.Fprintf(os.Stderr, "holidayd: -demo-kind %q: want %q or %q\n", *demoKind, service.KindClassic, service.KindPoly)
-		flag.Usage()
-		os.Exit(1)
-	}
-	if *demoDemand < 1 {
-		fmt.Fprintln(os.Stderr, "holidayd: -demo-demand must be ≥ 1")
-		flag.Usage()
-		os.Exit(1)
-	}
+}
 
-	// Cluster topology, when this daemon is a member of one.
-	var router *service.Router
-	var selfNode service.Node
-	if *peersFile != "" {
-		topo, err := service.LoadTopology(*peersFile)
-		if err != nil {
-			fatal(err)
-		}
-		router, err = service.NewRouter(service.RouterOpts{Self: *nodeID, Nodes: topo.Nodes})
-		if err != nil {
-			fatal(err)
-		}
-		for _, n := range topo.Nodes {
-			if n.ID == *nodeID {
-				selfNode = n
+// config is holidayd's command line.
+type config struct {
+	addr          string
+	demoSpec      string
+	demoKind      string
+	demoDemand    int64
+	seed          uint64
+	dataDir       string
+	snapEvery     time.Duration
+	walSync       time.Duration
+	binMaxBatch   int
+	nodeID        string
+	peersFile     string
+	replAddr      string
+	maxQPS        int
+	follow        string
+	failoverAfter time.Duration
+}
+
+// parseConfig binds holidayd's flags on fs, parses args into a config, and
+// validates it.
+func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.demoSpec, "demo", "", "create a community 'demo' from a graph spec at startup, e.g. gnp:n=100,p=0.05")
+	fs.StringVar(&c.demoKind, "demo-kind", "", "scheduling kind for the -demo community: 'classic' (default) or 'poly' edge scheduling")
+	fs.Int64Var(&c.demoDemand, "demo-demand", 64,
+		"with -demo-kind poly, the default per-edge frequency demand (a marriage must gather at least once every this many slots)")
+	fs.Uint64Var(&c.seed, "seed", 1, "random seed for the -demo graph generator")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durability directory (snapshot + churn WAL); empty serves from memory only")
+	fs.DurationVar(&c.snapEvery, "snapshot-every", 5*time.Minute,
+		"periodic snapshot interval with -data-dir; 0 snapshots only on graceful shutdown")
+	fs.DurationVar(&c.walSync, "wal-sync", persist.DefaultSyncInterval,
+		"WAL group-commit fsync interval with -data-dir; 0 fsyncs every record before acking")
+	fs.IntVar(&c.binMaxBatch, "bin-max-batch", service.DefaultMaxBinBatch,
+		"max frames one /v1/bin request may carry")
+	fs.StringVar(&c.nodeID, "node-id", "",
+		"this node's id in the cluster topology; empty runs a single standalone node")
+	fs.StringVar(&c.peersFile, "peers", "",
+		"cluster topology file (nodes.json) naming every member; requires -node-id")
+	fs.StringVar(&c.replAddr, "repl", "",
+		"replication listen address; defaults to this node's repl entry in the topology")
+	fs.IntVar(&c.maxQPS, "max-qps", 0,
+		"admission limit on data-plane requests per second (0 = unlimited); "+
+			"requests beyond the limit queue rather than fail")
+	fs.StringVar(&c.follow, "follow", "",
+		"comma-separated peer node ids to replicate from, or 'all' for every peer with a repl address")
+	fs.DurationVar(&c.failoverAfter, "failover-after", cluster.DefaultDeadline,
+		"missed-heartbeat deadline before a followed owner is probed and, if dead, failed over "+
+			"to its most-caught-up replica; 0 disables automatic failover and placement gossip")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// validate checks the rules the flags state without reading any file.
+func (c *config) validate() error {
+	switch {
+	case c.addr == "":
+		return errors.New("-addr must not be empty")
+	case c.snapEvery < 0:
+		return errors.New("-snapshot-every must be ≥ 0")
+	case c.walSync < 0:
+		return errors.New("-wal-sync must be ≥ 0")
+	case c.binMaxBatch < 1:
+		return errors.New("-bin-max-batch must be ≥ 1")
+	case (c.nodeID == "") != (c.peersFile == ""):
+		return errors.New("-node-id and -peers must be set together")
+	case c.follow != "" && c.peersFile == "":
+		return errors.New("-follow requires -node-id and -peers")
+	case c.demoKind != "" && c.demoKind != service.KindClassic && c.demoKind != service.KindPoly:
+		return fmt.Errorf("-demo-kind %q: want %q or %q", c.demoKind, service.KindClassic, service.KindPoly)
+	case c.demoDemand < 1:
+		return errors.New("-demo-demand must be ≥ 1")
+	}
+	return nil
+}
+
+// membership is this node's place in its cluster; the zero value is a
+// standalone node.
+type membership struct {
+	router *service.Router
+	repl   string         // replication listen address
+	peers  []service.Node // the peers -follow names
+}
+
+// membership loads the -peers topology and resolves -repl and -follow
+// against it: "all" follows every peer with a repl address, and each named
+// peer must exist and have one.
+func (c *config) membership() (membership, error) {
+	if c.peersFile == "" {
+		return membership{}, nil
+	}
+	topo, err := service.LoadTopology(c.peersFile)
+	if err != nil {
+		return membership{}, err
+	}
+	m := membership{repl: c.replAddr}
+	if m.router, err = service.NewRouter(service.RouterOpts{Self: c.nodeID, Nodes: topo.Nodes}); err != nil {
+		return membership{}, err
+	}
+	nodes := m.router.Nodes()
+	if m.repl == "" {
+		// NewRouter has checked that this node is in the topology.
+		m.repl = nodes[slices.IndexFunc(nodes, func(n service.Node) bool { return n.ID == c.nodeID })].Repl
+	}
+	if c.follow == "all" {
+		for _, n := range nodes {
+			if n.ID != c.nodeID && n.Repl != "" {
+				m.peers = append(m.peers, n)
 			}
 		}
-		if *replAddr == "" {
-			*replAddr = selfNode.Repl
-		}
+		return m, nil
 	}
+	for _, id := range strings.Split(c.follow, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" || id == c.nodeID {
+			continue
+		}
+		i := slices.IndexFunc(nodes, func(n service.Node) bool { return n.ID == id })
+		if i < 0 {
+			return membership{}, fmt.Errorf("-follow %s: not in the topology", id)
+		}
+		if nodes[i].Repl == "" {
+			return membership{}, fmt.Errorf("-follow %s: node has no repl address", id)
+		}
+		m.peers = append(m.peers, nodes[i])
+	}
+	return m, nil
+}
 
+// run serves cfg until ctx is cancelled or the listener fails. The cluster
+// topology is resolved before the data directory is opened. run returns
+// only after every goroutine it started has exited and the store is
+// closed; the final snapshot is written on a graceful stop only.
+func run(ctx context.Context, cfg *config) error {
+	m, err := cfg.membership()
+	if err != nil {
+		return err
+	}
 	var reg *service.Owner
 	var store *persist.Store
-	if *dataDir != "" {
-		opts := persist.Options{Sync: persist.SyncBatch, SyncInterval: *walSync}
-		if *walSync == 0 {
+	if cfg.dataDir != "" {
+		opts := persist.Options{Sync: persist.SyncBatch, SyncInterval: cfg.walSync}
+		if cfg.walSync == 0 {
 			opts.Sync = persist.SyncAlways
 		}
-		var err error
-		store, err = persist.Open(*dataDir, opts)
-		if err != nil {
-			fatal(err)
+		if store, err = persist.Open(cfg.dataDir, opts); err != nil {
+			return err
 		}
-		reg, err = store.Load()
-		if err != nil {
-			fatal(err)
+		if reg, err = store.Load(); err != nil {
+			store.Close()
+			return err
 		}
-		log.Printf("restored %d communities from %s", len(reg.List()), *dataDir)
+		log.Printf("restored %d communities from %s", len(reg.List()), cfg.dataDir)
 	} else {
 		reg = service.New(service.Opts{})
+	}
+	err = serve(ctx, cfg, m, reg, store)
+	if store == nil {
+		return err
+	}
+	// A failed boot or listener has nothing to save beyond what the WAL
+	// already holds.
+	if err == nil {
+		if err := store.SaveSnapshot(reg); err != nil {
+			log.Printf("shutdown snapshot failed: %v", err)
+		} else {
+			log.Printf("snapshot saved to %s", store.Dir())
+		}
+	}
+	if err := store.Close(); err != nil {
+		log.Printf("closing WAL: %v", err)
+	}
+	return err
+}
+
+// serve runs the node over reg until ctx is cancelled, which is a graceful
+// stop and returns nil, or until boot or the listener fails. Every
+// goroutine it starts has exited by the time it returns.
+func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, store *persist.Store) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
 	}
 
 	// In cluster mode the node's journal is wrapped in a replication source:
@@ -184,21 +277,20 @@ func main() {
 	// to subscribed followers. Attach before -demo so even boot-time writes
 	// replicate.
 	var src *cluster.Source
-	if router != nil {
-		sopts := cluster.SourceOpts{Owner: reg, Router: router}
+	if m.router != nil {
+		sopts := cluster.SourceOpts{Owner: reg, Router: m.router}
 		if store != nil {
 			// A community taken over mid-handoff (or by failover) should
 			// survive a crash here even before the next periodic snapshot.
-			st := store
-			sopts.OnTakeover = func(id string) {
-				go func() {
-					if err := st.SaveSnapshot(reg); err != nil {
+			// Takeovers run on the source's connections, which src.Close
+			// drains before wg.Wait.
+			sopts.OnTakeover = func(string) {
+				spawn(func() {
+					if err := store.SaveSnapshot(reg); err != nil {
 						log.Printf("post-takeover snapshot failed: %v", err)
 					}
-				}()
+				})
 			}
-		}
-		if store != nil {
 			sopts.Journal = store.Journal()
 			if w, ok := sopts.Journal.(interface{ Seq() uint64 }); ok {
 				sopts.Start = w.Seq()
@@ -206,101 +298,65 @@ func main() {
 		}
 		var err error
 		if src, err = cluster.NewSource(sopts); err != nil {
-			fatal(err)
+			return err
 		}
+		defer src.Close()
 		reg.SetJournal(src)
 		// Restored communities this topology places elsewhere are replicas
 		// here: fence them so only their owner takes writes.
 		for _, id := range reg.List() {
-			if !router.IsLocal(id) {
+			if !m.router.IsLocal(id) {
 				reg.Fence(id)
 			}
 		}
 	}
 
-	if *demoSpec != "" {
-		if router != nil && !router.IsLocal("demo") {
-			log.Printf("community %q is placed on node %s; skipping -demo here", "demo", router.Place("demo"))
-		} else if _, exists := reg.Get("demo"); exists {
-			log.Printf("community %q already restored from %s; skipping -demo", "demo", *dataDir)
-		} else {
-			g, err := graph.ParseSpec(*demoSpec, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			if *demoKind == service.KindPoly {
-				edges := make([][2]int, 0, g.M())
-				for _, e := range g.Edges() {
-					edges = append(edges, [2]int{e.U, e.V})
-				}
-				if _, err := reg.CreateSpec(service.CreateSpec{
-					ID:            "demo",
-					Families:      g.N(),
-					Edges:         edges,
-					Kind:          service.KindPoly,
-					DefaultDemand: *demoDemand,
-				}); err != nil {
-					fatal(err)
-				}
-				log.Printf("created poly community %q: %d holidays, %d marriages, default demand %d",
-					"demo", g.N(), g.M(), *demoDemand)
-			} else {
-				if _, err := reg.CreateFromGraph("demo", g, ""); err != nil {
-					fatal(err)
-				}
-				log.Printf("created community %q: %d families, %d marriages", "demo", g.N(), g.M())
-			}
+	if cfg.demoSpec != "" {
+		if err := createDemo(cfg, m.router, reg); err != nil {
+			return err
 		}
 	}
 
-	// SIGTERM is how docker/k8s stop a container; trapping only SIGINT
-	// used to skip graceful shutdown — and snapshot-on-shutdown — anywhere
-	// but an interactive terminal.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// Replication: serve this node's stream and subscribe to followed peers.
-	var followers map[string]*cluster.Follower
-	if src != nil && *replAddr != "" {
-		ln, err := net.Listen("tcp", *replAddr)
+	if src != nil && m.repl != "" {
+		ln, err := net.Listen("tcp", m.repl)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		go func() {
+		spawn(func() {
 			if err := src.Serve(ln); err != nil {
 				log.Printf("replication listener: %v", err)
 			}
-		}()
-		log.Printf("replicating on %s", *replAddr)
+		})
+		log.Printf("replicating on %s", m.repl)
 	}
-	if *follow != "" {
-		if router == nil {
-			fatal(errors.New("-follow requires -node-id and -peers"))
+	followers := make(map[string]*cluster.Follower, len(m.peers))
+	for _, peer := range m.peers {
+		f, err := cluster.NewFollower(cluster.FollowerOpts{
+			Owner: reg, Node: cfg.nodeID, Addr: peer.Repl, Logf: log.Printf,
+			Accept: func(id string) bool { return m.router.Place(id) == peer.ID },
+		})
+		if err != nil {
+			return err
 		}
-		followers = startFollowers(ctx, reg, router, *nodeID, *follow)
+		spawn(func() { f.Run(ctx) })
+		followers[peer.ID] = f
+		log.Printf("following node %s at %s", peer.ID, peer.Repl)
 	}
 
-	hopts := service.HandlerOpts{
-		Owner:       reg,
-		Router:      router,
-		Node:        *nodeID,
-		MaxBinBatch: *binMaxBatch,
-	}
+	hopts := service.HandlerOpts{Owner: reg, Router: m.router, Node: cfg.nodeID, MaxBinBatch: cfg.binMaxBatch}
 	if len(followers) > 0 {
-		fs := followers
 		hopts.Lag = func() map[string]uint64 {
 			lag := make(map[string]uint64)
-			for _, f := range fs {
-				for id, l := range f.Lag() {
-					lag[id] = l
-				}
+			for _, f := range followers {
+				maps.Copy(lag, f.Lag())
 			}
 			return lag
 		}
 	}
 	if src != nil {
 		hopts.Handoff = func(community string, table service.Placement) (uint64, time.Duration, error) {
-			res, err := cluster.Handoff(reg, src, router, community, table, 0)
+			res, err := cluster.Handoff(reg, src, m.router, community, table, 0)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -309,12 +365,6 @@ func main() {
 			return res.CutSeq, res.Pause, nil
 		}
 	}
-	var coalescer *service.Coalescer
-	if *churnBatch > 1 {
-		coalescer = service.NewCoalescer(*churnBatch, *churnFlush)
-		hopts.Churn = coalescer
-		log.Printf("coalescing churn: up to %d ops per flush, %v max wait", *churnBatch, *churnFlush)
-	}
 	var handler http.Handler = service.NewHandler(hopts)
 	// The failover plane: placement gossip plus, for followed owners, the
 	// missed-heartbeat detector that elects a most-caught-up replica. Built
@@ -322,37 +372,39 @@ func main() {
 	// the detector installs; the synchronous boot round adopts the cluster's
 	// current epoch before this node serves (a rejoining stale owner
 	// refences its lost communities here, not after its first bad write).
-	if router != nil && *failoverAfter > 0 {
+	if m.router != nil && cfg.failoverAfter > 0 {
 		det, err := cluster.NewDetector(cluster.DetectorOpts{
-			Router:    router,
+			Router:    m.router,
 			Owner:     reg,
 			Followers: followers,
-			Deadline:  *failoverAfter,
+			Deadline:  cfg.failoverAfter,
 			Logf:      log.Printf,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		det.Gossip(ctx)
-		go det.Run(ctx)
-		log.Printf("failover detector armed: deadline %v over %d followed peers", *failoverAfter, len(followers))
+		spawn(func() { det.Run(ctx) })
+		log.Printf("failover detector armed: deadline %v over %d followed peers", cfg.failoverAfter, len(followers))
 	}
-	if *maxQPS > 0 {
-		handler = admissionLimit(handler, *maxQPS)
-		log.Printf("admission limit: %d data-plane requests/s", *maxQPS)
+	if cfg.maxQPS > 0 {
+		var refill func()
+		handler, refill = admissionLimit(ctx, handler, cfg.maxQPS)
+		spawn(refill)
+		log.Printf("admission limit: %d data-plane requests/s", cfg.maxQPS)
 	}
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("holidayd listening on %s", *addr)
+	log.Printf("holidayd listening on %s", cfg.addr)
 
-	if store != nil && *snapEvery > 0 {
-		go func() {
-			t := time.NewTicker(*snapEvery)
+	if store != nil && cfg.snapEvery > 0 {
+		spawn(func() {
+			t := time.NewTicker(cfg.snapEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -362,113 +414,75 @@ func main() {
 					if err := store.SaveSnapshot(reg); err != nil {
 						log.Printf("periodic snapshot failed: %v", err)
 					} else {
-						log.Printf("snapshot saved to %s", *dataDir)
+						log.Printf("snapshot saved to %s", cfg.dataDir)
 					}
 				}
 			}
-		}()
+		})
 	}
 
 	select {
 	case err := <-errc:
-		// The listener died on its own (port in use, fd limit, …); there is
-		// no graceful state to save beyond what the WAL already has.
-		if coalescer != nil {
-			coalescer.Close()
-		}
-		if src != nil {
-			src.Close()
-		}
-		closeStore(store, reg, false)
-		fatal(err)
+		// The listener died on its own (port in use, fd limit, …).
+		return err
 	case <-ctx.Done():
-		log.Print("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			// Timed out draining in-flight requests; keep going — the
-			// snapshot below must still be written.
-			log.Printf("shutdown: %v", err)
-		}
-		// Wait for the serve goroutine so no handler races the snapshot,
-		// and surface the ListenAndServe error instead of dropping it.
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
-		// Flush open churn batches after the server stopped accepting
-		// requests and before the journal closes: every acknowledged op
-		// must reach the WAL.
-		if coalescer != nil {
-			coalescer.Close()
-		}
-		if src != nil {
-			src.Close()
-		}
-		closeStore(store, reg, true)
 	}
+	log.Print("shutting down")
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelShutdown()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		// Timed out draining in-flight requests; keep going — the
+		// snapshot must still be written.
+		log.Printf("shutdown: %v", err)
+	}
+	// Wait for the serve goroutine, and surface the ListenAndServe error
+	// instead of dropping it.
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Printf("serve: %v", err)
+	}
+	return nil
 }
 
-// startFollowers subscribes this node to the peers named by the -follow
-// flag ("all" or a comma-separated id list), each replicating exactly the
-// communities the router places on that peer.
-func startFollowers(ctx context.Context, reg *service.Owner, router *service.Router, self, follow string) map[string]*cluster.Follower {
-	var peers []service.Node
-	if follow == "all" {
-		for _, n := range router.Nodes() {
-			if n.ID != self && n.Repl != "" {
-				peers = append(peers, n)
-			}
-		}
-	} else {
-		for _, id := range strings.Split(follow, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" || id == self {
-				continue
-			}
-			var found *service.Node
-			for _, n := range router.Nodes() {
-				if n.ID == id {
-					found = &n
-					break
-				}
-			}
-			if found == nil {
-				fatal(fmt.Errorf("-follow %s: not in the topology", id))
-			}
-			if found.Repl == "" {
-				fatal(fmt.Errorf("-follow %s: node has no repl address", id))
-			}
-			peers = append(peers, *found)
-		}
+// createDemo creates the -demo community unless the topology places it on
+// another node or the data directory already restored it.
+func createDemo(cfg *config, router *service.Router, reg *service.Owner) error {
+	if router != nil && !router.IsLocal("demo") {
+		log.Printf("community %q is placed on node %s; skipping -demo here", "demo", router.Place("demo"))
+		return nil
 	}
-	followers := make(map[string]*cluster.Follower, len(peers))
-	for _, peer := range peers {
-		peerID := peer.ID
-		f, err := cluster.NewFollower(cluster.FollowerOpts{
-			Owner: reg,
-			Node:  self,
-			Addr:  peer.Repl,
-			Accept: func(id string) bool {
-				return router.Place(id) == peerID
-			},
-			Logf: log.Printf,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		go f.Run(ctx)
-		followers[peerID] = f
-		log.Printf("following node %s at %s", peerID, peer.Repl)
+	if _, exists := reg.Get("demo"); exists {
+		log.Printf("community %q already restored from %s; skipping -demo", "demo", cfg.dataDir)
+		return nil
 	}
-	return followers
+	g, err := graph.ParseSpec(cfg.demoSpec, cfg.seed)
+	if err != nil {
+		return err
+	}
+	if cfg.demoKind == service.KindPoly {
+		if _, err := reg.CreateSpec(service.CreateSpec{
+			ID: "demo", Families: g.N(), Edges: g.EdgePairs(), Kind: service.KindPoly, DefaultDemand: cfg.demoDemand,
+		}); err != nil {
+			return err
+		}
+		log.Printf("created poly community %q: %d holidays, %d marriages, default demand %d",
+			"demo", g.N(), g.M(), cfg.demoDemand)
+		return nil
+	}
+	if _, err := reg.CreateFromGraph("demo", g, ""); err != nil {
+		return err
+	}
+	log.Printf("created community %q: %d families, %d marriages", "demo", g.N(), g.M())
+	return nil
 }
 
 // admissionLimit caps data-plane throughput at qps requests per second with
 // a blocking token bucket: excess requests queue on the bucket instead of
 // failing, so clients see latency — not errors — at the capacity ceiling.
 // Liveness and status probes bypass the limit; they must stay responsive on
-// a saturated node.
-func admissionLimit(h http.Handler, qps int) http.Handler {
+// a saturated node. The caller runs the returned refill loop, which ends
+// with ctx; from then on queued requests are admitted so a shutdown can
+// drain them.
+func admissionLimit(ctx context.Context, h http.Handler, qps int) (http.Handler, func()) {
 	// Refill from elapsed wall time rather than tick counts: tickers
 	// coalesce missed ticks under load, which would silently lower the
 	// cap on a busy host. The bucket holds up to 250ms of burst so a late
@@ -479,51 +493,37 @@ func admissionLimit(h http.Handler, qps int) http.Handler {
 		cap = 1
 	}
 	tokens := make(chan struct{}, cap)
-	go func() {
+	refill := func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		last := time.Now()
 		credit := 0.0
-		for range t.C {
-			now := time.Now()
-			credit += float64(qps) * now.Sub(last).Seconds()
-			last = now
-			n := int(credit)
-			credit -= float64(n)
-			for i := 0; i < n; i++ {
-				select {
-				case tokens <- struct{}{}:
-				default:
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				now := time.Now()
+				credit += float64(qps) * now.Sub(last).Seconds()
+				last = now
+				n := int(credit)
+				credit -= float64(n)
+				for i := 0; i < n; i++ {
+					select {
+					case tokens <- struct{}{}:
+					default:
+					}
 				}
 			}
 		}
-	}()
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/healthz" && r.URL.Path != "/v1/status" {
-			<-tokens
+			select {
+			case <-tokens:
+			case <-ctx.Done():
+			}
 		}
 		h.ServeHTTP(w, r)
-	})
-}
-
-// closeStore snapshots (when graceful) and closes the durability store.
-func closeStore(store *persist.Store, reg *service.Owner, snapshot bool) {
-	if store == nil {
-		return
-	}
-	if snapshot {
-		if err := store.SaveSnapshot(reg); err != nil {
-			log.Printf("shutdown snapshot failed: %v", err)
-		} else {
-			log.Printf("snapshot saved to %s", store.Dir())
-		}
-	}
-	if err := store.Close(); err != nil {
-		log.Printf("closing WAL: %v", err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "holidayd:", err)
-	os.Exit(1)
+	}), refill
 }

@@ -135,12 +135,8 @@ func (d *InProcDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 		}
 		var c *service.Community
 		if cs.Kind == service.KindPoly {
-			edges := make([][2]int, 0, g.M())
-			for _, e := range g.Edges() {
-				edges = append(edges, [2]int{e.U, e.V})
-			}
 			c, err = d.reg.CreateSpec(service.CreateSpec{
-				ID: cs.ID, Families: g.N(), Edges: edges,
+				ID: cs.ID, Families: g.N(), Edges: g.EdgePairs(),
 				Kind: service.KindPoly, Code: cs.Code, DefaultDemand: cs.DefaultDemand,
 			})
 		} else {
@@ -408,12 +404,8 @@ func (d *HTTPDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 		if resp, err := d.client.Do(req); err == nil {
 			drain(resp)
 		}
-		edges := make([][2]int, 0, g.M())
-		for _, e := range g.Edges() {
-			edges = append(edges, [2]int{e.U, e.V})
-		}
 		create := map[string]any{
-			"id": cs.ID, "families": g.N(), "edges": edges,
+			"id": cs.ID, "families": g.N(), "edges": g.EdgePairs(),
 		}
 		if cs.Kind != "" {
 			create["kind"] = cs.Kind

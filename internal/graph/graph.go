@@ -95,6 +95,20 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
+// EdgePairs returns the edges of Edges as [u, v] pairs, the form the
+// serving layer's create records and community states carry.
+func (g *Graph) EdgePairs() [][2]int {
+	ps := make([][2]int, 0, g.m)
+	for u := range g.adj {
+		for _, v := range g.adj[u] {
+			if u < v {
+				ps = append(ps, [2]int{u, v})
+			}
+		}
+	}
+	return ps
+}
+
 // Degrees returns the degree sequence indexed by node.
 func (g *Graph) Degrees() []int {
 	d := make([]int, g.N())

@@ -64,9 +64,16 @@ func TestEdgesCanonicalSorted(t *testing.T) {
 	if len(es) != len(want) {
 		t.Fatalf("got %d edges, want %d", len(es), len(want))
 	}
+	ps := g.EdgePairs()
+	if len(ps) != len(want) || cap(ps) != len(want) {
+		t.Fatalf("EdgePairs: len %d cap %d, want %d", len(ps), cap(ps), len(want))
+	}
 	for i := range want {
 		if es[i] != want[i] {
 			t.Errorf("edge %d = %v, want %v", i, es[i], want[i])
+		}
+		if ps[i] != [2]int{want[i].U, want[i].V} {
+			t.Errorf("pair %d = %v, want %v", i, ps[i], want[i])
 		}
 	}
 }
@@ -152,6 +159,15 @@ func TestGraphInvariantsQuick(t *testing.T) {
 				if u == v {
 					return false
 				}
+			}
+		}
+		es, ps := g.Edges(), g.EdgePairs()
+		if len(ps) != g.M() || len(es) != g.M() {
+			return false
+		}
+		for i, e := range es {
+			if ps[i] != [2]int{e.U, e.V} {
+				return false
 			}
 		}
 		return sum == 2*g.M()

@@ -238,6 +238,45 @@ func TestGracefulRestartFromSnapshotOnly(t *testing.T) {
 	}
 }
 
+// TestSaveSnapshotAfterClose: a snapshot requested after Close must fail
+// before it writes anything, so a straggling snapshot goroutine cannot
+// overwrite the recovery point with a registry that kept changing.
+func TestSaveSnapshotAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("c", 8, ringEdges(8), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotFile)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := service.New(service.Opts{})
+	if _, err := later.Create("d", 4, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSnapshot(later); err == nil {
+		t.Fatal("SaveSnapshot after Close succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(want) {
+		t.Fatalf("SaveSnapshot after Close rewrote %s (err %v)", snapshotFile, err)
+	}
+}
+
 // TestWALTornTailTolerated: a crash mid-append leaves a partial final line;
 // recovery must keep every complete record, drop the torn one, and keep
 // appending after it.

@@ -79,8 +79,9 @@ type Store struct {
 	// mu serializes SaveSnapshot and Close: a periodic snapshot and the
 	// shutdown snapshot may race in the daemon, and two writers sharing
 	// snapshot.json.tmp would corrupt the file they rename in.
-	mu   sync.Mutex
-	snap *Snapshot // nil when the directory had none
+	mu     sync.Mutex
+	closed bool
+	snap   *Snapshot // nil when the directory had none
 	// pending holds the records scanned at Open so the first Load does not
 	// re-read and re-parse the whole WAL; cleared after use. seqAtOpen
 	// detects appends between Open and Load that would stale it.
@@ -170,9 +171,13 @@ func (s *Store) Load() (*service.Owner, error) {
 // record ≤ cutoff is either in its community's exported state or belongs
 // to a community created-and-deleted before the export walk; records >
 // cutoff survive compaction and replay idempotently over the snapshot.
+// After Close it fails without writing anything.
 func (s *Store) SaveSnapshot(reg *service.Owner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("persist: store is closed")
+	}
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
@@ -208,6 +213,7 @@ func (s *Store) SaveSnapshot(reg *service.Owner) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	return s.wal.Close()
 }
 

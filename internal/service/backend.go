@@ -74,10 +74,7 @@ func (b *classicBackend) FrozenSchedule() (*core.ClassSchedule, error) { return 
 func (b *classicBackend) exportInto(st *CommunityState) {
 	g := b.dyn.Graph()
 	st.Families = g.N()
-	st.Edges = make([][2]int, 0, g.M())
-	for _, e := range g.Edges() {
-		st.Edges = append(st.Edges, [2]int{e.U, e.V})
-	}
+	st.Edges = g.EdgePairs()
 	st.Code = b.dyn.Code().Name()
 	st.Coloring = b.dyn.Coloring()
 	st.Recolorings = b.dyn.Recolorings

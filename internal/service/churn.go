@@ -2,16 +2,9 @@ package service
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
-
-// DefaultChurnFlushInterval is the coalescer's default time bound: a lone
-// churn op waits at most this long for company before its batch flushes.
-const DefaultChurnFlushInterval = 2 * time.Millisecond
 
 // ChurnBatch applies K marriages and divorces as one write operation: one
 // write-lock acquisition and one write-ahead journal append
@@ -133,146 +126,4 @@ func (c *Community) logBatchLocked(recs []Record) error {
 		c.seq = seq
 	}
 	return nil
-}
-
-// Coalescer turns independent single churn ops into per-community
-// ChurnBatch flushes: ops enqueue under a registry-wide mutex, and a batch
-// flushes when it reaches maxBatch ops or when its oldest op has waited
-// flushEvery. Callers block until their op's flush completes — the flush
-// journals before anyone is acknowledged, so the write-ahead durability
-// contract is exactly that of unbatched churn, with the fsync cost shared
-// K ways.
-//
-// The zero value is not usable; construct with NewCoalescer. Safe for
-// concurrent use.
-type Coalescer struct {
-	maxBatch   int
-	flushEvery time.Duration
-
-	mu      sync.Mutex
-	pending map[*Community]*pendingChurn
-	closed  bool
-
-	enqueued atomic.Int64 // ops accepted into batches (or run directly)
-	flushes  atomic.Int64 // ChurnBatch calls issued, plus direct single ops
-}
-
-// pendingChurn is one community's open batch.
-type pendingChurn struct {
-	c     *Community
-	edits []core.Edit
-	done  []chan churnOutcome
-	timer *time.Timer
-}
-
-type churnOutcome struct {
-	res core.EditResult
-	err error
-}
-
-// NewCoalescer returns a coalescer flushing at maxBatch ops or flushEvery,
-// whichever comes first. maxBatch < 2 degenerates to direct single ops (no
-// queuing, no timer); flushEvery ≤ 0 uses DefaultChurnFlushInterval.
-func NewCoalescer(maxBatch int, flushEvery time.Duration) *Coalescer {
-	if flushEvery <= 0 {
-		flushEvery = DefaultChurnFlushInterval
-	}
-	return &Coalescer{
-		maxBatch:   maxBatch,
-		flushEvery: flushEvery,
-		pending:    make(map[*Community]*pendingChurn),
-	}
-}
-
-// Churn enqueues one edit for c and blocks until the batch containing it has
-// been journaled and applied, returning what the edit did. Edits that are
-// invalid against the current family count fail fast without joining a
-// batch. After Close, ops take the single-op write path of Marry and
-// Divorce.
-func (co *Coalescer) Churn(c *Community, e core.Edit) (core.EditResult, error) {
-	if e.Op != core.EditInsert && e.Op != core.EditDelete {
-		return core.EditResult{}, fmt.Errorf("service: community %q: unknown churn op %d", c.ID(), e.Op)
-	}
-	// Families only ever grow, so an edit valid here is still valid at
-	// flush time: one caller's bad op can never fail a batch of valid ones.
-	if err := validEdge(c.Families(), e.U, e.V); err != nil {
-		return core.EditResult{}, fmt.Errorf("service: community %q: %w", c.ID(), err)
-	}
-	co.enqueued.Add(1)
-	co.mu.Lock()
-	if co.closed || co.maxBatch < 2 {
-		co.mu.Unlock()
-		co.flushes.Add(1)
-		return c.edit(e)
-	}
-	b := co.pending[c]
-	if b == nil {
-		b = &pendingChurn{c: c}
-		co.pending[c] = b
-		// The timer captures the batch pointer: if the batch flushes by
-		// size first, the fired timer finds pending[c] != b and walks away.
-		b.timer = time.AfterFunc(co.flushEvery, func() { co.flushTimed(c, b) })
-	}
-	b.edits = append(b.edits, e)
-	ch := make(chan churnOutcome, 1)
-	b.done = append(b.done, ch)
-	var full *pendingChurn
-	if len(b.edits) >= co.maxBatch {
-		delete(co.pending, c)
-		b.timer.Stop()
-		full = b
-	}
-	co.mu.Unlock()
-	if full != nil {
-		co.flush(full)
-	}
-	out := <-ch
-	return out.res, out.err
-}
-
-// Stats reports ops accepted and flushes issued — enqueued/flushes is the
-// realized amortization factor.
-func (co *Coalescer) Stats() (enqueued, flushes int64) {
-	return co.enqueued.Load(), co.flushes.Load()
-}
-
-// Close flushes every open batch and switches the coalescer to direct
-// (unbatched) operation. Call after the HTTP server has stopped accepting
-// requests and before closing the journal, so no acknowledged op is lost.
-func (co *Coalescer) Close() {
-	co.mu.Lock()
-	co.closed = true
-	var open []*pendingChurn
-	for c, b := range co.pending {
-		b.timer.Stop()
-		delete(co.pending, c)
-		open = append(open, b)
-	}
-	co.mu.Unlock()
-	for _, b := range open {
-		co.flush(b)
-	}
-}
-
-// flushTimed is the timer path: flush b unless a size-trigger got there
-// first.
-func (co *Coalescer) flushTimed(c *Community, b *pendingChurn) {
-	co.mu.Lock()
-	if co.pending[c] != b {
-		co.mu.Unlock()
-		return
-	}
-	delete(co.pending, c)
-	co.mu.Unlock()
-	co.flush(b)
-}
-
-// flush runs one ChurnBatch and delivers per-edit outcomes to the waiters.
-func (co *Coalescer) flush(b *pendingChurn) {
-	co.flushes.Add(1)
-	res := make([]core.EditResult, len(b.edits))
-	_, err := b.c.ChurnBatch(b.edits, res)
-	for i, ch := range b.done {
-		ch <- churnOutcome{res: res[i], err: err}
-	}
 }

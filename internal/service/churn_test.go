@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/poly"
@@ -355,142 +353,5 @@ func TestChurnBatchUsesBatchJournal(t *testing.T) {
 	}
 	if c.Seq() != j.seq {
 		t.Fatalf("community seq %d, journal seq %d", c.Seq(), j.seq)
-	}
-}
-
-// TestCoalescerBatchesConcurrentChurn: concurrent single ops coalesce into
-// far fewer flushes, every op is answered correctly, and the community stays
-// consistent.
-func TestCoalescerBatchesConcurrentChurn(t *testing.T) {
-	reg := New(Opts{})
-	j := &batchingJournal{}
-	reg.SetJournal(j)
-	const n = 128
-	c, err := reg.Create("c", n, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A long time bound makes the size trigger do the work: 256 ops on one
-	// community fill exactly 16 batches of 16, so the flush count is a
-	// deterministic amortization proof rather than a scheduling race.
-	co := NewCoalescer(16, 250*time.Millisecond)
-	defer co.Close()
-
-	const ops = 256
-	var wg sync.WaitGroup
-	errs := make([]error, ops)
-	applied := make([]bool, ops)
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct edges: op i marries (2i, 2i+1) mod n... ensure u != v.
-			u := (2 * i) % n
-			v := (2*i + 1) % n
-			res, err := co.Churn(c, core.Edit{Op: core.EditInsert, U: u, V: v})
-			errs[i] = err
-			applied[i] = res.Applied
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	// ops span each distinct edge exactly ops/ (n/2)=... every (u,v) pair
-	// repeats ops/(n/2) = 4 times; exactly n/2 ops were first.
-	firsts := 0
-	for _, a := range applied {
-		if a {
-			firsts++
-		}
-	}
-	if firsts != n/2 {
-		t.Fatalf("%d ops reported Applied, want %d (one per distinct edge)", firsts, n/2)
-	}
-	if got := c.Stats().Marriages; got != n/2 {
-		t.Fatalf("community has %d marriages, want %d", got, n/2)
-	}
-	enq, flushes := co.Stats()
-	if enq != ops {
-		t.Fatalf("coalescer enqueued %d, want %d", enq, ops)
-	}
-	if flushes > ops/4 {
-		t.Fatalf("coalescer flushed %d times for %d ops: batching is not amortizing", flushes, ops)
-	}
-	// The journal saw only effective records, batched.
-	marries := 0
-	for _, rec := range j.recs {
-		if rec.Op == OpMarry {
-			marries++
-		}
-	}
-	if marries != n/2 {
-		t.Fatalf("journal has %d marry records, want %d", marries, n/2)
-	}
-}
-
-// TestCoalescerTimerFlush: a lone op below the size trigger still completes
-// within the time bound.
-func TestCoalescerTimerFlush(t *testing.T) {
-	reg := New(Opts{})
-	c, err := reg.Create("c", 4, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoalescer(1024, 2*time.Millisecond)
-	defer co.Close()
-	start := time.Now()
-	res, err := co.Churn(c, core.Edit{Op: core.EditInsert, U: 0, V: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Applied {
-		t.Fatal("op not applied")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("timer flush took %v", d)
-	}
-}
-
-// TestCoalescerCloseFlushesPending: Close drains open batches, and later
-// ops fall back to direct application.
-func TestCoalescerCloseFlushesPending(t *testing.T) {
-	reg := New(Opts{})
-	c, err := reg.Create("c", 4, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoalescer(1024, time.Hour)
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.Churn(c, core.Edit{Op: core.EditInsert, U: 0, V: 1})
-		done <- err
-	}()
-	// Wait for the op to be enqueued before closing.
-	for i := 0; ; i++ {
-		if enq, _ := co.Stats(); enq == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("op never enqueued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	co.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Marriages != 1 {
-		t.Fatal("pending op lost by Close")
-	}
-	// Post-close ops still work (direct path).
-	if res, err := co.Churn(c, core.Edit{Op: core.EditInsert, U: 2, V: 3}); err != nil || !res.Applied {
-		t.Fatalf("post-close churn: res=%+v err=%v", res, err)
-	}
-	// Invalid ops fail fast without joining a batch.
-	if _, err := co.Churn(c, core.Edit{Op: core.EditInsert, U: 0, V: 99}); err == nil {
-		t.Fatal("invalid edit must fail")
 	}
 }

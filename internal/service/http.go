@@ -37,13 +37,6 @@ type HandlerOpts struct {
 	// Batches beyond the cap fail with 400 before any query is served.
 	MaxBinBatch int
 
-	// Churn, when set, routes the single-op churn endpoints (marry and
-	// divorce) through the coalescer, so independent concurrent writers
-	// share write-lock acquisitions and journal group-commits. The batch
-	// churn endpoints amortize within each request themselves and never
-	// consult it.
-	Churn *Coalescer
-
 	// Lag, when set, reports per-community replication lag (owner seq minus
 	// locally applied seq) for communities this node follows; surfaced by
 	// /v1/status.
@@ -371,7 +364,7 @@ func (a *apiHandler) serveMarry(w http.ResponseWriter, r *http.Request, c *Commu
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	res, err := a.edit(c, core.Edit{Op: core.EditInsert, U: req.U, V: req.V, Demand: req.Demand})
+	res, err := c.edit(core.Edit{Op: core.EditInsert, U: req.U, V: req.V, Demand: req.Demand})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -386,21 +379,12 @@ func (a *apiHandler) serveDivorce(w http.ResponseWriter, r *http.Request, c *Com
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query params u and v must be integers"))
 		return
 	}
-	res, err := a.edit(c, core.Edit{Op: core.EditDelete, U: u, V: v})
+	res, err := c.edit(core.Edit{Op: core.EditDelete, U: u, V: v})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"removed": res.Applied, "recolored": res.Recolored})
-}
-
-// edit runs one JSON churn op: through the coalescer when batching is on,
-// else as a direct single op.
-func (a *apiHandler) edit(c *Community, e core.Edit) (core.EditResult, error) {
-	if a.Churn != nil {
-		return a.Churn.Churn(c, e)
-	}
-	return c.edit(e)
 }
 
 func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Community) {

@@ -303,63 +303,3 @@ func TestBinaryChurnProtocolViolations(t *testing.T) {
 		t.Fatal("a rejected batch applied edits")
 	}
 }
-
-// TestCoalescedSingleOpEndpoints: with HandlerOpts.Churn set, the
-// single-op marry/divorce endpoints route through the coalescer and answer
-// exactly what the direct path answers — including validation failures,
-// which fail fast without joining a batch.
-func TestCoalescedSingleOpEndpoints(t *testing.T) {
-	reg := New(Opts{})
-	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoalescer(4, 0)
-	defer co.Close()
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, Churn: co}))
-	defer srv.Close()
-
-	post := func(path, body string, wantStatus int, out any) {
-		t.Helper()
-		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, wantStatus)
-		}
-		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var marry map[string]bool
-	post("/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry)
-	post("/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry) // no-op re-marry
-	post("/communities/demo/edges", `{"u":1,"v":99}`, http.StatusBadRequest, nil)
-
-	req, err := http.NewRequest("DELETE", srv.URL+"/communities/demo/edges?u=1&v=2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var div map[string]bool
-	if err := json.NewDecoder(resp.Body).Decode(&div); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !div["removed"] {
-		t.Fatalf("coalesced divorce: status %d, body %v", resp.StatusCode, div)
-	}
-
-	if c, _ := reg.Get("demo"); c.Stats().Marriages != 1 {
-		t.Fatalf("marriages = %d, want the original edge only", c.Stats().Marriages)
-	}
-	if enq, _ := co.Stats(); enq != 3 { // two marries + one divorce; the 400 never enqueued
-		t.Fatalf("coalescer accepted %d ops, want 3", enq)
-	}
-}

@@ -124,6 +124,10 @@ func TestHTTPChurn(t *testing.T) {
 	if !marry.Recolored {
 		t.Fatal("marrying same-colored families should recolor")
 	}
+	do("POST", "/communities/c/edges", `{"u":2,"v":3}`, http.StatusOK, &marry)
+	if marry.Recolored {
+		t.Fatal("re-marrying a married couple is a no-op and must not recolor")
+	}
 	var divorce struct {
 		Removed   bool `json:"removed"`
 		Recolored bool `json:"recolored"`
@@ -156,6 +160,7 @@ func TestHTTPErrors(t *testing.T) {
 	do("GET", "/communities/c/families/99/next", "", http.StatusNotFound, nil)
 	do("GET", "/communities/c/families/x/next", "", http.StatusBadRequest, nil)
 	do("POST", "/communities/c/edges", `{"u":0,"v":0}`, http.StatusBadRequest, nil)
+	do("POST", "/communities/c/edges", `{"u":1,"v":99}`, http.StatusBadRequest, nil)
 	do("POST", "/communities/c/edges", `not json`, http.StatusBadRequest, nil)
 	do("DELETE", "/communities/c/edges?u=a&v=1", "", http.StatusBadRequest, nil)
 	do("POST", "/communities", `{"id":"bad","families":3,"code":"morse"}`, http.StatusBadRequest, nil)

@@ -170,11 +170,7 @@ func (r *Owner) buildClassic(id string, g *graph.Graph, codeName string) (*Commu
 	}
 	c := &Community{id: id, reg: r, be: &classicBackend{dyn: dyn}}
 	return c, func() Record {
-		edges := make([][2]int, 0, g.M())
-		for _, e := range g.Edges() {
-			edges = append(edges, [2]int{e.U, e.V})
-		}
-		return Record{Op: OpCreate, ID: id, N: g.N(), Edges: edges, Code: code.Name()}
+		return Record{Op: OpCreate, ID: id, N: g.N(), Edges: g.EdgePairs(), Code: code.Name()}
 	}, nil
 }
 
@@ -533,12 +529,12 @@ func (c *Community) Divorce(u, v int) (removed, recolored bool, err error) {
 	return res.Applied, res.Recolored, err
 }
 
-// edit is the single-op write path of Marry and Divorce: under the write
-// lock it rejects fenced communities and invalid edges, answers an edit
-// that would not change the edge set (re-marrying a married couple,
-// divorcing strangers) without journaling it, so replay never carries
-// records that did no work, and otherwise logs the record write-ahead and
-// applies the edit.
+// edit is the single-op write path of Marry, Divorce and the JSON
+// marry/divorce handlers: under the write lock it rejects fenced
+// communities and invalid edges, answers an edit that would not change the
+// edge set (re-marrying a married couple, divorcing strangers) without
+// journaling it, so replay never carries records that did no work, and
+// otherwise logs the record write-ahead and applies the edit.
 func (c *Community) edit(e core.Edit) (core.EditResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
