@@ -60,11 +60,11 @@ func main() {
 	case "status":
 		err = status(os.Stdout, client, topo)
 	case "place":
-		err = place(topo, rest)
+		err = place(os.Stdout, topo, rest)
 	case "join":
-		err = join(*topoPath, topo, rest)
+		err = join(os.Stdout, *topoPath, topo, rest)
 	case "rebalance":
-		err = rebalance(topo)
+		err = rebalance(os.Stdout, topo)
 	case "promote":
 		err = promote(os.Stdout, client, topo, rest)
 	default:
@@ -153,7 +153,7 @@ func status(w io.Writer, client *service.Client, topo service.Topology) error {
 	return nil
 }
 
-func place(topo service.Topology, communities []string) error {
+func place(w io.Writer, topo service.Topology, communities []string) error {
 	if len(communities) == 0 {
 		return fmt.Errorf("place: no community ids given")
 	}
@@ -164,12 +164,12 @@ func place(topo service.Topology, communities []string) error {
 	for _, id := range communities {
 		node := rt.Place(id)
 		addr, _ := rt.Addr(node)
-		fmt.Printf("%-24s -> %s (%s)\n", id, node, addr)
+		fmt.Fprintf(w, "%-24s -> %s (%s)\n", id, node, addr)
 	}
 	return nil
 }
 
-func join(path string, topo service.Topology, args []string) error {
+func join(w io.Writer, path string, topo service.Topology, args []string) error {
 	if len(args) < 2 || len(args) > 3 {
 		return fmt.Errorf("join: want <id> <addr> [repl]")
 	}
@@ -214,16 +214,16 @@ func join(path string, topo service.Topology, args []string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	fmt.Printf("joined %s; %d nodes; ~%.1f%% of placements move\n",
+	fmt.Fprintf(w, "joined %s; %d nodes; ~%.1f%% of placements move\n",
 		n.ID, len(topo.Nodes), 100*float64(moved)/sample)
 
 	// Live rebalance: if the cluster (including the new node) is up, move
 	// the communities now — owners stream each one to the joiner and the
 	// placement epoch advances, no restarts. A down cluster degrades to the
 	// file edit alone.
-	if err := rebalance(topo); err != nil {
-		fmt.Printf("live rebalance not run (%v)\n", err)
-		fmt.Println("start the new node, then run: holidayctl rebalance")
+	if err := rebalance(w, topo); err != nil {
+		fmt.Fprintf(w, "live rebalance not run (%v)\n", err)
+		fmt.Fprintln(w, "start the new node, then run: holidayctl rebalance")
 	}
 	return nil
 }
@@ -231,7 +231,7 @@ func join(path string, topo service.Topology, args []string) error {
 // rebalance moves every community onto its consistent-hash placement under
 // the topology's membership, one live handoff per move, publishing the
 // resulting table cluster-wide.
-func rebalance(topo service.Topology) error {
+func rebalance(w io.Writer, topo service.Topology) error {
 	seed := ""
 	for _, n := range topo.Nodes {
 		if n.Addr != "" {
@@ -243,7 +243,7 @@ func rebalance(topo service.Topology) error {
 		return fmt.Errorf("rebalance: no node in the topology has an address")
 	}
 	rb := &cluster.Rebalancer{Logf: func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(w, format+"\n", args...)
 	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -252,17 +252,17 @@ func rebalance(topo service.Topology) error {
 		return err
 	}
 	if len(moves) == 0 {
-		fmt.Printf("already balanced; epoch %d\n", table.Epoch)
+		fmt.Fprintf(w, "already balanced; epoch %d\n", table.Epoch)
 		return nil
 	}
 	var worst time.Duration
 	for _, mv := range moves {
-		fmt.Printf("moved %-16s %s -> %-8s cut %-8d pause %v\n", mv.Community, mv.From, mv.To, mv.CutSeq, mv.Pause)
+		fmt.Fprintf(w, "moved %-16s %s -> %-8s cut %-8d pause %v\n", mv.Community, mv.From, mv.To, mv.CutSeq, mv.Pause)
 		if mv.Pause > worst {
 			worst = mv.Pause
 		}
 	}
-	fmt.Printf("%d communities moved; epoch %d; worst write pause %v\n", len(moves), table.Epoch, worst)
+	fmt.Fprintf(w, "%d communities moved; epoch %d; worst write pause %v\n", len(moves), table.Epoch, worst)
 	return nil
 }
 

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,5 +123,95 @@ func TestPromote(t *testing.T) {
 	}
 	if c, _ := tc.owners["b"].Get("x"); c.Fenced() || tc.rts["b"].Placement().Assign["x"] != "b" {
 		t.Fatal("promoted replica is still fenced or unassigned")
+	}
+}
+
+// TestPlace: each id prints the node and address the consistent-hash
+// router places it on; no ids is an error.
+func TestPlace(t *testing.T) {
+	topo := service.Topology{Nodes: []service.Node{
+		{ID: "a", Addr: "http://127.0.0.1:1"},
+		{ID: "b", Addr: "http://127.0.0.1:2"},
+		{ID: "c", Addr: "http://127.0.0.1:3"},
+	}}
+	rt, err := service.NewRouter(service.RouterOpts{Nodes: topo.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"demo", "x", "y", "community-42"}
+	var out bytes.Buffer
+	if err := place(&out, topo, ids); err != nil {
+		t.Fatalf("place: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(ids) {
+		t.Fatalf("place printed %d lines for %d ids:\n%s", len(lines), len(ids), out.String())
+	}
+	for i, id := range ids {
+		node := rt.Place(id)
+		addr, _ := rt.Addr(node)
+		if f := strings.Fields(lines[i]); len(f) != 4 || f[0] != id || f[2] != node || f[3] != "("+addr+")" {
+			t.Errorf("line %q, want %s -> %s (%s)", lines[i], id, node, addr)
+		}
+	}
+	if err := place(&out, topo, nil); err == nil {
+		t.Error("place with no ids succeeded")
+	}
+}
+
+// TestJoin: join rewrites the topology file with the new member and, with
+// no member reachable, says the live rebalance did not run; a duplicate id
+// is refused without touching the file.
+func TestJoin(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		addrs = append(addrs, "http://"+ln.Addr().String())
+		ln.Close()
+	}
+	path := filepath.Join(t.TempDir(), "nodes.json")
+	raw, err := json.Marshal(service.Topology{Nodes: []service.Node{{ID: "a", Addr: addrs[0]}, {ID: "b", Addr: addrs[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := service.LoadTopology(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := join(&out, path, topo, []string{"c", addrs[2], "127.0.0.1:9"}); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if !strings.Contains(out.String(), "joined c; 3 nodes") || !strings.Contains(out.String(), "live rebalance not run") {
+		t.Errorf("join output:\n%s", out.String())
+	}
+	joined, err := service.LoadTopology(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []service.Node{{ID: "a", Addr: addrs[0]}, {ID: "b", Addr: addrs[1]}, {ID: "c", Addr: addrs[2], Repl: "127.0.0.1:9"}}
+	if !slices.Equal(joined.Nodes, want) {
+		t.Fatalf("topology file holds %+v, want %+v", joined.Nodes, want)
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := join(&out, path, joined, []string{"b", addrs[2]}); err == nil || !strings.Contains(err.Error(), `node "b" already in the topology`) {
+		t.Fatalf("joining a duplicate id: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused join changed the topology file (err %v):\n%s", err, after)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("refused join left files beside the topology: %v (err %v)", entries, err)
 	}
 }

@@ -12,7 +12,7 @@
 //	holidayload -scenario ci -duration 2s            # in-process, write BENCH_<rev>.json
 //	holidayload -scenario mixed -target http://127.0.0.1:8080
 //	holidayload -scenario read -target http://127.0.0.1:8080 -proto binary -batch 16
-//	holidayload -scenario mixed -churn-frac 0.5 -churn-batch 64 -persist
+//	holidayload -scenario mixed -churn-frac 0.5 -batch 64 -persist
 //	holidayload -scenario mega -duration 20s
 //	holidayload -scenario mega-ci -cluster nodes.json -rotate-every 2s
 //	holidayload -scenario read -qps 5000 -workers 8
@@ -22,14 +22,16 @@
 //	holidayload -list
 //
 // -proto binary drives window and next queries through the /v1/bin
-// packed-bitmap endpoints (DESIGN.md §9); -batch N pipelines N ops per
-// request, and batched binary runs route churn through /v1/bin/churn so the
-// server amortizes each community's edits into one flush (DESIGN.md §10).
-// -churn-batch N is the in-process equivalent: ops are grouped into batches
-// of N and churn is applied through Community.ChurnBatch. -churn-frac F
-// rebalances any scenario's op mix so fraction F of ops are churn.
-// -diff-window fetches one window over both protocols and fails unless they
-// decode identically — the smoke-level differential check.
+// packed-bitmap endpoints (DESIGN.md §9). -batch N groups N ops per call for
+// every driver: in-process, each batch's churn goes through
+// Community.ChurnBatch; against a live holidayd it requires -proto binary,
+// and batched binary runs route churn through /v1/bin/churn so the server
+// amortizes each community's edits into one flush (DESIGN.md §10).
+// -persist journals the in-process registry to a WAL in a temporary
+// directory, removed when the run ends. -churn-frac F rebalances any
+// scenario's op mix so fraction F of ops are churn. -diff-window fetches one
+// window over both protocols and fails unless they decode identically — the
+// smoke-level differential check.
 //
 // Exit status: 0 on success (and a passing comparison), 1 on usage or run
 // errors, 2 when -compare detects a regression beyond the threshold.
@@ -39,6 +41,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,236 +55,306 @@ import (
 	"time"
 
 	"repro/internal/benchkit"
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
 
 func main() {
-	var (
-		scenario   = flag.String("scenario", "ci", "named workload to run (see -list)")
-		list       = flag.Bool("list", false, "list the known scenarios and exit")
-		duration   = flag.Duration("duration", 0, "measured run length (default: the scenario's)")
-		qps        = flag.Float64("qps", 0, "aggregate target rate; 0 = unthrottled")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent load workers")
-		seed       = flag.Uint64("seed", 1, "seed for community generation and op streams")
-		target     = flag.String("target", "", "drive a live holidayd at this base URL instead of in-process")
-		clusterTop = flag.String("cluster", "", "drive a holidayd cluster from this topology file (nodes.json): writes route to owners, reads fan out over members")
-		proto      = flag.String("proto", "json", "wire protocol for window/next queries with -target: json or binary")
-		batch      = flag.Int("batch", 1, "ops per request (requires -proto binary); 1 = unbatched")
-		churnBatch = flag.Int("churn-batch", 1,
-			"group ops into batches of this size for in-process runs, amortizing churn through the batched write path; 1 = per-op")
-		churnFrac = flag.Float64("churn-frac", -1,
-			"override the scenario's churn fraction with a value in [0,1], preserving its read and churn ratios; negative keeps the scenario's own mix")
-		diffWin    = flag.String("diff-window", "", "fetch one window as \"community,from,to\" over both protocols and diff them (requires -target)")
-		persist    = flag.Bool("persist", false, "enable the durability WAL on the in-process registry (prices the write-ahead hot path; ignored with -target)")
-		syncAlways = flag.Bool("wal-sync-always", false,
-			"with -persist, fsync every WAL append before acking (per-op durability) instead of timer group commit — the regime where -churn-batch amortization matters most")
-		rotateEvery = flag.Duration("rotate-every", 0,
-			"with -cluster, live-move one community to another node at this interval during the measured run, recording the handoff count and write-pause p99 in the snapshot; 0 = static placement")
-		out       = flag.String("out", "", "snapshot output path (default BENCH_<rev>.json; \"-\" skips writing)")
-		replay    = flag.String("replay", "", "load the current snapshot from a file instead of running")
-		compare   = flag.String("compare", "", "prior snapshot to compare against; regression fails the exit status")
-		threshold = flag.Float64("threshold", 0.25, "gated-metric regression tolerance for -compare (0.25 = 25%)")
-		note      = flag.String("note", "", "free-form note recorded in the snapshot")
-		rev       = flag.String("rev", "", "revision label for the snapshot (default: git short rev)")
-	)
-	flag.Parse()
-	if *list {
-		for _, sc := range benchkit.Scenarios() {
-			fmt.Printf("%-8s %s (%d communities, default %s)\n", sc.Name, sc.Desc, len(sc.Communities), sc.Duration)
-		}
-		return
-	}
-	// Numeric flags fail loudly instead of silently defaulting: a CI job
-	// that typos -workers 0 should not gate on a one-worker run.
-	if *workers < 1 {
-		usageError("-workers must be ≥ 1, got %d", *workers)
-	}
-	if *qps < 0 {
-		usageError("-qps must be ≥ 0, got %g", *qps)
-	}
-	if *duration < 0 {
-		usageError("-duration must be positive, got %s", *duration)
-	}
-	if *threshold <= 0 || *threshold >= 1 {
-		usageError("-threshold must be in (0,1), got %g", *threshold)
-	}
-	if *replay != "" && (*target != "" || *duration != 0) {
-		usageError("-replay loads a recorded snapshot; it cannot be combined with -target or -duration")
-	}
-	// The target URL is validated before any run or diff starts: a typoed
-	// scheme used to surface minutes later as a per-op connection error.
-	if *target != "" {
-		if err := validateTarget(*target); err != nil {
-			usageError("%v", err)
-		}
-	}
-	if *proto != benchkit.ProtoJSON && *proto != benchkit.ProtoBinary {
-		usageError("-proto must be %q or %q, got %q", benchkit.ProtoJSON, benchkit.ProtoBinary, *proto)
-	}
-	if *proto == benchkit.ProtoBinary && *target == "" && *clusterTop == "" {
-		usageError("-proto binary drives a live holidayd's /v1/bin endpoints; it requires -target or -cluster")
-	}
-	if *batch < 1 {
-		usageError("-batch must be ≥ 1, got %d", *batch)
-	}
-	if *batch > 1 && *proto != benchkit.ProtoBinary {
-		usageError("-batch groups frames of the binary protocol; add -proto binary")
-	}
-	if *churnBatch < 1 {
-		usageError("-churn-batch must be ≥ 1, got %d", *churnBatch)
-	}
-	if *churnBatch > 1 && (*target != "" || *clusterTop != "") {
-		usageError("-churn-batch batches the in-process write path; against a live holidayd use -batch with -proto binary")
-	}
-	if *churnBatch > 1 && *batch > 1 {
-		usageError("-churn-batch and -batch both set the batch size; use one")
-	}
-	if *churnFrac > 1 {
-		usageError("-churn-frac must be in [0,1], got %g", *churnFrac)
-	}
-	if *syncAlways && !*persist {
-		usageError("-wal-sync-always tunes the durability WAL; add -persist")
-	}
-	if *rotateEvery < 0 {
-		usageError("-rotate-every must be ≥ 0, got %s", *rotateEvery)
-	}
-	if *rotateEvery > 0 && *clusterTop == "" {
-		usageError("-rotate-every moves communities between cluster members; it requires -cluster")
-	}
-	if *diffWin != "" {
-		if *target == "" {
-			usageError("-diff-window compares a live holidayd's two protocols; it requires -target")
-		}
-		if err := diffWindow(*target, *diffWin); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("diff-window %s: binary and JSON windows are identical\n", *diffWin)
-		return
-	}
-
-	var snap *benchkit.Snapshot
-	var err error
-	if *replay != "" {
-		snap, err = benchkit.LoadSnapshot(*replay)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		sc, err := benchkit.ScenarioByName(*scenario)
-		if err != nil {
-			fatal(err)
-		}
-		if *churnFrac >= 0 {
-			if sc, err = sc.WithChurnFraction(*churnFrac); err != nil {
-				fatal(err)
-			}
-		}
-		var driver benchkit.Driver
-		var clusterDriver *benchkit.ClusterDriver
-		if *clusterTop != "" {
-			if *target != "" {
-				usageError("-cluster and -target are mutually exclusive")
-			}
-			if *persist {
-				usageError("-persist only applies to in-process runs; a cluster's durability is each daemon's -data-dir")
-			}
-			topo, err := service.LoadTopology(*clusterTop)
-			if err != nil {
-				fatal(err)
-			}
-			clusterDriver, err = benchkit.NewClusterDriver(topo, *workers)
-			if err != nil {
-				fatal(err)
-			}
-			clusterDriver.Proto = *proto
-			driver = clusterDriver
-		} else if *target != "" {
-			if *persist {
-				usageError("-persist only applies to in-process runs; a live holidayd's durability is its own -data-dir")
-			}
-			httpDriver := benchkit.NewHTTPDriver(*target, *workers)
-			httpDriver.Proto = *proto
-			driver = httpDriver
-		} else {
-			inproc := benchkit.NewInProcDriver(service.New(service.Opts{}))
-			inproc.ForcePersist = *persist
-			inproc.SyncEveryOp = *syncAlways
-			driver = inproc
-		}
-		// Cluster runs verify the replication contract up front: an owner's
-		// acked write (its journal sequence) must become visible on every
-		// replica, byte-identically, before the measured run trusts
-		// replica-served reads.
-		if clusterDriver != nil {
-			if _, err := clusterDriver.Setup(sc, *seed); err != nil {
-				fatal(err)
-			}
-			id := sc.Communities[0].ID
-			if err := clusterDriver.VerifyReadYourWrites(id, 15*time.Second); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("read-your-writes verified on %q across %d nodes\n", id, clusterDriver.NodeCount())
-		}
-		if *rev == "" {
-			*rev = gitRev()
-		}
-		opt := benchkit.Options{
-			Duration: *duration,
-			Workers:  *workers,
-			QPS:      *qps,
-			Seed:     *seed,
-			Batch:    max(*batch, *churnBatch),
-			Rev:      *rev,
-			Note:     *note,
-		}
-		// Placement rotation runs beside the measured load: a ticker moves
-		// one community per interval through a live handoff, and the
-		// snapshot records how many moves ran and the p99 write pause they
-		// cost — the number the epoch plane is supposed to keep small.
-		var stopRotate func()
-		if *rotateEvery > 0 {
-			stopRotate = startRotation(clusterDriver, *rotateEvery)
-		}
-		snap, err = benchkit.Run(sc, driver, opt)
-		if stopRotate != nil {
-			stopRotate()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if clusterDriver != nil {
-			if pauses := clusterDriver.HandoffPauses(); len(pauses) > 0 {
-				snap.Handoffs = len(pauses)
-				snap.HandoffPauseP99Micro = benchkit.PauseP99(pauses)
-			}
-		}
-		benchkit.RenderSnapshot(os.Stdout, snap)
-		if *out != "-" {
-			path := *out
-			if path == "" {
-				path = "BENCH_" + sanitize(snap.Rev) + ".json"
-			}
-			if err := snap.WriteFile(path); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-
-	if *compare == "" {
-		return
-	}
-	old, err := benchkit.LoadSnapshot(*compare)
+	cfg, err := parseConfig(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "holidayload:", err)
+		flag.Usage()
+		os.Exit(1)
 	}
-	cmp := benchkit.Compare(old, snap, *threshold)
-	fmt.Printf("\ncomparing against %s (rev %s, %s):\n", *compare, old.Rev, old.Timestamp)
-	cmp.Render(os.Stdout, *threshold)
-	if !cmp.Pass {
+	err = run(cfg, os.Stdout)
+	if errors.Is(err, errRegressed) {
 		os.Exit(2)
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "holidayload:", err)
+		os.Exit(1)
+	}
+}
+
+// errRegressed is run's result when -compare finds a gated metric beyond
+// the threshold; the verdict itself is already printed.
+var errRegressed = errors.New("regression beyond the threshold")
+
+// config is holidayload's command line.
+type config struct {
+	scenario    string
+	list        bool
+	duration    time.Duration
+	qps         float64
+	workers     int
+	seed        uint64
+	target      string
+	cluster     string
+	proto       string
+	batch       int
+	churnFrac   float64
+	diffWindow  string
+	persist     bool
+	syncAlways  bool
+	rotateEvery time.Duration
+	out         string
+	replay      string
+	compare     string
+	threshold   float64
+	note        string
+	rev         string
+}
+
+// parseConfig binds holidayload's flags on fs, parses args into a config,
+// and validates it.
+func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	fs.StringVar(&c.scenario, "scenario", "ci", "named workload to run (see -list)")
+	fs.BoolVar(&c.list, "list", false, "list the known scenarios and exit")
+	fs.DurationVar(&c.duration, "duration", 0, "measured run length (default: the scenario's)")
+	fs.Float64Var(&c.qps, "qps", 0, "aggregate target rate; 0 = unthrottled")
+	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0), "concurrent load workers")
+	fs.Uint64Var(&c.seed, "seed", 1, "seed for community generation and op streams")
+	fs.StringVar(&c.target, "target", "", "drive a live holidayd at this base URL instead of in-process")
+	fs.StringVar(&c.cluster, "cluster", "", "drive a holidayd cluster from this topology file (nodes.json): writes route to owners, reads fan out over members")
+	fs.StringVar(&c.proto, "proto", benchkit.ProtoJSON, "wire protocol for window/next queries with -target or -cluster: json or binary")
+	fs.IntVar(&c.batch, "batch", 1,
+		"ops per call, 1 = unbatched; in-process, each batch's churn goes through the batched write path; against a live holidayd it requires -proto binary")
+	fs.Float64Var(&c.churnFrac, "churn-frac", -1,
+		"override the scenario's churn fraction with a value in [0,1], preserving its read and churn ratios; negative keeps the scenario's own mix")
+	fs.StringVar(&c.diffWindow, "diff-window", "", "fetch one window as \"community,from,to\" over both protocols and diff them (requires -target)")
+	fs.BoolVar(&c.persist, "persist", false, "journal the in-process registry to a WAL in a temporary directory (prices the write-ahead hot path)")
+	fs.BoolVar(&c.syncAlways, "wal-sync-always", false,
+		"with -persist, fsync every WAL append before acking (per-op durability) instead of timer group commit — the regime where -batch amortization matters most")
+	fs.DurationVar(&c.rotateEvery, "rotate-every", 0,
+		"with -cluster, live-move one community to another node at this interval during the measured run, recording the handoff count and write-pause p99 in the snapshot; 0 = static placement")
+	fs.StringVar(&c.out, "out", "", "snapshot output path (default BENCH_<rev>.json; \"-\" skips writing)")
+	fs.StringVar(&c.replay, "replay", "", "load the current snapshot from a file instead of running")
+	fs.StringVar(&c.compare, "compare", "", "prior snapshot to compare against; regression fails the exit status")
+	fs.Float64Var(&c.threshold, "threshold", 0.25, "gated-metric regression tolerance for -compare (0.25 = 25%)")
+	fs.StringVar(&c.note, "note", "", "free-form note recorded in the snapshot")
+	fs.StringVar(&c.rev, "rev", "", "revision label for the snapshot (default: git short rev)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// validate checks the rules the flags state without reading any file or
+// contacting any target. Numeric flags fail loudly instead of silently
+// defaulting: a CI job that typos -workers 0 should not gate on a
+// one-worker run. The target URL is checked here too: a typoed scheme used
+// to surface minutes later as a per-op connection error.
+func (c *config) validate() error {
+	live := c.target != "" || c.cluster != ""
+	switch {
+	case c.workers < 1:
+		return fmt.Errorf("-workers must be ≥ 1, got %d", c.workers)
+	case c.qps < 0:
+		return fmt.Errorf("-qps must be ≥ 0, got %g", c.qps)
+	case c.duration < 0:
+		return fmt.Errorf("-duration must be positive, got %s", c.duration)
+	case c.threshold <= 0 || c.threshold >= 1:
+		return fmt.Errorf("-threshold must be in (0,1), got %g", c.threshold)
+	case c.replay != "" && (c.target != "" || c.duration != 0):
+		return errors.New("-replay loads a recorded snapshot; it cannot be combined with -target or -duration")
+	case c.target != "" && c.cluster != "":
+		return errors.New("-cluster and -target are mutually exclusive")
+	case c.proto != benchkit.ProtoJSON && c.proto != benchkit.ProtoBinary:
+		return fmt.Errorf("-proto must be %q or %q, got %q", benchkit.ProtoJSON, benchkit.ProtoBinary, c.proto)
+	case c.proto == benchkit.ProtoBinary && !live:
+		return errors.New("-proto binary drives a live holidayd's /v1/bin endpoints; it requires -target or -cluster")
+	case c.batch < 1:
+		return fmt.Errorf("-batch must be ≥ 1, got %d", c.batch)
+	case c.batch > 1 && live && c.proto != benchkit.ProtoBinary:
+		return errors.New("-batch against a live holidayd groups frames of the binary protocol; add -proto binary")
+	case c.churnFrac > 1:
+		return fmt.Errorf("-churn-frac must be in [0,1], got %g", c.churnFrac)
+	case c.persist && live:
+		return errors.New("-persist only applies to in-process runs; a live holidayd's durability is its own -data-dir")
+	case c.syncAlways && !c.persist:
+		return errors.New("-wal-sync-always tunes the durability WAL; add -persist")
+	case c.rotateEvery < 0:
+		return fmt.Errorf("-rotate-every must be ≥ 0, got %s", c.rotateEvery)
+	case c.rotateEvery > 0 && c.cluster == "":
+		return errors.New("-rotate-every moves communities between cluster members; it requires -cluster")
+	case c.diffWindow != "" && c.target == "":
+		return errors.New("-diff-window compares a live holidayd's two protocols; it requires -target")
+	case c.target != "":
+		return validateTarget(c.target)
+	}
+	return nil
+}
+
+// run carries out cfg and writes its report to w. A -compare verdict that
+// regresses returns errRegressed.
+func run(cfg *config, w io.Writer) error {
+	if cfg.list {
+		for _, sc := range benchkit.Scenarios() {
+			fmt.Fprintf(w, "%-8s %s (%d communities, default %s)\n", sc.Name, sc.Desc, len(sc.Communities), sc.Duration)
+		}
+		return nil
+	}
+	if cfg.diffWindow != "" {
+		if err := diffWindow(cfg.target, cfg.diffWindow); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "diff-window %s: binary and JSON windows are identical\n", cfg.diffWindow)
+		return nil
+	}
+	var snap *benchkit.Snapshot
+	var err error
+	if cfg.replay != "" {
+		snap, err = benchkit.LoadSnapshot(cfg.replay)
+	} else {
+		snap, err = record(cfg, w)
+	}
+	if err != nil {
+		return err
+	}
+	if cfg.compare == "" {
+		return nil
+	}
+	old, err := benchkit.LoadSnapshot(cfg.compare)
+	if err != nil {
+		return err
+	}
+	cmp := benchkit.Compare(old, snap, cfg.threshold)
+	fmt.Fprintf(w, "\ncomparing against %s (rev %s, %s):\n", cfg.compare, old.Rev, old.Timestamp)
+	cmp.Render(w, cfg.threshold)
+	if !cmp.Pass {
+		return errRegressed
+	}
+	return nil
+}
+
+// record runs the scenario, prints its snapshot and writes it to -out. A
+// -persist run's WAL is closed and its directory removed on every path.
+func record(cfg *config, w io.Writer) (snap *benchkit.Snapshot, err error) {
+	sc, err := benchkit.ScenarioByName(cfg.scenario)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.churnFrac >= 0 {
+		if sc, err = sc.WithChurnFraction(cfg.churnFrac); err != nil {
+			return nil, err
+		}
+	}
+	var driver benchkit.Driver
+	var cd *benchkit.ClusterDriver
+	switch {
+	case cfg.cluster != "":
+		topo, err := service.LoadTopology(cfg.cluster)
+		if err != nil {
+			return nil, err
+		}
+		if cd, err = benchkit.NewClusterDriver(topo, cfg.workers); err != nil {
+			return nil, err
+		}
+		cd.Proto = cfg.proto
+		driver = cd
+	case cfg.target != "":
+		hd := benchkit.NewHTTPDriver(cfg.target, cfg.workers)
+		hd.Proto = cfg.proto
+		driver = hd
+	default:
+		var opts service.Opts
+		if cfg.persist {
+			var closeWAL func() error
+			if opts.Journal, closeWAL, err = openWAL(cfg.syncAlways); err != nil {
+				return nil, err
+			}
+			defer func() { err = errors.Join(err, closeWAL()) }()
+		}
+		driver = benchkit.NewInProcDriver(service.New(opts))
+	}
+	// Cluster runs verify the replication contract up front: an owner's
+	// acked write (its journal sequence) must become visible on every
+	// replica, byte-identically, before the measured run trusts
+	// replica-served reads.
+	if cd != nil {
+		id := sc.Communities[0].ID
+		if _, err = cd.Setup(sc, cfg.seed); err == nil {
+			err = cd.VerifyReadYourWrites(id, 15*time.Second)
+		}
+		if err != nil {
+			cd.Close()
+			return nil, err
+		}
+		fmt.Fprintf(w, "read-your-writes verified on %q across %d nodes\n", id, cd.Target().Nodes)
+	}
+	rev := cfg.rev
+	if rev == "" {
+		rev = gitRev()
+	}
+	opt := benchkit.Options{
+		Duration: cfg.duration,
+		Workers:  cfg.workers,
+		QPS:      cfg.qps,
+		Seed:     cfg.seed,
+		Batch:    cfg.batch,
+		Rev:      rev,
+		Note:     cfg.note,
+	}
+	// Placement rotation runs beside the measured load: a ticker moves
+	// one community per interval through a live handoff, and the
+	// snapshot records how many moves ran and the p99 write pause they
+	// cost — the number the epoch plane is supposed to keep small.
+	var stopRotate func()
+	if cfg.rotateEvery > 0 {
+		stopRotate = startRotation(cd, cfg.rotateEvery)
+	}
+	snap, err = benchkit.Run(sc, driver, opt)
+	if stopRotate != nil {
+		stopRotate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	snap.Persist = cfg.persist
+	snap.WALSyncAlways = cfg.syncAlways
+	if cd != nil {
+		if pauses := cd.HandoffPauses(); len(pauses) > 0 {
+			snap.Handoffs = len(pauses)
+			snap.HandoffPauseP99Micro = benchkit.PauseP99(pauses)
+		}
+	}
+	benchkit.RenderSnapshot(w, snap)
+	if cfg.out != "-" {
+		path := cfg.out
+		if path == "" {
+			path = "BENCH_" + sanitize(snap.Rev) + ".json"
+		}
+		if err := snap.WriteFile(path); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "wrote %s\n", path)
+	}
+	return snap, nil
+}
+
+// openWAL opens a durability store in a fresh temporary directory and
+// returns its journal, for the registry to attach before any community is
+// created. closeWAL closes the store and removes the directory.
+func openWAL(syncAlways bool) (journal service.Journal, closeWAL func() error, err error) {
+	dir, err := os.MkdirTemp("", "holidayload-wal-*")
+	if err != nil {
+		return nil, nil, fmt.Errorf("WAL directory: %w", err)
+	}
+	var opts persist.Options
+	if syncAlways {
+		opts.Sync = persist.SyncAlways
+	}
+	store, err := persist.Open(dir, opts)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return store.Journal(), func() error { return errors.Join(store.Close(), os.RemoveAll(dir)) }, nil
 }
 
 // startRotation moves one community per tick until the returned stop
@@ -438,16 +511,4 @@ func sanitize(s string) string {
 			return '_'
 		}
 	}, s)
-}
-
-// usageError reports a flag mistake and exits 1.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "holidayload: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "holidayload:", err)
-	os.Exit(1)
 }

@@ -52,18 +52,9 @@ func NewClusterDriver(topo service.Topology, workers int) (*ClusterDriver, error
 	return d, nil
 }
 
-// Name implements Driver.
-func (d *ClusterDriver) Name() string { return "cluster" }
-
-// NodeCount reports the cluster size recorded in snapshots.
-func (d *ClusterDriver) NodeCount() int { return len(d.nodes) }
-
-// ProtoName implements the protocol label hook, as on HTTPDriver.
-func (d *ClusterDriver) ProtoName() string {
-	if d.Proto == ProtoBinary {
-		return ProtoBinary
-	}
-	return ""
+// Target implements Driver.
+func (d *ClusterDriver) Target() Target {
+	return Target{Driver: "cluster", Proto: protoTag(d.Proto), Nodes: len(d.nodes)}
 }
 
 // ownerIdx resolves the node index owning a community (by scenario index).
@@ -152,7 +143,7 @@ func (d *ClusterDriver) pick(op Op) int {
 	}
 }
 
-// DoBatch implements BatchDriver: ops are grouped per target node and each
+// DoBatch implements Driver: ops are grouped per target node and each
 // group goes out as one (or a few) batched requests on that node.
 func (d *ClusterDriver) DoBatch(ops []Op, errs []error) error {
 	if len(d.nodes) == 1 {
@@ -183,31 +174,18 @@ func (d *ClusterDriver) DoBatch(ops []Op, errs []error) error {
 	return firstErr
 }
 
-// CacheStats implements Driver, summing the counters across members so
-// replica-served reads are counted where they were served.
-func (d *ClusterDriver) CacheStats() (hits, misses int64, err error) {
+// Stats implements Driver. Cache counters are summed over every member's
+// local copies, owner or replica, because replicas serve reads; repairs and
+// poly totals come from each community's owner only, because its replicas
+// replay the same edits.
+func (d *ClusterDriver) Stats() (Stats, error) {
+	var s Stats
 	for _, n := range d.nodes {
-		h, m, err := n.localCacheStats()
-		if err != nil {
-			return 0, 0, err
+		if err := n.addLocalStats(&s); err != nil {
+			return Stats{}, err
 		}
-		hits += h
-		misses += m
 	}
-	return hits, misses, nil
-}
-
-// Recolorings sums the recoloring counters via each community's owner.
-func (d *ClusterDriver) Recolorings() (int64, error) {
-	var total int64
-	for i := range d.nodes[0].ids {
-		n, err := d.nodes[d.ownerIdx(i)].recoloringsOf(i)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
+	return s, nil
 }
 
 // Rotate performs one live community handoff while the workload runs: the

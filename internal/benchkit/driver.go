@@ -8,14 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -33,19 +32,12 @@ const (
 	ProtoBinary = "binary"
 )
 
-// BatchDriver is the optional Driver extension for batched requests: one
-// DoBatch call carries len(ops) queries and fills errs (len(errs) ==
-// len(ops)) with per-op outcomes. The returned error is a transport-level
-// failure of the whole batch.
-type BatchDriver interface {
-	DoBatch(ops []Op, errs []error) error
-}
-
-// Driver executes generated ops against a target. Implementations must be
-// safe for concurrent Do calls: the runner issues them from every worker.
+// Driver executes generated ops against a target. Every driver implements
+// every method; implementations must be safe for concurrent Do and DoBatch
+// calls, since the runner issues them from every worker.
 type Driver interface {
-	// Name tags the snapshot ("inproc" or "http").
-	Name() string
+	// Target labels the snapshot with what the driver drives.
+	Target() Target
 	// Setup creates the scenario's communities on the target and returns
 	// their family counts, which seed the op generators.
 	Setup(sc *Scenario, seed uint64) (sizes []int, err error)
@@ -53,35 +45,70 @@ type Driver interface {
 	// (benign outcomes like divorcing a couple that never married count as
 	// served traffic).
 	Do(op Op) error
-	// CacheStats sums the frozen-schedule cache counters across the
-	// scenario's communities.
-	CacheStats() (hits, misses int64, err error)
+	// DoBatch executes len(ops) ops as one call and fills errs (len(errs)
+	// == len(ops)) with per-op outcomes. The returned error is a failure of
+	// the whole batch.
+	DoBatch(ops []Op, errs []error) error
+	// Stats reads the scenario communities' counters in one pass.
+	Stats() (Stats, error)
 	// Close releases the scenario's communities.
 	Close() error
 }
 
+// Target names what a driver drives; the snapshot records it.
+type Target struct {
+	// Driver is "inproc", "http" or "cluster".
+	Driver string
+	// Proto is empty for JSON and in-process runs, keeping their snapshots
+	// comparable to pre-protocol baselines, and ProtoBinary for binary runs.
+	Proto string
+	// Nodes is the member count of a cluster run; 0 for one target.
+	Nodes int
+}
+
+// protoTag is the Target.Proto of a driver whose Proto field is proto.
+func protoTag(proto string) string {
+	if proto == ProtoBinary {
+		return ProtoBinary
+	}
+	return ""
+}
+
+// Stats are the scenario communities' counters at one moment: the
+// frozen-schedule cache counters, the repair events (§6 recolorings for
+// classic, relayerings for poly), and the live edges and worst max-gap ratio
+// of the poly communities (Edges is 0 when the scenario has none).
+type Stats struct {
+	CacheHits, CacheMisses int64
+	Recolorings            int64
+	Edges                  int64
+	MaxGapRatio            float64
+}
+
+// add folds one community's counters into s. Repairs and poly totals count
+// only for the community's owner: its replicas replay the same edits.
+func (s *Stats) add(st service.Stats, owner bool) {
+	s.CacheHits += st.CacheHits
+	s.CacheMisses += st.CacheMisses
+	if !owner {
+		return
+	}
+	s.Recolorings += st.Recolorings
+	if st.Poly != nil {
+		s.Edges += int64(st.Poly.Edges)
+		s.MaxGapRatio = max(s.MaxGapRatio, st.Poly.MaxGapRatio)
+	}
+}
+
 // InProcDriver drives a service.Owner in the same process — the
 // lowest-overhead view of the serving path, and the one whose allocation
-// counts are meaningful.
+// counts are meaningful. It drives the Owner it is given: a run is durable
+// when the caller attached a journal to that Owner.
 type InProcDriver struct {
 	reg     *service.Owner
 	comms   []*service.Community
 	rows    sync.Pool // *[]service.HolidayRow window buffers, reused across ops
 	batches sync.Pool // *churnBatches grouping state, reused across DoBatch calls
-
-	// ForcePersist enables the durability subsystem even for scenarios
-	// that don't set Persist themselves — how the CI bench-gate runs the
-	// canonical "ci" scenario with WAL cost priced in while staying
-	// name-comparable to the committed baseline.
-	ForcePersist bool
-	// SyncEveryOp opens the WAL with per-record fsync (persist.SyncAlways)
-	// instead of timer-based group commit: every acknowledged churn op is
-	// durable. This is the regime where batch size matters most — a flush
-	// of K coalesced edits is one fsync instead of K — so the committed
-	// churn baselines are recorded under it.
-	SyncEveryOp bool
-	store       *persist.Store
-	persistDir  string
 }
 
 // NewInProcDriver wraps a registry (usually a fresh one).
@@ -93,39 +120,11 @@ func NewInProcDriver(reg *service.Owner) *InProcDriver {
 	}
 }
 
-// Name implements Driver.
-func (d *InProcDriver) Name() string { return "inproc" }
+// Target implements Driver.
+func (d *InProcDriver) Target() Target { return Target{Driver: "inproc"} }
 
-// Persistent reports whether the durability subsystem is active for the
-// current run (see Snapshot.Persist).
-func (d *InProcDriver) Persistent() bool { return d.store != nil }
-
-// WALSyncAlways reports whether the run's WAL acknowledged records only
-// after fsync (see Snapshot.WALSyncAlways).
-func (d *InProcDriver) WALSyncAlways() bool { return d.store != nil && d.SyncEveryOp }
-
-// Setup implements Driver. For persistence-enabled runs (Scenario.Persist
-// or ForcePersist) it opens a durability store in a fresh temporary data
-// directory and attaches its WAL before creating the communities, so
-// creation and every churn op of the run pay the real write-ahead cost.
+// Setup implements Driver.
 func (d *InProcDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
-	if sc.Persist || d.ForcePersist {
-		dir, err := os.MkdirTemp("", "benchkit-persist-*")
-		if err != nil {
-			return nil, fmt.Errorf("benchkit: persist dir: %w", err)
-		}
-		popts := persist.Options{}
-		if d.SyncEveryOp {
-			popts.Sync = persist.SyncAlways
-		}
-		store, err := persist.Open(dir, popts)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		d.store, d.persistDir = store, dir
-		d.reg.SetJournal(store.Journal())
-	}
 	sizes := make([]int, len(sc.Communities))
 	for i, cs := range sc.Communities {
 		g, err := graph.ParseSpec(cs.Spec, seed+uint64(i))
@@ -179,12 +178,12 @@ func (d *InProcDriver) Do(op Op) error {
 	}
 }
 
-// DoBatch implements BatchDriver: the batch's churn ops are grouped per
+// DoBatch implements Driver: the batch's churn ops are grouped per
 // community and applied through Community.ChurnBatch — one write-lock
 // acquisition, one journal group-commit, at most one cache invalidation per
 // community per batch — while read ops are served individually (reads have
 // no batched form in-process; the lock they share is the read lock). This is
-// the amortized write path the -churn-batch flag of cmd/holidayload drives.
+// the amortized write path the -batch flag of cmd/holidayload drives.
 func (d *InProcDriver) DoBatch(ops []Op, errs []error) error {
 	if len(errs) != len(ops) {
 		return fmt.Errorf("benchkit: DoBatch needs len(errs) == len(ops), got %d and %d", len(errs), len(ops))
@@ -256,44 +255,17 @@ func (b *churnBatches) add(ci, i int, e core.Edit) {
 	g.idx = append(g.idx, i)
 }
 
-// CacheStats implements Driver.
-func (d *InProcDriver) CacheStats() (hits, misses int64, err error) {
+// Stats implements Driver.
+func (d *InProcDriver) Stats() (Stats, error) {
+	var s Stats
 	for _, c := range d.comms {
-		st := c.Stats()
-		hits += st.CacheHits
-		misses += st.CacheMisses
+		s.add(c.Stats(), true)
 	}
-	return hits, misses, nil
-}
-
-// Recolorings sums the §6 recoloring counters across the scenario's
-// communities (see Snapshot recolorings_per_churn_op).
-func (d *InProcDriver) Recolorings() (int64, error) {
-	var n int64
-	for _, c := range d.comms {
-		n += c.Stats().Recolorings
-	}
-	return n, nil
-}
-
-// PolyStats sums live edges and takes the worst max-gap ratio across the
-// scenario's poly communities (see Snapshot edges and max_gap_ratio); edges
-// is 0 when the scenario has no poly communities.
-func (d *InProcDriver) PolyStats() (edges int64, maxGap float64, err error) {
-	for _, c := range d.comms {
-		if ps, ok := c.PolyStats(); ok {
-			edges += int64(ps.Edges)
-			if ps.MaxGapRatio > maxGap {
-				maxGap = ps.MaxGapRatio
-			}
-		}
-	}
-	return edges, maxGap, nil
+	return s, nil
 }
 
 // Close implements Driver: the scenario's communities are unregistered so a
-// registry can be reused across runs, and a persistence-enabled run's
-// journal is detached, closed, and its temporary data directory removed.
+// registry can be reused across runs.
 func (d *InProcDriver) Close() error {
 	var firstErr error
 	for _, c := range d.comms {
@@ -302,14 +274,6 @@ func (d *InProcDriver) Close() error {
 		}
 	}
 	d.comms = nil
-	if d.store != nil {
-		d.reg.SetJournal(nil)
-		if err := d.store.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		os.RemoveAll(d.persistDir)
-		d.store, d.persistDir = nil, ""
-	}
 	return firstErr
 }
 
@@ -367,16 +331,6 @@ func NewHTTPDriver(base string, workers int) *HTTPDriver {
 	}
 }
 
-// ProtoName reports the protocol label recorded in snapshots: empty for
-// JSON (keeping new snapshots comparable to pre-protocol baselines) and
-// ProtoBinary for binary runs.
-func (d *HTTPDriver) ProtoName() string {
-	if d.Proto == ProtoBinary {
-		return ProtoBinary
-	}
-	return ""
-}
-
 // trimTrailingSlash normalizes the base URL.
 func trimTrailingSlash(s string) string {
 	for len(s) > 0 && s[len(s)-1] == '/' {
@@ -385,8 +339,8 @@ func trimTrailingSlash(s string) string {
 	return s
 }
 
-// Name implements Driver.
-func (d *HTTPDriver) Name() string { return "http" }
+// Target implements Driver.
+func (d *HTTPDriver) Target() Target { return Target{Driver: "http", Proto: protoTag(d.Proto)} }
 
 // Setup implements Driver: each community is deleted if present (leftovers
 // of an aborted run) and recreated from its spec's edge list.
@@ -498,11 +452,12 @@ func (d *HTTPDriver) doBin(op Op) error {
 	return frameErr(f)
 }
 
-// DoBatch implements BatchDriver for binary runs: window, next, and churn
-// frames each travel as one batched request to their endpoint (responses
-// are positional, so per-op failures land in errs). The churn endpoint
+// DoBatch implements Driver for binary runs: window, next, and churn frames
+// each travel as one batched request to their endpoint (responses are
+// positional, so per-op failures land in errs). The churn endpoint
 // additionally groups each community's edits server-side into one amortized
-// ChurnBatch flush — the batched write path this revision exists to price.
+// ChurnBatch flush. The JSON protocol has no batched form, so a JSON driver
+// refuses every batch.
 func (d *HTTPDriver) DoBatch(ops []Op, errs []error) error {
 	if d.Proto != ProtoBinary {
 		return fmt.Errorf("benchkit: batched requests need the binary protocol (set Proto = %q)", ProtoBinary)
@@ -623,52 +578,17 @@ func frameErr(f wire.Frame) error {
 	return fmt.Errorf("benchkit: binary query failed: status %d (%s): %s", status, service.CodeFromNum(code), msg)
 }
 
-// CacheStats implements Driver via the per-community stats endpoint.
-func (d *HTTPDriver) CacheStats() (hits, misses int64, err error) {
-	for _, id := range d.ids {
-		// An error payload would decode into all-zero Stats; statsOf fails
-		// the run instead of silently zeroing the cache ratio.
-		st, err := d.statsOf(id)
-		if err != nil {
-			return 0, 0, err
-		}
-		hits += st.CacheHits
-		misses += st.CacheMisses
-	}
-	return hits, misses, nil
-}
-
-// Recolorings sums the recoloring counters across the scenario's communities
-// via the stats endpoint (see Snapshot recolorings_per_churn_op).
-func (d *HTTPDriver) Recolorings() (int64, error) {
-	var n int64
+// Stats implements Driver via the per-community stats endpoint.
+func (d *HTTPDriver) Stats() (Stats, error) {
+	var s Stats
 	for _, id := range d.ids {
 		st, err := d.statsOf(id)
 		if err != nil {
-			return 0, err
+			return Stats{}, err
 		}
-		n += st.Recolorings
+		s.add(st, true)
 	}
-	return n, nil
-}
-
-// PolyStats sums live edges and takes the worst max-gap ratio across the
-// scenario's poly communities via the stats endpoint; edges is 0 when the
-// scenario has no poly communities.
-func (d *HTTPDriver) PolyStats() (edges int64, maxGap float64, err error) {
-	for _, id := range d.ids {
-		st, err := d.statsOf(id)
-		if err != nil {
-			return 0, 0, err
-		}
-		if st.Poly != nil {
-			edges += int64(st.Poly.Edges)
-			if st.Poly.MaxGapRatio > maxGap {
-				maxGap = st.Poly.MaxGapRatio
-			}
-		}
-	}
-	return edges, maxGap, nil
+	return s, nil
 }
 
 // Close implements Driver: the scenario's communities are deleted from the
@@ -697,39 +617,31 @@ func (d *HTTPDriver) Close() error {
 	return firstErr
 }
 
-// localCacheStats sums cache counters for the scenario communities held
-// locally on this node (owner or fenced replica), per /v1/status. Skipping
-// absent communities keeps cluster-wide sums double-count-free: a stats GET
-// for an absent community would be forwarded and count its owner twice.
-func (d *HTTPDriver) localCacheStats() (hits, misses int64, err error) {
-	local, err := d.localCommunities()
+// addLocalStats adds the counters of the scenario communities this node
+// holds, owner or fenced replica, as /v1/status names them. /v1/status never
+// forwards, so a cluster-wide sum over every member counts no copy twice,
+// where a stats GET for an absent community would be forwarded to its
+// owner.
+func (d *HTTPDriver) addLocalStats(s *Stats) error {
+	status, err := d.ctl.Status(context.TODO(), d.base)
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("benchkit: status: %w", err)
 	}
-	for _, id := range d.ids {
-		if _, ok := local[id]; !ok {
+	for _, c := range status.Communities {
+		if !slices.Contains(d.ids, c.ID) {
 			continue
 		}
-		st, err := d.statsOf(id)
+		st, err := d.statsOf(c.ID)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
-		hits += st.CacheHits
-		misses += st.CacheMisses
+		s.add(st, c.Role == "owner")
 	}
-	return hits, misses, nil
+	return nil
 }
 
-// recoloringsOf reads one community's recoloring counter.
-func (d *HTTPDriver) recoloringsOf(community int) (int64, error) {
-	st, err := d.statsOf(d.ids[community])
-	if err != nil {
-		return 0, err
-	}
-	return st.Recolorings, nil
-}
-
-// statsOf fetches one community's stats.
+// statsOf fetches one community's stats. An error payload would decode into
+// all-zero Stats, so it fails the read instead.
 func (d *HTTPDriver) statsOf(id string) (service.Stats, error) {
 	st, err := d.ctl.Stats(context.TODO(), d.base, id)
 	if err != nil {
@@ -738,28 +650,19 @@ func (d *HTTPDriver) statsOf(id string) (service.Stats, error) {
 	return st, nil
 }
 
-// localCommunities returns the ids held on this node with their applied
-// journal sequence, from /v1/status (which never forwards).
-func (d *HTTPDriver) localCommunities() (map[string]uint64, error) {
-	st, err := d.ctl.Status(context.TODO(), d.base)
-	if err != nil {
-		return nil, fmt.Errorf("benchkit: status: %w", err)
-	}
-	out := make(map[string]uint64, len(st.Communities))
-	for _, c := range st.Communities {
-		out[c.ID] = c.Seq
-	}
-	return out, nil
-}
-
 // communitySeq reads the applied journal sequence of one community on this
 // node, or 0 if the node doesn't hold it yet.
 func (d *HTTPDriver) communitySeq(id string) (uint64, error) {
-	local, err := d.localCommunities()
+	status, err := d.ctl.Status(context.TODO(), d.base)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("benchkit: status: %w", err)
 	}
-	return local[id], nil
+	for _, c := range status.Communities {
+		if c.ID == id {
+			return c.Seq, nil
+		}
+	}
+	return 0, nil
 }
 
 // fetchWindow returns one community's JSON window response body verbatim,

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 )
@@ -85,21 +86,18 @@ func TestDoBatchMapsErrors(t *testing.T) {
 	}
 }
 
-// noBatchDriver hides InProcDriver's DoBatch so the runner sees a Driver
-// with no batch support.
-type noBatchDriver struct{ d *InProcDriver }
-
-func (n noBatchDriver) Name() string                                   { return n.d.Name() }
-func (n noBatchDriver) Setup(sc *Scenario, seed uint64) ([]int, error) { return n.d.Setup(sc, seed) }
-func (n noBatchDriver) Do(op Op) error                                 { return n.d.Do(op) }
-func (n noBatchDriver) CacheStats() (int64, int64, error)              { return n.d.CacheStats() }
-func (n noBatchDriver) Close() error                                   { return n.d.Close() }
-
-// TestRunBatchNeedsBatchDriver: a batched run over a driver without batch
-// support is a configuration error, not a silent fallback.
-func TestRunBatchNeedsBatchDriver(t *testing.T) {
-	_, err := Run(testScenario(), noBatchDriver{NewInProcDriver(service.New(service.Opts{}))}, Options{Batch: 4})
-	if err == nil || !strings.Contains(err.Error(), "batch") {
-		t.Fatalf("want a batch-support error, got %v", err)
+// TestRunBatchNeedsBinaryProto: the JSON protocol has no batched form, so a
+// batched run over a JSON HTTPDriver fails with the reason instead of
+// silently sending ops one at a time, and still removes its communities.
+func TestRunBatchNeedsBinaryProto(t *testing.T) {
+	reg := service.New(service.Opts{})
+	srv := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
+	defer srv.Close()
+	_, err := Run(testScenario(), NewHTTPDriver(srv.URL, 1), Options{Batch: 4, Workers: 1, Duration: 20 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "binary protocol") {
+		t.Fatalf("want a binary-protocol error, got %v", err)
+	}
+	if got := reg.List(); len(got) != 0 {
+		t.Errorf("refused run left communities on the server: %v", got)
 	}
 }

@@ -284,21 +284,21 @@ func TestInProcDoBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("community %d diverged: sequential %+v vs batched %+v", ci, s1, s2)
 		}
 	}
-	r1, err := seq.Recolorings()
+	r1, err := seq.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := bat.Recolorings()
+	r2, err := bat.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Fatalf("recoloring counters diverged: sequential %d vs batched %d", r1, r2)
+	if r1.Recolorings != r2.Recolorings {
+		t.Fatalf("recoloring counters diverged: sequential %d vs batched %d", r1.Recolorings, r2.Recolorings)
 	}
 }
 
-// TestHTTPRecolorings: the HTTP driver's recoloring probe sums the stats
-// endpoint across the scenario's communities.
+// TestHTTPRecolorings: the HTTP driver's Stats sums the stats endpoint's
+// recoloring counters across the scenario's communities.
 func TestHTTPRecolorings(t *testing.T) {
 	reg := service.New(service.Opts{})
 	hs := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
@@ -309,12 +309,12 @@ func TestHTTPRecolorings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	before, err := d.Recolorings()
+	before, err := d.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before < 0 {
-		t.Fatalf("negative recoloring count %d", before)
+	if before.Recolorings < 0 {
+		t.Fatalf("negative recoloring count %d", before.Recolorings)
 	}
 	// Enough churn to force at least one recoloring somewhere.
 	gen := NewOpGen(testScenario(), sizes, 31)
@@ -329,11 +329,11 @@ func TestHTTPRecolorings(t *testing.T) {
 		}
 		churned++
 	}
-	after, err := d.Recolorings()
+	after, err := d.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after < before {
-		t.Fatalf("recoloring counter went backwards: %d -> %d", before, after)
+	if after.Recolorings < before.Recolorings {
+		t.Fatalf("recoloring counter went backwards: %d -> %d", before.Recolorings, after.Recolorings)
 	}
 }

@@ -85,3 +85,46 @@ func TestRunPolyHTTP(t *testing.T) {
 		t.Errorf("HTTP driver left communities on the server after Close: %v", got)
 	}
 }
+
+// TestRunPolyCluster drives the poly workload through a three-node cluster
+// of NewHandler nodes with no replication, so reads that land on a
+// non-owner are forwarded to the owner. The cluster driver must record the
+// poly totals from each community's owner and delete every community on
+// Close.
+func TestRunPolyCluster(t *testing.T) {
+	var nodes []service.Node
+	var srvs []*httptest.Server
+	for _, id := range []string{"a", "b", "c"} {
+		srv := httptest.NewUnstartedServer(nil)
+		defer srv.Close()
+		srvs = append(srvs, srv)
+		nodes = append(nodes, service.Node{ID: id, Addr: "http://" + srv.Listener.Addr().String()})
+	}
+	owners := make([]*service.Owner, len(nodes))
+	for i, n := range nodes {
+		rt, err := service.NewRouter(service.RouterOpts{Self: n.ID, Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners[i] = service.New(service.Opts{})
+		srvs[i].Config.Handler = service.NewHandler(service.HandlerOpts{Owner: owners[i], Router: rt})
+		srvs[i].Start()
+	}
+	d, err := NewClusterDriver(service.Topology{Nodes: nodes}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Run(testPolyScenario(), d, Options{Seed: 3, Workers: 2, Rev: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPolySnapshot(t, snap, "cluster")
+	if snap.Nodes != 3 {
+		t.Errorf("snapshot records %d nodes, want 3", snap.Nodes)
+	}
+	for i, o := range owners {
+		if got := o.List(); len(got) != 0 {
+			t.Errorf("node %s still holds %v after Close", nodes[i].ID, got)
+		}
+	}
+}

@@ -18,8 +18,8 @@ type Options struct {
 	QPS float64
 	// Seed drives community generation and every worker's op stream.
 	Seed uint64
-	// Batch groups this many ops into each request; > 1 requires a driver
-	// implementing BatchDriver. Per-op latency is recorded as the batch's
+	// Batch groups this many ops into each DoBatch call; 1 calls Do per
+	// op. Per-op latency is recorded as the batch's
 	// round trip divided by the batch size — the amortized cost one op paid
 	// — while the raw whole-batch round trip is tracked separately under
 	// the "batch" per-op key. (Recording the raw round trip per op, as the
@@ -58,18 +58,12 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 	if opt.Batch < 1 {
 		opt.Batch = 1
 	}
-	var bd BatchDriver
-	if opt.Batch > 1 {
-		var ok bool
-		if bd, ok = d.(BatchDriver); !ok {
-			return nil, fmt.Errorf("benchkit: driver %q does not support batched requests", d.Name())
-		}
-	}
+	target := d.Target()
 	// Bracket Setup with GC-settled heap readings: the delta divided by the
 	// family count is the resident bytes-per-node metric of schema 2. Only
 	// the in-process driver's communities live in this process, so only its
 	// runs record it.
-	_, inProc := d.(*InProcDriver)
+	inProc := target.Driver == "inproc"
 	var heap0 uint64
 	if inProc {
 		heap0 = settledHeap()
@@ -99,11 +93,10 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 			return nil, fmt.Errorf("benchkit: warmup query on %q failed: %w", sc.Communities[ci].ID, err)
 		}
 	}
-	hits0, misses0, err := d.CacheStats()
+	st0, err := d.Stats()
 	if err != nil {
 		return nil, err
 	}
-	recolor0, haveRecolor := recoloringsOf(d)
 	var mem0 runtime.MemStats
 	runtime.ReadMemStats(&mem0)
 
@@ -147,8 +140,8 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 				}
 				t0 := time.Now()
 				var batchErr error
-				if bd != nil {
-					batchErr = bd.DoBatch(ops, errs)
+				if opt.Batch > 1 {
+					batchErr = d.DoBatch(ops, errs)
 				} else {
 					errs[0] = d.Do(ops[0])
 				}
@@ -182,11 +175,10 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 
 	var mem1 runtime.MemStats
 	runtime.ReadMemStats(&mem1)
-	hits1, misses1, err := d.CacheStats()
+	st1, err := d.Stats()
 	if err != nil {
 		return nil, err
 	}
-	recolor1, _ := recoloringsOf(d)
 
 	var merged, batchHist Hist
 	var perKind [numOpKinds]Hist
@@ -212,24 +204,22 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{
-		Schema:        SchemaVersion,
-		Rev:           opt.Rev,
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		Scenario:      sc.Name,
-		Driver:        d.Name(),
-		Workers:       opt.Workers,
-		QPSTarget:     opt.QPS,
-		DurationSec:   elapsed.Seconds(),
-		Seed:          opt.Seed,
-		GoVersion:     runtime.Version(),
-		Maxprocs:      runtime.GOMAXPROCS(0),
-		Persist:       isPersistent(d),
-		WALSyncAlways: isSyncAlways(d),
-		Proto:         protoOf(d),
-		Batch:         batchLabel(opt.Batch),
-		Nodes:         nodesOf(d),
-		ChurnFrac:     sc.ChurnFrac,
-		Note:          opt.Note,
+		Schema:      SchemaVersion,
+		Rev:         opt.Rev,
+		Timestamp:   time.Now().UTC().Format(time.RFC3339),
+		Scenario:    sc.Name,
+		Driver:      target.Driver,
+		Workers:     opt.Workers,
+		QPSTarget:   opt.QPS,
+		DurationSec: elapsed.Seconds(),
+		Seed:        opt.Seed,
+		GoVersion:   runtime.Version(),
+		Maxprocs:    runtime.GOMAXPROCS(0),
+		Proto:       target.Proto,
+		Batch:       batchLabel(opt.Batch),
+		Nodes:       target.Nodes,
+		ChurnFrac:   sc.ChurnFrac,
+		Note:        opt.Note,
 		Totals: Metrics{
 			Ops:    ops,
 			Errors: errs,
@@ -246,12 +236,12 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 		},
 		PerOp: map[string]OpStats{},
 	}
-	if churnOps := perKind[OpMarry].Count() + perKind[OpDivorce].Count(); haveRecolor && churnOps > 0 && recolor1 >= recolor0 {
-		s.Totals.RecoloringsPerChurnOp = float64(recolor1-recolor0) / float64(churnOps)
+	if churnOps := perKind[OpMarry].Count() + perKind[OpDivorce].Count(); churnOps > 0 && st1.Recolorings >= st0.Recolorings {
+		s.Totals.RecoloringsPerChurnOp = float64(st1.Recolorings-st0.Recolorings) / float64(churnOps)
 	}
-	if edges, maxGap, ok := polyStatsOf(d); ok && edges > 0 {
-		s.Totals.Edges = edges
-		s.Totals.MaxGapRatio = maxGap
+	if st1.Edges > 0 {
+		s.Totals.Edges = st1.Edges
+		s.Totals.MaxGapRatio = st1.MaxGapRatio
 	}
 	if batchHist.Count() > 0 {
 		// The raw whole-batch round trips of a batched run, under the
@@ -265,8 +255,8 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 			P99Micro: micros(batchHist.Quantile(0.99)),
 		}
 	}
-	if lookups := (hits1 - hits0) + (misses1 - misses0); lookups > 0 {
-		s.Totals.CacheHitRatio = float64(hits1-hits0) / float64(lookups)
+	if hits, misses := st1.CacheHits-st0.CacheHits, st1.CacheMisses-st0.CacheMisses; hits+misses > 0 {
+		s.Totals.CacheHitRatio = float64(hits) / float64(hits+misses)
 	}
 	for k := range perKind {
 		h := &perKind[k]
@@ -284,54 +274,6 @@ func Run(sc *Scenario, d Driver, opt Options) (*Snapshot, error) {
 	return s, nil
 }
 
-// persister is the optional Driver interface reporting whether the
-// durability subsystem was active for the run (the in-process driver with a
-// WAL attached); the snapshot records it.
-type persister interface{ Persistent() bool }
-
-// isPersistent probes a driver for persistence.
-func isPersistent(d Driver) bool {
-	p, ok := d.(persister)
-	return ok && p.Persistent()
-}
-
-// walSyncProber is the optional Driver interface reporting that the WAL
-// fsynced every append before acknowledging it; the snapshot records (and
-// the comparator gates on) it.
-type walSyncProber interface{ WALSyncAlways() bool }
-
-// isSyncAlways probes a driver for per-op-durable WAL acknowledgement.
-func isSyncAlways(d Driver) bool {
-	p, ok := d.(walSyncProber)
-	return ok && p.WALSyncAlways()
-}
-
-// protoReporter is the optional Driver interface naming the wire protocol
-// the run drove (see HTTPDriver.ProtoName); the snapshot records it.
-type protoReporter interface{ ProtoName() string }
-
-// protoOf probes a driver for its protocol label.
-func protoOf(d Driver) string {
-	p, ok := d.(protoReporter)
-	if !ok {
-		return ""
-	}
-	return p.ProtoName()
-}
-
-// nodesReporter is the optional Driver interface reporting cluster size
-// (see ClusterDriver); the snapshot records the member count.
-type nodesReporter interface{ NodeCount() int }
-
-// nodesOf probes a driver for its cluster size; 0 for single-target drivers.
-func nodesOf(d Driver) int {
-	n, ok := d.(nodesReporter)
-	if !ok {
-		return 0
-	}
-	return n.NodeCount()
-}
-
 // batchLabel normalizes the snapshot's batch field: unbatched runs record
 // nothing, keeping them comparable to pre-batching baselines.
 func batchLabel(batch int) int {
@@ -339,49 +281,6 @@ func batchLabel(batch int) int {
 		return 0
 	}
 	return batch
-}
-
-// recoloringsReporter is the optional Driver interface summing the §6
-// recoloring counters across the scenario's communities; drivers that
-// implement it let the snapshot record recolorings_per_churn_op.
-type recoloringsReporter interface{ Recolorings() (int64, error) }
-
-// recoloringsOf probes a driver for its recoloring total. Probe errors read
-// as "not reported" — the metric is informational and must not fail a run
-// that completed.
-func recoloringsOf(d Driver) (int64, bool) {
-	r, ok := d.(recoloringsReporter)
-	if !ok {
-		return 0, false
-	}
-	n, err := r.Recolorings()
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// polyStatsReporter is the optional Driver interface summing live edges and
-// the worst max-gap ratio across a scenario's poly communities; drivers that
-// implement it let poly-scenario snapshots record totals.edges and
-// totals.max_gap_ratio.
-type polyStatsReporter interface {
-	PolyStats() (edges int64, maxGap float64, err error)
-}
-
-// polyStatsOf probes a driver for its poly totals. Probe errors read as "not
-// reported" — the metrics are informational and must not fail a completed
-// run.
-func polyStatsOf(d Driver) (int64, float64, bool) {
-	r, ok := d.(polyStatsReporter)
-	if !ok {
-		return 0, 0, false
-	}
-	edges, maxGap, err := r.PolyStats()
-	if err != nil {
-		return 0, 0, false
-	}
-	return edges, maxGap, true
 }
 
 // settledHeap reads the live-heap size after forcing a collection, so two

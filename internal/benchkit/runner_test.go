@@ -126,24 +126,19 @@ func TestRunThrottled(t *testing.T) {
 	}
 }
 
-// failingDriver serves window/next instantly but errors every churn op —
-// a stand-in for a regression that breaks one op class.
+// failingDriver serves window/next through the in-process driver but errors
+// every churn op — a stand-in for a regression that breaks one op class.
+// Only Do is overridden, so it suits unbatched runs.
 type failingDriver struct {
-	inner *InProcDriver
+	*InProcDriver
 }
 
-func (f *failingDriver) Name() string { return "inproc" }
-func (f *failingDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
-	return f.inner.Setup(sc, seed)
-}
-func (f *failingDriver) Do(op Op) error {
+func (f failingDriver) Do(op Op) error {
 	if op.Kind == OpMarry || op.Kind == OpDivorce {
 		return errTestChurnBroken
 	}
-	return f.inner.Do(op)
+	return f.InProcDriver.Do(op)
 }
-func (f *failingDriver) CacheStats() (int64, int64, error) { return f.inner.CacheStats() }
-func (f *failingDriver) Close() error                      { return f.inner.Close() }
 
 var errTestChurnBroken = &testError{"churn path broken"}
 
@@ -154,7 +149,7 @@ func (e *testError) Error() string { return e.msg }
 // TestRunErrorsExcludedFromQPS: ops that fail must not count toward the
 // gated throughput — failing fast never reads as a speedup.
 func TestRunErrorsExcludedFromQPS(t *testing.T) {
-	d := &failingDriver{inner: NewInProcDriver(service.New(service.Opts{}))}
+	d := failingDriver{NewInProcDriver(service.New(service.Opts{}))}
 	snap, err := Run(testScenario(), d, Options{Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)

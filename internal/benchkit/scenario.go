@@ -101,12 +101,6 @@ type Scenario struct {
 	Horizon int64
 	// Duration is the default run length (overridable per run).
 	Duration time.Duration
-	// Persist enables the durability subsystem on the in-process driver:
-	// the registry journals every churn op to a WAL in a temporary data
-	// directory, so the run prices the write-ahead hot-path cost. The HTTP
-	// driver ignores it (a live holidayd's durability is its own -data-dir
-	// configuration).
-	Persist bool
 	// ZipfS, when positive, skews community selection: community i (list
 	// order) is drawn with weight 1/(i+1)^ZipfS instead of uniformly. The
 	// mega family lists its giant communities first, so traffic
@@ -158,29 +152,22 @@ func (sc *Scenario) WithChurnFraction(f float64) (*Scenario, error) {
 
 // Scenarios returns the built-in named workloads, in presentation order.
 // "ci" is deliberately small: it is the workload the bench-gate CI job runs
-// on every PR; "ci-persist" is the identical workload derived with the
-// durability WAL enabled, so the two can never drift apart.
+// on every PR.
 func Scenarios() []*Scenario {
-	ci := &Scenario{
-		Name: "ci",
-		Desc: "small mixed read/churn workload sized for the CI regression gate",
-		Communities: []CommunitySpec{
-			{ID: "gnp-s", Spec: "gnp:n=128,p=0.05"},
-			{ID: "ring-s", Spec: "cycle:n=64"},
-			{ID: "clique-s", Spec: "clique:n=16"},
-		},
-		Mix:        OpMix{Window: 70, Next: 20, Marry: 6, Divorce: 4},
-		WindowSpan: 52,
-		Horizon:    1 << 20,
-		Duration:   2 * time.Second,
-	}
-	ciPersist := *ci
-	ciPersist.Name = "ci-persist"
-	ciPersist.Desc = "the ci workload with the durability WAL enabled (prices the write-ahead hot path)"
-	ciPersist.Persist = true
 	return []*Scenario{
-		ci,
-		&ciPersist,
+		{
+			Name: "ci",
+			Desc: "small mixed read/churn workload sized for the CI regression gate",
+			Communities: []CommunitySpec{
+				{ID: "gnp-s", Spec: "gnp:n=128,p=0.05"},
+				{ID: "ring-s", Spec: "cycle:n=64"},
+				{ID: "clique-s", Spec: "clique:n=16"},
+			},
+			Mix:        OpMix{Window: 70, Next: 20, Marry: 6, Divorce: 4},
+			WindowSpan: 52,
+			Horizon:    1 << 20,
+			Duration:   2 * time.Second,
+		},
 		{
 			Name: "read",
 			Desc: "read-only window/next traffic over mid-size communities (pure cache-hit path)",
