@@ -134,7 +134,8 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 	return c, nil
 }
 
-// validate checks the rules the flags state without reading any file.
+// validate checks the rules the flags state, the -demo spec's included,
+// without reading any file or generating the -demo graph.
 func (c *config) validate() error {
 	switch {
 	case c.addr == "":
@@ -153,6 +154,11 @@ func (c *config) validate() error {
 		return fmt.Errorf("-demo-kind %q: want %q or %q", c.demoKind, service.KindClassic, service.KindPoly)
 	case c.demoDemand < 1:
 		return errors.New("-demo-demand must be ≥ 1")
+	}
+	if c.demoSpec != "" {
+		if err := graph.CheckSpec(c.demoSpec); err != nil {
+			return fmt.Errorf("-demo: %w", err)
+		}
 	}
 	return nil
 }
@@ -291,10 +297,8 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 					}
 				})
 			}
-			sopts.Journal = store.Journal()
-			if w, ok := sopts.Journal.(interface{ Seq() uint64 }); ok {
-				sopts.Start = w.Seq()
-			}
+			wal := store.Journal()
+			sopts.Journal, sopts.Start = wal, wal.Seq()
 		}
 		var err error
 		if src, err = cluster.NewSource(sopts); err != nil {

@@ -217,6 +217,8 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 		{"peers without node id", []string{"-peers", peers}, "-node-id and -peers must be set together"},
 		{"unknown demo kind", []string{"-demo-kind", "throuple"}, `-demo-kind "throuple"`},
 		{"zero demo demand", []string{"-demo-demand", "0"}, "-demo-demand must be ≥ 1"},
+		{"malformed demo spec", []string{"-demo", "cycle:n"}, `bad parameter "n" in spec "cycle:n"`},
+		{"demo spec its generator cannot build", []string{"-demo", "cycle:n=2"}, "-demo: graph: spec \"cycle:n=2\": want n ≥ 3"},
 		{"follow without topology", []string{"-follow", "all"}, "-follow requires -node-id and -peers"},
 		{"missing topology file", []string{"-node-id", "a", "-peers", filepath.Join(tmp, "absent.json")}, "topology"},
 		{"self not in topology", []string{"-node-id", "z", "-peers", peers}, `self "z" is not in the topology`},

@@ -82,6 +82,20 @@ func seed(t *testing.T, owner *service.Owner, id string, families int) *service.
 // to the owner and is fenced.
 func assertMirror(t *testing.T, owner, replica *service.Owner, id string) {
 	t.Helper()
+	rc, ok := replica.Get(id)
+	if !ok {
+		t.Fatalf("replica has no community %s", id)
+	}
+	if !rc.Fenced() {
+		t.Fatalf("replicated community %s is not fenced", id)
+	}
+	assertSameAnswers(t, owner, replica, id)
+}
+
+// assertSameAnswers checks that two owners hold community id at the same
+// sequence and answer its window and next-happy queries byte-identically.
+func assertSameAnswers(t *testing.T, owner, replica *service.Owner, id string) {
+	t.Helper()
 	oc, ok := owner.Get(id)
 	if !ok {
 		t.Fatalf("owner lost community %s", id)
@@ -89,9 +103,6 @@ func assertMirror(t *testing.T, owner, replica *service.Owner, id string) {
 	rc, ok := replica.Get(id)
 	if !ok {
 		t.Fatalf("replica has no community %s", id)
-	}
-	if !rc.Fenced() {
-		t.Fatalf("replicated community %s is not fenced", id)
 	}
 	if oc.Seq() != rc.Seq() {
 		t.Fatalf("seq mismatch for %s: owner %d, replica %d", id, oc.Seq(), rc.Seq())
@@ -109,7 +120,12 @@ func assertMirror(t *testing.T, owner, replica *service.Owner, id string) {
 	if string(ob) != string(rb) {
 		t.Fatalf("window mismatch for %s:\nowner   %s\nreplica %s", id, ob, rb)
 	}
-	for v := 0; v < oc.Families(); v++ {
+	// Poly schedules serve their edges, classic ones their families.
+	sched, err := oc.Schedule()
+	if err != nil {
+		t.Fatalf("owner schedule: %v", err)
+	}
+	for v := 0; v < sched.(*core.ClassSchedule).Nodes(); v++ {
 		on, err := oc.NextHappy(v, 1)
 		if err != nil {
 			t.Fatalf("owner next: %v", err)

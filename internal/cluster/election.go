@@ -33,8 +33,6 @@ type DetectorOpts struct {
 	// Deadline is how long an owner may miss heartbeats before this node
 	// probes it and, on failure, runs an election; 0 means DefaultDeadline.
 	Deadline time.Duration
-	// Interval is the check cadence; 0 means Deadline/3.
-	Interval time.Duration
 	// Logf, when set, receives gossip/election diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -47,7 +45,6 @@ type Detector struct {
 	owner     *service.Owner
 	followers map[string]*Follower
 	deadline  time.Duration
-	interval  time.Duration
 	logf      func(string, ...any)
 	client    *service.Client
 
@@ -64,15 +61,11 @@ func NewDetector(o DetectorOpts) (*Detector, error) {
 	if o.Deadline <= 0 {
 		o.Deadline = DefaultDeadline
 	}
-	if o.Interval <= 0 {
-		o.Interval = o.Deadline / 3
-	}
 	return &Detector{
 		rt:        o.Router,
 		owner:     o.Owner,
 		followers: o.Followers,
 		deadline:  o.Deadline,
-		interval:  o.Interval,
 		logf:      o.Logf,
 		client:    service.NewClient(&http.Client{Timeout: 2 * time.Second}),
 		seen:      make(map[string]time.Time),
@@ -85,14 +78,14 @@ func (d *Detector) debugf(format string, args ...any) {
 	}
 }
 
-// Run gossips and detects until ctx is cancelled. It blocks; run it in a
-// goroutine.
+// Run gossips and detects three times per deadline until ctx is cancelled.
+// It blocks; run it in a goroutine.
 func (d *Detector) Run(ctx context.Context) {
 	now := time.Now()
 	for n := range d.followers {
 		d.seen[n] = now
 	}
-	t := time.NewTicker(d.interval)
+	t := time.NewTicker(d.deadline / 3)
 	defer t.Stop()
 	for {
 		select {

@@ -46,21 +46,21 @@ const subBuf = 4096
 // stream flushes in digestible chunks.
 const maxRecsPerFrame = 256
 
-// repRec is one replicated record: its journal sequence plus the marshaled
-// service.Record (the same JSON object wal.jsonl stores on the owner).
-type repRec struct {
-	seq  uint64
-	data []byte
+// ringRec is one ring entry: a replicated record (its journal sequence and
+// the same JSON object wal.jsonl stores on the owner) beside its community.
+type ringRec struct {
+	community string
+	wire.RawRecord
 }
 
 // SourceOpts configures NewSource.
 type SourceOpts struct {
 	// Owner is the community store snapshots are exported from (required).
 	Owner *service.Owner
-	// Journal is the durable journal the source wraps — usually the
-	// persist.WAL. Nil runs the source as the journal itself (in-memory
+	// Journal is the durable journal the source wraps, the persist.WAL in
+	// holidayd. Nil runs the source as the journal itself (in-memory
 	// sequence assignment, no disk), the no-durability configuration.
-	Journal service.Journal
+	Journal service.BatchJournal
 	// Start seeds the sequence counter (Journal.Seq() after recovery) so
 	// replication sequences line up with the WAL's.
 	Start uint64
@@ -81,20 +81,20 @@ type SourceOpts struct {
 }
 
 // Source is the owner half of the replication stream. It implements
-// service.Journal and service.BatchJournal: attach it (service.Opts.Journal)
-// in place of the raw WAL and every logged record is both durable and
-// replicated. Safe for concurrent use.
+// service.BatchJournal: attach it (service.Opts.Journal) in place of the
+// raw WAL and every logged record is both durable and replicated. Safe for
+// concurrent use.
 type Source struct {
 	owner      *service.Owner
-	inner      service.Journal
+	inner      service.BatchJournal
 	heartbeat  time.Duration
 	router     *service.Router
 	onTakeover func(id string)
 
 	mu    sync.Mutex
 	seq   uint64
-	ring  []repRec // circular buffer
-	start int      // index of the oldest record
+	ring  []ringRec // circular buffer
+	start int       // index of the oldest record
 	count int
 	subs  map[*subscriber]struct{}
 
@@ -106,7 +106,7 @@ type Source struct {
 
 // subscriber is one follower connection's send side.
 type subscriber struct {
-	ch   chan repRec
+	ch   chan wire.RawRecord
 	drop chan struct{} // closed when the fan-out gives up on a slow follower
 	once sync.Once
 }
@@ -131,7 +131,7 @@ func NewSource(o SourceOpts) (*Source, error) {
 		router:     o.Router,
 		onTakeover: o.OnTakeover,
 		seq:        o.Start,
-		ring:       make([]repRec, o.RingSize),
+		ring:       make([]ringRec, o.RingSize),
 		subs:       make(map[*subscriber]struct{}),
 	}, nil
 }
@@ -143,56 +143,29 @@ func (s *Source) Seq() uint64 {
 	return s.seq
 }
 
-// Log implements service.Journal: the record is logged to the wrapped
-// journal (write-ahead durability first), then ringed and fanned out. The
-// source mutex is held across the inner append so ring order always matches
-// sequence order — taking it after would let concurrent appends fan out
-// records out of order.
+// Log implements service.Journal as a batch of one.
 func (s *Source) Log(rec service.Record) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var seq uint64
-	if s.inner != nil {
-		var err error
-		if seq, err = s.inner.Log(rec); err != nil {
-			return 0, err
-		}
-	} else {
-		seq = s.seq + 1
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: encode replication record: %w", err)
-	}
-	s.seq = seq
-	s.pushLocked(repRec{seq: seq, data: data})
-	return seq, nil
+	return s.LogBatch([]service.Record{rec})
 }
 
-// LogBatch implements service.BatchJournal; the wrapped journal assigns
-// consecutive sequences (the BatchJournal contract), which is what lets the
-// batch fan out record-by-record.
+// LogBatch implements service.BatchJournal and is the source's one append:
+// the batch is logged to the wrapped journal (write-ahead durability
+// first), which assigns it consecutive sequences, then each record is
+// ringed and fanned out. The source mutex is held across the inner append
+// so ring order always matches sequence order — taking it after would let
+// concurrent appends fan out records out of order.
 func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
-	if len(recs) == 0 {
-		return s.Seq(), nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var last uint64
-	if bj, ok := s.inner.(service.BatchJournal); ok {
+	if len(recs) == 0 {
+		return s.seq, nil
+	}
+	last := s.seq + uint64(len(recs))
+	if s.inner != nil {
 		var err error
-		if last, err = bj.LogBatch(recs); err != nil {
+		if last, err = s.inner.LogBatch(recs); err != nil {
 			return 0, err
 		}
-	} else if s.inner != nil {
-		for _, rec := range recs {
-			var err error
-			if last, err = s.inner.Log(rec); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		last = s.seq + uint64(len(recs))
 	}
 	first := last - uint64(len(recs)) + 1
 	for i, rec := range recs {
@@ -200,14 +173,14 @@ func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("cluster: encode replication record: %w", err)
 		}
-		s.pushLocked(repRec{seq: first + uint64(i), data: data})
+		s.pushLocked(ringRec{community: rec.ID, RawRecord: wire.RawRecord{Seq: first + uint64(i), Data: data}})
 	}
 	s.seq = last
 	return last, nil
 }
 
 // pushLocked appends a record to the ring and fans it out; caller holds mu.
-func (s *Source) pushLocked(r repRec) {
+func (s *Source) pushLocked(r ringRec) {
 	if s.count == len(s.ring) {
 		s.ring[s.start] = r
 		s.start = (s.start + 1) % len(s.ring)
@@ -217,7 +190,7 @@ func (s *Source) pushLocked(r repRec) {
 	}
 	for sub := range s.subs {
 		select {
-		case sub.ch <- r:
+		case sub.ch <- r.RawRecord:
 		default:
 			// The follower is not draining: drop it rather than stall the
 			// write path; it reconnects through catch-up.
@@ -227,25 +200,6 @@ func (s *Source) pushLocked(r repRec) {
 	}
 }
 
-// backlogLocked copies the ring records with sequence > fromSeq; caller
-// holds mu. covered reports whether the ring (plus fromSeq itself) reaches
-// back far enough — when false the subscriber needs the snapshot path
-// first.
-func (s *Source) backlogLocked(fromSeq uint64) (recs []repRec, covered bool) {
-	if s.count == 0 {
-		return nil, fromSeq >= s.seq
-	}
-	oldest := s.ring[s.start].seq
-	covered = fromSeq+1 >= oldest
-	for i := 0; i < s.count; i++ {
-		r := s.ring[(s.start+i)%len(s.ring)]
-		if r.seq > fromSeq {
-			recs = append(recs, r)
-		}
-	}
-	return recs, covered
-}
-
 // TailFor copies the ring records for one community with sequences in
 // (after, through]. covered reports whether the ring reaches back far
 // enough that no record in that range can have been evicted — when false
@@ -253,20 +207,22 @@ func (s *Source) backlogLocked(fromSeq uint64) (recs []repRec, covered bool) {
 func (s *Source) TailFor(community string, after, through uint64) (recs []wire.RawRecord, covered bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.tailLocked(community, after, through)
+}
+
+// tailLocked is the one ring walk, behind follower catch-up and TailFor:
+// it copies the records with sequences in (after, through], only
+// community's unless community is "" (no community has the empty id),
+// and decodes none of them. Caller holds mu.
+func (s *Source) tailLocked(community string, after, through uint64) (recs []wire.RawRecord, covered bool) {
 	if s.count == 0 {
 		return nil, after >= s.seq
 	}
-	covered = after+1 >= s.ring[s.start].seq
+	covered = after+1 >= s.ring[s.start].Seq
 	for i := 0; i < s.count; i++ {
-		r := s.ring[(s.start+i)%len(s.ring)]
-		if r.seq <= after || r.seq > through {
-			continue
-		}
-		var rec struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(r.data, &rec) == nil && rec.ID == community {
-			recs = append(recs, wire.RawRecord{Seq: r.seq, Data: r.data})
+		r := &s.ring[(s.start+i)%len(s.ring)]
+		if r.Seq > after && r.Seq <= through && (community == "" || r.community == community) {
+			recs = append(recs, r.RawRecord)
 		}
 	}
 	return recs, covered
@@ -348,10 +304,10 @@ func (s *Source) handle(conn net.Conn) {
 	// and community exports below reflect at least the watermark — between
 	// the three every sequence reaches the follower at least once, and
 	// Apply's idempotence absorbs the overlaps.
-	sub := &subscriber{ch: make(chan repRec, subBuf), drop: make(chan struct{})}
+	sub := &subscriber{ch: make(chan wire.RawRecord, subBuf), drop: make(chan struct{})}
 	s.mu.Lock()
-	backlog, covered := s.backlogLocked(fromSeq)
 	watermark := s.seq
+	backlog, covered := s.tailLocked("", fromSeq, watermark)
 	s.subs[sub] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
@@ -396,21 +352,14 @@ func (s *Source) handle(conn net.Conn) {
 		}
 	}
 	sent := fromSeq
-	flush := func(recs []repRec) bool {
+	flush := func(recs []wire.RawRecord) bool {
 		for len(recs) > 0 {
-			n := len(recs)
-			if n > maxRecsPerFrame {
-				n = maxRecsPerFrame
-			}
-			buf = buf[:0]
-			raw := make([]wire.RawRecord, n)
-			for i, r := range recs[:n] {
-				raw[i] = wire.RawRecord{Seq: r.seq, Data: r.data}
-			}
-			if !write(wire.AppendRecords(buf, raw)) {
+			n := min(len(recs), maxRecsPerFrame)
+			buf = wire.AppendRecords(buf[:0], recs[:n])
+			if !write(buf) {
 				return false
 			}
-			sent = recs[n-1].seq
+			sent = recs[n-1].Seq
 			recs = recs[n:]
 		}
 		return true
@@ -430,23 +379,18 @@ func (s *Source) handle(conn net.Conn) {
 
 	ticker := time.NewTicker(s.heartbeat)
 	defer ticker.Stop()
-	var pending []repRec
+	var pending []wire.RawRecord
 	for {
 		pending = pending[:0]
 		select {
 		case r := <-sub.ch:
+			// Take whatever else is queued too, so a busy stream coalesces
+			// into batched frames; this goroutine is the only receiver, so
+			// the queued records are there to take.
 			pending = append(pending, r)
-			// Drain whatever else is queued so a busy stream coalesces into
-			// batched frames.
-			for len(pending) < subBuf {
-				select {
-				case r := <-sub.ch:
-					pending = append(pending, r)
-				default:
-					goto drained
-				}
+			for n := len(sub.ch); n > 0; n-- {
+				pending = append(pending, <-sub.ch)
 			}
-		drained:
 			if !flush(pending) {
 				return
 			}

@@ -1,0 +1,198 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"net"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/persist"
+	"repro/internal/service"
+)
+
+// TestTailFor: the ring walk behind a handoff's tail keeps one community's
+// records with sequences in (after, through], hands back the bytes it
+// fanned out, and reports the range uncovered once the ring has wrapped
+// past after.
+func TestTailFor(t *testing.T) {
+	src, err := NewSource(SourceOpts{Owner: service.New(service.Opts{}), RingSize: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marry := func(id string, u int) service.Record {
+		return service.Record{Op: service.OpMarry, ID: id, U: u, V: u + 1}
+	}
+	logged := func(seq uint64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sequences 1–6 as a b a a b a, through both appends.
+	logged(src.Log(marry("a", 0)))
+	logged(src.LogBatch([]service.Record{marry("b", 0), marry("a", 1)}))
+	logged(src.Log(marry("a", 2)))
+	logged(src.LogBatch([]service.Record{marry("b", 1), marry("a", 3)}))
+
+	type tail struct {
+		seqs    []uint64
+		covered bool
+	}
+	type tailCase struct {
+		community      string
+		after, through uint64
+		want           tail
+	}
+	tailFor := func(community string, after, through uint64) tail {
+		recs, covered := src.TailFor(community, after, through)
+		var seqs []uint64
+		for _, r := range recs {
+			var rec service.Record
+			if err := json.Unmarshal(r.Data, &rec); err != nil || rec.ID != community {
+				t.Fatalf("TailFor(%q) returned seq %d holding %s (%v)", community, r.Seq, r.Data, err)
+			}
+			seqs = append(seqs, r.Seq)
+		}
+		return tail{seqs, covered}
+	}
+	cases := []tailCase{
+		{"a", 0, 6, tail{[]uint64{1, 3, 4, 6}, true}},
+		{"a", 1, 4, tail{[]uint64{3, 4}, true}},
+		{"b", 0, 6, tail{[]uint64{2, 5}, true}},
+		{"b", 2, 4, tail{nil, true}},
+		{"c", 0, 6, tail{nil, true}},
+	}
+	for _, tc := range cases {
+		if got := tailFor(tc.community, tc.after, tc.through); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("TailFor(%q, %d, %d) = %+v, want %+v", tc.community, tc.after, tc.through, got, tc.want)
+		}
+	}
+
+	// Two more records evict sequences 1 and 2: the ring now holds 3–8.
+	logged(src.LogBatch([]service.Record{marry("b", 2), marry("a", 4)}))
+	cases = []tailCase{
+		{"a", 2, 8, tail{[]uint64{3, 4, 6, 8}, true}},
+		{"a", 1, 8, tail{[]uint64{3, 4, 6, 8}, false}},
+		{"b", 0, 8, tail{[]uint64{5, 7}, false}},
+		{"b", 5, 7, tail{[]uint64{7}, true}},
+	}
+	for _, tc := range cases {
+		if got := tailFor(tc.community, tc.after, tc.through); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("after wrapping, TailFor(%q, %d, %d) = %+v, want %+v", tc.community, tc.after, tc.through, got, tc.want)
+		}
+	}
+
+	// An empty ring covers exactly the range at or past its sequence.
+	empty, err := NewSource(SourceOpts{Owner: service.New(service.Opts{}), Start: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, covered := empty.TailFor("a", 5, 9); len(recs) != 0 || !covered {
+		t.Errorf("empty ring TailFor(a, 5, 9) = %v, %v; want none, covered", recs, covered)
+	}
+	if _, covered := empty.TailFor("a", 4, 9); covered {
+		t.Error("empty ring claims to cover sequence 5, which it never held")
+	}
+}
+
+// TestSourceOverWAL runs holidayd's cluster configuration with -data-dir:
+// a Source wrapping the persist WAL is the owner's journal. Single ops, a
+// ChurnBatch, creates of both kinds and a delete must keep the Source's
+// sequence equal to the WAL's after every write, a follower must mirror
+// the owner, and a reopened store must answer like the owner.
+func TestSourceOverWAL(t *testing.T) {
+	dir := t.TempDir()
+	store, err := persist.Open(dir, persist.Options{Sync: persist.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := store.Journal()
+	src, err := NewSource(SourceOpts{Owner: owner, Journal: wal, Start: wal.Seq(), Heartbeat: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.SetJournal(src)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go src.Serve(ln)
+	defer src.Close()
+	replica := service.New(service.Opts{})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Node: "b", Addr: ln.Addr().String(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go fol.Run(ctx)
+
+	wrote := func(step string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if s, w := src.Seq(), wal.Seq(); s != w || s == 0 {
+			t.Fatalf("after %s: source seq %d, WAL seq %d", step, s, w)
+		}
+	}
+	alpha, err := owner.Create("alpha", 6, [][2]int{{0, 1}, {1, 2}}, "")
+	wrote("create alpha", err)
+	_, err = alpha.Marry(0, 2)
+	wrote("marry", err)
+	_, _, err = alpha.Divorce(0, 1)
+	wrote("divorce", err)
+	_, err = alpha.AddFamily()
+	wrote("add family", err)
+	_, err = alpha.ChurnBatch([]core.Edit{
+		{Op: core.EditInsert, U: 1, V: 3},
+		{Op: core.EditInsert, U: 2, V: 4},
+		{Op: core.EditDelete, U: 0, V: 2},
+		{Op: core.EditInsert, U: 5, V: 6},
+	}, nil)
+	wrote("churn batch", err)
+	poly, err := owner.CreateSpec(service.CreateSpec{ID: "poly", Kind: service.KindPoly, Families: 4,
+		Edges: [][2]int{{0, 1}, {2, 3}}, DefaultDemand: 8})
+	wrote("create poly", err)
+	_, err = poly.MarryDemand(1, 2, 4)
+	wrote("poly marry", err)
+	_, err = owner.Create("gamma", 3, nil, "")
+	wrote("create gamma", err)
+	_, err = owner.Delete("gamma")
+	wrote("delete gamma", err)
+
+	want := src.Seq()
+	waitFor(t, "replication", func() bool { return fol.Applied() >= want })
+	for _, id := range []string{"alpha", "poly"} {
+		assertMirror(t, owner, replica, id)
+	}
+	if _, ok := replica.Get("gamma"); ok {
+		t.Fatal("replica kept the deleted community")
+	}
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	restored, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.List(), []string{"alpha", "poly"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store holds %v, want %v", got, want)
+	}
+	for _, id := range []string{"alpha", "poly"} {
+		assertSameAnswers(t, owner, restored, id)
+	}
+}

@@ -49,8 +49,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzParseSpec checks the spec parser never panics and that produced
-// graphs are well-formed.
+// FuzzParseSpec checks the spec parser never panics, that CheckSpec agrees
+// with it, and that produced graphs are well-formed.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		"clique:n=5", "gnp:n=10,p=0.5", "grid:r=2,c=3", "star", "x",
@@ -59,22 +59,16 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		defer func() {
-			// Generators panic on structurally invalid parameters (e.g.
-			// cycle:n=1); the parser contract allows that for out-of-domain
-			// values, so recover and skip.
-			_ = recover()
-		}()
 		if len(spec) > 64 {
 			return // keep generator sizes sane
 		}
-		// Skip specs with long digit runs: a 5+-digit n would make the
-		// generators build enormous graphs inside the fuzzer.
+		// Skip specs with long digit runs: a 4+-digit size would let one
+		// input build a graph of well over a million edges.
 		digits := 0
 		for i := 0; i < len(spec); i++ {
 			if spec[i] >= '0' && spec[i] <= '9' {
 				digits++
-				if digits > 4 {
+				if digits > 3 {
 					return
 				}
 			} else {
@@ -82,7 +76,10 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 		g, err := ParseSpec(spec, 3)
-		if err != nil || g == nil {
+		if cerr := CheckSpec(spec); (cerr == nil) != (err == nil) {
+			t.Fatalf("spec %q: ParseSpec error %v, CheckSpec error %v", spec, err, cerr)
+		}
+		if err != nil {
 			return
 		}
 		for v := 0; v < g.N(); v++ {

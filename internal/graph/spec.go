@@ -14,13 +14,33 @@ import (
 //	gnp:n=100,p=0.05      regular:n=64,d=4    powerlaw:n=100,m=3
 //	bipartite:a=10,b=10,p=0.2                 unitdisk:n=100,r=0.1
 //
-// The seed drives all randomized families. Used by cmd/holiday and
-// cmd/graphgen.
+// The seed drives all randomized families. A spec whose parameters the
+// family's generator cannot build (a negative size, cycle:n=2,
+// regular:n=5,d=3, powerlaw:n=3,m=3) is an error, never a panic. Used by
+// cmd/holiday, cmd/graphgen, cmd/holidayd and benchkit.
 func ParseSpec(spec string, seed uint64) (*Graph, error) {
-	name, params := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, params = spec[:i], spec[i+1:]
+	gen, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
+	return gen(seed), nil
+}
+
+// CheckSpec returns the error ParseSpec would return for spec without
+// generating the graph, so a command line can be rejected before any work
+// that depends on it.
+func CheckSpec(spec string) error {
+	_, err := parseSpec(spec)
+	return err
+}
+
+// parseSpec is the one parse step behind ParseSpec and CheckSpec: it reads
+// the family and its parameters, range-checks them, and returns the
+// generator. The checks reject exactly the values that would make the
+// generator panic or a size negative; anything else the generator accepts
+// (gnp:n=10,p=2 is a clique) still generates.
+func parseSpec(spec string) (func(seed uint64) *Graph, error) {
+	name, params, _ := strings.Cut(spec, ":")
 	kv := map[string]string{}
 	if params != "" {
 		for _, part := range strings.Split(params, ",") {
@@ -31,97 +51,95 @@ func ParseSpec(spec string, seed uint64) (*Graph, error) {
 			kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
 		}
 	}
-	getInt := func(key string, def int) (int, error) {
+	var err error   // the first parameter that does not parse
+	var rule string // the first range rule the parameters break
+	getInt := func(key string, def int) int {
 		s, ok := kv[key]
 		if !ok {
-			return def, nil
+			return def
 		}
-		return strconv.Atoi(s)
+		v, perr := strconv.Atoi(s)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("graph: spec %q: %s: %w", spec, key, perr)
+		}
+		return v
 	}
-	getFloat := func(key string, def float64) (float64, error) {
+	getFloat := func(key string, def float64) float64 {
 		s, ok := kv[key]
 		if !ok {
-			return def, nil
+			return def
 		}
-		return strconv.ParseFloat(s, 64)
+		v, perr := strconv.ParseFloat(s, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("graph: spec %q: %s: %w", spec, key, perr)
+		}
+		return v
 	}
-	n, err := getInt("n", 32)
+	check := func(ok bool, r string) {
+		if !ok && rule == "" {
+			rule = r
+		}
+	}
+	n := getInt("n", 32)
+	switch name {
+	case "clique", "path", "star", "empty", "tree", "gnp", "unitdisk":
+		check(n >= 0, "n ≥ 0")
+	}
+	var gen func(seed uint64) *Graph
+	switch name {
+	case "clique":
+		gen = func(uint64) *Graph { return Clique(n) }
+	case "cycle":
+		check(n >= 3, "n ≥ 3")
+		gen = func(uint64) *Graph { return Cycle(n) }
+	case "path":
+		gen = func(uint64) *Graph { return Path(n) }
+	case "star":
+		gen = func(uint64) *Graph { return Star(n) }
+	case "empty":
+		gen = func(uint64) *Graph { return Empty(n) }
+	case "grid":
+		r, c := getInt("r", 8), getInt("c", 8)
+		check(r >= 0 && c >= 0, "r ≥ 0 and c ≥ 0")
+		gen = func(uint64) *Graph { return Grid(r, c) }
+	case "tree":
+		gen = func(seed uint64) *Graph { return RandomTree(n, seed) }
+	case "gnp":
+		p := getFloat("p", 0.05)
+		gen = func(seed uint64) *Graph { return GNP(n, p, seed) }
+	case "regular":
+		d := getInt("d", 4)
+		check(0 <= d && d < n, "0 ≤ d < n")
+		check(n*d%2 == 0, "n·d even")
+		gen = func(seed uint64) *Graph { return RandomRegular(n, d, seed) }
+	case "powerlaw":
+		m := getInt("m", 3)
+		check(1 <= m && m < n, "1 ≤ m < n")
+		gen = func(seed uint64) *Graph { return PreferentialAttachment(n, m, seed) }
+	case "bipartite":
+		a, b, p := getInt("a", 16), getInt("b", 16), getFloat("p", 0.2)
+		check(a >= 0 && b >= 0, "a ≥ 0 and b ≥ 0")
+		gen = func(seed uint64) *Graph { return RandomBipartite(a, b, p, seed) }
+	case "completebipartite":
+		a, b := getInt("a", 8), getInt("b", 8)
+		check(a >= 0 && b >= 0, "a ≥ 0 and b ≥ 0")
+		gen = func(uint64) *Graph { return CompleteBipartite(a, b) }
+	case "unitdisk":
+		r := getFloat("r", 0.1)
+		gen = func(seed uint64) *Graph {
+			g, _ := UnitDisk(n, r, seed)
+			return g
+		}
+	default:
+		if err == nil {
+			err = fmt.Errorf("graph: unknown family %q (see ParseSpec doc for choices)", name)
+		}
+	}
+	if err == nil && rule != "" {
+		err = fmt.Errorf("graph: spec %q: want %s", spec, rule)
+	}
 	if err != nil {
 		return nil, err
 	}
-	switch name {
-	case "clique":
-		return Clique(n), nil
-	case "cycle":
-		return Cycle(n), nil
-	case "path":
-		return Path(n), nil
-	case "star":
-		return Star(n), nil
-	case "empty":
-		return Empty(n), nil
-	case "grid":
-		r, err := getInt("r", 8)
-		if err != nil {
-			return nil, err
-		}
-		c, err := getInt("c", 8)
-		if err != nil {
-			return nil, err
-		}
-		return Grid(r, c), nil
-	case "tree":
-		return RandomTree(n, seed), nil
-	case "gnp":
-		p, err := getFloat("p", 0.05)
-		if err != nil {
-			return nil, err
-		}
-		return GNP(n, p, seed), nil
-	case "regular":
-		d, err := getInt("d", 4)
-		if err != nil {
-			return nil, err
-		}
-		return RandomRegular(n, d, seed), nil
-	case "powerlaw":
-		m, err := getInt("m", 3)
-		if err != nil {
-			return nil, err
-		}
-		return PreferentialAttachment(n, m, seed), nil
-	case "bipartite":
-		a, err := getInt("a", 16)
-		if err != nil {
-			return nil, err
-		}
-		b, err := getInt("b", 16)
-		if err != nil {
-			return nil, err
-		}
-		p, err := getFloat("p", 0.2)
-		if err != nil {
-			return nil, err
-		}
-		return RandomBipartite(a, b, p, seed), nil
-	case "completebipartite":
-		a, err := getInt("a", 8)
-		if err != nil {
-			return nil, err
-		}
-		b, err := getInt("b", 8)
-		if err != nil {
-			return nil, err
-		}
-		return CompleteBipartite(a, b), nil
-	case "unitdisk":
-		r, err := getFloat("r", 0.1)
-		if err != nil {
-			return nil, err
-		}
-		g, _ := UnitDisk(n, r, seed)
-		return g, nil
-	default:
-		return nil, fmt.Errorf("graph: unknown family %q (see ParseSpec doc for choices)", name)
-	}
+	return gen, nil
 }

@@ -1,12 +1,14 @@
 package persist
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/service"
@@ -614,5 +616,105 @@ func TestWALLogBatchSequencesAndSync(t *testing.T) {
 	}
 	if recs[2].Op != service.OpDivorce {
 		t.Fatalf("record 3 op = %q, want divorce", recs[2].Op)
+	}
+}
+
+// walRecords is a mix of every op, a poly create included, for the WAL
+// append tests.
+func walRecords() []service.Record {
+	return []service.Record{
+		{Op: service.OpCreate, ID: "c", N: 4, Edges: ringEdges(4), Code: "omega"},
+		{Op: service.OpCreate, ID: "p", N: 3, Edges: [][2]int{{0, 1}, {1, 2}}, Code: "layering",
+			Kind: service.KindPoly, Demands: []int64{4, 8}, DefaultDemand: 16},
+		{Op: service.OpMarry, ID: "c", U: 0, V: 2},
+		{Op: service.OpMarry, ID: "p", U: 0, V: 2, Demand: 2},
+		{Op: service.OpAddFamily, ID: "c"},
+		{Op: service.OpDivorce, ID: "c", U: 0, V: 1},
+		{Op: service.OpDelete, ID: "p"},
+	}
+}
+
+// TestWALLogMatchesLogBatchBytes: Log is a batch of one, so records
+// appended one by one leave a file byte-identical to the same records
+// appended in one LogBatch.
+func TestWALLogMatchesLogBatchBytes(t *testing.T) {
+	recs := walRecords()
+	one, batch := filepath.Join(t.TempDir(), "one.jsonl"), filepath.Join(t.TempDir(), "batch.jsonl")
+	w, _, err := openWAL(one, SyncBatch, time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if seq, err := w.Log(rec); err != nil || seq != uint64(i+1) {
+			t.Fatalf("Log record %d = %d, %v", i, seq, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err = openWAL(batch, SyncBatch, time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, err := w.LogBatch(recs); err != nil || last != uint64(len(recs)) {
+		t.Fatalf("LogBatch = %d, %v; want %d", last, err, len(recs))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("Log wrote\n%s\nLogBatch wrote\n%s", a, b)
+	}
+}
+
+// TestWALFailedWriteFailStops: a failed buffered write fail-stops the WAL
+// whichever append hit it, so both appends then refuse with the fail-stop,
+// and the message names the write, not an fsync.
+func TestWALFailedWriteFailStops(t *testing.T) {
+	// Larger than bufio's 4 KiB buffer, so the append writes through to
+	// the closed file instead of buffering.
+	big := service.Record{Op: service.OpAddFamily, ID: strings.Repeat("x", 5000)}
+	appends := map[string]func(w *WAL) error{
+		"Log": func(w *WAL) error {
+			_, err := w.Log(big)
+			return err
+		},
+		"LogBatch": func(w *WAL) error {
+			_, err := w.LogBatch([]service.Record{big})
+			return err
+		},
+	}
+	for name, failing := range appends {
+		t.Run(name, func(t *testing.T) {
+			w, _, err := openWAL(filepath.Join(t.TempDir(), "wal.jsonl"), SyncBatch, time.Hour, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := failing(w); err == nil {
+				t.Fatal("append to a closed file succeeded")
+			}
+			for nextName, next := range appends {
+				err := next(w)
+				if err == nil || !strings.Contains(err.Error(), "fail-stopped") ||
+					!strings.Contains(err.Error(), "append WAL batch") || strings.Contains(err.Error(), "fsync") {
+					t.Fatalf("%s after the failed write: err = %v, want a fail-stop naming the write", nextName, err)
+				}
+			}
+			if got := w.Seq(); got != 0 {
+				t.Fatalf("failed append advanced the sequence to %d", got)
+			}
+		})
 	}
 }

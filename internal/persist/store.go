@@ -122,9 +122,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Journal returns the WAL as the owner's journal hook: pass it to
-// Owner.SetJournal or Opts.Journal (Load already attaches it).
-func (s *Store) Journal() service.Journal { return s.wal }
+// Journal returns the WAL, the owner's journal hook: pass it to
+// Owner.SetJournal or Opts.Journal (Load already attaches it), or wrap it
+// in a replication source.
+func (s *Store) Journal() *WAL { return s.wal }
 
 // Load reconstructs a registry from the snapshot plus the WAL records newer
 // than it, then attaches the WAL as the registry's journal so subsequent

@@ -35,9 +35,9 @@ const (
 	SyncAlways
 )
 
-// WAL is the append-only churn log. It implements service.Journal, so
+// WAL is the append-only churn log. It implements service.BatchJournal, so
 // attaching it to an owner (Owner.SetJournal) makes every mutation
-// durable. Safe for concurrent Log calls.
+// durable. Safe for concurrent appends.
 type WAL struct {
 	mu     sync.Mutex
 	f      *os.File
@@ -45,11 +45,13 @@ type WAL struct {
 	seq    uint64 // last assigned sequence
 	dirty  bool   // buffered-but-unsynced records exist
 	closed bool
-	// failed fail-stops the WAL after a SyncAlways fsync error: the record
-	// may or may not be durable while the caller was told it failed, so
-	// accepting further appends would let memory and log diverge op after
-	// op. A restart (which replays the log as truth) clears the condition.
-	failed bool
+	// failed, once set, fail-stops the WAL with the error that caused it: a
+	// failed buffered write or SyncAlways fsync. Records may sit in the file
+	// or buffer while the caller was told they failed, and after a failed
+	// write under sequences never assigned, so further appends would let
+	// memory and log diverge or regress the on-disk order. A restart (which
+	// replays the log as truth, torn tail included) clears the condition.
+	failed error
 
 	policy   SyncPolicy
 	interval time.Duration
@@ -139,85 +141,51 @@ func scanWAL(path string) ([]walRecord, int64, error) {
 	return recs, end, nil
 }
 
-// Log implements service.Journal: assign the next sequence, append the
-// record, and — under SyncAlways — flush and fsync before acknowledging.
-// Under SyncBatch the background flusher syncs the batch within
-// Options.SyncInterval.
+// Log implements service.Journal as a batch of one.
 func (w *WAL) Log(rec service.Record) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fmt.Errorf("persist: WAL is closed")
-	}
-	if w.failed {
-		return 0, fmt.Errorf("persist: WAL fail-stopped after an fsync error; restart to recover")
-	}
-	w.seq++
-	line, err := json.Marshal(walRecord{Seq: w.seq, Record: rec})
-	if err != nil {
-		w.seq--
-		return 0, fmt.Errorf("persist: encode WAL record: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := w.w.Write(line); err != nil {
-		w.seq--
-		return 0, fmt.Errorf("persist: append WAL record: %w", err)
-	}
-	w.dirty = true
-	if w.policy == SyncAlways {
-		if err := w.syncLocked(); err != nil {
-			// The record is in the file or buffer but not known durable,
-			// and the caller will treat the op as failed: fail-stop so the
-			// divergence is bounded to this one record (replay resolves it
-			// on restart).
-			w.failed = true
-			return 0, err
-		}
-	}
-	return w.seq, nil
+	return w.LogBatch([]service.Record{rec})
 }
 
-// LogBatch implements service.BatchJournal: assign K consecutive sequences
-// and append all K records under one mutex acquisition, one buffered write,
-// and — under SyncAlways — one fsync for the whole batch. This is the
-// group-commit amortization the batched churn path is built on: a flush of K
-// edits costs one disk round instead of K. Returns the sequence of the last
-// record. Every record is marshaled before any byte is written, so an
-// encoding error leaves the log untouched.
+// LogBatch implements service.BatchJournal and is the WAL's one append:
+// assign K consecutive sequences and append all K records under one mutex
+// acquisition, one buffered write, and — under SyncAlways — one fsync for
+// the whole batch, so a flush of K edits costs one disk round instead of K.
+// Under SyncBatch the background flusher syncs within
+// Options.SyncInterval. Returns the sequence of the last record. Every
+// record is marshaled before any byte is written, so an encoding error
+// leaves the log untouched; a failed write or fsync fail-stops the WAL.
 func (w *WAL) LogBatch(recs []service.Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, fmt.Errorf("persist: WAL is closed")
 	}
-	if w.failed {
-		return 0, fmt.Errorf("persist: WAL fail-stopped after an fsync error; restart to recover")
+	if w.failed != nil {
+		return 0, fmt.Errorf("persist: WAL fail-stopped; restart to recover: %w", w.failed)
 	}
 	if len(recs) == 0 {
 		return w.seq, nil
 	}
-	buf := make([]byte, 0, 96*len(recs))
+	var buf []byte // a batch of one is written from Marshal's own buffer
 	for i, rec := range recs {
 		line, err := json.Marshal(walRecord{Seq: w.seq + uint64(i) + 1, Record: rec})
 		if err != nil {
 			return 0, fmt.Errorf("persist: encode WAL record %d of batch: %w", i, err)
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+		if i > 0 {
+			line = append(buf, line...)
+		}
+		buf = append(line, '\n')
 	}
 	if _, err := w.w.Write(buf); err != nil {
-		// Some prefix of the batch may sit in the buffer; the sequences were
-		// never assigned (w.seq is untouched), so the next append would
-		// regress the on-disk order. Fail-stop like a SyncAlways error and
-		// let restart-time replay (which tolerates a torn tail) resolve it.
-		w.failed = true
-		return 0, fmt.Errorf("persist: append WAL batch: %w", err)
+		w.failed = fmt.Errorf("persist: append WAL batch: %w", err)
+		return 0, w.failed
 	}
 	w.seq += uint64(len(recs))
 	w.dirty = true
 	if w.policy == SyncAlways {
 		if err := w.syncLocked(); err != nil {
-			w.failed = true
+			w.failed = err
 			return 0, err
 		}
 	}
@@ -269,7 +237,7 @@ func (w *WAL) flusher() {
 			return
 		case <-t.C:
 			if w.policy == SyncBatch {
-				_ = w.Sync() // an I/O error here resurfaces on the next Log/Sync/Close
+				_ = w.Sync() // an I/O error here resurfaces on the next append, Sync or Close
 			}
 		}
 	}
@@ -343,7 +311,7 @@ func (w *WAL) compactThrough(path string, cutoff uint64) error {
 }
 
 // Close syncs outstanding records, stops the flusher, and closes the file.
-// Further Log calls fail.
+// Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {

@@ -51,8 +51,8 @@ func (c *Community) ChurnBatch(edits []core.Edit, out []core.EditResult) (recolo
 	// change the edge set) is predicted by replaying the batch against
 	// current adjacency plus an in-batch overlay, so only effective edits
 	// are logged, without applying first.
-	if c.reg != nil && c.reg.getJournal() != nil {
-		if err := c.logBatchLocked(c.effectiveRecords(edits)); err != nil {
+	if j := c.reg.getJournal(); j != nil {
+		if err := c.logLocked(j, c.effectiveRecords(edits)...); err != nil {
 			return 0, err
 		}
 	}
@@ -97,33 +97,4 @@ func (c *Community) effectiveRecords(edits []core.Edit) []Record {
 		}
 	}
 	return recs
-}
-
-// logBatchLocked write-ahead logs a flush's effective records, in one append
-// when the journal supports it, and advances the community's sequence to the
-// last record's. Caller holds c.mu.
-func (c *Community) logBatchLocked(recs []Record) error {
-	if len(recs) == 0 || c.reg == nil {
-		return nil
-	}
-	j := c.reg.getJournal()
-	if j == nil {
-		return nil
-	}
-	if bj, ok := j.(BatchJournal); ok {
-		seq, err := bj.LogBatch(recs)
-		if err != nil {
-			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
-		}
-		c.seq = seq
-		return nil
-	}
-	for _, rec := range recs {
-		seq, err := j.Log(rec)
-		if err != nil {
-			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
-		}
-		c.seq = seq
-	}
-	return nil
 }

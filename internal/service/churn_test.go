@@ -329,7 +329,8 @@ func (j *batchingJournal) LogBatch(recs []Record) (uint64, error) {
 }
 
 // TestChurnBatchUsesBatchJournal: a journal implementing BatchJournal gets
-// one LogBatch call per flush, not K Log calls.
+// one LogBatch call per flush, not K Log calls, and single ops reach it
+// through the same append.
 func TestChurnBatchUsesBatchJournal(t *testing.T) {
 	reg := New(Opts{})
 	j := &batchingJournal{}
@@ -353,5 +354,47 @@ func TestChurnBatchUsesBatchJournal(t *testing.T) {
 	}
 	if c.Seq() != j.seq {
 		t.Fatalf("community seq %d, journal seq %d", c.Seq(), j.seq)
+	}
+	if _, _, err := c.Divorce(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if j.batches != 2 || c.Seq() != 5 {
+		t.Fatalf("after a single op: %d LogBatch calls, community seq %d; want 2, 5", j.batches, c.Seq())
+	}
+}
+
+// failingAfter is a plain Journal that accepts limit records, then fails.
+type failingAfter struct {
+	memJournal
+	limit int
+}
+
+func (j *failingAfter) Log(rec Record) (uint64, error) {
+	if len(j.recs) == j.limit {
+		return 0, errors.New("disk full")
+	}
+	return j.memJournal.Log(rec)
+}
+
+// TestChurnBatchRecordByRecordFailure: a journal without LogBatch is fed a
+// flush record by record, and when it fails partway the community's
+// sequence stands at the last record it accepted, never below it.
+func TestChurnBatchRecordByRecordFailure(t *testing.T) {
+	reg := New(Opts{})
+	j := &failingAfter{limit: 3} // the create and two of the batch's records
+	reg.SetJournal(j)
+	c, err := reg.Create("c", 8, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ChurnBatch([]core.Edit{
+		{Op: core.EditInsert, U: 0, V: 1},
+		{Op: core.EditInsert, U: 2, V: 3},
+		{Op: core.EditInsert, U: 4, V: 5},
+	}, nil); err == nil {
+		t.Fatal("batch acked despite a journal failure")
+	}
+	if c.Seq() != 3 {
+		t.Fatalf("community seq %d, want 3: the last record the journal accepted", c.Seq())
 	}
 }

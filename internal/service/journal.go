@@ -66,11 +66,12 @@ type Journal interface {
 	Log(rec Record) (seq uint64, err error)
 }
 
-// BatchJournal is the optional fast path for batched churn: journals that
-// implement it absorb a whole ChurnBatch flush as one append — consecutive
-// sequences, one write, one group-commit round — returning the sequence of
-// the last record. Journals that don't are fed record-by-record; semantics
-// (and the on-disk format, for internal/persist) are identical either way.
+// BatchJournal is what persist.WAL and cluster.Source implement: LogBatch
+// is their one append and Log a batch of one. A community write — a single
+// op or a whole ChurnBatch flush — reaches it as one LogBatch: consecutive
+// sequences, one write, one group-commit round, returning the sequence of
+// the last record. A plain Journal is fed record by record; semantics (and
+// the on-disk format, for internal/persist) are identical either way.
 type BatchJournal interface {
 	Journal
 	LogBatch(recs []Record) (last uint64, err error)

@@ -114,6 +114,37 @@ func TestJournalFailureIsWriteAhead(t *testing.T) {
 	}
 }
 
+// TestEditWithoutJournalAllocatesNothing: with no journal attached, a
+// single-op marry plus divorce allocates nothing for either kind; the
+// record a journal would take is never built.
+func TestEditWithoutJournalAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	reg := New(Opts{})
+	classic, err := reg.Create("classic", 8, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly, err := reg.CreateSpec(CreateSpec{ID: "poly", Kind: KindPoly, Families: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Community{classic, poly} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.Marry(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if removed, _, err := c.Divorce(0, 1); !removed || err != nil {
+				t.Fatalf("divorce: removed=%v err=%v", removed, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: marry plus divorce allocates %v times, want 0", c.ID(), allocs)
+		}
+	}
+}
+
 // TestExportRestoreRoundTrip: a restored community answers identically and
 // keeps the exported version, recolorings, and sequence.
 func TestExportRestoreRoundTrip(t *testing.T) {

@@ -61,8 +61,7 @@ const DefaultVNodes = 64
 // clients (holidayctl, the benchmark cluster driver) embed one with an
 // empty Self to route requests themselves. Safe for concurrent use.
 type Router struct {
-	self   string
-	vnodes int
+	self string
 
 	mu       sync.RWMutex
 	p        Placement // current table; p.Nodes sorted by id
@@ -83,8 +82,6 @@ type RouterOpts struct {
 	Self string
 	// Nodes are the cluster members; at least one, ids unique.
 	Nodes []Node
-	// VNodes overrides the virtual nodes per member; 0 means DefaultVNodes.
-	VNodes int
 	// Epoch is the initial table's epoch; 0 for a fresh boot (any published
 	// table supersedes it).
 	Epoch uint64
@@ -92,9 +89,6 @@ type RouterOpts struct {
 
 // NewRouter builds a router over the given members.
 func NewRouter(o RouterOpts) (*Router, error) {
-	if o.VNodes < 1 {
-		o.VNodes = DefaultVNodes
-	}
 	p := Placement{
 		Epoch:  o.Epoch,
 		Nodes:  append([]Node(nil), o.Nodes...),
@@ -104,11 +98,11 @@ func NewRouter(o RouterOpts) (*Router, error) {
 		return nil, err
 	}
 	sort.Slice(p.Nodes, func(i, j int) bool { return p.Nodes[i].ID < p.Nodes[j].ID })
-	rt := &Router{self: o.Self, vnodes: o.VNodes, p: p}
+	rt := &Router{self: o.Self, p: p}
 	if _, ok := rt.Addr(o.Self); o.Self != "" && !ok {
 		return nil, fmt.Errorf("service: router self %q is not in the topology", o.Self)
 	}
-	rt.ring = buildRing(nil, p.Nodes, o.VNodes)
+	rt.ring = buildRing(nil, p.Nodes)
 	return rt, nil
 }
 
@@ -129,14 +123,14 @@ func RouterFor(p Placement) (*Router, error) {
 	return rt, nil
 }
 
-// buildRing computes the vnode ring for a member list, reusing dst's
-// backing array when possible.
-func buildRing(dst []ringPoint, nodes []Node, vnodes int) []ringPoint {
+// buildRing computes the vnode ring for a member list, DefaultVNodes points
+// per member, reusing dst's backing array when possible.
+func buildRing(dst []ringPoint, nodes []Node) []ringPoint {
 	dst = dst[:0]
 	for _, n := range nodes {
 		h := fnvString(fnvOffset64, n.ID)
 		h = fnvByte(h, '#')
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			dst = append(dst, ringPoint{hash: mix64(fnvString(h, strconv.Itoa(i))), node: n.ID})
 		}
 	}
@@ -225,7 +219,7 @@ func (rt *Router) SetPlacement(p Placement) (bool, error) {
 		return false, nil
 	}
 	rt.p = p
-	rt.ring = buildRing(rt.ring, p.Nodes, rt.vnodes)
+	rt.ring = buildRing(rt.ring, p.Nodes)
 	watchers := append([]func(Placement){}, rt.watchers...)
 	snap := p.Clone()
 	rt.mu.Unlock()

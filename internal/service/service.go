@@ -385,7 +385,7 @@ func validEdge(n, u, v int) error {
 // when the periodic assignment actually changed.
 type Community struct {
 	id  string
-	reg *Owner // for the journal; nil only in zero values
+	reg *Owner // for the journal
 
 	mu sync.RWMutex
 	// be is the kind-specific scheduler (classic color-bound or poly
@@ -496,8 +496,10 @@ func (c *Community) AddFamily() (int, error) {
 	if err := c.fencedErrLocked(); err != nil {
 		return 0, err
 	}
-	if err := c.logLocked(Record{Op: OpAddFamily, ID: c.id}); err != nil {
-		return 0, err
+	if j := c.reg.getJournal(); j != nil {
+		if err := c.logLocked(j, Record{Op: OpAddFamily, ID: c.id}); err != nil {
+			return 0, err
+		}
 	}
 	id := c.be.AddNode()
 	c.invalidateLocked()
@@ -547,8 +549,10 @@ func (c *Community) edit(e core.Edit) (core.EditResult, error) {
 	if c.be.HasEdge(e.U, e.V) == (e.Op == core.EditInsert) {
 		return core.EditResult{}, nil
 	}
-	if err := c.logLocked(c.record(e)); err != nil {
-		return core.EditResult{}, err
+	if j := c.reg.getJournal(); j != nil {
+		if err := c.logLocked(j, c.record(e)); err != nil {
+			return core.EditResult{}, err
+		}
 	}
 	return c.applyLocked(e)
 }
@@ -578,22 +582,31 @@ func (c *Community) record(e core.Edit) Record {
 	return Record{Op: OpMarry, ID: c.id, U: e.U, V: e.V, Demand: e.Demand}
 }
 
-// logLocked write-ahead logs one of this community's mutation records and
-// advances its journal sequence; the caller holds c.mu. Without a journal
-// (or a registry) it is a no-op.
-func (c *Community) logLocked(rec Record) error {
-	if c.reg == nil {
+// logLocked write-ahead logs this community's records to j, the attached
+// journal the caller checked for, so a write with none attached never
+// builds the record slice, which escapes into j. A BatchJournal takes the
+// records in one append; any other journal is fed record by record, and
+// c.seq advances to each record it accepts, so a failure partway leaves no
+// accepted record above the community's sequence. The caller holds c.mu.
+func (c *Community) logLocked(j Journal, recs ...Record) error {
+	if len(recs) == 0 {
 		return nil
 	}
-	j := c.reg.getJournal()
-	if j == nil {
+	if bj, ok := j.(BatchJournal); ok {
+		seq, err := bj.LogBatch(recs)
+		if err != nil {
+			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+		}
+		c.seq = seq
 		return nil
 	}
-	seq, err := j.Log(rec)
-	if err != nil {
-		return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+	for _, rec := range recs {
+		seq, err := j.Log(rec)
+		if err != nil {
+			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+		}
+		c.seq = seq
 	}
-	c.seq = seq
 	return nil
 }
 
