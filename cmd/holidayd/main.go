@@ -85,7 +85,6 @@ type config struct {
 	dataDir       string
 	snapEvery     time.Duration
 	walSync       time.Duration
-	binMaxBatch   int
 	nodeID        string
 	peersFile     string
 	replAddr      string
@@ -109,8 +108,6 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 		"periodic snapshot interval with -data-dir; 0 snapshots only on graceful shutdown")
 	fs.DurationVar(&c.walSync, "wal-sync", persist.DefaultSyncInterval,
 		"WAL group-commit fsync interval with -data-dir; 0 fsyncs every record before acking")
-	fs.IntVar(&c.binMaxBatch, "bin-max-batch", service.DefaultMaxBinBatch,
-		"max frames one /v1/bin request may carry")
 	fs.StringVar(&c.nodeID, "node-id", "",
 		"this node's id in the cluster topology; empty runs a single standalone node")
 	fs.StringVar(&c.peersFile, "peers", "",
@@ -144,8 +141,6 @@ func (c *config) validate() error {
 		return errors.New("-snapshot-every must be ≥ 0")
 	case c.walSync < 0:
 		return errors.New("-wal-sync must be ≥ 0")
-	case c.binMaxBatch < 1:
-		return errors.New("-bin-max-batch must be ≥ 1")
 	case (c.nodeID == "") != (c.peersFile == ""):
 		return errors.New("-node-id and -peers must be set together")
 	case c.follow != "" && c.peersFile == "":
@@ -348,7 +343,7 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		log.Printf("following node %s at %s", peer.ID, peer.Repl)
 	}
 
-	hopts := service.HandlerOpts{Owner: reg, Router: m.router, Node: cfg.nodeID, MaxBinBatch: cfg.binMaxBatch}
+	hopts := service.HandlerOpts{Owner: reg, Router: m.router}
 	if len(followers) > 0 {
 		hopts.Lag = func() map[string]uint64 {
 			lag := make(map[string]uint64)

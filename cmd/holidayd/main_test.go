@@ -212,7 +212,6 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 		{"empty addr", []string{"-addr", ""}, "-addr must not be empty"},
 		{"negative snapshot interval", []string{"-snapshot-every", "-1s"}, "-snapshot-every must be ≥ 0"},
 		{"negative WAL sync", []string{"-wal-sync", "-1ms"}, "-wal-sync must be ≥ 0"},
-		{"zero binary batch", []string{"-bin-max-batch", "0"}, "-bin-max-batch must be ≥ 1"},
 		{"node id without peers", []string{"-node-id", "a"}, "-node-id and -peers must be set together"},
 		{"peers without node id", []string{"-peers", peers}, "-node-id and -peers must be set together"},
 		{"unknown demo kind", []string{"-demo-kind", "throuple"}, `-demo-kind "throuple"`},
@@ -226,6 +225,7 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 		{"follow peer without repl", []string{"-node-id", "a", "-peers", peers, "-follow", "c"}, "-follow c: node has no repl address"},
 		{"removed -churn-batch", []string{"-churn-batch", "4"}, "flag provided but not defined: -churn-batch"},
 		{"removed -churn-flush-ms", []string{"-churn-flush-ms", "2ms"}, "flag provided but not defined: -churn-flush-ms"},
+		{"removed -bin-max-batch", []string{"-bin-max-batch", "1024"}, "flag provided but not defined: -bin-max-batch"},
 	}
 	// A cancelled context makes a config that wrongly passes stop at once
 	// instead of serving forever.

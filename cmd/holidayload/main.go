@@ -34,7 +34,7 @@
 // smoke-level differential check.
 //
 // Exit status: 0 on success (and a passing comparison), 1 on usage or run
-// errors, 2 when -compare detects a regression beyond the threshold.
+// errors, 2 when -compare fails (a regression, or an incorrect new run).
 package main
 
 import (
@@ -77,9 +77,9 @@ func main() {
 	}
 }
 
-// errRegressed is run's result when -compare finds a gated metric beyond
-// the threshold; the verdict itself is already printed.
-var errRegressed = errors.New("regression beyond the threshold")
+// errRegressed is run's result when -compare fails the new run (regressed,
+// incomparable or incorrect); the verdict itself is already printed.
+var errRegressed = errors.New("comparison failed: a regression, incomparable snapshots or an incorrect run")
 
 // config is holidayload's command line.
 type config struct {
@@ -131,7 +131,7 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 		"with -cluster, live-move one community to another node at this interval during the measured run, recording the handoff count and write-pause p99 in the snapshot; 0 = static placement")
 	fs.StringVar(&c.out, "out", "", "snapshot output path (default BENCH_<rev>.json; \"-\" skips writing)")
 	fs.StringVar(&c.replay, "replay", "", "load the current snapshot from a file instead of running")
-	fs.StringVar(&c.compare, "compare", "", "prior snapshot to compare against; regression fails the exit status")
+	fs.StringVar(&c.compare, "compare", "", "prior snapshot to compare against; a regression or an incorrect run fails the exit status")
 	fs.Float64Var(&c.threshold, "threshold", 0.25, "gated-metric regression tolerance for -compare (0.25 = 25%)")
 	fs.StringVar(&c.note, "note", "", "free-form note recorded in the snapshot")
 	fs.StringVar(&c.rev, "rev", "", "revision label for the snapshot (default: git short rev)")
@@ -190,8 +190,8 @@ func (c *config) validate() error {
 	return nil
 }
 
-// run carries out cfg and writes its report to w. A -compare verdict that
-// regresses returns errRegressed.
+// run carries out cfg and writes its report to w. A failing -compare
+// verdict, a regression or an incorrect run, returns errRegressed.
 func run(cfg *config, w io.Writer) error {
 	if cfg.list {
 		for _, sc := range benchkit.Scenarios() {

@@ -119,6 +119,20 @@ func TestRunDurableBatched(t *testing.T) {
 	if err := replay(inflatedPath); !errors.Is(err, errRegressed) || !strings.Contains(out.String(), "BENCH FAIL") {
 		t.Fatalf("comparison against a 100× baseline: err %v, want errRegressed\n%s", err, out.String())
 	}
+	failed := *snap
+	failed.Totals.Errors = 1
+	failedPath := filepath.Join(dir, "BENCH_failed.json")
+	if err := failed.WriteFile(failedPath); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err = parseArgs("-replay", failedPath, "-compare", snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(cfg, &out); !errors.Is(err, errRegressed) || !strings.Contains(out.String(), "BENCH FAIL: incorrect run") {
+		t.Fatalf("a replayed run with a failed op: err %v, want errRegressed\n%s", err, out.String())
+	}
 }
 
 // TestValidateTarget: the -target URL is checked before a run starts, so a

@@ -186,18 +186,25 @@ type Delta struct {
 // Comparison is the verdict of comparing a new snapshot against an old one.
 type Comparison struct {
 	Deltas []Delta
-	// Pass is false when a gated metric regressed beyond the threshold.
+	// Pass is false when a gated metric regressed beyond the threshold or
+	// the new run is incorrect.
 	Pass bool
 	// Mismatch notes scenario/driver differences that make the numbers
 	// incomparable; a mismatch fails the comparison outright.
 	Mismatch string
+	// Incorrect names what makes the new run wrong rather than slow: failed
+	// ops, or a poly demand missed (max_gap_ratio > 1). Correctness gates
+	// absolutely, whatever the threshold and the old snapshot say.
+	Incorrect []string
 }
 
 // Compare evaluates new against old with the given regression threshold
 // (0.25 = fail on >25% drop). Throughput (qps) is the gated metric — the
 // threshold is deliberately generous so shared-runner noise does not flap
 // the CI gate — while latency quantiles, cache hit ratio, and allocation
-// counts are reported for trend reading.
+// counts are reported for trend reading. Correctness gates absolutely: the
+// new run fails with any failed op, or with max_gap_ratio > 1 when it
+// scheduled poly edges.
 func Compare(old, new *Snapshot, threshold float64) *Comparison {
 	cmp := &Comparison{Pass: true}
 	if old.Scenario != new.Scenario || old.Driver != new.Driver {
@@ -277,6 +284,14 @@ func Compare(old, new *Snapshot, threshold float64) *Comparison {
 		add("edges", float64(old.Totals.Edges), float64(new.Totals.Edges), false, false)
 		add("max_gap_ratio", old.Totals.MaxGapRatio, new.Totals.MaxGapRatio, false, true)
 	}
+	if new.Totals.Errors > 0 {
+		cmp.Incorrect = append(cmp.Incorrect, fmt.Sprintf("errors = %d, want 0", new.Totals.Errors))
+	}
+	if new.Totals.Edges > 0 && new.Totals.MaxGapRatio > 1 {
+		cmp.Incorrect = append(cmp.Incorrect, fmt.Sprintf("max_gap_ratio = %.4g over %d poly edges, want ≤ 1",
+			new.Totals.MaxGapRatio, new.Totals.Edges))
+	}
+	cmp.Pass = cmp.Pass && len(cmp.Incorrect) == 0
 	return cmp
 }
 
@@ -298,9 +313,12 @@ func (c *Comparison) Render(w io.Writer, threshold float64) {
 		}
 		fmt.Fprintf(w, "%-16s %14.2f %14.2f %+8.1f%%  %s\n", d.Metric, d.Old, d.New, d.Pct*100, gate)
 	}
+	for _, msg := range c.Incorrect {
+		fmt.Fprintf(w, "BENCH FAIL: incorrect run: %s\n", msg)
+	}
 	if c.Pass {
 		fmt.Fprintln(w, "BENCH PASS: no gated metric regressed beyond threshold")
-	} else {
+	} else if len(c.Incorrect) == 0 {
 		fmt.Fprintln(w, "BENCH FAIL: gated metric regressed beyond threshold")
 	}
 }

@@ -101,10 +101,20 @@ func TestCompareVerdicts(t *testing.T) {
 		// them flappy at CI durations).
 		{"p99-spike", func(s *Snapshot) { s.Totals.P99Micro *= 10 }, 0.25, true},
 		{"allocs-spike", func(s *Snapshot) { s.Totals.AllocsPerOp *= 10 }, 0.25, true},
+		// Correctness gates absolutely, whatever the throughput and the
+		// threshold: a failed op, or a missed poly demand (max_gap_ratio > 1
+		// over live edges), fails the run.
+		{"failed-ops", func(s *Snapshot) { s.Totals.Errors = 1; s.Totals.QPS *= 2 }, 1, false},
+		{"missed-demand", func(s *Snapshot) { s.Totals.Edges, s.Totals.MaxGapRatio = 40, 1.5 }, 1, false},
+		{"demands-met", func(s *Snapshot) { s.Totals.Edges, s.Totals.MaxGapRatio = 40, 1 }, 0.25, true},
+		{"gap-without-poly-edges", func(s *Snapshot) { s.Totals.MaxGapRatio = 3 }, 0.25, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// The sample records failed ops; clear them so each case gates
+			// on its own mutation alone.
 			old, new := sampleSnapshot(), sampleSnapshot()
+			old.Totals.Errors, new.Totals.Errors = 0, 0
 			tc.mutate(new)
 			cmp := Compare(old, new, tc.threshold)
 			if cmp.Pass != tc.wantPass {
@@ -120,6 +130,19 @@ func TestCompareVerdicts(t *testing.T) {
 				t.Fatalf("rendered verdict missing %q:\n%s", wantWord, rendered.String())
 			}
 		})
+	}
+}
+
+// TestCompareGatesNewErrorsOnly: failed ops in the old snapshot do not
+// gate; the new run's do.
+func TestCompareGatesNewErrorsOnly(t *testing.T) {
+	old, new := sampleSnapshot(), sampleSnapshot()
+	if cmp := Compare(old, new, 0.25); cmp.Pass || len(cmp.Incorrect) != 1 {
+		t.Fatalf("a new run with %d failed ops should fail as incorrect: %+v", new.Totals.Errors, cmp)
+	}
+	new.Totals.Errors = 0
+	if cmp := Compare(old, new, 0.25); !cmp.Pass {
+		t.Fatalf("a clean new run should pass whatever the old run failed: %+v", cmp)
 	}
 }
 

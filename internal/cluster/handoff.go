@@ -39,9 +39,9 @@ type HandoffResult struct {
 // epoch; the receiver, never having seen the cut marker, keeps the state
 // as a fenced replica at most.
 //
-// src supplies the WAL tail (nil forces the re-export fallback: a second,
-// fenced snapshot instead of records). The table must assign community to
-// a member with a replication listener.
+// src supplies the WAL tail; when its ring no longer covers the tail, a
+// second, fenced export is sent instead of records. The table must assign
+// community to a member with a replication listener.
 func Handoff(o *service.Owner, src *Source, rt *service.Router, community string, table service.Placement, timeout time.Duration) (HandoffResult, error) {
 	if timeout <= 0 {
 		timeout = DefaultHandoffTimeout
@@ -108,20 +108,16 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	}()
 	cut2 := c.Seq()
 
-	var tail []wire.RawRecord
-	covered := false
-	if src != nil {
-		tail, covered = src.TailFor(community, cut1, cut2)
-	}
+	tail, covered := src.TailFor(community, cut1, cut2)
 	if covered {
 		if len(tail) > 0 {
 			if _, err := conn.Write(wire.AppendRecords(nil, tail)); err != nil {
 				return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send tail: %w", community, err)
 			}
 		}
-	} else if cut2 != cut1 || src == nil {
-		// The ring no longer covers the tail (or there is no ring): re-export
-		// under the fence — the state is final now — and send it whole.
+	} else if cut2 != cut1 {
+		// The ring no longer covers the tail: re-export under the fence —
+		// the state is final now — and send it whole.
 		st2 := c.Export()
 		stateJSON, err = json.Marshal(st2)
 		if err != nil {

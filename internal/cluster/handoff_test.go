@@ -235,7 +235,7 @@ func TestDoubleSelfPromotionConverges(t *testing.T) {
 		}
 		// The handler registration wires the fence-reconciliation watcher —
 		// the same path daemons run.
-		service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt, Node: id})
+		service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt})
 		return owner, rt
 	}
 	ownerB, rtB := mk("b")
@@ -317,7 +317,7 @@ func TestZeroCommunityJoinKeepsOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt, Node: "a"})
+	service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt})
 	if _, err := owner.Create("x", 4, nil, ""); err != nil {
 		t.Fatalf("create: %v", err)
 	}

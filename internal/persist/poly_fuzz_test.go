@@ -10,7 +10,7 @@ import (
 
 	"math/rand/v2"
 
-	"repro/internal/graph"
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -162,7 +162,7 @@ func TestPolyWALSeeds(t *testing.T) {
 
 // polyAnswers captures the observable schedule of a poly community: the
 // entities are edge slots, not families, so next-happy queries range over
-// the slot count (learned from WindowBits' begin callback).
+// the slot count (the frozen schedule's entity count).
 func polyAnswers(t *testing.T, c *service.Community) frozenAnswers {
 	t.Helper()
 	rows, err := c.Window(1, 128)
@@ -173,11 +173,11 @@ func polyAnswers(t *testing.T, c *service.Community) frozenAnswers {
 	for i, r := range rows {
 		cp[i] = service.HolidayRow{Holiday: r.Holiday, Happy: append([]int(nil), r.Happy...)}
 	}
-	slots := 0
-	err = c.WindowBits(1, 1, func(n int) { slots = n }, func(int64, graph.Bitset) {})
+	sched, err := c.Schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := sched.(*core.ClassSchedule).Nodes()
 	next := make(map[int][]int64)
 	for v := 0; v < slots; v++ {
 		for _, from := range []int64{1, 7, 1000, 1 << 40} {

@@ -41,7 +41,7 @@ func startCluster(t *testing.T, n int) []*clusterNode {
 			t.Fatalf("NewRouter: %v", err)
 		}
 		cn.router = rt
-		srv := &http.Server{Handler: NewHandler(HandlerOpts{Owner: cn.owner, Router: rt, Node: cn.id})}
+		srv := &http.Server{Handler: NewHandler(HandlerOpts{Owner: cn.owner, Router: rt})}
 		go srv.Serve(lns[i])
 		t.Cleanup(func() { srv.Close() })
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,17 +26,9 @@ type HandlerOpts struct {
 	// communities placed on other nodes are forwarded to their owner once
 	// (421 not_owner if a forwarded request is still misplaced — stale
 	// topologies must not loop), and reads for communities absent locally
-	// are forwarded instead of answering 404.
+	// are forwarded instead of answering 404. Its Self is the node id that
+	// /v1/status reports and forwarded requests carry.
 	Router *Router
-
-	// Node is this node's id, reported by /v1/status and stamped on
-	// forwarded requests. Defaults to Router.Self when a router is set.
-	Node string
-
-	// MaxBinBatch caps the frames one /v1/bin request body may carry (and
-	// the edits one JSON churn batch may carry); 0 means DefaultMaxBinBatch.
-	// Batches beyond the cap fail with 400 before any query is served.
-	MaxBinBatch int
 
 	// Lag, when set, reports per-community replication lag (owner seq minus
 	// locally applied seq) for communities this node follows; surfaced by
@@ -49,9 +42,10 @@ type HandlerOpts struct {
 	Handoff func(community string, table Placement) (cutSeq uint64, pause time.Duration, err error)
 }
 
-// DefaultMaxBinBatch is the frames-per-request cap of the binary endpoints
-// when HandlerOpts does not override it.
-const DefaultMaxBinBatch = 1024
+// MaxBatch caps the frames one /v1/bin request body may carry and the edits
+// one JSON churn batch may carry. Batches beyond it fail with 400 before any
+// query is served.
+const MaxBatch = 1024
 
 // forwardHeader marks a request as having been routed once. A node
 // receiving a marked request it still does not own answers 421 not_owner
@@ -109,14 +103,9 @@ func NewHandler(h HandlerOpts) http.Handler {
 	if h.Owner == nil {
 		panic("service: NewHandler requires an Owner")
 	}
-	if h.MaxBinBatch < 1 {
-		h.MaxBinBatch = DefaultMaxBinBatch
-	}
-	if h.Node == "" && h.Router != nil {
-		h.Node = h.Router.Self()
-	}
 	a := &apiHandler{HandlerOpts: h, client: &http.Client{}}
 	if h.Router != nil {
+		a.node = h.Router.Self()
 		// Every installed table reconciles local fences: communities the
 		// table moved elsewhere stop taking writes, and explicit assignments
 		// to this node promote their fenced replicas. Ring-derived placement
@@ -134,9 +123,9 @@ func NewHandler(h HandlerOpts) http.Handler {
 			fn(w, r)
 		})
 	}
-	mux.HandleFunc("POST /v1/bin/window", a.binHandler(wire.KindWindowReq))
-	mux.HandleFunc("POST /v1/bin/next", a.binHandler(wire.KindNextReq))
-	mux.HandleFunc("POST /v1/bin/churn", a.churnBinHandler())
+	mux.HandleFunc("POST /v1/bin/window", a.binHandler(wire.KindWindowReq, a.serveBinWindow))
+	mux.HandleFunc("POST /v1/bin/next", a.binHandler(wire.KindNextReq, a.serveBinNext))
+	mux.HandleFunc("POST /v1/bin/churn", a.serveBinChurn)
 	mux.HandleFunc("GET /v1/status", a.serveStatus)
 	mux.HandleFunc("GET /v1/placement", a.servePlacementGet)
 	mux.HandleFunc("POST /v1/placement", a.servePlacementSet)
@@ -165,6 +154,8 @@ func NewHandler(h HandlerOpts) http.Handler {
 // apiHandler carries the handler configuration and the forwarding client.
 type apiHandler struct {
 	HandlerOpts
+	// node is this node's id, the Router's Self ("" when standalone).
+	node   string
 	client *http.Client
 	// promoteMu serializes promotes' read-edit-publish of the placement
 	// table: two racing at one epoch would tie, and the fingerprint winner
@@ -173,24 +164,29 @@ type apiHandler struct {
 }
 
 // misplaced reports whether a request for community id must not be served
-// locally, and if so answers it (forwarding once, then failing closed with
-// 421 not_owner). Reads pass present=true when the community exists locally
-// — replicas serve reads regardless of placement.
-func (a *apiHandler) misplaced(w http.ResponseWriter, r *http.Request, id string, present bool) bool {
-	if a.Router == nil || present {
+// locally, and if so answers it: forwarded once, with body standing in for
+// r.Body when the handler already read it, then failing closed with 421
+// not_owner.
+func (a *apiHandler) misplaced(w http.ResponseWriter, r *http.Request, id string, body []byte) bool {
+	if a.Router == nil {
 		return false
 	}
 	node := a.Router.Place(id)
-	if node == a.Router.Self() {
+	if node == a.node {
 		return false
 	}
 	if r.Header.Get(forwardHeader) != "" {
-		writeError(w, http.StatusMisdirectedRequest,
-			Errf(CodeNotOwner, "community %q is owned by node %q, not %q", id, node, a.Node))
+		writeError(w, http.StatusMisdirectedRequest, a.notOwner(id, node))
 		return true
 	}
-	a.forward(w, r, node, nil)
+	a.forward(w, r, node, body)
 	return true
+}
+
+// notOwner is the 421 not_owner answer, JSON or binary, for a community the
+// placement puts on another node.
+func (a *apiHandler) notOwner(id, node string) *Error {
+	return Errf(CodeNotOwner, "community %q is owned by node %q, not %q", id, node, a.node)
 }
 
 // forward proxies the request to a peer node, stamping the loop guard. body
@@ -212,7 +208,7 @@ func (a *apiHandler) forward(w http.ResponseWriter, r *http.Request, node string
 		return
 	}
 	req.Header = r.Header.Clone()
-	req.Header.Set(forwardHeader, a.Node)
+	req.Header.Set(forwardHeader, a.node)
 	req.Header.Set(epochHeader, strconv.FormatUint(a.Router.Epoch(), 10))
 	resp, err := a.client.Do(req)
 	if err != nil {
@@ -249,7 +245,7 @@ func (a *apiHandler) staleEpoch(w http.ResponseWriter, r *http.Request) bool {
 	}
 	w.Header().Set(epochHeader, strconv.FormatUint(local, 10))
 	writeError(w, http.StatusMisdirectedRequest, Errf(CodeNotOwner,
-		"node %q placement epoch %d is stale; request carries epoch %d", a.Node, local, remote))
+		"node %q placement epoch %d is stale; request carries epoch %d", a.node, local, remote))
 	return true
 }
 
@@ -261,7 +257,7 @@ func (a *apiHandler) write(fn http.HandlerFunc) http.HandlerFunc {
 		if a.staleEpoch(w, r) {
 			return
 		}
-		if a.misplaced(w, r, r.PathValue("id"), false) {
+		if a.misplaced(w, r, r.PathValue("id"), nil) {
 			return
 		}
 		fn(w, r)
@@ -275,7 +271,7 @@ func (a *apiHandler) read(fn func(http.ResponseWriter, *http.Request, *Community
 		id := r.PathValue("id")
 		c, ok := a.Owner.Get(id)
 		if !ok {
-			if a.misplaced(w, r, id, false) {
+			if a.misplaced(w, r, id, nil) {
 				return
 			}
 			writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", id))
@@ -314,14 +310,7 @@ func (a *apiHandler) serveCreate(w http.ResponseWriter, r *http.Request) {
 	if a.staleEpoch(w, r) {
 		return
 	}
-	if a.Router != nil && !a.Router.IsLocal(req.ID) {
-		node := a.Router.Place(req.ID)
-		if r.Header.Get(forwardHeader) != "" {
-			writeError(w, http.StatusMisdirectedRequest,
-				Errf(CodeNotOwner, "community %q is owned by node %q, not %q", req.ID, node, a.Node))
-			return
-		}
-		a.forward(w, r, node, body)
+	if a.misplaced(w, r, req.ID, body) {
 		return
 	}
 	c, err := a.Owner.CreateSpec(CreateSpec{
@@ -396,8 +385,8 @@ func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Commu
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty churn batch"))
 		return
 	}
-	if len(reqs) > a.MaxBinBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d edits", a.MaxBinBatch))
+	if len(reqs) > MaxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d edits", MaxBatch))
 		return
 	}
 	edits := make([]core.Edit, len(reqs))
@@ -456,20 +445,38 @@ func (a *apiHandler) serveWindow(w http.ResponseWriter, r *http.Request, c *Comm
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The response rows (and their happy-set buffers) are pooled: the
-	// window endpoint is the serving hot path and steady-state queries
-	// should not allocate per row. AppendWindow overwrites the reused
-	// slots, and writeJSON finishes encoding before the rows go back.
-	wr := windowPool.Get().(*windowResponse)
-	wr.Holidays, err = c.AppendWindow(wr.Holidays[:0], from, to)
+	sched, err := c.windowSchedule(from, to)
 	if err != nil {
-		putWindowResponse(wr)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	wr.Community, wr.From, wr.To = c.ID(), from, to
-	writeJSON(w, http.StatusOK, wr)
-	putWindowResponse(wr)
+	// The body is appended straight from the frozen schedule's class member
+	// lists, read in place: the bytes encoding/json renders for
+	// {community, from, to, holidays: [{holiday, happy}, ...]}, the id
+	// quoted by encoding/json itself so its escaping is the same.
+	id, _ := json.Marshal(c.ID())
+	s := getStage()
+	b := append(s.b, `{"community":`...)
+	b = append(b, id...)
+	b = append(b, `,"from":`...)
+	b = strconv.AppendInt(b, from, 10)
+	b = append(b, `,"to":`...)
+	b = strconv.AppendInt(b, to, 10)
+	b = append(b, `,"holidays":[`...)
+	sched.Window(from, to, func(t int64, happy []int) {
+		b = append(b, `{"holiday":`...)
+		b = strconv.AppendInt(b, t, 10)
+		b = append(b, `,"happy":[`...)
+		for i, v := range happy {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, "]},"...)
+	})
+	s.b = append(b[:len(b)-1], "]}\n"...) // a window is never empty: drop the last row's comma
+	s.send(w, http.StatusOK, "application/json")
 }
 
 func (a *apiHandler) serveNext(w http.ResponseWriter, r *http.Request, c *Community) {
@@ -518,7 +525,7 @@ type NodeStatus struct {
 }
 
 func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
-	resp := NodeStatus{Node: a.Node, Communities: []CommunityStatus{}}
+	resp := NodeStatus{Node: a.node, Communities: []CommunityStatus{}}
 	if a.Router != nil {
 		resp.Epoch = a.Router.Epoch()
 		resp.Nodes = a.Router.Nodes()
@@ -590,7 +597,7 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PromoteResponse{Community: req.Community, Epoch: p.Epoch, Node: a.Node, Seq: c.Seq()})
+	writeJSON(w, http.StatusOK, PromoteResponse{Community: req.Community, Epoch: p.Epoch, Node: a.node, Seq: c.Seq()})
 }
 
 // promote publishes the current table one epoch on with community
@@ -726,58 +733,58 @@ func syncFences(o *Owner, rt *Router) {
 	}
 }
 
-// binHandler serves one binary endpoint: the request body is a batch of
-// length-prefixed wire frames, all of the allowed kind, and the response
-// body is the matching batch in order — per-query failures arrive as Error
-// frames in position, so a batch with one bad query still answers the rest.
-// Protocol violations (malformed framing, a frame of the wrong kind, an
-// empty or over-long batch) fail the whole request with a JSON 400: the
-// client spoke the protocol wrong and no per-frame correspondence exists.
-func (a *apiHandler) binHandler(allowed wire.Kind) http.HandlerFunc {
+// binHandler serves /v1/bin/window and /v1/bin/next: once readBatch
+// accepts the body, serve answers each frame, in order, into the staged
+// response. Per-query failures arrive as Error frames in position, so a
+// batch with one bad query still answers the rest.
+func (a *apiHandler) binHandler(allowed wire.Kind, serve func(dst []byte, f wire.Frame) []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read binary request body: %w", err))
+		batch, ok := readBatch(w, r, allowed)
+		if !ok {
 			return
 		}
-		bp := binBufPool.Get().(*[]byte)
-		buf := (*bp)[:0]
-		frames := 0
-		for rest := body; len(rest) > 0; {
-			var f wire.Frame
-			f, rest, err = wire.Split(rest)
-			if err != nil {
-				putBinBuf(bp, buf)
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if f.Kind != allowed {
-				putBinBuf(bp, buf)
-				writeError(w, http.StatusBadRequest, fmt.Errorf("%s frame on the %s endpoint", f.Kind, allowed))
-				return
-			}
-			if frames++; frames > a.MaxBinBatch {
-				putBinBuf(bp, buf)
-				writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d frames", a.MaxBinBatch))
-				return
-			}
-			switch allowed {
-			case wire.KindWindowReq:
-				buf = a.serveBinWindow(buf, f)
-			default:
-				buf = a.serveBinNext(buf, f)
-			}
+		s := getStage()
+		eachFrame(batch, func(f wire.Frame) { s.b = serve(s.b, f) })
+		s.send(w, http.StatusOK, "application/octet-stream")
+	}
+}
+
+// readBatch reads the body of a /v1/bin request and checks its framing, the
+// one check of all three binary endpoints: one to MaxBatch well-formed wire
+// frames, all of the allowed kind. A violation fails the whole request with
+// a JSON 400 before any frame is served: the client spoke the protocol
+// wrong and no per-frame correspondence exists.
+func readBatch(w http.ResponseWriter, r *http.Request, allowed wire.Kind) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
+	if err != nil {
+		err = fmt.Errorf("read binary request body: %w", err)
+	} else if len(body) == 0 {
+		err = errors.New("empty batch: the request body carried no frames")
+	}
+	for rest, frames := body, 0; err == nil && len(rest) > 0; frames++ {
+		var f wire.Frame
+		f, rest, err = wire.Split(rest)
+		switch {
+		case err != nil: // malformed framing
+		case f.Kind != allowed:
+			err = fmt.Errorf("%s frame on the %s endpoint", f.Kind, allowed)
+		case frames == MaxBatch:
+			err = fmt.Errorf("batch exceeds %d frames", MaxBatch)
 		}
-		if frames == 0 {
-			putBinBuf(bp, buf)
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch: the request body carried no frames"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf)
-		putBinBuf(bp, buf)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// eachFrame calls fn on every frame of a batch readBatch accepted, in order.
+func eachFrame(batch []byte, fn func(wire.Frame)) {
+	for len(batch) > 0 {
+		var f wire.Frame
+		f, batch, _ = wire.Split(batch)
+		fn(f)
 	}
 }
 
@@ -786,15 +793,14 @@ func (a *apiHandler) binHandler(allowed wire.Kind) http.HandlerFunc {
 // client re-routes the frame itself (binary frames are never forwarded).
 func (a *apiHandler) binNotFound(dst []byte, id string) []byte {
 	if a.Router != nil {
-		if node := a.Router.Place(id); node != a.Router.Self() {
-			return appendWireError(dst, http.StatusMisdirectedRequest,
-				Errf(CodeNotOwner, "community %q is owned by node %q, not %q", id, node, a.Node))
+		if node := a.Router.Place(id); node != a.node {
+			return appendWireError(dst, http.StatusMisdirectedRequest, a.notOwner(id, node))
 		}
 	}
 	return appendWireError(dst, http.StatusNotFound, Errf(CodeNotFound, "no community %q", id))
 }
 
-// churnBinHandler serves POST /v1/bin/churn: the request body is a batch of
+// serveBinChurn serves POST /v1/bin/churn: the request body is a batch of
 // churn-request frames and the response the matching churn-response (or
 // in-position Error) frames. Consecutive-or-not requests for the same
 // community are grouped and applied as one amortized ChurnBatch flush —
@@ -806,110 +812,83 @@ func (a *apiHandler) binNotFound(dst []byte, id string) []byte {
 // from stay all-or-nothing only against journal failures (→ 500 on every
 // edit of the failed flush). Framing violations fail the whole request with
 // a JSON 400, exactly like the other binary endpoints.
-func (a *apiHandler) churnBinHandler() http.HandlerFunc {
+func (a *apiHandler) serveBinChurn(w http.ResponseWriter, r *http.Request) {
+	batch, ok := readBatch(w, r, wire.KindChurnReq)
+	if !ok {
+		return
+	}
 	type group struct {
 		c     *Community
 		edits []core.Edit
 		pos   []int // slot index of each edit, for positional responses
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
+	var slots []binChurnSlot
+	var order []*group
+	groups := make(map[*Community]*group)
+	fail := func(status int, err error) { slots = append(slots, binChurnSlot{status: status, err: err}) }
+	eachFrame(batch, func(f wire.Frame) {
+		op, id, u, v, err := f.ChurnReq()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read binary request body: %w", err))
+			fail(http.StatusBadRequest, err)
 			return
 		}
-		var slots []binChurnSlot
-		var order []*group
-		groups := make(map[*Community]*group)
-		frames := 0
-		for rest := body; len(rest) > 0; {
-			var f wire.Frame
-			f, rest, err = wire.Split(rest)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
+		if a.Router != nil {
+			if node := a.Router.Place(id); node != a.node {
+				fail(http.StatusMisdirectedRequest, a.notOwner(id, node))
 				return
 			}
-			if f.Kind != wire.KindChurnReq {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("%s frame on the %s endpoint", f.Kind, wire.KindChurnReq))
-				return
-			}
-			if frames++; frames > a.MaxBinBatch {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d frames", a.MaxBinBatch))
-				return
-			}
-			op, id, u, v, err := f.ChurnReq()
-			if err != nil {
-				slots = append(slots, binChurnSlot{status: http.StatusBadRequest, err: err})
-				continue
-			}
-			if a.Router != nil && !a.Router.IsLocal(id) {
-				node := a.Router.Place(id)
-				slots = append(slots, binChurnSlot{status: http.StatusMisdirectedRequest,
-					err: Errf(CodeNotOwner, "community %q is owned by node %q, not %q", id, node, a.Node)})
-				continue
-			}
-			c, ok := a.Owner.Get(id)
-			if !ok {
-				slots = append(slots, binChurnSlot{status: http.StatusNotFound, err: Errf(CodeNotFound, "no community %q", id)})
-				continue
-			}
-			// Validate now, against the current family count: families only
-			// grow, so the edit stays valid at flush time and one bad edit
-			// can never sink its groupmates' batch.
-			if err := validEdge(c.Families(), u, v); err != nil {
-				slots = append(slots, binChurnSlot{status: http.StatusBadRequest, err: err})
-				continue
-			}
-			g := groups[c]
-			if g == nil {
-				g = &group{c: c}
-				groups[c] = g
-				order = append(order, g)
-			}
-			g.edits = append(g.edits, core.Edit{Op: core.EditOp(op), U: u, V: v})
-			g.pos = append(g.pos, len(slots))
-			slots = append(slots, binChurnSlot{})
 		}
-		if frames == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch: the request body carried no frames"))
+		c, ok := a.Owner.Get(id)
+		if !ok {
+			fail(http.StatusNotFound, Errf(CodeNotFound, "no community %q", id))
 			return
 		}
-		// One flush per community touched, in first-touch order. Validation
-		// above means a flush can only fail on the journal or the fence — an
-		// error every edit of the flush shares.
-		for _, g := range order {
-			res := make([]core.EditResult, len(g.edits))
-			if _, err := g.c.ChurnBatch(g.edits, res); err != nil {
-				for _, p := range g.pos {
-					slots[p] = binChurnSlot{status: http.StatusInternalServerError, err: err}
-				}
-				continue
-			}
-			for i, p := range g.pos {
-				slots[p] = binChurnSlot{ok: true, res: res[i]}
-			}
+		// Validate now, against the current family count: families only
+		// grow, so the edit stays valid at flush time and one bad edit
+		// can never sink its groupmates' batch.
+		if err := validEdge(c.Families(), u, v); err != nil {
+			fail(http.StatusBadRequest, err)
+			return
 		}
-		bp := binBufPool.Get().(*[]byte)
-		buf := (*bp)[:0]
-		for _, s := range slots {
-			if s.ok {
-				buf = wire.AppendChurnResp(buf, s.res.Applied, s.res.Recolored)
-			} else {
-				buf = appendWireError(buf, s.status, s.err)
-			}
+		g := groups[c]
+		if g == nil {
+			g = &group{c: c}
+			groups[c] = g
+			order = append(order, g)
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf)
-		putBinBuf(bp, buf)
+		g.edits = append(g.edits, core.Edit{Op: core.EditOp(op), U: u, V: v})
+		g.pos = append(g.pos, len(slots))
+		slots = append(slots, binChurnSlot{})
+	})
+	// One flush per community touched, in first-touch order. Validation
+	// above means a flush can only fail on the journal or the fence — an
+	// error every edit of the flush shares.
+	for _, g := range order {
+		res := make([]core.EditResult, len(g.edits))
+		if _, err := g.c.ChurnBatch(g.edits, res); err != nil {
+			for _, p := range g.pos {
+				slots[p] = binChurnSlot{status: http.StatusInternalServerError, err: err}
+			}
+			continue
+		}
+		for i, p := range g.pos {
+			slots[p] = binChurnSlot{res: res[i]}
+		}
 	}
+	s := getStage()
+	for _, sl := range slots {
+		if sl.err == nil {
+			s.b = wire.AppendChurnResp(s.b, sl.res.Applied, sl.res.Recolored)
+		} else {
+			s.b = appendWireError(s.b, sl.status, sl.err)
+		}
+	}
+	s.send(w, http.StatusOK, "application/octet-stream")
 }
 
-// binChurnSlot is one positional outcome of a binary churn batch: either a
-// per-edit result or the Error frame that will stand in its place.
+// binChurnSlot is one positional outcome of a binary churn batch: a per-edit
+// result, or, when err is set, the Error frame that will stand in its place.
 type binChurnSlot struct {
-	ok     bool
 	res    core.EditResult
 	status int
 	err    error
@@ -924,10 +903,11 @@ func appendWireError(dst []byte, status int, err error) []byte {
 
 // serveBinWindow answers one window-request frame, streaming the packed
 // bitmap rows straight from the community's frozen schedule into dst: the
-// response header is emitted once the family count is known, then one
-// ⌈n/64⌉-word row per holiday — no []int row and no JSON on this path.
-// Errors mirror the JSON endpoint's statuses (404 unknown community, 400
-// invalid query, 421 misplaced).
+// response header, then one ⌈n/64⌉-word row per holiday — no []int row and
+// no JSON on this path. Errors mirror the JSON endpoint's statuses (404
+// unknown community, 400 invalid query, 421 misplaced); a window whose
+// frame would exceed wire.MaxFrame is refused with a 400 naming the
+// largest span that fits, before any row is emitted.
 func (a *apiHandler) serveBinWindow(dst []byte, f wire.Frame) []byte {
 	id, from, to, err := f.WindowReq()
 	if err != nil {
@@ -937,14 +917,18 @@ func (a *apiHandler) serveBinWindow(dst []byte, f wire.Frame) []byte {
 	if !ok {
 		return a.binNotFound(dst, id)
 	}
-	werr := c.WindowBits(from, to,
-		func(n int) { dst = wire.AppendWindowRespHeader(dst, n, from, int(to-from+1)) },
-		func(t int64, row graph.Bitset) { dst = row.AppendBytes(dst) })
-	if werr != nil {
-		// WindowBits validates before emitting, so dst holds no partial
-		// response; the error frame is the query's whole answer.
-		return appendWireError(dst, http.StatusBadRequest, werr)
+	sched, err := c.windowSchedule(from, to)
+	if err != nil {
+		return appendWireError(dst, http.StatusBadRequest, err)
 	}
+	n, rows := sched.Nodes(), int(to-from+1)
+	if fit := wire.WindowRespRows(n); rows > fit {
+		return appendWireError(dst, http.StatusBadRequest, fmt.Errorf(
+			"window of %d holidays over %d families exceeds the %d-byte frame limit; at most %d holidays fit in one frame",
+			rows, n, wire.MaxFrame, fit))
+	}
+	dst = wire.AppendWindowRespHeader(dst, n, from, rows)
+	sched.WindowBits(from, to, func(t int64, row graph.Bitset) { dst = row.AppendBytes(dst) })
 	return dst
 }
 
@@ -965,31 +949,6 @@ func (a *apiHandler) serveBinNext(dst []byte, f wire.Frame) []byte {
 	}
 	return wire.AppendNextResp(dst, next)
 }
-
-// binBufPool recycles the response buffers of the binary endpoints — the
-// bitmap rows are appended straight into these, so steady-state binary
-// serving allocates neither rows nor staging buffers.
-var binBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// binBufMax caps the buffers binBufPool retains, the same policy PR 4
-// applied to the JSON window pool's Happy capacity: a rare maximal batch of
-// MaxWindow-row bitmap responses must not pin its multi-megabyte buffer
-// forever.
-const binBufMax = 1 << 20
-
-// putBinBuf returns a binary response buffer to the pool unless retaining
-// it would pin too much memory (see retainBinBuf).
-func putBinBuf(bp *[]byte, buf []byte) {
-	if !retainBinBuf(buf) {
-		return
-	}
-	*bp = buf[:0]
-	binBufPool.Put(bp)
-}
-
-// retainBinBuf reports whether a binary response buffer is cheap enough to
-// pool.
-func retainBinBuf(buf []byte) bool { return cap(buf) <= binBufMax }
 
 // createRequest is the POST /v1/communities body. Kind selects the
 // scheduling problem ("" or "classic" = gathering, "poly" = polyamorous
@@ -1040,57 +999,6 @@ type churnResponse struct {
 	Results     []churnOpResult `json:"results"`
 }
 
-// windowResponse is the GET window answer.
-type windowResponse struct {
-	Community string       `json:"community"`
-	From      int64        `json:"from"`
-	To        int64        `json:"to"`
-	Holidays  []HolidayRow `json:"holidays"`
-}
-
-// windowPool recycles window responses, rows included, across requests.
-var windowPool = sync.Pool{New: func() any { return new(windowResponse) }}
-
-// windowPoolMaxRows caps the row slices the pool retains: a rare MaxWindow
-// query over a dense community should not pin its multi-megabyte response
-// forever (same policy as encodeBufMax). Typical windows are ≤ one year.
-const windowPoolMaxRows = 512
-
-// windowPoolMaxHappy caps the total happy-set ints a pooled response may
-// retain across all of its row slots. The row cap alone is not enough: a
-// 512-row response over a huge dense community stays under windowPoolMaxRows
-// while pinning every row's Happy backing array — megabytes per pooled
-// response — forever. 1<<15 ints (256 KiB of int64) comfortably covers a
-// year-long window over communities with hundreds of happy families per
-// holiday.
-const windowPoolMaxHappy = 1 << 15
-
-// putWindowResponse returns a response to the pool unless it retains it
-// would pin too much memory (see retainWindowResponse).
-func putWindowResponse(wr *windowResponse) {
-	if retainWindowResponse(wr) {
-		windowPool.Put(wr)
-	}
-}
-
-// retainWindowResponse reports whether a response is cheap enough to pool:
-// its row slice is under the row cap and the Happy buffers of every slot —
-// including spare slots beyond the last response's length, which keep their
-// buffers for reuse — total under the happy cap.
-func retainWindowResponse(wr *windowResponse) bool {
-	if cap(wr.Holidays) > windowPoolMaxRows {
-		return false
-	}
-	total := 0
-	for _, row := range wr.Holidays[:cap(wr.Holidays)] {
-		total += cap(row.Happy)
-		if total > windowPoolMaxHappy {
-			return false
-		}
-	}
-	return true
-}
-
 // nextResponse is the GET next answer.
 type nextResponse struct {
 	Community string `json:"community"`
@@ -1113,34 +1021,56 @@ func queryInt64(r *http.Request, key string, def int64) (int64, error) {
 	return v, nil
 }
 
-// encodeBufPool recycles the JSON staging buffers of writeJSON.
-var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// staged is a response body under construction: handlers append to b, and
+// writeJSON's encoder writes into it. Every body the handler builds, JSON or
+// binary, is staged in one of these and goes out in one Write with a
+// Content-Length; stagePool recycles them, so steady-state serving
+// allocates no response buffers.
+type staged struct{ b []byte }
 
-// encodeBufMax caps the buffers the pool retains; a rare giant response
-// (e.g. a MaxWindow query over a dense community) should not pin its buffer
-// forever.
-const encodeBufMax = 1 << 20
+// Write appends p, so a json.Encoder can encode straight into the stage.
+func (s *staged) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
 
-// writeJSON renders v with the given status. Encoding stages through a
-// pooled buffer: one Write to the connection, a Content-Length header for
-// clients, and no per-response buffer allocations on the hot path.
+var stagePool = sync.Pool{New: func() any { return new(staged) }}
+
+// stageMax caps the buffers stagePool retains: a rare giant response (a
+// MaxWindow query over a dense community, a maximal batch) must not pin its
+// buffer forever.
+const stageMax = 1 << 20
+
+// getStage returns an empty pooled stage.
+func getStage() *staged {
+	s := stagePool.Get().(*staged)
+	s.b = s.b[:0]
+	return s
+}
+
+// send writes the staged body with its status and content type, then
+// returns the stage to the pool unless its buffer outgrew stageMax.
+func (s *staged) send(w http.ResponseWriter, status int, contentType string) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(s.b)))
+	w.WriteHeader(status)
+	_, _ = w.Write(s.b)
+	if cap(s.b) <= stageMax {
+		stagePool.Put(s)
+	}
+}
+
+// writeJSON renders v with the given status through a pooled stage.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	s := getStage()
+	if err := json.NewEncoder(s).Encode(v); err != nil {
 		// Encoding failures are programming errors (all payloads are plain
-		// structs); degrade to an opaque 500 rather than a torn body.
+		// structs); degrade to an opaque 500 rather than a torn body, and
+		// leave the stage to the garbage collector.
 		http.Error(w, `{"code":"internal","message":"response encoding failed"}`, http.StatusInternalServerError)
-		encodeBufPool.Put(buf)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= encodeBufMax {
-		encodeBufPool.Put(buf)
-	}
+	s.send(w, status, "application/json")
 }
 
 // writeError renders the {code, message} envelope. Enveloped errors (the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -59,21 +60,26 @@ func splitOne(t *testing.T, body []byte) wire.Frame {
 }
 
 // TestBinaryWindowMatchesJSON is the HTTP-level differential proof: a
-// decoded /v1/bin/window response, re-rendered as the JSON endpoint's
-// payload, must be byte-identical to the JSON endpoint's actual body —
-// across communities, codes, and window alignments (including windows with
-// empty holidays, which must round-trip as "happy":[]).
+// decoded /v1/bin/window response, re-rendered by encoding/json as the JSON
+// endpoint's payload, must be byte-identical to the JSON endpoint's actual
+// body — across communities, codes, both kinds, and window alignments
+// (including windows with empty holidays, which must round-trip as
+// "happy":[]), and for an id encoding/json escapes ("a<b&c" renders as
+// "a\u003cb\u0026c").
 func TestBinaryWindowMatchesJSON(t *testing.T) {
 	srv, do := newTestServer(t)
 	do("POST", "/communities", star9, http.StatusCreated, nil)
 	do("POST", "/communities", `{"id":"tri","families":3,"edges":[[0,1],[1,2],[0,2]]}`, http.StatusCreated, nil)
 	do("POST", "/communities", `{"id":"gam","families":6,"edges":[[0,1],[2,3]],"code":"gamma"}`, http.StatusCreated, nil)
+	do("POST", "/communities", `{"id":"a<b&c","families":5,"edges":[[0,1],[1,2],[3,4]]}`, http.StatusCreated, nil)
+	do("POST", "/communities", `{"id":"poly","kind":"poly","families":8,`+
+		`"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0],[0,2]],"demands":[4,8,8,16,16,16,32,32,8]}`, http.StatusCreated, nil)
 
 	windows := [][2]int64{{1, 1}, {1, 52}, {2, 5}, {7, 7}, {37, 211}, {63, 66}, {97, 160}}
-	for _, id := range []string{"demo", "tri", "gam"} {
+	for _, id := range []string{"demo", "tri", "gam", "a<b&c", "poly"} {
 		for _, w := range windows {
 			from, to := w[0], w[1]
-			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/communities/%s/window?from=%d&to=%d", id, from, to))
+			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/communities/%s/window?from=%d&to=%d", url.PathEscape(id), from, to))
 			if jsonStatus != http.StatusOK {
 				t.Fatalf("%s [%d,%d]: JSON status %d", id, from, to, jsonStatus)
 			}
@@ -265,10 +271,14 @@ func TestBinaryProtocolViolations(t *testing.T) {
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg}))
 	defer srv.Close()
 
 	winReq := wire.AppendWindowReq(nil, "demo", 1, 4)
+	var overCap []byte
+	for i := 0; i <= MaxBatch; i++ {
+		overCap = wire.AppendWindowReq(overCap, "demo", 1, 2)
+	}
 	cases := []struct {
 		name     string
 		endpoint string
@@ -280,8 +290,7 @@ func TestBinaryProtocolViolations(t *testing.T) {
 		{"wrong kind for window", "/v1/bin/window", wire.AppendNextReq(nil, "demo", 1, 1)},
 		{"wrong kind for next", "/v1/bin/next", winReq},
 		{"response kind", "/v1/bin/window", wire.AppendNextResp(nil, 9)},
-		{"batch over cap", "/v1/bin/window",
-			wire.AppendWindowReq(wire.AppendWindowReq(wire.AppendWindowReq(nil, "demo", 1, 2), "demo", 1, 2), "demo", 1, 2)},
+		{"batch over cap", "/v1/bin/window", overCap},
 		{"trailing garbage", "/v1/bin/window", append(append([]byte(nil), winReq...), 0xff)},
 	}
 	for _, tc := range cases {
@@ -366,9 +375,9 @@ func TestServeBinWindowAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			buf = a.serveBinWindow(buf[:0], frame)
 		})
-		// The constant cost is the id string plus the emit closures and
-		// their captured buffer cell; a per-row regression over 512 rows
-		// would blow far past this bound.
+		// The bound leaves room for a small constant cost (the path
+		// allocates nothing today); a per-row regression over 512 rows
+		// would blow far past it.
 		if allocs > 6 {
 			t.Errorf("%s span %d: steady-state binary window allocates %.1f/op, want ≤ 6", id, span, allocs)
 		}
@@ -377,6 +386,102 @@ func TestServeBinWindowAllocs(t *testing.T) {
 			t.Fatalf("%s span %d: response invalid after pooled serving: %+v (%v)", id, span, wr, err)
 		}
 	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the byte count, so an
+// allocation count measures the handler and not a growing recorder.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// TestServeWindowAllocs is the JSON counterpart of TestServeBinWindowAllocs:
+// the JSON window is appended straight from the frozen schedule into the
+// pooled stage, so a steady-state query through the handler allocates the
+// same count at 52 and at 512 holidays.
+func TestServeWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	reg := New(Opts{})
+	if _, err := reg.Create("c", 500, [][2]int{{0, 1}, {1, 2}, {3, 4}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.CreateSpec(CreateSpec{ID: "p", Kind: KindPoly, Families: 500, Edges: [][2]int{{0, 1}, {1, 2}, {3, 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(HandlerOpts{Owner: reg})
+	for _, id := range []string{"c", "p"} {
+		var allocs [2]float64
+		for i, span := range []int{52, 512} {
+			req := httptest.NewRequest("GET", fmt.Sprintf("/v1/communities/%s/window?from=1&to=%d", id, span), nil)
+			w := &discardWriter{h: http.Header{}}
+			serve := func() { h.ServeHTTP(w, req) }
+			for range 4 { // warm the stage and the core scratch pools
+				serve()
+			}
+			allocs[i] = testing.AllocsPerRun(100, serve)
+			if w.n == 0 || w.h.Get("Content-Type") != "application/json" {
+				t.Fatalf("%s span %d: no JSON body served", id, span)
+			}
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: steady-state JSON window allocates %.0f/op at 52 holidays but %.0f/op at 512",
+				id, allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestBinaryWindowFitsOneFrame: a window whose response frame would exceed
+// wire.MaxFrame is refused in position with a 400 naming the largest span
+// that fits, and the rest of the batch is still served; a window of exactly
+// that span answers a frame wire.Split accepts.
+func TestBinaryWindowFitsOneFrame(t *testing.T) {
+	const families = 40_000
+	reg := New(Opts{})
+	if _, err := reg.Create("big", families, [][2]int{{0, 1}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg}))
+	defer srv.Close()
+	fit := wire.WindowRespRows(families)
+	if fit >= MaxWindow {
+		t.Fatalf("%d families fit a whole MaxWindow span (%d holidays); the test needs a larger community", families, fit)
+	}
+	req := wire.AppendWindowReq(nil, "big", 1, MaxWindow)
+	req = wire.AppendWindowReq(req, "big", 1, int64(fit))
+	req = wire.AppendWindowReq(req, "big", 1, int64(fit)+1)
+	status, body, _ := binPost(t, srv, "/v1/bin/window", req)
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+	refused := func(f wire.Frame, span int) {
+		t.Helper()
+		estatus, ecode, msg, err := f.ErrorResp()
+		if err != nil || estatus != http.StatusBadRequest || ecode != CodeBadRequest.Num() ||
+			!strings.Contains(msg, fmt.Sprintf("at most %d holidays", fit)) {
+			t.Fatalf("span %d: got %d %q (%v), want a 400 bad_request naming the %d-holiday limit", span, estatus, msg, err, fit)
+		}
+	}
+	f, rest, err := wire.Split(body)
+	if err != nil {
+		t.Fatalf("frame 1: %v", err)
+	}
+	refused(f, MaxWindow)
+	if f, rest, err = wire.Split(rest); err != nil {
+		t.Fatalf("frame 2: %v", err)
+	}
+	if wr, err := f.WindowResp(); err != nil || wr.N != families || wr.Rows != fit {
+		t.Fatalf("frame 2 = %d rows over %d families (%v), want %d rows over %d", wr.Rows, wr.N, err, fit, families)
+	}
+	if f, rest, err = wire.Split(rest); err != nil || len(rest) != 0 {
+		t.Fatalf("frame 3: %v (%d stray bytes)", err, len(rest))
+	}
+	refused(f, fit+1)
 }
 
 // frameFromBuf splits a single frame out of an in-process response buffer.
@@ -389,20 +494,26 @@ func frameFromBuf(t *testing.T, buf []byte) wire.Frame {
 	return f
 }
 
-// TestBinBufRetention: the binary response pool must refuse buffers beyond
-// binBufMax — the same retention policy as the JSON window pool — so one
-// maximal batch cannot pin megabytes forever.
-func TestBinBufRetention(t *testing.T) {
-	if !retainBinBuf(make([]byte, 0, 1024)) {
-		t.Error("small buffer refused by the pool")
+// TestStageRetention: the one response pool keeps a buffer at stageMax and
+// drops a larger one, so a rare maximal response cannot pin its allocation
+// forever.
+func TestStageRetention(t *testing.T) {
+	w := &discardWriter{h: http.Header{}}
+	big := &staged{b: make([]byte, 0, stageMax+1)}
+	big.send(w, http.StatusOK, "application/octet-stream")
+	if s := getStage(); s == big {
+		t.Fatal("a stage above stageMax was pooled")
 	}
-	if !retainBinBuf(make([]byte, 0, binBufMax)) {
-		t.Error("buffer at the cap refused by the pool")
+	// sync.Pool may drop any Put (the race detector drops a quarter on
+	// purpose), so a stage at the cap gets a few chances to come back.
+	for i := 0; ; i++ {
+		atCap := &staged{b: make([]byte, 0, stageMax)}
+		atCap.send(w, http.StatusOK, "application/octet-stream")
+		if getStage() == atCap {
+			break
+		}
+		if i == 20 {
+			t.Fatal("a stage at stageMax was never pooled")
+		}
 	}
-	if retainBinBuf(make([]byte, 0, binBufMax+1)) {
-		t.Error("oversized buffer retained; one maximal batch pins its allocation forever")
-	}
-	// putBinBuf of an oversized buffer must simply drop it.
-	bp := new([]byte)
-	putBinBuf(bp, make([]byte, 0, binBufMax+1))
 }

@@ -91,7 +91,7 @@ func TestHTTPChurnValidation(t *testing.T) {
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg}))
 	defer srv.Close()
 	do := func(body string, wantStatus int) {
 		t.Helper()
@@ -108,8 +108,12 @@ func TestHTTPChurnValidation(t *testing.T) {
 	do(`{"op":"marry","u":0,"v":1}`, http.StatusBadRequest) // object, not array
 	do(`[]`, http.StatusBadRequest)
 	do(churnBody([][3]any{{"marry", 0, 1}, {"elope", 2, 3}}), http.StatusBadRequest)
-	do(churnBody([][3]any{{"marry", 0, 99}}), http.StatusBadRequest)                                  // out of range
-	do(churnBody([][3]any{{"marry", 0, 1}, {"marry", 1, 2}, {"marry", 2, 3}}), http.StatusBadRequest) // over cap
+	do(churnBody([][3]any{{"marry", 0, 99}}), http.StatusBadRequest) // out of range
+	overCap := make([][3]any, MaxBatch+1)
+	for i := range overCap {
+		overCap[i] = [3]any{"marry", i % 3, i%3 + 1}
+	}
+	do(churnBody(overCap), http.StatusBadRequest) // over cap
 	// An invalid batch is all-or-nothing: the valid leading edit must not
 	// have applied.
 	if c, _ := reg.Get("demo"); c.Stats().Marriages != 0 {
@@ -275,10 +279,14 @@ func TestBinaryChurnProtocolViolations(t *testing.T) {
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg}))
 	defer srv.Close()
 
 	good := wire.AppendChurnReq(nil, wire.ChurnInsert, "demo", 0, 1)
+	var overCap []byte
+	for i := 0; i <= MaxBatch; i++ {
+		overCap = wire.AppendChurnReq(overCap, wire.ChurnInsert, "demo", i%3, i%3+1)
+	}
 	cases := []struct {
 		name string
 		body []byte
@@ -287,7 +295,7 @@ func TestBinaryChurnProtocolViolations(t *testing.T) {
 		{"garbage", []byte("not frames")},
 		{"truncated", good[:len(good)-2]},
 		{"wrong kind", wire.AppendWindowReq(nil, "demo", 1, 2)},
-		{"over cap", wire.AppendChurnReq(wire.AppendChurnReq(append([]byte(nil), good...), wire.ChurnInsert, "demo", 1, 2), wire.ChurnInsert, "demo", 2, 3)},
+		{"over cap", overCap},
 	}
 	for _, tc := range cases {
 		status, body, ct := binPost(t, srv, "/v1/bin/churn", tc.body)

@@ -41,6 +41,14 @@ func newTestServer(t *testing.T) (*httptest.Server, func(method, path, body stri
 	return srv, do
 }
 
+// windowResponse is the GET window answer as clients decode it.
+type windowResponse struct {
+	Community string       `json:"community"`
+	From      int64        `json:"from"`
+	To        int64        `json:"to"`
+	Holidays  []HolidayRow `json:"holidays"`
+}
+
 // star9 is the create body for a 9-family star (center 0), the paper's
 // running example shape.
 const star9 = `{"id":"demo","families":9,"edges":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8]]}`

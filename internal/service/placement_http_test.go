@@ -25,7 +25,6 @@ func bootNode(t *testing.T, self string, opts HandlerOpts) (*httptest.Server, *R
 		}
 		opts.Router = rt
 	}
-	opts.Node = self
 	srv := httptest.NewServer(NewHandler(opts))
 	t.Cleanup(srv.Close)
 	return srv, opts.Router, opts.Owner

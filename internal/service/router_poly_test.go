@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // TestShardedEquivalencePoly extends the routing-split property test to
@@ -93,13 +91,15 @@ func TestShardedEquivalencePoly(t *testing.T) {
 		}
 		// The entity space is edge slots; both sides must agree on its size
 		// and on every slot's next answer from several alignments.
-		slots, uslots := 0, 0
-		if err := sc.WindowBits(1, 1, func(n int) { slots = n }, func(int64, graph.Bitset) {}); err != nil {
+		ss, err := sc.windowSchedule(1, 1)
+		if err != nil {
 			t.Fatalf("sharded slots: %v", err)
 		}
-		if err := uc.WindowBits(1, 1, func(n int) { uslots = n }, func(int64, graph.Bitset) {}); err != nil {
+		us, err := uc.windowSchedule(1, 1)
+		if err != nil {
 			t.Fatalf("single slots: %v", err)
 		}
+		slots, uslots := ss.Nodes(), us.Nodes()
 		if slots != uslots {
 			t.Fatalf("slot counts diverged for %s: %d vs %d", id, slots, uslots)
 		}

@@ -668,15 +668,12 @@ func (c *Community) Window(from, to int64) ([]HolidayRow, error) {
 
 // AppendWindow answers the same query as Window but appends into rows,
 // reusing both its capacity and the Happy backing array of every row slot it
-// overwrites. Callers that serve windows in a loop (the HTTP handler, the
-// load generator) hand back the previous response's rows and steady-state
-// queries allocate nothing. Rows beyond the returned length keep their
+// overwrites. Callers that serve windows in a loop in process (benchkit's
+// InProcDriver, holidaybench) hand back the previous response's rows and
+// steady-state queries allocate nothing. Rows beyond the returned length keep their
 // buffers for the next reuse.
 func (c *Community) AppendWindow(rows []HolidayRow, from, to int64) ([]HolidayRow, error) {
-	if err := checkWindow(from, to); err != nil {
-		return rows, err
-	}
-	sched, err := c.frozen()
+	sched, err := c.windowSchedule(from, to)
 	if err != nil {
 		return rows, err
 	}
@@ -703,43 +700,25 @@ func (c *Community) AppendWindow(rows []HolidayRow, from, to int64) ([]HolidayRo
 // its zero capacity means a later reuse appends into a fresh buffer.
 var emptyHappy = make([]int, 0)
 
-// WindowBits answers the same window query as AppendWindow but as
-// word-packed happy bitmaps — the binary wire representation. begin is
-// called exactly once with the family count n (fixing the ⌈n/64⌉ row width)
-// before the first row; visit then runs once per holiday in order with the
-// packed row, which is only valid for the duration of the callback. The
-// frozen schedule sets each row's bits straight from its class member lists.
-// On error neither callback has been invoked, so a partially emitted
-// response cannot exist.
-func (c *Community) WindowBits(from, to int64, begin func(n int), visit func(t int64, row graph.Bitset)) error {
-	if err := checkWindow(from, to); err != nil {
-		return err
-	}
-	sched, err := c.frozen()
-	if err != nil {
-		return err
-	}
-	begin(sched.Nodes())
-	sched.WindowBits(from, to, visit)
-	return nil
-}
-
-// checkWindow validates the bounds of a window query [from, to]: from ≥ 1,
-// to within the servable horizon, to ≥ from, and at most MaxWindow holidays.
-func checkWindow(from, to int64) error {
+// windowSchedule returns the frozen schedule that answers the window query
+// [from, to] once its bounds check out: from ≥ 1, to within the servable
+// horizon, to ≥ from, and at most MaxWindow holidays. Every window answer,
+// AppendWindow's rows and the HTTP handler's JSON and binary bodies, reads
+// the schedule it returns.
+func (c *Community) windowSchedule(from, to int64) (*core.ClassSchedule, error) {
 	if from < 1 {
-		return fmt.Errorf("service: window start %d < 1", from)
+		return nil, fmt.Errorf("service: window start %d < 1", from)
 	}
 	if to > core.MaxHoliday {
-		return fmt.Errorf("service: window end %d beyond last servable holiday %d", to, core.MaxHoliday)
+		return nil, fmt.Errorf("service: window end %d beyond last servable holiday %d", to, core.MaxHoliday)
 	}
 	if to < from {
-		return fmt.Errorf("service: window [%d,%d] is empty", from, to)
+		return nil, fmt.Errorf("service: window [%d,%d] is empty", from, to)
 	}
 	if span := to - from + 1; span > MaxWindow {
-		return fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
+		return nil, fmt.Errorf("service: window spans %d holidays, max %d", span, MaxWindow)
 	}
-	return nil
+	return c.frozen()
 }
 
 // NextHappy answers a family's next happy holiday at or after from

@@ -49,42 +49,3 @@ func TestWindowDefaultEndNearHorizon(t *testing.T) {
 		t.Fatalf("capped window has to %d and %d rows, want to %d and 11 rows", wr.To, len(wr.Holidays), core.MaxHoliday)
 	}
 }
-
-// TestWindowPoolRetention: the response pool must refuse to retain rows
-// beyond the row cap — and responses whose accumulated Happy backing
-// arrays, spare slots included, would pin too much memory.
-func TestWindowPoolRetention(t *testing.T) {
-	small := &windowResponse{Holidays: make([]HolidayRow, 52)}
-	for i := range small.Holidays {
-		small.Holidays[i].Happy = make([]int, 8)
-	}
-	if !retainWindowResponse(small) {
-		t.Error("typical one-year response was not pooled")
-	}
-
-	tooManyRows := &windowResponse{Holidays: make([]HolidayRow, windowPoolMaxRows+1)}
-	if retainWindowResponse(tooManyRows) {
-		t.Error("response beyond the row cap was pooled")
-	}
-
-	// 512 rows × a dense community's happy sets: under the row cap but far
-	// over the total-Happy cap.
-	dense := &windowResponse{Holidays: make([]HolidayRow, windowPoolMaxRows)}
-	for i := range dense.Holidays {
-		dense.Holidays[i].Happy = make([]int, 1024)
-	}
-	if retainWindowResponse(dense) {
-		t.Error("dense response pinning every Happy array was pooled")
-	}
-
-	// Spare capacity beyond the last response's length counts too: those
-	// slots keep their buffers for reuse.
-	spare := &windowResponse{Holidays: make([]HolidayRow, windowPoolMaxRows)}
-	for i := range spare.Holidays {
-		spare.Holidays[i].Happy = make([]int, 1024)
-	}
-	spare.Holidays = spare.Holidays[:1] // shrink; buffers stay reachable via cap
-	if retainWindowResponse(spare) {
-		t.Error("spare slots' Happy buffers were not counted against the cap")
-	}
-}

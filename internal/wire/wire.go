@@ -55,6 +55,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -66,9 +67,11 @@ import (
 // the JSON endpoints).
 const Version = 2
 
-// MaxFrame bounds a single frame's payload. A window response over MaxWindow
-// holidays of a 100k-family community is ~6.4 MB; 16 MiB leaves headroom
-// without letting a hostile length prefix commit the decoder to gigabytes.
+// MaxFrame bounds a single frame's payload, so a hostile length prefix
+// cannot commit the decoder to gigabytes. It also bounds window responses:
+// 4096 holidays of packed rows fit only up to 32,704 families (over 100k
+// families they would take 51.2 MB), so servers refuse a window longer than
+// WindowRespRows.
 const MaxFrame = 16 << 20
 
 // MaxIDLen bounds community ids on the wire (the u16 length field's range).
@@ -242,6 +245,15 @@ func AppendWindowRespHeader(dst []byte, n int, from int64, rows int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(from))
 	return binary.LittleEndian.AppendUint32(dst, uint32(rows))
+}
+
+// WindowRespRows is the most holidays one window-response frame over n
+// families can carry without its payload exceeding MaxFrame.
+func WindowRespRows(n int) int {
+	if n == 0 {
+		return math.MaxInt // zero-width rows
+	}
+	return (MaxFrame - headerLen - 16) / (Words(n) * 8)
 }
 
 // AppendNextResp appends a next-response frame.

@@ -107,6 +107,28 @@ func TestWindowRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWindowRespRows: WindowRespRows is the exact frame-size boundary — a
+// window response of that many rows fits MaxFrame and one more row does
+// not — and MaxWindow's 4096 holidays fit only up to 32,704 families.
+func TestWindowRespRows(t *testing.T) {
+	payload := func(n, rows int) int {
+		return len(AppendWindowRespHeader(nil, n, 1, rows)) - 4 + rows*Words(n)*8
+	}
+	for _, n := range []int{1, 64, 65, 32_704, 32_705, 40_000, 500_000} {
+		rows := WindowRespRows(n)
+		if payload(n, rows) > MaxFrame || payload(n, rows+1) <= MaxFrame {
+			t.Errorf("n=%d: %d rows take %d bytes, %d rows %d; MaxFrame is %d",
+				n, rows, payload(n, rows), rows+1, payload(n, rows+1), MaxFrame)
+		}
+	}
+	if WindowRespRows(32_704) < 4096 || WindowRespRows(32_705) >= 4096 {
+		t.Errorf("4096 holidays fit at n=32704: %d rows, at n=32705: %d rows", WindowRespRows(32_704), WindowRespRows(32_705))
+	}
+	if got := WindowRespRows(500_000); got != 268 {
+		t.Errorf("WindowRespRows(500000) = %d, want 268", got)
+	}
+}
+
 // TestWindowRespStrayBitsMasked: a response whose last row word carries bits
 // beyond family n-1 (hostile or corrupt input — the encoder never sets them)
 // must decode as if they were absent.
