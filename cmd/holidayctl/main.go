@@ -3,7 +3,7 @@
 //
 //	holidayctl -topology nodes.json status
 //	holidayctl -topology nodes.json place demo other-community
-//	holidayctl -topology nodes.json join d http://127.0.0.1:8084 127.0.0.1:9094
+//	holidayctl -topology nodes.json join d http://127.0.0.1:8084
 //	holidayctl -topology nodes.json rebalance
 //	holidayctl -topology nodes.json promote demo b
 //
@@ -83,7 +83,7 @@ func usage() {
 commands:
   status                     poll every member's /v1/status (epoch + per-node table)
   place <community>...       resolve placement for community ids
-  join <id> <addr> [repl]    add a member to the topology file and live-rebalance onto it
+  join <id> <addr>           add a member to the topology file and live-rebalance onto it
   rebalance                  move every community to its ring placement via live handoffs
   promote <community> <node> break-glass: force ownership without a handoff
                              (normal failover is automatic; see -failover-after)
@@ -132,12 +132,7 @@ func status(w io.Writer, client *service.Client, topo service.Topology) error {
 			if c.Role != "owner" {
 				lag = fmt.Sprintf("  lag %d", c.Lag)
 			}
-			kind := c.Kind
-			if kind == "" {
-				// Pre-poly daemons omit the field; they only serve classic.
-				kind = service.KindClassic
-			}
-			fmt.Fprintf(w, "%-8s %-16s %-8s %-8s seq %-8d placed on %s%s\n", r.node.ID, c.ID, kind, c.Role, c.Seq, c.Placed, lag)
+			fmt.Fprintf(w, "%-8s %-16s %-8s %-8s seq %-8d placed on %s%s\n", r.node.ID, c.ID, c.Kind, c.Role, c.Seq, c.Placed, lag)
 		}
 		if len(r.st.Overrides) > 0 {
 			keys := make([]string, 0, len(r.st.Overrides))
@@ -170,13 +165,10 @@ func place(w io.Writer, topo service.Topology, communities []string) error {
 }
 
 func join(w io.Writer, path string, topo service.Topology, args []string) error {
-	if len(args) < 2 || len(args) > 3 {
-		return fmt.Errorf("join: want <id> <addr> [repl]")
+	if len(args) != 2 {
+		return fmt.Errorf("join: want <id> <addr>")
 	}
 	n := service.Node{ID: args[0], Addr: args[1]}
-	if len(args) == 3 {
-		n.Repl = args[2]
-	}
 	before, err := service.NewRouter(service.RouterOpts{Nodes: topo.Nodes})
 	if err != nil {
 		return err

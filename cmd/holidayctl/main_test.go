@@ -160,8 +160,9 @@ func TestPlace(t *testing.T) {
 }
 
 // TestJoin: join rewrites the topology file with the new member and, with
-// no member reachable, says the live rebalance did not run; a duplicate id
-// is refused without touching the file.
+// no member reachable, says the live rebalance did not run; a duplicate id,
+// and a third argument (the replication address older builds took), are
+// refused without touching the file.
 func TestJoin(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 3; i++ {
@@ -186,7 +187,7 @@ func TestJoin(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := join(&out, path, topo, []string{"c", addrs[2], "127.0.0.1:9"}); err != nil {
+	if err := join(&out, path, topo, []string{"c", addrs[2]}); err != nil {
 		t.Fatalf("join: %v", err)
 	}
 	if !strings.Contains(out.String(), "joined c; 3 nodes") || !strings.Contains(out.String(), "live rebalance not run") {
@@ -196,7 +197,7 @@ func TestJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []service.Node{{ID: "a", Addr: addrs[0]}, {ID: "b", Addr: addrs[1]}, {ID: "c", Addr: addrs[2], Repl: "127.0.0.1:9"}}
+	want := []service.Node{{ID: "a", Addr: addrs[0]}, {ID: "b", Addr: addrs[1]}, {ID: "c", Addr: addrs[2]}}
 	if !slices.Equal(joined.Nodes, want) {
 		t.Fatalf("topology file holds %+v, want %+v", joined.Nodes, want)
 	}
@@ -207,6 +208,9 @@ func TestJoin(t *testing.T) {
 	}
 	if err := join(&out, path, joined, []string{"b", addrs[2]}); err == nil || !strings.Contains(err.Error(), `node "b" already in the topology`) {
 		t.Fatalf("joining a duplicate id: %v", err)
+	}
+	if err := join(&out, path, joined, []string{"d", addrs[2], "127.0.0.1:9"}); err == nil || !strings.Contains(err.Error(), "join: want <id> <addr>") {
+		t.Fatalf("joining with a replication address: %v", err)
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("refused join changed the topology file (err %v):\n%s", err, after)

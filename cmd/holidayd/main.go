@@ -24,9 +24,10 @@
 // With -node-id and -peers, the daemon is one member of a sharded cluster
 // (DESIGN.md §11): a consistent-hash router places each community on one
 // node, misrouted JSON requests are forwarded (or answered 421 not_owner),
-// and the node streams its WAL to followers over the node's repl address.
-// -follow subscribes this node to peers so it serves reads for their
-// communities from fenced replicas:
+// and the node streams its WAL to followers on its one listener, through
+// GET /v1/stream upgraded to the frame stream. -follow subscribes this
+// node to peers so it serves reads for their communities from fenced
+// replicas:
 //
 //	holidayd -addr :8081 -node-id a -peers nodes.json -follow all
 //
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"log"
 	"maps"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -87,7 +87,6 @@ type config struct {
 	walSync       time.Duration
 	nodeID        string
 	peersFile     string
-	replAddr      string
 	maxQPS        int
 	follow        string
 	failoverAfter time.Duration
@@ -112,13 +111,11 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 		"this node's id in the cluster topology; empty runs a single standalone node")
 	fs.StringVar(&c.peersFile, "peers", "",
 		"cluster topology file (nodes.json) naming every member; requires -node-id")
-	fs.StringVar(&c.replAddr, "repl", "",
-		"replication listen address; defaults to this node's repl entry in the topology")
 	fs.IntVar(&c.maxQPS, "max-qps", 0,
 		"admission limit on data-plane requests per second (0 = unlimited); "+
 			"requests beyond the limit queue rather than fail")
 	fs.StringVar(&c.follow, "follow", "",
-		"comma-separated peer node ids to replicate from, or 'all' for every peer with a repl address")
+		"comma-separated peer node ids to replicate from, or 'all' for every peer with an addr")
 	fs.DurationVar(&c.failoverAfter, "failover-after", cluster.DefaultDeadline,
 		"missed-heartbeat deadline before a followed owner is probed and, if dead, failed over "+
 			"to its most-caught-up replica; 0 disables automatic failover and placement gossip")
@@ -162,13 +159,12 @@ func (c *config) validate() error {
 // standalone node.
 type membership struct {
 	router *service.Router
-	repl   string         // replication listen address
 	peers  []service.Node // the peers -follow names
 }
 
-// membership loads the -peers topology and resolves -repl and -follow
-// against it: "all" follows every peer with a repl address, and each named
-// peer must exist and have one.
+// membership loads the -peers topology and resolves -follow against it:
+// "all" follows every peer with an addr, and each named peer must exist
+// and have one.
 func (c *config) membership() (membership, error) {
 	if c.peersFile == "" {
 		return membership{}, nil
@@ -177,18 +173,14 @@ func (c *config) membership() (membership, error) {
 	if err != nil {
 		return membership{}, err
 	}
-	m := membership{repl: c.replAddr}
+	var m membership
 	if m.router, err = service.NewRouter(service.RouterOpts{Self: c.nodeID, Nodes: topo.Nodes}); err != nil {
 		return membership{}, err
 	}
 	nodes := m.router.Nodes()
-	if m.repl == "" {
-		// NewRouter has checked that this node is in the topology.
-		m.repl = nodes[slices.IndexFunc(nodes, func(n service.Node) bool { return n.ID == c.nodeID })].Repl
-	}
 	if c.follow == "all" {
 		for _, n := range nodes {
-			if n.ID != c.nodeID && n.Repl != "" {
+			if n.ID != c.nodeID && n.Addr != "" {
 				m.peers = append(m.peers, n)
 			}
 		}
@@ -203,8 +195,8 @@ func (c *config) membership() (membership, error) {
 		if i < 0 {
 			return membership{}, fmt.Errorf("-follow %s: not in the topology", id)
 		}
-		if nodes[i].Repl == "" {
-			return membership{}, fmt.Errorf("-follow %s: node has no repl address", id)
+		if nodes[i].Addr == "" {
+			return membership{}, fmt.Errorf("-follow %s: node has no addr", id)
 		}
 		m.peers = append(m.peers, nodes[i])
 	}
@@ -281,17 +273,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	if m.router != nil {
 		sopts := cluster.SourceOpts{Owner: reg, Router: m.router}
 		if store != nil {
-			// A community taken over mid-handoff (or by failover) should
-			// survive a crash here even before the next periodic snapshot.
-			// Takeovers run on the source's connections, which src.Close
-			// drains before wg.Wait.
-			sopts.OnTakeover = func(string) {
-				spawn(func() {
-					if err := store.SaveSnapshot(reg); err != nil {
-						log.Printf("post-takeover snapshot failed: %v", err)
-					}
-				})
-			}
 			wal := store.Journal()
 			sopts.Journal, sopts.Start = wal, wal.Seq()
 		}
@@ -299,6 +280,8 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		if src, err = cluster.NewSource(sopts); err != nil {
 			return err
 		}
+		// Shutdown neither closes nor waits for the hijacked streams; this
+		// does, after it.
 		defer src.Close()
 		reg.SetJournal(src)
 		// Restored communities this topology places elsewhere are replicas
@@ -316,23 +299,11 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		}
 	}
 
-	// Replication: serve this node's stream and subscribe to followed peers.
-	if src != nil && m.repl != "" {
-		ln, err := net.Listen("tcp", m.repl)
-		if err != nil {
-			return err
-		}
-		spawn(func() {
-			if err := src.Serve(ln); err != nil {
-				log.Printf("replication listener: %v", err)
-			}
-		})
-		log.Printf("replicating on %s", m.repl)
-	}
+	// Replication: subscribe to followed peers' streams.
 	followers := make(map[string]*cluster.Follower, len(m.peers))
 	for _, peer := range m.peers {
 		f, err := cluster.NewFollower(cluster.FollowerOpts{
-			Owner: reg, Node: cfg.nodeID, Addr: peer.Repl, Logf: log.Printf,
+			Owner: reg, Addr: peer.Addr, Logf: log.Printf,
 			Accept: func(id string) bool { return m.router.Place(id) == peer.ID },
 		})
 		if err != nil {
@@ -340,9 +311,11 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		}
 		spawn(func() { f.Run(ctx) })
 		followers[peer.ID] = f
-		log.Printf("following node %s at %s", peer.ID, peer.Repl)
+		log.Printf("following node %s at %s", peer.ID, peer.Addr)
 	}
 
+	// One listener: the API and, in a cluster, the stream route beside it.
+	mux := http.NewServeMux()
 	hopts := service.HandlerOpts{Owner: reg, Router: m.router}
 	if len(followers) > 0 {
 		hopts.Lag = func() map[string]uint64 {
@@ -354,6 +327,7 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		}
 	}
 	if src != nil {
+		mux.Handle(cluster.StreamPath, src)
 		hopts.Handoff = func(community string, table service.Placement) (uint64, time.Duration, error) {
 			res, err := cluster.Handoff(reg, src, m.router, community, table, 0)
 			if err != nil {
@@ -364,7 +338,43 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 			return res.CutSeq, res.Pause, nil
 		}
 	}
-	var handler http.Handler = service.NewHandler(hopts)
+	mux.Handle("/", service.NewHandler(hopts))
+	var handler http.Handler = mux
+	// The snapshotter runs every -snapshot-every and whenever an installed
+	// table assigns this node a community. Replica state arrives by installs
+	// that are never journaled, so a community taken over by a handoff, an
+	// election or a promote is durable only from the first snapshot after
+	// its takeover. The watcher is registered after NewHandler's fence
+	// sync, which has taken ownership by the time it kicks.
+	if store != nil {
+		kick := make(chan struct{}, 1)
+		if m.router != nil {
+			m.router.OnChange(func(p service.Placement) {
+				if slices.Contains(slices.Collect(maps.Values(p.Assign)), cfg.nodeID) {
+					select {
+					case kick <- struct{}{}:
+					default: // a snapshot is already due
+					}
+				}
+			})
+		}
+		spawn(func() {
+			tick := time.Tick(cfg.snapEvery) // nil, so never ready, for -snapshot-every 0
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick:
+				case <-kick:
+				}
+				if err := store.SaveSnapshot(reg); err != nil {
+					log.Printf("snapshot failed: %v", err)
+				} else {
+					log.Printf("snapshot saved to %s", cfg.dataDir)
+				}
+			}
+		})
+	}
 	// The failover plane: placement gossip plus, for followed owners, the
 	// missed-heartbeat detector that elects a most-caught-up replica. Built
 	// after NewHandler so its fence-reconciliation watcher sees every table
@@ -400,25 +410,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("holidayd listening on %s", cfg.addr)
-
-	if store != nil && cfg.snapEvery > 0 {
-		spawn(func() {
-			t := time.NewTicker(cfg.snapEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := store.SaveSnapshot(reg); err != nil {
-						log.Printf("periodic snapshot failed: %v", err)
-					} else {
-						log.Printf("snapshot saved to %s", cfg.dataDir)
-					}
-				}
-			}
-		})
-	}
 
 	select {
 	case err := <-errc:
@@ -478,9 +469,10 @@ func createDemo(cfg *config, router *service.Router, reg *service.Owner) error {
 // a blocking token bucket: excess requests queue on the bucket instead of
 // failing, so clients see latency — not errors — at the capacity ceiling.
 // Liveness and status probes bypass the limit; they must stay responsive on
-// a saturated node. The caller runs the returned refill loop, which ends
-// with ctx; from then on queued requests are admitted so a shutdown can
-// drain them.
+// a saturated node. So does the stream route: a replication stream or a
+// handoff is one long request, not data-plane load. The caller runs the
+// returned refill loop, which ends with ctx; from then on queued requests
+// are admitted so a shutdown can drain them.
 func admissionLimit(ctx context.Context, h http.Handler, qps int) (http.Handler, func()) {
 	// Refill from elapsed wall time rather than tick counts: tickers
 	// coalesce missed ticks under load, which would silently lower the
@@ -517,7 +509,7 @@ func admissionLimit(ctx context.Context, h http.Handler, qps int) (http.Handler,
 		}
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" && r.URL.Path != "/v1/status" {
+		if p := r.URL.Path; p != "/healthz" && p != "/v1/status" && p != cluster.StreamPath {
 			select {
 			case <-tokens:
 			case <-ctx.Done():

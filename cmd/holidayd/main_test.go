@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +19,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/persist"
+	"repro/internal/service"
 )
 
 // parseArgs parses args the way main parses the command line.
@@ -33,16 +40,20 @@ type daemon struct {
 	done   chan error
 }
 
-// boot starts run on a free loopback port and waits until it answers
-// /healthz.
-func boot(t *testing.T, args ...string) *daemon {
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// boot starts run on addr and waits until it answers /healthz.
+func boot(t *testing.T, addr string, args ...string) *daemon {
+	t.Helper()
 	cfg, err := parseArgs(append([]string{"-addr", addr}, args...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +156,7 @@ func TestRestartAnswersByteForByte(t *testing.T) {
 	// With -data-dir and -max-qps the first run starts every goroutine a
 	// standalone node has; the periodic snapshotter stays idle at its
 	// default interval, so any snapshot.json is the shutdown one.
-	d := boot(t, "-data-dir", dir, "-demo", "gnp:n=64,p=0.08", "-max-qps", "10000")
+	d := boot(t, freeAddr(t), "-data-dir", dir, "-demo", "gnp:n=64,p=0.08", "-max-qps", "10000")
 	d.do(t, "POST", "/v1/communities",
 		`{"id":"poly","kind":"poly","families":8,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]],"default_demand":16}`,
 		http.StatusCreated)
@@ -173,7 +184,7 @@ func TestRestartAnswersByteForByte(t *testing.T) {
 		t.Fatalf("no %q line after %q in the log:\n%s", "snapshot saved", "shutting down", out)
 	}
 
-	d = boot(t, "-data-dir", dir)
+	d = boot(t, freeAddr(t), "-data-dir", dir)
 	for i, q := range queries {
 		if got := d.do(t, "GET", q, "", http.StatusOK); !bytes.Equal(got, want[i]) {
 			t.Errorf("GET %s after restart:\n got  %s\n want %s", q, got, want[i])
@@ -181,13 +192,20 @@ func TestRestartAnswersByteForByte(t *testing.T) {
 	}
 	d.stop(t)
 
-	// Client and server connection goroutines wind down asynchronously
-	// after run returns; anything still alive past the deadline leaked.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+	checkGoroutines(t, goroutines)
+}
+
+// checkGoroutines fails the test if more than want goroutines outlive the
+// daemons it stopped. Client and server connection goroutines wind down
+// asynchronously after run returns; anything still alive past the
+// deadline leaked.
+func checkGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			var stacks bytes.Buffer
 			pprof.Lookup("goroutine").WriteTo(&stacks, 1)
-			t.Fatalf("%d goroutines after two boots, %d before:\n%s", runtime.NumGoroutine(), goroutines, stacks.String())
+			t.Fatalf("%d goroutines after the daemons stopped, %d before:\n%s", runtime.NumGoroutine(), want, stacks.String())
 		}
 	}
 }
@@ -198,9 +216,9 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 	tmp := t.TempDir()
 	peers := filepath.Join(tmp, "nodes.json")
 	topo := `{"nodes":[
-		{"id":"a","addr":"http://127.0.0.1:1","repl":"127.0.0.1:2"},
-		{"id":"b","addr":"http://127.0.0.1:3","repl":"127.0.0.1:4"},
-		{"id":"c","addr":"http://127.0.0.1:5"}]}`
+		{"id":"a","addr":"http://127.0.0.1:1"},
+		{"id":"b","addr":"http://127.0.0.1:3"},
+		{"id":"c"}]}`
 	if err := os.WriteFile(peers, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +240,11 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 		{"missing topology file", []string{"-node-id", "a", "-peers", filepath.Join(tmp, "absent.json")}, "topology"},
 		{"self not in topology", []string{"-node-id", "z", "-peers", peers}, `self "z" is not in the topology`},
 		{"follow unknown peer", []string{"-node-id", "a", "-peers", peers, "-follow", "z"}, "-follow z: not in the topology"},
-		{"follow peer without repl", []string{"-node-id", "a", "-peers", peers, "-follow", "c"}, "-follow c: node has no repl address"},
+		{"follow peer without addr", []string{"-node-id", "a", "-peers", peers, "-follow", "c"}, "-follow c: node has no addr"},
 		{"removed -churn-batch", []string{"-churn-batch", "4"}, "flag provided but not defined: -churn-batch"},
 		{"removed -churn-flush-ms", []string{"-churn-flush-ms", "2ms"}, "flag provided but not defined: -churn-flush-ms"},
 		{"removed -bin-max-batch", []string{"-bin-max-batch", "1024"}, "flag provided but not defined: -bin-max-batch"},
+		{"removed -repl", []string{"-repl", "127.0.0.1:9090"}, "flag provided but not defined: -repl"},
 	}
 	// A cancelled context makes a config that wrongly passes stop at once
 	// instead of serving forever.
@@ -247,4 +266,210 @@ func TestRejectedConfigLeavesNoDataDir(t *testing.T) {
 			}
 		})
 	}
+}
+
+// status reads the node's /v1/status.
+func (d *daemon) status(t *testing.T) service.NodeStatus {
+	t.Helper()
+	var st service.NodeStatus
+	if err := json.Unmarshal(d.do(t, "GET", "/v1/status", "", http.StatusOK), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// community returns id's entry in the node's /v1/status, if it lists one.
+func (d *daemon) community(t *testing.T, id string) (service.CommunityStatus, bool) {
+	t.Helper()
+	for _, c := range d.status(t).Communities {
+		if c.ID == id {
+			return c, true
+		}
+	}
+	return service.CommunityStatus{}, false
+}
+
+// TestTwoNodeCluster boots nodes a and b in-process from one topology
+// file, one port each. a's entry still names the replication address of
+// older builds, which must load and be ignored. b follows a, fsyncs every
+// record into its data directory, and runs no failover detector.
+//   - A community created on a reaches b as a follower answering the same
+//     window.
+//   - POST /v1/handoff to a moves a second community to b.
+//   - b is promoted for the first community and takes a write to it. A
+//     copy of b's data directory, which is what a crash would leave, then
+//     holds both communities and answers their windows as b does.
+//
+// No goroutine of either run may outlive both stops.
+func TestTwoNodeCluster(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	addrA, addrB := freeAddr(t), freeAddr(t)
+	topo := filepath.Join(t.TempDir(), "nodes.json")
+	if err := os.WriteFile(topo, []byte(`{"nodes":[
+		{"id":"a","addr":"http://`+addrA+`","repl":"127.0.0.1:1"},
+		{"id":"b","addr":"http://`+addrB+`"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := service.LoadTopology(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := service.NewRouter(service.RouterOpts{Nodes: nodes.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string // two communities the ring places on a
+	for i := 0; len(ids) < 2; i++ {
+		if id := fmt.Sprintf("c%d", i); rt.Place(id) == "a" {
+			ids = append(ids, id)
+		}
+	}
+	x, y := ids[0], ids[1]
+	dir := filepath.Join(t.TempDir(), "data-b")
+
+	a := boot(t, addrA, "-node-id", "a", "-peers", topo)
+	b := boot(t, addrB, "-node-id", "b", "-peers", topo, "-follow", "all",
+		"-data-dir", dir, "-wal-sync", "0", "-failover-after", "0")
+	for _, id := range ids {
+		a.do(t, "POST", "/v1/communities", `{"id":"`+id+`","families":8,"edges":[[0,1],[1,2]]}`, http.StatusCreated)
+		a.do(t, "POST", "/v1/communities/"+id+"/churn", `[{"op":"marry","u":2,"v":3},{"op":"marry","u":4,"v":5}]`, http.StatusOK)
+	}
+	window := func(id string) string { return "/v1/communities/" + id + "/window?from=1&to=52" }
+
+	// Replication: x reaches b as a follower at a's sequence.
+	owned, ok := a.community(t, x)
+	if !ok || owned.Role != "owner" {
+		t.Fatalf("a lists %s as %+v, want its owner", x, owned)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if c, ok := b.community(t, x); ok && c.Role == "follower" && c.Seq == owned.Seq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("b never followed %s to seq %d; b's status: %+v", x, owned.Seq, b.status(t))
+		}
+	}
+	if got, want := b.do(t, "GET", window(x), "", http.StatusOK), a.do(t, "GET", window(x), "", http.StatusOK); !bytes.Equal(got, want) {
+		t.Fatalf("follower b answers %s\n got  %s\n want %s", window(x), got, want)
+	}
+
+	// Handoff: y moves to b at the next epoch over b's stream route.
+	wantY := a.do(t, "GET", window(y), "", http.StatusOK)
+	var table service.Placement
+	if err := json.Unmarshal(a.do(t, "GET", "/v1/placement", "", http.StatusOK), &table); err != nil {
+		t.Fatal(err)
+	}
+	table.Epoch++
+	if table.Assign == nil {
+		table.Assign = map[string]string{}
+	}
+	table.Assign[y] = "b"
+	req, err := json.Marshal(service.HandoffRequest{Community: y, Table: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.do(t, "POST", "/v1/handoff", string(req), http.StatusOK)
+	if c, ok := b.community(t, y); !ok || c.Role != "owner" {
+		t.Fatalf("after the handoff b lists %s as %+v, want its owner", y, c)
+	}
+	if got := b.do(t, "GET", window(y), "", http.StatusOK); !bytes.Equal(got, wantY) {
+		t.Fatalf("b answers %s after the handoff\n got  %s\n want %s", window(y), got, wantY)
+	}
+
+	// Promote: b takes x over and acknowledges a write to it.
+	b.do(t, "POST", "/v1/promote", `{"community":"`+x+`"}`, http.StatusOK)
+	b.do(t, "POST", "/v1/communities/"+x+"/edges", `{"u":6,"v":7}`, http.StatusOK)
+	want := map[string][]byte{x: b.do(t, "GET", window(x), "", http.StatusOK), y: wantY}
+
+	// Both takeovers must be durable once the snapshot they kicked lands.
+	// The WAL is copied before the snapshot: the snapshot is renamed in
+	// before the WAL is compacted, so a copy never pairs an old snapshot
+	// with a compacted WAL.
+	var lost error
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if lost = crashCopyAnswers(t, dir, window, want); lost == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a copy of b's data directory lost a takeover: %v\nlog:\n%s", lost, logs.String())
+		}
+	}
+
+	b.stop(t)
+	a.stop(t)
+	checkGoroutines(t, goroutines)
+}
+
+// crashCopyAnswers copies the data directory the way a crash would leave
+// it, loads the copy, and reports the first community whose window differs
+// from want.
+func crashCopyAnswers(t *testing.T, dir string, window func(id string) string, want map[string][]byte) error {
+	t.Helper()
+	cp := t.TempDir()
+	for _, name := range []string{"wal.jsonl", "snapshot.json"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := persist.Open(cp, persist.Options{})
+	if err != nil {
+		return err
+	}
+	defer store.Close()
+	restored, err := store.Load()
+	if err != nil {
+		return err
+	}
+	h := service.NewHandler(service.HandlerOpts{Owner: restored})
+	for id, body := range want {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", window(id), nil))
+		if got := rec.Body.Bytes(); !bytes.Equal(got, body) {
+			return fmt.Errorf("%s answers %s, want %s", id, got, body)
+		}
+	}
+	return nil
+}
+
+// TestAdmissionExemptions: with no token ever refilled, a data-plane
+// request waits for admission, while liveness, status and the stream route
+// of replication and handoffs are served at once.
+func TestAdmissionExemptions(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, _ := admissionLimit(ctx, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), 1)
+	serve := func(path string) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+		}()
+		return done
+	}
+	for _, path := range []string{"/healthz", "/v1/status", cluster.StreamPath} {
+		select {
+		case <-serve(path):
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited for admission", path)
+		}
+	}
+	done := serve("/v1/communities")
+	select {
+	case <-done:
+		t.Fatal("a data-plane request was served without a token")
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	<-done
 }

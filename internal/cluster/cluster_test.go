@@ -4,12 +4,27 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/service"
 )
+
+// serveStream serves src on ln, as holidayd mounts it beside its API, and
+// returns the base URL followers and handoffs dial. Cleanup closes the
+// source, then the server.
+func serveStream(t *testing.T, ln net.Listener, src *Source) string {
+	t.Helper()
+	srv := &http.Server{Handler: src}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		src.Close()
+		srv.Close()
+	})
+	return "http://" + ln.Addr().String()
+}
 
 // pair boots an owner node (with a Source as its journal) serving
 // replication on a loopback listener, plus a follower node subscribed to
@@ -22,18 +37,12 @@ func pair(t *testing.T, ringSize int) (*service.Owner, *Source, *service.Owner, 
 		t.Fatalf("NewSource: %v", err)
 	}
 	owner.SetJournal(src)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go src.Serve(ln)
-	t.Cleanup(src.Close)
+	addr := serveStream(t, listenTCP(t), src)
 
 	replica := service.New(service.Opts{})
 	fol, err := NewFollower(FollowerOpts{
 		Owner:   replica,
-		Node:    "b",
-		Addr:    ln.Addr().String(),
+		Addr:    addr,
 		Backoff: 100 * time.Millisecond,
 		Logf:    t.Logf,
 	})
@@ -176,15 +185,10 @@ func TestSnapshotCatchUp(t *testing.T) {
 	seed(t, owner, "alpha", 8) // well past a 4-record ring
 	seed(t, owner, "beta", 5)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go src.Serve(ln)
-	defer src.Close()
+	addr := serveStream(t, listenTCP(t), src)
 
 	replica := service.New(service.Opts{})
-	fol, err := NewFollower(FollowerOpts{Owner: replica, Node: "b", Addr: ln.Addr().String(), Logf: t.Logf})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: addr, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
 	}
@@ -295,15 +299,13 @@ func TestFollowerReconnects(t *testing.T) {
 		t.Fatalf("NewSource: %v", err)
 	}
 	owner.SetJournal(src)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go src.Serve(ln)
+	ln := listenTCP(t)
+	srv := &http.Server{Handler: src}
+	go srv.Serve(ln)
 
 	replica := service.New(service.Opts{})
 	fol, err := NewFollower(FollowerOpts{
-		Owner: replica, Node: "b", Addr: ln.Addr().String(),
+		Owner: replica, Addr: "http://" + ln.Addr().String(),
 		Backoff: 100 * time.Millisecond, Logf: t.Logf,
 	})
 	if err != nil {
@@ -321,6 +323,7 @@ func TestFollowerReconnects(t *testing.T) {
 	// same address.
 	addr := ln.Addr().String()
 	src.Close()
+	srv.Close()
 	waitFor(t, "follower to notice the drop", func() bool { return !fol.Connected() })
 
 	src2, err := NewSource(SourceOpts{Owner: owner, Start: src.Seq(), Heartbeat: 20 * time.Millisecond})
@@ -332,8 +335,7 @@ func TestFollowerReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relisten: %v", err)
 	}
-	go src2.Serve(ln2)
-	defer src2.Close()
+	serveStream(t, ln2, src2)
 
 	c, _ := owner.Get("alpha")
 	if _, err := c.Marry(1, 3); err != nil {
@@ -353,16 +355,11 @@ func TestAcceptFilter(t *testing.T) {
 		t.Fatalf("NewSource: %v", err)
 	}
 	owner.SetJournal(src)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go src.Serve(ln)
-	defer src.Close()
+	addr := serveStream(t, listenTCP(t), src)
 
 	replica := service.New(service.Opts{})
 	fol, err := NewFollower(FollowerOpts{
-		Owner: replica, Node: "b", Addr: ln.Addr().String(),
+		Owner: replica, Addr: addr,
 		Accept: func(id string) bool { return id == "alpha" },
 		Logf:   t.Logf,
 	})

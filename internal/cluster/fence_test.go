@@ -41,7 +41,7 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: "127.0.0.1:1"})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -18,10 +17,7 @@ type FollowerOpts struct {
 	// (required). Communities the stream creates are fenced: they serve
 	// reads but reject direct writes until promoted.
 	Owner *service.Owner
-	// Node is this node's id, sent with the subscription for the owner's
-	// bookkeeping.
-	Node string
-	// Addr is the owner's replication listener ("host:port", required).
+	// Addr is the owner's base URL, its topology Addr (required).
 	Addr string
 	// Accept filters which communities this follower replicates; nil
 	// accepts all. Used by sharded deployments so a node only mirrors the
@@ -39,7 +35,6 @@ type FollowerOpts struct {
 // when the stream drops. Safe for concurrent use with serving reads.
 type Follower struct {
 	owner   *service.Owner
-	node    string
 	addr    string
 	accept  func(string) bool
 	backoff time.Duration
@@ -66,7 +61,6 @@ func NewFollower(o FollowerOpts) (*Follower, error) {
 	}
 	return &Follower{
 		owner:   o.Owner,
-		node:    o.Node,
 		addr:    o.Addr,
 		accept:  o.Accept,
 		backoff: o.Backoff,
@@ -154,28 +148,16 @@ func (f *Follower) Run(ctx context.Context) {
 
 // runOnce runs one subscription to completion (stream drop or ctx cancel).
 func (f *Follower) runOnce(ctx context.Context) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", f.addr)
+	// Cancellation closes the stream, which unblocks the frame reads below.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	conn, err := dialStream(ctx, f.addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	// Cancellation must unblock the frame reads below.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-
-	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write(wire.AppendSubscribe(nil, f.Applied(), f.node)); err != nil {
+	if _, err := conn.Write(wire.AppendSubscribe(nil, f.Applied())); err != nil {
 		return err
 	}
-	_ = conn.SetWriteDeadline(time.Time{})
 	f.setConnected(true)
 	defer f.setConnected(false)
 

@@ -1,20 +1,22 @@
 // Live community handoff: the sending half (Handoff, run by the old owner)
 // and the receiving half (Source.receiveHandoff, multiplexed onto the
-// replication listener). See DESIGN.md §12 for the protocol.
+// stream route). See DESIGN.md §12 for the protocol.
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/service"
 	"repro/internal/wire"
 )
 
-// DefaultHandoffTimeout bounds one handoff's dial, stream, and ack.
+// DefaultHandoffTimeout bounds one handoff's handshake, stream, and ack.
 const DefaultHandoffTimeout = 15 * time.Second
 
 // HandoffResult reports one completed handoff.
@@ -41,7 +43,7 @@ type HandoffResult struct {
 //
 // src supplies the WAL tail; when its ring no longer covers the tail, a
 // second, fenced export is sent instead of records. The table must assign
-// community to a member with a replication listener.
+// community to a member with an address, whose Source serves StreamPath.
 func Handoff(o *service.Owner, src *Source, rt *service.Router, community string, table service.Placement, timeout time.Duration) (HandoffResult, error) {
 	if timeout <= 0 {
 		timeout = DefaultHandoffTimeout
@@ -56,14 +58,10 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	if target == rt.Self() {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: table assigns it to this node", community)
 	}
-	var repl string
-	for _, n := range table.Nodes {
-		if n.ID == target {
-			repl = n.Repl
-		}
-	}
-	if repl == "" {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: node %q has no replication listener", community, target)
+	// Validate has checked that the table's assignments name members.
+	addr := table.Nodes[slices.IndexFunc(table.Nodes, func(n service.Node) bool { return n.ID == target })].Addr
+	if addr == "" {
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: node %q has no address", community, target)
 	}
 	c, ok := o.Get(community)
 	if !ok {
@@ -85,13 +83,13 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode state: %w", community, err)
 	}
 
-	deadline := time.Now().Add(timeout)
-	conn, err := net.DialTimeout("tcp", repl, timeout)
+	// The timeout, or cancel on return, closes the stream.
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	conn, err := dialStream(ctx, addr)
 	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: dial %s: %w", community, repl, err)
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(deadline)
 	if _, err := conn.Write(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, stateJSON)); err != nil {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send offer: %w", community, err)
 	}
@@ -258,9 +256,6 @@ stream:
 	// The sender has fenced at cut and everything ≤ cut is applied: flip.
 	s.owner.TakeOwnership(id)
 	_, _ = s.router.SetPlacement(table)
-	if s.onTakeover != nil {
-		s.onTakeover(id)
-	}
 	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	_, _ = conn.Write(wire.AppendHandoffAck(nil, cut, id))
 }

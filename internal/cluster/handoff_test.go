@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // hNode is one in-process node for handoff tests: an owner whose journal is
-// a Source serving the replication listener, plus that node's router.
+// a Source serving the stream route, plus that node's router.
 type hNode struct {
 	owner *service.Owner
 	src   *Source
@@ -39,8 +42,7 @@ func bootHNode(t *testing.T, id string, nodes []service.Node, ln net.Listener) *
 		t.Fatalf("NewSource(%s): %v", id, err)
 	}
 	owner.SetJournal(src)
-	go src.Serve(ln)
-	t.Cleanup(src.Close)
+	serveStream(t, ln, src)
 	return &hNode{owner: owner, src: src, rt: rt}
 }
 
@@ -49,8 +51,8 @@ func bootHandoffPair(t *testing.T) (a, b *hNode) {
 	t.Helper()
 	lnA, lnB := listenTCP(t), listenTCP(t)
 	nodes := []service.Node{
-		{ID: "a", Repl: lnA.Addr().String()},
-		{ID: "b", Repl: lnB.Addr().String()},
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://" + lnB.Addr().String()},
 	}
 	return bootHNode(t, "a", nodes, lnA), bootHNode(t, "b", nodes, lnB)
 }
@@ -155,23 +157,22 @@ func TestHandoffRefusals(t *testing.T) {
 // half of the protocol's failure contract.
 func TestHandoffCrashMidway(t *testing.T) {
 	lnA := listenTCP(t)
-	lnZ := listenTCP(t)
-	nodes := []service.Node{
-		{ID: "a", Repl: lnA.Addr().String()},
-		{ID: "z", Repl: lnZ.Addr().String()},
-	}
-	a := bootHNode(t, "a", nodes, lnA)
-	// z accepts and slams the connection: a crash between offer and ack.
-	go func() {
-		for {
-			conn, err := lnZ.Accept()
-			if err != nil {
-				return
-			}
+	// z completes the upgrade, reads the offer and slams the connection: a
+	// crash between offer and ack, inside the sender's fenced window.
+	offered := make(chan wire.Kind, 1)
+	z := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if conn := upgrade(w, r); conn != nil {
+			f, _, _ := wire.ReadFrame(conn, nil)
+			offered <- f.Kind
 			conn.Close()
 		}
-	}()
-	t.Cleanup(func() { lnZ.Close() })
+	}))
+	t.Cleanup(z.Close)
+	nodes := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "z", Addr: z.URL},
+	}
+	a := bootHNode(t, "a", nodes, lnA)
 
 	c := seed(t, a.owner, "alpha", 5)
 	before := a.rt.Epoch()
@@ -180,6 +181,14 @@ func TestHandoffCrashMidway(t *testing.T) {
 	table.Assign["alpha"] = "z"
 	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second); err == nil {
 		t.Fatal("handoff succeeded against a crashing receiver")
+	}
+	select {
+	case kind := <-offered:
+		if kind != wire.KindHandoffOffer {
+			t.Fatalf("the receiver read a %v frame, want the offer", kind)
+		}
+	default:
+		t.Fatal("the receiver never completed the upgrade")
 	}
 	if c.Fenced() {
 		t.Fatal("old owner left fenced after a failed handoff")

@@ -4,7 +4,9 @@
 //
 // The owner side (Source) wraps the node's journal: every record a
 // community logs is also stamped into an in-memory ring and fanned out to
-// subscribed followers as Records frames on a raw TCP stream. A follower
+// subscribed followers as Records frames. Frames travel on the node's API
+// listener: Source serves StreamPath, upgrading a GET to the frame stream
+// (101 Switching Protocols), and dialStream opens one. A follower
 // (Follower) subscribes from the last sequence it has applied; when the
 // ring still covers that point the owner streams just the missing records,
 // otherwise it first sends one Snapshot frame per community (the exported
@@ -21,9 +23,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,6 +51,16 @@ const subBuf = 4096
 // maxRecsPerFrame bounds the records one Records frame carries so a busy
 // stream flushes in digestible chunks.
 const maxRecsPerFrame = 256
+
+// StreamPath is the route a node serves its Source on, beside its API: a
+// GET with Upgrade: streamProto there carries frames both ways after its
+// 101, for the replication stream or the handoff receiver.
+// handshakeTimeout bounds the Upgrade round trip.
+const (
+	StreamPath       = "/v1/stream"
+	streamProto      = "holiday-wire"
+	handshakeTimeout = 10 * time.Second
+)
 
 // ringRec is one ring entry: a replicated record (its journal sequence and
 // the same JSON object wal.jsonl stores on the owner) beside its community.
@@ -70,38 +86,29 @@ type SourceOpts struct {
 	// Heartbeat overrides the heartbeat interval; 0 means DefaultHeartbeat.
 	Heartbeat time.Duration
 	// Router, when set, lets this node accept live handoffs on the same
-	// listener: an incoming HandoffOffer installs the offered placement
-	// table and takes ownership of the handed-off community. Nil refuses
-	// offers.
+	// route: an incoming HandoffOffer installs the offered placement table
+	// and takes ownership of the handed-off community. Nil refuses offers.
 	Router *service.Router
-	// OnTakeover, when set, runs after this node takes ownership of a
-	// community through a handoff (holidayd persists a snapshot so the
-	// restored-not-logged state survives a crash).
-	OnTakeover func(id string)
 }
 
 // Source is the owner half of the replication stream. It implements
 // service.BatchJournal: attach it (service.Opts.Journal) in place of the
-// raw WAL and every logged record is both durable and replicated. Safe for
-// concurrent use.
+// raw WAL and every logged record is both durable and replicated. It is
+// also the http.Handler of StreamPath. Safe for concurrent use.
 type Source struct {
-	owner      *service.Owner
-	inner      service.BatchJournal
-	heartbeat  time.Duration
-	router     *service.Router
-	onTakeover func(id string)
+	owner     *service.Owner
+	inner     service.BatchJournal
+	heartbeat time.Duration
+	router    *service.Router
 
-	mu    sync.Mutex
-	seq   uint64
-	ring  []ringRec // circular buffer
-	start int       // index of the oldest record
-	count int
-	subs  map[*subscriber]struct{}
-
-	lnMu   sync.Mutex
-	ln     net.Listener
-	closed bool
-	wg     sync.WaitGroup
+	mu     sync.Mutex
+	seq    uint64
+	ring   []ringRec // circular buffer
+	start  int       // index of the oldest record
+	count  int
+	subs   map[*subscriber]struct{}
+	closed bool           // set by Close; refuses new streams and subscribers
+	wg     sync.WaitGroup // one per stream being served
 }
 
 // subscriber is one follower connection's send side.
@@ -125,14 +132,13 @@ func NewSource(o SourceOpts) (*Source, error) {
 		o.Heartbeat = DefaultHeartbeat
 	}
 	return &Source{
-		owner:      o.Owner,
-		inner:      o.Journal,
-		heartbeat:  o.Heartbeat,
-		router:     o.Router,
-		onTakeover: o.OnTakeover,
-		seq:        o.Start,
-		ring:       make([]ringRec, o.RingSize),
-		subs:       make(map[*subscriber]struct{}),
+		owner:     o.Owner,
+		inner:     o.Journal,
+		heartbeat: o.Heartbeat,
+		router:    o.Router,
+		seq:       o.Start,
+		ring:      make([]ringRec, o.RingSize),
+		subs:      make(map[*subscriber]struct{}),
 	}, nil
 }
 
@@ -228,48 +234,83 @@ func (s *Source) tailLocked(community string, after, through uint64) (recs []wir
 	return recs, covered
 }
 
-// Serve accepts follower subscriptions on l until Close. It blocks; run it
-// in a goroutine.
-func (s *Source) Serve(l net.Listener) error {
-	s.lnMu.Lock()
+// ServeHTTP serves StreamPath: it upgrades the request to the frame stream
+// and runs the peer's protocol on the hijacked connection until it ends.
+// After Close it refuses with 503.
+func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
 	if s.closed {
-		s.lnMu.Unlock()
-		l.Close()
-		return fmt.Errorf("cluster: source is closed")
+		s.mu.Unlock()
+		http.Error(w, "cluster: replication source is closed", http.StatusServiceUnavailable)
+		return
 	}
-	s.ln = l
-	s.lnMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.lnMu.Lock()
-			closed := s.closed
-			s.lnMu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
+	s.wg.Add(1)
+	s.mu.Unlock()
+	defer s.wg.Done()
+	if conn := upgrade(w, r); conn != nil {
+		s.handle(conn)
 	}
 }
 
-// Close stops accepting, disconnects subscribers, and waits for their
-// goroutines. The wrapped journal is not closed — its lifecycle belongs to
-// the caller.
-func (s *Source) Close() {
-	s.lnMu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.lnMu.Unlock()
-	if ln != nil {
-		ln.Close()
+// upgrade is the server half of the handshake: it answers a GET carrying
+// Upgrade: holiday-wire with 101 Switching Protocols and returns the
+// hijacked connection. Any other request is answered 426 and gets nil, as
+// does a peer that sent bytes before its 101 reached it: a peer speaks
+// only after the 101.
+func upgrade(w http.ResponseWriter, r *http.Request) net.Conn {
+	if r.Method != http.MethodGet || !strings.EqualFold(r.Header.Get("Upgrade"), streamProto) {
+		w.Header().Set("Connection", "Upgrade")
+		w.Header().Set("Upgrade", streamProto)
+		http.Error(w, "cluster: "+StreamPath+" needs GET with Upgrade: "+streamProto, http.StatusUpgradeRequired)
+		return nil
 	}
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil
+	}
+	if _, err := conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProto + "\r\n\r\n")); err != nil || brw.Reader.Buffered() > 0 {
+		conn.Close()
+		return nil
+	}
+	return conn
+}
+
+// streamClient opens streams. It has no Timeout: with one, net/http wraps
+// a 101 body in a reader that cannot be written to, so dialStream bounds
+// the handshake with a context instead.
+var streamClient = &http.Client{}
+
+// dialStream is the client half of the handshake: it opens the frame
+// stream of the node whose API is at base URL addr. The stream closes when
+// ctx ends; the handshake alone is also bounded by handshakeTimeout.
+func dialStream(ctx context.Context, addr string) (io.ReadWriteCloser, error) {
+	hctx, cancel := context.WithTimeout(ctx, handshakeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(hctx, http.MethodGet, strings.TrimRight(addr, "/")+StreamPath, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = http.Header{"Connection": {"Upgrade"}, "Upgrade": {streamProto}}
+	resp, err := streamClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), streamProto) {
+		resp.Body.Close()
+		return nil, fmt.Errorf("cluster: GET %s: %s", req.URL, resp.Status)
+	}
+	context.AfterFunc(ctx, func() { rwc.Close() })
+	return rwc, nil
+}
+
+// Close refuses new streams, disconnects subscribers, and waits for every
+// stream being served. The wrapped journal is not closed — its lifecycle
+// belongs to the caller.
+func (s *Source) Close() {
 	s.mu.Lock()
+	s.closed = true
 	for sub := range s.subs {
 		delete(s.subs, sub)
 		sub.dropNow()
@@ -293,7 +334,7 @@ func (s *Source) handle(conn net.Conn) {
 		s.receiveHandoff(conn, f, buf0)
 		return
 	}
-	fromSeq, _, err := f.Subscribe()
+	fromSeq, err := f.Subscribe()
 	if err != nil {
 		return
 	}
@@ -306,6 +347,11 @@ func (s *Source) handle(conn net.Conn) {
 	// Apply's idempotence absorbs the overlaps.
 	sub := &subscriber{ch: make(chan wire.RawRecord, subBuf), drop: make(chan struct{})}
 	s.mu.Lock()
+	if s.closed {
+		// Close has already dropped the subscribers it will ever drop.
+		s.mu.Unlock()
+		return
+	}
 	watermark := s.seq
 	backlog, covered := s.tailLocked("", fromSeq, watermark)
 	s.subs[sub] = struct{}{}

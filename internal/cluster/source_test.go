@@ -3,14 +3,16 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"net"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // TestTailFor: the ring walk behind a handoff's tail keeps one community's
@@ -119,14 +121,9 @@ func TestSourceOverWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner.SetJournal(src)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go src.Serve(ln)
-	defer src.Close()
+	addr := serveStream(t, listenTCP(t), src)
 	replica := service.New(service.Opts{})
-	fol, err := NewFollower(FollowerOpts{Owner: replica, Node: "b", Addr: ln.Addr().String(), Logf: t.Logf})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: addr, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +191,48 @@ func TestSourceOverWAL(t *testing.T) {
 	}
 	for _, id := range []string{"alpha", "poly"} {
 		assertSameAnswers(t, owner, restored, id)
+	}
+}
+
+// TestCloseRefusesLateSubscriber: a stream whose Subscribe arrives after
+// Close has dropped the subscribers must not register one, or Close waits
+// for a stream that nothing ends. holidayd closes its Source on every
+// shutdown.
+func TestCloseRefusesLateSubscriber(t *testing.T) {
+	owner := service.New(service.Opts{})
+	src, err := NewSource(SourceOpts{Owner: owner, Heartbeat: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.SetJournal(src)
+	srv := httptest.NewServer(src)
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // closes the streams, which releases a Close that hangs
+	conn, err := dialStream(ctx, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The upgraded stream waits for its first frame while Close runs.
+	closed := make(chan struct{})
+	go func() {
+		src.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to refuse new streams", func() bool {
+		probe, err := dialStream(ctx, srv.URL)
+		if err == nil {
+			probe.Close()
+		}
+		return err != nil && strings.Contains(err.Error(), "503")
+	})
+	if _, err := conn.Write(wire.AppendSubscribe(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return within 2s of a late Subscribe")
 	}
 }

@@ -67,7 +67,7 @@ func (p Placement) Fingerprint() string {
 	var b strings.Builder
 	ids := make([]string, 0, len(p.Nodes))
 	for _, n := range p.Nodes {
-		ids = append(ids, n.ID+"="+n.Addr+"/"+n.Repl)
+		ids = append(ids, n.ID+"="+n.Addr)
 	}
 	sort.Strings(ids)
 	b.WriteString(strings.Join(ids, ","))

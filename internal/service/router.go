@@ -10,12 +10,11 @@ import (
 )
 
 // Node is one cluster member of a topology: its stable id (the consistent
-// hash input), the base URL peers reach its HTTP API at, and the host:port
-// its replication stream listens on (empty for nodes that don't replicate).
+// hash input) and the base URL peers reach its HTTP API at, which also
+// serves its replication stream.
 type Node struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr"`
-	Repl string `json:"repl,omitempty"`
 }
 
 // Topology is the static cluster description of a nodes.json file.

@@ -15,7 +15,7 @@ func seedCorpus() [][]byte {
 		AppendNextReq(nil, "demo", 3, 10),
 		AppendNextResp(nil, 12),
 		AppendError(nil, 404, 2, "no community \"x\""),
-		AppendSubscribe(nil, 42, "node-b"),
+		AppendSubscribe(nil, 42),
 		AppendRecords(nil, []RawRecord{{Seq: 1, Data: []byte(`{"op":1}`)}, {Seq: 2}}),
 		AppendSnapshot(nil, 17, []byte(`{"id":"demo"}`)),
 		AppendHeartbeat(nil, 99),
@@ -74,8 +74,8 @@ func FuzzSplit(f *testing.F) {
 			case KindError:
 				_, _, _, _ = fr.ErrorResp()
 			case KindSubscribe:
-				if fromSeq, node, err := fr.Subscribe(); err == nil {
-					if got := AppendSubscribe(nil, fromSeq, node); !bytes.Equal(got, consumed) {
+				if fromSeq, err := fr.Subscribe(); err == nil {
+					if got := AppendSubscribe(nil, fromSeq); !bytes.Equal(got, consumed) {
 						t.Fatalf("subscribe did not round trip:\n got %x\nwant %x", got, consumed)
 					}
 				}

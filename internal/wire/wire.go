@@ -18,7 +18,7 @@
 //	Error      (5): u16 status | u16 code | u16 msgLen | msg
 //	ChurnReq   (6): u8 op | u16 idLen | id | u32 u | u32 v
 //	ChurnResp  (7): u8 flags (bit 0 applied, bit 1 recolored)
-//	Subscribe  (8): u64 fromSeq | u16 idLen | node id
+//	Subscribe  (8): u64 fromSeq
 //	Records    (9): u32 count | count × (u64 seq | u32 len | bytes)
 //	Snapshot  (10): u64 cutoff | u32 len | bytes
 //	Heartbeat (11): u64 seq
@@ -27,16 +27,17 @@
 //	HandoffAck   (13): u64 seq | u16 idLen | id
 //
 // Kinds 8–11 are the replication stream of internal/cluster: a follower
-// opens a connection with Subscribe naming the last sequence it has applied,
-// and the owner answers with Snapshot frames (one per community, the
-// catch-up path), then Records frames carrying WAL records (the same JSON
-// objects wal.jsonl stores, framed with their sequence numbers) and
-// Heartbeat frames advertising the owner's current sequence so an idle
-// follower can still measure its lag.
+// opens a stream (an upgraded GET /v1/stream on the owner's API address)
+// with Subscribe naming the last sequence it has applied, and the owner
+// answers with Snapshot frames (one per community, the catch-up path), then
+// Records frames carrying WAL records (the same JSON objects wal.jsonl
+// stores, framed with their sequence numbers) and Heartbeat frames
+// advertising the owner's current sequence so an idle follower can still
+// measure its lag.
 //
 // Kinds 12–13 are the live-handoff exchange (DESIGN.md §12): the old owner
-// of a community opens a connection to the new owner's replication listener
-// with HandoffOffer — the placement table being flipped to (JSON), the
+// of a community opens a stream on the new owner's API address with
+// HandoffOffer — the placement table being flipped to (JSON), the
 // community's exported state, and the epoch — then streams the WAL tail
 // (Records or a re-export Snapshot) accumulated while the offer was in
 // flight, marks the fencing cut with a Heartbeat carrying the cut sequence,
@@ -105,7 +106,7 @@ const (
 	// KindChurnResp reports what one churn edit did.
 	KindChurnResp
 	// KindSubscribe opens a replication stream: the follower names the last
-	// WAL sequence it has applied and its node id.
+	// WAL sequence it has applied.
 	KindSubscribe
 	// KindRecords carries a batch of WAL records, each framed with its
 	// sequence number (the payload bytes are the wal.jsonl JSON objects).
@@ -506,31 +507,22 @@ func (wr WindowResp) AppendHappy(dst []int, i int) []int {
 	return dst
 }
 
-// AppendSubscribe appends a subscribe frame: the follower's node id plus the
-// last WAL sequence it has applied (the owner streams everything after it).
-func AppendSubscribe(dst []byte, fromSeq uint64, node string) []byte {
-	dst = appendHeader(dst, KindSubscribe, 8+2+len(node))
-	dst = binary.LittleEndian.AppendUint64(dst, fromSeq)
-	return appendID(dst, node)
+// AppendSubscribe appends a subscribe frame: the last WAL sequence the
+// follower has applied (the owner streams everything after it).
+func AppendSubscribe(dst []byte, fromSeq uint64) []byte {
+	dst = appendHeader(dst, KindSubscribe, 8)
+	return binary.LittleEndian.AppendUint64(dst, fromSeq)
 }
 
 // Subscribe decodes a subscribe body.
-func (f Frame) Subscribe() (fromSeq uint64, node string, err error) {
+func (f Frame) Subscribe() (fromSeq uint64, err error) {
 	if f.Kind != KindSubscribe {
-		return 0, "", fmt.Errorf("wire: %s frame is not a subscribe", f.Kind)
+		return 0, fmt.Errorf("wire: %s frame is not a subscribe", f.Kind)
 	}
-	if len(f.Body) < 8 {
-		return 0, "", fmt.Errorf("wire: subscribe body is %d bytes, want ≥ 8", len(f.Body))
+	if len(f.Body) != 8 {
+		return 0, fmt.Errorf("wire: subscribe body is %d bytes, want 8", len(f.Body))
 	}
-	fromSeq = binary.LittleEndian.Uint64(f.Body)
-	node, rest, err := splitID(f.Body[8:])
-	if err != nil {
-		return 0, "", err
-	}
-	if len(rest) != 0 {
-		return 0, "", fmt.Errorf("wire: subscribe has %d trailing bytes", len(rest))
-	}
-	return fromSeq, node, nil
+	return binary.LittleEndian.Uint64(f.Body), nil
 }
 
 // RawRecord is one replicated WAL record: the owner-assigned sequence number

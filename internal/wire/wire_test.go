@@ -315,7 +315,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		{Seq: 2, Data: nil},
 		{Seq: 9, Data: []byte(`{"op":"divorce","u":3}`)},
 	}
-	buf := AppendSubscribe(nil, 42, "node-b")
+	buf := AppendSubscribe(nil, 42)
 	buf = AppendSnapshot(buf, 17, []byte(`{"id":"demo"}`))
 	buf = AppendRecords(buf, recs)
 	buf = AppendHeartbeat(buf, 99)
@@ -324,9 +324,9 @@ func TestReplicationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSeq, node, err := f.Subscribe()
-	if err != nil || fromSeq != 42 || node != "node-b" {
-		t.Fatalf("Subscribe = %d %q (%v)", fromSeq, node, err)
+	fromSeq, err := f.Subscribe()
+	if err != nil || fromSeq != 42 {
+		t.Fatalf("Subscribe = %d (%v)", fromSeq, err)
 	}
 	f, rest, err = Split(rest)
 	if err != nil {
@@ -382,9 +382,9 @@ func TestReplicationRoundTrip(t *testing.T) {
 // TestReplicationDecodersReject: malformed replication bodies must fail with
 // errors naming the problem, and wrong kinds must be refused.
 func TestReplicationDecodersReject(t *testing.T) {
-	sub, _, _ := Split(AppendSubscribe(nil, 1, "n"))
+	sub, _, _ := Split(AppendSubscribe(nil, 1))
 	hb, _, _ := Split(AppendHeartbeat(nil, 1))
-	if _, _, err := hb.Subscribe(); err == nil {
+	if _, err := hb.Subscribe(); err == nil {
 		t.Fatal("Subscribe decoded a heartbeat")
 	}
 	if _, err := sub.Heartbeat(); err == nil {
@@ -395,6 +395,14 @@ func TestReplicationDecodersReject(t *testing.T) {
 	}
 	if _, _, err := sub.Snapshot(); err == nil {
 		t.Fatal("Snapshot decoded a subscribe")
+	}
+	// The body is the sequence alone: the follower's node id that older
+	// builds appended is refused as trailing bytes.
+	legacy := appendID(append(appendHeader(nil, KindSubscribe, 8+2+1), sub.Body...), "b")
+	if f, _, err := Split(legacy); err != nil {
+		t.Fatal(err)
+	} else if _, err := f.Subscribe(); err == nil {
+		t.Fatal("Subscribe accepted a body with a trailing node id")
 	}
 	// A records frame whose count exceeds the records present: count u32
 	// lives at offset 4(len)+4(header).

@@ -36,13 +36,10 @@ trap cleanup EXIT
 go build -o "$BIN/holidayd" ./cmd/holidayd
 go build -o "$BIN/holidayctl" ./cmd/holidayctl
 
+# One port per node: replication and handoffs upgrade from the API.
 declare -A ADDR=(
   [a]=http://127.0.0.1:18081 [b]=http://127.0.0.1:18082
   [c]=http://127.0.0.1:18083 [d]=http://127.0.0.1:18084
-)
-declare -A REPL=(
-  [a]=127.0.0.1:19091 [b]=127.0.0.1:19092
-  [c]=127.0.0.1:19093 [d]=127.0.0.1:19094
 )
 declare -A PID
 
@@ -52,7 +49,7 @@ write_topology() { # write_topology <file> <node>...
     echo '{"nodes": ['
     local sep=""
     for n in "$@"; do
-      printf '%s{"id": "%s", "addr": "%s", "repl": "%s"}' "$sep" "$n" "${ADDR[$n]}" "${REPL[$n]}"
+      printf '%s{"id": "%s", "addr": "%s"}' "$sep" "$n" "${ADDR[$n]}"
       sep=$',\n'
     done
     echo $'\n]}'
@@ -236,7 +233,7 @@ done
 
 # Join updates the topology file; the live rebalance inside can't reach the
 # new node yet, so it degrades to the file edit (by design).
-"$BIN/holidayctl" -topology "$TOPO3" join d "${ADDR[d]}" "${REPL[d]}" || fail "join d"
+"$BIN/holidayctl" -topology "$TOPO3" join d "${ADDR[d]}" || fail "join d"
 start_node leg3 d "$TOPO3" 0
 await_healthy "${ADDR[d]}"
 
