@@ -203,6 +203,30 @@ func (c *config) membership() (membership, error) {
 	return m, nil
 }
 
+// takeovers returns a placement watcher that calls kick once for every
+// installed table that assigns node a community the table installed
+// before it, prev at first, did not. Watchers run outside the router's
+// lock, so a table superseded by the time its watcher runs is skipped.
+func takeovers(prev service.Placement, node string, kick func()) func(service.Placement) {
+	var mu sync.Mutex
+	return func(p service.Placement) {
+		mu.Lock()
+		took := false
+		if p.Supersedes(prev) {
+			for id, n := range p.Assign {
+				if n == node && prev.Assign[id] != node {
+					took = true
+				}
+			}
+			prev = p
+		}
+		mu.Unlock()
+		if took {
+			kick()
+		}
+	}
+}
+
 // run serves cfg until ctx is cancelled or the listener fails. The cluster
 // topology is resolved before the data directory is opened. run returns
 // only after every goroutine it started has exited and the store is
@@ -340,23 +364,23 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	}
 	mux.Handle("/", service.NewHandler(hopts))
 	var handler http.Handler = mux
-	// The snapshotter runs every -snapshot-every and whenever an installed
-	// table assigns this node a community. Replica state arrives by installs
-	// that are never journaled, so a community taken over by a handoff, an
-	// election or a promote is durable only from the first snapshot after
-	// its takeover. The watcher is registered after NewHandler's fence
-	// sync, which has taken ownership by the time it kicks.
+	// The snapshotter runs every -snapshot-every and after every takeover:
+	// an installed table that assigns this node a community the table
+	// before it did not, as a handoff's, an election's and a promote's
+	// always does. Replica state arrives by installs that are never
+	// journaled, so a community taken over is durable only from the first
+	// snapshot after its takeover. The watcher is registered after
+	// NewHandler's fence sync, which has taken ownership by the time it
+	// kicks.
 	if store != nil {
 		kick := make(chan struct{}, 1)
 		if m.router != nil {
-			m.router.OnChange(func(p service.Placement) {
-				if slices.Contains(slices.Collect(maps.Values(p.Assign)), cfg.nodeID) {
-					select {
-					case kick <- struct{}{}:
-					default: // a snapshot is already due
-					}
+			m.router.OnChange(takeovers(m.router.Placement(), cfg.nodeID, func() {
+				select {
+				case kick <- struct{}{}:
+				default: // a snapshot is already due
 				}
-			})
+			}))
 		}
 		spawn(func() {
 			tick := time.Tick(cfg.snapEvery) // nil, so never ready, for -snapshot-every 0

@@ -404,6 +404,63 @@ func TestTwoNodeCluster(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
+// TestSnapshotOnTakeoverOnly: a clustered node with -data-dir and no
+// periodic snapshots writes one whenever an installed table assigns it a
+// community the table before did not, and none for a table that assigns
+// it nothing new. Tables arrive over /v1/placement, as gossip and a
+// promote's or a handoff's publication deliver them.
+func TestSnapshotOnTakeoverOnly(t *testing.T) {
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	addr := freeAddr(t)
+	nodes := []service.Node{{ID: "a", Addr: "http://" + addr}, {ID: "b", Addr: "http://127.0.0.1:1"}}
+	topo := filepath.Join(t.TempDir(), "nodes.json")
+	body, err := json.Marshal(service.Topology{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(topo, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := boot(t, addr, "-node-id", "a", "-peers", topo, "-data-dir", filepath.Join(t.TempDir(), "data"),
+		"-snapshot-every", "0", "-failover-after", "0")
+	saved := func() int { return strings.Count(logs.String(), "snapshot saved") }
+	offer := func(epoch uint64, assign map[string]string) {
+		t.Helper()
+		body, err := json.Marshal(service.Placement{Epoch: epoch, Nodes: nodes, Assign: assign})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out service.OfferResponse
+		if err := json.Unmarshal(a.do(t, "POST", "/v1/placement", string(body), http.StatusOK), &out); err != nil || !out.Installed {
+			t.Fatalf("offer of epoch %d: %+v, %v", epoch, out, err)
+		}
+	}
+	awaitSaved := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); saved() < want; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d snapshots saved, want %d; log:\n%s", saved(), want, logs.String())
+			}
+		}
+	}
+
+	offer(1, map[string]string{"x": "a"})
+	awaitSaved(1)
+	offer(2, map[string]string{"x": "a", "y": "b"}) // nothing new for a
+	// No event marks a snapshot that is never written: wait far longer than
+	// a kicked one takes to land here.
+	time.Sleep(300 * time.Millisecond)
+	if n := saved(); n != 1 {
+		t.Fatalf("a table assigning a nothing new saved a snapshot: %d saved, want 1", n)
+	}
+	offer(3, map[string]string{"x": "a", "y": "b", "z": "a"})
+	awaitSaved(2)
+	a.stop(t)
+}
+
 // crashCopyAnswers copies the data directory the way a crash would leave
 // it, loads the copy, and reports the first community whose window differs
 // from want.

@@ -3,8 +3,10 @@ package benchkit
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,10 +33,21 @@ type ClusterDriver struct {
 	// HTTPDriver.
 	Proto string
 
-	// Rotation state: mid-run live handoffs and the write pauses they cost.
+	// Rotation state: mid-run live handoffs, the write pauses they cost,
+	// and one move per scenario community (moves' done channels are
+	// guarded by rotMu).
 	rotMu  sync.Mutex
 	rotIdx int
 	pauses []time.Duration
+	moves  []move
+}
+
+// move is Rotate's record of one community: gen counts the moves of it
+// begun and ended, so it is odd while one runs, and done is closed when
+// the latest one has ended.
+type move struct {
+	gen  atomic.Uint64
+	done chan struct{}
 }
 
 // NewClusterDriver builds a driver over a cluster topology. Every member
@@ -57,15 +70,10 @@ func (d *ClusterDriver) Target() Target {
 	return Target{Driver: "cluster", Proto: protoTag(d.Proto), Nodes: len(d.nodes)}
 }
 
-// ownerIdx resolves the node index owning a community (by scenario index).
-func (d *ClusterDriver) ownerIdx(community int) int {
-	placed := d.router.Place(d.nodes[0].ids[community])
-	for i, id := range d.ids {
-		if id == placed {
-			return i
-		}
-	}
-	return 0
+// placedIdx is the index of the node the driver's table places a
+// community on.
+func (d *ClusterDriver) placedIdx(community string) int {
+	return max(0, slices.Index(d.ids, d.router.Place(community)))
 }
 
 // Setup implements Driver: communities are created through their placed
@@ -77,13 +85,7 @@ func (d *ClusterDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 	// (Setup only appended its own).
 	byNode := make([]Scenario, len(d.nodes))
 	for _, cs := range sc.Communities {
-		i := 0
-		placed := d.router.Place(cs.ID)
-		for j, id := range d.ids {
-			if id == placed {
-				i = j
-			}
-		}
+		i := d.placedIdx(cs.ID)
 		byNode[i].Communities = append(byNode[i].Communities, cs)
 	}
 	sizeByID := make(map[string]int, len(sc.Communities))
@@ -114,6 +116,11 @@ func (d *ClusterDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 	for i := range d.nodes {
 		d.nodes[i].ids = ids
 	}
+	// holidayload sets up twice and rotates from before the second call: a
+	// move in flight keeps its record.
+	if len(d.moves) != len(ids) {
+		d.moves = make([]move, len(ids))
+	}
 	return sizes, nil
 }
 
@@ -128,26 +135,70 @@ func indexOf(sc *Scenario, id string) int {
 }
 
 // Do implements Driver: writes go to the owner, reads round-robin across
-// the whole membership.
+// the whole membership. A write one of Rotate's moves refused is re-sent
+// once (movedUnder).
 func (d *ClusterDriver) Do(op Op) error {
-	return d.nodes[d.pick(op)].Do(op)
+	gen := d.moveGen(op)
+	err := d.nodes[d.pick(op)].Do(op)
+	if d.movedUnder(op, gen, err) {
+		err = d.nodes[d.pick(op)].Do(op)
+	}
+	return err
 }
 
 // pick routes one op to a node index.
 func (d *ClusterDriver) pick(op Op) int {
-	switch op.Kind {
-	case OpWindow, OpNext:
+	if isRead(op) {
 		return int(d.reads.Add(1) % uint64(len(d.nodes)))
-	default:
-		return d.ownerIdx(op.Community)
 	}
+	return d.placedIdx(d.nodes[0].ids[op.Community])
+}
+
+func isRead(op Op) bool { return op.Kind == OpWindow || op.Kind == OpNext }
+
+// moveGen reads the move generation of a write's community before it is
+// sent.
+func (d *ClusterDriver) moveGen(op Op) uint64 {
+	if isRead(op) {
+		return 0
+	}
+	return d.moves[op.Community].gen.Load()
+}
+
+// movedUnder reports whether err is a not_owner refusal of a write sent at
+// move generation gen that one of Rotate's moves of its community caused:
+// one running when the write was sent, or begun before its answer. Such a
+// refusal comes from the old owner's fenced window, so movedUnder waits
+// for the move to end, by which time Rotate has re-learned the table and
+// pick names the new owner, and the caller re-sends the write there once,
+// as errcode.go tells clients to. Every other failure still counts, a
+// second refusal and a not_owner outside a move included.
+func (d *ClusterDriver) movedUnder(op Op, gen uint64, err error) bool {
+	var se *service.Error
+	if isRead(op) || !errors.As(err, &se) || se.Code != service.CodeNotOwner {
+		return false
+	}
+	m := &d.moves[op.Community]
+	if gen%2 == 0 && m.gen.Load() == gen {
+		return false
+	}
+	d.rotMu.Lock()
+	done := m.done
+	d.rotMu.Unlock()
+	<-done
+	return true
 }
 
 // DoBatch implements Driver: ops are grouped per target node and each
-// group goes out as one (or a few) batched requests on that node.
+// group goes out as one (or a few) batched requests on that node. Writes
+// one of Rotate's moves refused are re-sent once each, as Do re-sends.
 func (d *ClusterDriver) DoBatch(ops []Op, errs []error) error {
 	if len(d.nodes) == 1 {
 		return d.nodes[0].DoBatch(ops, errs)
+	}
+	gens := make([]uint64, len(ops))
+	for i, op := range ops {
+		gens[i] = d.moveGen(op)
 	}
 	groups := make([][]int, len(d.nodes))
 	for i, op := range ops {
@@ -171,6 +222,11 @@ func (d *ClusterDriver) DoBatch(ops []Op, errs []error) error {
 			errs[i] = subErrs[j]
 		}
 	}
+	for i, op := range ops {
+		if d.movedUnder(op, gens[i], errs[i]) {
+			errs[i] = d.nodes[d.pick(op)].Do(op)
+		}
+	}
 	return firstErr
 }
 
@@ -192,8 +248,10 @@ func (d *ClusterDriver) Stats() (Stats, error) {
 // next community in round-robin order moves from its current owner to the
 // next member in id order, via the same /v1/handoff path holidayctl uses.
 // The driver's client-side router re-learns the published table, so writes
-// follow the community to its new owner; the write pause the move cost is
-// recorded for the snapshot's handoff_pause_p99_us.
+// follow the community to its new owner, and only then does the move end
+// for the writes its fenced window refused (movedUnder); the write pause
+// the move cost is recorded for the snapshot's handoff_pause_p99_us. Calls
+// must not overlap.
 func (d *ClusterDriver) Rotate(ctx context.Context) error {
 	if len(d.nodes) < 2 {
 		return fmt.Errorf("benchkit: rotation needs at least two nodes")
@@ -203,18 +261,21 @@ func (d *ClusterDriver) Rotate(ctx context.Context) error {
 		return fmt.Errorf("benchkit: rotation before Setup")
 	}
 	d.rotMu.Lock()
-	community := ids[d.rotIdx%len(ids)]
+	ci := d.rotIdx % len(ids)
 	d.rotIdx++
+	m := &d.moves[ci]
+	done := make(chan struct{})
+	m.done = done
 	d.rotMu.Unlock()
+	m.gen.Add(1)
+	defer func() {
+		m.gen.Add(1)
+		close(done)
+	}()
 
-	fromIdx := 0
-	from := d.router.Place(community)
-	for j, id := range d.ids {
-		if id == from {
-			fromIdx = j
-		}
-	}
-	to := d.ids[(fromIdx+1)%len(d.ids)]
+	community := ids[ci]
+	fromIdx := d.placedIdx(community)
+	from, to := d.ids[fromIdx], d.ids[(fromIdx+1)%len(d.ids)]
 
 	rb := &cluster.Rebalancer{}
 	mv, err := rb.MoveCommunity(ctx, d.nodes[fromIdx].base, community, to)
@@ -222,8 +283,7 @@ func (d *ClusterDriver) Rotate(ctx context.Context) error {
 		return fmt.Errorf("benchkit: rotate %q %s→%s: %w", community, from, to, err)
 	}
 	// Re-learn the table from the old owner (the handoff installed it on
-	// both ends) so the next write routes to the new owner, not through a
-	// 421 retry.
+	// both ends) so writes route to the new owner.
 	p, err := d.nodes[fromIdx].ctl.Placement(ctx, d.nodes[fromIdx].base)
 	if err != nil {
 		return fmt.Errorf("benchkit: rotate %q: refresh table: %w", community, err)
@@ -263,13 +323,7 @@ func PauseP99(pauses []time.Duration) float64 {
 // sequence) becomes visible on every replica — same sequence, then
 // byte-identical window — within the deadline.
 func (d *ClusterDriver) VerifyReadYourWrites(community string, deadline time.Duration) error {
-	ownerIdx := 0
-	placed := d.router.Place(community)
-	for j, id := range d.ids {
-		if id == placed {
-			ownerIdx = j
-		}
-	}
+	ownerIdx := d.placedIdx(community)
 	owner := d.nodes[ownerIdx]
 
 	// One churn op through the owner; its response carries the journal

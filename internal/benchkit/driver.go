@@ -565,8 +565,9 @@ func (d *HTTPDriver) postBin(path string, b *binBufs) ([]byte, error) {
 	return b.resp.Bytes(), nil
 }
 
-// frameErr converts an in-band error frame to an op error; any other frame
-// kind counts as served traffic (rows are deliberately not decoded).
+// frameErr converts an in-band error frame to an op error wrapping its
+// *service.Error; any other frame kind counts as served traffic (rows are
+// deliberately not decoded).
 func frameErr(f wire.Frame) error {
 	if f.Kind != wire.KindError {
 		return nil
@@ -575,7 +576,8 @@ func frameErr(f wire.Frame) error {
 	if err != nil {
 		return fmt.Errorf("benchkit: malformed error frame: %w", err)
 	}
-	return fmt.Errorf("benchkit: binary query failed: status %d (%s): %s", status, service.CodeFromNum(code), msg)
+	e := &service.Error{Code: service.CodeFromNum(code), Message: msg}
+	return fmt.Errorf("benchkit: binary query failed: status %d (%s): %w", status, e.Code, e)
 }
 
 // Stats implements Driver via the per-community stats endpoint.
@@ -686,14 +688,15 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// drainExpect drains the body and errors unless the status matches.
+// drainExpect drains the body and errors unless the status matches. The
+// error wraps the node's envelope as a *service.Error, decoded only on this
+// failure path, as service.Client does.
 func drainExpect(resp *http.Response, want int) error {
+	var err error
 	if resp.StatusCode != want {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		return fmt.Errorf("benchkit: %s %s: status %d (want %d): %s",
-			resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, want, bytes.TrimSpace(msg))
+		err = fmt.Errorf("benchkit: %s %s: status %d (want %d): %w",
+			resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, want, service.ResponseError(resp))
 	}
 	drain(resp)
-	return nil
+	return err
 }

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // countingJournal counts every record a node journals. Attached to a node
@@ -21,10 +23,10 @@ func (j *countingJournal) Log(service.Record) (uint64, error) {
 }
 
 // TestReplicaNeverVisibleUnfenced installs a replica over and over, through
-// every cluster path, while a writer hammers whatever Get returns. A
-// replica must be fenced from the moment it is visible, and a replaced copy
-// must be fenced before its successor is, so no write may ever be journaled
-// on this node.
+// every path of the one applier, while a writer hammers whatever Get
+// returns. A replica must be fenced from the moment it is visible, and a
+// replaced copy must be fenced before its successor is, so no write may
+// ever be journaled on this node.
 func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	const id, families, rounds = "r", 8, 3000
 	origin := service.New(service.Opts{})
@@ -37,13 +39,16 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	replica := service.New(service.Opts{})
 	j := &countingJournal{}
 	replica.SetJournal(j)
-	src, err := NewSource(SourceOpts{Owner: replica})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The applier of a handoff offer, which keeps the handed-off community,
+	// and of a subscription, each fed whole frames up to a heartbeat.
+	offered := &applier{owner: replica, keep: func(c string) bool { return c == id }}
+	followed := fol.stream()
+	stream := func(frames []byte) error {
+		return followed.receive(bytes.NewReader(frames), func(uint64) bool { return false })
 	}
 
 	stop := make(chan struct{})
@@ -82,17 +87,17 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	seq := uint64(0)
 	next := func() uint64 { seq++; return seq }
 
-	phase("handoff installReplica", func() error {
+	phase("handoff offer", func() error {
 		st.Seq = next()
-		return src.installReplica(st)
+		return offered.install(st)
 	})
-	phase("follower applySnapshot", func() error {
+	phase("follower snapshot", func() error {
 		st.Seq = next()
 		data, err := json.Marshal(st)
 		if err != nil {
 			return err
 		}
-		return fol.applySnapshot(data)
+		return stream(wire.AppendHeartbeat(wire.AppendSnapshot(nil, st.Seq, data), st.Seq))
 	})
 
 	create, err := json.Marshal(service.Record{Op: service.OpCreate, ID: id, N: families, Edges: [][2]int{{0, 1}, {1, 2}}, Code: "omega"})
@@ -103,13 +108,13 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.applyRecord(next(), del, true); err != nil {
+	records := func(recs ...wire.RawRecord) error {
+		return stream(wire.AppendHeartbeat(wire.AppendRecords(nil, recs), recs[len(recs)-1].Seq))
+	}
+	if err := records(wire.RawRecord{Seq: next(), Data: del}); err != nil {
 		t.Fatal(err)
 	}
-	phase("follower applyRecord create", func() error {
-		if err := fol.applyRecord(next(), create, true); err != nil {
-			return err
-		}
-		return fol.applyRecord(next(), del, true)
+	phase("follower record create", func() error {
+		return records(wire.RawRecord{Seq: next(), Data: create}, wire.RawRecord{Seq: next(), Data: del})
 	})
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -46,6 +45,7 @@ type Follower struct {
 	through   map[string]uint64 // per community: last seq its replica is current through
 	lastBeat  time.Time
 	connected bool
+	caughtUp  bool // the subscription's catch-up heartbeat has arrived
 }
 
 // NewFollower returns a follower; call Run to start replicating.
@@ -160,154 +160,81 @@ func (f *Follower) runOnce(ctx context.Context) error {
 	}
 	f.setConnected(true)
 	defer f.setConnected(false)
+	return f.stream().receive(conn, func(seq uint64) bool {
+		f.heartbeat(seq)
+		return true
+	})
+}
 
-	// Until the owner's catch-up heartbeat arrives, the stream may be
-	// mid-snapshot-phase: state is applied (Apply/Restore are idempotent)
-	// but the subscription watermark must not advance, or a drop mid-phase
-	// would make the reconnect skip communities whose snapshots never
-	// arrived.
-	caughtUp := false
-	var buf []byte
-	var recs []wire.RawRecord
-	for {
-		var fr wire.Frame
-		fr, buf, err = wire.ReadFrame(conn, buf)
-		if err != nil {
-			return err
-		}
-		switch fr.Kind {
-		case wire.KindSnapshot:
-			_, data, err := fr.Snapshot()
-			if err != nil {
-				return err
+// stream is the applier of one subscription. It keeps the communities
+// Accept admits, except one this node owns unfenced (promoted, or taken
+// over), which a stale stream must never overwrite. Applied states and
+// records track per-community lag. A streamed record moves the
+// subscription watermark only after the catch-up heartbeat: until then the
+// stream may be mid-snapshot-phase, and a drop there must not make the
+// reconnect skip communities whose snapshots never arrived.
+func (f *Follower) stream() *applier {
+	return &applier{
+		owner: f.owner,
+		keep: func(id string) bool {
+			if f.accept != nil && !f.accept(id) {
+				return false
 			}
-			if err := f.applySnapshot(data); err != nil {
-				return err
+			c, ok := f.owner.Get(id)
+			return !ok || c.Fenced()
+		},
+		applied: f.track,
+		passed: func(seq uint64) {
+			f.mu.Lock()
+			if f.caughtUp {
+				f.advanceLocked(seq)
 			}
-		case wire.KindRecords:
-			recs, err = fr.Records(recs[:0])
-			if err != nil {
-				return err
-			}
-			for _, r := range recs {
-				if err := f.applyRecord(r.Seq, r.Data, caughtUp); err != nil {
-					return err
-				}
-			}
-		case wire.KindHeartbeat:
-			seq, err := fr.Heartbeat()
-			if err != nil {
-				return err
-			}
-			// The owner only heartbeats sequences it has already streamed
-			// to this subscriber (the first one marks catch-up complete),
-			// so advancing the applied watermark past skipped or filtered
-			// records is safe.
-			caughtUp = true
-			f.heartbeat(seq)
-		default:
-			return fmt.Errorf("cluster: unexpected %v frame on replication stream", fr.Kind)
-		}
+			f.mu.Unlock()
+		},
 	}
 }
 
+// setConnected marks a subscription live or ended; either way it starts
+// with catch-up.
 func (f *Follower) setConnected(v bool) {
 	f.mu.Lock()
-	f.connected = v
+	f.connected, f.caughtUp = v, false
 	f.mu.Unlock()
 }
 
-// applySnapshot installs one community's exported state, replacing a stale
-// local replica if the snapshot is newer. Communities this node owns
-// outright (present and unfenced — e.g. after a promotion) are never
-// clobbered by a stale stream.
-func (f *Follower) applySnapshot(data []byte) error {
-	var st service.CommunityState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("cluster: decode snapshot: %w", err)
-	}
-	if f.accept != nil && !f.accept(st.ID) {
-		return nil
-	}
-	if c, ok := f.owner.Get(st.ID); ok && !c.Fenced() {
-		return nil // we own this community now; ignore the old stream
-	}
-	c, err := f.owner.InstallReplica(st)
-	if err != nil {
-		return fmt.Errorf("cluster: restore %q: %w", st.ID, err)
-	}
-	f.track(st.ID, c.Seq())
-	return nil
+// advanceLocked moves the applied and source watermarks forward; caller
+// holds mu.
+func (f *Follower) advanceLocked(seq uint64) {
+	f.applied = max(f.applied, seq)
+	f.sourceSeq = max(f.sourceSeq, seq)
 }
 
-// applyRecord replays one streamed record into the local store; advance
-// moves the subscription watermark (live stream only — catch-up records
-// wait for the owner's watermark heartbeat).
-func (f *Follower) applyRecord(seq uint64, data []byte, advance bool) error {
-	var rec service.Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("cluster: decode record at seq %d: %w", seq, err)
-	}
-	replicate := f.accept == nil || f.accept(rec.ID)
-	if replicate {
-		if c, ok := f.owner.Get(rec.ID); ok && !c.Fenced() {
-			replicate = false // locally owned (promoted); the stream is stale
-		}
-	}
-	if replicate {
-		if err := f.owner.Replicate(seq, rec); err != nil {
-			return fmt.Errorf("cluster: apply seq %d: %w", seq, err)
-		}
-		if rec.Op == service.OpDelete {
-			f.untrack(rec.ID)
-		} else {
-			f.track(rec.ID, seq)
-		}
-	}
-	if advance {
-		f.advance(seq)
-	}
-	return nil
-}
-
-// advance moves the applied and source watermarks forward.
-func (f *Follower) advance(seq uint64) {
-	f.mu.Lock()
-	if seq > f.applied {
-		f.applied = seq
-	}
-	if seq > f.sourceSeq {
-		f.sourceSeq = seq
-	}
-	f.mu.Unlock()
-}
-
-// heartbeat records the owner's watermark: the stream has delivered
-// everything at or below seq, so every tracked community is current
-// through it.
+// heartbeat records the owner's watermark. The owner only heartbeats
+// sequences it has already streamed to this subscriber, the first one
+// marking catch-up complete, so the stream has delivered everything at or
+// below seq: advancing past skipped or filtered records is safe, and every
+// tracked community is current through seq.
 func (f *Follower) heartbeat(seq uint64) {
-	f.advance(seq)
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.caughtUp = true
+	f.advanceLocked(seq)
 	f.lastBeat = time.Now()
 	for id, thru := range f.through {
 		if seq > thru {
 			f.through[id] = seq
 		}
 	}
-	f.mu.Unlock()
 }
 
-// track marks a community replicated and current through seq.
-func (f *Follower) track(id string, seq uint64) {
+// track marks a community's replica current through seq, or forgets it
+// once the stream deleted it.
+func (f *Follower) track(id string, seq uint64, deleted bool) {
 	f.mu.Lock()
-	if thru, ok := f.through[id]; !ok || seq > thru {
+	defer f.mu.Unlock()
+	if deleted {
+		delete(f.through, id)
+	} else if thru, ok := f.through[id]; !ok || seq > thru {
 		f.through[id] = seq
 	}
-	f.mu.Unlock()
-}
-
-func (f *Follower) untrack(id string) {
-	f.mu.Lock()
-	delete(f.through, id)
-	f.mu.Unlock()
 }

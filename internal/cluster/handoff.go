@@ -1,6 +1,7 @@
 // Live community handoff: the sending half (Handoff, run by the old owner)
 // and the receiving half (Source.receiveHandoff, multiplexed onto the
-// stream route). See DESIGN.md §12 for the protocol.
+// stream route), over the replica stream's one sender and one applier.
+// See DESIGN.md §12 for the protocol.
 package cluster
 
 import (
@@ -9,7 +10,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"time"
 
 	"repro/internal/service"
@@ -41,9 +41,10 @@ type HandoffResult struct {
 // epoch; the receiver, never having seen the cut marker, keeps the state
 // as a fenced replica at most.
 //
-// src supplies the WAL tail; when its ring no longer covers the tail, a
-// second, fenced export is sent instead of records. The table must assign
-// community to a member with an address, whose Source serves StreamPath.
+// src is o's journal and supplies the WAL tail; when its ring no longer
+// covers the tail, a second, fenced export is sent instead of records. The
+// table must assign community to a member with an address, whose Source
+// serves StreamPath.
 func Handoff(o *service.Owner, src *Source, rt *service.Router, community string, table service.Placement, timeout time.Duration) (HandoffResult, error) {
 	if timeout <= 0 {
 		timeout = DefaultHandoffTimeout
@@ -59,7 +60,7 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: table assigns it to this node", community)
 	}
 	// Validate has checked that the table's assignments name members.
-	addr := table.Nodes[slices.IndexFunc(table.Nodes, func(n service.Node) bool { return n.ID == target })].Addr
+	addr, _ := table.Addr(target)
 	if addr == "" {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: node %q has no address", community, target)
 	}
@@ -76,11 +77,9 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode table: %w", community, err)
 	}
 	// Export while still serving writes; the tail covers what lands after.
-	st := c.Export()
-	cut1 := st.Seq
-	stateJSON, err := json.Marshal(st)
+	cut1, state, err := encodeState(c)
 	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode state: %w", community, err)
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
 	}
 
 	// The timeout, or cancel on return, closes the stream.
@@ -90,7 +89,7 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	if err != nil {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
 	}
-	if _, err := conn.Write(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, stateJSON)); err != nil {
+	if _, err := conn.Write(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, state)); err != nil {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send offer: %w", community, err)
 	}
 
@@ -104,30 +103,11 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 			o.Unfence(community)
 		}
 	}()
+	// The tail (cut₁, cut₂], or a fenced re-export when the ring no longer
+	// covers it, then the cut marker: everything at or below cut₂ is sent.
 	cut2 := c.Seq()
-
-	tail, covered := src.TailFor(community, cut1, cut2)
-	if covered {
-		if len(tail) > 0 {
-			if _, err := conn.Write(wire.AppendRecords(nil, tail)); err != nil {
-				return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send tail: %w", community, err)
-			}
-		}
-	} else if cut2 != cut1 {
-		// The ring no longer covers the tail: re-export under the fence —
-		// the state is final now — and send it whole.
-		st2 := c.Export()
-		stateJSON, err = json.Marshal(st2)
-		if err != nil {
-			return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode fenced state: %w", community, err)
-		}
-		if _, err := conn.Write(wire.AppendSnapshot(nil, st2.Seq, stateJSON)); err != nil {
-			return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send fenced state: %w", community, err)
-		}
-	}
-	// The cut marker: everything at or below cut₂ has been sent.
-	if _, err := conn.Write(wire.AppendHeartbeat(nil, cut2)); err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send cut: %w", community, err)
+	if err := src.catchUp(&sender{w: conn}, community, cut1, cut2); err != nil {
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send tail: %w", community, err)
 	}
 
 	f, _, err := wire.ReadFrame(conn, nil)
@@ -155,11 +135,14 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	return HandoffResult{CutSeq: cut2, Pause: time.Since(pauseStart)}, nil
 }
 
-// receiveHandoff runs the receiving half of a handoff on an accepted
-// connection whose first frame was the offer. It installs the offered
-// state as a fenced replica, applies the streamed tail, and — once the cut
-// marker arrives — takes ownership, installs the offered table, and acks.
-func (s *Source) receiveHandoff(conn net.Conn, offer wire.Frame, buf []byte) {
+// receiveHandoff runs the receiving half of a handoff on a stream whose
+// first frame was the offer. It checks the offer, installs the offered
+// state as a fenced replica, applies the tail, and — once the cut marker
+// arrives — takes ownership, installs the offered table, and acks. The
+// applier keeps only the handed-off community, and an offer whose table
+// supersedes this node's replaces even a copy it owns unfenced. Any failure
+// before the marker refuses, so the sender keeps serving at the old epoch.
+func (s *Source) receiveHandoff(conn net.Conn, offer wire.Frame) {
 	refuse := func(status int, code service.ErrCode, msg string) {
 		_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 		_, _ = conn.Write(wire.AppendError(nil, status, code.Num(), msg))
@@ -181,8 +164,8 @@ func (s *Source) receiveHandoff(conn net.Conn, offer wire.Frame, buf []byte) {
 		refuse(http.StatusBadRequest, service.CodeBadRequest, "offered table does not assign the community to this node")
 		return
 	}
-	var st service.CommunityState
-	if err := json.Unmarshal(stateJSON, &st); err != nil || st.ID != id {
+	st, err := decodeState(stateJSON)
+	if err != nil || st.ID != id {
 		refuse(http.StatusBadRequest, service.CodeBadRequest, "handoff offer state is malformed")
 		return
 	}
@@ -198,59 +181,17 @@ func (s *Source) receiveHandoff(conn net.Conn, offer wire.Frame, buf []byte) {
 			fmt.Sprintf("this node already owns %q at epoch %d", id, cur.Epoch))
 		return
 	}
-	if err := s.installReplica(st); err != nil {
+	a := &applier{owner: s.owner, keep: func(c string) bool { return c == id }}
+	var cut uint64
+	if err = a.install(st); err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(DefaultHandoffTimeout))
+		err = a.receive(conn, func(seq uint64) bool { cut = seq; return false })
+	}
+	if err != nil {
+		// The sender died mid-handoff or streamed what does not apply; the
+		// replica stays fenced.
 		refuse(http.StatusInternalServerError, service.CodeInternal, err.Error())
 		return
-	}
-
-	// Stream phase: records (or a fenced re-export) until the cut marker.
-	var cut uint64
-	_ = conn.SetReadDeadline(time.Now().Add(DefaultHandoffTimeout))
-	var recs []wire.RawRecord
-stream:
-	for {
-		var fr wire.Frame
-		fr, buf, err = wire.ReadFrame(conn, buf)
-		if err != nil {
-			return // sender died mid-handoff; the replica stays fenced
-		}
-		switch fr.Kind {
-		case wire.KindRecords:
-			recs, err = fr.Records(recs[:0])
-			if err != nil {
-				return
-			}
-			for _, r := range recs {
-				var rec service.Record
-				if err := json.Unmarshal(r.Data, &rec); err != nil || rec.ID != id {
-					continue
-				}
-				if err := s.owner.Replicate(r.Seq, rec); err != nil {
-					refuse(http.StatusInternalServerError, service.CodeInternal, err.Error())
-					return
-				}
-			}
-		case wire.KindSnapshot:
-			_, data, err := fr.Snapshot()
-			if err != nil {
-				return
-			}
-			var st2 service.CommunityState
-			if err := json.Unmarshal(data, &st2); err != nil || st2.ID != id {
-				return
-			}
-			if err := s.installReplica(st2); err != nil {
-				refuse(http.StatusInternalServerError, service.CodeInternal, err.Error())
-				return
-			}
-		case wire.KindHeartbeat:
-			if cut, err = fr.Heartbeat(); err != nil {
-				return
-			}
-			break stream
-		default:
-			return
-		}
 	}
 
 	// The sender has fenced at cut and everything ≤ cut is applied: flip.
@@ -258,14 +199,4 @@ stream:
 	_, _ = s.router.SetPlacement(table)
 	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	_, _ = conn.Write(wire.AppendHandoffAck(nil, cut, id))
-}
-
-// installReplica installs one exported community state as a fenced local
-// replica, replacing an older one; states no newer than the local replica
-// are kept as-is (the idempotent re-offer path).
-func (s *Source) installReplica(st service.CommunityState) error {
-	if _, err := s.owner.InstallReplica(st); err != nil {
-		return fmt.Errorf("cluster: handoff restore %q: %w", st.ID, err)
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,6 +227,93 @@ func TestHandoffStaleEpochRefused(t *testing.T) {
 	}
 	if c.Fenced() {
 		t.Fatal("sender left fenced after a refused handoff")
+	}
+}
+
+// TestHandoffSupersedesOwnedCopy: an offer whose table supersedes the
+// receiver's replaces a copy the receiver owns unfenced, and the receiver
+// ends up serving the offered state — the follower's rule never to
+// overwrite an owned copy must not reach a handoff.
+func TestHandoffSupersedesOwnedCopy(t *testing.T) {
+	a, b := bootHandoffPair(t)
+	seed(t, a.owner, "alpha", 6)
+	want := windowJSON(t, a.owner, "alpha")
+	if _, err := b.owner.Create("alpha", 3, [][2]int{{0, 1}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if windowJSON(t, b.owner, "alpha") == want {
+		t.Fatal("b's own copy answers like the offered state; the test needs them to differ")
+	}
+
+	table := a.rt.Placement()
+	table.Epoch++
+	table.Assign["alpha"] = "b"
+	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0); err != nil {
+		t.Fatalf("Handoff: %v", err)
+	}
+	bc, ok := b.owner.Get("alpha")
+	if !ok || bc.Fenced() {
+		t.Fatal("b does not own alpha after the handoff")
+	}
+	if got := windowJSON(t, b.owner, "alpha"); got != want {
+		t.Fatalf("b serves its own copy, not the offered state:\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// TestHandoffUndecodableTailRefused: a tail record the receiver cannot
+// decode fails the handoff before the cut, so no ack is sent, the sender
+// unfences and keeps serving at the old epoch, and the receiver keeps at
+// most a fenced replica.
+func TestHandoffUndecodableTailRefused(t *testing.T) {
+	lnA, lnB := listenTCP(t), listenTCP(t)
+	nodes := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://" + lnB.Addr().String()},
+	}
+	a := bootHNode(t, "a", nodes, lnA)
+	b := bootHNode(t, "b", nodes, listenTCP(t))
+	c := seed(t, a.owner, "alpha", 6)
+
+	// b's stream route is served through a hook that runs once a has
+	// exported alpha and before it fences: a write lands in the tail, and
+	// its ring record is garbled.
+	var once sync.Once
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() {
+			if _, err := c.Marry(2, 3); err != nil {
+				t.Errorf("marry inside the handoff: %v", err)
+			}
+			a.src.mu.Lock()
+			for i := range a.src.ring {
+				if a.src.ring[i].Seq == c.Seq() {
+					a.src.ring[i].Data = []byte(`{"op":`)
+				}
+			}
+			a.src.mu.Unlock()
+		})
+		b.src.ServeHTTP(w, r)
+	})}
+	go srv.Serve(lnB)
+	t.Cleanup(func() { srv.Close() })
+
+	before := a.rt.Epoch()
+	table := a.rt.Placement()
+	table.Epoch++
+	table.Assign["alpha"] = "b"
+	if res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second); err == nil {
+		t.Fatalf("handoff with an undecodable tail record was acked at cut %d", res.CutSeq)
+	}
+	if c.Fenced() {
+		t.Fatal("sender left fenced after a refused handoff")
+	}
+	if a.rt.Epoch() != before || b.rt.Epoch() != before {
+		t.Fatalf("epochs moved: a=%d b=%d, want %d", a.rt.Epoch(), b.rt.Epoch(), before)
+	}
+	if bc, ok := b.owner.Get("alpha"); ok && !bc.Fenced() {
+		t.Fatal("receiver took ownership without the tail")
+	}
+	if _, err := c.Marry(1, 2); err != nil {
+		t.Fatalf("sender refuses writes after a refused handoff: %v", err)
 	}
 }
 

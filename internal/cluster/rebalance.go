@@ -62,31 +62,22 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 		return nil, service.Placement{}, fmt.Errorf("cluster: rebalance: empty target membership")
 	}
 
-	// Union membership: old and new nodes both present while data moves.
-	union := append([]service.Node(nil), cur.Nodes...)
-	for _, n := range target {
-		found := false
-		for _, o := range union {
-			if o.ID == n.ID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			union = append(union, n)
-		}
-	}
-
 	// Owners as they stand, from every reachable member's status.
 	owners, err := currentOwners(ctx, cur)
 	if err != nil {
 		return nil, service.Placement{}, err
 	}
 
-	// Stage 1: grow membership with every community pinned in place.
+	// Stage 1: grow to the union membership, old and new nodes both present
+	// while data moves, with every community pinned in place.
 	p := cur.Clone()
 	p.Epoch++
-	p.Nodes = union
+	for _, n := range target {
+		if _, ok := p.Addr(n.ID); !ok {
+			p.Nodes = append(p.Nodes, n)
+		}
+	}
+	union := len(p.Nodes)
 	if p.Assign == nil {
 		p.Assign = make(map[string]string)
 	}
@@ -117,7 +108,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 		next := p.Clone()
 		next.Epoch++
 		next.Assign[id] = to
-		fromAddr := nodeAddr(p.Nodes, from)
+		fromAddr, _ := p.Addr(from)
 		if fromAddr == "" {
 			return moves, p, fmt.Errorf("cluster: rebalance: owner %q of %q has no address", from, id)
 		}
@@ -133,7 +124,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 	}
 
 	// Stage 3: shrink to the target membership if nodes left.
-	if len(union) != len(target) {
+	if union != len(target) {
 		p = p.Clone()
 		p.Epoch++
 		p.Nodes = append([]service.Node(nil), target...)
@@ -237,14 +228,4 @@ func publish(ctx context.Context, p service.Placement) error {
 		return fmt.Errorf("cluster: publish epoch %d reached no member: %w", p.Epoch, lastErr)
 	}
 	return nil
-}
-
-// nodeAddr finds a member's API address.
-func nodeAddr(nodes []service.Node, id string) string {
-	for _, n := range nodes {
-		if n.ID == id {
-			return n.Addr
-		}
-	}
-	return ""
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 )
@@ -82,5 +83,83 @@ func TestRebalanceFailsClosed(t *testing.T) {
 	}
 	if c.Fenced() {
 		t.Fatalf("%s lost its only owner", id)
+	}
+}
+
+// bootAPINode boots a node as holidayd serves one: the API and, beside it,
+// the stream route on one listener, with handoffs run by Handoff.
+func bootAPINode(t *testing.T, id string, nodes []service.Node, ln net.Listener) *hNode {
+	t.Helper()
+	owner := service.New(service.Opts{})
+	rt, err := service.NewRouter(service.RouterOpts{Self: id, Nodes: nodes})
+	if err != nil {
+		t.Fatalf("NewRouter(%s): %v", id, err)
+	}
+	src, err := NewSource(SourceOpts{Owner: owner, Router: rt, Heartbeat: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewSource(%s): %v", id, err)
+	}
+	owner.SetJournal(src)
+	mux := http.NewServeMux()
+	mux.Handle(StreamPath, src)
+	mux.Handle("/", service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt,
+		Handoff: func(community string, table service.Placement) (uint64, time.Duration, error) {
+			res, err := Handoff(owner, src, rt, community, table, 0)
+			return res.CutSeq, res.Pause, err
+		}}))
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		src.Close()
+		srv.Close()
+	})
+	return &hNode{owner: owner, src: src, rt: rt}
+}
+
+// TestMoveCommunity: the rotation primitive hands one community from its
+// owner to another member over the nodes' APIs. The receiver serves it
+// unfenced with the same answers, the sender keeps a fenced copy, and
+// every member, the one not party to the move included, has installed the
+// published table before MoveCommunity returns.
+func TestMoveCommunity(t *testing.T) {
+	lns := []net.Listener{listenTCP(t), listenTCP(t), listenTCP(t)}
+	var nodes []service.Node
+	for i, id := range []string{"a", "b", "c"} {
+		nodes = append(nodes, service.Node{ID: id, Addr: "http://" + lns[i].Addr().String()})
+	}
+	var hs []*hNode
+	for i, n := range nodes {
+		hs = append(hs, bootAPINode(t, n.ID, nodes, lns[i]))
+	}
+	a, b := hs[0], hs[1]
+	id := ""
+	for i := 0; id == ""; i++ {
+		if k := fmt.Sprintf("comm-%d", i); a.rt.Place(k) == "a" {
+			id = k
+		}
+	}
+	c := seed(t, a.owner, id, 6)
+	want := windowJSON(t, a.owner, id)
+
+	mv, err := (&Rebalancer{}).MoveCommunity(context.Background(), nodes[0].Addr, id, "b")
+	if err != nil {
+		t.Fatalf("MoveCommunity: %v", err)
+	}
+	if mv.Community != id || mv.From != "a" || mv.To != "b" || mv.CutSeq != c.Seq() || mv.Pause <= 0 {
+		t.Fatalf("move = %+v, want %s a→b at cut %d with a pause", mv, id, c.Seq())
+	}
+	if bc, ok := b.owner.Get(id); !ok || bc.Fenced() {
+		t.Fatalf("b does not own %s after the move", id)
+	}
+	if got := windowJSON(t, b.owner, id); got != want {
+		t.Fatalf("window diverged across the move:\nold %s\nnew %s", want, got)
+	}
+	if !c.Fenced() {
+		t.Fatal("a's copy is not fenced after the move")
+	}
+	for i, h := range hs {
+		if h.rt.Epoch() != 1 || h.rt.Place(id) != "b" {
+			t.Errorf("node %s: epoch %d places %s on %q, want epoch 1 and b", nodes[i].ID, h.rt.Epoch(), id, h.rt.Place(id))
+		}
 	}
 }

@@ -7,16 +7,15 @@
 // subscribed followers as Records frames. Frames travel on the node's API
 // listener: Source serves StreamPath, upgrading a GET to the frame stream
 // (101 Switching Protocols), and dialStream opens one. A follower
-// (Follower) subscribes from the last sequence it has applied; when the
-// ring still covers that point the owner streams just the missing records,
-// otherwise it first sends one Snapshot frame per community (the exported
-// CommunityState, cutoff-stamped) and then the ring — replay through
-// Owner.Replicate is idempotent against the cutoffs, so the overlap is
-// harmless. Heartbeat frames advertise the last sequence streamed to the
-// subscriber, so an idle follower still learns it is caught up and can
-// measure lag.
+// (Follower) subscribes from the last sequence it has applied, and a live
+// handoff offers one community; both streams are written by one catch-up
+// writer (the ring's missing records, or exported states first once the
+// ring no longer covers the gap) and applied by one applier, replay being
+// idempotent against the states' cutoffs. Heartbeat frames advertise the
+// last sequence streamed to the subscriber, so an idle follower still
+// learns it is caught up and can measure lag.
 //
-// Every community the stream hands a follower is registered fenced
+// Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
 // frozen-schedule caches while direct writes fail closed with not_owner
 // until a promotion lifts the fence.
@@ -206,21 +205,14 @@ func (s *Source) pushLocked(r ringRec) {
 	}
 }
 
-// TailFor copies the ring records for one community with sequences in
-// (after, through]. covered reports whether the ring reaches back far
+// TailFor copies the ring records for one community (for every community
+// when it is "", an id no community has) with sequences in (after,
+// through], and decodes none of them. covered reports whether the ring reaches back far
 // enough that no record in that range can have been evicted — when false
 // the caller must fall back to a fresh snapshot.
 func (s *Source) TailFor(community string, after, through uint64) (recs []wire.RawRecord, covered bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tailLocked(community, after, through)
-}
-
-// tailLocked is the one ring walk, behind follower catch-up and TailFor:
-// it copies the records with sequences in (after, through], only
-// community's unless community is "" (no community has the empty id),
-// and decodes none of them. Caller holds mu.
-func (s *Source) tailLocked(community string, after, through uint64) (recs []wire.RawRecord, covered bool) {
 	if s.count == 0 {
 		return nil, after >= s.seq
 	}
@@ -326,12 +318,12 @@ func (s *Source) Close() {
 func (s *Source) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, buf0, err := wire.ReadFrame(conn, nil)
+	f, _, err := wire.ReadFrame(conn, nil)
 	if err != nil {
 		return
 	}
 	if f.Kind == wire.KindHandoffOffer {
-		s.receiveHandoff(conn, f, buf0)
+		s.receiveHandoff(conn, f)
 		return
 	}
 	fromSeq, err := f.Subscribe()
@@ -340,11 +332,10 @@ func (s *Source) handle(conn net.Conn) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	// Register first, then compute the catch-up set: records logged from
-	// here on buffer in sub.ch, the ring copy covers (fromSeq, watermark],
-	// and community exports below reflect at least the watermark — between
-	// the three every sequence reaches the follower at least once, and
-	// Apply's idempotence absorbs the overlaps.
+	// Register first, then catch up to the watermark: records logged from
+	// here on buffer in sub.ch, and catch-up covers (fromSeq, watermark] —
+	// between the two every sequence reaches the follower at least once,
+	// and Apply's idempotence absorbs the overlaps.
 	sub := &subscriber{ch: make(chan wire.RawRecord, subBuf), drop: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
@@ -353,7 +344,6 @@ func (s *Source) handle(conn net.Conn) {
 		return
 	}
 	watermark := s.seq
-	backlog, covered := s.tailLocked("", fromSeq, watermark)
 	s.subs[sub] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
@@ -372,57 +362,13 @@ func (s *Source) handle(conn net.Conn) {
 		sub.dropNow()
 	}()
 
-	var buf []byte
-	write := func(frame []byte) bool {
-		_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		_, err := conn.Write(frame)
-		return err == nil
-	}
-
-	if !covered {
-		// Snapshot catch-up, one community per frame: a mega community's
-		// state must not push a multi-community frame past wire.MaxFrame.
-		for _, id := range s.owner.List() {
-			c, ok := s.owner.Get(id)
-			if !ok {
-				continue
-			}
-			st := c.Export()
-			data, err := json.Marshal(st)
-			if err != nil {
-				return
-			}
-			if !write(wire.AppendSnapshot(buf[:0], st.Seq, data)) {
-				return
-			}
-		}
-	}
-	sent := fromSeq
-	flush := func(recs []wire.RawRecord) bool {
-		for len(recs) > 0 {
-			n := min(len(recs), maxRecsPerFrame)
-			buf = wire.AppendRecords(buf[:0], recs[:n])
-			if !write(buf) {
-				return false
-			}
-			sent = recs[n-1].Seq
-			recs = recs[n:]
-		}
-		return true
-	}
-	if !flush(backlog) {
+	out := &sender{w: deadlineWriter{conn}}
+	if s.catchUp(out, "", fromSeq, watermark) != nil {
 		return
 	}
-	// The catch-up watermark heartbeat: everything at or below it has been
-	// sent (as records or inside snapshots), so the follower advances its
-	// subscription point even when the ring alone could not prove it.
-	if sent < watermark {
-		sent = watermark
-	}
-	if !write(wire.AppendHeartbeat(buf[:0], sent)) {
-		return
-	}
-
+	// Heartbeats advertise the last sequence streamed to this follower;
+	// records still queued in sub.ch are not claimed.
+	sent := watermark
 	ticker := time.NewTicker(s.heartbeat)
 	defer ticker.Stop()
 	var pending []wire.RawRecord
@@ -437,13 +383,12 @@ func (s *Source) handle(conn net.Conn) {
 			for n := len(sub.ch); n > 0; n-- {
 				pending = append(pending, <-sub.ch)
 			}
-			if !flush(pending) {
+			if out.records(pending) != nil {
 				return
 			}
+			sent = pending[len(pending)-1].Seq
 		case <-ticker.C:
-			// Heartbeats advertise the last sequence streamed to this
-			// follower; records still queued in sub.ch are not claimed.
-			if !write(wire.AppendHeartbeat(buf[:0], sent)) {
+			if out.send(wire.AppendHeartbeat(out.buf[:0], sent)) != nil {
 				return
 			}
 		case <-sub.drop:

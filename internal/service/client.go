@@ -115,11 +115,7 @@ func (c *Client) do(ctx context.Context, method, addr, path string, in, out any)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		var e Error
-		if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Code == "" {
-			return Errf(codeForStatus(resp.StatusCode), "%s %s: %s", method, req.URL, resp.Status)
-		}
-		return &e
+		return ResponseError(resp)
 	}
 	if out == nil {
 		return nil
@@ -128,4 +124,15 @@ func (c *Client) do(ctx context.Context, method, addr, path string, in, out any)
 		return fmt.Errorf("%s %s: decode answer: %w", method, req.URL, err)
 	}
 	return nil
+}
+
+// ResponseError decodes a failed response's {code, message} envelope, or,
+// when the body carries none, classifies the response by its status. It
+// reads the body and leaves closing it to the caller.
+func ResponseError(resp *http.Response) *Error {
+	var e Error
+	if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Code == "" {
+		return Errf(codeForStatus(resp.StatusCode), "%s %s: %s", resp.Request.Method, resp.Request.URL, resp.Status)
+	}
+	return &e
 }

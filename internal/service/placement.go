@@ -36,6 +36,16 @@ func (p Placement) Clone() Placement {
 	return out
 }
 
+// Addr returns the base URL of a member node.
+func (p Placement) Addr(node string) (string, bool) {
+	for _, n := range p.Nodes {
+		if n.ID == node {
+			return n.Addr, true
+		}
+	}
+	return "", false
+}
+
 // Validate checks structural invariants: at least one node, unique
 // non-empty node ids, and assignments that point at members.
 func (p Placement) Validate() error {

@@ -260,12 +260,7 @@ func (rt *Router) IsLocal(community string) bool { return rt.Place(community) ==
 func (rt *Router) Addr(node string) (string, bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	for _, n := range rt.p.Nodes {
-		if n.ID == node {
-			return n.Addr, true
-		}
-	}
-	return "", false
+	return rt.p.Addr(node)
 }
 
 // Overrides returns a copy of the explicit assignments of the current

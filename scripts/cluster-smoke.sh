@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cluster-smoke.sh — three failover legs against real holidayd clusters:
+# cluster-smoke.sh — four legs against real holidayd clusters:
 #
 #   leg 1  break-glass: detector disabled (-failover-after 0), SIGKILL the
 #          owner, operator promotes a survivor, answers byte-identical.
@@ -9,6 +9,10 @@
 #   leg 3  join-rebalance: a fourth node joins, holidayctl rebalance
 #          live-moves its communities over epoch-bumped handoffs, every
 #          community answers byte-identically afterwards.
+#   leg 4  rotation under load: holidayload drives mega-ci against three
+#          nodes while moving one community per second over live handoffs;
+#          the snapshot must record zero failed ops and at least 3 handoffs
+#          (writes a move's fenced window refuses are re-sent, not counted).
 #
 # Run from the repo root. Builds into a temp dir; cleans up on every exit.
 set -euo pipefail
@@ -35,6 +39,7 @@ trap cleanup EXIT
 
 go build -o "$BIN/holidayd" ./cmd/holidayd
 go build -o "$BIN/holidayctl" ./cmd/holidayctl
+go build -o "$BIN/holidayload" ./cmd/holidayload
 
 # One port per node: replication and handoffs upgrade from the API.
 declare -A ADDR=(
@@ -260,4 +265,22 @@ fi
 echo "leg 3 OK: join-rebalance moved $MOVED communities, byte-identical answers"
 
 "$BIN/holidayctl" -topology "$TOPO3" status || true
-echo "cluster smoke OK: break-glass, operator-free failover, join-rebalance"
+stop_cluster a b c d
+
+# ---------------------------------------------------------------- leg 4 ---
+echo "=== leg 4: rotation under load (a live handoff every second) ==="
+TOPO4="$WORK/leg4-nodes.json"
+write_topology "$TOPO4" a b c
+for n in a b c; do start_node leg4 "$n" "$TOPO4" 0; done
+for n in a b c; do await_healthy "${ADDR[$n]}"; done
+
+"$BIN/holidayload" -scenario mega-ci -cluster "$TOPO4" -rotate-every 1s -duration 6s \
+  -out "$WORK/rotate.json" >"$WORK/leg4-holidayload.log" 2>&1 || fail "holidayload rotation run"
+ERRORS=$(jq -r '.totals.errors' "$WORK/rotate.json")
+HANDOFFS=$(jq -r '.handoffs // 0' "$WORK/rotate.json")
+jq -e '.totals.errors == 0' "$WORK/rotate.json" >/dev/null \
+  || fail "rotation run counted $ERRORS failed ops, want 0"
+jq -e '.handoffs >= 3' "$WORK/rotate.json" >/dev/null \
+  || fail "rotation run completed $HANDOFFS handoffs, want at least 3"
+echo "leg 4 OK: $HANDOFFS live handoffs under mega-ci load, 0 failed ops"
+echo "cluster smoke OK: break-glass, operator-free failover, join-rebalance, rotation under load"
