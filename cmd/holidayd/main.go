@@ -24,10 +24,11 @@
 // With -node-id and -peers, the daemon is one member of a sharded cluster
 // (DESIGN.md §11): a consistent-hash router places each community on one
 // node, misrouted JSON requests are forwarded (or answered 421 not_owner),
-// and the node streams its WAL to followers on its one listener, through
-// GET /v1/stream upgraded to the frame stream. -follow subscribes this
-// node to peers so it serves reads for their communities from fenced
-// replicas:
+// and the node streams its WAL to followers on its one listener: a
+// follower's GET /v1/stream?from=N is answered with the frame stream, and
+// a handoff POSTs its offer and its tail to the same route. -follow
+// subscribes this node to peers so it serves reads for their communities
+// from fenced replicas:
 //
 //	holidayd -addr :8081 -node-id a -peers nodes.json -follow all
 //
@@ -304,9 +305,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		if src, err = cluster.NewSource(sopts); err != nil {
 			return err
 		}
-		// Shutdown neither closes nor waits for the hijacked streams; this
-		// does, after it.
-		defer src.Close()
 		reg.SetJournal(src)
 		// Restored communities this topology places elsewhere are replicas
 		// here: fence them so only their owner takes writes.
@@ -430,6 +428,11 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 		Addr:              cfg.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
+	}
+	if src != nil {
+		// Shutdown waits for every request, and a subscription's never
+		// ends on its own: closing the Source ends them.
+		srv.RegisterOnShutdown(src.Close)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

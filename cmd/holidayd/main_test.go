@@ -404,6 +404,67 @@ func TestTwoNodeCluster(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
+// TestStopWithConnectedFollower: an owner whose stream a follower is
+// reading returns from run within 2s of cancellation, since Shutdown waits
+// for every request and closing the Source is what ends a subscription's.
+// No goroutine of either run may outlive both stops.
+func TestStopWithConnectedFollower(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	addrA, addrB := freeAddr(t), freeAddr(t)
+	topo := filepath.Join(t.TempDir(), "nodes.json")
+	if err := os.WriteFile(topo, []byte(`{"nodes":[
+		{"id":"a","addr":"http://`+addrA+`"},
+		{"id":"b","addr":"http://`+addrB+`"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := service.LoadTopology(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := service.NewRouter(service.RouterOpts{Nodes: nodes.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ""
+	for i := 0; id == ""; i++ {
+		if c := fmt.Sprintf("c%d", i); rt.Place(c) == "a" {
+			id = c
+		}
+	}
+	a := boot(t, addrA, "-node-id", "a", "-peers", topo, "-failover-after", "0")
+	b := boot(t, addrB, "-node-id", "b", "-peers", topo, "-follow", "all", "-failover-after", "0")
+	a.do(t, "POST", "/v1/communities", `{"id":"`+id+`","families":4,"edges":[[0,1]]}`, http.StatusCreated)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if c, ok := b.community(t, id); ok && c.Role == "follower" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("b never followed %s; b's status: %+v", id, b.status(t))
+		}
+	}
+
+	start := time.Now()
+	a.client.CloseIdleConnections()
+	a.cancel()
+	select {
+	case err := <-a.done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("run returned %v after cancellation, want within 2s", took)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("run did not return within 2s of cancellation with a follower connected; log:\n%s", logs.String())
+	}
+	b.stop(t)
+	checkGoroutines(t, goroutines)
+}
+
 // TestSnapshotOnTakeoverOnly: a clustered node with -data-dir and no
 // periodic snapshots writes one whenever an installed table assigns it a
 // community the table before did not, and none for a table that assigns

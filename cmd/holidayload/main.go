@@ -138,6 +138,17 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// A replayed snapshot was shaped when it was recorded: of the flags
+	// set, only those that compare it may stand beside -replay.
+	var shaping []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "replay" && f.Name != "compare" && f.Name != "threshold" {
+			shaping = append(shaping, "-"+f.Name)
+		}
+	})
+	if c.replay != "" && len(shaping) > 0 {
+		return nil, fmt.Errorf("-replay loads a recorded snapshot; it cannot be combined with %s", strings.Join(shaping, " "))
+	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -160,8 +171,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("-duration must be positive, got %s", c.duration)
 	case c.threshold <= 0 || c.threshold >= 1:
 		return fmt.Errorf("-threshold must be in (0,1), got %g", c.threshold)
-	case c.replay != "" && (c.target != "" || c.duration != 0):
-		return errors.New("-replay loads a recorded snapshot; it cannot be combined with -target or -duration")
 	case c.target != "" && c.cluster != "":
 		return errors.New("-cluster and -target are mutually exclusive")
 	case c.proto != benchkit.ProtoJSON && c.proto != benchkit.ProtoBinary:

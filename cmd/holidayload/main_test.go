@@ -37,6 +37,9 @@ func TestRejectedConfig(t *testing.T) {
 		{"threshold of one", []string{"-threshold", "1"}, "-threshold must be in (0,1)"},
 		{"replay with target", []string{"-replay", "a.json", "-target", "http://127.0.0.1:1"}, "-replay loads a recorded snapshot"},
 		{"replay with duration", []string{"-replay", "a.json", "-duration", "1s"}, "-replay loads a recorded snapshot"},
+		{"replay with cluster", []string{"-replay", "a.json", "-cluster", "/nonexistent/nodes.json"}, "-replay loads a recorded snapshot"},
+		{"replay with persist", []string{"-replay", "a.json", "-persist"}, "-replay loads a recorded snapshot"},
+		{"replay with scenario", []string{"-replay", "a.json", "-scenario", "mega", "-compare", "b.json"}, "cannot be combined with -scenario"},
 		{"cluster with target", []string{"-cluster", "nodes.json", "-target", "http://127.0.0.1:1"}, "mutually exclusive"},
 		{"unknown proto", []string{"-proto", "grpc"}, `-proto must be "json" or "binary"`},
 		{"binary in process", []string{"-proto", "binary"}, "it requires -target or -cluster"},

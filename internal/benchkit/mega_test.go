@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -189,39 +190,25 @@ func TestRunUnbatchedHasNoBatchKey(t *testing.T) {
 	// enough that the GC-settled heap delta can round to zero.
 }
 
-// TestLoadSnapshotSchema1Fallback: baselines committed before the schema-2
-// fields still load (the additions are additive; old files simply omit
-// them), while versions outside [1, current] are rejected.
-func TestLoadSnapshotSchema1Fallback(t *testing.T) {
+// TestLoadSnapshotRefusesOtherSchemas: every committed snapshot is at
+// SchemaVersion, so a snapshot of any other schema, older or newer, is
+// refused rather than read with missing fields as zero.
+func TestLoadSnapshotRefusesOtherSchemas(t *testing.T) {
 	dir := t.TempDir()
-	s := sampleSnapshot()
-	s.Schema = 1
-	s.Totals.BytesPerNode = 0
-	s.Totals.RecoloringsPerChurnOp = 0
-	raw, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(dir, "BENCH_old.json")
-	if err := os.WriteFile(old, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshot(old)
-	if err != nil {
-		t.Fatalf("schema 1 baseline must still load: %v", err)
-	}
-	if got.Totals.BytesPerNode != 0 || got.Totals.RecoloringsPerChurnOp != 0 {
-		t.Fatalf("schema 1 baseline grew phantom metrics: %+v", got.Totals)
-	}
-
-	s.Schema = 0
-	raw, _ = json.Marshal(s)
-	zero := filepath.Join(dir, "BENCH_zero.json")
-	if err := os.WriteFile(zero, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(zero); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("schema 0 should be rejected, got %v", err)
+	for _, schema := range []int{0, 4, 6} {
+		s := sampleSnapshot()
+		s.Schema = schema
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("BENCH_schema%d.json", schema))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schema %d", schema)) {
+			t.Errorf("schema %d snapshot: %v, want it refused", schema, err)
+		}
 	}
 }
 

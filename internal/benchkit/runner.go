@@ -283,9 +283,12 @@ func batchLabel(batch int) int {
 	return batch
 }
 
-// settledHeap reads the live-heap size after forcing a collection, so two
-// readings bracket real retention rather than transient garbage.
+// settledHeap reads the live-heap size after forcing two collections, so
+// two readings bracket real retention rather than transient garbage. One
+// is not enough: a sync.Pool keeps its items through the first collection,
+// so bytes_per_node would count whatever Setup left pooled.
 func settledHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)

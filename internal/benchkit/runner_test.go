@@ -2,7 +2,9 @@ package benchkit
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +186,20 @@ func TestRunRejectsInvalidScenario(t *testing.T) {
 	if _, err := Run(sc, NewInProcDriver(service.New(service.Opts{})), Options{}); err == nil ||
 		!strings.Contains(err.Error(), "solo") {
 		t.Fatalf("want size error naming the one-family community, got %v", err)
+	}
+}
+
+// TestSettledHeapIgnoresPooled: a buffer left in a sync.Pool between two
+// settled readings is garbage, and it must not read as retained heap. A
+// pool keeps its items through one collection, so a reading that collects
+// once counts all 32 MiB of it.
+func TestSettledHeapIgnoresPooled(t *testing.T) {
+	var pool sync.Pool
+	before := settledHeap()
+	pool.Put(make([]byte, 32<<20))
+	after := settledHeap()
+	runtime.KeepAlive(&pool)
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("settled heap grew by %d bytes over a pooled buffer, want under 1 MiB", after-before)
 	}
 }

@@ -14,9 +14,8 @@ import (
 //
 //	1: initial layout (PR 3).
 //	2: adds totals.bytes_per_node and totals.recolorings_per_churn_op plus
-//	   the top-level churn_frac — all additive and omitted when zero, so
-//	   readers accept schema 1 snapshots unchanged (see minSchemaVersion);
-//	   the version records which fields a writer could have produced.
+//	   the top-level churn_frac — all additive and omitted when zero; the
+//	   version records which fields a writer could have produced.
 //	3: adds the top-level nodes count of sharded-cluster runs (the
 //	   ClusterDriver); additive, omitted for single-target runs.
 //	4: adds handoffs and handoff_pause_p99_us — the live-handoff count of a
@@ -27,10 +26,11 @@ import (
 //	   scenarios — the live relationship count at run end and the worst
 //	   period/demand ratio across poly communities (≤ 1 iff every demand
 //	   was met). Additive, omitted for classic scenarios.
+//
+// Every committed snapshot was rewritten to schema 5 once, changing only
+// its schema field, since the later fields of an older one read as zero;
+// LoadSnapshot reads SchemaVersion alone.
 const SchemaVersion = 5
-
-// minSchemaVersion is the oldest snapshot layout this build still reads.
-const minSchemaVersion = 1
 
 // Snapshot is one recorded benchmark run — the unit of the repo's
 // performance trajectory. Snapshots are committed as BENCH_<rev>.json and
@@ -163,8 +163,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("benchkit: %s: %w", path, err)
 	}
-	if s.Schema < minSchemaVersion || s.Schema > SchemaVersion {
-		return nil, fmt.Errorf("benchkit: %s has schema %d, this build reads %d..%d", path, s.Schema, minSchemaVersion, SchemaVersion)
+	if s.Schema != SchemaVersion {
+		return nil, fmt.Errorf("benchkit: %s has schema %d, this build reads %d", path, s.Schema, SchemaVersion)
 	}
 	if s.Totals.Ops <= 0 {
 		return nil, fmt.Errorf("benchkit: %s records no completed ops", path)

@@ -3,11 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // FollowerOpts configures NewFollower.
@@ -146,21 +147,17 @@ func (f *Follower) Run(ctx context.Context) {
 	}
 }
 
-// runOnce runs one subscription to completion (stream drop or ctx cancel).
+// runOnce runs one subscription to completion (stream end or ctx cancel).
 func (f *Follower) runOnce(ctx context.Context) error {
-	// Cancellation closes the stream, which unblocks the frame reads below.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	conn, err := dialStream(ctx, f.addr)
+	// Cancellation ends the request, which unblocks the frame reads below.
+	resp, err := request(ctx, http.MethodGet, f.addr, "?from="+strconv.FormatUint(f.Applied(), 10), nil)
 	if err != nil {
 		return err
 	}
-	if _, err := conn.Write(wire.AppendSubscribe(nil, f.Applied())); err != nil {
-		return err
-	}
+	defer resp.Body.Close()
 	f.setConnected(true)
 	defer f.setConnected(false)
-	return f.stream().receive(conn, func(seq uint64) bool {
+	return f.stream().receive(resp.Body, func(seq uint64) bool {
 		f.heartbeat(seq)
 		return true
 	})

@@ -1,14 +1,15 @@
 // Live community handoff: the sending half (Handoff, run by the old owner)
-// and the receiving half (Source.receiveHandoff, multiplexed onto the
-// stream route), over the replica stream's one sender and one applier.
-// See DESIGN.md §12 for the protocol.
+// and the receiving half (Source.receiveHandoff, served on the stream
+// route), over the replica stream's one sender and one applier. See
+// DESIGN.md §12 for the protocol.
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultHandoffTimeout bounds one handoff's handshake, stream, and ack.
+// DefaultHandoffTimeout bounds one handoff: its offer, tail, and ack.
 const DefaultHandoffTimeout = 15 * time.Second
 
 // HandoffResult reports one completed handoff.
@@ -33,12 +34,14 @@ type HandoffResult struct {
 
 // Handoff streams one community from this node (its current owner) to the
 // node the table assigns it to, then installs the table locally so
-// subsequent writes forward. The protocol keeps the community writable
-// while its snapshot is in flight: export at cut₁, offer, stream the
-// (cut₁, cut₂] WAL tail accumulated meanwhile, and only fence for the
-// final tail+ack round trip — the measured Pause. On any failure before
-// the ack the fence is lifted and the old owner keeps serving at the old
-// epoch; the receiver, never having seen the cut marker, keeps the state
+// subsequent writes forward. It pre-copies: a first request offers the
+// state exported at cut₁ and is answered once the new owner has installed
+// it as a fenced replica, while the community keeps taking writes here.
+// Only then does this node fence, at cut₂, and a second request carries
+// the (cut₁, cut₂] WAL tail and the cut; its answer is the ack. The write
+// pause, the measured Pause, is that second round trip. On any failure
+// before the ack the fence is lifted and the old owner keeps serving at
+// the old epoch; the receiver, never having seen the cut, keeps the state
 // as a fenced replica at most.
 //
 // src is o's journal and supplies the WAL tail; when its ring no longer
@@ -81,16 +84,23 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	if err != nil {
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
 	}
-
-	// The timeout, or cancel on return, closes the stream.
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	conn, err := dialStream(ctx, addr)
-	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
+	post := func(step string, body []byte) error {
+		resp, err := request(ctx, http.MethodPost, addr, "", body)
+		var se *service.Error
+		if errors.As(err, &se) {
+			return service.Errf(se.Code, "handoff %q: %s refused by %s: %s", community, step, target, se.Message)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: handoff %q: %s: %w", community, step, err)
+		}
+		// The 200 is the answer; the empty body's Close cannot take it back.
+		resp.Body.Close()
+		return nil
 	}
-	if _, err := conn.Write(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, state)); err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send offer: %w", community, err)
+	if err := post("offer", wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, state)); err != nil {
+		return HandoffResult{}, err
 	}
 
 	// Fence: the write-unavailability window opens here. Everything the
@@ -103,27 +113,16 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 			o.Unfence(community)
 		}
 	}()
-	// The tail (cut₁, cut₂], or a fenced re-export when the ring no longer
-	// covers it, then the cut marker: everything at or below cut₂ is sent.
+	// The offer again, without the state, then the tail (cut₁, cut₂], or a
+	// fenced re-export when the ring no longer covers it, then the cut
+	// marker: everything at or below cut₂ is sent.
 	cut2 := c.Seq()
-	if err := src.catchUp(&sender{w: conn}, community, cut1, cut2); err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: send tail: %w", community, err)
+	tail := bytes.NewBuffer(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, nil))
+	if err := src.catchUp(&sender{w: tail}, community, cut1, cut2); err != nil {
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: tail: %w", community, err)
 	}
-
-	f, _, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: await ack: %w", community, err)
-	}
-	if f.Kind == wire.KindError {
-		status, code, msg, _ := f.ErrorResp()
-		return HandoffResult{}, service.Errf(service.CodeFromNum(code), "handoff %q refused by %s (status %d): %s", community, target, status, msg)
-	}
-	ackSeq, ackID, err := f.HandoffAck()
-	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
-	}
-	if ackID != community || ackSeq < cut2 {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: ack names %q at seq %d, want ≥ %d", community, ackID, ackSeq, cut2)
+	if err := post("tail", tail.Bytes()); err != nil {
+		return HandoffResult{}, err
 	}
 
 	// The new owner is live; flip this node's table so writes forward. The
@@ -135,68 +134,73 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 	return HandoffResult{CutSeq: cut2, Pause: time.Since(pauseStart)}, nil
 }
 
-// receiveHandoff runs the receiving half of a handoff on a stream whose
-// first frame was the offer. It checks the offer, installs the offered
-// state as a fenced replica, applies the tail, and — once the cut marker
-// arrives — takes ownership, installs the offered table, and acks. The
-// applier keeps only the handed-off community, and an offer whose table
-// supersedes this node's replaces even a copy it owns unfenced. Any failure
-// before the marker refuses, so the sender keeps serving at the old epoch.
-func (s *Source) receiveHandoff(conn net.Conn, offer wire.Frame) {
-	refuse := func(status int, code service.ErrCode, msg string) {
-		_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		_, _ = conn.Write(wire.AppendError(nil, status, code.Num(), msg))
-	}
+// receiveHandoff serves one request of a handoff. Its body opens with the
+// offer, which it checks. An offer carrying the state installs it as a
+// fenced replica and is answered once installed. One without it is
+// followed by the tail and the cut marker, which it applies before it
+// takes ownership and installs the offered table; its answer is the ack.
+// The applier keeps only the handed-off community, and an offer whose
+// table supersedes this node's replaces even a copy it owns unfenced. Any
+// failure refuses, so the sender keeps serving at the old epoch.
+func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 	if s.router == nil {
-		refuse(http.StatusNotImplemented, service.CodeUnavailable, "this node does not accept handoffs")
+		refuse(w, service.CodeUnavailable, "this node does not accept handoffs")
 		return
 	}
-	epoch, id, tableJSON, stateJSON, err := offer.HandoffOffer()
+	// The sender's timeout ends its requests; this ends one whose sender
+	// went silent without closing it.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(DefaultHandoffTimeout))
+	f, _, err := wire.ReadFrame(r.Body, nil)
 	if err != nil {
+		refuse(w, service.CodeBadRequest, "handoff offer: %v", err)
+		return
+	}
+	epoch, id, tableJSON, stateJSON, err := f.HandoffOffer()
+	if err != nil {
+		refuse(w, service.CodeBadRequest, "handoff offer: %v", err)
 		return
 	}
 	var table service.Placement
 	if err := json.Unmarshal(tableJSON, &table); err != nil || table.Epoch != epoch {
-		refuse(http.StatusBadRequest, service.CodeBadRequest, "handoff offer table is malformed")
+		refuse(w, service.CodeBadRequest, "handoff offer table is malformed")
 		return
 	}
 	if table.Assign[id] != s.router.Self() {
-		refuse(http.StatusBadRequest, service.CodeBadRequest, "offered table does not assign the community to this node")
-		return
-	}
-	st, err := decodeState(stateJSON)
-	if err != nil || st.ID != id {
-		refuse(http.StatusBadRequest, service.CodeBadRequest, "handoff offer state is malformed")
+		refuse(w, service.CodeBadRequest, "offered table does not assign the community to this node")
 		return
 	}
 	cur := s.router.Placement()
 	supersedes := table.Supersedes(cur)
 	if !supersedes && epoch < cur.Epoch {
-		refuse(http.StatusMisdirectedRequest, service.CodeNotOwner,
-			fmt.Sprintf("handoff epoch %d is stale; this node is at epoch %d", epoch, cur.Epoch))
+		refuse(w, service.CodeNotOwner, "handoff epoch %d is stale; this node is at epoch %d", epoch, cur.Epoch)
 		return
 	}
 	if c, ok := s.owner.Get(id); ok && !c.Fenced() && !supersedes {
-		refuse(http.StatusConflict, service.CodeConflict,
-			fmt.Sprintf("this node already owns %q at epoch %d", id, cur.Epoch))
+		refuse(w, service.CodeConflict, "this node already owns %q at epoch %d", id, cur.Epoch)
 		return
 	}
 	a := &applier{owner: s.owner, keep: func(c string) bool { return c == id }}
-	var cut uint64
-	if err = a.install(st); err == nil {
-		_ = conn.SetReadDeadline(time.Now().Add(DefaultHandoffTimeout))
-		err = a.receive(conn, func(seq uint64) bool { cut = seq; return false })
-	}
-	if err != nil {
-		// The sender died mid-handoff or streamed what does not apply; the
-		// replica stays fenced.
-		refuse(http.StatusInternalServerError, service.CodeInternal, err.Error())
+	if len(stateJSON) > 0 {
+		st, err := decodeState(stateJSON)
+		if err != nil || st.ID != id {
+			refuse(w, service.CodeBadRequest, "handoff offer state is malformed")
+		} else if err := a.install(st); err != nil {
+			refuse(w, service.CodeInternal, "%v", err)
+		}
 		return
 	}
-
+	var cut uint64
+	if err := a.receive(r.Body, func(seq uint64) bool { cut = seq; return false }); err != nil {
+		// The sender died mid-handoff or streamed what does not apply; the
+		// replica stays fenced.
+		refuse(w, service.CodeInternal, "%v", err)
+		return
+	}
+	if c, ok := s.owner.Get(id); !ok || !c.Fenced() || c.Seq() < cut {
+		refuse(w, service.CodeConflict, "no replica of %q through seq %d here; its offer comes first", id, cut)
+		return
+	}
 	// The sender has fenced at cut and everything ≤ cut is applied: flip.
 	s.owner.TakeOwnership(id)
 	_, _ = s.router.SetPlacement(table)
-	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	_, _ = conn.Write(wire.AppendHandoffAck(nil, cut, id))
 }

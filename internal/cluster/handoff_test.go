@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +128,71 @@ func TestHandoffEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHandoffPauseExcludesInstall: the receiver answers the offer only
+// once it has installed the state, and the sender fences only after that
+// answer. A receiver that answers the offer 300ms late therefore leaves
+// the community writable on the sender for those 300ms, the pause covers
+// the tail alone, and the writes made meanwhile reach the new owner.
+func TestHandoffPauseExcludesInstall(t *testing.T) {
+	lnA, lnB := listenTCP(t), listenTCP(t)
+	nodes := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://" + lnB.Addr().String()},
+	}
+	a := bootHNode(t, "a", nodes, lnA)
+	b := bootHNode(t, "b", nodes, listenTCP(t))
+	c := seed(t, a.owner, "alpha", 8)
+
+	// b's stream route holds its answer to the first request, the offer,
+	// for the delay, while a writes to alpha throughout it.
+	const delay = 300 * time.Millisecond
+	var once sync.Once
+	var writes atomic.Int32
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.src.ServeHTTP(w, r)
+		once.Do(func() {
+			for end := time.Now().Add(delay); time.Now().Before(end); writes.Add(1) {
+				var err error
+				if writes.Load()%2 == 0 {
+					_, err = c.Marry(2, 3)
+				} else {
+					_, _, err = c.Divorce(2, 3)
+				}
+				if err != nil {
+					t.Errorf("write %d while the offer's answer is delayed: %v", writes.Load(), err)
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	})}
+	go srv.Serve(lnB)
+	t.Cleanup(func() { srv.Close() })
+
+	table := a.rt.Placement()
+	table.Epoch++
+	table.Assign["alpha"] = "b"
+	res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0)
+	if err != nil {
+		t.Fatalf("Handoff: %v", err)
+	}
+	if writes.Load() == 0 {
+		t.Fatal("no write landed while the offer's answer was delayed")
+	}
+	if res.Pause >= delay {
+		t.Fatalf("pause = %v, want under the %v the receiver took to answer the offer", res.Pause, delay)
+	}
+	if res.CutSeq != c.Seq() {
+		t.Fatalf("cut seq = %d, want %d", res.CutSeq, c.Seq())
+	}
+	if bc, ok := b.owner.Get("alpha"); !ok || bc.Fenced() {
+		t.Fatal("b does not own alpha after the handoff")
+	}
+	if got, want := windowJSON(t, b.owner, "alpha"), windowJSON(t, a.owner, "alpha"); got != want {
+		t.Fatalf("the writes made during the offer did not reach the new owner:\nold %s\nnew %s", want, got)
+	}
+}
+
 // TestHandoffRefusals covers the sender-side preconditions: absent
 // community, fenced replica, self-assignment, unassigned table.
 func TestHandoffRefusals(t *testing.T) {
@@ -153,19 +219,24 @@ func TestHandoffRefusals(t *testing.T) {
 	}
 }
 
-// TestHandoffCrashMidway: the receiver dies before acking, so the old owner
-// lifts its fence and keeps serving at the old epoch — the availability
-// half of the protocol's failure contract.
+// TestHandoffCrashMidway: the receiver answers the offer and then dies
+// before acking, so the old owner lifts its fence and keeps serving at the
+// old epoch — the availability half of the protocol's failure contract.
 func TestHandoffCrashMidway(t *testing.T) {
 	lnA := listenTCP(t)
-	// z completes the upgrade, reads the offer and slams the connection: a
-	// crash between offer and ack, inside the sender's fenced window.
-	offered := make(chan wire.Kind, 1)
+	// z answers the offer, then reads the offer that opens the tail and
+	// drops the request: a crash between offer and ack, inside the sender's
+	// fenced window.
+	var c *service.Community
+	var requests atomic.Int32
+	offered := make(chan wire.Kind, 2)
+	fencedAtCrash := make(chan bool, 1)
 	z := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if conn := upgrade(w, r); conn != nil {
-			f, _, _ := wire.ReadFrame(conn, nil)
-			offered <- f.Kind
-			conn.Close()
+		f, _, _ := wire.ReadFrame(r.Body, nil)
+		offered <- f.Kind
+		if requests.Add(1) > 1 {
+			fencedAtCrash <- c.Fenced()
+			panic(http.ErrAbortHandler)
 		}
 	}))
 	t.Cleanup(z.Close)
@@ -175,7 +246,7 @@ func TestHandoffCrashMidway(t *testing.T) {
 	}
 	a := bootHNode(t, "a", nodes, lnA)
 
-	c := seed(t, a.owner, "alpha", 5)
+	c = seed(t, a.owner, "alpha", 5)
 	before := a.rt.Epoch()
 	table := a.rt.Placement()
 	table.Epoch++
@@ -183,13 +254,18 @@ func TestHandoffCrashMidway(t *testing.T) {
 	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second); err == nil {
 		t.Fatal("handoff succeeded against a crashing receiver")
 	}
-	select {
-	case kind := <-offered:
-		if kind != wire.KindHandoffOffer {
-			t.Fatalf("the receiver read a %v frame, want the offer", kind)
+	for i := 0; i < 2; i++ {
+		select {
+		case kind := <-offered:
+			if kind != wire.KindHandoffOffer {
+				t.Fatalf("request %d opened with a %v frame, want the offer", i+1, kind)
+			}
+		default:
+			t.Fatalf("the receiver saw %d requests, want the offer and the tail", i)
 		}
-	default:
-		t.Fatal("the receiver never completed the upgrade")
+	}
+	if !<-fencedAtCrash {
+		t.Fatal("the receiver crashed outside the sender's fenced window")
 	}
 	if c.Fenced() {
 		t.Fatal("old owner left fenced after a failed handoff")
@@ -314,6 +390,31 @@ func TestHandoffUndecodableTailRefused(t *testing.T) {
 	}
 	if _, err := c.Marry(1, 2); err != nil {
 		t.Fatalf("sender refuses writes after a refused handoff: %v", err)
+	}
+}
+
+// TestHandoffTailWithoutOfferRefused: a tail request whose offer never
+// installed a replica here is refused with conflict, and the receiver
+// neither takes the community nor installs the offered table; acking it
+// would flip the sender's writes to a node that holds nothing.
+func TestHandoffTailWithoutOfferRefused(t *testing.T) {
+	a, b := bootHandoffPair(t)
+	table := a.rt.Placement()
+	table.Epoch++
+	table.Assign["alpha"] = "b"
+	tableJSON, err := json.Marshal(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := table.Addr("b")
+	tail := wire.AppendHeartbeat(wire.AppendHandoffOffer(nil, table.Epoch, "alpha", tableJSON, nil), 5)
+	_, err = request(context.Background(), http.MethodPost, addr, "", tail)
+	var se *service.Error
+	if !errorAs(err, &se) || se.Code != service.CodeConflict {
+		t.Fatalf("a tail with no offer before it = %v, want the conflict envelope", err)
+	}
+	if _, ok := b.owner.Get("alpha"); ok || b.rt.Epoch() != 0 {
+		t.Fatalf("b holds alpha (%v) or moved to epoch %d on a tail alone", ok, b.rt.Epoch())
 	}
 }
 

@@ -163,3 +163,65 @@ func TestMoveCommunity(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceJoin: node b joins a one-node cluster. Rebalance moves by
+// live handoff every community the two-node ring places on b, and only
+// those; both routers end at the final epoch, and each moved community
+// answers on b as it did on a.
+func TestRebalanceJoin(t *testing.T) {
+	lnA, lnB := listenTCP(t), listenTCP(t)
+	target := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://" + lnB.Addr().String()},
+	}
+	a := bootAPINode(t, "a", target[:1], lnA)
+	b := bootAPINode(t, "b", target, lnB)
+	ring, err := service.RouterFor(service.Placement{Nodes: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // community → its window on a, for those b takes
+	var kept []string
+	for i := 0; len(want) < 3 || len(kept) < 2; i++ {
+		id := fmt.Sprintf("comm-%d", i)
+		seed(t, a.owner, id, 6)
+		if ring.Place(id) == "b" {
+			want[id] = windowJSON(t, a.owner, id)
+		} else {
+			kept = append(kept, id)
+		}
+	}
+
+	moves, final, err := (&Rebalancer{Logf: t.Logf}).Rebalance(context.Background(), target[0].Addr, target)
+	if err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+	if len(moves) != len(want) {
+		t.Fatalf("%d moves, want %d: %+v", len(moves), len(want), moves)
+	}
+	for _, mv := range moves {
+		if _, ok := want[mv.Community]; !ok || mv.From != "a" || mv.To != "b" {
+			t.Fatalf("move %+v, want one of %v from a to b", mv, want)
+		}
+	}
+	if a.rt.Epoch() != final.Epoch || b.rt.Epoch() != final.Epoch {
+		t.Fatalf("epochs a=%d b=%d, want both at the final %d", a.rt.Epoch(), b.rt.Epoch(), final.Epoch)
+	}
+	for id, w := range want {
+		bc, ok := b.owner.Get(id)
+		if !ok || bc.Fenced() {
+			t.Fatalf("b does not own %s after the rebalance", id)
+		}
+		if got := windowJSON(t, b.owner, id); got != w {
+			t.Fatalf("%s answers differently on its new owner:\nold %s\nnew %s", id, w, got)
+		}
+		if ac, _ := a.owner.Get(id); !ac.Fenced() {
+			t.Fatalf("a still owns %s, which moved to b", id)
+		}
+	}
+	for _, id := range kept {
+		if ac, _ := a.owner.Get(id); ac.Fenced() || final.Assign[id] != "a" {
+			t.Fatalf("%s, which the ring keeps on a, was fenced there or reassigned to %q", id, final.Assign[id])
+		}
+	}
+}

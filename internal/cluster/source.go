@@ -4,16 +4,16 @@
 //
 // The owner side (Source) wraps the node's journal: every record a
 // community logs is also stamped into an in-memory ring and fanned out to
-// subscribed followers as Records frames. Frames travel on the node's API
-// listener: Source serves StreamPath, upgrading a GET to the frame stream
-// (101 Switching Protocols), and dialStream opens one. A follower
-// (Follower) subscribes from the last sequence it has applied, and a live
-// handoff offers one community; both streams are written by one catch-up
-// writer (the ring's missing records, or exported states first once the
-// ring no longer covers the gap) and applied by one applier, replay being
-// idempotent against the states' cutoffs. Heartbeat frames advertise the
-// last sequence streamed to the subscriber, so an idle follower still
-// learns it is caught up and can measure lag.
+// subscribed followers as Records frames. Frames travel in ordinary
+// requests to StreamPath on the node's API listener, which Source serves:
+// a follower (Follower) subscribes with GET ?from=N, N the last sequence it
+// has applied, and reads the frames from the streamed 200 response, and a
+// live handoff POSTs its offer, then its tail. Both streams are written by
+// one catch-up writer (the ring's missing records, or exported states
+// first once the ring no longer covers the gap) and applied by one
+// applier, replay being idempotent against the states' cutoffs. Heartbeat
+// frames advertise the last sequence streamed to the subscriber, so an
+// idle follower still learns it is caught up and can measure lag.
 //
 // Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
@@ -22,12 +22,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -51,15 +51,8 @@ const subBuf = 4096
 // stream flushes in digestible chunks.
 const maxRecsPerFrame = 256
 
-// StreamPath is the route a node serves its Source on, beside its API: a
-// GET with Upgrade: streamProto there carries frames both ways after its
-// 101, for the replication stream or the handoff receiver.
-// handshakeTimeout bounds the Upgrade round trip.
-const (
-	StreamPath       = "/v1/stream"
-	streamProto      = "holiday-wire"
-	handshakeTimeout = 10 * time.Second
-)
+// StreamPath is the route a node serves its Source on, beside its API.
+const StreamPath = "/v1/stream"
 
 // ringRec is one ring entry: a replicated record (its journal sequence and
 // the same JSON object wal.jsonl stores on the owner) beside its community.
@@ -85,8 +78,9 @@ type SourceOpts struct {
 	// Heartbeat overrides the heartbeat interval; 0 means DefaultHeartbeat.
 	Heartbeat time.Duration
 	// Router, when set, lets this node accept live handoffs on the same
-	// route: an incoming HandoffOffer installs the offered placement table
-	// and takes ownership of the handed-off community. Nil refuses offers.
+	// route: a handoff's offer installs the community as a fenced replica,
+	// and its tail takes ownership of it and installs the offered
+	// placement table. Nil refuses handoffs.
 	Router *service.Router
 }
 
@@ -106,11 +100,11 @@ type Source struct {
 	start  int       // index of the oldest record
 	count  int
 	subs   map[*subscriber]struct{}
-	closed bool           // set by Close; refuses new streams and subscribers
-	wg     sync.WaitGroup // one per stream being served
+	closed bool           // set by Close; refuses new requests
+	wg     sync.WaitGroup // one per request being served
 }
 
-// subscriber is one follower connection's send side.
+// subscriber is one subscription's send side.
 type subscriber struct {
 	ch   chan wire.RawRecord
 	drop chan struct{} // closed when the fan-out gives up on a slow follower
@@ -226,75 +220,74 @@ func (s *Source) TailFor(community string, after, through uint64) (recs []wire.R
 	return recs, covered
 }
 
-// ServeHTTP serves StreamPath: it upgrades the request to the frame stream
-// and runs the peer's protocol on the hijacked connection until it ends.
-// After Close it refuses with 503.
+// ServeHTTP serves StreamPath. GET ?from=N subscribes: its 200 response
+// streams what a follower current through N lacks, then live records and
+// heartbeats, until the follower leaves, falls too far behind, or Close
+// drops it. POST serves one request of a handoff (receiveHandoff). Every
+// refusal, 503 after Close among them, carries the {code, message}
+// envelope.
 func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		http.Error(w, "cluster: replication source is closed", http.StatusServiceUnavailable)
+	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	var sub *subscriber
+	switch {
+	case r.Method == http.MethodGet && err == nil:
+		sub = &subscriber{ch: make(chan wire.RawRecord, subBuf), drop: make(chan struct{})}
+	case r.Method != http.MethodPost:
+		refuse(w, service.CodeBadRequest, "%s takes GET ?from=N, a subscription, or POST, a handoff", StreamPath)
 		return
 	}
-	s.wg.Add(1)
+	// A subscriber registers in the step that admits its request, so Close
+	// has either refused it or will drop it.
+	s.mu.Lock()
+	closed, watermark := s.closed, s.seq
+	if !closed {
+		s.wg.Add(1)
+		if sub != nil {
+			s.subs[sub] = struct{}{}
+		}
+	}
 	s.mu.Unlock()
+	if closed {
+		refuse(w, service.CodeUnavailable, "replication source is closed")
+		return
+	}
 	defer s.wg.Done()
-	if conn := upgrade(w, r); conn != nil {
-		s.handle(conn)
+	if sub == nil {
+		s.receiveHandoff(w, r)
+		return
 	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.subs, sub)
+		s.mu.Unlock()
+	}()
+	s.subscribe(w, r, sub, from, watermark)
 }
 
-// upgrade is the server half of the handshake: it answers a GET carrying
-// Upgrade: holiday-wire with 101 Switching Protocols and returns the
-// hijacked connection. Any other request is answered 426 and gets nil, as
-// does a peer that sent bytes before its 101 reached it: a peer speaks
-// only after the 101.
-func upgrade(w http.ResponseWriter, r *http.Request) net.Conn {
-	if r.Method != http.MethodGet || !strings.EqualFold(r.Header.Get("Upgrade"), streamProto) {
-		w.Header().Set("Connection", "Upgrade")
-		w.Header().Set("Upgrade", streamProto)
-		http.Error(w, "cluster: "+StreamPath+" needs GET with Upgrade: "+streamProto, http.StatusUpgradeRequired)
-		return nil
-	}
-	conn, brw, err := http.NewResponseController(w).Hijack()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil
-	}
-	if _, err := conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProto + "\r\n\r\n")); err != nil || brw.Reader.Buffered() > 0 {
-		conn.Close()
-		return nil
-	}
-	return conn
+// refuse answers a stream request with the {code, message} envelope.
+func refuse(w http.ResponseWriter, code service.ErrCode, format string, args ...any) {
+	service.WriteError(w, code.HTTPStatus(), service.Errf(code, format, args...))
 }
 
-// streamClient opens streams. It has no Timeout: with one, net/http wraps
-// a 101 body in a reader that cannot be written to, so dialStream bounds
-// the handshake with a context instead.
-var streamClient = &http.Client{}
-
-// dialStream is the client half of the handshake: it opens the frame
-// stream of the node whose API is at base URL addr. The stream closes when
-// ctx ends; the handshake alone is also bounded by handshakeTimeout.
-func dialStream(ctx context.Context, addr string) (io.ReadWriteCloser, error) {
-	hctx, cancel := context.WithTimeout(ctx, handshakeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodGet, strings.TrimRight(addr, "/")+StreamPath, nil)
+// request sends one request to the stream route of the node at base URL
+// addr and returns its 200 response, whose body the caller closes; any
+// other answer comes back as the node's {code, message} envelope. The
+// client has no Timeout, since a subscription's response never ends:
+// callers bound their requests with ctx.
+func request(ctx context.Context, method, addr, query string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(addr, "/")+StreamPath+query, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header = http.Header{"Connection": {"Upgrade"}, "Upgrade": {streamProto}}
-	resp, err := streamClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	rwc, ok := resp.Body.(io.ReadWriteCloser)
-	if resp.StatusCode != http.StatusSwitchingProtocols || !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), streamProto) {
-		resp.Body.Close()
-		return nil, fmt.Errorf("cluster: GET %s: %s", req.URL, resp.Status)
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, service.ResponseError(resp)
 	}
-	context.AfterFunc(ctx, func() { rwc.Close() })
-	return rwc, nil
+	return resp, nil
 }
 
 // Close refuses new streams, disconnects subscribers, and waits for every
@@ -311,59 +304,14 @@ func (s *Source) Close() {
 	s.wg.Wait()
 }
 
-// handle runs one peer connection. The first frame picks the protocol: a
-// Subscribe opens a replication stream (catch up, then live records and
-// heartbeats until the peer disconnects or falls too far behind); a
-// HandoffOffer runs the receiving half of a live handoff.
-func (s *Source) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, _, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		return
-	}
-	if f.Kind == wire.KindHandoffOffer {
-		s.receiveHandoff(conn, f)
-		return
-	}
-	fromSeq, err := f.Subscribe()
-	if err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	// Register first, then catch up to the watermark: records logged from
-	// here on buffer in sub.ch, and catch-up covers (fromSeq, watermark] —
-	// between the two every sequence reaches the follower at least once,
-	// and Apply's idempotence absorbs the overlaps.
-	sub := &subscriber{ch: make(chan wire.RawRecord, subBuf), drop: make(chan struct{})}
-	s.mu.Lock()
-	if s.closed {
-		// Close has already dropped the subscribers it will ever drop.
-		s.mu.Unlock()
-		return
-	}
-	watermark := s.seq
-	s.subs[sub] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, sub)
-		s.mu.Unlock()
-		sub.dropNow()
-	}()
-
-	// A half-closed or dying peer must not leak this goroutine: the read
-	// side only ever returns when the connection drops (followers send
-	// nothing after subscribing), and that drops the subscriber.
-	go func() {
-		var b [1]byte
-		_, _ = conn.Read(b[:])
-		sub.dropNow()
-	}()
-
-	out := &sender{w: deadlineWriter{conn}}
-	if s.catchUp(out, "", fromSeq, watermark) != nil {
+// subscribe streams one subscription: catch-up from from to the watermark
+// it registered at, then live records and heartbeats. Records logged after
+// the watermark queue in sub.ch, so every sequence reaches the follower at
+// least once, and Apply's idempotence absorbs the overlaps.
+func (s *Source) subscribe(w http.ResponseWriter, r *http.Request, sub *subscriber, from, watermark uint64) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	out := &sender{w: flusher{w, http.NewResponseController(w)}}
+	if s.catchUp(out, "", from, watermark) != nil {
 		return
 	}
 	// Heartbeats advertise the last sequence streamed to this follower;
@@ -375,11 +323,11 @@ func (s *Source) handle(conn net.Conn) {
 	for {
 		pending = pending[:0]
 		select {
-		case r := <-sub.ch:
+		case rec := <-sub.ch:
 			// Take whatever else is queued too, so a busy stream coalesces
 			// into batched frames; this goroutine is the only receiver, so
 			// the queued records are there to take.
-			pending = append(pending, r)
+			pending = append(pending, rec)
 			for n := len(sub.ch); n > 0; n-- {
 				pending = append(pending, <-sub.ch)
 			}
@@ -392,6 +340,9 @@ func (s *Source) handle(conn net.Conn) {
 				return
 			}
 		case <-sub.drop:
+			return
+		case <-r.Context().Done():
+			// The follower left.
 			return
 		}
 	}

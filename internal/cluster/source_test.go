@@ -3,16 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // TestTailFor: the ring walk behind a handoff's tail keeps one community's
@@ -194,10 +193,10 @@ func TestSourceOverWAL(t *testing.T) {
 	}
 }
 
-// TestCloseRefusesLateSubscriber: a stream whose Subscribe arrives after
-// Close has dropped the subscribers must not register one, or Close waits
-// for a stream that nothing ends. holidayd closes its Source on every
-// shutdown.
+// TestCloseRefusesLateSubscriber: Close drops the subscription it finds,
+// and a subscription that arrives after Close has dropped the subscribers
+// is refused rather than registered, or Close would wait for a stream that
+// nothing ends. holidayd closes its Source on every shutdown.
 func TestCloseRefusesLateSubscriber(t *testing.T) {
 	owner := service.New(service.Opts{})
 	src, err := NewSource(SourceOpts{Owner: owner, Heartbeat: 20 * time.Millisecond})
@@ -208,31 +207,34 @@ func TestCloseRefusesLateSubscriber(t *testing.T) {
 	srv := httptest.NewServer(src)
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // closes the streams, which releases a Close that hangs
-	conn, err := dialStream(ctx, srv.URL)
+	defer cancel() // ends the streams, which releases a Close that hangs
+	subscribe := func() error {
+		resp, err := request(ctx, http.MethodGet, srv.URL, "?from=0", nil)
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err
+	}
+	resp, err := request(ctx, http.MethodGet, srv.URL, "?from=0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 
-	// The upgraded stream waits for its first frame while Close runs.
+	// The subscription streams while Close runs.
 	closed := make(chan struct{})
 	go func() {
 		src.Close()
 		close(closed)
 	}()
+	// Unavailable is the envelope of a 503.
 	waitFor(t, "Close to refuse new streams", func() bool {
-		probe, err := dialStream(ctx, srv.URL)
-		if err == nil {
-			probe.Close()
-		}
-		return err != nil && strings.Contains(err.Error(), "503")
+		var se *service.Error
+		return errorAs(subscribe(), &se) && se.Code == service.CodeUnavailable
 	})
-	if _, err := conn.Write(wire.AppendSubscribe(nil, 0)); err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case <-closed:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not return within 2s of a late Subscribe")
+		t.Fatal("Close did not return within 2s of a late subscription")
 	}
 }

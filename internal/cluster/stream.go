@@ -8,7 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"net/http"
 	"time"
 
 	"repro/internal/service"
@@ -59,13 +59,21 @@ func (s *sender) records(recs []wire.RawRecord) error {
 	return nil
 }
 
-// deadlineWriter arms a fresh write deadline before every write, so a peer
-// that stops reading fails its stream instead of stalling it.
-type deadlineWriter struct{ net.Conn }
+// flusher sends each frame of a streamed response as it is written, under
+// a fresh write deadline, so a follower that stops reading fails its
+// stream instead of stalling it.
+type flusher struct {
+	w  io.Writer
+	rc *http.ResponseController
+}
 
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	_ = w.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	return w.Conn.Write(p)
+func (f flusher) Write(p []byte) (int, error) {
+	_ = f.rc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	n, err := f.w.Write(p)
+	if err == nil {
+		err = f.rc.Flush()
+	}
+	return n, err
 }
 
 // catchUp is the one send path of a replica stream: what a peer current

@@ -176,7 +176,7 @@ func (a *apiHandler) misplaced(w http.ResponseWriter, r *http.Request, id string
 		return false
 	}
 	if r.Header.Get(forwardHeader) != "" {
-		writeError(w, http.StatusMisdirectedRequest, a.notOwner(id, node))
+		WriteError(w, http.StatusMisdirectedRequest, a.notOwner(id, node))
 		return true
 	}
 	a.forward(w, r, node, body)
@@ -194,7 +194,7 @@ func (a *apiHandler) notOwner(id, node string) *Error {
 func (a *apiHandler) forward(w http.ResponseWriter, r *http.Request, node string, body []byte) {
 	addr, ok := a.Router.Addr(node)
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			Errf(CodeUnavailable, "owner node %q has no address in the topology", node))
 		return
 	}
@@ -204,7 +204,7 @@ func (a *apiHandler) forward(w http.ResponseWriter, r *http.Request, node string
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, addr+r.URL.RequestURI(), rd)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, Errf(CodeInternal, "forward to %q: %v", node, err))
+		WriteError(w, http.StatusInternalServerError, Errf(CodeInternal, "forward to %q: %v", node, err))
 		return
 	}
 	req.Header = r.Header.Clone()
@@ -212,7 +212,7 @@ func (a *apiHandler) forward(w http.ResponseWriter, r *http.Request, node string
 	req.Header.Set(epochHeader, strconv.FormatUint(a.Router.Epoch(), 10))
 	resp, err := a.client.Do(req)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, Errf(CodeUnavailable, "forward to %q: %v", node, err))
+		WriteError(w, http.StatusServiceUnavailable, Errf(CodeUnavailable, "forward to %q: %v", node, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -244,7 +244,7 @@ func (a *apiHandler) staleEpoch(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	w.Header().Set(epochHeader, strconv.FormatUint(local, 10))
-	writeError(w, http.StatusMisdirectedRequest, Errf(CodeNotOwner,
+	WriteError(w, http.StatusMisdirectedRequest, Errf(CodeNotOwner,
 		"node %q placement epoch %d is stale; request carries epoch %d", a.node, local, remote))
 	return true
 }
@@ -274,7 +274,7 @@ func (a *apiHandler) read(fn func(http.ResponseWriter, *http.Request, *Community
 			if a.misplaced(w, r, id, nil) {
 				return
 			}
-			writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", id))
+			WriteError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", id))
 			return
 		}
 		fn(w, r, c)
@@ -287,7 +287,7 @@ func (a *apiHandler) withCommunity(fn func(http.ResponseWriter, *http.Request, *
 	return func(w http.ResponseWriter, r *http.Request) {
 		c, ok := a.Owner.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", r.PathValue("id")))
 			return
 		}
 		fn(w, r, c)
@@ -299,12 +299,12 @@ func (a *apiHandler) serveCreate(w http.ResponseWriter, r *http.Request) {
 	// before deciding whether this create is ours to serve.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("read request body: %w", err))
 		return
 	}
 	var req createRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if a.staleEpoch(w, r) {
@@ -318,7 +318,7 @@ func (a *apiHandler) serveCreate(w http.ResponseWriter, r *http.Request) {
 		Kind: req.Kind, Demands: req.Demands, DefaultDemand: req.DefaultDemand,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, c.Stats())
@@ -329,11 +329,11 @@ func (a *apiHandler) serveDelete(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A journal failure means the deletion is not durable; the community
 		// stays registered and the client must not believe it gone.
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("id")})
@@ -342,7 +342,7 @@ func (a *apiHandler) serveDelete(w http.ResponseWriter, r *http.Request) {
 func (a *apiHandler) serveAddFamily(w http.ResponseWriter, r *http.Request, c *Community) {
 	fam, err := c.AddFamily()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]int{"family": fam})
@@ -355,7 +355,7 @@ func (a *apiHandler) serveMarry(w http.ResponseWriter, r *http.Request, c *Commu
 	}
 	res, err := c.edit(core.Edit{Op: core.EditInsert, U: req.U, V: req.V, Demand: req.Demand})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"recolored": res.Recolored})
@@ -365,12 +365,12 @@ func (a *apiHandler) serveDivorce(w http.ResponseWriter, r *http.Request, c *Com
 	u, errU := strconv.Atoi(r.URL.Query().Get("u"))
 	v, errV := strconv.Atoi(r.URL.Query().Get("v"))
 	if errU != nil || errV != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("query params u and v must be integers"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("query params u and v must be integers"))
 		return
 	}
 	res, err := c.edit(core.Edit{Op: core.EditDelete, U: u, V: v})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"removed": res.Applied, "recolored": res.Recolored})
@@ -382,11 +382,11 @@ func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Commu
 		return
 	}
 	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty churn batch"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("empty churn batch"))
 		return
 	}
 	if len(reqs) > MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d edits", MaxBatch))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d edits", MaxBatch))
 		return
 	}
 	edits := make([]core.Edit, len(reqs))
@@ -397,14 +397,14 @@ func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Commu
 		case "divorce":
 			edits[i] = core.Edit{Op: core.EditDelete, U: q.U, V: q.V}
 		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("edit %d: op %q is not \"marry\" or \"divorce\"", i, q.Op))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("edit %d: op %q is not \"marry\" or \"divorce\"", i, q.Op))
 			return
 		}
 	}
 	res := make([]core.EditResult, len(edits))
 	recolorings, err := c.ChurnBatch(edits, res)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := churnResponse{
@@ -425,14 +425,14 @@ func (a *apiHandler) serveChurn(w http.ResponseWriter, r *http.Request, c *Commu
 func (a *apiHandler) serveWindow(w http.ResponseWriter, r *http.Request, c *Community) {
 	from, err := queryInt64(r, "from", 1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Reject from beyond the servable horizon before deriving the
 	// default end: from+51 overflows int64 for from near the maximum,
 	// which used to surface as a baffling "window [..,..] is empty".
 	if from > core.MaxHoliday {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("window start %d beyond last servable holiday %d", from, core.MaxHoliday))
 		return
 	}
@@ -442,12 +442,12 @@ func (a *apiHandler) serveWindow(w http.ResponseWriter, r *http.Request, c *Comm
 	}
 	to, err := queryInt64(r, "to", defTo)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	sched, err := c.windowSchedule(from, to)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The body is appended straight from the frozen schedule's class member
@@ -482,17 +482,17 @@ func (a *apiHandler) serveWindow(w http.ResponseWriter, r *http.Request, c *Comm
 func (a *apiHandler) serveNext(w http.ResponseWriter, r *http.Request, c *Community) {
 	v, err := strconv.Atoi(r.PathValue("v"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("family id %q is not an integer", r.PathValue("v")))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("family id %q is not an integer", r.PathValue("v")))
 		return
 	}
 	from, err := queryInt64(r, "from", 1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	next, err := c.NextHappy(v, from)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, nextResponse{Community: c.ID(), Family: v, From: from, Next: next})
@@ -580,7 +580,7 @@ type PromoteResponse struct {
 // failovers promote without any operator call.
 func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 	if a.Router == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
 		return
 	}
 	var req PromoteRequest
@@ -589,12 +589,12 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	c, ok := a.Owner.Get(req.Community)
 	if !ok {
-		writeError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q on this node", req.Community))
+		WriteError(w, http.StatusNotFound, Errf(CodeNotFound, "no community %q on this node", req.Community))
 		return
 	}
 	p, err := a.promote(req.Community)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, PromoteResponse{Community: req.Community, Epoch: p.Epoch, Node: a.node, Seq: c.Seq()})
@@ -620,7 +620,7 @@ func (a *apiHandler) promote(community string) (Placement, error) {
 // servePlacementGet answers with the installed placement table.
 func (a *apiHandler) servePlacementGet(w http.ResponseWriter, r *http.Request) {
 	if a.Router == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
 		return
 	}
 	writeJSON(w, http.StatusOK, a.Router.Placement())
@@ -632,7 +632,7 @@ func (a *apiHandler) servePlacementGet(w http.ResponseWriter, r *http.Request) {
 // reports the decision and the epoch now in force.
 func (a *apiHandler) servePlacementSet(w http.ResponseWriter, r *http.Request) {
 	if a.Router == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
 		return
 	}
 	var p Placement
@@ -641,7 +641,7 @@ func (a *apiHandler) servePlacementSet(w http.ResponseWriter, r *http.Request) {
 	}
 	installed, err := a.Router.SetPlacement(p)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, OfferResponse{Epoch: a.Router.Epoch(), Installed: installed})
@@ -676,11 +676,11 @@ type HandoffResponse struct {
 // current owner) via the wired Handoff hook and reports what it cost.
 func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 	if a.Router == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("this node is not in a cluster"))
 		return
 	}
 	if a.Handoff == nil {
-		writeError(w, http.StatusNotImplemented, Errf(CodeUnavailable, "this node does not serve handoffs"))
+		WriteError(w, http.StatusNotImplemented, Errf(CodeUnavailable, "this node does not serve handoffs"))
 		return
 	}
 	var req HandoffRequest
@@ -688,12 +688,12 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Community == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("handoff request names no community"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("handoff request names no community"))
 		return
 	}
 	cut, pause, err := a.Handoff(req.Community, req.Table)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, HandoffResponse{
@@ -773,7 +773,7 @@ func readBatch(w http.ResponseWriter, r *http.Request, allowed wire.Kind) ([]byt
 		}
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	return body, true
@@ -895,7 +895,7 @@ type binChurnSlot struct {
 }
 
 // appendWireError appends a binary Error frame carrying the same {code,
-// message} envelope writeError renders as JSON.
+// message} envelope WriteError renders as JSON.
 func appendWireError(dst []byte, status int, err error) []byte {
 	status, ae := envelope(status, err)
 	return wire.AppendError(dst, status, ae.Code.Num(), ae.Message)
@@ -1073,10 +1073,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	s.send(w, status, "application/json")
 }
 
-// writeError renders the {code, message} envelope. Enveloped errors (the
-// *Error type) carry their own code and status; anything else is classified
-// by the status the call site chose.
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError renders the {code, message} envelope, the one error body of
+// every endpoint, internal/cluster's stream route included. Enveloped
+// errors (the *Error type) carry their own code and status; anything else
+// is classified by the status the call site chose.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	status, ae := envelope(status, err)
 	writeJSON(w, status, ae)
 }
@@ -1086,7 +1087,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // and reports false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrame)).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return false
 	}
 	return true

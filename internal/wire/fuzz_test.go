@@ -15,7 +15,7 @@ func seedCorpus() [][]byte {
 		AppendNextReq(nil, "demo", 3, 10),
 		AppendNextResp(nil, 12),
 		AppendError(nil, 404, 2, "no community \"x\""),
-		AppendSubscribe(nil, 42),
+		AppendHandoffOffer(nil, 9, "demo", []byte(`{"epoch":9}`), []byte(`{"id":"demo"}`)),
 		AppendRecords(nil, []RawRecord{{Seq: 1, Data: []byte(`{"op":1}`)}, {Seq: 2}}),
 		AppendSnapshot(nil, 17, []byte(`{"id":"demo"}`)),
 		AppendHeartbeat(nil, 99),
@@ -73,10 +73,10 @@ func FuzzSplit(f *testing.F) {
 				}
 			case KindError:
 				_, _, _, _ = fr.ErrorResp()
-			case KindSubscribe:
-				if fromSeq, err := fr.Subscribe(); err == nil {
-					if got := AppendSubscribe(nil, fromSeq); !bytes.Equal(got, consumed) {
-						t.Fatalf("subscribe did not round trip:\n got %x\nwant %x", got, consumed)
+			case KindHandoffOffer:
+				if epoch, id, table, state, err := fr.HandoffOffer(); err == nil {
+					if got := AppendHandoffOffer(nil, epoch, id, table, state); !bytes.Equal(got, consumed) {
+						t.Fatalf("handoff offer did not round trip:\n got %x\nwant %x", got, consumed)
 					}
 				}
 			case KindRecords:

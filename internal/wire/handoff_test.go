@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestHandoffRoundTrip: the two live-handoff frames survive encode/decode
-// with every field intact, including empty table/state payloads.
+// TestHandoffRoundTrip: the live-handoff offer survives encode/decode with
+// every field intact, including empty table/state payloads.
 func TestHandoffRoundTrip(t *testing.T) {
 	table := []byte(`{"epoch":9,"nodes":[{"id":"a"}]}`)
 	state := []byte(`{"id":"demo","seq":41}`)
 	buf := AppendHandoffOffer(nil, 9, "demo", table, state)
 	buf = AppendHandoffOffer(buf, 0, "café", nil, nil)
-	buf = AppendHandoffAck(buf, 41, "demo")
 
 	f, rest, err := Split(buf)
 	if err != nil {
@@ -38,17 +37,6 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatalf("empty offer round-trip: epoch=%d id=%q table=%d state=%d bytes", epoch, id, len(gotTable), len(gotState))
 	}
 
-	f, rest, err = Split(rest)
-	if err != nil {
-		t.Fatalf("split ack: %v", err)
-	}
-	seq, id, err := f.HandoffAck()
-	if err != nil {
-		t.Fatalf("decode ack: %v", err)
-	}
-	if seq != 41 || id != "demo" {
-		t.Fatalf("ack round-trip: seq=%d id=%q", seq, id)
-	}
 	if len(rest) != 0 {
 		t.Fatalf("%d stray bytes after the last frame", len(rest))
 	}
@@ -57,13 +45,13 @@ func TestHandoffRoundTrip(t *testing.T) {
 // TestHandoffDecodersReject: wrong kinds and truncated bodies fail loudly
 // rather than mis-decode.
 func TestHandoffDecodersReject(t *testing.T) {
-	ack := mustSplitOne(t, AppendHandoffAck(nil, 7, "demo"))
-	if _, _, _, _, err := ack.HandoffOffer(); err == nil {
-		t.Fatal("HandoffOffer decoded an ack frame")
+	hb := mustSplitOne(t, AppendHeartbeat(nil, 7))
+	if _, _, _, _, err := hb.HandoffOffer(); err == nil {
+		t.Fatal("HandoffOffer decoded a heartbeat frame")
 	}
 	offer := mustSplitOne(t, AppendHandoffOffer(nil, 7, "demo", []byte("t"), []byte("s")))
-	if _, _, err := offer.HandoffAck(); err == nil {
-		t.Fatal("HandoffAck decoded an offer frame")
+	if _, err := offer.Heartbeat(); err == nil {
+		t.Fatal("Heartbeat decoded an offer frame")
 	}
 
 	// Truncations at every boundary of the offer body.
@@ -75,16 +63,10 @@ func TestHandoffDecodersReject(t *testing.T) {
 			t.Fatalf("offer body truncated to %d bytes decoded", cut)
 		}
 	}
-	for cut := 0; cut < len(ack.Body); cut++ {
-		f := Frame{Kind: KindHandoffAck, Body: ack.Body[:cut]}
-		if _, _, err := f.HandoffAck(); err == nil {
-			t.Fatalf("ack body truncated to %d bytes decoded", cut)
-		}
-	}
-	// Trailing garbage on an ack is a framing error, not ignorable.
-	f := Frame{Kind: KindHandoffAck, Body: append(append([]byte{}, ack.Body...), 0)}
-	if _, _, err := f.HandoffAck(); err == nil {
-		t.Fatal("ack with trailing bytes decoded")
+	// Trailing garbage after the state is a framing error, not ignorable.
+	f := Frame{Kind: KindHandoffOffer, Body: append(append([]byte{}, whole.Body...), 0)}
+	if _, _, _, _, err := f.HandoffOffer(); err == nil {
+		t.Fatal("offer with trailing bytes decoded")
 	}
 	// An oversized declared table length must not panic or mis-slice.
 	bad := mustSplitOne(t, AppendHandoffOffer(nil, 7, "demo", []byte(strings.Repeat("x", 8)), nil))

@@ -18,31 +18,29 @@
 //	Error      (5): u16 status | u16 code | u16 msgLen | msg
 //	ChurnReq   (6): u8 op | u16 idLen | id | u32 u | u32 v
 //	ChurnResp  (7): u8 flags (bit 0 applied, bit 1 recolored)
-//	Subscribe  (8): u64 fromSeq
 //	Records    (9): u32 count | count × (u64 seq | u32 len | bytes)
 //	Snapshot  (10): u64 cutoff | u32 len | bytes
 //	Heartbeat (11): u64 seq
 //
 //	HandoffOffer (12): u64 epoch | u16 idLen | id | u32 tableLen | table | u32 stateLen | state
-//	HandoffAck   (13): u64 seq | u16 idLen | id
 //
-// Kinds 8–11 are the replication stream of internal/cluster: a follower
-// opens a stream (an upgraded GET /v1/stream on the owner's API address)
-// with Subscribe naming the last sequence it has applied, and the owner
-// answers with Snapshot frames (one per community, the catch-up path), then
-// Records frames carrying WAL records (the same JSON objects wal.jsonl
-// stores, framed with their sequence numbers) and Heartbeat frames
-// advertising the owner's current sequence so an idle follower can still
-// measure its lag.
+// Kinds 9–11 are the replication stream of internal/cluster: a follower's
+// GET /v1/stream?from=N on the owner's API address is answered with
+// Snapshot frames (one per community, the catch-up path), then Records
+// frames carrying WAL records (the same JSON objects wal.jsonl stores,
+// framed with their sequence numbers) and Heartbeat frames advertising the
+// owner's current sequence so an idle follower can still measure its lag.
 //
-// Kinds 12–13 are the live-handoff exchange (DESIGN.md §12): the old owner
-// of a community opens a stream on the new owner's API address with
-// HandoffOffer — the placement table being flipped to (JSON), the
-// community's exported state, and the epoch — then streams the WAL tail
-// (Records or a re-export Snapshot) accumulated while the offer was in
-// flight, marks the fencing cut with a Heartbeat carrying the cut sequence,
-// and waits for HandoffAck confirming the new owner applied everything and
-// took ownership.
+// Kind 12 opens each of a live handoff's two POSTs to /v1/stream on the new
+// owner (DESIGN.md §12): the placement table being flipped to (JSON), the
+// epoch, and — in the first — the community's exported state. The second
+// carries no state and is followed by the WAL tail (Records or a re-export
+// Snapshot) and a Heartbeat marking the fencing cut; its 200 answer is the
+// ack.
+//
+// Kinds 8 (Subscribe) and 13 (HandoffAck) are retired: the GET's from
+// parameter and the second POST's answer do their jobs. Their numbers are
+// never reused, and decoders refuse them as unknown.
 //
 // A batch is frames concatenated back to back; responses correspond 1:1 and
 // in order with the request frames, per-query failures arriving as Error
@@ -65,7 +63,8 @@ import (
 // Version is the wire-format version byte; decoders refuse anything else.
 // History: 1 = PR 5 query frames; 2 adds the replication kinds (8–11) and a
 // u16 error code to Error frames (the {code, message} envelope shared with
-// the JSON endpoints).
+// the JSON endpoints). Retiring kinds 8 and 13 changed no frame that is
+// still sent, so the version stayed.
 const Version = 2
 
 // MaxFrame bounds a single frame's payload, so a hostile length prefix
@@ -105,9 +104,9 @@ const (
 	KindChurnReq
 	// KindChurnResp reports what one churn edit did.
 	KindChurnResp
-	// KindSubscribe opens a replication stream: the follower names the last
-	// WAL sequence it has applied.
-	KindSubscribe
+	// Kind 8, Subscribe, is retired: a follower's GET names the sequence
+	// it resumes from.
+	_
 	// KindRecords carries a batch of WAL records, each framed with its
 	// sequence number (the payload bytes are the wal.jsonl JSON objects).
 	KindRecords
@@ -118,14 +117,11 @@ const (
 	// KindHeartbeat advertises the owner's current WAL sequence so idle
 	// followers can measure replication lag.
 	KindHeartbeat
-	// KindHandoffOffer opens a live handoff: the old owner of a community
-	// offers its exported state plus the placement table (JSON) being
-	// flipped to at the named epoch.
+	// KindHandoffOffer opens each request of a live handoff: the old owner
+	// of a community offers the placement table (JSON) being flipped to at
+	// the named epoch and, in the first request, the community's exported
+	// state. Kind 13, the ack, is retired: the second request's answer is.
 	KindHandoffOffer
-	// KindHandoffAck completes a handoff: the new owner confirms it applied
-	// the offer (and any WAL tail) through the acknowledged sequence and has
-	// taken ownership.
-	KindHandoffAck
 )
 
 // Churn op bytes of a ChurnReq body. The values deliberately match
@@ -138,38 +134,31 @@ const (
 	ChurnDelete byte = 2
 )
 
+// kindNames names every kind a frame may carry. The retired kinds 8 and
+// 13 have no name, so decoders refuse them as unknown.
+var kindNames = [...]string{
+	KindWindowReq:    "window-request",
+	KindWindowResp:   "window-response",
+	KindNextReq:      "next-request",
+	KindNextResp:     "next-response",
+	KindError:        "error",
+	KindChurnReq:     "churn-request",
+	KindChurnResp:    "churn-response",
+	KindRecords:      "records",
+	KindSnapshot:     "snapshot",
+	KindHeartbeat:    "heartbeat",
+	KindHandoffOffer: "handoff-offer",
+}
+
+// known reports whether a frame may carry kind k.
+func (k Kind) known() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
+
 // String names the kind for error messages.
 func (k Kind) String() string {
-	switch k {
-	case KindWindowReq:
-		return "window-request"
-	case KindWindowResp:
-		return "window-response"
-	case KindNextReq:
-		return "next-request"
-	case KindNextResp:
-		return "next-response"
-	case KindError:
-		return "error"
-	case KindChurnReq:
-		return "churn-request"
-	case KindChurnResp:
-		return "churn-response"
-	case KindSubscribe:
-		return "subscribe"
-	case KindRecords:
-		return "records"
-	case KindSnapshot:
-		return "snapshot"
-	case KindHeartbeat:
-		return "heartbeat"
-	case KindHandoffOffer:
-		return "handoff-offer"
-	case KindHandoffAck:
-		return "handoff-ack"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if k.known() {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Words returns the packed words per happy-bitmap row over n families —
@@ -297,28 +286,44 @@ func Split(b []byte) (Frame, []byte, error) {
 	if len(b) < prefixLen+headerLen {
 		return Frame{}, nil, fmt.Errorf("wire: %d bytes is too short for a frame", len(b))
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > MaxFrame {
-		return Frame{}, nil, fmt.Errorf("wire: frame payload of %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	n, err := payloadLen(b)
+	if err != nil {
+		return Frame{}, nil, err
 	}
-	if n < headerLen {
-		return Frame{}, nil, fmt.Errorf("wire: frame payload of %d bytes is shorter than its header", n)
-	}
-	if int64(len(b)-prefixLen) < int64(n) {
+	if len(b)-prefixLen < n {
 		return Frame{}, nil, fmt.Errorf("wire: truncated frame: %d payload bytes present, %d declared", len(b)-prefixLen, n)
 	}
-	p := b[prefixLen : prefixLen+int(n)]
+	f, err := parse(b[prefixLen : prefixLen+n])
+	if err != nil {
+		return Frame{}, nil, err
+	}
+	return f, b[prefixLen+n:], nil
+}
+
+// payloadLen decodes and bounds a frame's length prefix.
+func payloadLen(prefix []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(prefix)
+	if n > MaxFrame {
+		return 0, fmt.Errorf("wire: frame payload of %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	}
+	if n < headerLen {
+		return 0, fmt.Errorf("wire: frame payload of %d bytes is shorter than its header", n)
+	}
+	return int(n), nil
+}
+
+// parse checks a whole payload's magic, version and kind.
+func parse(p []byte) (Frame, error) {
 	if p[0] != magic0 || p[1] != magic1 {
-		return Frame{}, nil, fmt.Errorf("wire: bad magic %q", p[:2])
+		return Frame{}, fmt.Errorf("wire: bad magic %q", p[:2])
 	}
 	if p[2] != Version {
-		return Frame{}, nil, fmt.Errorf("wire: version %d, this build speaks %d", p[2], Version)
+		return Frame{}, fmt.Errorf("wire: version %d, this build speaks %d", p[2], Version)
 	}
-	k := Kind(p[3])
-	if k < KindWindowReq || k > KindHandoffAck {
-		return Frame{}, nil, fmt.Errorf("wire: unknown frame kind %d", p[3])
+	if k := Kind(p[3]); !k.known() {
+		return Frame{}, fmt.Errorf("wire: unknown frame kind %d", p[3])
 	}
-	return Frame{Kind: k, Body: p[headerLen:]}, b[prefixLen+int(n):], nil
+	return Frame{Kind: Kind(p[3]), Body: p[headerLen:]}, nil
 }
 
 // splitID consumes a length-prefixed id from the front of a body.
@@ -507,24 +512,6 @@ func (wr WindowResp) AppendHappy(dst []int, i int) []int {
 	return dst
 }
 
-// AppendSubscribe appends a subscribe frame: the last WAL sequence the
-// follower has applied (the owner streams everything after it).
-func AppendSubscribe(dst []byte, fromSeq uint64) []byte {
-	dst = appendHeader(dst, KindSubscribe, 8)
-	return binary.LittleEndian.AppendUint64(dst, fromSeq)
-}
-
-// Subscribe decodes a subscribe body.
-func (f Frame) Subscribe() (fromSeq uint64, err error) {
-	if f.Kind != KindSubscribe {
-		return 0, fmt.Errorf("wire: %s frame is not a subscribe", f.Kind)
-	}
-	if len(f.Body) != 8 {
-		return 0, fmt.Errorf("wire: subscribe body is %d bytes, want 8", len(f.Body))
-	}
-	return binary.LittleEndian.Uint64(f.Body), nil
-}
-
 // RawRecord is one replicated WAL record: the owner-assigned sequence number
 // plus the record's serialized bytes (the same JSON object wal.jsonl holds).
 // Decoded records reference the frame body — copy Data before the buffer is
@@ -625,7 +612,7 @@ func (f Frame) Heartbeat() (uint64, error) {
 // AppendHandoffOffer appends a handoff-offer frame: the community being
 // handed off, the serialized placement table (JSON) taking effect at epoch,
 // and the community's exported state (JSON, which carries its own sequence
-// cut).
+// cut; empty in the request that carries the tail).
 func AppendHandoffOffer(dst []byte, epoch uint64, id string, table, state []byte) []byte {
 	dst = appendHeader(dst, KindHandoffOffer, 8+2+len(id)+4+len(table)+4+len(state))
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
@@ -668,33 +655,6 @@ func (f Frame) HandoffOffer() (epoch uint64, id string, table, state []byte, err
 	return epoch, id, table, rest[4:], nil
 }
 
-// AppendHandoffAck appends a handoff-ack frame: the new owner has applied
-// the named community through seq and taken ownership.
-func AppendHandoffAck(dst []byte, seq uint64, id string) []byte {
-	dst = appendHeader(dst, KindHandoffAck, 8+2+len(id))
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	return appendID(dst, id)
-}
-
-// HandoffAck decodes a handoff-ack body.
-func (f Frame) HandoffAck() (seq uint64, id string, err error) {
-	if f.Kind != KindHandoffAck {
-		return 0, "", fmt.Errorf("wire: %s frame is not a handoff ack", f.Kind)
-	}
-	if len(f.Body) < 8 {
-		return 0, "", fmt.Errorf("wire: handoff ack body is %d bytes, want ≥ 8", len(f.Body))
-	}
-	seq = binary.LittleEndian.Uint64(f.Body)
-	id, rest, err := splitID(f.Body[8:])
-	if err != nil {
-		return 0, "", err
-	}
-	if len(rest) != 0 {
-		return 0, "", fmt.Errorf("wire: handoff ack has %d trailing bytes", len(rest))
-	}
-	return seq, id, nil
-}
-
 // ReadFrame reads one frame from a stream, reusing buf (grown as needed) for
 // the payload; the returned buffer must be passed back in on the next call,
 // and the frame body aliases it. This is the replication-stream reader —
@@ -704,29 +664,17 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(prefix[:])
-	if n > MaxFrame {
-		return Frame{}, buf, fmt.Errorf("wire: frame payload of %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	n, err := payloadLen(prefix[:])
+	if err != nil {
+		return Frame{}, buf, err
 	}
-	if n < headerLen {
-		return Frame{}, buf, fmt.Errorf("wire: frame payload of %d bytes is shorter than its header", n)
-	}
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Frame{}, buf, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	if buf[0] != magic0 || buf[1] != magic1 {
-		return Frame{}, buf, fmt.Errorf("wire: bad magic %q", buf[:2])
-	}
-	if buf[2] != Version {
-		return Frame{}, buf, fmt.Errorf("wire: version %d, this build speaks %d", buf[2], Version)
-	}
-	k := Kind(buf[3])
-	if k < KindWindowReq || k > KindHandoffAck {
-		return Frame{}, buf, fmt.Errorf("wire: unknown frame kind %d", buf[3])
-	}
-	return Frame{Kind: k, Body: buf[headerLen:]}, buf, nil
+	f, err := parse(buf)
+	return f, buf, err
 }

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -307,7 +310,7 @@ func TestAppendErrorTruncates(t *testing.T) {
 	}
 }
 
-// TestReplicationRoundTrip covers the replication stream kinds (8–11) both
+// TestReplicationRoundTrip covers the replication stream kinds (9–11) both
 // through Split and through the streaming ReadFrame reader.
 func TestReplicationRoundTrip(t *testing.T) {
 	recs := []RawRecord{
@@ -315,20 +318,11 @@ func TestReplicationRoundTrip(t *testing.T) {
 		{Seq: 2, Data: nil},
 		{Seq: 9, Data: []byte(`{"op":"divorce","u":3}`)},
 	}
-	buf := AppendSubscribe(nil, 42)
-	buf = AppendSnapshot(buf, 17, []byte(`{"id":"demo"}`))
+	buf := AppendSnapshot(nil, 17, []byte(`{"id":"demo"}`))
 	buf = AppendRecords(buf, recs)
 	buf = AppendHeartbeat(buf, 99)
 
 	f, rest, err := Split(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSeq, err := f.Subscribe()
-	if err != nil || fromSeq != 42 {
-		t.Fatalf("Subscribe = %d (%v)", fromSeq, err)
-	}
-	f, rest, err = Split(rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +367,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		}
 		kinds = append(kinds, fr.Kind)
 	}
-	want := []Kind{KindSubscribe, KindSnapshot, KindRecords, KindHeartbeat}
+	want := []Kind{KindSnapshot, KindRecords, KindHeartbeat}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("ReadFrame saw kinds %v, want %v", kinds, want)
 	}
@@ -382,27 +376,16 @@ func TestReplicationRoundTrip(t *testing.T) {
 // TestReplicationDecodersReject: malformed replication bodies must fail with
 // errors naming the problem, and wrong kinds must be refused.
 func TestReplicationDecodersReject(t *testing.T) {
-	sub, _, _ := Split(AppendSubscribe(nil, 1))
+	snapFrame, _, _ := Split(AppendSnapshot(nil, 1, nil))
 	hb, _, _ := Split(AppendHeartbeat(nil, 1))
-	if _, err := hb.Subscribe(); err == nil {
-		t.Fatal("Subscribe decoded a heartbeat")
+	if _, err := snapFrame.Heartbeat(); err == nil {
+		t.Fatal("Heartbeat decoded a snapshot")
 	}
-	if _, err := sub.Heartbeat(); err == nil {
-		t.Fatal("Heartbeat decoded a subscribe")
+	if _, err := hb.Records(nil); err == nil {
+		t.Fatal("Records decoded a heartbeat")
 	}
-	if _, err := sub.Records(nil); err == nil {
-		t.Fatal("Records decoded a subscribe")
-	}
-	if _, _, err := sub.Snapshot(); err == nil {
-		t.Fatal("Snapshot decoded a subscribe")
-	}
-	// The body is the sequence alone: the follower's node id that older
-	// builds appended is refused as trailing bytes.
-	legacy := appendID(append(appendHeader(nil, KindSubscribe, 8+2+1), sub.Body...), "b")
-	if f, _, err := Split(legacy); err != nil {
-		t.Fatal(err)
-	} else if _, err := f.Subscribe(); err == nil {
-		t.Fatal("Subscribe accepted a body with a trailing node id")
+	if _, _, err := hb.Snapshot(); err == nil {
+		t.Fatal("Snapshot decoded a heartbeat")
 	}
 	// A records frame whose count exceeds the records present: count u32
 	// lives at offset 4(len)+4(header).
@@ -426,6 +409,24 @@ func TestReplicationDecodersReject(t *testing.T) {
 		t.Fatal(err)
 	} else if _, _, err := f.Snapshot(); err == nil {
 		t.Fatal("Snapshot accepted a state length disagreeing with the body")
+	}
+}
+
+// TestRetiredKindsRefused: kinds 8 (Subscribe) and 13 (HandoffAck) are
+// retired, and both decoders refuse a frame of either as unknown, whatever
+// its body.
+func TestRetiredKindsRefused(t *testing.T) {
+	for _, k := range []Kind{8, 13} {
+		frame := binary.LittleEndian.AppendUint64(appendHeader(nil, k, 8), 42)
+		if _, _, err := Split(frame); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("Split of a kind %d frame: %v, want an unknown kind", k, err)
+		}
+		if _, _, err := ReadFrame(bytes.NewReader(frame), nil); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("ReadFrame of a kind %d frame: %v, want an unknown kind", k, err)
+		}
+		if got := k.String(); got != fmt.Sprintf("kind(%d)", k) {
+			t.Errorf("kind %d is named %q", k, got)
+		}
 	}
 }
 

@@ -41,7 +41,8 @@ go build -o "$BIN/holidayd" ./cmd/holidayd
 go build -o "$BIN/holidayctl" ./cmd/holidayctl
 go build -o "$BIN/holidayload" ./cmd/holidayload
 
-# One port per node: replication and handoffs upgrade from the API.
+# One port per node: replication and handoffs are plain requests to its
+# /v1/stream.
 declare -A ADDR=(
   [a]=http://127.0.0.1:18081 [b]=http://127.0.0.1:18082
   [c]=http://127.0.0.1:18083 [d]=http://127.0.0.1:18084
