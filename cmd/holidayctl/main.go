@@ -8,7 +8,8 @@
 //	holidayctl -topology nodes.json promote demo b
 //
 // status polls every member's /v1/status and renders the cluster table:
-// placement epoch, per-node community counts, then per-community detail.
+// placement epoch, per-node community counts, then per-community detail,
+// where a follower row shows its owner row's seq beside its own.
 // place resolves consistent-hash placement client-side (the same pure
 // function the daemons compute, so no node needs to be up). join appends a
 // member to the topology file and — when the cluster is reachable — live-
@@ -123,16 +124,27 @@ func status(w io.Writer, client *service.Client, topo service.Topology) error {
 		fmt.Fprintf(w, "%-8s %-24s %-6s %-6d %-6d %-8d\n", r.node.ID, r.node.Addr, "up", r.st.Epoch, owned, following)
 	}
 
+	// A follower row shows its owner row's seq beside its own. The lag is
+	// the difference, unless a move left the two in different sequence
+	// spaces (DESIGN §12), which is why no difference is printed.
+	ownerSeq := map[string]uint64{}
+	for _, r := range rows {
+		for _, c := range r.st.Communities {
+			if _, seen := ownerSeq[c.ID]; !seen && c.Role == "owner" {
+				ownerSeq[c.ID] = c.Seq
+			}
+		}
+	}
 	for _, r := range rows {
 		if r.err != nil {
 			continue
 		}
 		for _, c := range r.st.Communities {
-			lag := ""
-			if c.Role != "owner" {
-				lag = fmt.Sprintf("  lag %d", c.Lag)
+			owner := ""
+			if m, ok := ownerSeq[c.ID]; ok && c.Role != "owner" {
+				owner = fmt.Sprintf("owner seq %-8d ", m)
 			}
-			fmt.Fprintf(w, "%-8s %-16s %-8s %-8s seq %-8d placed on %s%s\n", r.node.ID, c.ID, c.Kind, c.Role, c.Seq, c.Placed, lag)
+			fmt.Fprintf(w, "%-8s %-16s %-8s %-8s seq %-8d %splaced on %s\n", r.node.ID, c.ID, c.Kind, c.Role, c.Seq, owner, c.Placed)
 		}
 		if len(r.st.Overrides) > 0 {
 			keys := make([]string, 0, len(r.st.Overrides))

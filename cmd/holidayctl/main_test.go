@@ -101,6 +101,45 @@ func TestStatus(t *testing.T) {
 	}
 }
 
+// TestStatusOwnerSeq: a follower row prints its owner row's seq beside its
+// own, so a replica's lag reads off two numbers; an owner row prints none,
+// and neither does a follower row whose owner is not among the members
+// that answered.
+func TestStatusOwnerSeq(t *testing.T) {
+	tc := bootCluster(t)
+	// a's x runs ahead of b's replica of it, and b follows q, which no
+	// member that answers owns.
+	marry := service.Record{Op: service.OpMarry, ID: "x", U: 0, V: 1}
+	if err := tc.owners["a"].Apply(7, marry); err != nil {
+		t.Fatalf("apply on a: %v", err)
+	}
+	if err := tc.owners["b"].Replicate(3, marry); err != nil {
+		t.Fatalf("replicate on b: %v", err)
+	}
+	if err := tc.owners["b"].Replicate(5, service.Record{Op: service.OpCreate, ID: "q", N: 4}); err != nil {
+		t.Fatalf("replicate q on b: %v", err)
+	}
+	var out bytes.Buffer
+	if err := status(&out, service.NewClient(nil), tc.topo); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 4 && f[4] == "seq" {
+			rows[f[0]+" "+f[1]] = strings.Join(f[3:slices.Index(f, "placed")], " ")
+		}
+	}
+	for row, want := range map[string]string{
+		"a x": "owner seq 7",
+		"b x": "follower seq 3 owner seq 7",
+		"b q": "follower seq 5",
+	} {
+		if rows[row] != want {
+			t.Errorf("row %q reads %q, want %q\n%s", row, rows[row], want, out.String())
+		}
+	}
+}
+
 // TestPromote: promoting a community the node does not hold fails with the
 // node's not_found message; promoting a fenced replica succeeds and reports
 // the epoch it was published at.

@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"maps"
 	"net/http"
 	"os"
 	"os/signal"
@@ -339,15 +338,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	// One listener: the API and, in a cluster, the stream route beside it.
 	mux := http.NewServeMux()
 	hopts := service.HandlerOpts{Owner: reg, Router: m.router}
-	if len(followers) > 0 {
-		hopts.Lag = func() map[string]uint64 {
-			lag := make(map[string]uint64)
-			for _, f := range followers {
-				maps.Copy(lag, f.Lag())
-			}
-			return lag
-		}
-	}
 	if src != nil {
 		mux.Handle(cluster.StreamPath, src)
 		hopts.Handoff = func(community string, table service.Placement) (uint64, time.Duration, error) {
@@ -481,7 +471,7 @@ func createDemo(cfg *config, router *service.Router, reg *service.Owner) error {
 		}); err != nil {
 			return err
 		}
-		log.Printf("created poly community %q: %d holidays, %d marriages, default demand %d",
+		log.Printf("created poly community %q: %d families, %d marriages, default demand %d",
 			"demo", g.N(), g.M(), cfg.demoDemand)
 		return nil
 	}

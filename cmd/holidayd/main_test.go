@@ -195,6 +195,49 @@ func TestRestartAnswersByteForByte(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
+// TestPolyDemo boots a durable daemon with a poly -demo. The community
+// must be poly-kind with every demand met, and its demand density must be
+// its marriages over -demo-demand, which shows the demand reached it. A
+// restart from the data directory with the same flags must restore the
+// community rather than create it again, and answer a window byte for
+// byte.
+func TestPolyDemo(t *testing.T) {
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	args := []string{"-demo", "gnp:n=32,p=0.2", "-demo-kind", "poly", "-demo-demand", "16",
+		"-data-dir", filepath.Join(t.TempDir(), "data")}
+	const window = "/v1/communities/demo/window?from=1&to=64"
+
+	d := boot(t, freeAddr(t), args...)
+	var st service.Stats
+	if err := json.Unmarshal(d.do(t, "GET", "/v1/communities/demo", "", http.StatusOK), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Kind != service.KindPoly || st.Poly == nil || st.Marriages == 0 ||
+		st.Poly.MaxGapRatio > 1 || st.Poly.DemandDensity != float64(st.Marriages)/16 {
+		t.Fatalf("poly -demo stats %+v (poly %+v), want kind poly, max gap ratio ≤ 1 and demand density marriages/16", st, st.Poly)
+	}
+	want := d.do(t, "GET", window, "", http.StatusOK)
+	d.stop(t)
+	created := fmt.Sprintf(`created poly community "demo": 32 families, %d marriages, default demand 16`, st.Marriages)
+	if !strings.Contains(logs.String(), created) {
+		t.Fatalf("no %q line in the log:\n%s", created, logs.String())
+	}
+
+	mark := len(logs.String())
+	d = boot(t, freeAddr(t), args...)
+	got := d.do(t, "GET", window, "", http.StatusOK)
+	d.stop(t)
+	if restart := logs.String()[mark:]; !strings.Contains(restart, `community "demo" already restored from`) ||
+		strings.Contains(restart, "created poly community") {
+		t.Fatalf("the restart's log does not say the demo was restored rather than created:\n%s", restart)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("GET %s after restart:\n got  %s\n want %s", window, got, want)
+	}
+}
+
 // checkGoroutines fails the test if more than want goroutines outlive the
 // daemons it stopped. Client and server connection goroutines wind down
 // asynchronously after run returns; anything still alive past the

@@ -42,8 +42,6 @@ type Follower struct {
 
 	mu        sync.Mutex
 	applied   uint64
-	sourceSeq uint64
-	through   map[string]uint64 // per community: last seq its replica is current through
 	lastBeat  time.Time
 	connected bool
 	caughtUp  bool // the subscription's catch-up heartbeat has arrived
@@ -66,7 +64,6 @@ func NewFollower(o FollowerOpts) (*Follower, error) {
 		accept:  o.Accept,
 		backoff: o.Backoff,
 		logf:    o.Logf,
-		through: make(map[string]uint64),
 	}, nil
 }
 
@@ -83,32 +80,6 @@ func (f *Follower) Connected() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.connected
-}
-
-// Lag reports, per replicated community, how many sequences its local
-// replica trails the owner's stream: the owner's advertised sequence minus
-// the last sequence the replica is known current through. A community's
-// own watermark advances when one of its records or snapshots applies; the
-// stream's total order then lifts every tracked community to the applied
-// watermark (a record processed at seq S proves everything at or below S
-// was already delivered and applied), so an idle community never inherits
-// the lag of its busy stream-mates — the pre-epoch status page reported
-// one aggregate number for every community.
-func (f *Follower) Lag() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.through))
-	for id, thru := range f.through {
-		if f.applied > thru {
-			thru = f.applied
-		}
-		var lag uint64
-		if f.sourceSeq > thru {
-			lag = f.sourceSeq - thru
-		}
-		out[id] = lag
-	}
-	return out
 }
 
 // LastHeartbeat returns when the owner's watermark heartbeat last arrived
@@ -165,11 +136,10 @@ func (f *Follower) runOnce(ctx context.Context) error {
 
 // stream is the applier of one subscription. It keeps the communities
 // Accept admits, except one this node owns unfenced (promoted, or taken
-// over), which a stale stream must never overwrite. Applied states and
-// records track per-community lag. A streamed record moves the
-// subscription watermark only after the catch-up heartbeat: until then the
-// stream may be mid-snapshot-phase, and a drop there must not make the
-// reconnect skip communities whose snapshots never arrived.
+// over), which a stale stream must never overwrite. A streamed record
+// moves the subscription watermark only after the catch-up heartbeat:
+// until then the stream may be mid-snapshot-phase, and a drop there must
+// not make the reconnect skip communities whose snapshots never arrived.
 func (f *Follower) stream() *applier {
 	return &applier{
 		owner: f.owner,
@@ -180,11 +150,10 @@ func (f *Follower) stream() *applier {
 			c, ok := f.owner.Get(id)
 			return !ok || c.Fenced()
 		},
-		applied: f.track,
 		passed: func(seq uint64) {
 			f.mu.Lock()
 			if f.caughtUp {
-				f.advanceLocked(seq)
+				f.applied = max(f.applied, seq)
 			}
 			f.mu.Unlock()
 		},
@@ -199,39 +168,14 @@ func (f *Follower) setConnected(v bool) {
 	f.mu.Unlock()
 }
 
-// advanceLocked moves the applied and source watermarks forward; caller
-// holds mu.
-func (f *Follower) advanceLocked(seq uint64) {
-	f.applied = max(f.applied, seq)
-	f.sourceSeq = max(f.sourceSeq, seq)
-}
-
 // heartbeat records the owner's watermark. The owner only heartbeats
 // sequences it has already streamed to this subscriber, the first one
 // marking catch-up complete, so the stream has delivered everything at or
-// below seq: advancing past skipped or filtered records is safe, and every
-// tracked community is current through seq.
+// below seq: advancing past skipped or filtered records is safe.
 func (f *Follower) heartbeat(seq uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.caughtUp = true
-	f.advanceLocked(seq)
+	f.applied = max(f.applied, seq)
 	f.lastBeat = time.Now()
-	for id, thru := range f.through {
-		if seq > thru {
-			f.through[id] = seq
-		}
-	}
-}
-
-// track marks a community's replica current through seq, or forgets it
-// once the stream deleted it.
-func (f *Follower) track(id string, seq uint64, deleted bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if deleted {
-		delete(f.through, id)
-	} else if thru, ok := f.through[id]; !ok || seq > thru {
-		f.through[id] = seq
-	}
 }

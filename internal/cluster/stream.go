@@ -126,11 +126,8 @@ type applier struct {
 	// An accepted state replaces any local copy behind it, an unfenced one
 	// included; a caller that must never overwrite its own says so here.
 	keep func(id string) bool
-	// applied, when set, hears of each state installed and record
-	// replicated: the community, its new sequence, whether it was deleted.
 	// passed, when set, hears every streamed record's sequence, kept or not.
-	applied func(id string, seq uint64, deleted bool)
-	passed  func(seq uint64)
+	passed func(seq uint64)
 }
 
 // receive applies the stream r carries until the stream fails or beat,
@@ -185,12 +182,8 @@ func (a *applier) install(st service.CommunityState) error {
 	if !a.keep(st.ID) {
 		return nil
 	}
-	c, err := a.owner.InstallReplica(st)
-	if err != nil {
+	if _, err := a.owner.InstallReplica(st); err != nil {
 		return fmt.Errorf("cluster: install replica %q: %w", st.ID, err)
-	}
-	if a.applied != nil {
-		a.applied(st.ID, c.Seq(), false)
 	}
 	return nil
 }
@@ -204,9 +197,6 @@ func (a *applier) replicate(r wire.RawRecord) error {
 	if a.keep(rec.ID) {
 		if err := a.owner.Replicate(r.Seq, rec); err != nil {
 			return fmt.Errorf("cluster: apply seq %d: %w", r.Seq, err)
-		}
-		if a.applied != nil {
-			a.applied(rec.ID, r.Seq, rec.Op == service.OpDelete)
 		}
 	}
 	if a.passed != nil {

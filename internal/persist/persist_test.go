@@ -420,6 +420,73 @@ func TestReplayIdempotentAfterCompactionCrash(t *testing.T) {
 	}
 }
 
+// TestDirectorySyncOrder: every directory sync is recorded with what the
+// directory then holds. Open syncs once, with wal.jsonl created. The first
+// sync of a SaveSnapshot must see the new snapshot beside the uncompacted
+// WAL, so the snapshot's rename is durable before compaction's; the second
+// sees the compacted WAL.
+func TestDirectorySyncOrder(t *testing.T) {
+	dir := t.TempDir()
+	type view struct {
+		wal     bool   // wal.jsonl exists
+		snapSeq uint64 // snapshot.json's cutoff, 0 without one
+		walRecs int    // records in wal.jsonl
+	}
+	var views []view
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(d string) error {
+		if d != dir {
+			t.Errorf("synced %s, want the data directory %s", d, dir)
+		}
+		var v view
+		if snap, err := readSnapshot(filepath.Join(dir, snapshotFile)); err != nil {
+			t.Errorf("snapshot at a directory sync: %v", err)
+		} else if snap != nil {
+			v.snapSeq = snap.Seq
+		}
+		_, err := os.Stat(filepath.Join(dir, walFile))
+		v.wal = err == nil
+		recs, _, err := scanWAL(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Errorf("WAL at a directory sync: %v", err)
+		}
+		v.walRecs = len(recs)
+		views = append(views, v)
+		return orig(d)
+	}
+
+	store, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if want := []view{{wal: true}}; !reflect.DeepEqual(views, want) {
+		t.Fatalf("Open's directory syncs saw %+v, want %+v", views, want)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Create("c", 10, ringEdges(10), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, c, 5, 20)
+	cutoff := store.Journal().Seq()
+	views = nil
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	want := []view{
+		{wal: true, snapSeq: cutoff, walRecs: int(cutoff)},
+		{wal: true, snapSeq: cutoff},
+	}
+	if !reflect.DeepEqual(views, want) {
+		t.Fatalf("SaveSnapshot's directory syncs saw %+v, want %+v (snapshot rename, then compaction)", views, want)
+	}
+}
+
 // TestCorruptMidFileRecordRejected: corruption before the final record is
 // not a torn tail and must fail loudly, not silently drop data.
 func TestCorruptMidFileRecordRejected(t *testing.T) {

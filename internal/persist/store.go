@@ -13,6 +13,10 @@
 //	snapshot.json — the latest registry snapshot (atomic tmp+rename)
 //	wal.jsonl     — churn records since, one JSON object per line
 //
+// The directory is fsynced after the WAL is created and after each rename,
+// the snapshot's before compaction starts, so the WAL swap never reaches
+// disk without the snapshot swap.
+//
 // The write-ahead contract is service.Journal's: the registry logs every
 // mutation before applying it, so an acknowledged op is in the WAL buffer
 // before the client hears about it. With the default SyncBatch policy the
@@ -265,5 +269,17 @@ func writeSnapshot(path string, snap *Snapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("persist: swap snapshot: %w", err)
 	}
-	return nil
+	// Durable before compaction swaps the WAL, which lacks records ≤ cutoff.
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the creates and renames made in it so
+// far durable. A variable so tests can watch the order of the syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

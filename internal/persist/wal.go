@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -46,7 +47,8 @@ type WAL struct {
 	dirty  bool   // buffered-but-unsynced records exist
 	closed bool
 	// failed, once set, fail-stops the WAL with the error that caused it: a
-	// failed buffered write or SyncAlways fsync. Records may sit in the file
+	// failed buffered write, SyncAlways fsync or directory fsync after a
+	// compaction swap (see compactThrough). Records may sit in the file
 	// or buffer while the caller was told they failed, and after a failed
 	// write under sequences never assigned, so further appends would let
 	// memory and log diverge or regress the on-disk order. A restart (which
@@ -72,6 +74,11 @@ func openWAL(path string, policy SyncPolicy, interval time.Duration, minSeq uint
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, nil, err
+	}
+	// A created WAL's entry must be durable before appends to it are.
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
 		return nil, nil, err
 	}
 	if err := f.Truncate(end); err != nil {
@@ -293,6 +300,12 @@ func (w *WAL) compactThrough(path string, cutoff uint64) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("persist: compact swap: %w", err)
+	}
+	// Appends to the new file would be lost with a swap that is not
+	// durable, so an unsynced swap fail-stops the WAL.
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		w.failed = err
+		return err
 	}
 	old := w.f
 	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)

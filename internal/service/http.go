@@ -30,11 +30,6 @@ type HandlerOpts struct {
 	// /v1/status reports and forwarded requests carry.
 	Router *Router
 
-	// Lag, when set, reports per-community replication lag (owner seq minus
-	// locally applied seq) for communities this node follows; surfaced by
-	// /v1/status.
-	Lag func() map[string]uint64
-
 	// Handoff, when set, serves POST /v1/handoff: stream the named community
 	// to the node the offered table assigns it to, install the table, and
 	// report the cut sequence and write-pause the move cost. Daemons wire it
@@ -509,10 +504,9 @@ type CommunityStatus struct {
 	// Placed is the node the topology places the community on (only with a
 	// router).
 	Placed string `json:"placed,omitempty"`
-	// Seq is the last journal sequence applied locally.
+	// Seq is the last journal sequence applied locally. A follower row's
+	// lag is its owner row's Seq minus this, read from the owner's status.
 	Seq uint64 `json:"seq"`
-	// Lag is the owner's sequence minus Seq for followed communities.
-	Lag uint64 `json:"lag,omitempty"`
 }
 
 // NodeStatus is the GET /v1/status answer.
@@ -533,10 +527,6 @@ func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
 			resp.Overrides = ov
 		}
 	}
-	var lag map[string]uint64
-	if a.Lag != nil {
-		lag = a.Lag()
-	}
 	for _, id := range a.Owner.List() {
 		c, ok := a.Owner.Get(id)
 		if !ok {
@@ -545,7 +535,6 @@ func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
 		cs := CommunityStatus{ID: id, Kind: c.Kind(), Role: "owner", Seq: c.Seq()}
 		if c.Fenced() {
 			cs.Role = "follower"
-			cs.Lag = lag[id]
 		}
 		if a.Router != nil {
 			cs.Placed = a.Router.Place(id)

@@ -253,3 +253,49 @@ func TestApplySkipsReplayedRecords(t *testing.T) {
 		t.Fatal("out-of-range replay accepted")
 	}
 }
+
+// TestInstallReplicaKeepsNewerCopy: re-offering an older state leaves a
+// fenced copy that is at or past its seq in place. A node that follows a
+// community's owner and then receives its handoff can hold a copy newer
+// than the offer, which was exported when the handoff began; were that
+// handoff to fail after the offer, a replaced copy would lack records its
+// subscription has already passed, and later records would apply on top.
+func TestInstallReplicaKeepsNewerCopy(t *testing.T) {
+	src := New(Opts{})
+	src.SetJournal(&memJournal{})
+	c, err := src.Create("c", 8, ringEdges(8), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := c.Export()
+	reg := New(Opts{})
+	r, err := reg.InstallReplica(offer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered := answerKey(t, r)
+	for _, e := range [][2]int{{0, 2}, {2, 4}, {4, 6}, {6, 0}, {1, 5}} {
+		if _, err := c.Marry(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Replicate(c.Seq(), Record{Op: OpMarry, ID: "c", U: e[0], V: e[1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newer := answerKey(t, r)
+	if newer == offered || newer != answerKey(t, c) {
+		t.Fatal("the replicated records must change the replica's answers to its owner's")
+	}
+
+	if _, err := reg.InstallReplica(offer); err != nil {
+		t.Fatal(err)
+	}
+	now, _ := reg.Get("c")
+	if now.Seq() != c.Seq() || !now.Fenced() {
+		t.Fatalf("re-offer at seq %d left the replica at seq %d (fenced %v), want the copy at seq %d",
+			offer.Seq, now.Seq(), now.Fenced(), c.Seq())
+	}
+	if answerKey(t, now) != newer {
+		t.Fatal("re-offer of an older state changed the replica's answers")
+	}
+}

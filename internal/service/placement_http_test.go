@@ -208,62 +208,3 @@ func TestStaleEpochWriteRefused(t *testing.T) {
 		t.Fatalf("ahead-epoch read: status %d, want 200", rresp.StatusCode)
 	}
 }
-
-// TestStatusPerCommunityLag: the Lag hook's per-community numbers surface
-// on follower-role communities, epoch included.
-func TestStatusPerCommunityLag(t *testing.T) {
-	owner := New(Opts{})
-	srv, rt, _ := bootNode(t, "a", HandlerOpts{
-		Owner: owner,
-		Lag: func() map[string]uint64 {
-			return map[string]uint64{"theirs": 5, "mine": 99}
-		},
-	})
-	if ok, err := rt.SetPlacement(Placement{Epoch: 4, Nodes: testNodes("a", "b"), Assign: map[string]string{"mine": "a", "theirs": "b"}}); err != nil || !ok {
-		t.Fatalf("pin table: %v %v", ok, err)
-	}
-	if _, err := owner.Create("mine", 3, nil, ""); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := owner.Create("theirs", 3, nil, ""); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	owner.Fence("theirs")
-
-	resp, err := http.Get(srv.URL + "/v1/status")
-	if err != nil {
-		t.Fatalf("status: %v", err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Epoch       uint64 `json:"epoch"`
-		Communities []struct {
-			ID   string `json:"id"`
-			Role string `json:"role"`
-			Lag  uint64 `json:"lag"`
-		} `json:"communities"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if st.Epoch != 4 {
-		t.Fatalf("status epoch = %d, want 4", st.Epoch)
-	}
-	byID := map[string]struct {
-		role string
-		lag  uint64
-	}{}
-	for _, c := range st.Communities {
-		byID[c.ID] = struct {
-			role string
-			lag  uint64
-		}{c.Role, c.Lag}
-	}
-	if got := byID["theirs"]; got.role != "follower" || got.lag != 5 {
-		t.Fatalf("followed community status = %+v, want follower with lag 5", got)
-	}
-	// Owned communities never report lag, whatever the hook says.
-	if got := byID["mine"]; got.role != "owner" || got.lag != 0 {
-		t.Fatalf("owned community status = %+v, want owner with lag 0", got)
-	}
-}

@@ -413,7 +413,8 @@ func (c *Community) ID() string { return c.id }
 
 // Seq returns the journal sequence of the last record logged for (or
 // replayed into) this community — the read-your-writes token of the
-// cluster API and the basis of follower lag.
+// cluster API. /v1/status reports it for every copy, so a replica's lag is
+// its owner's Seq minus its own.
 func (c *Community) Seq() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

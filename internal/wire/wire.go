@@ -29,7 +29,8 @@
 // Snapshot frames (one per community, the catch-up path), then Records
 // frames carrying WAL records (the same JSON objects wal.jsonl stores,
 // framed with their sequence numbers) and Heartbeat frames advertising the
-// owner's current sequence so an idle follower can still measure its lag.
+// last sequence streamed to that subscriber, so an idle follower still
+// learns it is caught up and that its owner is alive.
 //
 // Kind 12 opens each of a live handoff's two POSTs to /v1/stream on the new
 // owner (DESIGN.md §12): the placement table being flipped to (JSON), the
@@ -114,8 +115,8 @@ const (
 	// sequence cutoff it reflects — the catch-up path when a follower's
 	// subscription predates the owner's replication buffer.
 	KindSnapshot
-	// KindHeartbeat advertises the owner's current WAL sequence so idle
-	// followers can measure replication lag.
+	// KindHeartbeat advertises the last sequence streamed to the
+	// subscriber: an idle follower is caught up through it.
 	KindHeartbeat
 	// KindHandoffOffer opens each request of a live handoff: the old owner
 	// of a community offers the placement table (JSON) being flipped to at
