@@ -264,7 +264,7 @@ func run(ctx context.Context, cfg *config) error {
 		if err := store.SaveSnapshot(reg); err != nil {
 			log.Printf("shutdown snapshot failed: %v", err)
 		} else {
-			log.Printf("snapshot saved to %s", store.Dir())
+			log.Printf("snapshot saved to %s", cfg.dataDir)
 		}
 	}
 	if err := store.Close(); err != nil {

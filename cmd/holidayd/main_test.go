@@ -429,9 +429,9 @@ func TestTwoNodeCluster(t *testing.T) {
 	want := map[string][]byte{x: b.do(t, "GET", window(x), "", http.StatusOK), y: wantY}
 
 	// Both takeovers must be durable once the snapshot they kicked lands.
-	// The WAL is copied before the snapshot: the snapshot is renamed in
-	// before the WAL is compacted, so a copy never pairs an old snapshot
-	// with a compacted WAL.
+	// The WAL segments are copied before the snapshot: the snapshot is
+	// renamed in before the segments it covers are deleted, so a copy never
+	// pairs an old snapshot with deleted segments.
 	var lost error
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		if lost = crashCopyAnswers(t, dir, window, want); lost == nil {
@@ -566,20 +566,24 @@ func TestSnapshotOnTakeoverOnly(t *testing.T) {
 }
 
 // crashCopyAnswers copies the data directory the way a crash would leave
-// it, loads the copy, and reports the first community whose window differs
-// from want.
+// it, every WAL segment first and snapshot.json last, loads the copy, and
+// reports the first community whose window differs from want.
 func crashCopyAnswers(t *testing.T, dir string, window func(id string) string, want map[string][]byte) error {
 	t.Helper()
 	cp := t.TempDir()
-	for _, name := range []string{"wal.jsonl", "snapshot.json"} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(segs, filepath.Join(dir, "snapshot.json")) {
+		data, err := os.ReadFile(path)
 		if os.IsNotExist(err) {
-			continue
+			continue // a segment a snapshot deleted since the glob, or no snapshot yet
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cp, filepath.Base(path)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

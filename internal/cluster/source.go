@@ -56,7 +56,7 @@ const maxRecsPerFrame = 256
 const StreamPath = "/v1/stream"
 
 // ringRec is one ring entry: a replicated record (its journal sequence and
-// the same JSON object wal.jsonl stores on the owner) beside its community.
+// the same JSON object a WAL segment stores on the owner) beside its community.
 type ringRec struct {
 	community string
 	wire.RawRecord

@@ -1,0 +1,117 @@
+package persist
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/service"
+)
+
+// BenchmarkSaveSnapshotWritePause measures how long a snapshot stalls the
+// writes journaled beside it. Each iteration opens a SyncBatch store,
+// journals `pending` marry and divorce records on a 64-family community
+// (what a snapshot finds since the one before it), then runs SaveSnapshot
+// while one writer alternates a marriage and a divorce on that community.
+// snapshot-ms is SaveSnapshot's duration and worst-write-ms the writer's
+// slowest op while it ran, both averaged over iterations; ns/op is
+// SaveSnapshot alone. Run it with -benchtime 1x.
+func BenchmarkSaveSnapshotWritePause(b *testing.B) {
+	for _, pending := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			var snapshot, worst time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				store, reg, c := pendingStore(b, pending)
+				stop := make(chan struct{})
+				started, slowest := make(chan struct{}), make(chan time.Duration)
+				go writeUntil(b, c, stop, started, slowest)
+				<-started
+				b.StartTimer()
+				t0 := time.Now()
+				err := store.SaveSnapshot(reg)
+				snapshot += time.Since(t0)
+				b.StopTimer()
+				close(stop)
+				worst += <-slowest
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := store.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(snapshot.Microseconds())/1e3/float64(b.N), "snapshot-ms")
+			b.ReportMetric(float64(worst.Microseconds())/1e3/float64(b.N), "worst-write-ms")
+		})
+	}
+}
+
+// pendingStore opens a SyncBatch store in a fresh directory and journals
+// n churn records on an unmarried 64-family community, in batches of
+// service.MaxBatch, each divorce undoing the marriage before it.
+func pendingStore(b *testing.B, n int) (*Store, *service.Owner, *service.Community) {
+	store, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := reg.Create("c", 64, nil, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(uint64(n), 64))
+	edits := make([]core.Edit, 0, service.MaxBatch)
+	for left := n; left > 0; left -= len(edits) {
+		edits = edits[:0]
+		for len(edits) < min(left, service.MaxBatch) {
+			u, v := r.IntN(64), r.IntN(63)
+			if v >= u {
+				v++
+			}
+			edits = append(edits, core.Edit{Op: core.EditInsert, U: u, V: v}, core.Edit{Op: core.EditDelete, U: u, V: v})
+		}
+		edits = edits[:min(left, len(edits))]
+		if _, err := c.ChurnBatch(edits, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.GC() // the set-up's garbage, so no collection of it lands in the measurement
+	return store, reg, c
+}
+
+// writeUntil alternates a marriage and a divorce on c, closing started
+// after its first op, until stop closes; then it sends its slowest op.
+func writeUntil(b *testing.B, c *service.Community, stop, started chan struct{}, slowest chan<- time.Duration) {
+	var worst time.Duration
+	for i := 0; ; i++ {
+		select {
+		case <-stop:
+			slowest <- worst
+			return
+		default:
+		}
+		t0 := time.Now()
+		var err error
+		if i%2 == 0 {
+			_, err = c.Marry(0, 32)
+		} else {
+			_, _, err = c.Divorce(0, 32)
+		}
+		worst = max(worst, time.Since(t0))
+		if err != nil {
+			b.Error(err)
+		}
+		if i == 0 {
+			close(started)
+		}
+	}
+}

@@ -3,8 +3,10 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/service"
@@ -30,27 +32,46 @@ func walSeedLines(t interface{ Fatal(...any) }) []byte {
 	return buf.Bytes()
 }
 
+// scanFile scans the file at path as the last segment, collecting its
+// records.
+func scanFile(path string) ([]walRecord, int64, error) {
+	var recs []walRecord
+	end, err := segment{path, 1}.scan(new(uint64), math.MaxUint64, func(seq uint64, rec service.Record) error {
+		recs = append(recs, walRecord{seq, rec})
+		return nil
+	})
+	return recs, end, err
+}
+
 // FuzzScanWAL throws arbitrary bytes at the torn-tail recovery scanner: it
 // must never panic, and every accepted prefix must end on a newline
 // boundary, rescan to the identical records, and carry strictly increasing
-// sequences — the invariants boot-time replay relies on.
+// sequences — the invariants boot-time replay relies on. The log is also
+// split before a fuzzed record into two segments, the second named by that
+// record's sequence: replaying the pair must equal replaying the one file,
+// and a torn or out-of-range record at the end of the first segment must
+// be refused.
 func FuzzScanWAL(f *testing.F) {
 	seed := walSeedLines(f)
-	f.Add(seed)                      // clean log
-	f.Add(seed[:len(seed)-7])        // torn final record
-	f.Add(seed[:0])                  // empty file
-	f.Add([]byte("{\n"))             // torn junk
-	f.Add([]byte("not json at all")) // no newline
+	f.Add(seed, uint8(0))                      // clean log
+	f.Add(seed[:len(seed)-7], uint8(2))        // torn final record
+	f.Add(seed[:0], uint8(0))                  // empty file
+	f.Add([]byte("{\n"), uint8(0))             // torn junk
+	f.Add([]byte("not json at all"), uint8(0)) // no newline
 	corrupt := append([]byte(nil), seed...)
 	corrupt[5] ^= 0xff // corrupt a non-final record: must error, not truncate
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(corrupt, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "churn.wal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		write := func(name string, data []byte) string {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
 		}
-		recs, end, err := scanWAL(path)
+		path := write("churn.wal", data)
+		recs, end, err := scanFile(path)
 		if err != nil {
 			return // rejected as corruption; nothing to recover
 		}
@@ -70,16 +91,41 @@ func FuzzScanWAL(f *testing.F) {
 		}
 		// Recovery is idempotent: the accepted prefix alone must rescan to
 		// the same records (what openWAL's truncate leaves on disk).
-		if err := os.WriteFile(path, data[:end], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		again, end2, err := scanWAL(path)
+		write("churn.wal", data[:end])
+		again, end2, err := scanFile(path)
 		if err != nil {
 			t.Fatalf("accepted prefix rejected on rescan: %v", err)
 		}
 		if end2 != end || len(again) != len(recs) {
 			t.Fatalf("rescan of the accepted prefix: %d records to offset %d, first scan %d to %d",
 				len(again), end2, len(recs), end)
+		}
+
+		if len(recs) == 0 {
+			return
+		}
+		k := int(split) % len(recs)
+		lines := bytes.SplitAfter(data[:end], []byte("\n")) // lines[i] is record i
+		b := len(bytes.Join(lines[:k], nil))
+		pair := []segment{
+			{path: write("first", data[:b]), first: 1},
+			{path: write("second", data[b:]), first: recs[k].Seq},
+		}
+		var got []walRecord
+		if err := scanSegments(pair, func(seq uint64, rec service.Record) error {
+			got = append(got, walRecord{seq, rec})
+			return nil
+		}); err != nil {
+			t.Fatalf("split before record %d refused: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("split before record %d replays %d records, the one file %d", k, len(got), len(recs))
+		}
+		for _, tail := range [][]byte{lines[k][:len(lines[k])-1], lines[k]} { // torn, then at the second's first sequence
+			write("first", append(data[:b:b], tail...))
+			if err := scanSegments(pair, func(uint64, service.Record) error { return nil }); err == nil {
+				t.Fatalf("first segment ending in %q accepted", tail)
+			}
 		}
 	})
 }
@@ -93,14 +139,14 @@ func TestScanWALSeeds(t *testing.T) {
 	if err := os.WriteFile(path, seed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, end, err := scanWAL(path)
+	recs, end, err := scanFile(path)
 	if err != nil || len(recs) != 4 || end != int64(len(seed)) {
 		t.Fatalf("clean log: %d records to %d (%v), want 4 to %d", len(recs), end, err, len(seed))
 	}
 	if err := os.WriteFile(path, seed[:len(seed)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, end, err = scanWAL(path)
+	recs, end, err = scanFile(path)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("torn tail: %d records (%v), want the 3 complete ones", len(recs), err)
 	}

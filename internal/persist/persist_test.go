@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand/v2"
 	"os"
@@ -91,6 +92,33 @@ func answersOf(t *testing.T, c *service.Community) frozenAnswers {
 func persistentStats(st service.Stats) service.Stats {
 	st.CacheHits, st.CacheMisses = 0, 0
 	return st
+}
+
+// walRecs returns every record of the WAL in dir, in order.
+func walRecs(t *testing.T, dir string) []walRecord {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []walRecord
+	if err := scanSegments(segs, func(seq uint64, rec service.Record) error {
+		recs = append(recs, walRecord{seq, rec})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// onlySegment returns the path of the one WAL segment in dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("WAL segments %+v (err %v), want one", segs, err)
+	}
+	return segs[0].path
 }
 
 // TestCrashRecoveryMidChurn is the ISSUE's flagship scenario: a registry is
@@ -199,8 +227,8 @@ func TestGracefulRestartFromSnapshotOnly(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot compacted the WAL down to nothing.
-	if data, err := os.ReadFile(filepath.Join(dir, walFile)); err != nil || len(data) != 0 {
+	// The snapshot deleted the segments it covers, leaving one empty one.
+	if data, err := os.ReadFile(onlySegment(t, dir)); err != nil || len(data) != 0 {
 		t.Fatalf("post-snapshot WAL = %d bytes, err %v; want empty", len(data), err)
 	}
 
@@ -231,12 +259,13 @@ func TestGracefulRestartFromSnapshotOnly(t *testing.T) {
 	if err := store2.wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := scanWAL(filepath.Join(dir, walFile))
+	recs := walRecs(t, dir)
+	snap, err := readSnapshot(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Seq <= store2.snap.Seq {
-		t.Fatalf("post-restart record = %+v; want one record with seq > snapshot seq %d", recs, store2.snap.Seq)
+	if len(recs) != 1 || recs[0].Seq <= snap.Seq {
+		t.Fatalf("post-restart record = %+v; want one record with seq > snapshot seq %d", recs, snap.Seq)
 	}
 }
 
@@ -305,15 +334,12 @@ func TestWALTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	walPath := filepath.Join(dir, walFile)
+	walPath := onlySegment(t, dir)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recsBefore, _, err := scanWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recsBefore := walRecs(t, dir)
 	// Tear the final record in half (strip its newline and some bytes).
 	torn := data[:len(data)-7]
 	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
@@ -329,10 +355,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load with torn WAL tail: %v", err)
 	}
-	recsAfter, _, err := scanWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recsAfter := walRecs(t, dir)
 	if want := len(recsBefore) - 1; len(recsAfter) != want {
 		t.Fatalf("recovered %d records, want %d (torn final dropped)", len(recsAfter), want)
 	}
@@ -351,10 +374,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	if err := store2.wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := scanWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := walRecs(t, dir)
 	last := recs[len(recs)-1]
 	if last.Seq != recsBefore[len(recsBefore)-1].Seq {
 		t.Fatalf("next seq after torn recovery = %d, want %d (reuse of the torn record's slot)",
@@ -363,8 +383,9 @@ func TestWALTornTailTolerated(t *testing.T) {
 }
 
 // TestReplayIdempotentAfterCompactionCrash: a crash between writing the
-// snapshot and compacting the WAL leaves records the snapshot already
-// reflects; replay must skip them by sequence instead of double-applying.
+// snapshot and deleting the WAL segments it covers leaves records the
+// snapshot already reflects; replay must skip them by sequence instead of
+// double-applying.
 func TestReplayIdempotentAfterCompactionCrash(t *testing.T) {
 	dir := t.TempDir()
 	store, err := Open(dir, Options{Sync: SyncAlways})
@@ -380,7 +401,7 @@ func TestReplayIdempotentAfterCompactionCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, c, 5, 60)
-	walPath := filepath.Join(dir, walFile)
+	walPath := onlySegment(t, dir)
 	preCompaction, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -393,8 +414,8 @@ func TestReplayIdempotentAfterCompactionCrash(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Undo the compaction: pretend the process died after snapshot.json
-	// landed but before the WAL rewrite.
+	// Undo the deletes: pretend the process died after snapshot.json
+	// landed but before the segment it covers was deleted.
 	if err := os.WriteFile(walPath, preCompaction, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -421,16 +442,18 @@ func TestReplayIdempotentAfterCompactionCrash(t *testing.T) {
 }
 
 // TestDirectorySyncOrder: every directory sync is recorded with what the
-// directory then holds. Open syncs once, with wal.jsonl created. The first
-// sync of a SaveSnapshot must see the new snapshot beside the uncompacted
-// WAL, so the snapshot's rename is durable before compaction's; the second
-// sees the compacted WAL.
+// directory then holds. Open syncs once, with the first segment created.
+// A SaveSnapshot syncs three times: after its cut, which sees the new
+// empty segment beside the old snapshot; after the snapshot's rename,
+// which sees the new snapshot beside the segment it covers, so the rename
+// is durable before any delete; and after the deletes, which leave only
+// the cut's segment.
 func TestDirectorySyncOrder(t *testing.T) {
 	dir := t.TempDir()
 	type view struct {
-		wal     bool   // wal.jsonl exists
-		snapSeq uint64 // snapshot.json's cutoff, 0 without one
-		walRecs int    // records in wal.jsonl
+		segs    []uint64 // the segments' first sequences
+		snapSeq uint64   // snapshot.json's cutoff, 0 without one
+		walRecs int      // records across the segments
 	}
 	var views []view
 	orig := syncDir
@@ -445,13 +468,16 @@ func TestDirectorySyncOrder(t *testing.T) {
 		} else if snap != nil {
 			v.snapSeq = snap.Seq
 		}
-		_, err := os.Stat(filepath.Join(dir, walFile))
-		v.wal = err == nil
-		recs, _, err := scanWAL(filepath.Join(dir, walFile))
+		segs, err := listSegments(dir)
 		if err != nil {
+			t.Errorf("segments at a directory sync: %v", err)
+		}
+		for _, seg := range segs {
+			v.segs = append(v.segs, seg.first)
+		}
+		if err := scanSegments(segs, func(uint64, service.Record) error { v.walRecs++; return nil }); err != nil {
 			t.Errorf("WAL at a directory sync: %v", err)
 		}
-		v.walRecs = len(recs)
 		views = append(views, v)
 		return orig(d)
 	}
@@ -461,7 +487,7 @@ func TestDirectorySyncOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if want := []view{{wal: true}}; !reflect.DeepEqual(views, want) {
+	if want := []view{{segs: []uint64{1}}}; !reflect.DeepEqual(views, want) {
 		t.Fatalf("Open's directory syncs saw %+v, want %+v", views, want)
 	}
 	reg, err := store.Load()
@@ -479,11 +505,12 @@ func TestDirectorySyncOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []view{
-		{wal: true, snapSeq: cutoff, walRecs: int(cutoff)},
-		{wal: true, snapSeq: cutoff},
+		{segs: []uint64{1, cutoff + 1}, walRecs: int(cutoff)},
+		{segs: []uint64{1, cutoff + 1}, snapSeq: cutoff, walRecs: int(cutoff)},
+		{segs: []uint64{cutoff + 1}, snapSeq: cutoff},
 	}
 	if !reflect.DeepEqual(views, want) {
-		t.Fatalf("SaveSnapshot's directory syncs saw %+v, want %+v (snapshot rename, then compaction)", views, want)
+		t.Fatalf("SaveSnapshot's directory syncs saw %+v, want %+v (cut, snapshot rename, deletes)", views, want)
 	}
 }
 
@@ -491,7 +518,7 @@ func TestDirectorySyncOrder(t *testing.T) {
 // not a torn tail and must fail loudly, not silently drop data.
 func TestCorruptMidFileRecordRejected(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, segmentName(1))
 	good := `{"seq":1,"op":"create","id":"c","families":2,"op_extra":0,"u":0,"v":0}` + "\n"
 	bad := `{"seq":2,"op":` + "\n"
 	tail := `{"seq":3,"op":"marry","id":"c","u":0,"v":1}` + "\n"
@@ -644,8 +671,7 @@ func TestBatchedChurnCrashRecovery(t *testing.T) {
 // SyncAlways, and an empty batch is a no-op.
 func TestWALLogBatchSequencesAndSync(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.jsonl")
-	w, _, err := openWAL(path, SyncAlways, 0, 0)
+	w, err := openWAL(dir, SyncAlways, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,10 +695,7 @@ func TestWALLogBatchSequencesAndSync(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := scanWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := walRecs(t, dir)
 	if len(recs) != 5 {
 		t.Fatalf("WAL has %d records, want 5", len(recs))
 	}
@@ -706,8 +729,8 @@ func walRecords() []service.Record {
 // appended in one LogBatch.
 func TestWALLogMatchesLogBatchBytes(t *testing.T) {
 	recs := walRecords()
-	one, batch := filepath.Join(t.TempDir(), "one.jsonl"), filepath.Join(t.TempDir(), "batch.jsonl")
-	w, _, err := openWAL(one, SyncBatch, time.Hour, 0)
+	one, batch := t.TempDir(), t.TempDir()
+	w, err := openWAL(one, SyncBatch, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +742,7 @@ func TestWALLogMatchesLogBatchBytes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, _, err = openWAL(batch, SyncBatch, time.Hour, 0)
+	w, err = openWAL(batch, SyncBatch, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,11 +752,11 @@ func TestWALLogMatchesLogBatchBytes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := os.ReadFile(one)
+	a, err := os.ReadFile(filepath.Join(one, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(batch)
+	b, err := os.ReadFile(filepath.Join(batch, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,7 +784,7 @@ func TestWALFailedWriteFailStops(t *testing.T) {
 	}
 	for name, failing := range appends {
 		t.Run(name, func(t *testing.T) {
-			w, _, err := openWAL(filepath.Join(t.TempDir(), "wal.jsonl"), SyncBatch, time.Hour, 0)
+			w, err := openWAL(t.TempDir(), SyncBatch, time.Hour, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -781,6 +804,307 @@ func TestWALFailedWriteFailStops(t *testing.T) {
 			}
 			if got := w.Seq(); got != 0 {
 				t.Fatalf("failed append advanced the sequence to %d", got)
+			}
+		})
+	}
+}
+
+// TestWALFailedFsyncFailStops: a failed group-commit fsync fail-stops the
+// WAL, so no append is acknowledged after it (the kernel may have dropped
+// the pages it could not write, and a later fsync would not say so). A
+// pipe stands in for the segment: writes to it succeed, fsync fails.
+func TestWALFailedFsyncFailStops(t *testing.T) {
+	r, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w, err := openWAL(t.TempDir(), SyncBatch, time.Millisecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	w.f.Close()
+	w.f, w.w = pw, bufio.NewWriter(pw)
+	w.mu.Unlock()
+	rec := service.Record{Op: service.OpAddFamily, ID: "c"}
+	if _, err := w.Log(rec); err != nil {
+		t.Fatal(err)
+	}
+	// The flusher's next tick flushes the record into the pipe and fails to
+	// fsync it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		failed := w.failed
+		w.mu.Unlock()
+		if failed != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("failed group-commit fsyncs left the WAL accepting appends")
+		}
+	}
+	refusals := map[string]func() error{
+		"Log": func() error {
+			_, err := w.Log(rec)
+			return err
+		},
+		"LogBatch": func() error {
+			_, err := w.LogBatch([]service.Record{rec})
+			return err
+		},
+		"Sync": w.Sync,
+		"cut": func() error {
+			_, err := w.cut()
+			return err
+		},
+		"Close": w.Close,
+	}
+	for _, name := range []string{"Log", "LogBatch", "Sync", "cut", "Close"} {
+		if err := refusals[name](); err == nil || !strings.Contains(err.Error(), "fsync") {
+			t.Fatalf("%s after a failed fsync: err = %v, want a refusal naming the fsync", name, err)
+		}
+	}
+}
+
+// TestSnapshotNotPinned: nothing reads a snapshot once it is written or
+// restored, so neither SaveSnapshot nor Load keeps one beside the
+// registry.
+func TestSnapshotNotPinned(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("c", 8, ringEdges(8), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	if store.snap != nil {
+		t.Fatal("SaveSnapshot kept the snapshot it wrote")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if store.snap == nil {
+		t.Fatal("Open did not read the snapshot")
+	}
+	if _, err := store.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if store.snap != nil {
+		t.Fatal("Load kept the snapshot it restored")
+	}
+}
+
+// TestSnapshotFailedAfterCut: a SaveSnapshot that fails after its cut
+// leaves the old snapshot and both segments, which reopen to the same
+// answers; the next SaveSnapshot that succeeds leaves one segment.
+func TestSnapshotFailedAfterCut(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Create("c", 12, ringEdges(12), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, c, 3, 40)
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, c, 5, 40)
+	// A directory in the way of the snapshot's temporary file fails the
+	// write, after the cut.
+	blocker := filepath.Join(dir, snapshotFile+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSnapshot(reg); err == nil {
+		t.Fatal("SaveSnapshot succeeded without its temporary file")
+	}
+	churn(t, c, 7, 20) // lands in the segment the failed snapshot cut to
+	if segs, err := listSegments(dir); err != nil || len(segs) != 2 {
+		t.Fatalf("after a failed snapshot: segments %+v (err %v), want the old and the cut's", segs, err)
+	}
+	want := answersOf(t, c)
+	wantStats := persistentStats(c.Stats())
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reg, err = store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := reg.Get("c")
+	if !ok {
+		t.Fatal("community not restored")
+	}
+	if got := persistentStats(c.Stats()); !reflect.DeepEqual(got, wantStats) {
+		t.Errorf("stats diverged:\n got  %+v\n want %+v", got, wantStats)
+	}
+	if got := answersOf(t, c); !reflect.DeepEqual(got, want) {
+		t.Error("answers diverged after a snapshot that failed after its cut")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	onlySegment(t, dir)
+}
+
+// TestLegacyWALAdopted: a data directory written before the WAL had
+// segments, snapshot.json beside a wal.jsonl of the records since, loads
+// to the same answers and holds no wal.jsonl once opened. A directory
+// with both wal.jsonl and segments is refused rather than half read.
+func TestLegacyWALAdopted(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Create("c", 16, ringEdges(16), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, c, 9, 60)
+	if err := store.SaveSnapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, c, 10, 60)
+	want := answersOf(t, c)
+	wantStats := persistentStats(c.Stats())
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "wal.jsonl")
+	if err := os.Rename(onlySegment(t, dir), legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("wal.jsonl is still there after Open (stat: %v)", err)
+	}
+	onlySegment(t, dir)
+	reg, err = store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := reg.Get("c")
+	if !ok {
+		t.Fatal("community not restored")
+	}
+	if got := persistentStats(c.Stats()); !reflect.DeepEqual(got, wantStats) {
+		t.Errorf("stats diverged:\n got  %+v\n want %+v", got, wantStats)
+	}
+	if got := answersOf(t, c); !reflect.DeepEqual(got, want) {
+		t.Error("answers diverged after adopting wal.jsonl")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.WriteFile(legacy, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "wal.jsonl") {
+		t.Fatalf("Open with both wal.jsonl and segments = %v, want a refusal naming it", err)
+	}
+}
+
+// TestSegmentCorruptionRefused: a cut syncs a segment before the next one
+// exists, and names the next one past every record before it. So a torn
+// record at the end of a segment that is not the last, or a record at or
+// above the next segment's first sequence, is corruption: Open, which
+// reads only the last segment, succeeds, and Load fails naming the file.
+func TestSegmentCorruptionRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(next []byte) []byte // what to append to the first segment, given the next one's first record
+	}{
+		{"torn record", func(next []byte) []byte { return next[:len(next)-1] }},
+		{"record at the next segment's first sequence", func(next []byte) []byte { return next }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := Open(dir, Options{Sync: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, err := store.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := reg.Create("c", 10, ringEdges(10), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			churn(t, c, 3, 20)
+			if _, err := store.wal.cut(); err != nil {
+				t.Fatal(err)
+			}
+			churn(t, c, 4, 20)
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := listSegments(dir)
+			if err != nil || len(segs) != 2 {
+				t.Fatalf("segments %+v (err %v), want two", segs, err)
+			}
+			data, err := os.ReadFile(segs[1].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(segs[0].path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.damage(data[:bytes.IndexByte(data, '\n')+1])); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			store, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer store.Close()
+			if _, err := store.Load(); err == nil || !strings.Contains(err.Error(), segs[0].path) {
+				t.Fatalf("Load = %v, want an error naming %s", err, segs[0].path)
 			}
 		})
 	}

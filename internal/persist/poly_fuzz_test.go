@@ -73,7 +73,7 @@ func checkPolyWAL(t *testing.T, data []byte, mutated bool) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, end, err := scanWAL(path)
+	recs, end, err := scanFile(path)
 	if err != nil {
 		return // rejected as corruption; nothing to recover
 	}

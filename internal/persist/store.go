@@ -5,17 +5,18 @@
 // marry/divorce records with fsync batching. Recovery loads the snapshot
 // and replays only the WAL records newer than each community's snapshotted
 // sequence, so a crash at any point — including between writing a snapshot
-// and compacting the WAL, or mid-append (torn final record) — restores a
-// consistent registry.
+// and deleting the WAL segments it covers, or mid-append (torn final
+// record) — restores a consistent registry.
 //
 // Layout under the data directory:
 //
-//	snapshot.json — the latest registry snapshot (atomic tmp+rename)
-//	wal.jsonl     — churn records since, one JSON object per line
+//	snapshot.json   — the latest registry snapshot (atomic tmp+rename)
+//	wal-<seq>.jsonl — churn records, one JSON object per line, in segments
+//	                  named by the first sequence each may hold
 //
-// The directory is fsynced after the WAL is created and after each rename,
-// the snapshot's before compaction starts, so the WAL swap never reaches
-// disk without the snapshot swap.
+// A snapshot cuts the WAL to a new segment and deletes the earlier ones
+// once its own rename is durable: the directory is fsynced after each
+// create, rename and round of deletes. Open adopts an old wal.jsonl.
 //
 // The write-ahead contract is service.Journal's: the registry logs every
 // mutation before applying it, so an acknowledged op is in the WAL buffer
@@ -48,16 +49,13 @@ const minSnapshotSchema = 1
 // DefaultSyncInterval is the group-commit window of the SyncBatch policy.
 const DefaultSyncInterval = 5 * time.Millisecond
 
-// snapshotFile and walFile name the two artifacts in the data directory.
-const (
-	snapshotFile = "snapshot.json"
-	walFile      = "wal.jsonl"
-)
+// snapshotFile names the snapshot in the data directory.
+const snapshotFile = "snapshot.json"
 
 // Snapshot is the on-disk registry snapshot. Seq is the WAL cut-point the
 // snapshot was taken at: every record at or below it (per community, via
 // CommunityState.Seq) is reflected in Communities, so replay starts after
-// it and compaction may drop everything up to it.
+// it and the segments that hold only records up to it may be deleted.
 type Snapshot struct {
 	Schema      int                      `json:"schema"`
 	SavedAt     string                   `json:"saved_at"` // RFC3339
@@ -77,25 +75,18 @@ type Options struct {
 // Store is an open data directory: the WAL accepting appends plus the
 // snapshot read at open time. One process owns a Store at a time.
 type Store struct {
-	dir  string
-	opts Options
-	wal  *WAL
+	dir string
+	wal *WAL
 	// mu serializes SaveSnapshot and Close: a periodic snapshot and the
 	// shutdown snapshot may race in the daemon, and two writers sharing
 	// snapshot.json.tmp would corrupt the file they rename in.
-	mu     sync.Mutex
-	closed bool
-	snap   *Snapshot // nil when the directory had none
-	// pending holds the records scanned at Open so the first Load does not
-	// re-read and re-parse the whole WAL; cleared after use. seqAtOpen
-	// detects appends between Open and Load that would stale it.
-	pending   []walRecord
-	seqAtOpen uint64
+	mu   sync.Mutex
+	snap *Snapshot // read at Open, until Load restores it; nil when the directory had none
 }
 
 // Open creates dir if needed, reads any existing snapshot, and opens the
-// WAL for appending (recovering a torn tail). It does not touch a registry;
-// call Load to build one.
+// WAL's last segment for appending (recovering a torn tail). It does not
+// touch a registry; call Load to build one.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("persist: empty data directory")
@@ -116,15 +107,12 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	wal, recs, err := openWAL(filepath.Join(dir, walFile), opts.Sync, opts.SyncInterval, minSeq)
+	wal, err := openWAL(dir, opts.Sync, opts.SyncInterval, minSeq)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, opts: opts, wal: wal, snap: snap, pending: recs, seqAtOpen: wal.Seq()}, nil
+	return &Store{dir: dir, wal: wal, snap: snap}, nil
 }
-
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Journal returns the WAL, the owner's journal hook: pass it to
 // Owner.SetJournal or Opts.Journal (Load already attaches it), or wrap it
@@ -133,9 +121,10 @@ func (s *Store) Journal() *WAL { return s.wal }
 
 // Load reconstructs a registry from the snapshot plus the WAL records newer
 // than it, then attaches the WAL as the registry's journal so subsequent
-// mutations are durable. Restored communities answer window and next-happy
-// queries byte-identically to the process that persisted them: the exact
-// coloring is restored, never re-derived.
+// mutations are durable; call it before anything appends to Journal().
+// Restored communities answer window and next-happy queries byte-identically
+// to the process that persisted them: the exact coloring is restored, never
+// re-derived.
 func (s *Store) Load() (*service.Owner, error) {
 	reg := service.New(service.Opts{})
 	if s.snap != nil {
@@ -144,49 +133,34 @@ func (s *Store) Load() (*service.Owner, error) {
 				return nil, err
 			}
 		}
+		s.snap = nil // kept, it would pin a second copy of the registry
 	}
-	// The records scanned at Open cover the whole file unless something was
-	// appended since (possible only if the caller attached Journal() by
-	// hand before Load); re-scan in that case rather than replay a stale
-	// prefix.
-	recs := s.pending
-	s.pending = nil
-	if s.wal.Seq() != s.seqAtOpen {
-		if err := s.wal.Sync(); err != nil {
-			return nil, err
-		}
-		var err error
-		if recs, _, err = scanWAL(filepath.Join(s.dir, walFile)); err != nil {
-			return nil, err
-		}
+	segs, err := listSegments(s.dir)
+	if err != nil {
+		return nil, err
 	}
-	for _, rec := range recs {
-		if err := reg.Apply(rec.Seq, rec.Record); err != nil {
-			return nil, err
-		}
+	if err := scanSegments(segs, reg.Apply); err != nil {
+		return nil, err
 	}
 	reg.SetJournal(s.wal)
 	return reg, nil
 }
 
-// SaveSnapshot writes the registry's current state as the new snapshot and
-// compacts the WAL down to the records the snapshot does not cover. The
-// write is atomic (tmp+rename) and ordering makes every crash window safe:
-// the cut-point sequence is read before any community is exported, so a
-// record ≤ cutoff is either in its community's exported state or belongs
-// to a community created-and-deleted before the export walk; records >
-// cutoff survive compaction and replay idempotently over the snapshot.
-// After Close it fails without writing anything.
+// SaveSnapshot cuts the WAL, writes the registry's current state as the
+// new snapshot and deletes the segments before the cut; only the cut
+// blocks appends. The write is atomic (tmp+rename) and ordering makes
+// every crash window safe: the cut is made before any community is
+// exported, so a record ≤ cutoff is either in its community's exported
+// state or belongs to a community created-and-deleted before the export
+// walk; records > cutoff are in the cut's segment and replay idempotently
+// over the snapshot. After Close the cut fails, so nothing is written.
 func (s *Store) SaveSnapshot(reg *service.Owner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("persist: store is closed")
-	}
-	if err := s.wal.Sync(); err != nil {
+	cutoff, err := s.wal.cut()
+	if err != nil {
 		return err
 	}
-	cutoff := s.wal.Seq()
 	ids := reg.List()
 	states := make([]service.CommunityState, 0, len(ids))
 	for _, id := range ids {
@@ -196,20 +170,26 @@ func (s *Store) SaveSnapshot(reg *service.Owner) error {
 		}
 		states = append(states, c.Export())
 	}
-	snap := &Snapshot{
+	if err := writeSnapshot(filepath.Join(s.dir, snapshotFile), &Snapshot{
 		Schema:      SnapshotSchemaVersion,
 		SavedAt:     time.Now().UTC().Format(time.RFC3339),
 		Seq:         cutoff,
 		Communities: states,
-	}
-	if err := writeSnapshot(filepath.Join(s.dir, snapshotFile), snap); err != nil {
+	}); err != nil {
 		return err
 	}
-	s.snap = snap
-	// A crash before this compaction leaves stale records ≤ cutoff in the
-	// WAL; replay skips them by sequence, so the snapshot is already the
-	// recovery point the moment the rename lands.
-	return s.wal.compactThrough(filepath.Join(s.dir, walFile), cutoff)
+	// A crash before the deletes leaves records ≤ cutoff, which replay
+	// skips by sequence: the snapshot is the recovery point already.
+	segs, err := listSegments(s.dir)
+	if err != nil {
+		return err
+	}
+	for i := 0; i+1 < len(segs) && segs[i+1].first <= cutoff+1; i++ {
+		if err := os.Remove(segs[i].path); err != nil {
+			return err
+		}
+	}
+	return syncDir(s.dir)
 }
 
 // Close syncs and closes the WAL, waiting out any in-flight SaveSnapshot.
@@ -218,7 +198,6 @@ func (s *Store) SaveSnapshot(reg *service.Owner) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
 	return s.wal.Close()
 }
 
@@ -269,7 +248,7 @@ func writeSnapshot(path string, snap *Snapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("persist: swap snapshot: %w", err)
 	}
-	// Durable before compaction swaps the WAL, which lacks records ≤ cutoff.
+	// Durable before the segments it covers are deleted.
 	return syncDir(filepath.Dir(path))
 }
 

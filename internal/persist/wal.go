@@ -2,9 +2,10 @@ package persist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,10 +16,35 @@ import (
 
 // walRecord is one WAL entry on disk: a service journal record stamped with
 // its sequence number, one JSON object per line. The sequence is strictly
-// increasing within a file; replay and compaction key off it.
+// increasing across the segments; replay and segment deletion key off it.
 type walRecord struct {
 	Seq uint64 `json:"seq"`
 	service.Record
+}
+
+// segment is one WAL file, named by the first sequence it may hold.
+type segment struct {
+	path  string
+	first uint64
+}
+
+// segmentName names a segment; the fixed width sorts names by sequence.
+func segmentName(first uint64) string { return fmt.Sprintf("wal-%020d.jsonl", first) }
+
+// listSegments returns the WAL segments in dir, in sequence order.
+func listSegments(dir string) ([]segment, error) {
+	ents, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return nil, err
+	}
+	var segs []segment
+	for _, e := range ents {
+		var first uint64
+		if _, err := fmt.Sscanf(e.Name(), "wal-%d.jsonl", &first); err == nil && e.Name() == segmentName(first) {
+			segs = append(segs, segment{filepath.Join(dir, e.Name()), first})
+		}
+	}
+	return segs, nil
 }
 
 // SyncPolicy selects how the WAL trades durability for append latency.
@@ -38,21 +64,22 @@ const (
 
 // WAL is the append-only churn log. It implements service.BatchJournal, so
 // attaching it to an owner (Owner.SetJournal) makes every mutation
-// durable. Safe for concurrent appends.
+// durable. Safe for concurrent appends, which go to the last segment.
 type WAL struct {
 	mu     sync.Mutex
-	f      *os.File
+	dir    string
+	f      *os.File // the last segment
 	w      *bufio.Writer
 	seq    uint64 // last assigned sequence
 	dirty  bool   // buffered-but-unsynced records exist
 	closed bool
 	// failed, once set, fail-stops the WAL with the error that caused it: a
-	// failed buffered write, SyncAlways fsync or directory fsync after a
-	// compaction swap (see compactThrough). Records may sit in the file
-	// or buffer while the caller was told they failed, and after a failed
-	// write under sequences never assigned, so further appends would let
-	// memory and log diverge or regress the on-disk order. A restart (which
-	// replays the log as truth, torn tail included) clears the condition.
+	// failed buffered write, flush or fsync, or directory fsync after a cut.
+	// Records may sit in the file or buffer while the caller was told they
+	// failed, and after a failed write under sequences never assigned, so
+	// further appends would let memory and log diverge or regress the
+	// on-disk order. A restart (which replays the log as truth, torn tail
+	// included) clears the condition.
 	failed error
 
 	policy   SyncPolicy
@@ -61,91 +88,122 @@ type WAL struct {
 	done     chan struct{}
 }
 
-// openWAL opens (or creates) the log at path for appending, recovering from
-// a torn tail: a final record only partially written by a crashed process
-// is truncated away, records before it are preserved. minSeq floors the
-// next assigned sequence (the snapshot's cut-point survives WAL
-// compaction, which can leave the file empty). The surviving records are
-// returned so the caller's first replay does not re-read the file.
-func openWAL(path string, policy SyncPolicy, interval time.Duration, minSeq uint64) (*WAL, []walRecord, error) {
-	recs, end, err := scanWAL(path)
+// openWAL opens the last segment in dir for appending and truncates its
+// torn tail, if any; a cut syncs a segment before the next exists, so no
+// other can be torn. A directory without segments has its wal.jsonl
+// renamed to the first, or gets one named past minSeq, which floors the
+// next sequence: the snapshot's cut-point outlives the segments it covers.
+func openWAL(dir string, policy SyncPolicy, interval time.Duration, minSeq uint64) (*WAL, error) {
+	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	legacy := filepath.Join(dir, "wal.jsonl") // the one-file WAL written before segments existed
+	if len(segs) == 0 {
+		segs = []segment{{filepath.Join(dir, segmentName(1)), 1}} // wal.jsonl's sequences start at 1 or later
+		if err = os.Rename(legacy, segs[0].path); os.IsNotExist(err) {
+			segs = []segment{{filepath.Join(dir, segmentName(minSeq+1)), minSeq + 1}}
+			err = os.WriteFile(segs[0].path, nil, 0o644)
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("persist: %s beside WAL segments", legacy)
+	}
+	// The segment's entry must be durable before appends to it are.
+	if err := syncDir(dir); err != nil {
+		return nil, err
+	}
+	last := segs[len(segs)-1]
+	var lastSeq uint64
+	end, err := last.scan(&lastSeq, math.MaxUint64, func(uint64, service.Record) error { return nil })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// A created WAL's entry must be durable before appends to it are.
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, nil, err
+	if err := os.Truncate(last.path, end); err != nil {
+		return nil, fmt.Errorf("persist: truncate torn WAL tail: %w", err)
 	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("persist: truncate torn WAL tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(end, 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	seq := minSeq
-	if n := len(recs); n > 0 && recs[n-1].Seq > seq {
-		seq = recs[n-1].Seq
+	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
 	}
 	if interval <= 0 {
 		interval = DefaultSyncInterval
 	}
 	w := &WAL{
+		dir:      dir,
 		f:        f,
 		w:        bufio.NewWriter(f),
-		seq:      seq,
+		seq:      max(minSeq, last.first-1, lastSeq), // an empty last segment was cut at first-1
 		policy:   policy,
 		interval: interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	go w.flusher()
-	return w, recs, nil
+	return w, nil
 }
 
-// scanWAL reads every complete record of a WAL file in order and returns
-// them plus the byte offset where the valid prefix ends. A torn tail — a
-// final line that is incomplete or fails to parse — ends the scan without
-// error: it is the expected residue of a crash mid-append. A malformed
-// record with more records after it is real corruption and errors.
-func scanWAL(path string) ([]walRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
+// scanSegments streams the records of segs, in order, to fn (Owner.Apply
+// in Load). Sequences must rise across all of segs and stay below the next
+// segment's first. Only the last segment may end in a torn record.
+func scanSegments(segs []segment, fn func(uint64, service.Record) error) error {
+	var prev uint64
+	for i, seg := range segs {
+		next := uint64(math.MaxUint64) // none: seg is the last
+		if i+1 < len(segs) {
+			next = segs[i+1].first
+		}
+		if _, err := seg.scan(&prev, next, fn); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// scan streams seg's records, each above *prev, which it advances, and
+// below next, to fn, and returns where its valid prefix ends. A torn tail
+// — a final line that is incomplete or fails to parse — is the residue of
+// a crash mid-append in the last segment, but corruption before a later
+// one, as is a malformed record with more records after it.
+func (seg segment) scan(prev *uint64, next uint64, fn func(uint64, service.Record) error) (int64, error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	var recs []walRecord
+	defer f.Close()
+	r := bufio.NewReader(f)
 	var end int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// No terminating newline: a torn final record.
-			break
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return 0, err
 		}
-		line := data[off : off+nl]
+		if len(line) == 0 {
+			return end, nil
+		}
 		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if off+nl+1 < len(data) {
-				return nil, 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the final record): %w", path, off, err)
+		// A final line without a newline is torn even if it parses.
+		if uerr := json.Unmarshal(line, &rec); err != nil || uerr != nil {
+			if _, perr := r.Peek(1); perr != io.EOF {
+				return 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the final record): %w", seg.path, end, uerr)
 			}
-			break // torn final record that happens to contain a newline-free prefix
+			if next != math.MaxUint64 {
+				return 0, fmt.Errorf("persist: %s: torn record at offset %d, but a later segment follows", seg.path, end)
+			}
+			return end, nil
 		}
-		if n := len(recs); n > 0 && rec.Seq <= recs[n-1].Seq {
-			return nil, 0, fmt.Errorf("persist: %s: sequence regressed %d → %d at offset %d", path, recs[n-1].Seq, rec.Seq, off)
+		if rec.Seq <= *prev || rec.Seq >= next {
+			return 0, fmt.Errorf("persist: %s: sequence %d at offset %d is not above the previous record's %d and below the next segment's first %d",
+				seg.path, rec.Seq, end, *prev, next)
 		}
-		recs = append(recs, rec)
-		off += nl + 1
-		end = int64(off)
+		if err := fn(rec.Seq, rec.Record); err != nil {
+			return 0, err
+		}
+		*prev = rec.Seq
+		end += int64(len(line))
 	}
-	return recs, end, nil
 }
 
 // Log implements service.Journal as a batch of one.
@@ -192,7 +250,6 @@ func (w *WAL) LogBatch(recs []service.Record) (uint64, error) {
 	w.dirty = true
 	if w.policy == SyncAlways {
 		if err := w.syncLocked(); err != nil {
-			w.failed = err
 			return 0, err
 		}
 	}
@@ -206,26 +263,33 @@ func (w *WAL) Seq() uint64 {
 	return w.seq
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync flushes buffered records and fsyncs the last segment.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
 	return w.syncLocked()
 }
 
-// syncLocked flushes and fsyncs; the caller holds w.mu.
+// syncLocked flushes and fsyncs; the caller holds w.mu. A failed flush or
+// fsync fail-stops the WAL: the kernel may drop the pages it could not
+// write, so a later fsync that succeeds would not make them durable.
 func (w *WAL) syncLocked() error {
+	if w.closed {
+		return fmt.Errorf("persist: WAL is closed")
+	}
+	if w.failed != nil {
+		return w.failed
+	}
 	if !w.dirty {
 		return nil
 	}
 	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("persist: flush WAL: %w", err)
+		w.failed = fmt.Errorf("persist: flush WAL: %w", err)
+		return w.failed
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("persist: fsync WAL: %w", err)
+		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
+		return w.failed
 	}
 	w.dirty = false
 	return nil
@@ -244,83 +308,39 @@ func (w *WAL) flusher() {
 			return
 		case <-t.C:
 			if w.policy == SyncBatch {
-				_ = w.Sync() // an I/O error here resurfaces on the next append, Sync or Close
+				_ = w.Sync() // a failure fail-stops the WAL: the next append, Sync, cut or Close reports it
 			}
 		}
 	}
 }
 
-// compactThrough drops every record with sequence ≤ cutoff — records a
-// just-written snapshot already reflects — by rewriting the file with the
-// survivors and atomically swapping it in. Appends are blocked for the
-// duration; sequences keep increasing monotonically across the swap.
-func (w *WAL) compactThrough(path string, cutoff uint64) error {
+// cut syncs the last segment and, if it holds records, creates the next,
+// named one past the current sequence, and switches appends to it. It
+// returns that sequence. It is the only step of a snapshot under w.mu.
+func (w *WAL) cut() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("persist: WAL is closed")
-	}
 	if err := w.syncLocked(); err != nil {
-		return err
+		return 0, err
 	}
-	recs, _, err := scanWAL(path)
+	if fi, err := w.f.Stat(); err != nil || fi.Size() == 0 {
+		return w.seq, err
+	}
+	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(w.seq+1)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	for _, rec := range recs {
-		if rec.Seq <= cutoff {
-			continue
-		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("persist: compact: %w", err)
-		}
-		if _, err := bw.Write(append(line, '\n')); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: compact: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	// Appends to an entry that is not durable could be lost, and the old
+	// segment may take no more, so an unsynced create fail-stops the WAL.
+	if err := syncDir(w.dir); err != nil {
 		f.Close()
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("persist: compact swap: %w", err)
-	}
-	// Appends to the new file would be lost with a swap that is not
-	// durable, so an unsynced swap fail-stops the WAL.
-	if err := syncDir(filepath.Dir(path)); err != nil {
 		w.failed = err
-		return err
+		return 0, err
 	}
-	old := w.f
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// The swapped file is valid on disk but we lost our handle;
-		// refuse further appends rather than write to the unlinked file.
-		w.closed = true
-		old.Close()
-		return fmt.Errorf("persist: reopen compacted WAL: %w", err)
-	}
-	w.f = nf
-	w.w = bufio.NewWriter(nf)
-	w.dirty = false
-	old.Close()
-	return nil
+	_ = w.f.Close() // synced above: no record depends on the close
+	w.f = f
+	w.w.Reset(f)
+	return w.seq, nil
 }
 
 // Close syncs outstanding records, stops the flusher, and closes the file.

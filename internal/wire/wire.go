@@ -27,7 +27,7 @@
 // Kinds 9–11 are the replication stream of internal/cluster: a follower's
 // GET /v1/stream?from=N on the owner's API address is answered with
 // Snapshot frames (one per community, the catch-up path), then Records
-// frames carrying WAL records (the same JSON objects wal.jsonl stores,
+// frames carrying WAL records (the same JSON objects WAL segments store,
 // framed with their sequence numbers) and Heartbeat frames advertising the
 // last sequence streamed to that subscriber, so an idle follower still
 // learns it is caught up and that its owner is alive.
@@ -109,7 +109,7 @@ const (
 	// it resumes from.
 	_
 	// KindRecords carries a batch of WAL records, each framed with its
-	// sequence number (the payload bytes are the wal.jsonl JSON objects).
+	// sequence number (the payload bytes are the WAL segments' JSON objects).
 	KindRecords
 	// KindSnapshot carries one community's exported state (JSON) plus the
 	// sequence cutoff it reflects — the catch-up path when a follower's
@@ -514,7 +514,7 @@ func (wr WindowResp) AppendHappy(dst []int, i int) []int {
 }
 
 // RawRecord is one replicated WAL record: the owner-assigned sequence number
-// plus the record's serialized bytes (the same JSON object wal.jsonl holds).
+// plus the record's serialized bytes (the same JSON object a WAL segment holds).
 // Decoded records reference the frame body — copy Data before the buffer is
 // reused.
 type RawRecord struct {
