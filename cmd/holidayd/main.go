@@ -117,8 +117,8 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.follow, "follow", "",
 		"comma-separated peer node ids to replicate from, or 'all' for every peer with an addr")
 	fs.DurationVar(&c.failoverAfter, "failover-after", cluster.DefaultDeadline,
-		"missed-heartbeat deadline before a followed owner is probed and, if dead, failed over "+
-			"to its most-caught-up replica; 0 disables automatic failover and placement gossip")
+		"how long a followed peer may leave this node's placement gossip unanswered before its communities are failed over "+
+			"to their most-caught-up replicas; 0 disables automatic failover and placement gossip")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -321,7 +321,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	}
 
 	// Replication: subscribe to followed peers' streams.
-	followers := make(map[string]*cluster.Follower, len(m.peers))
 	for _, peer := range m.peers {
 		f, err := cluster.NewFollower(cluster.FollowerOpts{
 			Owner: reg, Addr: peer.Addr, Logf: log.Printf,
@@ -331,7 +330,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 			return err
 		}
 		spawn(func() { f.Run(ctx) })
-		followers[peer.ID] = f
 		log.Printf("following node %s at %s", peer.ID, peer.Addr)
 	}
 
@@ -387,26 +385,27 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 			}
 		})
 	}
-	// The failover plane: placement gossip plus, for followed owners, the
-	// missed-heartbeat detector that elects a most-caught-up replica. Built
-	// after NewHandler so its fence-reconciliation watcher sees every table
-	// the detector installs; the synchronous boot round adopts the cluster's
+	// The failover plane: placement gossip, whose answered pulls are the
+	// detector's only proof of life, and an election of a most-caught-up
+	// replica for any followed owner silent past the deadline. Built after
+	// NewHandler so its fence-reconciliation watcher sees every table the
+	// detector installs; the synchronous boot round adopts the cluster's
 	// current epoch before this node serves (a rejoining stale owner
 	// refences its lost communities here, not after its first bad write).
 	if m.router != nil && cfg.failoverAfter > 0 {
 		det, err := cluster.NewDetector(cluster.DetectorOpts{
-			Router:    m.router,
-			Owner:     reg,
-			Followers: followers,
-			Deadline:  cfg.failoverAfter,
-			Logf:      log.Printf,
+			Router:   m.router,
+			Owner:    reg,
+			Follows:  m.peers,
+			Deadline: cfg.failoverAfter,
+			Logf:     log.Printf,
 		})
 		if err != nil {
 			return err
 		}
 		det.Gossip(ctx)
 		spawn(func() { det.Run(ctx) })
-		log.Printf("failover detector armed: deadline %v over %d followed peers", cfg.failoverAfter, len(followers))
+		log.Printf("failover detector armed: deadline %v over %d followed peers", cfg.failoverAfter, len(m.peers))
 	}
 	if cfg.maxQPS > 0 {
 		var refill func()
@@ -485,11 +484,15 @@ func createDemo(cfg *config, router *service.Router, reg *service.Owner) error {
 // admissionLimit caps data-plane throughput at qps requests per second with
 // a blocking token bucket: excess requests queue on the bucket instead of
 // failing, so clients see latency — not errors — at the capacity ceiling.
-// Liveness and status probes bypass the limit; they must stay responsive on
-// a saturated node. So does the stream route: a replication stream or a
-// handoff is one long request, not data-plane load. The caller runs the
-// returned refill loop, which ends with ctx; from then on queued requests
-// are admitted so a shutdown can drain them.
+// Only the data plane queues: community reads and writes (/v1/communities
+// and its legacy alias) and binary frames (/v1/bin/). Control routes must
+// stay responsive on a saturated node: the failure detector takes an
+// answered placement pull as proof of life, and a stream is one long
+// request, not load. A bodiless request whose client goes while it queues
+// returns unserved and spends no token; net/http notices a departed client
+// only once the body, if any, is read. The caller runs the returned refill
+// loop, which ends with ctx; from then on queued requests are admitted so
+// a shutdown can drain them.
 func admissionLimit(ctx context.Context, h http.Handler, qps int) (http.Handler, func()) {
 	// Refill from elapsed wall time rather than tick counts: tickers
 	// coalesce missed ticks under load, which would silently lower the
@@ -526,10 +529,12 @@ func admissionLimit(ctx context.Context, h http.Handler, qps int) (http.Handler,
 		}
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p != "/healthz" && p != "/v1/status" && p != cluster.StreamPath {
+		if p := strings.TrimPrefix(r.URL.Path, "/v1"); strings.HasPrefix(p, "/communities") || strings.HasPrefix(p, "/bin/") {
 			select {
 			case <-tokens:
 			case <-ctx.Done():
+			case <-r.Context().Done():
+				return
 			}
 		}
 		h.ServeHTTP(w, r)

@@ -17,6 +17,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -607,34 +608,87 @@ func crashCopyAnswers(t *testing.T, dir string, window func(id string) string, w
 	return nil
 }
 
-// TestAdmissionExemptions: with no token ever refilled, a data-plane
-// request waits for admission, while liveness, status and the stream route
-// of replication and handoffs are served at once.
+// TestAdmissionExemptions: with no token ever refilled, data-plane
+// requests wait for admission, while control routes are served at once:
+// liveness, status, the placement route the failure detector pulls,
+// handoffs, promotes and the stream route of replication and handoffs.
 func TestAdmissionExemptions(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	h, _ := admissionLimit(ctx, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), 1)
-	serve := func(path string) chan struct{} {
+	serve := func(method, path string) chan struct{} {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, nil))
 		}()
 		return done
 	}
-	for _, path := range []string{"/healthz", "/v1/status", cluster.StreamPath} {
+	for _, path := range []string{"/healthz", "/v1/status", "/v1/placement", "/v1/handoff", "/v1/promote", cluster.StreamPath} {
 		select {
-		case <-serve(path):
+		case <-serve("GET", path):
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s waited for admission", path)
 		}
 	}
-	done := serve("/v1/communities")
-	select {
-	case <-done:
-		t.Fatal("a data-plane request was served without a token")
-	case <-time.After(50 * time.Millisecond):
+	var queued []chan struct{}
+	for _, path := range []string{"/v1/communities", "/communities/x/window", "/v1/bin/window"} {
+		done := serve("POST", path)
+		select {
+		case <-done:
+			t.Fatalf("data-plane request %s was served without a token", path)
+		case <-time.After(50 * time.Millisecond):
+		}
+		queued = append(queued, done)
 	}
 	cancel()
-	<-done
+	for _, done := range queued {
+		<-done
+	}
+}
+
+// TestAdmissionDropsDepartedClients: with no token ever refilled, a
+// bodiless data-plane request whose client disconnects while it queues
+// returns without reaching the handler, instead of waiting for a token and
+// spending it. The request travels through a real server, since net/http
+// cancels a request's context only when it notices the disconnect.
+func TestAdmissionDropsDepartedClients(t *testing.T) {
+	ctx, stop := context.WithCancel(context.Background())
+	var served atomic.Bool
+	h, _ := admissionLimit(ctx, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		served.Store(true)
+	}), 1)
+	arrived, returned := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		h.ServeHTTP(w, r)
+		close(returned)
+	}))
+	defer func() {
+		stop() // admits the request if it still queues, so Close can return
+		srv.Close()
+	}()
+	client, leave := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(client, "GET", srv.URL+"/v1/communities/x/window?from=1&to=9", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		if resp, err := srv.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-arrived
+	leave()
+	<-sent
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("a request whose client has gone still waits for admission")
+	}
+	if served.Load() {
+		t.Fatal("a request whose client has gone reached the handler")
+	}
 }

@@ -1,9 +1,8 @@
 // Failure detection and operator-free failover: the Detector each daemon
-// runs gossips the placement table with its peers, watches the heartbeat
-// watermark of every owner it follows, and — when an owner misses its
-// deadline and fails a liveness probe — elects the most-caught-up replica
-// of each orphaned community by publishing an epoch-bumped table. See
-// DESIGN.md §12.
+// runs gossips the placement table with its peers, takes each answered
+// pull as the peer's proof of life, and — when an owner it follows stays
+// silent for its deadline — elects the most-caught-up replica of each
+// orphaned community by publishing an epoch-bumped table. See DESIGN.md §12.
 package cluster
 
 import (
@@ -16,10 +15,10 @@ import (
 	"repro/internal/service"
 )
 
-// DefaultDeadline is the missed-heartbeat deadline before an owner is
-// suspected dead: six source heartbeat intervals, so a single delayed
-// frame never triggers an election.
-const DefaultDeadline = 6 * DefaultHeartbeat
+// DefaultDeadline is how long a member may leave this node's placement
+// pulls unanswered before it is declared dead. Gossip pulls every third
+// of it, so one slow answer never triggers an election.
+const DefaultDeadline = 3 * time.Second
 
 // DetectorOpts configures NewDetector.
 type DetectorOpts struct {
@@ -27,11 +26,12 @@ type DetectorOpts struct {
 	Router *service.Router
 	// Owner is the local community store (required).
 	Owner *service.Owner
-	// Followers maps followed node id → the follower replicating from it.
-	// Nodes without an entry are gossiped with but never declared dead here.
-	Followers map[string]*Follower
-	// Deadline is how long an owner may miss heartbeats before this node
-	// probes it and, on failure, runs an election; 0 means DefaultDeadline.
+	// Follows lists the owners this node replicates from. Only they are
+	// failed over here: a copy no stream keeps current, such as the one a
+	// handoff leaves fenced on its sender, may lack acknowledged writes.
+	Follows []service.Node
+	// Deadline is how long a followed owner may leave this node's placement
+	// pulls unanswered before it is failed over; 0 means DefaultDeadline.
 	Deadline time.Duration
 	// Logf, when set, receives gossip/election diagnostics.
 	Logf func(format string, args ...any)
@@ -39,17 +39,17 @@ type DetectorOpts struct {
 
 // Detector is one node's failover plane. Run starts it; it needs no
 // coordination service — every decision derives from the epoch-ordered
-// placement table, peer /v1/status answers, and replication watermarks.
+// placement table, which peers answer its pulls, and peer /v1/status answers.
 type Detector struct {
-	rt        *service.Router
-	owner     *service.Owner
-	followers map[string]*Follower
-	deadline  time.Duration
-	logf      func(string, ...any)
-	client    *service.Client
+	rt       *service.Router
+	owner    *service.Owner
+	follows  []service.Node
+	deadline time.Duration
+	logf     func(string, ...any)
+	client   *service.Client
 
-	// seen is the last proof of life per followed node: Run start, then
-	// each heartbeat arrival. Guarded by Run's single goroutine.
+	// seen is each member's last proof of life: its last answered pull, or
+	// the start of the round that armed it. Guarded by Run's goroutine.
 	seen map[string]time.Time
 }
 
@@ -62,13 +62,13 @@ func NewDetector(o DetectorOpts) (*Detector, error) {
 		o.Deadline = DefaultDeadline
 	}
 	return &Detector{
-		rt:        o.Router,
-		owner:     o.Owner,
-		followers: o.Followers,
-		deadline:  o.Deadline,
-		logf:      o.Logf,
-		client:    service.NewClient(&http.Client{Timeout: 2 * time.Second}),
-		seen:      make(map[string]time.Time),
+		rt:       o.Router,
+		owner:    o.Owner,
+		follows:  o.Follows,
+		deadline: o.Deadline,
+		logf:     o.Logf,
+		client:   service.NewClient(&http.Client{Timeout: 2 * time.Second}),
+		seen:     make(map[string]time.Time),
 	}, nil
 }
 
@@ -81,10 +81,6 @@ func (d *Detector) debugf(format string, args ...any) {
 // Run gossips and detects three times per deadline until ctx is cancelled.
 // It blocks; run it in a goroutine.
 func (d *Detector) Run(ctx context.Context) {
-	now := time.Now()
-	for n := range d.followers {
-		d.seen[n] = now
-	}
 	t := time.NewTicker(d.deadline / 3)
 	defer t.Stop()
 	for {
@@ -93,8 +89,9 @@ func (d *Detector) Run(ctx context.Context) {
 			return
 		case <-t.C:
 		}
+		start := time.Now()
 		d.Gossip(ctx)
-		d.detect(ctx)
+		d.detect(ctx, start)
 	}
 }
 
@@ -102,6 +99,8 @@ func (d *Detector) Run(ctx context.Context) {
 // (installing any that supersedes ours), then push ours to peers still
 // behind. A rejoining node converges to the cluster's epoch within one
 // round — which is also how a stale owner learns it has been failed over.
+// An answered pull is the peer's proof of life. Once Run has started, only
+// its goroutine may call Gossip.
 func (d *Detector) Gossip(ctx context.Context) {
 	self := d.rt.Self()
 	for _, n := range d.rt.Nodes() {
@@ -112,6 +111,7 @@ func (d *Detector) Gossip(ctx context.Context) {
 		if err != nil {
 			continue
 		}
+		d.seen[n.ID] = time.Now()
 		if installed, err := d.rt.SetPlacement(p); err == nil && installed {
 			d.debugf("cluster: adopted epoch %d from %s", p.Epoch, n.ID)
 		}
@@ -122,23 +122,19 @@ func (d *Detector) Gossip(ctx context.Context) {
 	}
 }
 
-// detect checks every followed owner's heartbeat watermark and runs an
-// election for those past the deadline that also fail a liveness probe.
-func (d *Detector) detect(ctx context.Context) {
-	for node, f := range d.followers {
-		if hb := f.LastHeartbeat(); hb.After(d.seen[node]) {
-			d.seen[node] = hb
+// detect runs an election for every followed owner that answered no
+// placement pull in the deadline before start, when this round's gossip
+// began. Silence is measured to the round's start, not to now: a pull that
+// times out delays the rest of the round, and an owner that answered in it
+// must not look silent. An owner not seen before gets the whole deadline.
+func (d *Detector) detect(ctx context.Context, start time.Time) {
+	for _, n := range d.follows {
+		seen, ok := d.seen[n.ID]
+		if !ok {
+			d.seen[n.ID] = start
+		} else if start.Sub(seen) >= d.deadline {
+			d.failover(ctx, n.ID)
 		}
-		if time.Since(d.seen[node]) < d.deadline {
-			continue
-		}
-		if addr, ok := d.rt.Addr(node); ok && d.client.Healthy(ctx, addr) == nil {
-			// Replication is stalled but the node answers HTTP: not a death,
-			// not ours to fail over.
-			d.seen[node] = time.Now()
-			continue
-		}
-		d.failover(ctx, node)
 	}
 }
 

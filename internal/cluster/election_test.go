@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 )
 
 // TestDetectorFailsOverOnlyTheDead: node b follows owner a and runs the
-// failure detector. While a's stream is gone but a still answers /healthz,
-// b probes it and leaves it alone; once a's listener is gone too, b elects
-// itself for a's community, publishing the next epoch with the community
-// assigned to b and unfenced there, answering as a did.
+// failure detector. While a's stream is gone but a still answers b's
+// placement pulls, b leaves it alone; once a's listener is gone too, b
+// elects itself for a's community, publishing the next epoch with the
+// community assigned to b and unfenced there, answering as a did.
 func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 	lnA := listenTCP(t)
 	nodes := []service.Node{
@@ -33,16 +34,10 @@ func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	ownerA.SetJournal(srcA)
-	var probes atomic.Int32
-	api := service.NewHandler(service.HandlerOpts{Owner: ownerA, Router: rtA})
+	var pulls atomic.Int32
 	mux := http.NewServeMux()
 	mux.Handle(StreamPath, srcA)
-	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			probes.Add(1)
-		}
-		api.ServeHTTP(w, r)
-	}))
+	mux.Handle("/", countPulls(service.NewHandler(service.HandlerOpts{Owner: ownerA, Router: rtA}), &pulls))
 	srvA := &http.Server{Handler: mux}
 	go srvA.Serve(lnA)
 	t.Cleanup(func() {
@@ -64,8 +59,7 @@ func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	const deadline = 150 * time.Millisecond
-	det, err := NewDetector(DetectorOpts{Router: rtB, Owner: ownerB, Followers: map[string]*Follower{"a": fol},
-		Deadline: deadline, Logf: t.Logf})
+	det, err := NewDetector(DetectorOpts{Router: rtB, Owner: ownerB, Follows: nodes[:1], Deadline: deadline, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +87,22 @@ func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 	})
 	waitFor(t, "b to follow a", func() bool {
 		rc, ok := ownerB.Get(id)
-		return ok && rc.Seq() == c.Seq() && !fol.LastHeartbeat().IsZero()
+		return ok && rc.Seq() == c.Seq() && pulls.Load() > 0
 	})
 
-	// a's stream goes, its API stays: heartbeats stop, the probe answers.
+	// a's stream goes, its API stays: heartbeats stop, the pulls answer.
+	// Seven pulls at one per third of the deadline span two deadlines.
 	srcA.Close()
-	before := probes.Load()
-	waitFor(t, "b to probe a twice", func() bool { return probes.Load() >= before+2 })
+	before := pulls.Load()
+	waitFor(t, "b to pull a's table for two deadlines", func() bool { return pulls.Load() >= before+7 })
 	if e := rtB.Epoch(); e != 0 {
-		t.Fatalf("b failed over a node that answers /healthz: epoch %d", e)
+		t.Fatalf("b failed over a node that answers its pulls: epoch %d", e)
 	}
 	if rc, _ := ownerB.Get(id); !rc.Fenced() {
 		t.Fatalf("b unfenced %s while its owner is alive", id)
 	}
 
-	// a's listener goes: the probe fails and b takes over.
+	// a's listener goes: the pulls fail and b takes over.
 	srvA.Close()
 	waitFor(t, "b to fail a over", func() bool { return rtB.Epoch() == 1 })
 	if got := rtB.Placement().Assign[id]; got != "b" {
@@ -120,4 +115,160 @@ func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 	if got := windowJSON(t, ownerB, id); got != want {
 		t.Fatalf("b answers %s unlike its dead owner:\nowner %s\nb     %s", id, want, got)
 	}
+}
+
+// TestDetectorSparesUnfedCopies: a moves a community to b by handoff and
+// keeps a fenced copy that no stream feeds, since nothing follows b. b
+// adds a family, then goes silent. a fails over only the owners it follows,
+// so it leaves b's community alone rather than unfence a copy that lacks
+// the write b acknowledged.
+func TestDetectorSparesUnfedCopies(t *testing.T) {
+	const deadline = 150 * time.Millisecond
+	lns := []net.Listener{listenTCP(t), listenTCP(t), listenTCP(t)}
+	var nodes []service.Node
+	for i, id := range []string{"a", "b", "c"} {
+		nodes = append(nodes, service.Node{ID: id, Addr: "http://" + lns[i].Addr().String()})
+	}
+	a, b := bootAPINode(t, "a", nodes, lns[0]), bootAPINode(t, "b", nodes, lns[1])
+	// c answers a's pulls, which time the silence below.
+	rtC, err := service.NewRouter(service.RouterOpts{Self: "c", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pulls atomic.Int32
+	srvC := &http.Server{Handler: countPulls(service.NewHandler(service.HandlerOpts{Owner: service.New(service.Opts{}), Router: rtC}), &pulls)}
+	go srvC.Serve(lns[2])
+	t.Cleanup(func() { srvC.Close() })
+
+	id := ""
+	for i := 0; id == ""; i++ {
+		if k := fmt.Sprintf("comm-%d", i); a.rt.Place(k) == "a" {
+			id = k
+		}
+	}
+	stale := seed(t, a.owner, id, 6)
+	if _, err := (&Rebalancer{}).MoveCommunity(context.Background(), nodes[0].Addr, id, "b"); err != nil {
+		t.Fatalf("MoveCommunity: %v", err)
+	}
+	bc, _ := b.owner.Get(id)
+	if _, err := bc.AddFamily(); err != nil {
+		t.Fatalf("write on b: %v", err)
+	}
+	if stale.Families() == bc.Families() {
+		t.Fatalf("a's copy already holds the family b added")
+	}
+	b.srv.Close()
+
+	runDetector(t, a.rt, a.owner, deadline)
+	waitFor(t, "a to pull c's table for two deadlines", func() bool { return pulls.Load() >= 7 })
+	if e, got := a.rt.Epoch(), a.rt.Place(id); e != 1 || got != "b" {
+		t.Fatalf("a is at epoch %d and places %s on %q, want epoch 1 and b", e, id, got)
+	}
+	if !stale.Fenced() {
+		t.Fatalf("a unfenced its copy of %s, which lacks b's write", id)
+	}
+}
+
+// TestDetectorBlamesOnlyTheSilent: b follows a and s. Each of b's gossip
+// rounds pulls a, which answers at once, then s, whose pulls fail only
+// after three of b's deadlines. b fails s over and never a, although every round ends long
+// after a's answer: a answered in each round, and silence is measured up
+// to the start of the round that found it.
+func TestDetectorBlamesOnlyTheSilent(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	lnA, lnS := listenTCP(t), listenTCP(t)
+	nodes := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://127.0.0.1:1"},
+		{ID: "s", Addr: "http://" + lnS.Addr().String()},
+	}
+	rtA, err := service.NewRouter(service.RouterOpts{Self: "a", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pulls atomic.Int32
+	srvA := &http.Server{Handler: countPulls(service.NewHandler(service.HandlerOpts{Owner: service.New(service.Opts{}), Router: rtA}), &pulls)}
+	srvS := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(3 * deadline):
+		case <-r.Context().Done():
+		}
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	})}
+	go srvA.Serve(lnA)
+	go srvS.Serve(lnS)
+	t.Cleanup(func() {
+		srvA.Close()
+		srvS.Close()
+	})
+	owner, rt, held := bootWatcher(t, nodes, "a", "s")
+	runDetector(t, rt, owner, deadline, nodes[0], nodes[2])
+
+	waitFor(t, "b to fail s over", func() bool { return rt.Placement().Assign[held["s"]] == "b" })
+	before := pulls.Load()
+	waitFor(t, "three more rounds", func() bool { return pulls.Load() >= before+3 })
+	if got := rt.Place(held["a"]); got != "a" {
+		t.Fatalf("b placed %s, whose owner a answers every pull, on %s", held["a"], got)
+	}
+	if c, _ := owner.Get(held["a"]); !c.Fenced() {
+		t.Fatalf("b unfenced %s while its owner a is alive", held["a"])
+	}
+}
+
+// countPulls serves h, counting the placement pulls it has answered.
+func countPulls(h http.Handler, pulls *atomic.Int32) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/placement" {
+			pulls.Add(1)
+		}
+	})
+}
+
+// bootWatcher returns node b of nodes, holding for each id in of a fenced
+// copy of a community the ring places on that node, and the community it
+// holds for each.
+func bootWatcher(t *testing.T, nodes []service.Node, of ...string) (*service.Owner, *service.Router, map[string]string) {
+	t.Helper()
+	owner := service.New(service.Opts{})
+	rt, err := service.NewRouter(service.RouterOpts{Self: "b", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The handler registration wires the fence-reconciliation watcher that
+	// unfences what an election assigns here.
+	service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt})
+	held := map[string]string{}
+	for _, node := range of {
+		for i := 0; held[node] == ""; i++ {
+			if id := fmt.Sprintf("comm-%d", i); rt.Place(id) == node {
+				held[node] = id
+			}
+		}
+		if _, err := owner.Create(held[node], 4, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		owner.Fence(held[node])
+	}
+	return owner, rt, held
+}
+
+// runDetector runs a detector over rt and owner, following follows, until
+// the test ends.
+func runDetector(t *testing.T, rt *service.Router, owner *service.Owner, deadline time.Duration, follows ...service.Node) {
+	t.Helper()
+	det, err := NewDetector(DetectorOpts{Router: rt, Owner: owner, Follows: follows, Deadline: deadline, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		det.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 }

@@ -42,7 +42,6 @@ type Follower struct {
 
 	mu        sync.Mutex
 	applied   uint64
-	lastBeat  time.Time
 	connected bool
 	caughtUp  bool // the subscription's catch-up heartbeat has arrived
 }
@@ -80,15 +79,6 @@ func (f *Follower) Connected() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.connected
-}
-
-// LastHeartbeat returns when the owner's watermark heartbeat last arrived
-// (zero before the first). The failure detector compares it against the
-// missed-heartbeat deadline.
-func (f *Follower) LastHeartbeat() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastBeat
 }
 
 // Run replicates until ctx is cancelled, reconnecting with capped
@@ -177,5 +167,4 @@ func (f *Follower) heartbeat(seq uint64) {
 	defer f.mu.Unlock()
 	f.caughtUp = true
 	f.applied = max(f.applied, seq)
-	f.lastBeat = time.Now()
 }

@@ -21,6 +21,7 @@ type hNode struct {
 	owner *service.Owner
 	src   *Source
 	rt    *service.Router
+	srv   *http.Server // the node's API; set by bootAPINode
 }
 
 func listenTCP(t *testing.T) net.Listener {

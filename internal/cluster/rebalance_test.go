@@ -113,7 +113,7 @@ func bootAPINode(t *testing.T, id string, nodes []service.Node, ln net.Listener)
 		src.Close()
 		srv.Close()
 	})
-	return &hNode{owner: owner, src: src, rt: rt}
+	return &hNode{owner: owner, src: src, rt: rt, srv: srv}
 }
 
 // TestMoveCommunity: the rotation primitive hands one community from its

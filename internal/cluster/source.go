@@ -13,8 +13,7 @@
 // first once the ring no longer covers the gap) and applied by one
 // applier, replay being idempotent against the states' cutoffs. Heartbeat
 // frames advertise the last sequence streamed to the subscriber, so an
-// idle follower still learns it is caught up, and its failure detector
-// still hears from the owner.
+// idle follower still learns it is caught up.
 //
 // Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's

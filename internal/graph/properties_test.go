@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 func TestIsConnected(t *testing.T) {
@@ -129,6 +131,50 @@ func TestDynamicSnapshotAndFrom(t *testing.T) {
 	}
 	if g.M() != 5 {
 		t.Error("original graph must be untouched")
+	}
+}
+
+// Property: after random inserts and swap-removing deletes, Snapshot
+// deep-equals the Builder graph of the same edges, and editing the Dynamic
+// afterwards leaves the snapshot as it was.
+func TestDynamicSnapshotMatchesBuilderQuick(t *testing.T) {
+	check := func(seed uint64) bool {
+		r := rng(seed)
+		n := 1 + int(seed%40)
+		d := NewDynamic(n)
+		model := map[Edge]bool{}
+		for i := 0; i < 6*n; i++ {
+			e := Edge{r.IntN(n), r.IntN(n)}.Canon()
+			if e.U == e.V {
+				continue
+			}
+			if r.IntN(3) == 0 {
+				d.RemoveEdge(e.V, e.U)
+				delete(model, e)
+			} else {
+				d.AddEdge(e.U, e.V)
+				model[e] = true
+			}
+		}
+		b := NewBuilder(n)
+		for e := range model {
+			b.AddEdge(e.U, e.V)
+		}
+		want := b.Graph()
+		s := d.Snapshot()
+		if !reflect.DeepEqual(s, want) {
+			return false
+		}
+		for e := range model {
+			d.RemoveEdge(e.U, e.V)
+		}
+		for v := 1; v < n; v++ {
+			d.AddEdge(0, v)
+		}
+		return reflect.DeepEqual(s, want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 const DefaultClientTimeout = 30 * time.Second
 
 // Client speaks a node's JSON control plane — /v1/status, /v1/placement,
-// /v1/handoff, /v1/promote, /healthz — plus the per-community stats read,
+// /v1/handoff, /v1/promote — plus the per-community stats read,
 // encoding and decoding the same body types the handlers serve. Every
 // method takes the node's base URL, so one Client serves a whole cluster.
 // A non-200 answer comes back as the node's {code, message} envelope, an
@@ -80,15 +80,9 @@ func (c *Client) Stats(ctx context.Context, addr, community string) (Stats, erro
 	return st, err
 }
 
-// Healthy probes the node's liveness endpoint; nil means it answered 200.
-func (c *Client) Healthy(ctx context.Context, addr string) error {
-	return c.do(ctx, http.MethodGet, addr, "/healthz", nil, nil)
-}
-
 // do sends one JSON request — in, when non-nil, is the body — and decodes
-// a 200 answer into out (when non-nil). Any other status returns the
-// node's error envelope, or one classified by the status when the body
-// carries none.
+// a 200 answer into out. Any other status returns the node's error
+// envelope, or one classified by the status when the body carries none.
 func (c *Client) do(ctx context.Context, method, addr, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -116,9 +110,6 @@ func (c *Client) do(ctx context.Context, method, addr, path string, in, out any)
 	}()
 	if resp.StatusCode != http.StatusOK {
 		return ResponseError(resp)
-	}
-	if out == nil {
-		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("%s %s: decode answer: %w", method, req.URL, err)

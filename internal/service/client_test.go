@@ -60,10 +60,8 @@ func TestClient(t *testing.T) {
 	ctx := context.Background()
 	cl := NewClient(nil)
 
-	if err := cl.Healthy(ctx, srv.URL+"/"); err != nil {
-		t.Fatalf("Healthy: %v", err)
-	}
-	st, err := cl.Status(ctx, srv.URL)
+	// A trailing slash on the base URL is tolerated.
+	st, err := cl.Status(ctx, srv.URL+"/")
 	if err != nil || st.Node != "a" || len(st.Communities) != 1 || st.Communities[0].ID != "x" {
 		t.Fatalf("Status = %+v, %v", st, err)
 	}
@@ -95,8 +93,8 @@ func TestClient(t *testing.T) {
 		http.Error(w, "upstream down", http.StatusBadGateway)
 	}))
 	defer bare.Close()
-	if err := cl.Healthy(ctx, bare.URL); !errors.As(err, &ae) || ae.Code != CodeUnavailable ||
+	if _, err := cl.Placement(ctx, bare.URL); !errors.As(err, &ae) || ae.Code != CodeUnavailable ||
 		!strings.Contains(ae.Message, "502") {
-		t.Fatalf("Healthy against a bare 502: %v", err)
+		t.Fatalf("Placement against a bare 502: %v", err)
 	}
 }

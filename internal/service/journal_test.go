@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // memJournal records every logged record in memory, optionally failing.
@@ -298,4 +300,26 @@ func TestInstallReplicaKeepsNewerCopy(t *testing.T) {
 	if answerKey(t, now) != newer {
 		t.Fatal("re-offer of an older state changed the replica's answers")
 	}
+}
+
+// BenchmarkCommunityExport exports a power-law community of 200,000
+// families, the size ROADMAP item 3 measures handoffs at. Export holds the
+// community's read lock throughout, so export-ms is how long each
+// snapshot, catch-up state and handoff offer makes its writers wait.
+func BenchmarkCommunityExport(b *testing.B) {
+	g, err := graph.ParseSpec("powerlaw:n=200000,m=3", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(Opts{}).CreateFromGraph("big", g, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := c.Export(); len(st.Edges) != g.M() {
+			b.Fatalf("exported %d edges, want %d", len(st.Edges), g.M())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "export-ms")
 }

@@ -3,9 +3,10 @@
 #
 #   leg 1  break-glass: detector disabled (-failover-after 0), SIGKILL the
 #          owner, operator promotes a survivor, answers byte-identical.
-#   leg 2  no-operator: detector armed, SIGKILL the owner, a survivor
-#          self-promotes the hot community with ZERO holidayctl calls,
-#          answers byte-identical across the automatic failover.
+#   leg 2  no-operator: detector armed, no election while every node
+#          answers, SIGKILL the owner, a survivor self-promotes the hot
+#          community with ZERO holidayctl calls, answers byte-identical
+#          across the automatic failover.
 #   leg 3  join-rebalance: a fourth node joins, holidayctl rebalance
 #          live-moves its communities over epoch-bumped handoffs, every
 #          community answers byte-identically afterwards.
@@ -194,6 +195,14 @@ curl -sf "${ADDR[$OWNER]}/v1/communities/$HOT/window?from=1&to=100" > "$WORK/win
 curl -sf "${ADDR[$OWNER]}/v1/communities/$HOT/families/3/next?from=1" > "$WORK/next2.pre" \
   || fail "pre-kill next"
 
+# Every node answers every placement pull, so none may have run an
+# election yet.
+for n in a b c; do
+  E=$(curl -sf "${ADDR[$n]}/v1/status" | jq -r '.epoch')
+  [ "$E" = 0 ] || fail "node $n is at epoch $E before the kill: an election ran while every node answered"
+done
+
+KILLED_AT=$(date +%s.%N)
 kill -9 "${PID[$OWNER]}" || fail "kill owner"
 echo "killed owner $OWNER; waiting for automatic promotion (no operator calls)"
 
@@ -208,7 +217,8 @@ for i in $(seq 1 120); do
   sleep 0.25
 done
 [ -n "$NEWOWNER" ] || fail "no survivor self-promoted $HOT within 30s"
-echo "node $NEWOWNER self-promoted $HOT"
+TAKEOVER_S=$(awk -v a="$KILLED_AT" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
+echo "node $NEWOWNER self-promoted $HOT ${TAKEOVER_S}s after the SIGKILL"
 
 curl -sf "${ADDR[$NEWOWNER]}/v1/communities/$HOT/window?from=1&to=100" > "$WORK/window2.post" \
   || fail "post-failover window"
@@ -221,7 +231,7 @@ curl -sf -X POST "${ADDR[$NEWOWNER]}/v1/communities/$HOT/churn" \
   || fail "write to self-promoted node"
 EPOCH=$(curl -sf "${ADDR[$NEWOWNER]}/v1/status" | jq -r '.epoch')
 [ "$EPOCH" -ge 1 ] || fail "automatic failover did not advance the placement epoch (at $EPOCH)"
-echo "leg 2 OK: automatic failover at epoch $EPOCH, byte-identical answers, zero operator calls"
+echo "leg 2 OK: automatic failover at epoch $EPOCH ${TAKEOVER_S}s after the SIGKILL, byte-identical answers, zero operator calls"
 stop_cluster "${SURVIVORS[@]}"
 
 # ---------------------------------------------------------------- leg 3 ---
