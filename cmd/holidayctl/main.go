@@ -125,8 +125,10 @@ func status(w io.Writer, client *service.Client, topo service.Topology) error {
 	}
 
 	// A follower row shows its owner row's seq beside its own. The lag is
-	// the difference, unless a move left the two in different sequence
-	// spaces (DESIGN §12), which is why no difference is printed.
+	// the difference when both rows count in one sequence space, the
+	// `space` of each /v1/status row; a replica that has yet to receive a
+	// move's takeover record still counts in the old owner's (DESIGN §12),
+	// which is why no difference is printed.
 	ownerSeq := map[string]uint64{}
 	for _, r := range rows {
 		for _, c := range r.st.Communities {

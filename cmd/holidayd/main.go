@@ -28,9 +28,13 @@
 // follower's GET /v1/stream?from=N is answered with the frame stream, and
 // a handoff POSTs its offer and its tail to the same route. -follow
 // subscribes this node to peers so it serves reads for their communities
-// from fenced replicas:
+// from fenced replicas; -follow all also subscribes to each member a later
+// placement table adds:
 //
 //	holidayd -addr :8081 -node-id a -peers nodes.json -follow all
+//
+// A takeover of a community (handoff, election, promote) is journaled like
+// any write (DESIGN.md §12), so the WAL restores it.
 //
 // See README.md for the full endpoint list and cluster quickstart.
 package main
@@ -115,7 +119,8 @@ func parseConfig(fs *flag.FlagSet, args []string) (*config, error) {
 		"admission limit on data-plane requests per second (0 = unlimited); "+
 			"requests beyond the limit queue rather than fail")
 	fs.StringVar(&c.follow, "follow", "",
-		"comma-separated peer node ids to replicate from, or 'all' for every peer with an addr")
+		"comma-separated peer node ids to replicate from, or 'all' for every peer with an addr, "+
+			"including members a later placement table adds")
 	fs.DurationVar(&c.failoverAfter, "failover-after", cluster.DefaultDeadline,
 		"how long a followed peer may leave this node's placement gossip unanswered before its communities are failed over "+
 			"to their most-caught-up replicas; 0 disables automatic failover and placement gossip")
@@ -203,30 +208,6 @@ func (c *config) membership() (membership, error) {
 	return m, nil
 }
 
-// takeovers returns a placement watcher that calls kick once for every
-// installed table that assigns node a community the table installed
-// before it, prev at first, did not. Watchers run outside the router's
-// lock, so a table superseded by the time its watcher runs is skipped.
-func takeovers(prev service.Placement, node string, kick func()) func(service.Placement) {
-	var mu sync.Mutex
-	return func(p service.Placement) {
-		mu.Lock()
-		took := false
-		if p.Supersedes(prev) {
-			for id, n := range p.Assign {
-				if n == node && prev.Assign[id] != node {
-					took = true
-				}
-			}
-			prev = p
-		}
-		mu.Unlock()
-		if took {
-			kick()
-		}
-	}
-}
-
 // run serves cfg until ctx is cancelled or the listener fails. The cluster
 // topology is resolved before the data directory is opened. run returns
 // only after every goroutine it started has exited and the store is
@@ -292,7 +273,8 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	// In cluster mode the node's journal is wrapped in a replication source:
 	// every record is durable first (when -data-dir is set), then streamed
 	// to subscribed followers. Attach before -demo so even boot-time writes
-	// replicate.
+	// replicate. A takeover is journaled like any write, so the WAL restores
+	// it and the source streams it to this node's followers.
 	var src *cluster.Source
 	if m.router != nil {
 		sopts := cluster.SourceOpts{Owner: reg, Router: m.router}
@@ -305,35 +287,12 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 			return err
 		}
 		reg.SetJournal(src)
-		// Restored communities this topology places elsewhere are replicas
-		// here: fence them so only their owner takes writes.
-		for _, id := range reg.List() {
-			if !m.router.IsLocal(id) {
-				reg.Fence(id)
-			}
-		}
-	}
-
-	if cfg.demoSpec != "" {
-		if err := createDemo(cfg, m.router, reg); err != nil {
-			return err
-		}
-	}
-
-	// Replication: subscribe to followed peers' streams.
-	for _, peer := range m.peers {
-		f, err := cluster.NewFollower(cluster.FollowerOpts{
-			Owner: reg, Addr: peer.Addr, Logf: log.Printf,
-			Accept: func(id string) bool { return m.router.Place(id) == peer.ID },
-		})
-		if err != nil {
-			return err
-		}
-		spawn(func() { f.Run(ctx) })
-		log.Printf("following node %s at %s", peer.ID, peer.Addr)
 	}
 
 	// One listener: the API and, in a cluster, the stream route beside it.
+	// Building the handler syncs the fences: restored communities this
+	// topology places elsewhere are replicas here, fenced before -demo runs
+	// and before any stream is followed, so only their owner takes writes.
 	mux := http.NewServeMux()
 	hopts := service.HandlerOpts{Owner: reg, Router: m.router}
 	if src != nil {
@@ -350,24 +309,44 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	}
 	mux.Handle("/", service.NewHandler(hopts))
 	var handler http.Handler = mux
-	// The snapshotter runs every -snapshot-every and after every takeover:
-	// an installed table that assigns this node a community the table
-	// before it did not, as a handoff's, an election's and a promote's
-	// always does. Replica state arrives by installs that are never
-	// journaled, so a community taken over is durable only from the first
-	// snapshot after its takeover. The watcher is registered after
-	// NewHandler's fence sync, which has taken ownership by the time it
-	// kicks.
-	if store != nil {
-		kick := make(chan struct{}, 1)
-		if m.router != nil {
-			m.router.OnChange(takeovers(m.router.Placement(), cfg.nodeID, func() {
-				select {
-				case kick <- struct{}{}:
-				default: // a snapshot is already due
-				}
-			}))
+
+	if cfg.demoSpec != "" {
+		if err := createDemo(cfg, m.router, reg); err != nil {
+			return err
 		}
+	}
+
+	// Replication: subscribe to followed peers' streams. Each streams the
+	// communities it owns, and the sequence spaces of their records decide
+	// which copy of a moved community is current. -follow all also follows
+	// each member a later table adds, such as a node that joins, once.
+	var followMu sync.Mutex
+	followed := map[string]bool{}
+	follow := func(peer service.Node) {
+		followMu.Lock()
+		defer followMu.Unlock()
+		if followed[peer.ID] || ctx.Err() != nil { // no spawn once serve is returning
+			return
+		}
+		followed[peer.ID] = true
+		f, _ := cluster.NewFollower(cluster.FollowerOpts{Owner: reg, Addr: peer.Addr, Logf: log.Printf}) // fails only without both
+		spawn(func() { f.Run(ctx) })
+		log.Printf("following node %s at %s", peer.ID, peer.Addr)
+	}
+	for _, peer := range m.peers {
+		follow(peer)
+	}
+	if cfg.follow == "all" {
+		m.router.OnChange(func(p service.Placement) {
+			for _, n := range p.Nodes {
+				if n.ID != cfg.nodeID && n.Addr != "" {
+					follow(n)
+				}
+			}
+		})
+	}
+
+	if store != nil {
 		spawn(func() {
 			tick := time.Tick(cfg.snapEvery) // nil, so never ready, for -snapshot-every 0
 			for {
@@ -375,7 +354,6 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 				case <-ctx.Done():
 					return
 				case <-tick:
-				case <-kick:
 				}
 				if err := store.SaveSnapshot(reg); err != nil {
 					log.Printf("snapshot failed: %v", err)
@@ -389,9 +367,10 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	// detector's only proof of life, and an election of a most-caught-up
 	// replica for any followed owner silent past the deadline. Built after
 	// NewHandler so its fence-reconciliation watcher sees every table the
-	// detector installs; the synchronous boot round adopts the cluster's
-	// current epoch before this node serves (a rejoining stale owner
-	// refences its lost communities here, not after its first bad write).
+	// detector installs, and takes over what an election assigns here; the
+	// synchronous boot round adopts the cluster's current epoch before this
+	// node serves (a rejoining stale owner refences its lost communities
+	// here, not after its first bad write).
 	if m.router != nil && cfg.failoverAfter > 0 {
 		det, err := cluster.NewDetector(cluster.DetectorOpts{
 			Router:   m.router,

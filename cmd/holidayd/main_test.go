@@ -341,8 +341,11 @@ func (d *daemon) community(t *testing.T, id string) (service.CommunityStatus, bo
 //     window.
 //   - POST /v1/handoff to a moves a second community to b.
 //   - b is promoted for the first community and takes a write to it. A
-//     copy of b's data directory, which is what a crash would leave, then
-//     holds both communities and answers their windows as b does.
+//     copy of b's WAL segments, taken right after that write was
+//     acknowledged, which is what a crash would leave before any
+//     snapshot, then holds both communities and answers their windows as
+//     b does: the takeovers are journaled, and b saves no snapshot before
+//     its stop.
 //
 // No goroutine of either run may outlive both stops.
 func TestTwoNodeCluster(t *testing.T) {
@@ -429,18 +432,12 @@ func TestTwoNodeCluster(t *testing.T) {
 	b.do(t, "POST", "/v1/communities/"+x+"/edges", `{"u":6,"v":7}`, http.StatusOK)
 	want := map[string][]byte{x: b.do(t, "GET", window(x), "", http.StatusOK), y: wantY}
 
-	// Both takeovers must be durable once the snapshot they kicked lands.
-	// The WAL segments are copied before the snapshot: the snapshot is
-	// renamed in before the segments it covers are deleted, so a copy never
-	// pairs an old snapshot with deleted segments.
-	var lost error
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-		if lost = crashCopyAnswers(t, dir, window, want); lost == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a copy of b's data directory lost a takeover: %v\nlog:\n%s", lost, logs.String())
-		}
+	// Both takeovers are durable once acknowledged: b's WAL holds them.
+	if lost := crashCopyAnswers(t, dir, window, want); lost != nil {
+		t.Fatalf("a copy of b's WAL segments lost a takeover: %v\nlog:\n%s", lost, logs.String())
+	}
+	if strings.Contains(logs.String(), "snapshot saved") {
+		t.Fatalf("a snapshot was saved before the stop; the copy must stand on the WAL alone\nlog:\n%s", logs.String())
 	}
 
 	b.stop(t)
@@ -509,65 +506,8 @@ func TestStopWithConnectedFollower(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
-// TestSnapshotOnTakeoverOnly: a clustered node with -data-dir and no
-// periodic snapshots writes one whenever an installed table assigns it a
-// community the table before did not, and none for a table that assigns
-// it nothing new. Tables arrive over /v1/placement, as gossip and a
-// promote's or a handoff's publication deliver them.
-func TestSnapshotOnTakeoverOnly(t *testing.T) {
-	var logs syncBuffer
-	log.SetOutput(&logs)
-	t.Cleanup(func() { log.SetOutput(os.Stderr) })
-
-	addr := freeAddr(t)
-	nodes := []service.Node{{ID: "a", Addr: "http://" + addr}, {ID: "b", Addr: "http://127.0.0.1:1"}}
-	topo := filepath.Join(t.TempDir(), "nodes.json")
-	body, err := json.Marshal(service.Topology{Nodes: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(topo, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a := boot(t, addr, "-node-id", "a", "-peers", topo, "-data-dir", filepath.Join(t.TempDir(), "data"),
-		"-snapshot-every", "0", "-failover-after", "0")
-	saved := func() int { return strings.Count(logs.String(), "snapshot saved") }
-	offer := func(epoch uint64, assign map[string]string) {
-		t.Helper()
-		body, err := json.Marshal(service.Placement{Epoch: epoch, Nodes: nodes, Assign: assign})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out service.OfferResponse
-		if err := json.Unmarshal(a.do(t, "POST", "/v1/placement", string(body), http.StatusOK), &out); err != nil || !out.Installed {
-			t.Fatalf("offer of epoch %d: %+v, %v", epoch, out, err)
-		}
-	}
-	awaitSaved := func(want int) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); saved() < want; time.Sleep(10 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d snapshots saved, want %d; log:\n%s", saved(), want, logs.String())
-			}
-		}
-	}
-
-	offer(1, map[string]string{"x": "a"})
-	awaitSaved(1)
-	offer(2, map[string]string{"x": "a", "y": "b"}) // nothing new for a
-	// No event marks a snapshot that is never written: wait far longer than
-	// a kicked one takes to land here.
-	time.Sleep(300 * time.Millisecond)
-	if n := saved(); n != 1 {
-		t.Fatalf("a table assigning a nothing new saved a snapshot: %d saved, want 1", n)
-	}
-	offer(3, map[string]string{"x": "a", "y": "b", "z": "a"})
-	awaitSaved(2)
-	a.stop(t)
-}
-
-// crashCopyAnswers copies the data directory the way a crash would leave
-// it, every WAL segment first and snapshot.json last, loads the copy, and
+// crashCopyAnswers copies the WAL segments of a data directory that holds
+// no snapshot, the way a crash would leave them, loads the copy, and
 // reports the first community whose window differs from want.
 func crashCopyAnswers(t *testing.T, dir string, window func(id string) string, want map[string][]byte) error {
 	t.Helper()
@@ -576,11 +516,11 @@ func crashCopyAnswers(t *testing.T, dir string, window func(id string) string, w
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range append(segs, filepath.Join(dir, "snapshot.json")) {
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("%s holds a snapshot (stat: %v)", dir, err)
+	}
+	for _, path := range segs {
 		data, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			continue // a segment a snapshot deleted since the glob, or no snapshot yet
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

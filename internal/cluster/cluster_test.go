@@ -344,23 +344,34 @@ func TestFollowerReconnects(t *testing.T) {
 	assertMirror(t, owner, replica, "alpha")
 }
 
-// TestAcceptFilter: a follower with an Accept filter only mirrors the
-// communities it accepts.
-func TestAcceptFilter(t *testing.T) {
+// TestSourceSkipsFencedReplicas: a node that holds a fenced replica of a
+// community another node owns does not stream it to its own followers,
+// which follow that owner for it. A catch-up from states sends only what
+// the node owns, and the replica's installs and records never reach its
+// journal, so the ring does not carry them either.
+func TestSourceSkipsFencedReplicas(t *testing.T) {
 	owner := service.New(service.Opts{})
-	src, err := NewSource(SourceOpts{Owner: owner, Heartbeat: 20 * time.Millisecond})
+	src, err := NewSource(SourceOpts{Owner: owner, RingSize: 4, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
 	owner.SetJournal(src)
+	seed(t, owner, "alpha", 8) // well past a 4-record ring: catch-up sends states
+	elsewhere := service.New(service.Opts{})
+	beta, err := elsewhere.Create("beta", 4, [][2]int{{0, 1}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.InstallReplica(beta.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Replicate(beta.Seq()+1, service.Record{Op: service.OpMarry, ID: "beta", U: 1, V: 2}); err != nil {
+		t.Fatal(err)
+	}
 	addr := serveStream(t, listenTCP(t), src)
 
 	replica := service.New(service.Opts{})
-	fol, err := NewFollower(FollowerOpts{
-		Owner: replica, Addr: addr,
-		Accept: func(id string) bool { return id == "alpha" },
-		Logf:   t.Logf,
-	})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: addr, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
 	}
@@ -368,15 +379,11 @@ func TestAcceptFilter(t *testing.T) {
 	defer cancel()
 	go fol.Run(ctx)
 
-	seed(t, owner, "alpha", 4)
-	seed(t, owner, "beta", 4)
 	want := src.Seq()
-	waitFor(t, "replication", func() bool { return fol.Applied() >= want })
-	if _, ok := replica.Get("alpha"); !ok {
-		t.Fatal("accepted community not replicated")
-	}
+	waitFor(t, "catch-up", func() bool { return fol.Applied() >= want })
+	assertMirror(t, owner, replica, "alpha")
 	if _, ok := replica.Get("beta"); ok {
-		t.Fatal("filtered community was replicated")
+		t.Fatal("the source streamed a replica it does not own")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -95,31 +96,72 @@ func (d *Detector) Run(ctx context.Context) {
 	}
 }
 
-// Gossip runs one placement anti-entropy round: pull every peer's table
-// (installing any that supersedes ours), then push ours to peers still
-// behind. A rejoining node converges to the cluster's epoch within one
-// round — which is also how a stale owner learns it has been failed over.
-// An answered pull is the peer's proof of life. Once Run has started, only
-// its goroutine may call Gossip.
+// Gossip runs one placement anti-entropy round: pull every peer's table,
+// all at once (installing any that supersedes ours), then push ours to
+// peers still behind. A rejoining node converges to the cluster's epoch
+// within one round — which is also how a stale owner learns it has been
+// failed over. An answered pull is the peer's proof of life, stamped with
+// the time it answered. A member that hangs costs the round at most one
+// client timeout, however many hang. Once Run has started, only its
+// goroutine may call Gossip.
 func (d *Detector) Gossip(ctx context.Context) {
-	self := d.rt.Self()
-	for _, n := range d.rt.Nodes() {
-		if n.ID == self || n.Addr == "" {
+	peers := others(d.rt.Nodes(), d.rt.Self(), "")
+	pulls := ask(ctx, peers, d.client.Placement)
+	for i, pull := range pulls {
+		if pull.err != nil {
 			continue
 		}
-		p, err := d.client.Placement(ctx, n.Addr)
-		if err != nil {
-			continue
-		}
-		d.seen[n.ID] = time.Now()
-		if installed, err := d.rt.SetPlacement(p); err == nil && installed {
-			d.debugf("cluster: adopted epoch %d from %s", p.Epoch, n.ID)
-		}
-		if cur := d.rt.Placement(); cur.Epoch > p.Epoch {
-			// Best effort: a peer that misses the push pulls next round.
-			_, _ = d.client.Offer(ctx, n.Addr, cur)
+		d.seen[peers[i].ID] = pull.at
+		if installed, err := d.rt.SetPlacement(pull.v); err == nil && installed {
+			d.debugf("cluster: adopted epoch %d from %s", pull.v.Epoch, peers[i].ID)
 		}
 	}
+	cur := d.rt.Placement()
+	var behind []service.Node
+	for i, pull := range pulls {
+		if pull.err == nil && pull.v.Epoch < cur.Epoch {
+			behind = append(behind, peers[i])
+		}
+	}
+	// Best effort: a peer that misses the push pulls next round.
+	ask(ctx, behind, func(ctx context.Context, addr string) (service.OfferResponse, error) {
+		return d.client.Offer(ctx, addr, cur)
+	})
+}
+
+// reply is one member's answer to ask, and when it came.
+type reply[T any] struct {
+	v   T
+	err error
+	at  time.Time
+}
+
+// ask calls get with every node's address at once, one goroutine each,
+// and returns their replies in nodes' order once all have come.
+func ask[T any](ctx context.Context, nodes []service.Node, get func(context.Context, string) (T, error)) []reply[T] {
+	out := make([]reply[T], len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].v, out[i].err = get(ctx, n.Addr)
+			out[i].at = time.Now()
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// others returns the members with an address but self and dead.
+func others(nodes []service.Node, self, dead string) []service.Node {
+	var out []service.Node
+	for _, n := range nodes {
+		if n.ID != self && n.ID != dead && n.Addr != "" {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // detect runs an election for every followed owner that answered no
@@ -140,15 +182,20 @@ func (d *Detector) detect(ctx context.Context, start time.Time) {
 
 // failover elects a new owner for every community the dead node held, by
 // publishing a table (epoch+1) that assigns each to its most-caught-up
-// replica — highest applied sequence across the surviving peers' status
-// answers, node id breaking ties. Every survivor detecting the death runs
-// the same election; identical data yields identical tables (idempotent
-// republication), and divergent ones converge by fingerprint order, the
-// loser refencing through its table watcher.
+// replica — the copy ahead by (space, seq) (service.Ahead) across the
+// surviving peers' status answers, read all at once, node id breaking
+// ties. Every survivor detecting the death runs the same election;
+// identical data yields identical tables (idempotent republication), and
+// divergent ones converge by fingerprint order, the loser refencing
+// through its table watcher.
 func (d *Detector) failover(ctx context.Context, dead string) {
 	cur := d.rt.Placement()
-	orphans := map[string]uint64{} // community → best seq seen so far
-	winner := map[string]string{}  // community → node holding it
+	type bid struct {
+		space service.Space
+		seq   uint64
+		node  string
+	}
+	orphans := map[string]bid{} // community → the best copy seen so far
 	self := d.rt.Self()
 	for _, id := range d.owner.List() {
 		if d.rt.Place(id) != dead {
@@ -158,29 +205,22 @@ func (d *Detector) failover(ctx context.Context, dead string) {
 		if !ok {
 			continue
 		}
-		orphans[id] = c.Seq()
-		winner[id] = self
+		orphans[id] = bid{c.Space(), c.Seq(), self}
 	}
 	if len(orphans) == 0 {
 		return
 	}
 	// Let surviving peers outbid us per community.
-	for _, n := range cur.Nodes {
-		if n.ID == self || n.ID == dead || n.Addr == "" {
+	peers := others(cur.Nodes, self, dead)
+	for i, st := range ask(ctx, peers, d.client.Status) {
+		if st.err != nil {
 			continue
 		}
-		st, err := d.client.Status(ctx, n.Addr)
-		if err != nil {
-			continue
-		}
-		for _, cs := range st.Communities {
+		for _, cs := range st.v.Communities {
 			best, ok := orphans[cs.ID]
-			if !ok {
-				continue
-			}
-			if cs.Seq > best || (cs.Seq == best && n.ID < winner[cs.ID]) {
-				orphans[cs.ID] = cs.Seq
-				winner[cs.ID] = n.ID
+			if ok && (service.Ahead(cs.Space, cs.Seq, best.space, best.seq) ||
+				(cs.Space == best.space && cs.Seq == best.seq && peers[i].ID < best.node)) {
+				orphans[cs.ID] = bid{cs.Space, cs.Seq, peers[i].ID}
 			}
 		}
 	}
@@ -189,24 +229,22 @@ func (d *Detector) failover(ctx context.Context, dead string) {
 	if p.Assign == nil {
 		p.Assign = make(map[string]string)
 	}
-	ids := make([]string, 0, len(winner))
-	for id := range winner {
+	ids := make([]string, 0, len(orphans))
+	for id := range orphans {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		p.Assign[id] = winner[id]
-		d.debugf("cluster: failover: %s → %s at seq %d (epoch %d)", id, winner[id], orphans[id], p.Epoch)
+		p.Assign[id] = orphans[id].node
+		d.debugf("cluster: failover: %s → %s at seq %d (epoch %d)", id, orphans[id].node, orphans[id].seq, p.Epoch)
 	}
 	installed, err := d.rt.SetPlacement(p)
 	if err != nil || !installed {
 		return // a competing table (ours or newer) won; conform to it
 	}
 	delete(d.seen, dead) // don't re-elect every tick while it stays down
-	for _, n := range p.Nodes {
-		if n.ID != self && n.ID != dead && n.Addr != "" {
-			// Best effort: gossip carries the table to peers that miss it.
-			_, _ = d.client.Offer(ctx, n.Addr, p)
-		}
-	}
+	// Best effort: gossip carries the table to peers that miss it.
+	ask(ctx, peers, func(ctx context.Context, addr string) (service.OfferResponse, error) {
+		return d.client.Offer(ctx, addr, p)
+	})
 }

@@ -53,8 +53,7 @@ func TestDetectorFailsOverOnlyTheDead(t *testing.T) {
 	// The handler registration wires the fence-reconciliation watcher that
 	// unfences what an election assigns here.
 	service.NewHandler(service.HandlerOpts{Owner: ownerB, Router: rtB})
-	fol, err := NewFollower(FollowerOpts{Owner: ownerB, Addr: nodes[0].Addr, Backoff: 50 * time.Millisecond,
-		Accept: func(id string) bool { return rtB.Place(id) == "a" }})
+	fol, err := NewFollower(FollowerOpts{Owner: ownerB, Addr: nodes[0].Addr, Backoff: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +211,49 @@ func TestDetectorBlamesOnlyTheSilent(t *testing.T) {
 	}
 	if c, _ := owner.Get(held["a"]); !c.Fenced() {
 		t.Fatalf("b unfenced %s while its owner a is alive", held["a"])
+	}
+}
+
+// TestGossipPullsConcurrently: one Gossip round against two peers that
+// each hold a pull for 300ms and then refuse it, and one that answers at
+// once, takes one slow pull's time, not two, and stamps only the peer that
+// answered. Pulled one at a time, the round would take 600ms or more.
+func TestGossipPullsConcurrently(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	lns := []net.Listener{listenTCP(t), listenTCP(t), listenTCP(t)}
+	nodes := []service.Node{{ID: "b", Addr: "http://127.0.0.1:1"}}
+	for i, id := range []string{"a", "s1", "s2"} {
+		nodes = append(nodes, service.Node{ID: id, Addr: "http://" + lns[i].Addr().String()})
+	}
+	rtA, err := service.NewRouter(service.RouterOpts{Self: "a", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdThenRefuse := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(hold)
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	})
+	for i, h := range []http.Handler{service.NewHandler(service.HandlerOpts{Owner: service.New(service.Opts{}), Router: rtA}),
+		holdThenRefuse, holdThenRefuse} {
+		srv := &http.Server{Handler: h}
+		go srv.Serve(lns[i])
+		t.Cleanup(func() { srv.Close() })
+	}
+	rt, err := service.NewRouter(service.RouterOpts{Self: "b", Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := NewDetector(DetectorOpts{Router: rt, Owner: service.New(service.Opts{}), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	det.Gossip(context.Background())
+	if took := time.Since(start); took >= hold*3/2 {
+		t.Fatalf("a gossip round with two peers holding their pulls for %v took %v", hold, took)
+	}
+	if _, ok := det.seen["a"]; !ok || len(det.seen) != 1 {
+		t.Fatalf("the round stamped %v, want only a", det.seen)
 	}
 }
 

@@ -19,10 +19,6 @@ type FollowerOpts struct {
 	Owner *service.Owner
 	// Addr is the owner's base URL, its topology Addr (required).
 	Addr string
-	// Accept filters which communities this follower replicates; nil
-	// accepts all. Used by sharded deployments so a node only mirrors the
-	// communities placed on the peer it follows.
-	Accept func(id string) bool
 	// Backoff caps the reconnect delay; 0 means 2s.
 	Backoff time.Duration
 	// Logf, when set, receives reconnect/replay diagnostics.
@@ -36,7 +32,6 @@ type FollowerOpts struct {
 type Follower struct {
 	owner   *service.Owner
 	addr    string
-	accept  func(string) bool
 	backoff time.Duration
 	logf    func(string, ...any)
 
@@ -60,7 +55,6 @@ func NewFollower(o FollowerOpts) (*Follower, error) {
 	return &Follower{
 		owner:   o.Owner,
 		addr:    o.Addr,
-		accept:  o.Accept,
 		backoff: o.Backoff,
 		logf:    o.Logf,
 	}, nil
@@ -124,23 +118,24 @@ func (f *Follower) runOnce(ctx context.Context) error {
 	})
 }
 
-// stream is the applier of one subscription. It keeps the communities
-// Accept admits, except one this node owns unfenced (promoted, or taken
-// over), which a stale stream must never overwrite. A streamed record
-// moves the subscription watermark only after the catch-up heartbeat:
-// until then the stream may be mid-snapshot-phase, and a drop there must
-// not make the reconnect skip communities whose snapshots never arrived.
+// stream is the applier of one subscription. It keeps every community
+// the owner streams, except one this node owns unfenced (promoted, or taken
+// over), which a stream must never overwrite: only a handoff whose table
+// supersedes may. Which copy of a followed community is current is the
+// records' and states' sequence spaces' to decide, so a node that follows
+// several owners takes a moved community from whichever owner streams it
+// now. A streamed record moves the subscription watermark only after the
+// catch-up heartbeat: until then the stream may be mid-snapshot-phase, and
+// a drop there must not make the reconnect skip communities whose
+// snapshots never arrived.
 func (f *Follower) stream() *applier {
 	return &applier{
 		owner: f.owner,
 		keep: func(id string) bool {
-			if f.accept != nil && !f.accept(id) {
-				return false
-			}
 			c, ok := f.owner.Get(id)
 			return !ok || c.Fenced()
 		},
-		passed: func(seq uint64) {
+		passed: func(seq uint64, _ service.Record) {
 			f.mu.Lock()
 			if f.caughtUp {
 				f.applied = max(f.applied, seq)

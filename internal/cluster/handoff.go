@@ -136,12 +136,15 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 
 // receiveHandoff serves one request of a handoff. Its body opens with the
 // offer, which it checks. An offer carrying the state installs it as a
-// fenced replica and is answered once installed. One without it is
-// followed by the tail and the cut marker, which it applies before it
-// takes ownership and installs the offered table; its answer is the ack.
-// The applier keeps only the handed-off community, and an offer whose
-// table supersedes this node's replaces even a copy it owns unfenced. Any
-// failure refuses, so the sender keeps serving at the old epoch.
+// fenced replica, journaled (Owner.InstallOffer), and is answered once
+// installed. One without it is followed by the tail and the cut marker,
+// which it applies before it takes the community over, in the sequence
+// space of the offered table's epoch and this node, with one journaled
+// takeover record that carries the tail (Owner.TakeOver), and installs the
+// offered table; its answer is the ack. The applier keeps only the
+// handed-off community, and an offer whose table supersedes this node's
+// replaces even a copy it owns unfenced. Any failure refuses, so the
+// sender keeps serving at the old epoch.
 func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 	if s.router == nil {
 		refuse(w, service.CodeUnavailable, "this node does not accept handoffs")
@@ -179,16 +182,25 @@ func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 		refuse(w, service.CodeConflict, "this node already owns %q at epoch %d", id, cur.Epoch)
 		return
 	}
-	a := &applier{owner: s.owner, keep: func(c string) bool { return c == id }}
 	if len(stateJSON) > 0 {
 		st, err := decodeState(stateJSON)
 		if err != nil || st.ID != id {
 			refuse(w, service.CodeBadRequest, "handoff offer state is malformed")
-		} else if err := a.install(st); err != nil {
+		} else if c, err := s.owner.InstallOffer(st); err != nil {
 			refuse(w, service.CodeInternal, "%v", err)
+		} else if c.Space() != st.Space {
+			// The copy kept is from a newer space: the sender is not its owner.
+			refuse(w, service.CodeConflict, "this node holds %q from a newer sequence space than the offer's", id)
 		}
 		return
 	}
+	var tail []service.SeqRecord // the records the applier kept, for the takeover record
+	keep := func(c string) bool { return c == id }
+	a := &applier{owner: s.owner, keep: keep, journal: true, passed: func(seq uint64, rec service.Record) {
+		if keep(rec.ID) {
+			tail = append(tail, service.SeqRecord{Seq: seq, Record: rec})
+		}
+	}}
 	var cut uint64
 	if err := a.receive(r.Body, func(seq uint64) bool { cut = seq; return false }); err != nil {
 		// The sender died mid-handoff or streamed what does not apply; the
@@ -201,6 +213,9 @@ func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The sender has fenced at cut and everything ≤ cut is applied: flip.
-	s.owner.TakeOwnership(id)
+	if err := s.owner.TakeOver(id, service.Space{Epoch: epoch, Node: s.router.Self()}, tail, true); err != nil {
+		service.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
 	_, _ = s.router.SetPlacement(table)
 }

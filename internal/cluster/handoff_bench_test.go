@@ -12,45 +12,102 @@ import (
 )
 
 // BenchmarkHandoffPause hands a power-law community of n families from one
-// in-process node to another over loopback HTTP, with no write landing
-// while it runs, so the tail is empty. pause-ms is the write pause Handoff
-// reports; ns/op is the whole handoff, export and install included. Each
+// in-process node to another over loopback HTTP, with no write landing on
+// it while it runs, so the tail is empty. pause-ms is the write pause
+// Handoff reports; ns/op is the whole handoff, export, install and the
+// install's journaling included. In a separate run, n=N,writing, one
+// writer alternates a marriage and a divorce on another community the
+// receiver owns throughout the handoff; other-write-ms is its slowest op,
+// what the receiver's decode, install and journaling of the offered state
+// cost its other writers. Both are averaged over iterations. Each
 // iteration boots a fresh pair of nodes; run it with -benchtime 3x.
 func BenchmarkHandoffPause(b *testing.B) {
 	for _, n := range []int{50_000, 200_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g, err := graph.ParseSpec(fmt.Sprintf("powerlaw:n=%d,m=3", n), 1)
-			if err != nil {
-				b.Fatal(err)
+		g, err := graph.ParseSpec(fmt.Sprintf("powerlaw:n=%d,m=3", n), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, writing := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d", n)
+			if writing {
+				name += ",writing"
 			}
-			var pause time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a, to, table, stop := bootBenchPair(b)
-				if _, err := a.owner.CreateFromGraph("big", g, ""); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				var pause, worst time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					a, to, table, stop := bootBenchPair(b)
+					if _, err := a.owner.CreateFromGraph("big", g, ""); err != nil {
+						b.Fatal(err)
+					}
+					table.Assign["big"] = "b"
+					halt, slowest := make(chan struct{}), make(chan time.Duration, 1)
+					if writing {
+						other, err := to.owner.Create("other", 64, nil, "")
+						if err != nil {
+							b.Fatal(err)
+						}
+						started := make(chan struct{})
+						go writeUntil(b, other, halt, started, slowest)
+						<-started
+					} else {
+						slowest <- 0
+					}
+					b.StartTimer()
+					res, err := Handoff(a.owner, a.src, a.rt, "big", table, time.Minute)
+					b.StopTimer()
+					close(halt)
+					worst += <-slowest
+					if err != nil {
+						b.Fatal(err)
+					}
+					pause += res.Pause
+					stop()
+					b.StartTimer()
 				}
-				table.Assign["big"] = to
-				b.StartTimer()
-				res, err := Handoff(a.owner, a.src, a.rt, "big", table, time.Minute)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
+				if writing {
+					b.ReportMetric(float64(worst.Microseconds())/1e3/float64(b.N), "other-write-ms")
+				} else {
+					b.ReportMetric(float64(pause.Microseconds())/1e3/float64(b.N), "pause-ms")
 				}
-				pause += res.Pause
-				stop()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(pause.Microseconds())/1e3/float64(b.N), "pause-ms")
-		})
+			})
+		}
+	}
+}
+
+// writeUntil alternates a marriage and a divorce on c, closing started
+// after its first op, until halt closes; then it sends its slowest op.
+func writeUntil(b *testing.B, c *service.Community, halt, started chan struct{}, slowest chan<- time.Duration) {
+	var worst time.Duration
+	for i := 0; ; i++ {
+		select {
+		case <-halt:
+			slowest <- worst
+			return
+		default:
+		}
+		t0 := time.Now()
+		var err error
+		if i%2 == 0 {
+			_, err = c.Marry(0, 32)
+		} else {
+			_, _, err = c.Divorce(0, 32)
+		}
+		worst = max(worst, time.Since(t0))
+		if err != nil {
+			b.Error(err)
+		}
+		if i == 0 {
+			close(started)
+		}
 	}
 }
 
 // bootBenchPair boots nodes a and b, each an owner journaled by a Source
 // that serves the stream route on its own loopback listener, and returns
-// a, b's id, a table one epoch ahead, and a function that stops both.
-func bootBenchPair(b *testing.B) (*hNode, string, service.Placement, func()) {
+// a, b, a table one epoch ahead, and a function that stops both.
+func bootBenchPair(b *testing.B) (*hNode, *hNode, service.Placement, func()) {
 	var lns []net.Listener
 	var nodes []service.Node
 	for _, id := range []string{"a", "b"} {
@@ -84,7 +141,7 @@ func bootBenchPair(b *testing.B) (*hNode, string, service.Placement, func()) {
 	}
 	table := hs[0].rt.Placement()
 	table.Epoch++
-	return hs[0], "b", table, func() {
+	return hs[0], hs[1], table, func() {
 		for _, stop := range stops {
 			stop()
 		}

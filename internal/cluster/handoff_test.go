@@ -118,8 +118,8 @@ func TestHandoffEndToEnd(t *testing.T) {
 		t.Fatal("placement does not point at the new owner on both nodes")
 	}
 
-	// The new owner serves writes (TakeOwnership rebased its sequence into
-	// the local journal space, so the write journals cleanly)...
+	// The new owner serves writes, in the sequence space its takeover
+	// started...
 	if _, err := bc.Marry(1, 2); err != nil {
 		t.Fatalf("write on the new owner: %v", err)
 	}
@@ -421,9 +421,11 @@ func TestHandoffTailWithoutOfferRefused(t *testing.T) {
 
 // TestDoubleSelfPromotionConverges: two replicas of a dead owner's
 // community each elect themselves (neither can reach the other's status),
-// publishing competing tables at the same epoch. Once the tables cross,
-// both nodes converge on the fingerprint winner and the loser refences —
-// exactly one owner survives.
+// publishing competing tables at the same epoch. The loser takes a write
+// meanwhile. Once the tables cross, both nodes converge on the fingerprint
+// winner and the loser refences — exactly one owner survives — and the
+// winner's state, offered to the loser, replaces the loser's diverged
+// copy: the two same-epoch sequence spaces order as the tables do.
 func TestDoubleSelfPromotionConverges(t *testing.T) {
 	nodes := []service.Node{{ID: "a"}, {ID: "b"}, {ID: "c"}}
 	mk := func(id string) (*service.Owner, *service.Router) {
@@ -481,6 +483,14 @@ func TestDoubleSelfPromotionConverges(t *testing.T) {
 	if cb.Fenced() || cc.Fenced() {
 		t.Fatal("self-promotion did not unfence the local replica")
 	}
+	lost := ownerC // the owner of the table that does not win
+	if pc.Supersedes(pb) {
+		lost = ownerB
+	}
+	lc, _ := lost.Get("x")
+	if _, err := lc.Marry(1, 2); err != nil {
+		t.Fatalf("write on the loser before the tables cross: %v", err)
+	}
 
 	// The partition heals: the competing tables cross (gossip), and the
 	// fingerprint order picks one winner on both nodes.
@@ -502,6 +512,21 @@ func TestDoubleSelfPromotionConverges(t *testing.T) {
 		if cc.Fenced() || !cb.Fenced() {
 			t.Fatalf("winner c: fenced(b)=%v fenced(c)=%v, want true/false", cb.Fenced(), cc.Fenced())
 		}
+	}
+
+	won := map[string]*service.Owner{"b": ownerB, "c": ownerC}[winner]
+	wc, _ := won.Get("x")
+	if lost == won {
+		t.Fatalf("the write went to the winner %s", winner)
+	}
+	if _, err := lost.InstallReplica(wc.Export()); err != nil {
+		t.Fatalf("offer the winner's state to the loser: %v", err)
+	}
+	if got, want := windowJSON(t, lost, "x"), windowJSON(t, won, "x"); got != want {
+		t.Fatalf("the loser kept its diverged copy over the winner's state:\nloser  %s\nwinner %s", got, want)
+	}
+	if now, _ := lost.Get("x"); !now.Fenced() || now.Space() != wc.Space() {
+		t.Fatalf("the loser's copy: fenced %v in space %+v, want fenced in the winner's %+v", now.Fenced(), now.Space(), wc.Space())
 	}
 }
 

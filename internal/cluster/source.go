@@ -18,7 +18,9 @@
 // Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
 // frozen-schedule caches while direct writes fail closed with not_owner
-// until a promotion lifts the fence.
+// until a takeover lifts the fence. States and records carry their
+// community's sequence space, so a node may follow several owners and
+// takes a moved community from whichever streams it now.
 package cluster
 
 import (
@@ -32,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -65,10 +68,11 @@ type ringRec struct {
 type SourceOpts struct {
 	// Owner is the community store snapshots are exported from (required).
 	Owner *service.Owner
-	// Journal is the durable journal the source wraps, the persist.WAL in
-	// holidayd. Nil runs the source as the journal itself (in-memory
-	// sequence assignment, no disk), the no-durability configuration.
-	Journal service.BatchJournal
+	// Journal is the durable journal the source wraps, the data
+	// directory's WAL in holidayd. Nil runs the source as the journal
+	// itself (in-memory sequence assignment, no disk), the no-durability
+	// configuration.
+	Journal *persist.WAL
 	// Start seeds the sequence counter (Journal.Seq() after recovery) so
 	// replication sequences line up with the WAL's.
 	Start uint64
@@ -90,7 +94,7 @@ type SourceOpts struct {
 // also the http.Handler of StreamPath. Safe for concurrent use.
 type Source struct {
 	owner     *service.Owner
-	inner     service.BatchJournal
+	inner     *persist.WAL
 	heartbeat time.Duration
 	router    *service.Router
 
@@ -147,13 +151,24 @@ func (s *Source) Log(rec service.Record) (uint64, error) {
 	return s.LogBatch([]service.Record{rec})
 }
 
-// LogBatch implements service.BatchJournal and is the source's one append:
-// the batch is logged to the wrapped journal (write-ahead durability
-// first), which assigns it consecutive sequences, then each record is
-// ringed and fanned out. The source mutex is held across the inner append
-// so ring order always matches sequence order — taking it after would let
-// concurrent appends fan out records out of order.
+// LogBatch implements service.BatchJournal and is the source's one append.
+// The batch is encoded once, with no lock held, so a takeover's
+// state-sized install record stalls no other write. Then it is logged to
+// the wrapped WAL (write-ahead durability first), which assigns it
+// consecutive sequences and splices them into the same bytes, and each
+// record is ringed and fanned out. The source mutex is held across the
+// inner append so ring order always matches sequence order — taking it
+// after would let concurrent appends fan out records out of order.
 func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
+	var small [4][]byte // so a small batch allocates no slice for its records
+	data := small[:0]
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: encode replication record: %w", err)
+		}
+		data = append(data, line)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(recs) == 0 {
@@ -162,17 +177,13 @@ func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
 	last := s.seq + uint64(len(recs))
 	if s.inner != nil {
 		var err error
-		if last, err = s.inner.LogBatch(recs); err != nil {
+		if last, err = s.inner.LogEncoded(data); err != nil {
 			return 0, err
 		}
 	}
 	first := last - uint64(len(recs)) + 1
 	for i, rec := range recs {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: encode replication record: %w", err)
-		}
-		s.pushLocked(ringRec{community: rec.ID, RawRecord: wire.RawRecord{Seq: first + uint64(i), Data: data}})
+		s.pushLocked(ringRec{community: rec.ID, RawRecord: wire.RawRecord{Seq: first + uint64(i), Data: data[i]}})
 	}
 	s.seq = last
 	return last, nil

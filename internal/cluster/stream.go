@@ -81,10 +81,13 @@ func (f flusher) Write(p []byte) (int, error) {
 // to through, then Heartbeat(through). That is the ring's records in
 // (after, through] or, once the ring no longer reaches back to after, each
 // community's current state first, one Snapshot frame each so a mega
-// community cannot push a frame past wire.MaxFrame. A state exported after
-// through was read holds its community's records up to through, so one
-// community's state goes alone; every community's catch-up still sends the
-// ring, which carries deletes of communities no longer there to export.
+// community cannot push a frame past wire.MaxFrame. Every community's
+// catch-up sends only the communities this node owns: a fenced replica's
+// owner streams it, and this node's copy may trail that owner's. A state
+// exported after through was read holds its community's records up to
+// through, so one community's state goes alone; every community's
+// catch-up still sends the ring, which carries deletes of communities no
+// longer there to export, and takeovers of communities this node took.
 func (s *Source) catchUp(out *sender, community string, after, through uint64) error {
 	recs, covered := s.TailFor(community, after, through)
 	if !covered && after < through {
@@ -96,7 +99,7 @@ func (s *Source) catchUp(out *sender, community string, after, through uint64) e
 		}
 		for _, id := range ids {
 			c, ok := s.owner.Get(id)
-			if !ok {
+			if !ok || (community == "" && c.Fenced()) {
 				continue
 			}
 			cutoff, state, err := encodeState(c)
@@ -126,8 +129,11 @@ type applier struct {
 	// An accepted state replaces any local copy behind it, an unfenced one
 	// included; a caller that must never overwrite its own says so here.
 	keep func(id string) bool
-	// passed, when set, hears every streamed record's sequence, kept or not.
-	passed func(seq uint64)
+	// journal installs states through Owner.InstallOffer, which journals
+	// them: a handoff's, whose takeover replays onto them.
+	journal bool
+	// passed, when set, hears every streamed record, kept or not.
+	passed func(seq uint64, rec service.Record)
 }
 
 // receive applies the stream r carries until the stream fails or beat,
@@ -182,7 +188,11 @@ func (a *applier) install(st service.CommunityState) error {
 	if !a.keep(st.ID) {
 		return nil
 	}
-	if _, err := a.owner.InstallReplica(st); err != nil {
+	install := a.owner.InstallReplica
+	if a.journal {
+		install = a.owner.InstallOffer
+	}
+	if _, err := install(st); err != nil {
 		return fmt.Errorf("cluster: install replica %q: %w", st.ID, err)
 	}
 	return nil
@@ -200,7 +210,7 @@ func (a *applier) replicate(r wire.RawRecord) error {
 		}
 	}
 	if a.passed != nil {
-		a.passed(r.Seq)
+		a.passed(r.Seq, rec)
 	}
 	return nil
 }

@@ -115,3 +115,44 @@ func writeUntil(b *testing.B, c *service.Community, stop, started chan struct{},
 		}
 	}
 }
+
+// BenchmarkOpenLoad measures a restart after a crash left 1M churn records
+// journaled since the last snapshot (none here): Open, which finds the last
+// segment's torn tail and last sequence, then Load, which replays every
+// record. open-ms and load-ms are their durations, averaged over
+// iterations; ns/op is both. Run it with -benchtime 1x.
+func BenchmarkOpenLoad(b *testing.B) {
+	const pending = 1_000_000
+	store, _, _ := pendingStore(b, pending)
+	dir := store.dir
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var open, load time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		store, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		reg, err := store.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		open, load = open+t1.Sub(t0), load+t2.Sub(t1)
+		b.StopTimer()
+		if c, ok := reg.Get("c"); !ok || c.Seq() != pending+1 {
+			b.Fatalf("restored %v at the wrong sequence", ok)
+		}
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(open.Microseconds())/1e3/float64(b.N), "open-ms")
+	b.ReportMetric(float64(load.Microseconds())/1e3/float64(b.N), "load-ms")
+}

@@ -154,3 +154,31 @@ func TestScanWALSeeds(t *testing.T) {
 		t.Fatalf("torn-tail end %d is not a record boundary", end)
 	}
 }
+
+// FuzzOpenTail: wherever scan accepts a last segment, tail, which Open
+// runs instead and which decodes only the final record, must find the
+// same end of the valid prefix and the same last sequence; Load's scan
+// then reports what tail leaves undecoded.
+func FuzzOpenTail(f *testing.F) {
+	seed := walSeedLines(f)
+	f.Add(seed)
+	f.Add(seed[:len(seed)-7])                            // torn final record
+	f.Add(append(seed[:len(seed):len(seed)], "[]\n"...)) // valid JSON, not a record
+	f.Add(append(seed[:len(seed):len(seed)], `{"seq":9}`...))
+	f.Add([]byte("{\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var last uint64
+		end, err := segment{path, 1}.scan(&last, math.MaxUint64, func(uint64, service.Record) error { return nil })
+		if err != nil {
+			return
+		}
+		tend, tlast, err := segment{path, 1}.tail()
+		if err != nil || tend != end || tlast != last {
+			t.Fatalf("tail = (%d, %d, %v), scan = (%d, %d)", tend, tlast, err, end, last)
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -116,8 +117,7 @@ func openWAL(dir string, policy SyncPolicy, interval time.Duration, minSeq uint6
 		return nil, err
 	}
 	last := segs[len(segs)-1]
-	var lastSeq uint64
-	end, err := last.scan(&lastSeq, math.MaxUint64, func(uint64, service.Record) error { return nil })
+	end, lastSeq, err := last.tail()
 	if err != nil {
 		return nil, err
 	}
@@ -206,20 +206,88 @@ func (seg segment) scan(prev *uint64, next uint64, fn func(uint64, service.Recor
 	}
 }
 
+// tail returns where seg's valid prefix ends and the sequence of its last
+// record, for a seg that is the last segment. It judges the records as
+// scan does, but it decodes only the last complete line, and the line
+// before it when that one does not decode and so is torn; every other line
+// it only checks for JSON syntax, since Load's scan decodes them all next.
+func (seg segment) tail() (end int64, last uint64, err error) {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	var prev, final []byte // the last two syntactically valid lines
+	torn := false          // a torn line follows final
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return 0, 0, err
+		}
+		if len(line) == 0 {
+			break
+		}
+		// A final line without a newline is torn even if it parses.
+		if err != nil || !json.Valid(line) {
+			if _, perr := r.Peek(1); perr != io.EOF {
+				return 0, 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the final record)", seg.path, end)
+			}
+			torn = true
+			break
+		}
+		prev, final = final, line
+		end += int64(len(line))
+	}
+	var rec walRecord
+	if final == nil || json.Unmarshal(final, &rec) == nil {
+		return end, rec.Seq, nil
+	}
+	if end -= int64(len(final)); torn {
+		return 0, 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the final record)", seg.path, end)
+	}
+	if prev == nil {
+		return end, 0, nil
+	}
+	var before walRecord
+	if err := json.Unmarshal(prev, &before); err != nil {
+		return 0, 0, fmt.Errorf("persist: %s: corrupt record at offset %d (not the final record): %w", seg.path, end-int64(len(prev)), err)
+	}
+	return end, before.Seq, nil
+}
+
 // Log implements service.Journal as a batch of one.
 func (w *WAL) Log(rec service.Record) (uint64, error) {
 	return w.LogBatch([]service.Record{rec})
 }
 
-// LogBatch implements service.BatchJournal and is the WAL's one append:
-// assign K consecutive sequences and append all K records under one mutex
-// acquisition, one buffered write, and — under SyncAlways — one fsync for
-// the whole batch, so a flush of K edits costs one disk round instead of K.
-// Under SyncBatch the background flusher syncs within
-// Options.SyncInterval. Returns the sequence of the last record. Every
-// record is marshaled before any byte is written, so an encoding error
-// leaves the log untouched; a failed write or fsync fail-stops the WAL.
+// LogBatch implements service.BatchJournal: it encodes the records, with
+// no lock held, and appends them with LogEncoded. An encoding error leaves
+// the log untouched.
 func (w *WAL) LogBatch(recs []service.Record) (uint64, error) {
+	var small [4][]byte // so a small batch allocates no slice for its lines
+	data := small[:0]
+	for i, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return 0, fmt.Errorf("persist: encode WAL record %d of batch: %w", i, err)
+		}
+		data = append(data, line)
+	}
+	return w.LogEncoded(data)
+}
+
+// LogEncoded is the WAL's one append. Each of data is one service.Record
+// as json.Marshal encodes it, an object that is never empty, since op, id,
+// u and v are always present. It assigns them K consecutive sequences and
+// appends them under one mutex acquisition and — under SyncAlways — one
+// fsync for the whole batch, so a flush of K edits costs one disk round
+// instead of K. Under SyncBatch the background flusher syncs within
+// Options.SyncInterval. Each line is the record with its sequence spliced
+// in as the first field, the bytes json.Marshal writes for a walRecord,
+// so however large a record is, the mutex covers no encoding. Returns the
+// sequence of the last record. A failed write or fsync fail-stops the WAL.
+func (w *WAL) LogEncoded(data [][]byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -228,25 +296,20 @@ func (w *WAL) LogBatch(recs []service.Record) (uint64, error) {
 	if w.failed != nil {
 		return 0, fmt.Errorf("persist: WAL fail-stopped; restart to recover: %w", w.failed)
 	}
-	if len(recs) == 0 {
+	if len(data) == 0 {
 		return w.seq, nil
 	}
-	var buf []byte // a batch of one is written from Marshal's own buffer
-	for i, rec := range recs {
-		line, err := json.Marshal(walRecord{Seq: w.seq + uint64(i) + 1, Record: rec})
-		if err != nil {
-			return 0, fmt.Errorf("persist: encode WAL record %d of batch: %w", i, err)
+	for i, rec := range data {
+		w.w.WriteString(`{"seq":`)
+		w.w.Write(strconv.AppendUint(w.w.AvailableBuffer(), w.seq+uint64(i)+1, 10))
+		w.w.WriteByte(',')
+		w.w.Write(rec[1:])
+		if err := w.w.WriteByte('\n'); err != nil { // bufio's error is sticky
+			w.failed = fmt.Errorf("persist: append WAL batch: %w", err)
+			return 0, w.failed
 		}
-		if i > 0 {
-			line = append(buf, line...)
-		}
-		buf = append(line, '\n')
 	}
-	if _, err := w.w.Write(buf); err != nil {
-		w.failed = fmt.Errorf("persist: append WAL batch: %w", err)
-		return 0, w.failed
-	}
-	w.seq += uint64(len(recs))
+	w.seq += uint64(len(data))
 	w.dirty = true
 	if w.policy == SyncAlways {
 		if err := w.syncLocked(); err != nil {

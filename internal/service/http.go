@@ -101,11 +101,13 @@ func NewHandler(h HandlerOpts) http.Handler {
 	a := &apiHandler{HandlerOpts: h, client: &http.Client{}}
 	if h.Router != nil {
 		a.node = h.Router.Self()
-		// Every installed table reconciles local fences: communities the
-		// table moved elsewhere stop taking writes, and explicit assignments
-		// to this node promote their fenced replicas. Ring-derived placement
-		// never auto-promotes — only an explicit assignment (published by a
-		// handoff, failover election, or promote) lifts a fence.
+		// The table at construction and every installed table reconcile
+		// local fences: communities the table places elsewhere stop taking
+		// writes, and explicit assignments to this node take over their
+		// fenced replicas. Ring-derived placement never auto-promotes —
+		// only an explicit assignment (published by a handoff, failover
+		// election, or promote) lifts a fence.
+		syncFences(h.Owner, h.Router)
 		h.Router.OnChange(func(Placement) { syncFences(h.Owner, h.Router) })
 	}
 	mux := http.NewServeMux()
@@ -504,9 +506,11 @@ type CommunityStatus struct {
 	// Placed is the node the topology places the community on (only with a
 	// router).
 	Placed string `json:"placed,omitempty"`
-	// Seq is the last journal sequence applied locally. A follower row's
-	// lag is its owner row's Seq minus this, read from the owner's status.
-	Seq uint64 `json:"seq"`
+	// Seq is the last journal sequence applied locally, and Space the
+	// sequence space it counts in. A follower row's lag is its owner row's
+	// Seq minus this when both rows name the same Space.
+	Seq   uint64 `json:"seq"`
+	Space Space  `json:"space,omitzero"`
 }
 
 // NodeStatus is the GET /v1/status answer.
@@ -532,7 +536,7 @@ func (a *apiHandler) serveStatus(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		cs := CommunityStatus{ID: id, Kind: c.Kind(), Role: "owner", Seq: c.Seq()}
+		cs := CommunityStatus{ID: id, Kind: c.Kind(), Role: "owner", Seq: c.Seq(), Space: c.Space()}
 		if c.Fenced() {
 			cs.Role = "follower"
 		}
@@ -562,9 +566,9 @@ type PromoteResponse struct {
 }
 
 // servePromote takes ownership of a community this node replicates: it
-// publishes an epoch-bumped table assigning the community here and the
-// fence lifts (rebasing the replica into the local journal's sequence
-// space), so writes land locally from the next request on. The break-glass
+// publishes an epoch-bumped table assigning the community here, whose
+// fence sync takes the replica over (Owner.TakeOver, journaled), so writes
+// land locally from the next request on. The break-glass
 // failover path for when the automatic election cannot run; normal
 // failovers promote without any operator call.
 func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
@@ -591,7 +595,7 @@ func (a *apiHandler) servePromote(w http.ResponseWriter, r *http.Request) {
 
 // promote publishes the current table one epoch on with community
 // assigned to this node and returns the installed table. The install's
-// fence sync lifts the community's fence before SetPlacement returns; a
+// fence sync takes the community over before SetPlacement returns; a
 // concurrent install that wins first forces a re-read and another try.
 func (a *apiHandler) promote(community string) (Placement, error) {
 	a.promoteMu.Lock()
@@ -694,27 +698,30 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// syncFences reconciles local ownership with the installed table after
-// every placement change. Communities this node holds unfenced but the
-// table places elsewhere are fenced (fail closed: a node that lost a
-// community must stop taking writes the moment it learns). Fenced replicas
-// the table explicitly assigns to this node are promoted — explicit
-// assignments are only ever published by handoffs, elections, and the
-// promote endpoint, so ring-derived placement alone never lifts a fence.
+// syncFences reconciles local ownership with the installed table, once
+// when the handler is built and after every placement change. Communities
+// this node holds unfenced but the table places elsewhere are fenced (fail
+// closed: a node that lost a community must stop taking writes the moment
+// it learns). Fenced replicas the table explicitly assigns to this node
+// are taken over in the sequence space of the table's epoch and this node
+// — explicit assignments are only ever published by handoffs, elections,
+// and the promote endpoint, so ring-derived placement alone never lifts a
+// fence. A takeover that cannot be journaled leaves the replica fenced,
+// and the next table tries again.
 func syncFences(o *Owner, rt *Router) {
 	self := rt.Self()
 	if self == "" {
 		return
 	}
-	assign := rt.Overrides()
+	p := rt.Placement()
 	for _, id := range o.List() {
 		c, ok := o.Get(id)
 		if !ok {
 			continue
 		}
-		if assign[id] == self {
+		if p.Assign[id] == self {
 			if c.Fenced() {
-				o.TakeOwnership(id)
+				_ = o.TakeOver(id, Space{Epoch: p.Epoch, Node: self}, nil, false)
 			}
 		} else if !c.Fenced() && rt.Place(id) != self {
 			o.Fence(id)

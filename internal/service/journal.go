@@ -8,8 +8,9 @@ import (
 )
 
 // Op names one kind of state-changing operation in a journal record. The
-// five ops are exactly the registry's mutation surface: everything else
-// (window/next queries, stats) is derivable from them.
+// first five ops are the registry's mutation surface: everything else
+// (window/next queries, stats) is derivable from them. The last two are a
+// takeover's (Owner.TakeOver).
 type Op string
 
 const (
@@ -23,13 +24,18 @@ const (
 	OpMarry Op = "marry"
 	// OpDivorce removes the in-law edge (U, V).
 	OpDivorce Op = "divorce"
+	// OpInstall registers State as a fenced replica, for a takeover.
+	OpInstall Op = "install"
+	// OpTakeover replays Tail and moves the copy into sequence space Space.
+	OpTakeover Op = "takeover"
 )
 
 // Record is one journaled mutation. Only the fields relevant to the op are
 // set: Families/Edges/Code for OpCreate, U/V for OpMarry and OpDivorce.
 // The poly-kind fields (Kind, Demands, DefaultDemand, Demand) are all
-// omitempty and zero for classic communities, so classic WAL bytes are
-// unchanged from every earlier schema.
+// omitempty and zero for classic communities, and so are the cluster
+// fields (Space, State, Tail) for a community never taken over, so the
+// WAL bytes of a single node are unchanged from every earlier schema.
 type Record struct {
 	Op    Op       `json:"op"`
 	ID    string   `json:"id"`
@@ -50,6 +56,42 @@ type Record struct {
 	// Demand is the per-edge demand of a poly marry; 0 means the community
 	// default.
 	Demand int64 `json:"demand,omitempty"`
+	// Space is the sequence space of the community the record was logged
+	// for, or that a takeover starts.
+	Space Space `json:"space,omitzero"`
+	// State is an install's state, and Tail a handoff's takeover's records
+	// from the old owner after the offered state.
+	State *CommunityState `json:"state,omitempty"`
+	Tail  []SeqRecord     `json:"tail,omitempty"`
+}
+
+// Space names the sequence space a copy's seq counts in: the placement
+// epoch (1 or later) and the node of the takeover that started it. The
+// zero Space is a community never taken over, as on a single node.
+type Space struct {
+	Epoch uint64 `json:"epoch"`
+	Node  string `json:"node"`
+}
+
+// Ahead reports whether a copy at (s, seq) is ahead of one at (t, tseq):
+// from a newer space — a later epoch, or at one epoch the smaller node id,
+// as Placement.Supersedes orders the tables of a double self-promotion —
+// or from the same space at a higher seq. It is the one rule for which
+// copy of a community is current, in an install, a replay and an election.
+func Ahead(s Space, seq uint64, t Space, tseq uint64) bool {
+	switch {
+	case s.Epoch != t.Epoch:
+		return s.Epoch > t.Epoch
+	case s.Node != t.Node:
+		return s.Node < t.Node
+	}
+	return seq > tseq
+}
+
+// SeqRecord is a record stamped with its sequence.
+type SeqRecord struct {
+	Seq uint64 `json:"seq"`
+	Record
 }
 
 // Journal is the durability hook of an Owner. When attached (Opts.Journal
@@ -104,7 +146,8 @@ func (r *Owner) getJournal() Journal {
 // needed to reconstruct it answering byte-identically. Coloring is carried
 // verbatim (not re-derived) because the greedy recoloring path is
 // history-dependent; Seq is the journal sequence of the last record applied,
-// the replay cut-point for recovery.
+// the replay cut-point for recovery, and Space the sequence space it counts
+// in.
 type CommunityState struct {
 	ID          string   `json:"id"`
 	Families    int      `json:"families"`
@@ -114,6 +157,7 @@ type CommunityState struct {
 	Version     int64    `json:"version"`
 	Recolorings int64    `json:"recolorings"`
 	Seq         uint64   `json:"seq"`
+	Space       Space    `json:"space,omitzero"`
 	// Kind marks a poly-kind community; empty means classic, keeping
 	// classic snapshot bytes unchanged.
 	Kind string `json:"kind,omitempty"`
@@ -130,10 +174,16 @@ type CommunityState struct {
 func (c *Community) Export() CommunityState {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.exportLocked()
+}
+
+// exportLocked is Export for a caller holding c.mu.
+func (c *Community) exportLocked() CommunityState {
 	st := CommunityState{
 		ID:      c.id,
 		Version: c.version,
 		Seq:     c.seq,
+		Space:   c.space,
 	}
 	c.be.exportInto(&st)
 	return st
@@ -154,19 +204,56 @@ func (r *Owner) Restore(st CommunityState) (*Community, error) {
 // InstallReplica registers exported state as a replica of a community
 // another node owns: fenced from the moment it is visible, and replacing
 // any local copy — which is fenced in the same step — unless that copy is
-// already a fenced replica at or past st.Seq, in which case it is kept (the
-// idempotent re-offer). It returns the community now registered under the
-// id. Nothing is logged.
+// already a fenced replica at or ahead of st's space and seq, in which case
+// it is kept (the idempotent re-offer). It returns the community now
+// registered under the id. Nothing is logged.
 func (r *Owner) InstallReplica(st CommunityState) (*Community, error) {
-	if c, ok := r.Get(st.ID); ok && c.Fenced() && c.Seq() >= st.Seq {
-		return c, nil // current already; skip rebuilding it
-	}
 	c, err := r.restored(st)
 	if err != nil {
 		return nil, err
 	}
 	c.fenced = true
 	return r.add(c, nil)
+}
+
+// InstallOffer is InstallReplica for a handoff's offered state, which it
+// then journals for the takeover to replay onto; a snapshot cut after the
+// record exports the copy registered before it.
+func (r *Owner) InstallOffer(st CommunityState) (*Community, error) {
+	c, err := r.InstallReplica(st)
+	if j := r.getJournal(); err == nil && j != nil {
+		_, err = j.Log(Record{Op: OpInstall, ID: st.ID, State: &st})
+	}
+	return c, err
+}
+
+// TakeOver makes this node the owner of its fenced copy of community id in
+// the new sequence space sp, journaled, at the takeover record's seq. A
+// handoff passes its applied tail, whose offered state InstallOffer
+// journaled; an election or a promote journals the copy's state with the
+// takeover record. A copy this node owns already is left alone.
+func (r *Owner) TakeOver(id string, sp Space, tail []SeqRecord, handoff bool) error {
+	c, ok := r.Get(id)
+	if !ok {
+		return Errf(CodeNotFound, "no community %q on this node", id)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.fenced {
+		return nil
+	}
+	recs := []Record{{Op: OpTakeover, ID: id, Space: sp, Tail: tail}}
+	if !handoff {
+		st := c.exportLocked()
+		recs = append([]Record{{Op: OpInstall, ID: id, State: &st}}, recs...)
+	}
+	if j := r.getJournal(); j != nil {
+		if err := c.logLocked(j, recs...); err != nil {
+			return err
+		}
+	}
+	c.space, c.fenced = sp, false
+	return nil
 }
 
 // restored builds the unregistered community an exported state describes.
@@ -208,30 +295,34 @@ func (r *Owner) restored(st CommunityState) (*Community, error) {
 	default:
 		return nil, fmt.Errorf("service: restore %q: unknown kind %q", st.ID, st.Kind)
 	}
-	return &Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq}, nil
+	return &Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq, space: st.Space}, nil
 }
 
 // Apply replays one journal record at its sequence number without
 // re-logging it — the recovery path walking a WAL forward from a snapshot.
-// Records already reflected in restored state (seq at or below the
-// community's restored Seq) are skipped, so replay is idempotent: a crash
-// between writing a snapshot and compacting the WAL re-replays old records
-// harmlessly. Records for communities that no longer exist are skipped too
-// (their delete is further down the log, or their create preceded an
+// One rule decides whether a record applies: an edit or delete applies
+// only to a copy in the record's own sequence space, above that copy's
+// seq; an install replaces a copy it is ahead of (Owner.InstallReplica);
+// a takeover replays its tail, then moves a copy it is ahead of into its
+// space. So replay is idempotent: a crash between writing a snapshot and
+// deleting the segments it covers re-replays old records harmlessly.
+// Records for communities that no longer exist are skipped too (their
+// delete is further down the log, or their create preceded an
 // already-applied delete). Errors are reserved for genuinely inconsistent
 // logs, e.g. a marry referencing a family outside the community.
 func (r *Owner) Apply(seq uint64, rec Record) error { return r.apply(seq, rec, false) }
 
 // Replicate is Apply for a replication stream: a replicated create
-// registers its community already fenced, so a community this node only
-// follows is never visible as a writable copy.
+// registers its community already fenced, and a replicated takeover leaves
+// it fenced, so a community this node only follows is never visible as a
+// writable copy.
 func (r *Owner) Replicate(seq uint64, rec Record) error { return r.apply(seq, rec, true) }
 
 func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 	switch rec.Op {
 	case OpCreate:
 		if c, exists := r.Get(rec.ID); exists {
-			if seq <= c.Seq() {
+			if !Ahead(rec.Space, seq, c.Space(), c.Seq()) {
 				return nil // already in the snapshot
 			}
 			return fmt.Errorf("service: replay create %q at seq %d: community already exists at seq %d", rec.ID, seq, c.Seq())
@@ -249,8 +340,30 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 	case OpDelete:
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if c, ok := r.communities[rec.ID]; ok && seq > c.Seq() {
+		if c, ok := r.communities[rec.ID]; ok && c.Space() == rec.Space && seq > c.Seq() {
 			delete(r.communities, rec.ID)
+		}
+		return nil
+	case OpInstall:
+		if rec.State == nil {
+			return fmt.Errorf("service: replay install %q at seq %d: no state", rec.ID, seq)
+		}
+		if _, err := r.InstallReplica(*rec.State); err != nil {
+			return fmt.Errorf("service: replay seq %d: %w", seq, err)
+		}
+		return nil
+	case OpTakeover:
+		for _, t := range rec.Tail {
+			if err := r.apply(t.Seq, t.Record, replica); err != nil {
+				return err
+			}
+		}
+		if c, ok := r.Get(rec.ID); ok {
+			c.mu.Lock()
+			if Ahead(rec.Space, seq, c.space, c.seq) {
+				c.space, c.seq, c.fenced = rec.Space, seq, replica
+			}
+			c.mu.Unlock()
 		}
 		return nil
 	case OpAddFamily, OpMarry, OpDivorce:
@@ -260,7 +373,7 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if seq <= c.seq {
+		if rec.Space != c.space || seq <= c.seq {
 			return nil
 		}
 		if rec.Op == OpAddFamily {

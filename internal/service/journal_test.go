@@ -323,3 +323,90 @@ func BenchmarkCommunityExport(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "export-ms")
 }
+
+// TestTakeoverReplaysFromJournal: both forms of a takeover reach the node's
+// journal and replay to the copies it served. A handoff's offered state is
+// journaled when installed, the tail applied after it travels in the
+// takeover record, and the node's writes in the new space follow; an
+// election's takeover journals the replica's state with it. The old
+// owner's journal is far ahead of the node's, so only the spaces tell the
+// seqs apart. Replaying the node's records into an empty owner, twice,
+// restores each community owned, at the same space, seq and answers.
+func TestTakeoverReplaysFromJournal(t *testing.T) {
+	old := New(Opts{})
+	oj := &memJournal{seq: 100}
+	old.SetJournal(oj)
+	a, err := old.Create("a", 8, ringEdges(8), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := old.Create("b", 6, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := a.Export()
+	var tail []SeqRecord
+	for _, e := range [][2]int{{0, 2}, {2, 4}} {
+		if _, err := a.Marry(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+		tail = append(tail, SeqRecord{Seq: oj.seq, Record: oj.recs[len(oj.recs)-1]})
+	}
+
+	node := New(Opts{})
+	nj := &memJournal{}
+	node.SetJournal(nj)
+	if _, err := node.InstallOffer(offer); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tail {
+		if err := node.Replicate(r.Seq, r.Record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := node.TakeOver("a", Space{Epoch: 2, Node: "n"}, tail, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.InstallReplica(b.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.TakeOver("b", Space{Epoch: 3, Node: "n"}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	na, _ := node.Get("a")
+	nb, _ := node.Get("b")
+	if _, err := na.Marry(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nb.AddFamily(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Marry(1, 5); err != nil { // the same write on the old copy
+		t.Fatal(err)
+	}
+	if answerKey(t, na) != answerKey(t, a) {
+		t.Fatal("the taken-over copy of a answers unlike its old owner given the same writes")
+	}
+
+	replayed := New(Opts{})
+	for round := 0; round < 2; round++ {
+		for i, rec := range nj.recs {
+			if err := replayed.Apply(uint64(i+1), rec); err != nil {
+				t.Fatalf("round %d, replay seq %d (%s): %v", round, i+1, rec.Op, err)
+			}
+		}
+	}
+	for _, want := range []*Community{na, nb} {
+		got, ok := replayed.Get(want.ID())
+		if !ok {
+			t.Fatalf("replay lost %s", want.ID())
+		}
+		if got.Space() != want.Space() || got.Seq() != want.Seq() || got.Fenced() {
+			t.Fatalf("%s replayed at space %+v seq %d (fenced %v), want space %+v seq %d, owned",
+				want.ID(), got.Space(), got.Seq(), got.Fenced(), want.Space(), want.Seq())
+		}
+		if answerKey(t, got) != answerKey(t, want) {
+			t.Fatalf("%s replayed to other answers than the node served", want.ID())
+		}
+	}
+}

@@ -220,10 +220,11 @@ func prefixCode(name string) (prefixcode.Code, error) {
 // a journal is attached, and inserts c; a journal failure registers nothing.
 //
 // A fenced c is a replica: instead of being rejected it replaces the copy
-// already registered, unless that copy is a fenced replica at or past c's
-// sequence, which is kept and returned. The replaced copy is fenced in the
-// same critical section that swaps c in, so no caller of Get ever finds a
-// writable copy of a community this node only replicates.
+// already registered, unless that copy is a fenced replica at or ahead of
+// c's space and seq (see Ahead), which is kept and returned. The replaced
+// copy is fenced in the same critical section that swaps c in, so no
+// caller of Get ever finds a writable copy of a community this node only
+// replicates.
 func (r *Owner) add(c *Community, logged func() Record) (*Community, error) {
 	if c.id == "" {
 		return nil, fmt.Errorf("service: empty community id")
@@ -235,7 +236,7 @@ func (r *Owner) add(c *Community, logged func() Record) (*Community, error) {
 			return nil, fmt.Errorf("service: community %q already exists", c.id)
 		}
 		old.mu.Lock()
-		keep := old.fenced && old.seq >= c.seq
+		keep := old.fenced && !Ahead(c.space, c.seq, old.space, old.seq)
 		old.fenced = true
 		old.mu.Unlock()
 		if keep {
@@ -274,37 +275,10 @@ func (r *Owner) Get(id string) (*Community, bool) {
 // topology change fails closed instead of silently double-applying.
 func (r *Owner) Fence(id string) bool { return r.setFenced(id, true) }
 
-// Unfence lifts a fence — the promotion path when this node takes
-// ownership. Reports whether the community exists.
+// Unfence lifts a fence: how the sender of a failed handoff resumes
+// serving. A node taking a replica over goes through TakeOver instead.
+// Reports whether the community exists.
 func (r *Owner) Unfence(id string) bool { return r.setFenced(id, false) }
-
-// TakeOwnership promotes a replica this node follows into a locally owned
-// community: it lifts the fence and rebases the community's sequence into
-// the local journal's space. A replica's seq is a position in its old
-// owner's journal; left in place it can exceed every sequence the local
-// journal will ever assign, so post-promotion writes would be skipped on
-// WAL replay (seq <= cut-point) and silently lost across a restart.
-// Already-owned communities are left untouched. Reports whether the
-// community exists.
-func (r *Owner) TakeOwnership(id string) bool {
-	c, ok := r.Get(id)
-	if !ok {
-		return false
-	}
-	var base uint64
-	if j := r.getJournal(); j != nil {
-		if s, ok := j.(interface{ Seq() uint64 }); ok {
-			base = s.Seq()
-		}
-	}
-	c.mu.Lock()
-	if c.fenced {
-		c.fenced = false
-		c.seq = base
-	}
-	c.mu.Unlock()
-	return true
-}
 
 func (r *Owner) setFenced(id string, fenced bool) bool {
 	c, ok := r.Get(id)
@@ -333,7 +307,7 @@ func (r *Owner) Delete(id string) (bool, error) {
 		return false, Errf(CodeNotOwner, "community %q is a replica on this node; its owner takes deletes", id)
 	}
 	if j := r.getJournal(); j != nil {
-		if _, err := j.Log(Record{Op: OpDelete, ID: id}); err != nil {
+		if _, err := j.Log(Record{Op: OpDelete, ID: id, Space: c.Space()}); err != nil {
 			return false, fmt.Errorf("service: delete %q: journal: %w", id, err)
 		}
 	}
@@ -399,6 +373,8 @@ type Community struct {
 	// replayed into) this community; snapshots export it as the replay
 	// cut-point. Guarded by mu like the state it versions.
 	seq uint64
+	// space is the sequence space seq counts in; see Space.
+	space Space
 	// fenced marks a community this node merely replicates: direct writes
 	// are rejected with CodeNotOwner while replication (Apply) still lands.
 	// Guarded by mu so an ownership change cannot interleave with a write.
@@ -419,6 +395,13 @@ func (c *Community) Seq() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.seq
+}
+
+// Space returns the sequence space the community's Seq counts in.
+func (c *Community) Space() Space {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.space
 }
 
 // Fenced reports whether direct writes are fenced off (this node follows
@@ -498,7 +481,7 @@ func (c *Community) AddFamily() (int, error) {
 		return 0, err
 	}
 	if j := c.reg.getJournal(); j != nil {
-		if err := c.logLocked(j, Record{Op: OpAddFamily, ID: c.id}); err != nil {
+		if err := c.logLocked(j, Record{Op: OpAddFamily, ID: c.id, Space: c.space}); err != nil {
 			return 0, err
 		}
 	}
@@ -578,9 +561,9 @@ func (c *Community) applyLocked(e core.Edit) (core.EditResult, error) {
 // record is the journal record of an effective edit.
 func (c *Community) record(e core.Edit) Record {
 	if e.Op == core.EditDelete {
-		return Record{Op: OpDivorce, ID: c.id, U: e.U, V: e.V}
+		return Record{Op: OpDivorce, ID: c.id, U: e.U, V: e.V, Space: c.space}
 	}
-	return Record{Op: OpMarry, ID: c.id, U: e.U, V: e.V, Demand: e.Demand}
+	return Record{Op: OpMarry, ID: c.id, U: e.U, V: e.V, Demand: e.Demand, Space: c.space}
 }
 
 // logLocked write-ahead logs this community's records to j, the attached

@@ -9,7 +9,9 @@
 #          across the automatic failover.
 #   leg 3  join-rebalance: a fourth node joins, holidayctl rebalance
 #          live-moves its communities over epoch-bumped handoffs, every
-#          community answers byte-identically afterwards.
+#          community answers byte-identically afterwards; every node
+#          reaches the new owner's write, and a rebalance without the
+#          fourth node returns its communities with that write kept.
 #   leg 4  rotation under load: holidayload drives mega-ci against three
 #          nodes while moving one community per second over live handoffs;
 #          the snapshot must record zero failed ops and at least 3 handoffs
@@ -110,6 +112,15 @@ seed_cluster() { # create and churn every community through one node
 comm_seq() { # comm_seq <node> <community> — seq from a node's status
   curl -sf "${ADDR[$1]}/v1/status" \
     | jq -r --arg id "$2" '.communities[] | select(.id==$id) | .seq'
+}
+
+comm_space() { # comm_space <node> <community> — sequence space from a node's status
+  curl -sf "${ADDR[$1]}/v1/status" \
+    | jq -c --arg id "$2" '.communities[] | select(.id==$id) | .space'
+}
+
+marriages() { # marriages <node> <community> — from the node's own copy
+  curl -sf "${ADDR[$1]}/v1/communities/$2" | jq -r '.marriages'
 }
 
 comm_role() { # comm_role <node> <community>
@@ -242,9 +253,11 @@ for n in a b c; do start_node leg3 "$n" "$TOPO3" 0; done
 for n in a b c; do await_healthy "${ADDR[$n]}"; done
 seed_cluster c
 
+declare -A FIRST
 for id in "${COMMS[@]}"; do
   curl -sf "${ADDR[a]}/v1/communities/$id/window?from=1&to=100" > "$WORK/prejoin.$id" \
     || fail "pre-join window for $id"
+  FIRST[$id]=$("$BIN/holidayctl" -topology "$TOPO3" place "$id" | awk '{print $3}')
 done
 
 # Join updates the topology file; the live rebalance inside can't reach the
@@ -272,8 +285,34 @@ if [ "$MOVED" -gt 0 ]; then
   curl -sf -X POST "${ADDR[d]}/v1/communities/$MOVED_ID/churn" \
     -d '[{"op":"divorce","u":0,"v":1}]' >/dev/null \
     || fail "write to moved community $MOVED_ID on d"
+
+  # Every other node follows d's write: d's seq, space and marriages.
+  D_SEQ=$(comm_seq d "$MOVED_ID"); D_SPACE=$(comm_space d "$MOVED_ID"); D_MARR=$(marriages d "$MOVED_ID")
+  for n in a b c; do
+    for i in $(seq 1 120); do
+      [ "$(comm_seq "$n" "$MOVED_ID")" = "$D_SEQ" ] && [ "$(comm_space "$n" "$MOVED_ID")" = "$D_SPACE" ] \
+        && [ "$(marriages "$n" "$MOVED_ID")" = "$D_MARR" ] && break
+      sleep 0.25
+      [ "$i" = 120 ] && fail "node $n never reached d's $MOVED_ID: seq $D_SEQ, space $D_SPACE, $D_MARR marriages"
+    done
+  done
 fi
-echo "leg 3 OK: join-rebalance moved $MOVED communities, byte-identical answers"
+
+# d leaves: its communities return to their first owners with its writes.
+declare -A D_OWNED
+for id in $(curl -sf "${ADDR[d]}/v1/status" | jq -r '.communities[] | select(.role=="owner") | .id'); do
+  D_OWNED[$id]=$(marriages d "$id")
+done
+write_topology "$TOPO3" a b c
+"$BIN/holidayctl" -topology "$TOPO3" rebalance || fail "rebalance off d"
+for id in "${!D_OWNED[@]}"; do
+  owner=${FIRST[$id]}
+  [ "$(comm_role "$owner" "$id")" = "owner" ] || fail "$id did not return to its first owner $owner"
+  got=$(marriages "$owner" "$id")
+  [ "$got" = "${D_OWNED[$id]}" ] || fail "$id returned to $owner with $got marriages, d had ${D_OWNED[$id]}"
+  await_replication "$owner" "$id" a b c d
+done
+echo "leg 3 OK: join-rebalance moved $MOVED communities, byte-identical answers; ${#D_OWNED[@]} returned with d's writes"
 
 "$BIN/holidayctl" -topology "$TOPO3" status || true
 stop_cluster a b c d
