@@ -183,11 +183,11 @@ func (d *Detector) detect(ctx context.Context, start time.Time) {
 // failover elects a new owner for every community the dead node held, by
 // publishing a table (epoch+1) that assigns each to its most-caught-up
 // replica — the copy ahead by (space, seq) (service.Ahead) across the
-// surviving peers' status answers, read all at once, node id breaking
-// ties. Every survivor detecting the death runs the same election;
-// identical data yields identical tables (idempotent republication), and
-// divergent ones converge by fingerprint order, the loser refencing
-// through its table watcher.
+// surviving peers' status answers, read all at once, the smaller node id
+// where neither copy is ahead. Every survivor detecting the death runs
+// the same election; identical data yields identical tables (idempotent
+// republication), and divergent ones converge by fingerprint order, the
+// loser refencing through its table watcher.
 func (d *Detector) failover(ctx context.Context, dead string) {
 	cur := d.rt.Placement()
 	type bid struct {
@@ -219,7 +219,7 @@ func (d *Detector) failover(ctx context.Context, dead string) {
 		for _, cs := range st.v.Communities {
 			best, ok := orphans[cs.ID]
 			if ok && (service.Ahead(cs.Space, cs.Seq, best.space, best.seq) ||
-				(cs.Space == best.space && cs.Seq == best.seq && peers[i].ID < best.node)) {
+				(!service.Ahead(best.space, best.seq, cs.Space, cs.Seq) && peers[i].ID < best.node)) {
 				orphans[cs.ID] = bid{cs.Space, cs.Seq, peers[i].ID}
 			}
 		}

@@ -39,6 +39,13 @@ type Follower struct {
 	applied   uint64
 	connected bool
 	caughtUp  bool // the subscription's catch-up heartbeat has arrived
+	// resync ends the subscription at its next heartbeat, and the next
+	// one catches up from the start: the stream carried an edit this node
+	// cannot apply for want of a state it missed (missed). resynced holds
+	// the space each community's last resync was for, so a record that no
+	// catch-up cures costs one resync, not a loop.
+	resync   bool
+	resynced map[string]service.Space
 }
 
 // NewFollower returns a follower; call Run to start replicating.
@@ -53,10 +60,11 @@ func NewFollower(o FollowerOpts) (*Follower, error) {
 		o.Backoff = 2 * time.Second
 	}
 	return &Follower{
-		owner:   o.Owner,
-		addr:    o.Addr,
-		backoff: o.Backoff,
-		logf:    o.Logf,
+		owner:    o.Owner,
+		addr:     o.Addr,
+		backoff:  o.Backoff,
+		logf:     o.Logf,
+		resynced: make(map[string]service.Space),
 	}, nil
 }
 
@@ -112,10 +120,7 @@ func (f *Follower) runOnce(ctx context.Context) error {
 	defer resp.Body.Close()
 	f.setConnected(true)
 	defer f.setConnected(false)
-	return f.stream().receive(resp.Body, func(seq uint64) bool {
-		f.heartbeat(seq)
-		return true
-	})
+	return f.stream().receive(resp.Body, f.heartbeat)
 }
 
 // stream is the applier of one subscription. It keeps every community
@@ -127,7 +132,8 @@ func (f *Follower) runOnce(ctx context.Context) error {
 // now. A streamed record moves the subscription watermark only after the
 // catch-up heartbeat: until then the stream may be mid-snapshot-phase, and
 // a drop there must not make the reconnect skip communities whose
-// snapshots never arrived.
+// snapshots never arrived, and a record the copy here missed a state for
+// resets it to the start.
 func (f *Follower) stream() *applier {
 	return &applier{
 		owner: f.owner,
@@ -135,9 +141,16 @@ func (f *Follower) stream() *applier {
 			c, ok := f.owner.Get(id)
 			return !ok || c.Fenced()
 		},
-		passed: func(seq uint64, _ service.Record) {
+		passed: func(seq uint64, rec service.Record) {
+			missed := f.missed(seq, rec)
 			f.mu.Lock()
-			if f.caughtUp {
+			if missed && f.resynced[rec.ID] != rec.Space {
+				f.resynced[rec.ID], f.resync, f.applied = rec.Space, true, 0
+				if f.logf != nil {
+					f.logf("cluster: follower of %s: %q at seq %d is in space %+v, ahead of the copy here; catching up from the start", f.addr, rec.ID, seq, rec.Space)
+				}
+			}
+			if f.caughtUp && !f.resync {
 				f.applied = max(f.applied, seq)
 			}
 			f.mu.Unlock()
@@ -145,21 +158,41 @@ func (f *Follower) stream() *applier {
 	}
 }
 
+// missed reports whether rec, streamed at seq, is an edit or delete in a
+// space ahead of this node's fenced copy of its community. The copy then
+// lacks the state that space started from, whose install and takeover
+// records went by while the copy was owned here, as a double
+// self-promotion's loser's was, so no later record of the space applies
+// to it. A catch-up from the start sends that state or those records.
+func (f *Follower) missed(seq uint64, rec service.Record) bool {
+	switch rec.Op {
+	case service.OpCreate, service.OpInstall, service.OpTakeover:
+		return false
+	}
+	c, ok := f.owner.Get(rec.ID)
+	return ok && c.Fenced() && rec.Space != c.Space() && service.Ahead(rec.Space, seq, c.Space(), c.Seq())
+}
+
 // setConnected marks a subscription live or ended; either way it starts
 // with catch-up.
 func (f *Follower) setConnected(v bool) {
 	f.mu.Lock()
-	f.connected, f.caughtUp = v, false
+	f.connected, f.caughtUp, f.resync = v, false, false
 	f.mu.Unlock()
 }
 
-// heartbeat records the owner's watermark. The owner only heartbeats
-// sequences it has already streamed to this subscriber, the first one
-// marking catch-up complete, so the stream has delivered everything at or
-// below seq: advancing past skipped or filtered records is safe.
-func (f *Follower) heartbeat(seq uint64) {
+// heartbeat records the owner's watermark and reports whether the
+// subscription goes on, which it does unless a resync is due. The owner
+// only heartbeats sequences it has already streamed to this subscriber,
+// the first one marking catch-up complete, so the stream has delivered
+// everything at or below seq: advancing past skipped records is safe.
+func (f *Follower) heartbeat(seq uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.resync {
+		return false
+	}
 	f.caughtUp = true
 	f.applied = max(f.applied, seq)
+	return true
 }

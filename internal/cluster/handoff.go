@@ -189,8 +189,8 @@ func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 		} else if c, err := s.owner.InstallOffer(st); err != nil {
 			refuse(w, service.CodeInternal, "%v", err)
 		} else if c.Space() != st.Space {
-			// The copy kept is from a newer space: the sender is not its owner.
-			refuse(w, service.CodeConflict, "this node holds %q from a newer sequence space than the offer's", id)
+			// The copy kept is from a space the offer's is not ahead of.
+			refuse(w, service.CodeConflict, "this node holds %q from a sequence space the offer's is not ahead of", id)
 		}
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/persist"
 	"repro/internal/service"
 )
 
@@ -19,60 +20,71 @@ import (
 // writer alternates a marriage and a divorce on another community the
 // receiver owns throughout the handoff; other-write-ms is its slowest op,
 // what the receiver's decode, install and journaling of the offered state
-// cost its other writers. Both are averaged over iterations. Each
-// iteration boots a fresh pair of nodes; run it with -benchtime 3x.
+// cost its other writers. Both are averaged over iterations. With wal=P,
+// each node journals to a WAL in a temporary directory under sync policy
+// P (batch or always), as holidayd does with -data-dir; without, each
+// Source is the journal itself. Each iteration boots a fresh pair of
+// nodes; run it with -benchtime 3x.
 func BenchmarkHandoffPause(b *testing.B) {
 	for _, n := range []int{50_000, 200_000} {
 		g, err := graph.ParseSpec(fmt.Sprintf("powerlaw:n=%d,m=3", n), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, writing := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d", n)
-			if writing {
-				name += ",writing"
-			}
-			b.Run(name, func(b *testing.B) {
-				var pause, worst time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					a, to, table, stop := bootBenchPair(b)
-					if _, err := a.owner.CreateFromGraph("big", g, ""); err != nil {
-						b.Fatal(err)
-					}
-					table.Assign["big"] = "b"
-					halt, slowest := make(chan struct{}), make(chan time.Duration, 1)
-					if writing {
-						other, err := to.owner.Create("other", 64, nil, "")
-						if err != nil {
-							b.Fatal(err)
-						}
-						started := make(chan struct{})
-						go writeUntil(b, other, halt, started, slowest)
-						<-started
-					} else {
-						slowest <- 0
-					}
-					b.StartTimer()
-					res, err := Handoff(a.owner, a.src, a.rt, "big", table, time.Minute)
-					b.StopTimer()
-					close(halt)
-					worst += <-slowest
-					if err != nil {
-						b.Fatal(err)
-					}
-					pause += res.Pause
-					stop()
-					b.StartTimer()
-				}
+		for _, wal := range []string{"", "batch", "always"} {
+			for _, writing := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d", n)
 				if writing {
-					b.ReportMetric(float64(worst.Microseconds())/1e3/float64(b.N), "other-write-ms")
-				} else {
-					b.ReportMetric(float64(pause.Microseconds())/1e3/float64(b.N), "pause-ms")
+					name += ",writing"
 				}
-			})
+				if wal != "" {
+					name += ",wal=" + wal
+				}
+				b.Run(name, func(b *testing.B) { benchHandoff(b, g, wal, writing) })
+			}
 		}
+	}
+}
+
+// benchHandoff is one run of BenchmarkHandoffPause.
+func benchHandoff(b *testing.B, g *graph.Graph, wal string, writing bool) {
+	var pause, worst time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a, to, table, stop := bootBenchPair(b, wal)
+		if _, err := a.owner.CreateFromGraph("big", g, ""); err != nil {
+			b.Fatal(err)
+		}
+		table.Assign["big"] = "b"
+		halt, slowest := make(chan struct{}), make(chan time.Duration, 1)
+		if writing {
+			other, err := to.owner.Create("other", 64, nil, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			started := make(chan struct{})
+			go writeUntil(b, other, halt, started, slowest)
+			<-started
+		} else {
+			slowest <- 0
+		}
+		b.StartTimer()
+		res, err := Handoff(a.owner, a.src, a.rt, "big", table, time.Minute)
+		b.StopTimer()
+		close(halt)
+		worst += <-slowest
+		if err != nil {
+			b.Fatal(err)
+		}
+		pause += res.Pause
+		stop()
+		b.StartTimer()
+	}
+	if writing {
+		b.ReportMetric(float64(worst.Microseconds())/1e3/float64(b.N), "other-write-ms")
+	} else {
+		b.ReportMetric(float64(pause.Microseconds())/1e3/float64(b.N), "pause-ms")
 	}
 }
 
@@ -105,9 +117,11 @@ func writeUntil(b *testing.B, c *service.Community, halt, started chan struct{},
 }
 
 // bootBenchPair boots nodes a and b, each an owner journaled by a Source
-// that serves the stream route on its own loopback listener, and returns
-// a, b, a table one epoch ahead, and a function that stops both.
-func bootBenchPair(b *testing.B) (*hNode, *hNode, service.Placement, func()) {
+// that serves the stream route on its own loopback listener, over a WAL
+// in a temporary directory under sync policy wal (batch or always) unless
+// wal is empty, and returns a, b, a table one epoch ahead, and a function
+// that stops both.
+func bootBenchPair(b *testing.B, wal string) (*hNode, *hNode, service.Placement, func()) {
 	var lns []net.Listener
 	var nodes []service.Node
 	for _, id := range []string{"a", "b"} {
@@ -126,7 +140,16 @@ func bootBenchPair(b *testing.B) (*hNode, *hNode, service.Placement, func()) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		src, err := NewSource(SourceOpts{Owner: owner, Router: rt})
+		opts := SourceOpts{Owner: owner, Router: rt}
+		var store *persist.Store
+		if wal != "" {
+			policy := map[string]persist.SyncPolicy{"batch": persist.SyncBatch, "always": persist.SyncAlways}[wal]
+			if store, err = persist.Open(b.TempDir(), persist.Options{Sync: policy}); err != nil {
+				b.Fatal(err)
+			}
+			opts.Journal = store.Journal()
+		}
+		src, err := NewSource(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,6 +160,9 @@ func bootBenchPair(b *testing.B) (*hNode, *hNode, service.Placement, func()) {
 		stops = append(stops, func() {
 			src.Close()
 			srv.Close()
+			if store != nil {
+				store.Close()
+			}
 		})
 	}
 	table := hs[0].rt.Placement()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -426,7 +427,17 @@ func TestHandoffTailWithoutOfferRefused(t *testing.T) {
 // winner and the loser refences — exactly one owner survives — and the
 // winner's state, offered to the loser, replaces the loser's diverged
 // copy: the two same-epoch sequence spaces order as the tables do.
-func TestDoubleSelfPromotionConverges(t *testing.T) {
+func TestDoubleSelfPromotionConverges(t *testing.T) { doubleSelfPromotion(t, false) }
+
+// TestDoubleSelfPromotionTableOrdersSpaces is TestDoubleSelfPromotionConverges
+// where c also holds an orphan b lacks, which sorts before x: c's table, the
+// higher node id's, wins, so its space must order ahead of b's although
+// node ids order the other way.
+func TestDoubleSelfPromotionTableOrdersSpaces(t *testing.T) { doubleSelfPromotion(t, true) }
+
+// doubleSelfPromotion runs the double self-promotion of x, with an orphan
+// only c holds when orphan is set.
+func doubleSelfPromotion(t *testing.T, orphan bool) {
 	nodes := []service.Node{{ID: "a"}, {ID: "b"}, {ID: "c"}}
 	mk := func(id string) (*service.Owner, *service.Router) {
 		owner := service.New(service.Opts{})
@@ -455,6 +466,18 @@ func TestDoubleSelfPromotionConverges(t *testing.T) {
 			t.Fatalf("create replica: %v", err)
 		}
 		o.Fence("x")
+	}
+	if orphan { // a ring-placed community of a's, so only c's table assigns it
+		id := ""
+		for i := 0; id == ""; i++ {
+			if cand := fmt.Sprintf("a%d", i); rtC.Place(cand) == "a" {
+				id = cand
+			}
+		}
+		if _, err := ownerC.Create(id, 4, nil, ""); err != nil {
+			t.Fatalf("create orphan: %v", err)
+		}
+		ownerC.Fence(id)
 	}
 
 	detB, err := NewDetector(DetectorOpts{Router: rtB, Owner: ownerB, Logf: t.Logf})
@@ -514,10 +537,18 @@ func TestDoubleSelfPromotionConverges(t *testing.T) {
 		}
 	}
 
+	if orphan && winner != "c" {
+		t.Fatalf("converged winner %q, want c, whose table assigns the orphan", winner)
+	}
+
 	won := map[string]*service.Owner{"b": ownerB, "c": ownerC}[winner]
 	wc, _ := won.Get("x")
 	if lost == won {
 		t.Fatalf("the write went to the winner %s", winner)
+	}
+	if !service.Ahead(wc.Space(), wc.Seq(), lc.Space(), lc.Seq()) {
+		t.Fatalf("the winner's copy (%+v at %d) is not ahead of the loser's (%+v at %d): an election could rank the loser first",
+			wc.Space(), wc.Seq(), lc.Space(), lc.Seq())
 	}
 	if _, err := lost.InstallReplica(wc.Export()); err != nil {
 		t.Fatalf("offer the winner's state to the loser: %v", err)

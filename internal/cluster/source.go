@@ -26,7 +26,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -152,22 +151,19 @@ func (s *Source) Log(rec service.Record) (uint64, error) {
 }
 
 // LogBatch implements service.BatchJournal and is the source's one append.
-// The batch is encoded once, with no lock held, so a takeover's
-// state-sized install record stalls no other write. Then it is logged to
-// the wrapped WAL (write-ahead durability first), which assigns it
-// consecutive sequences and splices them into the same bytes, and each
-// record is ringed and fanned out. The source mutex is held across the
-// inner append so ring order always matches sequence order — taking it
-// after would let concurrent appends fan out records out of order.
+// The batch is encoded once (persist.Encode), with no lock held. Then it
+// is logged to the wrapped WAL (write-ahead durability first), which
+// assigns it consecutive sequences and splices them into the same bytes,
+// and each record is ringed and fanned out. The source mutex is held
+// across the inner append so ring order always matches sequence order —
+// taking it after would let concurrent appends fan out records out of
+// order — so other appends wait while the WAL writes a takeover's
+// state-sized install record, and under SyncAlways while it fsyncs it.
 func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
 	var small [4][]byte // so a small batch allocates no slice for its records
-	data := small[:0]
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: encode replication record: %w", err)
-		}
-		data = append(data, line)
+	data, err := persist.Encode(small[:0], recs)
+	if err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,7 +172,6 @@ func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
 	}
 	last := s.seq + uint64(len(recs))
 	if s.inner != nil {
-		var err error
 		if last, err = s.inner.LogEncoded(data); err != nil {
 			return 0, err
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,4 +238,41 @@ func TestCloseRefusesLateSubscriber(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return within 2s of a late subscription")
 	}
+}
+
+// TestStreamCutsFramesByBytes: two records of 9 MiB each, the size of an
+// n = 200,000 community's install record, together past wire.MaxFrame,
+// reach a follower that catches up through the ring, which sends them in
+// one batch: the sender cuts the batch into frames the follower's decoder
+// accepts. The records pad a divorce in a community the follower lacks, so
+// they cost it no restore.
+func TestStreamCutsFramesByBytes(t *testing.T) {
+	owner := service.New(service.Opts{})
+	src, err := NewSource(SourceOpts{Owner: owner, Heartbeat: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.SetJournal(src)
+	pad := strings.Repeat("x", 9<<20)
+	big := service.Record{Op: service.OpDivorce, ID: "gone", Code: pad}
+	if _, err := src.LogBatch([]service.Record{big, big}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Create("after", 4, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	addr := serveStream(t, listenTCP(t), src)
+	replica := service.New(service.Opts{})
+	fol, err := NewFollower(FollowerOpts{Owner: replica, Addr: addr, Backoff: 100 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	waitFor(t, "the record after the two large ones on the follower", func() bool {
+		_, ok := replica.Get("after")
+		return ok
+	})
 }

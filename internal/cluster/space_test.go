@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // busy logs n writes on a community of its own on o, so o's journal runs
@@ -126,4 +129,185 @@ func TestThirdPartyFollowsMove(t *testing.T) {
 		return ok && cc.Seq() == bc.Seq() && cc.Space() == bc.Space()
 	})
 	assertMirror(t, b.owner, c, "alpha")
+}
+
+// TestDoubleSelfPromotionLoserReplaysWinner: b and c self-promote x at one
+// epoch, and c's table wins, an orphan only c holds sorting first. b's
+// journal is far ahead of c's, and b takes a write before the tables
+// cross. Then b's follower of c replays c's journal from its start, as a
+// reconnect the ring still covers does: c's install record replaces b's
+// diverged copy, which the fence sync dropped to seq 0 of the zero space,
+// and c's takeover record moves it into c's space. So b ends with c's
+// seq, space and window, c's later write included, and not with its own
+// data under c's space.
+func TestDoubleSelfPromotionLoserReplaysWinner(t *testing.T) {
+	nodes := []service.Node{{ID: "a"}, {ID: "b"}, {ID: "c"}}
+	boot := func(id string) (*service.Owner, *service.Router, *Source) {
+		owner := service.New(service.Opts{})
+		rt, err := service.NewRouter(service.RouterOpts{Self: id, Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := NewSource(SourceOpts{Owner: owner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner.SetJournal(src)
+		service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt})
+		if ok, err := rt.SetPlacement(service.Placement{Epoch: 1, Nodes: nodes, Assign: map[string]string{"x": "a"}}); err != nil || !ok {
+			t.Fatalf("install base table: %v %v", ok, err)
+		}
+		return owner, rt, src
+	}
+	ownerB, rtB, _ := boot("b")
+	ownerC, rtC, srcC := boot("c")
+	busy(t, ownerB, 20)
+
+	// Both hold a's x, and c alone an orphan of a's that sorts before it.
+	origin := service.New(service.Opts{})
+	orphan := ""
+	for i := 0; orphan == ""; i++ {
+		if id := fmt.Sprintf("a%d", i); rtC.Place(id) == "a" {
+			orphan = id
+		}
+	}
+	for _, id := range []string{"x", orphan} {
+		oc, err := origin.Create(id, 6, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := oc.Export()
+		st.Seq = 5 // its seq in a's journal
+		holders := []*service.Owner{ownerC}
+		if id == "x" {
+			holders = append(holders, ownerB)
+		}
+		for _, o := range holders {
+			if _, err := o.InstallReplica(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []struct {
+		rt    *service.Router
+		owner *service.Owner
+	}{{rtB, ownerB}, {rtC, ownerC}} {
+		d, err := NewDetector(DetectorOpts{Router: n.rt, Owner: n.owner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.failover(context.Background(), "a")
+	}
+	writeOn(t, ownerB, "x", 1) // the loser's write
+	pb, pc := rtB.Placement(), rtC.Placement()
+	rtB.SetPlacement(pc)
+	rtC.SetPlacement(pb)
+	if w := rtB.Placement().Assign["x"]; w != "c" {
+		t.Fatalf("the tables converged on %q for x, want c", w)
+	}
+	wc, _ := ownerC.Get("x")
+	if _, err := wc.Marry(4, 5); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, covered := srcC.TailFor("", 0, srcC.Seq())
+	if !covered {
+		t.Fatal("c's ring does not reach back to its first record")
+	}
+	fol, err := NewFollower(FollowerOpts{Owner: ownerB, Addr: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := wire.AppendHeartbeat(wire.AppendRecords(nil, recs), srcC.Seq())
+	if err := fol.stream().receive(bytes.NewReader(frames), func(uint64) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	bc, _ := ownerB.Get("x")
+	if !bc.Fenced() || bc.Space() != wc.Space() || bc.Seq() != wc.Seq() {
+		t.Fatalf("b's x: fenced %v, space %+v at %d; want fenced, c's %+v at %d", bc.Fenced(), bc.Space(), bc.Seq(), wc.Space(), wc.Seq())
+	}
+	if got, want := windowJSON(t, ownerB, "x"), windowJSON(t, ownerC, "x"); got != want {
+		t.Fatalf("b's x is labelled as c's but answers otherwise:\nb %s\nc %s", got, want)
+	}
+}
+
+// TestDoubleSelfPromotionLoserCatchesUp is the live form of
+// TestDoubleSelfPromotionLoserReplaysWinner: b follows c throughout, so
+// c's install and takeover records reach b while b owns x after its own
+// self-promotion, and b's stream skips them. Once the tables cross and c
+// writes to x, b's follower meets an edit in a space ahead of its fenced
+// copy's, catches up from the start, and reaches c's seq, space and window.
+func TestDoubleSelfPromotionLoserCatchesUp(t *testing.T) {
+	lnC := listenTCP(t)
+	addrC := "http://" + lnC.Addr().String()
+	nodes := []service.Node{{ID: "a"}, {ID: "b"}, {ID: "c"}} // no addresses: each election sees only itself
+	c := bootHNode(t, "c", nodes, lnC)
+	b := bootHNode(t, "b", nodes, listenTCP(t))
+	base := service.Placement{Epoch: 1, Nodes: nodes, Assign: map[string]string{"x": "a"}}
+	for _, n := range []*hNode{b, c} {
+		service.NewHandler(service.HandlerOpts{Owner: n.owner, Router: n.rt})
+		if ok, err := n.rt.SetPlacement(base); err != nil || !ok {
+			t.Fatalf("install base table: %v %v", ok, err)
+		}
+	}
+	busy(t, b.owner, 20)
+	origin := service.New(service.Opts{})
+	orphan := ""
+	for i := 0; orphan == ""; i++ {
+		if id := fmt.Sprintf("a%d", i); c.rt.Place(id) == "a" {
+			orphan = id
+		}
+	}
+	for _, id := range []string{"x", orphan} {
+		oc, err := origin.Create(id, 6, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := oc.Export()
+		st.Seq = 5
+		holders := []*service.Owner{c.owner}
+		if id == "x" {
+			holders = append(holders, b.owner)
+		}
+		for _, o := range holders {
+			if _, err := o.InstallReplica(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fol, err := NewFollower(FollowerOpts{Owner: b.owner, Addr: addrC, Backoff: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	waitFor(t, "b to subscribe to c", fol.Connected)
+
+	for _, n := range []*hNode{b, c} {
+		d, err := NewDetector(DetectorOpts{Router: n.rt, Owner: n.owner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.failover(context.Background(), "a")
+	}
+	writeOn(t, b.owner, "x", 1) // the loser's write
+	waitFor(t, "c's takeover records to pass b's stream", func() bool { return fol.Applied() >= c.src.Seq() })
+	pb, pc := b.rt.Placement(), c.rt.Placement()
+	b.rt.SetPlacement(pc)
+	c.rt.SetPlacement(pb)
+	if w := b.rt.Placement().Assign["x"]; w != "c" {
+		t.Fatalf("the tables converged on %q for x, want c", w)
+	}
+	wc, _ := c.owner.Get("x")
+	if _, err := wc.Marry(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "b to reach c's copy of x", func() bool {
+		bc, _ := b.owner.Get("x")
+		return bc.Space() == wc.Space() && bc.Seq() == wc.Seq()
+	})
+	assertMirror(t, c.owner, b.owner, "x")
 }

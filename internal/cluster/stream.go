@@ -47,10 +47,12 @@ func (s *sender) send(frame []byte) error {
 	return err
 }
 
-// records sends recs in frames of at most maxRecsPerFrame records.
+// records sends recs in frames of at most maxRecsPerFrame records, cut
+// before a record that would push a frame past wire.MaxFrame. A record too
+// large for any frame goes alone, and the receiver refuses it.
 func (s *sender) records(recs []wire.RawRecord) error {
 	for len(recs) > 0 {
-		n := min(len(recs), maxRecsPerFrame)
+		n := wire.RecordsFit(recs[:min(len(recs), maxRecsPerFrame)])
 		if err := s.send(wire.AppendRecords(s.buf[:0], recs[:n])); err != nil {
 			return err
 		}

@@ -67,6 +67,10 @@ const (
 // attaching it to an owner (Owner.SetJournal) makes every mutation
 // durable. Safe for concurrent appends, which go to the last segment.
 type WAL struct {
+	// syncMu serializes Sync's fsync, which runs outside mu so appends go
+	// on meanwhile, with cut and Close, which switch and close the file.
+	// Taken before mu.
+	syncMu sync.Mutex
 	mu     sync.Mutex
 	dir    string
 	f      *os.File // the last segment
@@ -266,26 +270,35 @@ func (w *WAL) Log(rec service.Record) (uint64, error) {
 // the log untouched.
 func (w *WAL) LogBatch(recs []service.Record) (uint64, error) {
 	var small [4][]byte // so a small batch allocates no slice for its lines
-	data := small[:0]
-	for i, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("persist: encode WAL record %d of batch: %w", i, err)
-		}
-		data = append(data, line)
+	data, err := Encode(small[:0], recs)
+	if err != nil {
+		return 0, err
 	}
 	return w.LogEncoded(data)
 }
 
-// LogEncoded is the WAL's one append. Each of data is one service.Record
-// as json.Marshal encodes it, an object that is never empty, since op, id,
-// u and v are always present. It assigns them K consecutive sequences and
-// appends them under one mutex acquisition and — under SyncAlways — one
-// fsync for the whole batch, so a flush of K edits costs one disk round
-// instead of K. Under SyncBatch the background flusher syncs within
-// Options.SyncInterval. Each line is the record with its sequence spliced
-// in as the first field, the bytes json.Marshal writes for a walRecord,
-// so however large a record is, the mutex covers no encoding. Returns the
+// Encode appends each record's encoding to dst, the bytes LogEncoded takes
+// for it: its JSON object, never empty, since op, id, u and v are always
+// present. Callers encode with no lock held, however large a record is.
+func Encode(dst [][]byte, recs []service.Record) ([][]byte, error) {
+	for i, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return nil, fmt.Errorf("persist: encode WAL record %d of batch: %w", i, err)
+		}
+		dst = append(dst, line)
+	}
+	return dst, nil
+}
+
+// LogEncoded is the WAL's one append, of records Encode encoded. It
+// assigns them K consecutive sequences and appends them under one mutex
+// acquisition and — under SyncAlways — one fsync for the whole batch, so
+// a flush of K edits costs one disk round instead of K. Under SyncBatch
+// the background flusher syncs within Options.SyncInterval. Each line is
+// the record with its sequence spliced in as the first field, the bytes
+// json.Marshal writes for a walRecord, so however large a record is, the
+// mutex covers no encoding. Returns the
 // sequence of the last record. A failed write or fsync fail-stops the WAL.
 func (w *WAL) LogEncoded(data [][]byte) (uint64, error) {
 	w.mu.Lock()
@@ -326,36 +339,61 @@ func (w *WAL) Seq() uint64 {
 	return w.seq
 }
 
-// Sync flushes buffered records and fsyncs the last segment.
+// Sync flushes buffered records and fsyncs the last segment. Appends wait
+// for the flush but not for the fsync, which holds syncMu alone.
 func (w *WAL) Sync() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-// syncLocked flushes and fsyncs; the caller holds w.mu. A failed flush or
-// fsync fail-stops the WAL: the kernel may drop the pages it could not
-// write, so a later fsync that succeeds would not make them durable.
-func (w *WAL) syncLocked() error {
-	if w.closed {
-		return fmt.Errorf("persist: WAL is closed")
+	f, err := w.flushLocked()
+	w.mu.Unlock()
+	if f == nil {
+		return err
 	}
-	if w.failed != nil {
-		return w.failed
-	}
-	if !w.dirty {
-		return nil
-	}
-	if err := w.w.Flush(); err != nil {
-		w.failed = fmt.Errorf("persist: flush WAL: %w", err)
-		return w.failed
-	}
-	if err := w.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
 		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
 		return w.failed
 	}
-	w.dirty = false
 	return nil
+}
+
+// syncLocked is Sync for a caller holding w.mu: an append under
+// SyncAlways, or cut and Close, which hold syncMu too.
+func (w *WAL) syncLocked() error {
+	f, err := w.flushLocked()
+	if f == nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
+		return w.failed
+	}
+	return nil
+}
+
+// flushLocked writes the buffered records to the last segment and returns
+// it for the fsync, or nil when no record awaits one; the caller holds
+// w.mu. A failed flush or fsync fail-stops the WAL: the kernel may drop
+// the pages it could not write, so a later fsync that succeeds would not
+// make them durable.
+func (w *WAL) flushLocked() (*os.File, error) {
+	if w.closed {
+		return nil, fmt.Errorf("persist: WAL is closed")
+	}
+	if w.failed != nil {
+		return nil, w.failed
+	}
+	if !w.dirty {
+		return nil, nil
+	}
+	if err := w.w.Flush(); err != nil {
+		w.failed = fmt.Errorf("persist: flush WAL: %w", err)
+		return nil, w.failed
+	}
+	w.dirty = false
+	return w.f, nil
 }
 
 // flusher is the group-commit loop: under SyncBatch it syncs dirty batches
@@ -381,6 +419,8 @@ func (w *WAL) flusher() {
 // named one past the current sequence, and switches appends to it. It
 // returns that sequence. It is the only step of a snapshot under w.mu.
 func (w *WAL) cut() (uint64, error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.syncLocked(); err != nil {
@@ -409,15 +449,18 @@ func (w *WAL) cut() (uint64, error) {
 // Close syncs outstanding records, stops the flusher, and closes the file.
 // Further appends fail.
 func (w *WAL) Close() error {
+	w.syncMu.Lock()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
+		w.syncMu.Unlock()
 		return nil
 	}
 	err := w.syncLocked()
 	w.closed = true
 	cerr := w.f.Close()
 	w.mu.Unlock()
+	w.syncMu.Unlock() // the flusher's Sync may wait on it, and Close waits for the flusher
 	close(w.stop)
 	<-w.done
 	if err != nil {

@@ -707,7 +707,13 @@ func (a *apiHandler) serveHandoff(w http.ResponseWriter, r *http.Request) {
 // — explicit assignments are only ever published by handoffs, elections,
 // and the promote endpoint, so ring-derived placement alone never lifts a
 // fence. A takeover that cannot be journaled leaves the replica fenced,
-// and the next table tries again.
+// and the next table tries again. A copy in a space of the table's epoch
+// that the table does not assign to the space's node was taken over under
+// a table this one beat at the same epoch, a double self-promotion's
+// loser: it is fenced and drops to seq 0 of the zero space, behind every
+// copy, so any state of the winner's replaces it — an install record of
+// the winner's included, which a takeover record then moves on — and no
+// election ranks it above the winner's copies.
 func syncFences(o *Owner, rt *Router) {
 	self := rt.Self()
 	if self == "" {
@@ -719,6 +725,11 @@ func syncFences(o *Owner, rt *Router) {
 		if !ok {
 			continue
 		}
+		c.mu.Lock()
+		if c.space.Epoch == p.Epoch && c.space != (Space{}) && c.space.Node != p.Assign[id] {
+			c.space, c.seq, c.fenced = Space{}, 0, true
+		}
+		c.mu.Unlock()
 		if p.Assign[id] == self {
 			if c.Fenced() {
 				_ = o.TakeOver(id, Space{Epoch: p.Epoch, Node: self}, nil, false)

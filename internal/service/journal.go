@@ -74,18 +74,17 @@ type Space struct {
 }
 
 // Ahead reports whether a copy at (s, seq) is ahead of one at (t, tseq):
-// from a newer space — a later epoch, or at one epoch the smaller node id,
-// as Placement.Supersedes orders the tables of a double self-promotion —
-// or from the same space at a higher seq. It is the one rule for which
-// copy of a community is current, in an install, a replay and an election.
+// from a later epoch's space, or from the same space at a higher seq. It is
+// the one rule for which copy of a community is current, in an install, a
+// replay and an election. Two spaces of one epoch and different nodes come
+// from the competing tables of a double self-promotion, and neither is
+// ahead: the table that wins decides (syncFences drops every copy in a
+// space it does not assign to seq 0 of the zero space).
 func Ahead(s Space, seq uint64, t Space, tseq uint64) bool {
-	switch {
-	case s.Epoch != t.Epoch:
+	if s.Epoch != t.Epoch {
 		return s.Epoch > t.Epoch
-	case s.Node != t.Node:
-		return s.Node < t.Node
 	}
-	return seq > tseq
+	return s.Node == t.Node && seq > tseq
 }
 
 // SeqRecord is a record stamped with its sequence.
@@ -204,9 +203,9 @@ func (r *Owner) Restore(st CommunityState) (*Community, error) {
 // InstallReplica registers exported state as a replica of a community
 // another node owns: fenced from the moment it is visible, and replacing
 // any local copy — which is fenced in the same step — unless that copy is
-// already a fenced replica at or ahead of st's space and seq, in which case
-// it is kept (the idempotent re-offer). It returns the community now
-// registered under the id. Nothing is logged.
+// already a fenced replica st is not ahead of, in which case it is kept
+// (the idempotent re-offer). It returns the community now registered
+// under the id. Nothing is logged.
 func (r *Owner) InstallReplica(st CommunityState) (*Community, error) {
 	c, err := r.restored(st)
 	if err != nil {

@@ -220,11 +220,10 @@ func prefixCode(name string) (prefixcode.Code, error) {
 // a journal is attached, and inserts c; a journal failure registers nothing.
 //
 // A fenced c is a replica: instead of being rejected it replaces the copy
-// already registered, unless that copy is a fenced replica at or ahead of
-// c's space and seq (see Ahead), which is kept and returned. The replaced
-// copy is fenced in the same critical section that swaps c in, so no
-// caller of Get ever finds a writable copy of a community this node only
-// replicates.
+// already registered, unless that copy is a fenced replica c is not ahead
+// of (see Ahead), which is kept and returned. The replaced copy is fenced
+// in the same critical section that swaps c in, so no caller of Get ever
+// finds a writable copy of a community this node only replicates.
 func (r *Owner) add(c *Community, logged func() Record) (*Community, error) {
 	if c.id == "" {
 		return nil, fmt.Errorf("service: empty community id")

@@ -522,6 +522,18 @@ type RawRecord struct {
 	Data []byte
 }
 
+// RecordsFit returns how many of recs, counted from the first and at least
+// one, a records frame carries within MaxFrame.
+func RecordsFit(recs []RawRecord) int {
+	payload := headerLen + 4
+	for i, r := range recs {
+		if payload += 12 + len(r.Data); payload > MaxFrame && i > 0 {
+			return i
+		}
+	}
+	return len(recs)
+}
+
 // AppendRecords appends a records frame carrying recs in order.
 func AppendRecords(dst []byte, recs []RawRecord) []byte {
 	body := 4

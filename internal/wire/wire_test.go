@@ -459,3 +459,38 @@ func TestReadFrameRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordsFit: a records frame takes records from the first while its
+// payload stays within MaxFrame, and always takes at least one.
+func TestRecordsFit(t *testing.T) {
+	sized := func(sizes ...int) []RawRecord {
+		recs := make([]RawRecord, len(sizes))
+		for i, n := range sizes {
+			recs[i] = RawRecord{Seq: uint64(i + 1), Data: make([]byte, n)}
+		}
+		return recs
+	}
+	// headerLen, the count, and 12 bytes of seq and length a record.
+	exact := MaxFrame - headerLen - 4 - 2*12
+	cases := []struct {
+		recs []RawRecord
+		want int
+	}{
+		{nil, 0},
+		{sized(10, 20, 30), 3},
+		{sized(exact/2, exact-exact/2), 2},
+		{sized(exact/2, exact-exact/2+1), 1},
+		{sized(9<<20, 9<<20, 1), 1},
+		{sized(MaxFrame, 1), 1},
+	}
+	for _, tc := range cases {
+		if got := RecordsFit(tc.recs); got != tc.want {
+			t.Errorf("RecordsFit(%d records) = %d, want %d", len(tc.recs), got, tc.want)
+		}
+		if n := RecordsFit(tc.recs); n > 0 && len(tc.recs[0].Data) < MaxFrame {
+			if _, _, err := ReadFrame(bytes.NewReader(AppendRecords(nil, tc.recs[:n])), nil); err != nil {
+				t.Errorf("a frame of the %d records that fit: %v", n, err)
+			}
+		}
+	}
+}
