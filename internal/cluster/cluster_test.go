@@ -59,7 +59,13 @@ func pair(t *testing.T, ringSize int) (*service.Owner, *Source, *service.Owner, 
 // waitFor polls cond for up to 5s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	waitWithin(t, 5*time.Second, what, cond)
+}
+
+// waitWithin polls cond for up to d.
+func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return

@@ -43,9 +43,9 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The applier of a handoff offer, which keeps the handed-off community,
-	// and of a subscription, each fed whole frames up to a heartbeat.
-	offered := &applier{owner: replica, keep: func(c string) bool { return c == id }}
+	// A handoff offer's install (Owner.InstallReplica, which InstallOffer
+	// runs before it journals), and the applier of a subscription, fed
+	// whole frames up to a heartbeat.
 	followed := fol.stream()
 	stream := func(frames []byte) error {
 		return followed.receive(bytes.NewReader(frames), func(uint64) bool { return false })
@@ -89,15 +89,16 @@ func TestReplicaNeverVisibleUnfenced(t *testing.T) {
 
 	phase("handoff offer", func() error {
 		st.Seq = next()
-		return offered.install(st)
+		_, err := replica.InstallReplica(st)
+		return err
 	})
 	phase("follower snapshot", func() error {
 		st.Seq = next()
-		data, err := json.Marshal(st)
+		data, err := json.Marshal(service.Record{Op: service.OpInstall, ID: id, State: &st})
 		if err != nil {
 			return err
 		}
-		return stream(wire.AppendHeartbeat(wire.AppendSnapshot(nil, st.Seq, data), st.Seq))
+		return stream(wire.AppendHeartbeat(wire.AppendRecords(nil, []wire.RawRecord{{Seq: st.Seq, Data: data}}), st.Seq))
 	})
 
 	create, err := json.Marshal(service.Record{Op: service.OpCreate, ID: id, N: families, Edges: [][2]int{{0, 1}, {1, 2}}, Code: "omega"})

@@ -27,8 +27,8 @@ type FollowerOpts struct {
 
 // Follower maintains one replication subscription to an owner node: it
 // dials, subscribes from the last sequence it has applied, replays
-// snapshots and records into the local Owner, and reconnects with backoff
-// when the stream drops. Safe for concurrent use with serving reads.
+// records, states among them, into the local Owner, and reconnects with
+// backoff when the stream drops. Safe for concurrent use with serving reads.
 type Follower struct {
 	owner   *service.Owner
 	addr    string
@@ -130,9 +130,9 @@ func (f *Follower) runOnce(ctx context.Context) error {
 // records' and states' sequence spaces' to decide, so a node that follows
 // several owners takes a moved community from whichever owner streams it
 // now. A streamed record moves the subscription watermark only after the
-// catch-up heartbeat: until then the stream may be mid-snapshot-phase, and
-// a drop there must not make the reconnect skip communities whose
-// snapshots never arrived, and a record the copy here missed a state for
+// catch-up heartbeat: until then the stream may be mid-catch-up, and a
+// drop there must not make the reconnect skip communities whose states
+// never arrived, and a record the copy here missed a state for
 // resets it to the start.
 func (f *Follower) stream() *applier {
 	return &applier{

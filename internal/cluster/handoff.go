@@ -45,9 +45,9 @@ type HandoffResult struct {
 // as a fenced replica at most.
 //
 // src is o's journal and supplies the WAL tail; when its ring no longer
-// covers the tail, a second, fenced export is sent instead of records. The
-// table must assign community to a member with an address, whose Source
-// serves StreamPath.
+// covers the tail, a second, fenced export is sent instead, as an install
+// record. The table must assign community to a member with an address,
+// whose Source serves StreamPath.
 func Handoff(o *service.Owner, src *Source, rt *service.Router, community string, table service.Placement, timeout time.Duration) (HandoffResult, error) {
 	if timeout <= 0 {
 		timeout = DefaultHandoffTimeout
@@ -80,10 +80,12 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode table: %w", community, err)
 	}
 	// Export while still serving writes; the tail covers what lands after.
-	cut1, state, err := encodeState(c)
+	st := c.Export()
+	state, err := json.Marshal(st)
 	if err != nil {
-		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: %w", community, err)
+		return HandoffResult{}, fmt.Errorf("cluster: handoff %q: encode state: %w", community, err)
 	}
+	cut1 := st.Seq
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	post := func(step string, body []byte) error {
@@ -114,8 +116,8 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 		}
 	}()
 	// The offer again, without the state, then the tail (cut₁, cut₂], or a
-	// fenced re-export when the ring no longer covers it, then the cut
-	// marker: everything at or below cut₂ is sent.
+	// fenced re-export as an install record when the ring no longer covers
+	// it, then the cut marker: everything at or below cut₂ is sent.
 	cut2 := c.Seq()
 	tail := bytes.NewBuffer(wire.AppendHandoffOffer(nil, table.Epoch, community, tableJSON, nil))
 	if err := src.catchUp(&sender{w: tail}, community, cut1, cut2); err != nil {
@@ -140,11 +142,12 @@ func Handoff(o *service.Owner, src *Source, rt *service.Router, community string
 // installed. One without it is followed by the tail and the cut marker,
 // which it applies before it takes the community over, in the sequence
 // space of the offered table's epoch and this node, with one journaled
-// takeover record that carries the tail (Owner.TakeOver), and installs the
-// offered table; its answer is the ack. The applier keeps only the
-// handed-off community, and an offer whose table supersedes this node's
-// replaces even a copy it owns unfenced. Any failure refuses, so the
-// sender keeps serving at the old epoch.
+// takeover record that carries the tail, a fallback state's install record
+// included (Owner.TakeOver), and installs the offered table; its answer is
+// the ack. The applier keeps only the handed-off community, and an offer
+// whose table supersedes this node's replaces even a copy it owns
+// unfenced. Any failure refuses, so the sender keeps serving at the old
+// epoch.
 func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 	if s.router == nil {
 		refuse(w, service.CodeUnavailable, "this node does not accept handoffs")
@@ -183,8 +186,8 @@ func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(stateJSON) > 0 {
-		st, err := decodeState(stateJSON)
-		if err != nil || st.ID != id {
+		var st service.CommunityState
+		if err := json.Unmarshal(stateJSON, &st); err != nil || st.ID != id {
 			refuse(w, service.CodeBadRequest, "handoff offer state is malformed")
 		} else if c, err := s.owner.InstallOffer(st); err != nil {
 			refuse(w, service.CodeInternal, "%v", err)
@@ -196,7 +199,7 @@ func (s *Source) receiveHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	var tail []service.SeqRecord // the records the applier kept, for the takeover record
 	keep := func(c string) bool { return c == id }
-	a := &applier{owner: s.owner, keep: keep, journal: true, passed: func(seq uint64, rec service.Record) {
+	a := &applier{owner: s.owner, keep: keep, passed: func(seq uint64, rec service.Record) {
 		if keep(rec.ID) {
 			tail = append(tail, service.SeqRecord{Seq: seq, Record: rec})
 		}

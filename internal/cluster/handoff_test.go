@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -36,18 +37,28 @@ func listenTCP(t *testing.T) net.Listener {
 
 func bootHNode(t *testing.T, id string, nodes []service.Node, ln net.Listener) *hNode {
 	t.Helper()
-	owner := service.New(service.Opts{})
+	return bootNode(t, id, nodes, ln, SourceOpts{})
+}
+
+// bootNode is bootHNode with the node's Source built from o: its owner (a
+// new one when nil), journal and ring size.
+func bootNode(t *testing.T, id string, nodes []service.Node, ln net.Listener, o SourceOpts) *hNode {
+	t.Helper()
+	if o.Owner == nil {
+		o.Owner = service.New(service.Opts{})
+	}
 	rt, err := service.NewRouter(service.RouterOpts{Self: id, Nodes: nodes})
 	if err != nil {
 		t.Fatalf("NewRouter(%s): %v", id, err)
 	}
-	src, err := NewSource(SourceOpts{Owner: owner, Router: rt, Heartbeat: 20 * time.Millisecond})
+	o.Router, o.Heartbeat = rt, 20*time.Millisecond
+	src, err := NewSource(o)
 	if err != nil {
 		t.Fatalf("NewSource(%s): %v", id, err)
 	}
-	owner.SetJournal(src)
+	o.Owner.SetJournal(src)
 	serveStream(t, ln, src)
-	return &hNode{owner: owner, src: src, rt: rt}
+	return &hNode{owner: o.Owner, src: src, rt: rt}
 }
 
 // bootHandoffPair boots nodes a and b, both accepting handoffs.
@@ -193,6 +204,106 @@ func TestHandoffPauseExcludesInstall(t *testing.T) {
 	if got, want := windowJSON(t, b.owner, "alpha"), windowJSON(t, a.owner, "alpha"); got != want {
 		t.Fatalf("the writes made during the offer did not reach the new owner:\nold %s\nnew %s", want, got)
 	}
+}
+
+// TestHandoffTailFallsBackToState: the sender's ring holds 4 records, and
+// 6 writes land while the receiver holds back its answer to the offer, so
+// the ring no longer reaches back to the offer's cut and the tail is the
+// sender's fenced state, as an install record. The handoff succeeds, and
+// the new owner answers with the old owner's last window. Its journal, a
+// WAL reopened with no snapshot, restores the community at the same
+// space, seq and window, since the takeover record carries that state, and
+// a third node following the new owner reaches the same.
+func TestHandoffTailFallsBackToState(t *testing.T) {
+	lnA, lnB := listenTCP(t), listenTCP(t)
+	nodes := []service.Node{
+		{ID: "a", Addr: "http://" + lnA.Addr().String()},
+		{ID: "b", Addr: "http://" + lnB.Addr().String()},
+	}
+	a := bootNode(t, "a", nodes, lnA, SourceOpts{RingSize: 4})
+	dir := t.TempDir()
+	store, err := persist.Open(dir, persist.Options{Sync: persist.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	owner, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := store.Journal()
+	b := bootNode(t, "b", nodes, listenTCP(t), SourceOpts{Owner: owner, Journal: wal, Start: wal.Seq()})
+	c := seed(t, a.owner, "alpha", 8)
+	cut1 := c.Seq()
+
+	// b's stream route holds its answer to the first request, the offer,
+	// while a writes to alpha 6 times.
+	var once sync.Once
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.src.ServeHTTP(w, r)
+		once.Do(func() {
+			for u := 1; u <= 6; u++ {
+				if _, err := c.Marry(u, u+1); err != nil {
+					t.Errorf("write %d while the offer's answer is held back: %v", u, err)
+				}
+			}
+		})
+	})}
+	go srv.Serve(lnB)
+	t.Cleanup(func() { srv.Close() })
+
+	third := service.New(service.Opts{})
+	fol, err := NewFollower(FollowerOpts{Owner: third, Addr: nodes[1].Addr, Backoff: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	table := a.rt.Placement()
+	table.Epoch++
+	table.Assign["alpha"] = "b"
+	res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0)
+	if err != nil {
+		t.Fatalf("Handoff: %v", err)
+	}
+	if _, covered := a.src.TailFor("alpha", cut1, res.CutSeq); covered || res.CutSeq < cut1+6 {
+		t.Fatalf("the ring covers the tail (%d, %d]: the test needs 6 writes past a 4-record ring", cut1, res.CutSeq)
+	}
+	bc, ok := b.owner.Get("alpha")
+	if !ok || bc.Fenced() {
+		t.Fatal("b does not own alpha after the handoff")
+	}
+	want := windowJSON(t, a.owner, "alpha")
+	if got := windowJSON(t, b.owner, "alpha"); got != want {
+		t.Fatalf("b does not answer with a's last window:\na %s\nb %s", want, got)
+	}
+
+	waitFor(t, "the third node to reach b's copy", func() bool {
+		tc, ok := third.Get("alpha")
+		return ok && tc.Seq() == bc.Seq() && tc.Space() == bc.Space()
+	})
+	assertMirror(t, b.owner, third, "alpha")
+
+	// b writes nothing more: close its WAL, as a restart does, and reopen it.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	restored, err := reopened.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc, ok := restored.Get("alpha"); !ok || rc.Space() != bc.Space() {
+		t.Fatalf("b's journal restores alpha: %v, want it in space %+v", ok, bc.Space())
+	}
+	assertSameAnswers(t, b.owner, restored, "alpha")
 }
 
 // TestHandoffRefusals covers the sender-side preconditions: absent

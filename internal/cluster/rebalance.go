@@ -25,7 +25,7 @@ type Move struct {
 
 // control is the Rebalancer's control-plane client. Its default timeout,
 // service.DefaultClientTimeout, leaves room for handoffs, which stream a
-// snapshot before they answer.
+// state before they answer.
 var control = service.NewClient(nil)
 
 // Rebalancer drives placement changes against a running cluster.

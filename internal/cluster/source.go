@@ -9,11 +9,13 @@
 // a follower (Follower) subscribes with GET ?from=N, N the last sequence it
 // has applied, and reads the frames from the streamed 200 response, and a
 // live handoff POSTs its offer, then its tail. Both streams are written by
-// one catch-up writer (the ring's missing records, or exported states
-// first once the ring no longer covers the gap) and applied by one
-// applier, replay being idempotent against the states' cutoffs. Heartbeat
-// frames advertise the last sequence streamed to the subscriber, so an
-// idle follower still learns it is caught up.
+// one catch-up writer (the ring's missing records, or, once the ring no
+// longer covers the gap, exported states first, each as an install record
+// at its seq) and applied by one applier, replay being idempotent against
+// the states' cutoffs. A state travels at any size: a frame holding one
+// may pass wire.MaxFrame, and wire.ReadFrame commits memory as its bytes
+// arrive. Heartbeat frames advertise the last sequence streamed to the
+// subscriber, so an idle follower still learns it is caught up.
 //
 // Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
@@ -39,8 +41,14 @@ import (
 )
 
 // DefaultRingSize is the records a Source retains for catch-up before a
-// reconnecting follower is pushed onto the snapshot path.
+// reconnecting follower is sent states instead.
 const DefaultRingSize = 8192
+
+// maxRingBytes bounds the record bytes the ring retains as well, so a ring
+// of state-sized install records cannot pin thousands of states. The
+// oldest records go first; one larger than the bound is held alone until
+// the next push.
+const maxRingBytes = 64 << 20
 
 // DefaultHeartbeat is the idle-stream heartbeat interval.
 const DefaultHeartbeat = 500 * time.Millisecond
@@ -65,7 +73,7 @@ type ringRec struct {
 
 // SourceOpts configures NewSource.
 type SourceOpts struct {
-	// Owner is the community store snapshots are exported from (required).
+	// Owner is the community store states are exported from (required).
 	Owner *service.Owner
 	// Journal is the durable journal the source wraps, the data
 	// directory's WAL in holidayd. Nil runs the source as the journal
@@ -102,6 +110,7 @@ type Source struct {
 	ring   []ringRec // circular buffer
 	start  int       // index of the oldest record
 	count  int
+	bytes  int // record bytes in the ring
 	subs   map[*subscriber]struct{}
 	closed bool           // set by Close; refuses new requests
 	wg     sync.WaitGroup // one per request being served
@@ -184,15 +193,19 @@ func (s *Source) LogBatch(recs []service.Record) (uint64, error) {
 	return last, nil
 }
 
-// pushLocked appends a record to the ring and fans it out; caller holds mu.
+// pushLocked appends a record to the ring, evicting the oldest while the
+// ring is full or the record would take it past maxRingBytes, and fans it
+// out; caller holds mu.
 func (s *Source) pushLocked(r ringRec) {
-	if s.count == len(s.ring) {
-		s.ring[s.start] = r
+	for s.count > 0 && (s.count == len(s.ring) || s.bytes+len(r.Data) > maxRingBytes) {
+		s.bytes -= len(s.ring[s.start].Data)
+		s.ring[s.start] = ringRec{} // drop the evicted record's bytes
 		s.start = (s.start + 1) % len(s.ring)
-	} else {
-		s.ring[(s.start+s.count)%len(s.ring)] = r
-		s.count++
+		s.count--
 	}
+	s.ring[(s.start+s.count)%len(s.ring)] = r
+	s.count++
+	s.bytes += len(r.Data)
 	for sub := range s.subs {
 		select {
 		case sub.ch <- r.RawRecord:
@@ -209,7 +222,7 @@ func (s *Source) pushLocked(r ringRec) {
 // when it is "", an id no community has) with sequences in (after,
 // through], and decodes none of them. covered reports whether the ring reaches back far
 // enough that no record in that range can have been evicted — when false
-// the caller must fall back to a fresh snapshot.
+// the caller must fall back to fresh states.
 func (s *Source) TailFor(community string, after, through uint64) (recs []wire.RawRecord, covered bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

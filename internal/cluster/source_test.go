@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // TestTailFor: the ring walk behind a handoff's tail keeps one community's
@@ -97,6 +100,38 @@ func TestTailFor(t *testing.T) {
 	}
 	if _, covered := empty.TailFor("a", 4, 9); covered {
 		t.Error("empty ring claims to cover sequence 5, which it never held")
+	}
+}
+
+// TestRingBoundsBytes: the ring holds at most maxRingBytes of records, not
+// only RingSize records. Four records of 17 MiB, together past the bound,
+// leave the newest three, and TailFor reports a range reaching below them
+// as uncovered.
+func TestRingBoundsBytes(t *testing.T) {
+	src, err := NewSource(SourceOpts{Owner: service.New(service.Opts{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 17 << 20
+	if 4*size <= maxRingBytes || 3*(size+1<<10) > maxRingBytes {
+		t.Fatalf("4 records of %d bytes must pass maxRingBytes and 3 fit it", size)
+	}
+	pad := strings.Repeat("x", size)
+	for i := 0; i < 4; i++ {
+		if _, err := src.Log(service.Record{Op: service.OpDivorce, ID: "gone", Code: pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, covered := src.TailFor("", 1, 4)
+	var seqs []uint64
+	for _, r := range recs {
+		seqs = append(seqs, r.Seq)
+	}
+	if !covered || !reflect.DeepEqual(seqs, []uint64{2, 3, 4}) {
+		t.Fatalf("TailFor(1, 4) = %v, covered %v; want the newest three, covered", seqs, covered)
+	}
+	if _, covered := src.TailFor("", 0, 4); covered {
+		t.Fatal("the ring claims to cover seq 1, which the byte bound evicted")
 	}
 }
 
@@ -275,4 +310,56 @@ func TestStreamCutsFramesByBytes(t *testing.T) {
 		_, ok := replica.Get("after")
 		return ok
 	})
+}
+
+// partsWriter is a streamed response that logs each write deadline, write
+// and flush a flusher makes.
+type partsWriter struct {
+	httptest.ResponseRecorder
+	log []string
+}
+
+func (w *partsWriter) Write(p []byte) (int, error) {
+	w.log = append(w.log, fmt.Sprintf("write %d", len(p)))
+	return len(p), nil
+}
+
+func (w *partsWriter) Flush() { w.log = append(w.log, "flush") }
+
+func (w *partsWriter) SetWriteDeadline(time.Time) error {
+	w.log = append(w.log, "deadline")
+	return nil
+}
+
+// TestFlusherWritesInParts: a stream writes a frame past wire.MaxFrame
+// wire.MaxFrame bytes at a time, each part under a fresh write deadline
+// and flushed, so a follower reading a large state slowly is not failed
+// for its size alone.
+func TestFlusherWritesInParts(t *testing.T) {
+	w := &partsWriter{}
+	f := flusher{w, http.NewResponseController(w)}
+	if n, err := f.Write(make([]byte, 2*wire.MaxFrame+5)); err != nil || n != 2*wire.MaxFrame+5 {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	part := fmt.Sprintf("write %d", wire.MaxFrame)
+	want := []string{"deadline", part, "flush", "deadline", part, "flush", "deadline", "write 5", "flush"}
+	if !reflect.DeepEqual(w.log, want) {
+		t.Fatalf("the flusher did %v, want %v", w.log, want)
+	}
+}
+
+// TestSenderReleasesLargeFrames: after a frame past wire.MaxFrame, a
+// stream's sender stages its next frame in a buffer no larger than
+// MaxFrame, so a subscription does not pin the largest frame it sent.
+func TestSenderReleasesLargeFrames(t *testing.T) {
+	out := &sender{w: io.Discard}
+	if err := out.records([]wire.RawRecord{{Seq: 1, Data: make([]byte, wire.MaxFrame)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.send(wire.AppendHeartbeat(out.buf[:0], 1)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(out.buf) > wire.MaxFrame {
+		t.Fatalf("the sender keeps a %d-byte buffer after a large frame, want at most wire.MaxFrame", cap(out.buf))
+	}
 }

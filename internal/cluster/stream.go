@@ -11,28 +11,10 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
-
-// encodeState exports a community and encodes its state: the one encoding
-// behind catch-up snapshots and a handoff's offer. cutoff is its sequence.
-func encodeState(c *service.Community) (cutoff uint64, data []byte, err error) {
-	st := c.Export()
-	if data, err = json.Marshal(st); err != nil {
-		return 0, nil, fmt.Errorf("cluster: encode %q: %w", st.ID, err)
-	}
-	return st.Seq, data, nil
-}
-
-// decodeState decodes a state encodeState encoded.
-func decodeState(data []byte) (service.CommunityState, error) {
-	var st service.CommunityState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("cluster: decode community state: %w", err)
-	}
-	return st, nil
-}
 
 // sender writes one stream's frames, each staged in one reused buffer.
 type sender struct {
@@ -40,16 +22,21 @@ type sender struct {
 	buf []byte
 }
 
-// send writes frame, which the caller appended to s.buf[:0].
+// send writes frame, which the caller appended to s.buf[:0], and keeps
+// its buffer for the next frame unless it passed wire.MaxFrame, so a
+// stream does not pin the largest frame it sent.
 func (s *sender) send(frame []byte) error {
-	s.buf = frame
+	if cap(frame) <= wire.MaxFrame {
+		s.buf = frame
+	}
 	_, err := s.w.Write(frame)
 	return err
 }
 
 // records sends recs in frames of at most maxRecsPerFrame records, cut
-// before a record that would push a frame past wire.MaxFrame. A record too
-// large for any frame goes alone, and the receiver refuses it.
+// before a record that would push a frame past wire.MaxFrame. A record
+// larger than that, such as a large community's state, goes alone, in a
+// frame up to wire.MaxStreamFrame.
 func (s *sender) records(recs []wire.RawRecord) error {
 	for len(recs) > 0 {
 		n := wire.RecordsFit(recs[:min(len(recs), maxRecsPerFrame)])
@@ -61,19 +48,23 @@ func (s *sender) records(recs []wire.RawRecord) error {
 	return nil
 }
 
-// flusher sends each frame of a streamed response as it is written, under
-// a fresh write deadline, so a follower that stops reading fails its
-// stream instead of stalling it.
+// flusher sends each frame of a streamed response as it is written,
+// wire.MaxFrame bytes at a time, each under a fresh write deadline, so a
+// follower that stops reading fails its stream instead of stalling it,
+// and one reading a large state slowly does not.
 type flusher struct {
 	w  io.Writer
 	rc *http.ResponseController
 }
 
-func (f flusher) Write(p []byte) (int, error) {
-	_ = f.rc.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	n, err := f.w.Write(p)
-	if err == nil {
-		err = f.rc.Flush()
+func (f flusher) Write(p []byte) (n int, err error) {
+	for n < len(p) && err == nil {
+		_ = f.rc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		var m int
+		m, err = f.w.Write(p[n:min(len(p), n+wire.MaxFrame)])
+		if n += m; err == nil {
+			err = f.rc.Flush()
+		}
 	}
 	return n, err
 }
@@ -82,14 +73,14 @@ func (f flusher) Write(p []byte) (int, error) {
 // through after lacks of community (of every community when it is "") up
 // to through, then Heartbeat(through). That is the ring's records in
 // (after, through] or, once the ring no longer reaches back to after, each
-// community's current state first, one Snapshot frame each so a mega
-// community cannot push a frame past wire.MaxFrame. Every community's
-// catch-up sends only the communities this node owns: a fenced replica's
-// owner streams it, and this node's copy may trail that owner's. A state
-// exported after through was read holds its community's records up to
-// through, so one community's state goes alone; every community's
-// catch-up still sends the ring, which carries deletes of communities no
-// longer there to export, and takeovers of communities this node took.
+// community's current state first, as an install record at the state's
+// seq. Every community's catch-up sends only the communities this node
+// owns: a fenced replica's owner streams it, and this node's copy may
+// trail that owner's. A state exported after through was read holds its
+// community's records up to through, so one community's state goes alone;
+// every community's catch-up still sends the ring, which carries deletes
+// of communities no longer there to export, and takeovers of communities
+// this node took.
 func (s *Source) catchUp(out *sender, community string, after, through uint64) error {
 	recs, covered := s.TailFor(community, after, through)
 	if !covered && after < through {
@@ -104,11 +95,12 @@ func (s *Source) catchUp(out *sender, community string, after, through uint64) e
 			if !ok || (community == "" && c.Fenced()) {
 				continue
 			}
-			cutoff, state, err := encodeState(c)
+			st := c.Export()
+			data, err := persist.Encode(nil, []service.Record{{Op: service.OpInstall, ID: id, State: &st}})
 			if err != nil {
 				return err
 			}
-			if err := out.send(wire.AppendSnapshot(out.buf[:0], cutoff, state)); err != nil {
+			if err := out.records([]wire.RawRecord{{Seq: st.Seq, Data: data[0]}}); err != nil {
 				return err
 			}
 		}
@@ -120,20 +112,17 @@ func (s *Source) catchUp(out *sender, community string, after, through uint64) e
 }
 
 // applier is the one receive side of a replica stream. It decodes each
-// state and record once and applies the communities keep accepts as
-// fenced replicas (Owner.InstallReplica, Owner.Replicate). Bytes it cannot
-// decode, and any frame but Snapshot, Records and Heartbeat, fail the
-// stream: a replica holds its owner's state and history verbatim or not
-// at all.
+// record once and replays the communities keep accepts as fenced
+// replicas (Owner.Replicate), a state arriving as an install record.
+// Bytes it cannot decode, and any frame but Records and Heartbeat, fail
+// the stream: a replica holds its owner's state and history verbatim or
+// not at all.
 type applier struct {
 	owner *service.Owner
 	// keep reports whether the stream's copy of a community applies here.
 	// An accepted state replaces any local copy behind it, an unfenced one
 	// included; a caller that must never overwrite its own says so here.
 	keep func(id string) bool
-	// journal installs states through Owner.InstallOffer, which journals
-	// them: a handoff's, whose takeover replays onto them.
-	journal bool
 	// passed, when set, hears every streamed record, kept or not.
 	passed func(seq uint64, rec service.Record)
 }
@@ -150,18 +139,6 @@ func (a *applier) receive(r io.Reader, beat func(seq uint64) bool) error {
 		}
 		buf = b
 		switch fr.Kind {
-		case wire.KindSnapshot:
-			_, data, err := fr.Snapshot()
-			if err != nil {
-				return err
-			}
-			st, err := decodeState(data)
-			if err != nil {
-				return err
-			}
-			if err := a.install(st); err != nil {
-				return err
-			}
 		case wire.KindRecords:
 			if recs, err = fr.Records(recs[:0]); err != nil {
 				return err
@@ -183,21 +160,6 @@ func (a *applier) receive(r io.Reader, beat func(seq uint64) bool) error {
 			return fmt.Errorf("cluster: unexpected %v frame on a replica stream", fr.Kind)
 		}
 	}
-}
-
-// install installs a decoded state as a fenced replica if keep accepts it.
-func (a *applier) install(st service.CommunityState) error {
-	if !a.keep(st.ID) {
-		return nil
-	}
-	install := a.owner.InstallReplica
-	if a.journal {
-		install = a.owner.InstallOffer
-	}
-	if _, err := install(st); err != nil {
-		return fmt.Errorf("cluster: install replica %q: %w", st.ID, err)
-	}
-	return nil
 }
 
 // replicate decodes a streamed record and replays it if keep accepts it.

@@ -60,7 +60,9 @@ type Record struct {
 	// for, or that a takeover starts.
 	Space Space `json:"space,omitzero"`
 	// State is an install's state, and Tail a handoff's takeover's records
-	// from the old owner after the offered state.
+	// from the old owner after the offered state: the records the old
+	// owner's ring still held, or, once it no longer reached back to the
+	// offer, the install record of its fenced state.
 	State *CommunityState `json:"state,omitempty"`
 	Tail  []SeqRecord     `json:"tail,omitempty"`
 }
@@ -229,8 +231,10 @@ func (r *Owner) InstallOffer(st CommunityState) (*Community, error) {
 // TakeOver makes this node the owner of its fenced copy of community id in
 // the new sequence space sp, journaled, at the takeover record's seq. A
 // handoff passes its applied tail, whose offered state InstallOffer
-// journaled; an election or a promote journals the copy's state with the
-// takeover record. A copy this node owns already is left alone.
+// journaled, and which carries the old owner's later state when its ring
+// no longer reached back to the offer; an election or a promote journals
+// the copy's state with the takeover record. A copy this node owns
+// already is left alone.
 func (r *Owner) TakeOver(id string, sp Space, tail []SeqRecord, handoff bool) error {
 	c, ok := r.Get(id)
 	if !ok {

@@ -17,7 +17,6 @@ func seedCorpus() [][]byte {
 		AppendError(nil, 404, 2, "no community \"x\""),
 		AppendHandoffOffer(nil, 9, "demo", []byte(`{"epoch":9}`), []byte(`{"id":"demo"}`)),
 		AppendRecords(nil, []RawRecord{{Seq: 1, Data: []byte(`{"op":1}`)}, {Seq: 2}}),
-		AppendSnapshot(nil, 17, []byte(`{"id":"demo"}`)),
 		AppendHeartbeat(nil, 99),
 		encodeWindowResp(nil, 70, 41, [][]int{{0, 3, 64}, {}, {69}}),
 		encodeWindowResp(nil, 1, 1, [][]int{{0}}),
@@ -85,12 +84,6 @@ func FuzzSplit(f *testing.F) {
 						t.Fatalf("records did not round trip:\n got %x\nwant %x", got, consumed)
 					}
 				}
-			case KindSnapshot:
-				if cutoff, state, err := fr.Snapshot(); err == nil {
-					if got := AppendSnapshot(nil, cutoff, state); !bytes.Equal(got, consumed) {
-						t.Fatalf("snapshot did not round trip:\n got %x\nwant %x", got, consumed)
-					}
-				}
 			case KindHeartbeat:
 				if seq, err := fr.Heartbeat(); err == nil {
 					if got := AppendHeartbeat(nil, seq); !bytes.Equal(got, consumed) {
@@ -131,6 +124,39 @@ func FuzzSplit(f *testing.F) {
 				}
 			}
 			rest = r
+		}
+	})
+}
+
+// FuzzReadFrame: the stream reader decodes the stream route's untrusted
+// bytes, a handoff POST from any client among them. Reading arbitrary bytes
+// must never panic; every frame Split accepts, ReadFrame returns with the
+// same kind and body, and in an input under MaxFrame, what Split refuses
+// ReadFrame refuses too; and the buffer it hands back never holds more
+// than MaxFrame beyond twice the bytes supplied.
+func FuzzReadFrame(f *testing.F) {
+	for _, seed := range seedCorpus() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var buf []byte
+		for rest := data; len(rest) > 0; {
+			fr, b, err := ReadFrame(r, buf)
+			if cap(b) > MaxFrame+2*len(data) {
+				t.Fatalf("ReadFrame holds %d bytes of a %d-byte input", cap(b), len(data))
+			}
+			want, next, serr := Split(rest)
+			if serr != nil {
+				if err == nil && len(data) < MaxFrame {
+					t.Fatalf("ReadFrame accepted a %v frame Split refuses: %v", fr.Kind, serr)
+				}
+				return
+			}
+			if err != nil || fr.Kind != want.Kind || !bytes.Equal(fr.Body, want.Body) {
+				t.Fatalf("ReadFrame = %v %x (%v), Split = %v %x", fr.Kind, fr.Body, err, want.Kind, want.Body)
+			}
+			buf, rest = b, next
 		}
 	})
 }

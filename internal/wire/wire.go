@@ -9,6 +9,7 @@
 // spec):
 //
 //	frame   := u32 length | payload          length = len(payload) ≤ MaxFrame
+//	                                          (≤ MaxStreamFrame read by ReadFrame)
 //	payload := 'H' 'W' | u8 version | u8 kind | body
 //
 //	WindowReq  (1): u16 idLen | id | i64 from | i64 to
@@ -19,29 +20,28 @@
 //	ChurnReq   (6): u8 op | u16 idLen | id | u32 u | u32 v
 //	ChurnResp  (7): u8 flags (bit 0 applied, bit 1 recolored)
 //	Records    (9): u32 count | count × (u64 seq | u32 len | bytes)
-//	Snapshot  (10): u64 cutoff | u32 len | bytes
 //	Heartbeat (11): u64 seq
 //
 //	HandoffOffer (12): u64 epoch | u16 idLen | id | u32 tableLen | table | u32 stateLen | state
 //
-// Kinds 9–11 are the replication stream of internal/cluster: a follower's
-// GET /v1/stream?from=N on the owner's API address is answered with
-// Snapshot frames (one per community, the catch-up path), then Records
-// frames carrying WAL records (the same JSON objects WAL segments store,
-// framed with their sequence numbers) and Heartbeat frames advertising the
-// last sequence streamed to that subscriber, so an idle follower still
-// learns it is caught up and that its owner is alive.
+// Kinds 9 and 11 are the replication stream of internal/cluster: a
+// follower's GET /v1/stream?from=N on the owner's API address is answered
+// with Records frames carrying WAL records (the same JSON objects WAL
+// segments store, framed with their sequence numbers; in catch-up, each
+// community's state first as an install record) and Heartbeat frames
+// advertising the last sequence streamed to that subscriber, so an idle
+// follower still learns it is caught up and that its owner is alive.
 //
 // Kind 12 opens each of a live handoff's two POSTs to /v1/stream on the new
 // owner (DESIGN.md §12): the placement table being flipped to (JSON), the
 // epoch, and — in the first — the community's exported state. The second
-// carries no state and is followed by the WAL tail (Records or a re-export
-// Snapshot) and a Heartbeat marking the fencing cut; its 200 answer is the
-// ack.
+// carries no state and is followed by the WAL tail (Records) and a
+// Heartbeat marking the fencing cut; its 200 answer is the ack.
 //
-// Kinds 8 (Subscribe) and 13 (HandoffAck) are retired: the GET's from
-// parameter and the second POST's answer do their jobs. Their numbers are
-// never reused, and decoders refuse them as unknown.
+// Kinds 8 (Subscribe), 10 (Snapshot) and 13 (HandoffAck) are retired: the
+// GET's from parameter, an install record and the second POST's answer do
+// their jobs. Their numbers are never reused, and decoders refuse them as
+// unknown.
 //
 // A batch is frames concatenated back to back; responses correspond 1:1 and
 // in order with the request frames, per-query failures arriving as Error
@@ -64,7 +64,7 @@ import (
 // Version is the wire-format version byte; decoders refuse anything else.
 // History: 1 = PR 5 query frames; 2 adds the replication kinds (8–11) and a
 // u16 error code to Error frames (the {code, message} envelope shared with
-// the JSON endpoints). Retiring kinds 8 and 13 changed no frame that is
+// the JSON endpoints). Retiring kinds 8, 10 and 13 changed no frame that is
 // still sent, so the version stayed.
 const Version = 2
 
@@ -74,6 +74,13 @@ const Version = 2
 // families they would take 51.2 MB), so servers refuse a window longer than
 // WindowRespRows.
 const MaxFrame = 16 << 20
+
+// MaxStreamFrame bounds a frame ReadFrame reads from a replica stream,
+// where one record or handoff offer carries a whole community state and
+// may pass MaxFrame. ReadFrame commits memory only as a payload's bytes
+// arrive, so a hostile length prefix below it costs no more than MaxFrame
+// beyond twice what its sender sent.
+const MaxStreamFrame = 1 << 30
 
 // MaxIDLen bounds community ids on the wire (the u16 length field's range).
 const MaxIDLen = 1<<16 - 1
@@ -111,10 +118,9 @@ const (
 	// KindRecords carries a batch of WAL records, each framed with its
 	// sequence number (the payload bytes are the WAL segments' JSON objects).
 	KindRecords
-	// KindSnapshot carries one community's exported state (JSON) plus the
-	// sequence cutoff it reflects — the catch-up path when a follower's
-	// subscription predates the owner's replication buffer.
-	KindSnapshot
+	// Kind 10, Snapshot, is retired: catch-up sends each state as an
+	// install record.
+	_
 	// KindHeartbeat advertises the last sequence streamed to the
 	// subscriber: an idle follower is caught up through it.
 	KindHeartbeat
@@ -135,8 +141,8 @@ const (
 	ChurnDelete byte = 2
 )
 
-// kindNames names every kind a frame may carry. The retired kinds 8 and
-// 13 have no name, so decoders refuse them as unknown.
+// kindNames names every kind a frame may carry. The retired kinds 8, 10
+// and 13 have no name, so decoders refuse them as unknown.
 var kindNames = [...]string{
 	KindWindowReq:    "window-request",
 	KindWindowResp:   "window-response",
@@ -146,7 +152,6 @@ var kindNames = [...]string{
 	KindChurnReq:     "churn-request",
 	KindChurnResp:    "churn-response",
 	KindRecords:      "records",
-	KindSnapshot:     "snapshot",
 	KindHeartbeat:    "heartbeat",
 	KindHandoffOffer: "handoff-offer",
 }
@@ -579,31 +584,6 @@ func (f Frame) Records(dst []RawRecord) ([]RawRecord, error) {
 	return dst, nil
 }
 
-// AppendSnapshot appends a snapshot frame: one community's exported state
-// plus the WAL sequence cutoff it reflects.
-func AppendSnapshot(dst []byte, cutoff uint64, state []byte) []byte {
-	dst = appendHeader(dst, KindSnapshot, 12+len(state))
-	dst = binary.LittleEndian.AppendUint64(dst, cutoff)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(state)))
-	return append(dst, state...)
-}
-
-// Snapshot decodes a snapshot body. The returned data aliases the frame
-// body.
-func (f Frame) Snapshot() (cutoff uint64, data []byte, err error) {
-	if f.Kind != KindSnapshot {
-		return 0, nil, fmt.Errorf("wire: %s frame is not a snapshot", f.Kind)
-	}
-	if len(f.Body) < 12 {
-		return 0, nil, fmt.Errorf("wire: snapshot body is %d bytes, want ≥ 12", len(f.Body))
-	}
-	n := int(binary.LittleEndian.Uint32(f.Body[8:]))
-	if len(f.Body)-12 != n {
-		return 0, nil, fmt.Errorf("wire: snapshot declares %d state bytes, %d present", n, len(f.Body)-12)
-	}
-	return binary.LittleEndian.Uint64(f.Body), f.Body[12:], nil
-}
-
 // AppendHeartbeat appends a heartbeat frame advertising the owner's current
 // WAL sequence.
 func AppendHeartbeat(dst []byte, seq uint64) []byte {
@@ -671,23 +651,40 @@ func (f Frame) HandoffOffer() (epoch uint64, id string, table, state []byte, err
 // ReadFrame reads one frame from a stream, reusing buf (grown as needed) for
 // the payload; the returned buffer must be passed back in on the next call,
 // and the frame body aliases it. This is the replication-stream reader —
-// batch HTTP bodies, which arrive fully buffered, use Split instead.
+// batch HTTP bodies, which arrive fully buffered, use Split instead. A
+// stream frame may exceed MaxFrame, up to MaxStreamFrame. Its payload is
+// read at most MaxFrame bytes at a time, so the buffer holds at most
+// MaxFrame beyond twice the bytes read, and a frame past MaxFrame gets a
+// buffer of its own, not handed back, so a stream does not pin the largest
+// frame it carried.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var prefix [prefixLen]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Frame{}, buf, err
 	}
-	n, err := payloadLen(prefix[:])
-	if err != nil {
+	n := int(binary.LittleEndian.Uint32(prefix[:]))
+	if n > MaxStreamFrame {
+		return Frame{}, buf, fmt.Errorf("wire: frame payload of %d bytes exceeds MaxStreamFrame %d", n, MaxStreamFrame)
+	}
+	p := buf[:0]
+	if n > MaxFrame {
+		p = nil
+	} else if _, err := payloadLen(prefix[:]); err != nil {
 		return Frame{}, buf, err
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	for len(p) < n {
+		next := len(p) + min(n-len(p), MaxFrame)
+		if next > cap(p) {
+			p = append(make([]byte, 0, min(n, max(next, 2*len(p)))), p...)
+		}
+		got, err := io.ReadFull(r, p[len(p):next])
+		if p = p[:len(p)+got]; err != nil {
+			return Frame{}, p, fmt.Errorf("wire: truncated frame: %w", err)
+		}
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, buf, fmt.Errorf("wire: truncated frame: %w", err)
+	f, err := parse(p)
+	if n > MaxFrame {
+		return f, buf, err
 	}
-	f, err := parse(buf)
-	return f, buf, err
+	return f, p, err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -310,27 +311,18 @@ func TestAppendErrorTruncates(t *testing.T) {
 	}
 }
 
-// TestReplicationRoundTrip covers the replication stream kinds (9–11) both
-// through Split and through the streaming ReadFrame reader.
+// TestReplicationRoundTrip covers the replication stream kinds (9 and 11)
+// both through Split and through the streaming ReadFrame reader.
 func TestReplicationRoundTrip(t *testing.T) {
 	recs := []RawRecord{
 		{Seq: 1, Data: []byte(`{"op":"marry"}`)},
 		{Seq: 2, Data: nil},
 		{Seq: 9, Data: []byte(`{"op":"divorce","u":3}`)},
 	}
-	buf := AppendSnapshot(nil, 17, []byte(`{"id":"demo"}`))
-	buf = AppendRecords(buf, recs)
+	buf := AppendRecords(nil, recs)
 	buf = AppendHeartbeat(buf, 99)
 
 	f, rest, err := Split(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutoff, state, err := f.Snapshot()
-	if err != nil || cutoff != 17 || string(state) != `{"id":"demo"}` {
-		t.Fatalf("Snapshot = %d %q (%v)", cutoff, state, err)
-	}
-	f, rest, err = Split(rest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +359,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		}
 		kinds = append(kinds, fr.Kind)
 	}
-	want := []Kind{KindSnapshot, KindRecords, KindHeartbeat}
+	want := []Kind{KindRecords, KindHeartbeat}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("ReadFrame saw kinds %v, want %v", kinds, want)
 	}
@@ -376,16 +368,9 @@ func TestReplicationRoundTrip(t *testing.T) {
 // TestReplicationDecodersReject: malformed replication bodies must fail with
 // errors naming the problem, and wrong kinds must be refused.
 func TestReplicationDecodersReject(t *testing.T) {
-	snapFrame, _, _ := Split(AppendSnapshot(nil, 1, nil))
 	hb, _, _ := Split(AppendHeartbeat(nil, 1))
-	if _, err := snapFrame.Heartbeat(); err == nil {
-		t.Fatal("Heartbeat decoded a snapshot")
-	}
 	if _, err := hb.Records(nil); err == nil {
 		t.Fatal("Records decoded a heartbeat")
-	}
-	if _, _, err := hb.Snapshot(); err == nil {
-		t.Fatal("Snapshot decoded a heartbeat")
 	}
 	// A records frame whose count exceeds the records present: count u32
 	// lives at offset 4(len)+4(header).
@@ -402,21 +387,13 @@ func TestReplicationDecodersReject(t *testing.T) {
 	} else if _, err := f.Records(nil); err == nil {
 		t.Fatal("Records accepted a record length past the body")
 	}
-	// A snapshot whose state length disagrees with the body: len u32 follows
-	// cutoff(8) at offset 8+8.
-	snap := AppendSnapshot(nil, 1, []byte("state"))
-	if f, _, err := Split(mutate(snap, 16, 200)); err != nil {
-		t.Fatal(err)
-	} else if _, _, err := f.Snapshot(); err == nil {
-		t.Fatal("Snapshot accepted a state length disagreeing with the body")
-	}
 }
 
-// TestRetiredKindsRefused: kinds 8 (Subscribe) and 13 (HandoffAck) are
-// retired, and both decoders refuse a frame of either as unknown, whatever
-// its body.
+// TestRetiredKindsRefused: kinds 8 (Subscribe), 10 (Snapshot) and 13
+// (HandoffAck) are retired, and both decoders refuse a frame of any of them
+// as unknown, whatever its body.
 func TestRetiredKindsRefused(t *testing.T) {
-	for _, k := range []Kind{8, 13} {
+	for _, k := range []Kind{8, 10, 13} {
 		frame := binary.LittleEndian.AppendUint64(appendHeader(nil, k, 8), 42)
 		if _, _, err := Split(frame); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
 			t.Errorf("Split of a kind %d frame: %v, want an unknown kind", k, err)
@@ -448,7 +425,7 @@ func TestReadFrameRejects(t *testing.T) {
 		"bad version":  {mutate(good, 6, 99), "version"},
 		"unknown kind": {mutate(good, 7, 42), "unknown frame kind"},
 		"tiny payload": {mutate(good, 0, 2), "shorter than its header"},
-		"huge payload": {mutate(mutate(mutate(mutate(good, 0, 0xff), 1, 0xff), 2, 0xff), 3, 0xff), "exceeds MaxFrame"},
+		"huge payload": {mutate(mutate(mutate(mutate(good, 0, 0xff), 1, 0xff), 2, 0xff), 3, 0xff), "exceeds MaxStreamFrame"},
 	} {
 		_, _, err := ReadFrame(strings.NewReader(string(tc.data)), nil)
 		if err == nil {
@@ -457,6 +434,64 @@ func TestReadFrameRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestReadFrameCommitsAsBytesArrive: a stream frame may declare up to
+// MaxStreamFrame, but the reader commits memory only as the payload
+// arrives. A prefix declaring the bound, followed by 1 KiB and EOF, fails
+// as truncated having allocated no more than MaxFrame beyond twice what
+// arrived, and a prefix past the bound is refused before any body byte is
+// read.
+func TestReadFrameCommitsAsBytesArrive(t *testing.T) {
+	const sent = 1 << 10
+	stream := binary.LittleEndian.AppendUint32(nil, MaxStreamFrame)
+	stream = append(append(stream, magic0, magic1, Version, byte(KindRecords)), make([]byte, sent-headerLen)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, buf, err := ReadFrame(bytes.NewReader(stream), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("a frame declaring MaxStreamFrame cut short after %d bytes: %v, want a truncation error", sent, err)
+	}
+	if limit := MaxFrame + 2*sent; cap(buf) > limit {
+		t.Fatalf("buffer left holds %d bytes after %d arrived, want at most %d", cap(buf), sent, limit)
+	}
+	// The error's own allocations are small; the slack covers them.
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(MaxFrame+2*sent+64<<10); grew > limit {
+		t.Fatalf("reading %d bytes of a frame allocated %d bytes, want at most %d", sent, grew, limit)
+	}
+
+	over := binary.LittleEndian.AppendUint32(nil, MaxStreamFrame+1)
+	r := bytes.NewReader(append(over, make([]byte, 64)...))
+	if _, _, err := ReadFrame(r, nil); err == nil || !strings.Contains(err.Error(), "exceeds MaxStreamFrame") {
+		t.Fatalf("a prefix past MaxStreamFrame: %v, want it refused", err)
+	}
+	if r.Len() != 64 {
+		t.Fatalf("refusing a prefix past MaxStreamFrame read %d body bytes, want none", 64-r.Len())
+	}
+}
+
+// TestReadFrameReleasesLargeFrames: a 20 MiB records frame, past MaxFrame,
+// reads whole, and the buffer handed back after it and a heartbeat is no
+// larger than MaxFrame: a stream does not pin the largest frame it read.
+func TestReadFrameReleasesLargeFrames(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789abcdef"), 20<<20/16)
+	stream := AppendHeartbeat(AppendRecords(nil, []RawRecord{{Seq: 7, Data: data}}), 7)
+	r := bytes.NewReader(stream)
+	f, buf, err := ReadFrame(r, make([]byte, 0, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := f.Records(nil)
+	if err != nil || len(recs) != 1 || recs[0].Seq != 7 || !bytes.Equal(recs[0].Data, data) {
+		t.Fatalf("the 20 MiB frame decoded to %d records (%v), want its one record intact", len(recs), err)
+	}
+	if f, buf, err = ReadFrame(r, buf); err != nil || f.Kind != KindHeartbeat {
+		t.Fatalf("the frame after the large one: %v (%v), want a heartbeat", f.Kind, err)
+	}
+	if cap(buf) > MaxFrame {
+		t.Fatalf("the buffer handed back holds %d bytes after a 20 MiB frame, want at most MaxFrame", cap(buf))
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cluster-smoke.sh — four legs against real holidayd clusters:
+# cluster-smoke.sh — five legs against real holidayd clusters:
 #
 #   leg 1  break-glass: detector disabled (-failover-after 0), SIGKILL the
 #          owner, operator promotes a survivor, answers byte-identical.
@@ -16,6 +16,9 @@
 #          nodes while moving one community per second over live handoffs;
 #          the snapshot must record zero failed ops and at least 3 handoffs
 #          (writes a move's fenced window refuses are re-sent, not counted).
+#   leg 5  large state: -demo powerlaw:n=500000,m=3, whose state and create
+#          record pass wire.MaxFrame, reaches every follower at its owner's
+#          seq, answering a window byte-identically.
 #
 # Run from the repo root. Builds into a temp dir; cleans up on every exit.
 set -euo pipefail
@@ -65,11 +68,11 @@ write_topology() { # write_topology <file> <node>...
   } > "$file"
 }
 
-start_node() { # start_node <leg> <id> <topology> <failover-after>
-  local leg=$1 id=$2 topo=$3 fo=$4
+start_node() { # start_node <leg> <id> <topology> <failover-after> [flag]...
+  local leg=$1 id=$2 topo=$3 fo=$4; shift 4
   "$BIN/holidayd" -addr "${ADDR[$id]#http://}" -node-id "$id" \
     -peers "$topo" -follow all -failover-after "$fo" \
-    -data-dir "$WORK/$leg-data-$id" >"$WORK/$leg-$id.log" 2>&1 &
+    -data-dir "$WORK/$leg-data-$id" "$@" >"$WORK/$leg-$id.log" 2>&1 &
   PID[$id]=$!
   PIDS+=($!)
 }
@@ -333,4 +336,24 @@ jq -e '.totals.errors == 0' "$WORK/rotate.json" >/dev/null \
 jq -e '.handoffs >= 3' "$WORK/rotate.json" >/dev/null \
   || fail "rotation run completed $HANDOFFS handoffs, want at least 3"
 echo "leg 4 OK: $HANDOFFS live handoffs under mega-ci load, 0 failed ops"
-echo "cluster smoke OK: break-glass, operator-free failover, join-rebalance, rotation under load"
+stop_cluster a b c
+
+# ---------------------------------------------------------------- leg 5 ---
+echo "=== leg 5: a community whose state passes the frame bound reaches every follower ==="
+TOPO5="$WORK/leg5-nodes.json"
+write_topology "$TOPO5" a b c
+for n in a b c; do start_node leg5 "$n" "$TOPO5" 0 -demo 'powerlaw:n=500000,m=3'; done
+for n in a b c; do await_healthy "${ADDR[$n]}"; done
+OWNER=$("$BIN/holidayctl" -topology "$TOPO5" place demo | awk '{print $3}')
+echo "demo is owned by node $OWNER"
+await_replication "$OWNER" demo a b c
+curl -sf "${ADDR[$OWNER]}/v1/communities/demo/window?from=1&to=8" > "$WORK/large.$OWNER" \
+  || fail "owner window for demo"
+for n in a b c; do
+  [ "$n" = "$OWNER" ] && continue
+  curl -sf "${ADDR[$n]}/v1/communities/demo/window?from=1&to=8" > "$WORK/large.$n" \
+    || fail "follower window for demo on $n"
+  cmp -s "$WORK/large.$OWNER" "$WORK/large.$n" || fail "follower $n answers demo unlike its owner"
+done
+echo "leg 5 OK: demo at seq $(comm_seq "$OWNER" demo) on every node, byte-identical answers"
+echo "cluster smoke OK: break-glass, operator-free failover, join-rebalance, rotation under load, large state"
