@@ -2,14 +2,21 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/graph"
 )
 
 // seedCorpus returns well-formed frames of every kind, so the fuzzers start
-// from valid encodings and mutate toward the interesting boundaries.
+// from valid encodings and mutate toward the interesting boundaries, plus a
+// frame of the retired kind 10 (Snapshot) in its old layout, which both
+// decoders must refuse.
 func seedCorpus() [][]byte {
+	retiredSnapshot := appendHeader(nil, 10, 12+len(`{"id":"demo"}`))
+	retiredSnapshot = binary.LittleEndian.AppendUint64(retiredSnapshot, 17)
+	retiredSnapshot = binary.LittleEndian.AppendUint32(retiredSnapshot, uint32(len(`{"id":"demo"}`)))
+	retiredSnapshot = append(retiredSnapshot, `{"id":"demo"}`...)
 	return [][]byte{
 		AppendWindowReq(nil, "demo", 1, 52),
 		AppendNextReq(nil, "demo", 3, 10),
@@ -17,6 +24,7 @@ func seedCorpus() [][]byte {
 		AppendError(nil, 404, 2, "no community \"x\""),
 		AppendHandoffOffer(nil, 9, "demo", []byte(`{"epoch":9}`), []byte(`{"id":"demo"}`)),
 		AppendRecords(nil, []RawRecord{{Seq: 1, Data: []byte(`{"op":1}`)}, {Seq: 2}}),
+		retiredSnapshot,
 		AppendHeartbeat(nil, 99),
 		encodeWindowResp(nil, 70, 41, [][]int{{0, 3, 64}, {}, {69}}),
 		encodeWindowResp(nil, 1, 1, [][]int{{0}}),
