@@ -248,12 +248,11 @@ func rebalance(w io.Writer, topo service.Topology) error {
 	if seed == "" {
 		return fmt.Errorf("rebalance: no node in the topology has an address")
 	}
-	rb := &cluster.Rebalancer{Logf: func(format string, args ...any) {
-		fmt.Fprintf(w, format+"\n", args...)
-	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	moves, table, err := rb.Rebalance(ctx, seed, topo.Nodes)
+	moves, table, err := cluster.Rebalance(ctx, seed, topo.Nodes, func(format string, args ...any) {
+		fmt.Fprintf(w, format+"\n", args...)
+	})
 	if err != nil {
 		return err
 	}

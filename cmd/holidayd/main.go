@@ -279,8 +279,7 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	if m.router != nil {
 		sopts := cluster.SourceOpts{Owner: reg, Router: m.router}
 		if store != nil {
-			wal := store.Journal()
-			sopts.Journal, sopts.Start = wal, wal.Seq()
+			sopts.Journal = store.Journal()
 		}
 		var err error
 		if src, err = cluster.NewSource(sopts); err != nil {
@@ -298,13 +297,12 @@ func serve(ctx context.Context, cfg *config, m membership, reg *service.Owner, s
 	if src != nil {
 		mux.Handle(cluster.StreamPath, src)
 		hopts.Handoff = func(community string, table service.Placement) (uint64, time.Duration, error) {
-			res, err := cluster.Handoff(reg, src, m.router, community, table, 0)
-			if err != nil {
-				return 0, 0, err
+			cut, pause, err := src.Handoff(community, table)
+			if err == nil {
+				log.Printf("handed off %q to %s at epoch %d (cut %d, pause %v)",
+					community, table.Assign[community], table.Epoch, cut, pause)
 			}
-			log.Printf("handed off %q to %s at epoch %d (cut %d, pause %v)",
-				community, table.Assign[community], table.Epoch, res.CutSeq, res.Pause)
-			return res.CutSeq, res.Pause, nil
+			return cut, pause, err
 		}
 	}
 	mux.Handle("/", service.NewHandler(hopts))

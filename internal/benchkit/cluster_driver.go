@@ -277,8 +277,7 @@ func (d *ClusterDriver) Rotate(ctx context.Context) error {
 	fromIdx := d.placedIdx(community)
 	from, to := d.ids[fromIdx], d.ids[(fromIdx+1)%len(d.ids)]
 
-	rb := &cluster.Rebalancer{}
-	mv, err := rb.MoveCommunity(ctx, d.nodes[fromIdx].base, community, to)
+	mv, err := cluster.MoveCommunity(ctx, d.nodes[fromIdx].base, community, to)
 	if err != nil {
 		return fmt.Errorf("benchkit: rotate %q %s→%s: %w", community, from, to, err)
 	}

@@ -51,10 +51,7 @@ func bootTestCluster(t *testing.T, ids ...string) ([]service.Node, []*testNode) 
 		}
 		tn.owner.SetJournal(src)
 		api := service.NewHandler(service.HandlerOpts{Owner: tn.owner, Router: rt,
-			Handoff: func(community string, table service.Placement) (uint64, time.Duration, error) {
-				res, err := cluster.Handoff(tn.owner, src, rt, community, table, 0)
-				return res.CutSeq, res.Pause, err
-			}})
+			Handoff: src.Handoff})
 		mux := http.NewServeMux()
 		mux.Handle(cluster.StreamPath, src)
 		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

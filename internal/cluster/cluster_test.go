@@ -330,10 +330,11 @@ func TestFollowerReconnects(t *testing.T) {
 	srv.Close()
 	waitFor(t, "follower to notice the drop", func() bool { return !fol.Connected() })
 
-	src2, err := NewSource(SourceOpts{Owner: owner, Start: src.Seq(), Heartbeat: 20 * time.Millisecond})
+	src2, err := NewSource(SourceOpts{Owner: owner, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
+	src2.seq = src.Seq() // a restarted owner's journal resumes where it stopped
 	owner.SetJournal(src2)
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -146,7 +146,7 @@ func TestDetectorSparesUnfedCopies(t *testing.T) {
 		}
 	}
 	stale := seed(t, a.owner, id, 6)
-	if _, err := (&Rebalancer{}).MoveCommunity(context.Background(), nodes[0].Addr, id, "b"); err != nil {
+	if _, err := MoveCommunity(context.Background(), nodes[0].Addr, id, "b"); err != nil {
 		t.Fatalf("MoveCommunity: %v", err)
 	}
 	bc, _ := b.owner.Get(id)

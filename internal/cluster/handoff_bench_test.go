@@ -70,14 +70,14 @@ func benchHandoff(b *testing.B, g *graph.Graph, wal string, writing bool) {
 			slowest <- 0
 		}
 		b.StartTimer()
-		res, err := Handoff(a.owner, a.src, a.rt, "big", table, time.Minute)
+		_, p, err := a.src.Handoff("big", table)
 		b.StopTimer()
 		close(halt)
 		worst += <-slowest
 		if err != nil {
 			b.Fatal(err)
 		}
-		pause += res.Pause
+		pause += p
 		stop()
 		b.StartTimer()
 	}

@@ -99,15 +99,15 @@ func TestHandoffEndToEnd(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "b"
-	res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0)
+	cut, pause, err := a.src.Handoff("alpha", table)
 	if err != nil {
 		t.Fatalf("Handoff: %v", err)
 	}
-	if res.CutSeq != wantSeq {
-		t.Fatalf("cut seq = %d, want %d", res.CutSeq, wantSeq)
+	if cut != wantSeq {
+		t.Fatalf("cut seq = %d, want %d", cut, wantSeq)
 	}
-	if res.Pause <= 0 {
-		t.Fatalf("pause = %v, want > 0", res.Pause)
+	if pause <= 0 {
+		t.Fatalf("pause = %v, want > 0", pause)
 	}
 
 	bc, ok := b.owner.Get("alpha")
@@ -185,18 +185,18 @@ func TestHandoffPauseExcludesInstall(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "b"
-	res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0)
+	cut, pause, err := a.src.Handoff("alpha", table)
 	if err != nil {
 		t.Fatalf("Handoff: %v", err)
 	}
 	if writes.Load() == 0 {
 		t.Fatal("no write landed while the offer's answer was delayed")
 	}
-	if res.Pause >= delay {
-		t.Fatalf("pause = %v, want under the %v the receiver took to answer the offer", res.Pause, delay)
+	if pause >= delay {
+		t.Fatalf("pause = %v, want under the %v the receiver took to answer the offer", pause, delay)
 	}
-	if res.CutSeq != c.Seq() {
-		t.Fatalf("cut seq = %d, want %d", res.CutSeq, c.Seq())
+	if cut != c.Seq() {
+		t.Fatalf("cut seq = %d, want %d", cut, c.Seq())
 	}
 	if bc, ok := b.owner.Get("alpha"); !ok || bc.Fenced() {
 		t.Fatal("b does not own alpha after the handoff")
@@ -232,7 +232,7 @@ func TestHandoffTailFallsBackToState(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal := store.Journal()
-	b := bootNode(t, "b", nodes, listenTCP(t), SourceOpts{Owner: owner, Journal: wal, Start: wal.Seq()})
+	b := bootNode(t, "b", nodes, listenTCP(t), SourceOpts{Owner: owner, Journal: wal})
 	c := seed(t, a.owner, "alpha", 8)
 	cut1 := c.Seq()
 
@@ -265,12 +265,12 @@ func TestHandoffTailFallsBackToState(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "b"
-	res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0)
+	cut, _, err := a.src.Handoff("alpha", table)
 	if err != nil {
 		t.Fatalf("Handoff: %v", err)
 	}
-	if _, covered := a.src.TailFor("alpha", cut1, res.CutSeq); covered || res.CutSeq < cut1+6 {
-		t.Fatalf("the ring covers the tail (%d, %d]: the test needs 6 writes past a 4-record ring", cut1, res.CutSeq)
+	if _, covered := a.src.TailFor("alpha", cut1, cut); covered || cut < cut1+6 {
+		t.Fatalf("the ring covers the tail (%d, %d]: the test needs 6 writes past a 4-record ring", cut1, cut)
 	}
 	bc, ok := b.owner.Get("alpha")
 	if !ok || bc.Fenced() {
@@ -315,19 +315,19 @@ func TestHandoffRefusals(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["ghost"] = "b"
-	if _, err := Handoff(a.owner, a.src, a.rt, "ghost", table, 0); err == nil {
+	if _, _, err := a.src.Handoff("ghost", table); err == nil {
 		t.Fatal("handoff of an absent community succeeded")
 	}
-	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0); err == nil {
+	if _, _, err := a.src.Handoff("alpha", table); err == nil {
 		t.Fatal("handoff with a table that does not assign the community succeeded")
 	}
 	table.Assign["alpha"] = "a"
-	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0); err == nil {
+	if _, _, err := a.src.Handoff("alpha", table); err == nil {
 		t.Fatal("handoff to self succeeded")
 	}
 	a.owner.Fence("alpha")
 	table.Assign["alpha"] = "b"
-	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0); err == nil {
+	if _, _, err := a.src.Handoff("alpha", table); err == nil {
 		t.Fatal("handoff of a fenced replica succeeded")
 	}
 }
@@ -345,7 +345,7 @@ func TestHandoffCrashMidway(t *testing.T) {
 	offered := make(chan wire.Kind, 2)
 	fencedAtCrash := make(chan bool, 1)
 	z := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f, _, _ := wire.ReadFrame(r.Body, nil)
+		f, _, _ := wire.ReadFrame(r.Body, nil, wire.MaxFrame)
 		offered <- f.Kind
 		if requests.Add(1) > 1 {
 			fencedAtCrash <- c.Fenced()
@@ -364,7 +364,7 @@ func TestHandoffCrashMidway(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "z"
-	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second); err == nil {
+	if _, _, err := a.src.Handoff("alpha", table); err == nil {
 		t.Fatal("handoff succeeded against a crashing receiver")
 	}
 	for i := 0; i < 2; i++ {
@@ -406,7 +406,7 @@ func TestHandoffStaleEpochRefused(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++ // 1 — far behind b's 10
 	table.Assign["alpha"] = "b"
-	_, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second)
+	_, _, err := a.src.Handoff("alpha", table)
 	if err == nil {
 		t.Fatal("stale-epoch handoff accepted")
 	}
@@ -437,7 +437,7 @@ func TestHandoffSupersedesOwnedCopy(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "b"
-	if _, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 0); err != nil {
+	if _, _, err := a.src.Handoff("alpha", table); err != nil {
 		t.Fatalf("Handoff: %v", err)
 	}
 	bc, ok := b.owner.Get("alpha")
@@ -489,8 +489,8 @@ func TestHandoffUndecodableTailRefused(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["alpha"] = "b"
-	if res, err := Handoff(a.owner, a.src, a.rt, "alpha", table, 2*time.Second); err == nil {
-		t.Fatalf("handoff with an undecodable tail record was acked at cut %d", res.CutSeq)
+	if cut, _, err := a.src.Handoff("alpha", table); err == nil {
+		t.Fatalf("handoff with an undecodable tail record was acked at cut %d", cut)
 	}
 	if c.Fenced() {
 		t.Fatal("sender left fenced after a refused handoff")
@@ -520,7 +520,7 @@ func TestHandoffTailWithoutOfferRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := table.Addr("b")
-	tail := wire.AppendHeartbeat(wire.AppendHandoffOffer(nil, table.Epoch, "alpha", tableJSON, nil), 5)
+	tail := wire.AppendHeartbeat(wire.AppendHandoffOffer(nil, table.Epoch, "alpha", tableJSON, true), 5)
 	_, err = request(context.Background(), http.MethodPost, addr, "", tail)
 	var se *service.Error
 	if !errorAs(err, &se) || se.Code != service.CodeConflict {

@@ -112,12 +112,12 @@ func TestHandoffLargeCommunity(t *testing.T) {
 	table := a.rt.Placement()
 	table.Epoch++
 	table.Assign["mega"] = "b"
-	res, err := Handoff(a.owner, a.src, a.rt, "mega", table, 0)
+	cut, _, err := a.src.Handoff("mega", table)
 	if err != nil {
 		t.Fatalf("Handoff: %v", err)
 	}
-	if res.CutSeq != mega.Seq() {
-		t.Fatalf("cut seq = %d, want %d", res.CutSeq, mega.Seq())
+	if cut != mega.Seq() {
+		t.Fatalf("cut seq = %d, want %d", cut, mega.Seq())
 	}
 	bc, ok := b.owner.Get("mega")
 	if !ok || bc.Fenced() {

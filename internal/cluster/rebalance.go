@@ -23,22 +23,10 @@ type Move struct {
 	PauseUS   int64         `json:"pause_us"`
 }
 
-// control is the Rebalancer's control-plane client. Its default timeout,
-// service.DefaultClientTimeout, leaves room for handoffs, which stream a
-// state before they answer.
+// control is the control-plane client of Rebalance and MoveCommunity. Its
+// default timeout, service.DefaultClientTimeout, leaves room for handoffs,
+// which stream a state before they answer.
 var control = service.NewClient(nil)
-
-// Rebalancer drives placement changes against a running cluster.
-type Rebalancer struct {
-	// Logf, when set, receives per-move progress.
-	Logf func(format string, args ...any)
-}
-
-func (rb *Rebalancer) logf(format string, args ...any) {
-	if rb.Logf != nil {
-		rb.Logf(format, args...)
-	}
-}
 
 // Rebalance moves the cluster reached through seedAddr onto the target
 // membership: every community lands on its consistent-hash owner under the
@@ -52,8 +40,8 @@ func (rb *Rebalancer) logf(format string, args ...any) {
 // then one epoch per handoff, then — if nodes left — a shrunk membership
 // table. Zero-move rebalances (a join with nothing hashing to the new
 // node, or an already-balanced cluster) publish the membership tables and
-// stop.
-func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []service.Node) ([]Move, service.Placement, error) {
+// stop. logf, when not nil, hears each move.
+func Rebalance(ctx context.Context, seedAddr string, target []service.Node, logf func(format string, args ...any)) ([]Move, service.Placement, error) {
 	cur, err := control.Placement(ctx, seedAddr)
 	if err != nil {
 		return nil, service.Placement{}, fmt.Errorf("cluster: placement from %s: %w", seedAddr, err)
@@ -117,7 +105,9 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 			return moves, p, fmt.Errorf("cluster: rebalance: move %q %s→%s: %w", id, from, to, err)
 		}
 		mv.From = from
-		rb.logf("cluster: moved %q %s→%s at epoch %d (pause %v)", id, from, to, next.Epoch, mv.Pause)
+		if logf != nil {
+			logf("cluster: moved %q %s→%s at epoch %d (pause %v)", id, from, to, next.Epoch, mv.Pause)
+		}
 		moves = append(moves, mv)
 		p = next
 		owners[id] = to
@@ -142,7 +132,7 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, seedAddr string, target []s
 // ownerAddr) to another member — the benchmark's rotation primitive. The
 // published table is the owner's current one, epoch-bumped, with just this
 // community reassigned.
-func (rb *Rebalancer) MoveCommunity(ctx context.Context, ownerAddr, community, to string) (Move, error) {
+func MoveCommunity(ctx context.Context, ownerAddr, community, to string) (Move, error) {
 	cur, err := control.Placement(ctx, ownerAddr)
 	if err != nil {
 		return Move{}, fmt.Errorf("cluster: placement from %s: %w", ownerAddr, err)

@@ -73,7 +73,7 @@ func TestRebalanceFailsClosed(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 
-	_, _, err = (&Rebalancer{}).Rebalance(context.Background(), nodes[0].Addr, target)
+	_, _, err = Rebalance(context.Background(), nodes[0].Addr, target, nil)
 	var ae *service.Error
 	if !errors.As(err, &ae) || ae.Code != service.CodeUnavailable {
 		t.Fatalf("Rebalance with a refusing member = %v, want its unavailable envelope", err)
@@ -103,10 +103,7 @@ func bootAPINode(t *testing.T, id string, nodes []service.Node, ln net.Listener)
 	mux := http.NewServeMux()
 	mux.Handle(StreamPath, src)
 	mux.Handle("/", service.NewHandler(service.HandlerOpts{Owner: owner, Router: rt,
-		Handoff: func(community string, table service.Placement) (uint64, time.Duration, error) {
-			res, err := Handoff(owner, src, rt, community, table, 0)
-			return res.CutSeq, res.Pause, err
-		}}))
+		Handoff: src.Handoff}))
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	t.Cleanup(func() {
@@ -141,7 +138,7 @@ func TestMoveCommunity(t *testing.T) {
 	c := seed(t, a.owner, id, 6)
 	want := windowJSON(t, a.owner, id)
 
-	mv, err := (&Rebalancer{}).MoveCommunity(context.Background(), nodes[0].Addr, id, "b")
+	mv, err := MoveCommunity(context.Background(), nodes[0].Addr, id, "b")
 	if err != nil {
 		t.Fatalf("MoveCommunity: %v", err)
 	}
@@ -192,7 +189,7 @@ func TestRebalanceJoin(t *testing.T) {
 		}
 	}
 
-	moves, final, err := (&Rebalancer{Logf: t.Logf}).Rebalance(context.Background(), target[0].Addr, target)
+	moves, final, err := Rebalance(context.Background(), target[0].Addr, target, t.Logf)
 	if err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}

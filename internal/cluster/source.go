@@ -8,14 +8,16 @@
 // requests to StreamPath on the node's API listener, which Source serves:
 // a follower (Follower) subscribes with GET ?from=N, N the last sequence it
 // has applied, and reads the frames from the streamed 200 response, and a
-// live handoff POSTs its offer, then its tail. Both streams are written by
-// one catch-up writer (the ring's missing records, or, once the ring no
-// longer covers the gap, exported states first, each as an install record
-// at its seq) and applied by one applier, replay being idempotent against
-// the states' cutoffs. A state travels at any size: a frame holding one
-// may pass wire.MaxFrame, and wire.ReadFrame commits memory as its bytes
-// arrive. Heartbeat frames advertise the last sequence streamed to the
-// subscriber, so an idle follower still learns it is caught up.
+// live handoff (Source.Handoff) POSTs its offer, then its tail, each a
+// small offer frame followed by records. Both streams are written by one
+// catch-up writer (the ring's missing records, or, once the ring no longer
+// covers the gap, exported states first, each as an install record at its
+// seq) and applied by one applier, replay being idempotent against the
+// states' cutoffs; a handoff's offer sends its state as the same install
+// record. A state travels at any size: a frame holding one may pass
+// wire.MaxFrame, and wire.ReadFrame commits memory as its bytes arrive.
+// Heartbeat frames advertise the last sequence streamed to the subscriber,
+// so an idle follower still learns it is caught up.
 //
 // Every community a stream hands a node is registered fenced
 // (Owner.InstallReplica, Owner.Replicate): reads serve from the replica's
@@ -76,13 +78,11 @@ type SourceOpts struct {
 	// Owner is the community store states are exported from (required).
 	Owner *service.Owner
 	// Journal is the durable journal the source wraps, the data
-	// directory's WAL in holidayd. Nil runs the source as the journal
-	// itself (in-memory sequence assignment, no disk), the no-durability
-	// configuration.
+	// directory's WAL in holidayd, whose sequence (Journal.Seq() after
+	// recovery) the source starts at. Nil runs the source as the journal
+	// itself from 0 (in-memory sequence assignment, no disk), the
+	// no-durability configuration.
 	Journal *persist.WAL
-	// Start seeds the sequence counter (Journal.Seq() after recovery) so
-	// replication sequences line up with the WAL's.
-	Start uint64
 	// RingSize overrides the catch-up ring capacity; 0 means
 	// DefaultRingSize.
 	RingSize int
@@ -136,15 +136,18 @@ func NewSource(o SourceOpts) (*Source, error) {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = DefaultHeartbeat
 	}
-	return &Source{
+	s := &Source{
 		owner:     o.Owner,
 		inner:     o.Journal,
 		heartbeat: o.Heartbeat,
 		router:    o.Router,
-		seq:       o.Start,
 		ring:      make([]ringRec, o.RingSize),
 		subs:      make(map[*subscriber]struct{}),
-	}, nil
+	}
+	if o.Journal != nil {
+		s.seq = o.Journal.Seq()
+	}
+	return s, nil
 }
 
 // Seq returns the last replicated sequence.

@@ -91,10 +91,11 @@ func TestTailFor(t *testing.T) {
 	}
 
 	// An empty ring covers exactly the range at or past its sequence.
-	empty, err := NewSource(SourceOpts{Owner: service.New(service.Opts{}), Start: 5})
+	empty, err := NewSource(SourceOpts{Owner: service.New(service.Opts{})})
 	if err != nil {
 		t.Fatal(err)
 	}
+	empty.seq = 5
 	if recs, covered := empty.TailFor("a", 5, 9); len(recs) != 0 || !covered {
 		t.Errorf("empty ring TailFor(a, 5, 9) = %v, %v; want none, covered", recs, covered)
 	}
@@ -151,7 +152,7 @@ func TestSourceOverWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal := store.Journal()
-	src, err := NewSource(SourceOpts{Owner: owner, Journal: wal, Start: wal.Seq(), Heartbeat: 20 * time.Millisecond})
+	src, err := NewSource(SourceOpts{Owner: owner, Journal: wal, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func move(t *testing.T, from, to *hNode, id string) {
 	table := from.rt.Placement()
 	table.Epoch++
 	table.Assign[id] = to.rt.Self()
-	if _, err := Handoff(from.owner, from.src, from.rt, id, table, 0); err != nil {
+	if _, _, err := from.src.Handoff(id, table); err != nil {
 		t.Fatalf("Handoff %s → %s: %v", from.rt.Self(), to.rt.Self(), err)
 	}
 }

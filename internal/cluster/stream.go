@@ -95,12 +95,11 @@ func (s *Source) catchUp(out *sender, community string, after, through uint64) e
 			if !ok || (community == "" && c.Fenced()) {
 				continue
 			}
-			st := c.Export()
-			data, err := persist.Encode(nil, []service.Record{{Op: service.OpInstall, ID: id, State: &st}})
+			rec, err := installRecord(c)
 			if err != nil {
 				return err
 			}
-			if err := out.records([]wire.RawRecord{{Seq: st.Seq, Data: data[0]}}); err != nil {
+			if err := out.records([]wire.RawRecord{rec}); err != nil {
 				return err
 			}
 		}
@@ -109,6 +108,17 @@ func (s *Source) catchUp(out *sender, community string, after, through uint64) e
 		return err
 	}
 	return out.send(wire.AppendHeartbeat(out.buf[:0], through))
+}
+
+// installRecord exports c's current state as one install record at the
+// state's seq: how catch-up and a handoff's offer ship a state.
+func installRecord(c *service.Community) (wire.RawRecord, error) {
+	st := c.Export()
+	data, err := persist.Encode(nil, []service.Record{{Op: service.OpInstall, ID: st.ID, State: &st}})
+	if err != nil {
+		return wire.RawRecord{}, err
+	}
+	return wire.RawRecord{Seq: st.Seq, Data: data[0]}, nil
 }
 
 // applier is the one receive side of a replica stream. It decodes each
@@ -123,7 +133,7 @@ type applier struct {
 	// An accepted state replaces any local copy behind it, an unfenced one
 	// included; a caller that must never overwrite its own says so here.
 	keep func(id string) bool
-	// passed, when set, hears every streamed record, kept or not.
+	// passed hears every streamed record, kept or not.
 	passed func(seq uint64, rec service.Record)
 }
 
@@ -133,7 +143,7 @@ func (a *applier) receive(r io.Reader, beat func(seq uint64) bool) error {
 	var buf []byte
 	var recs []wire.RawRecord
 	for {
-		fr, b, err := wire.ReadFrame(r, buf)
+		fr, b, err := wire.ReadFrame(r, buf, wire.MaxStreamFrame)
 		if err != nil {
 			return err
 		}
@@ -173,8 +183,6 @@ func (a *applier) replicate(r wire.RawRecord) error {
 			return fmt.Errorf("cluster: apply seq %d: %w", r.Seq, err)
 		}
 	}
-	if a.passed != nil {
-		a.passed(r.Seq, rec)
-	}
+	a.passed(r.Seq, rec)
 	return nil
 }

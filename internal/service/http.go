@@ -33,7 +33,7 @@ type HandlerOpts struct {
 	// Handoff, when set, serves POST /v1/handoff: stream the named community
 	// to the node the offered table assigns it to, install the table, and
 	// report the cut sequence and write-pause the move cost. Daemons wire it
-	// to cluster.Handoff; without it the endpoint answers 501.
+	// to a cluster.Source's Handoff; without it the endpoint answers 501.
 	Handoff func(community string, table Placement) (cutSeq uint64, pause time.Duration, err error)
 }
 

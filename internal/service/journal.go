@@ -311,8 +311,9 @@ func (r *Owner) restored(st CommunityState) (*Community, error) {
 // deleting the segments it covers re-replays old records harmlessly.
 // Records for communities that no longer exist are skipped too (their
 // delete is further down the log, or their create preceded an
-// already-applied delete). Errors are reserved for genuinely inconsistent
-// logs, e.g. a marry referencing a family outside the community.
+// already-applied delete). Errors are reserved for inconsistent logs: a
+// marry referencing a family outside the community, or an install or
+// takeover record changing a community it does not name.
 func (r *Owner) Apply(seq uint64, rec Record) error { return r.apply(seq, rec, false) }
 
 // Replicate is Apply for a replication stream: a replicated create
@@ -348,8 +349,8 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 		}
 		return nil
 	case OpInstall:
-		if rec.State == nil {
-			return fmt.Errorf("service: replay install %q at seq %d: no state", rec.ID, seq)
+		if rec.State == nil || rec.State.ID != rec.ID {
+			return fmt.Errorf("service: replay install %q at seq %d: no state of %q", rec.ID, seq, rec.ID)
 		}
 		if _, err := r.InstallReplica(*rec.State); err != nil {
 			return fmt.Errorf("service: replay seq %d: %w", seq, err)
@@ -357,6 +358,9 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 		return nil
 	case OpTakeover:
 		for _, t := range rec.Tail {
+			if t.ID != rec.ID {
+				return fmt.Errorf("service: replay takeover of %q at seq %d: its tail holds a record of %q", rec.ID, seq, t.ID)
+			}
 			if err := r.apply(t.Seq, t.Record, replica); err != nil {
 				return err
 			}

@@ -302,6 +302,54 @@ func TestInstallReplicaKeepsNewerCopy(t *testing.T) {
 	}
 }
 
+// TestInstallChangesOnlyItsCommunity: an install record for a whose state
+// names b is refused, and the copy of b this node owns keeps its answers,
+// its seq and its fence lifted. A follower keeps a record by its outer id,
+// so without the refusal any stream could replace an owned community.
+func TestInstallChangesOnlyItsCommunity(t *testing.T) {
+	node := New(Opts{})
+	b, err := node.Create("b", 6, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := answerKey(t, b)
+	other, err := New(Opts{}).Create("b", 8, ringEdges(8), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := other.Export()
+	forged.Seq = 50
+	if err := node.Replicate(60, Record{Op: OpInstall, ID: "a", State: &forged}); err == nil {
+		t.Fatal("an install record for a whose state names b applied")
+	}
+	now, _ := node.Get("b")
+	if now != b || now.Fenced() || now.Seq() != b.Seq() || answerKey(t, now) != before {
+		t.Fatalf("the install record for a changed b: fenced %v, seq %d", now.Fenced(), now.Seq())
+	}
+	if _, ok := node.Get("a"); ok {
+		t.Fatal("the refused install registered a")
+	}
+}
+
+// TestTakeoverChangesOnlyItsCommunity: a takeover record for a whose tail
+// holds a record for b is refused, and b, which this node owns in the
+// record's space below the record's seq, keeps its answers and seq.
+func TestTakeoverChangesOnlyItsCommunity(t *testing.T) {
+	node := New(Opts{})
+	b, err := node.Create("b", 6, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, seq := answerKey(t, b), b.Seq()
+	tail := []SeqRecord{{Seq: seq + 1, Record: Record{Op: OpMarry, ID: "b", U: 0, V: 1}}}
+	if err := node.Replicate(seq+2, Record{Op: OpTakeover, ID: "a", Tail: tail}); err == nil {
+		t.Fatal("a takeover record for a whose tail marries in b applied")
+	}
+	if b.Seq() != seq || b.Fenced() || answerKey(t, b) != before {
+		t.Fatalf("the takeover record for a changed b: seq %d, want %d", b.Seq(), seq)
+	}
+}
+
 // BenchmarkCommunityExport exports a power-law community of 200,000
 // families, the size ROADMAP item 3 measures handoffs at. Export holds the
 // community's read lock throughout, so export-ms is how long each

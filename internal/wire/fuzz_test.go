@@ -9,20 +9,29 @@ import (
 )
 
 // seedCorpus returns well-formed frames of every kind, so the fuzzers start
-// from valid encodings and mutate toward the interesting boundaries, plus a
-// frame of the retired kind 10 (Snapshot) in its old layout, which both
-// decoders must refuse.
+// from valid encodings and mutate toward the interesting boundaries, plus
+// frames of the retired kinds 10 (Snapshot) and 12 (the offer that carried
+// a state) in their old layouts, which both decoders must refuse. The
+// corpus only grows, so every seed's index stays its own.
 func seedCorpus() [][]byte {
-	retiredSnapshot := appendHeader(nil, 10, 12+len(`{"id":"demo"}`))
+	const table, state = `{"epoch":9}`, `{"id":"demo"}`
+	retiredSnapshot := appendHeader(nil, 10, 12+len(state))
 	retiredSnapshot = binary.LittleEndian.AppendUint64(retiredSnapshot, 17)
-	retiredSnapshot = binary.LittleEndian.AppendUint32(retiredSnapshot, uint32(len(`{"id":"demo"}`)))
-	retiredSnapshot = append(retiredSnapshot, `{"id":"demo"}`...)
+	retiredSnapshot = binary.LittleEndian.AppendUint32(retiredSnapshot, uint32(len(state)))
+	retiredSnapshot = append(retiredSnapshot, state...)
+	retiredOffer := appendHeader(nil, 12, 8+2+len("demo")+4+len(table)+4+len(state))
+	retiredOffer = binary.LittleEndian.AppendUint64(retiredOffer, 9)
+	retiredOffer = appendID(retiredOffer, "demo")
+	retiredOffer = binary.LittleEndian.AppendUint32(retiredOffer, uint32(len(table)))
+	retiredOffer = append(retiredOffer, table...)
+	retiredOffer = binary.LittleEndian.AppendUint32(retiredOffer, uint32(len(state)))
+	retiredOffer = append(retiredOffer, state...)
 	return [][]byte{
 		AppendWindowReq(nil, "demo", 1, 52),
 		AppendNextReq(nil, "demo", 3, 10),
 		AppendNextResp(nil, 12),
 		AppendError(nil, 404, 2, "no community \"x\""),
-		AppendHandoffOffer(nil, 9, "demo", []byte(`{"epoch":9}`), []byte(`{"id":"demo"}`)),
+		AppendHandoffOffer(nil, 9, "demo", []byte(table), true),
 		AppendRecords(nil, []RawRecord{{Seq: 1, Data: []byte(`{"op":1}`)}, {Seq: 2}}),
 		retiredSnapshot,
 		AppendHeartbeat(nil, 99),
@@ -37,6 +46,7 @@ func seedCorpus() [][]byte {
 		// A churn batch touching two communities: the grouping shape the
 		// /v1/bin/churn endpoint consumes.
 		AppendChurnReq(AppendChurnReq(AppendChurnReq(nil, ChurnInsert, "a", 0, 1), ChurnInsert, "b", 2, 3), ChurnDelete, "a", 0, 1),
+		retiredOffer,
 	}
 }
 
@@ -81,8 +91,8 @@ func FuzzSplit(f *testing.F) {
 			case KindError:
 				_, _, _, _ = fr.ErrorResp()
 			case KindHandoffOffer:
-				if epoch, id, table, state, err := fr.HandoffOffer(); err == nil {
-					if got := AppendHandoffOffer(nil, epoch, id, table, state); !bytes.Equal(got, consumed) {
+				if epoch, id, table, cut, err := fr.HandoffOffer(); err == nil {
+					if got := AppendHandoffOffer(nil, epoch, id, table, cut); !bytes.Equal(got, consumed) {
 						t.Fatalf("handoff offer did not round trip:\n got %x\nwant %x", got, consumed)
 					}
 				}
@@ -150,7 +160,7 @@ func FuzzReadFrame(f *testing.F) {
 		r := bytes.NewReader(data)
 		var buf []byte
 		for rest := data; len(rest) > 0; {
-			fr, b, err := ReadFrame(r, buf)
+			fr, b, err := ReadFrame(r, buf, MaxStreamFrame)
 			if cap(b) > MaxFrame+2*len(data) {
 				t.Fatalf("ReadFrame holds %d bytes of a %d-byte input", cap(b), len(data))
 			}

@@ -9,7 +9,7 @@
 // spec):
 //
 //	frame   := u32 length | payload          length = len(payload) ≤ MaxFrame
-//	                                          (≤ MaxStreamFrame read by ReadFrame)
+//	                                          (≤ MaxStreamFrame for Records)
 //	payload := 'H' 'W' | u8 version | u8 kind | body
 //
 //	WindowReq  (1): u16 idLen | id | i64 from | i64 to
@@ -22,7 +22,7 @@
 //	Records    (9): u32 count | count × (u64 seq | u32 len | bytes)
 //	Heartbeat (11): u64 seq
 //
-//	HandoffOffer (12): u64 epoch | u16 idLen | id | u32 tableLen | table | u32 stateLen | state
+//	HandoffOffer (14): u64 epoch | u16 idLen | id | u32 tableLen | table | u8 cut
 //
 // Kinds 9 and 11 are the replication stream of internal/cluster: a
 // follower's GET /v1/stream?from=N on the owner's API address is answered
@@ -32,16 +32,17 @@
 // advertising the last sequence streamed to that subscriber, so an idle
 // follower still learns it is caught up and that its owner is alive.
 //
-// Kind 12 opens each of a live handoff's two POSTs to /v1/stream on the new
-// owner (DESIGN.md §12): the placement table being flipped to (JSON), the
-// epoch, and — in the first — the community's exported state. The second
-// carries no state and is followed by the WAL tail (Records) and a
-// Heartbeat marking the fencing cut; its 200 answer is the ack.
+// Kind 14 opens each of a live handoff's two POSTs to /v1/stream on the new
+// owner (DESIGN.md §12): the epoch, the community, the placement table
+// being flipped to (JSON) and a cut flag. Records and a Heartbeat follow:
+// in the first request (cut 0) the state as one install record, in the
+// second (cut 1) the WAL tail and the cut; its 200 answer is the ack.
 //
-// Kinds 8 (Subscribe), 10 (Snapshot) and 13 (HandoffAck) are retired: the
-// GET's from parameter, an install record and the second POST's answer do
-// their jobs. Their numbers are never reused, and decoders refuse them as
-// unknown.
+// Kinds 8 (Subscribe), 10 (Snapshot), 12 (an offer carrying a state) and
+// 13 (HandoffAck) are retired: the GET's from parameter, an install record
+// and the second POST's answer do their jobs. Their numbers are never
+// reused, and decoders refuse them as unknown, so builds on either side of
+// kind 12's retirement refuse each other's offers.
 //
 // A batch is frames concatenated back to back; responses correspond 1:1 and
 // in order with the request frames, per-query failures arriving as Error
@@ -64,8 +65,8 @@ import (
 // Version is the wire-format version byte; decoders refuse anything else.
 // History: 1 = PR 5 query frames; 2 adds the replication kinds (8–11) and a
 // u16 error code to Error frames (the {code, message} envelope shared with
-// the JSON endpoints). Retiring kinds 8, 10 and 13 changed no frame that is
-// still sent, so the version stayed.
+// the JSON endpoints). Retiring kinds 8, 10, 12 and 13 changed no frame
+// that is still sent, so the version stayed.
 const Version = 2
 
 // MaxFrame bounds a single frame's payload, so a hostile length prefix
@@ -75,11 +76,11 @@ const Version = 2
 // WindowRespRows.
 const MaxFrame = 16 << 20
 
-// MaxStreamFrame bounds a frame ReadFrame reads from a replica stream,
-// where one record or handoff offer carries a whole community state and
-// may pass MaxFrame. ReadFrame commits memory only as a payload's bytes
-// arrive, so a hostile length prefix below it costs no more than MaxFrame
-// beyond twice what its sender sent.
+// MaxStreamFrame bounds a frame of records on a replica stream, where one
+// install record carries a whole community state and may pass MaxFrame.
+// ReadFrame commits memory only as a payload's bytes arrive, so a hostile
+// length prefix below it costs no more than MaxFrame beyond twice what its
+// sender sent.
 const MaxStreamFrame = 1 << 30
 
 // MaxIDLen bounds community ids on the wire (the u16 length field's range).
@@ -124,10 +125,12 @@ const (
 	// KindHeartbeat advertises the last sequence streamed to the
 	// subscriber: an idle follower is caught up through it.
 	KindHeartbeat
+	// Kinds 12 (an offer carrying a state) and 13 (HandoffAck) are retired.
+	_
+	_
 	// KindHandoffOffer opens each request of a live handoff: the old owner
 	// of a community offers the placement table (JSON) being flipped to at
-	// the named epoch and, in the first request, the community's exported
-	// state. Kind 13, the ack, is retired: the second request's answer is.
+	// the named epoch, and says whether the request carries the cut.
 	KindHandoffOffer
 )
 
@@ -141,8 +144,8 @@ const (
 	ChurnDelete byte = 2
 )
 
-// kindNames names every kind a frame may carry. The retired kinds 8, 10
-// and 13 have no name, so decoders refuse them as unknown.
+// kindNames names every kind a frame may carry. The retired kinds 8, 10,
+// 12 and 13 have no name, so decoders refuse them as unknown.
 var kindNames = [...]string{
 	KindWindowReq:    "window-request",
 	KindWindowResp:   "window-response",
@@ -604,67 +607,65 @@ func (f Frame) Heartbeat() (uint64, error) {
 
 // AppendHandoffOffer appends a handoff-offer frame: the community being
 // handed off, the serialized placement table (JSON) taking effect at epoch,
-// and the community's exported state (JSON, which carries its own sequence
-// cut; empty in the request that carries the tail).
-func AppendHandoffOffer(dst []byte, epoch uint64, id string, table, state []byte) []byte {
-	dst = appendHeader(dst, KindHandoffOffer, 8+2+len(id)+4+len(table)+4+len(state))
+// and whether the request carries the cut (its tail) rather than the
+// offered state.
+func AppendHandoffOffer(dst []byte, epoch uint64, id string, table []byte, cut bool) []byte {
+	dst = appendHeader(dst, KindHandoffOffer, 8+2+len(id)+4+len(table)+1)
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
 	dst = appendID(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(table)))
 	dst = append(dst, table...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(state)))
-	return append(dst, state...)
+	if cut {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
-// HandoffOffer decodes a handoff-offer body. The returned table and state
-// alias the frame body.
-func (f Frame) HandoffOffer() (epoch uint64, id string, table, state []byte, err error) {
+// HandoffOffer decodes a handoff-offer body. The returned table aliases
+// the frame body.
+func (f Frame) HandoffOffer() (epoch uint64, id string, table []byte, cut bool, err error) {
 	if f.Kind != KindHandoffOffer {
-		return 0, "", nil, nil, fmt.Errorf("wire: %s frame is not a handoff offer", f.Kind)
+		return 0, "", nil, false, fmt.Errorf("wire: %s frame is not a handoff offer", f.Kind)
 	}
 	if len(f.Body) < 8 {
-		return 0, "", nil, nil, fmt.Errorf("wire: handoff offer body is %d bytes, want ≥ 8", len(f.Body))
+		return 0, "", nil, false, fmt.Errorf("wire: handoff offer body is %d bytes, want ≥ 8", len(f.Body))
 	}
 	epoch = binary.LittleEndian.Uint64(f.Body)
 	id, rest, err := splitID(f.Body[8:])
 	if err != nil {
-		return 0, "", nil, nil, err
+		return 0, "", nil, false, err
 	}
 	if len(rest) < 4 {
-		return 0, "", nil, nil, fmt.Errorf("wire: handoff offer truncated before table length")
+		return 0, "", nil, false, fmt.Errorf("wire: handoff offer truncated before table length")
 	}
 	n := int(binary.LittleEndian.Uint32(rest))
-	if len(rest)-4 < n {
-		return 0, "", nil, nil, fmt.Errorf("wire: handoff offer declares %d table bytes, %d present", n, len(rest)-4)
+	if len(rest)-4-1 != n {
+		return 0, "", nil, false, fmt.Errorf("wire: handoff offer declares %d table bytes and a cut flag, %d bytes present", n, len(rest)-4)
 	}
-	table, rest = rest[4:4+n], rest[4+n:]
-	if len(rest) < 4 {
-		return 0, "", nil, nil, fmt.Errorf("wire: handoff offer truncated before state length")
+	if flag := rest[4+n]; flag > 1 {
+		return 0, "", nil, false, fmt.Errorf("wire: handoff offer cut flag is %d, want 0 or 1", flag)
 	}
-	n = int(binary.LittleEndian.Uint32(rest))
-	if len(rest)-4 != n {
-		return 0, "", nil, nil, fmt.Errorf("wire: handoff offer declares %d state bytes, %d present", n, len(rest)-4)
-	}
-	return epoch, id, table, rest[4:], nil
+	return epoch, id, rest[4 : 4+n], rest[4+n] == 1, nil
 }
 
 // ReadFrame reads one frame from a stream, reusing buf (grown as needed) for
 // the payload; the returned buffer must be passed back in on the next call,
 // and the frame body aliases it. This is the replication-stream reader —
 // batch HTTP bodies, which arrive fully buffered, use Split instead. A
-// stream frame may exceed MaxFrame, up to MaxStreamFrame. Its payload is
-// read at most MaxFrame bytes at a time, so the buffer holds at most
-// MaxFrame beyond twice the bytes read, and a frame past MaxFrame gets a
-// buffer of its own, not handed back, so a stream does not pin the largest
-// frame it carried.
-func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+// frame whose length prefix passes limit (MaxFrame, or MaxStreamFrame for
+// records) is refused before any of its payload is read. A frame past
+// MaxFrame has its payload read at most MaxFrame bytes at a time, so the
+// buffer holds at most MaxFrame beyond twice the bytes read, and it gets
+// a buffer of its own, not handed back, so a stream does not pin the
+// largest frame it carried.
+func ReadFrame(r io.Reader, buf []byte, limit int) (Frame, []byte, error) {
 	var prefix [prefixLen]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Frame{}, buf, err
 	}
 	n := int(binary.LittleEndian.Uint32(prefix[:]))
-	if n > MaxStreamFrame {
-		return Frame{}, buf, fmt.Errorf("wire: frame payload of %d bytes exceeds MaxStreamFrame %d", n, MaxStreamFrame)
+	if n > limit {
+		return Frame{}, buf, fmt.Errorf("wire: frame payload of %d bytes exceeds the reader's limit %d", n, limit)
 	}
 	p := buf[:0]
 	if n > MaxFrame {

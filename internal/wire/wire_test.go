@@ -353,7 +353,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 	var kinds []Kind
 	for {
 		var fr Frame
-		fr, rb, err = ReadFrame(r, rb)
+		fr, rb, err = ReadFrame(r, rb, MaxStreamFrame)
 		if err != nil {
 			break
 		}
@@ -389,16 +389,16 @@ func TestReplicationDecodersReject(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsRefused: kinds 8 (Subscribe), 10 (Snapshot) and 13
-// (HandoffAck) are retired, and both decoders refuse a frame of any of them
-// as unknown, whatever its body.
+// TestRetiredKindsRefused: kinds 8 (Subscribe), 10 (Snapshot), 12 (the
+// offer that carried a state) and 13 (HandoffAck) are retired, and both
+// decoders refuse a frame of any of them as unknown, whatever its body.
 func TestRetiredKindsRefused(t *testing.T) {
-	for _, k := range []Kind{8, 10, 13} {
+	for _, k := range []Kind{8, 10, 12, 13} {
 		frame := binary.LittleEndian.AppendUint64(appendHeader(nil, k, 8), 42)
 		if _, _, err := Split(frame); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
 			t.Errorf("Split of a kind %d frame: %v, want an unknown kind", k, err)
 		}
-		if _, _, err := ReadFrame(bytes.NewReader(frame), nil); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+		if _, _, err := ReadFrame(bytes.NewReader(frame), nil, MaxStreamFrame); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
 			t.Errorf("ReadFrame of a kind %d frame: %v, want an unknown kind", k, err)
 		}
 		if got := k.String(); got != fmt.Sprintf("kind(%d)", k) {
@@ -411,10 +411,10 @@ func TestRetiredKindsRefused(t *testing.T) {
 // rules as Split and surface clean EOF at a frame boundary.
 func TestReadFrameRejects(t *testing.T) {
 	good := AppendHeartbeat(nil, 7)
-	if _, _, err := ReadFrame(strings.NewReader(""), nil); err != io.EOF {
+	if _, _, err := ReadFrame(strings.NewReader(""), nil, MaxStreamFrame); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
-	if _, _, err := ReadFrame(strings.NewReader(string(good[:6])), nil); err == nil {
+	if _, _, err := ReadFrame(strings.NewReader(string(good[:6])), nil, MaxStreamFrame); err == nil {
 		t.Fatal("ReadFrame accepted a truncated frame")
 	}
 	for name, tc := range map[string]struct {
@@ -425,9 +425,9 @@ func TestReadFrameRejects(t *testing.T) {
 		"bad version":  {mutate(good, 6, 99), "version"},
 		"unknown kind": {mutate(good, 7, 42), "unknown frame kind"},
 		"tiny payload": {mutate(good, 0, 2), "shorter than its header"},
-		"huge payload": {mutate(mutate(mutate(mutate(good, 0, 0xff), 1, 0xff), 2, 0xff), 3, 0xff), "exceeds MaxStreamFrame"},
+		"huge payload": {mutate(mutate(mutate(mutate(good, 0, 0xff), 1, 0xff), 2, 0xff), 3, 0xff), fmt.Sprintf("exceeds the reader's limit %d", MaxStreamFrame)},
 	} {
-		_, _, err := ReadFrame(strings.NewReader(string(tc.data)), nil)
+		_, _, err := ReadFrame(strings.NewReader(string(tc.data)), nil, MaxStreamFrame)
 		if err == nil {
 			t.Fatalf("%s: ReadFrame accepted %x", name, tc.data)
 		}
@@ -441,15 +441,15 @@ func TestReadFrameRejects(t *testing.T) {
 // MaxStreamFrame, but the reader commits memory only as the payload
 // arrives. A prefix declaring the bound, followed by 1 KiB and EOF, fails
 // as truncated having allocated no more than MaxFrame beyond twice what
-// arrived, and a prefix past the bound is refused before any body byte is
-// read.
+// arrived, and a prefix past the bound, or past a caller's smaller limit,
+// is refused before any body byte is read.
 func TestReadFrameCommitsAsBytesArrive(t *testing.T) {
 	const sent = 1 << 10
 	stream := binary.LittleEndian.AppendUint32(nil, MaxStreamFrame)
 	stream = append(append(stream, magic0, magic1, Version, byte(KindRecords)), make([]byte, sent-headerLen)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, buf, err := ReadFrame(bytes.NewReader(stream), nil)
+	_, buf, err := ReadFrame(bytes.NewReader(stream), nil, MaxStreamFrame)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("a frame declaring MaxStreamFrame cut short after %d bytes: %v, want a truncation error", sent, err)
@@ -464,11 +464,21 @@ func TestReadFrameCommitsAsBytesArrive(t *testing.T) {
 
 	over := binary.LittleEndian.AppendUint32(nil, MaxStreamFrame+1)
 	r := bytes.NewReader(append(over, make([]byte, 64)...))
-	if _, _, err := ReadFrame(r, nil); err == nil || !strings.Contains(err.Error(), "exceeds MaxStreamFrame") {
+	if _, _, err := ReadFrame(r, nil, MaxStreamFrame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds the reader's limit %d", MaxStreamFrame)) {
 		t.Fatalf("a prefix past MaxStreamFrame: %v, want it refused", err)
 	}
 	if r.Len() != 64 {
 		t.Fatalf("refusing a prefix past MaxStreamFrame read %d body bytes, want none", 64-r.Len())
+	}
+	// A caller's smaller limit, such as MaxFrame for a handoff's offer, is
+	// enforced the same way.
+	over = binary.LittleEndian.AppendUint32(nil, MaxFrame+1)
+	r = bytes.NewReader(append(over, make([]byte, 64)...))
+	if _, _, err := ReadFrame(r, nil, MaxFrame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds the reader's limit %d", MaxFrame)) {
+		t.Fatalf("a prefix past MaxFrame read under MaxFrame: %v, want it refused", err)
+	}
+	if r.Len() != 64 {
+		t.Fatalf("refusing a prefix past MaxFrame read %d body bytes, want none", 64-r.Len())
 	}
 }
 
@@ -479,7 +489,7 @@ func TestReadFrameReleasesLargeFrames(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 20<<20/16)
 	stream := AppendHeartbeat(AppendRecords(nil, []RawRecord{{Seq: 7, Data: data}}), 7)
 	r := bytes.NewReader(stream)
-	f, buf, err := ReadFrame(r, make([]byte, 0, 64))
+	f, buf, err := ReadFrame(r, make([]byte, 0, 64), MaxStreamFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +497,7 @@ func TestReadFrameReleasesLargeFrames(t *testing.T) {
 	if err != nil || len(recs) != 1 || recs[0].Seq != 7 || !bytes.Equal(recs[0].Data, data) {
 		t.Fatalf("the 20 MiB frame decoded to %d records (%v), want its one record intact", len(recs), err)
 	}
-	if f, buf, err = ReadFrame(r, buf); err != nil || f.Kind != KindHeartbeat {
+	if f, buf, err = ReadFrame(r, buf, MaxStreamFrame); err != nil || f.Kind != KindHeartbeat {
 		t.Fatalf("the frame after the large one: %v (%v), want a heartbeat", f.Kind, err)
 	}
 	if cap(buf) > MaxFrame {
@@ -523,7 +533,7 @@ func TestRecordsFit(t *testing.T) {
 			t.Errorf("RecordsFit(%d records) = %d, want %d", len(tc.recs), got, tc.want)
 		}
 		if n := RecordsFit(tc.recs); n > 0 && len(tc.recs[0].Data) < MaxFrame {
-			if _, _, err := ReadFrame(bytes.NewReader(AppendRecords(nil, tc.recs[:n])), nil); err != nil {
+			if _, _, err := ReadFrame(bytes.NewReader(AppendRecords(nil, tc.recs[:n])), nil, MaxStreamFrame); err != nil {
 				t.Errorf("a frame of the %d records that fit: %v", n, err)
 			}
 		}
