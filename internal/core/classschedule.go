@@ -11,26 +11,34 @@ import (
 // ClassSchedule is the closed form of a schedule whose entities fall into
 // classes sharing one (period, offset): class k fires at every holiday
 // t ≡ offsets[k] (mod periods[k]), and an entity is happy exactly when its
-// class fires. It is the frozen form the serving layer caches. In the §4
+// class fires. It is the frozen form the serving layer publishes. In the §4
 // color-bound schedule a class is a color, and prefix-freeness lets at most
 // one color fire per holiday; poly's classes are its matching layers, whose
 // dyadic residue classes are disjoint the same way. So Window walks one
 // progression per class rather than one per entity, and on a holiday where
 // one class fires hands visit that class's member list as stored.
 //
-// Storage is one member list grouped by class and one int32 class per
-// entity, 12 B per entity. Schedules whose per-entity progressions overlap
-// on most holidays, such as §5 degree-bound, keep the per-entity form of
-// NewPeriodicSchedule. A ClassSchedule is immutable and safe for concurrent
-// use.
+// Storage is one member list per class and a class index of one int32 per
+// entity, cut into pages of classPage entries: 12 B per entity, plus a
+// slice header per class and per page. With derives a patched schedule
+// that copies only the pages and member lists a move touches and shares
+// the rest. Schedules whose per-entity progressions overlap on most
+// holidays, such as §5 degree-bound, keep the per-entity form of
+// NewPeriodicSchedule. A ClassSchedule is immutable and safe for
+// concurrent use.
 type ClassSchedule struct {
 	name    string
-	periods []int64 // per class, in [1, MaxHoliday]
-	offsets []int64 // per class, in [0, period)
-	starts  []int   // class k's members are members[starts[k]:starts[k+1]]
-	members []int   // entities grouped by class, increasing within a class
-	class   []int32 // per entity: its class, or -1 for none (never happy)
+	periods []int64   // per class, in [1, MaxHoliday]
+	offsets []int64   // per class, in [0, period)
+	members [][]int   // per class: its entities in increasing order, capacity clipped
+	pages   [][]int32 // entity v's class, or -1 for none, is pages[v/classPage][v%classPage]
+	n       int       // entities
 }
+
+// classPage is how many entities one page of the class index covers: a
+// patch copies the page of each entity it moves, so the page bounds a
+// patch's copying of the index.
+const classPage = 256
 
 // NewClassSchedule builds a ClassSchedule over len(class) entities: entity
 // v belongs to class class[v], or to no class when class[v] is -1, and
@@ -41,11 +49,8 @@ func NewClassSchedule(name string, periods, offsets []int64, class []int32) (*Cl
 		return nil, fmt.Errorf("core: %d class periods but %d offsets", len(periods), len(offsets))
 	}
 	for k, p := range periods {
-		if p < 1 || p > MaxHoliday {
-			return nil, fmt.Errorf("core: class %d has period %d outside [1, %d]", k, p, MaxHoliday)
-		}
-		if offsets[k] < 0 || offsets[k] >= p {
-			return nil, fmt.Errorf("core: class %d has offset %d outside [0, %d)", k, offsets[k], p)
+		if err := checkTiming(k, p, offsets[k]); err != nil {
+			return nil, err
 		}
 	}
 	// Counting sort by class: count, prefix-sum, fill forward (which moves
@@ -62,23 +67,148 @@ func NewClassSchedule(name string, periods, offsets []int64, class []int32) (*Cl
 	for k := range periods {
 		starts[k+1] += starts[k]
 	}
-	members := make([]int, starts[len(periods)])
+	all := make([]int, starts[len(periods)])
 	for v, k := range class {
 		if k >= 0 {
-			members[starts[k]] = v
+			all[starts[k]] = v
 			starts[k]++
 		}
 	}
 	copy(starts[1:], starts)
 	starts[0] = 0
-	return &ClassSchedule{name: name, periods: periods, offsets: offsets, starts: starts, members: members, class: class}, nil
+	members := make([][]int, len(periods))
+	for k := range members {
+		members[k] = all[starts[k]:starts[k+1]:starts[k+1]]
+	}
+	pages := make([][]int32, (len(class)+classPage-1)/classPage)
+	for i := range pages {
+		hi := min((i+1)*classPage, len(class))
+		pages[i] = class[i*classPage : hi : hi]
+	}
+	return &ClassSchedule{name: name, periods: periods, offsets: offsets, members: members, pages: pages, n: len(class)}, nil
 }
+
+// checkTiming validates class k's period and offset.
+func checkTiming(k int, period, offset int64) error {
+	if period < 1 || period > MaxHoliday {
+		return fmt.Errorf("core: class %d has period %d outside [1, %d]", k, period, MaxHoliday)
+	}
+	if offset < 0 || offset >= period {
+		return fmt.Errorf("core: class %d has offset %d outside [0, %d)", k, offset, period)
+	}
+	return nil
+}
+
+// Move places one entity of a ClassSchedule in a class, or in none.
+type Move struct {
+	// Entity is the entity moved, or Nodes() to append one.
+	Entity int
+	// Class is the entity's new class: -1 for none, an existing class, or
+	// Classes() to append one.
+	Class int32
+	// Period and Offset are Class's timing. They set the timing of an
+	// appended class and of a class without members, and must equal the
+	// timing of a class that has members. A move to no class ignores them.
+	Period, Offset int64
+}
+
+// With returns a schedule that answers like cs with the moves applied in
+// order; cs itself is unchanged and stays valid. Each move copies only what
+// it touches: the page of the class index its entity sits on, the member
+// lists of the classes it leaves and joins, and the tables of one slice
+// header per page and per class. Everything else is shared with cs. A move
+// into a class that has members at another timing, or of an entity or
+// into a class beyond the next one, is an error, returned with a nil
+// schedule.
+func (cs *ClassSchedule) With(moves ...Move) (*ClassSchedule, error) {
+	for _, m := range moves {
+		var err error
+		if cs, err = cs.with(m); err != nil {
+			return nil, err
+		}
+	}
+	return cs, nil
+}
+
+// with applies one Move.
+func (cs *ClassSchedule) with(m Move) (*ClassSchedule, error) {
+	v, k := m.Entity, m.Class
+	if v < 0 || v > cs.n {
+		return nil, fmt.Errorf("core: move of entity %d, want at most %d", v, cs.n)
+	}
+	if k < -1 || int(k) > len(cs.periods) {
+		return nil, fmt.Errorf("core: move to class %d, want -1 to %d", k, len(cs.periods))
+	}
+	next := *cs
+	if k >= 0 {
+		if err := checkTiming(int(k), m.Period, m.Offset); err != nil {
+			return nil, err
+		}
+		if int(k) == len(cs.periods) || len(cs.members[k]) == 0 {
+			next.periods, next.offsets = set(cs.periods, int(k), m.Period), set(cs.offsets, int(k), m.Offset)
+		} else if cs.periods[k] != m.Period || cs.offsets[k] != m.Offset {
+			return nil, fmt.Errorf("core: class %d fires at %d mod %d, not %d mod %d",
+				k, cs.offsets[k], cs.periods[k], m.Offset, m.Period)
+		}
+	}
+	old := int32(-1)
+	if v < cs.n {
+		if old = cs.classOf(v); old == k {
+			return cs, nil
+		}
+	} else {
+		next.n++
+	}
+	p := v / classPage
+	var page []int32 // nil for a new page
+	if p < len(cs.pages) {
+		page = cs.pages[p]
+	}
+	next.pages = set(cs.pages, p, set(page, v%classPage, k))
+	if old < 0 && k < 0 {
+		return &next, nil
+	}
+	next.members = make([][]int, len(next.periods))
+	copy(next.members, cs.members)
+	if old >= 0 {
+		l := cs.members[old]
+		i, _ := slices.BinarySearch(l, v)
+		next.members[old] = spliced(l, i, i+1)
+	}
+	if k >= 0 {
+		l := next.members[k]
+		i, _ := slices.BinarySearch(l, v)
+		next.members[k] = spliced(l, i, i, v)
+	}
+	return &next, nil
+}
+
+// set returns a copy of s with s[i] = x, one longer when i is len(s).
+func set[T any](s []T, i int, x T) []T {
+	c := make([]T, max(len(s), i+1))
+	copy(c, s)
+	c[i] = x
+	return c
+}
+
+// spliced returns l[:i] + x + l[j:] in a new slice whose capacity is its
+// length, as Window needs of a member list.
+func spliced(l []int, i, j int, x ...int) []int {
+	s := make([]int, 0, i+len(x)+len(l)-j)
+	return append(append(append(s, l[:i]...), x...), l[j:]...)
+}
+
+// classOf returns entity v's class, or -1 for none.
+func (cs *ClassSchedule) classOf(v int) int32 { return cs.pages[v/classPage][v%classPage] }
 
 // Name implements Schedule.
 func (cs *ClassSchedule) Name() string { return cs.name }
 
 // Nodes returns the number of entities the schedule covers.
-func (cs *ClassSchedule) Nodes() int { return len(cs.class) }
+func (cs *ClassSchedule) Nodes() int { return cs.n }
+
+// Classes returns the number of classes, those without members included.
+func (cs *ClassSchedule) Classes() int { return len(cs.periods) }
 
 // RandomAccess implements Schedule: every answer is closed form.
 func (cs *ClassSchedule) RandomAccess() bool { return true }
@@ -91,8 +221,8 @@ func (cs *ClassSchedule) HappySet(t int64) []int { return cs.appendHappy(nil, t)
 func (cs *ClassSchedule) appendHappy(dst []int, t int64) []int {
 	base, fired := len(dst), 0
 	for k, p := range cs.periods {
-		if t%p == cs.offsets[k] {
-			dst = append(dst, cs.members[cs.starts[k]:cs.starts[k+1]]...)
+		if len(cs.members[k]) > 0 && t%p == cs.offsets[k] {
+			dst = append(dst, cs.members[k]...)
 			fired++
 		}
 	}
@@ -106,13 +236,14 @@ func (cs *ClassSchedule) appendHappy(dst []int, t int64) []int {
 // t ≡ offset (mod period) of v's class, or 0 when v has no class or the
 // query exceeds MaxHoliday.
 func (cs *ClassSchedule) NextHappy(v int, from int64) int64 {
-	if v < 0 || v >= len(cs.class) || from > MaxHoliday || cs.class[v] < 0 {
+	if v < 0 || v >= cs.n || from > MaxHoliday {
 		return 0
 	}
-	if from < 1 {
-		from = 1
+	k := cs.classOf(v)
+	if k < 0 {
+		return 0
 	}
-	k := cs.class[v]
+	from = max(from, 1)
 	p := cs.periods[k]
 	return from + ((cs.offsets[k]-from)%p+p)%p
 }
@@ -138,10 +269,10 @@ const (
 // the window in windowBlock-sized blocks, marking the class that fires on
 // each holiday, so its work is O(classes + span + output) wherever the
 // window starts. On a holiday where one class fires, happy is that class's
-// member list: the schedule's own storage, shared by every reader, with its
-// capacity clipped so that an append by visit copies instead of writing
-// into the next class. Where several classes fire, their members are
-// merged in entity order into a scratch buffer.
+// member list: the schedule's own storage, shared by every reader and by
+// the schedules With derives, with its capacity clipped so that an append
+// by visit copies instead of writing into it. Where several classes fire,
+// their members are merged in entity order into a scratch buffer.
 func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)) {
 	to = min(to, MaxHoliday)
 	if from < 1 || to < from {
@@ -163,7 +294,7 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 			block[i] = noClass
 		}
 		for k, p := range cs.periods {
-			if cs.starts[k] == cs.starts[k+1] {
+			if len(cs.members[k]) == 0 {
 				continue // a class without members makes nobody happy
 			}
 			d := next[k]
@@ -185,7 +316,7 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 				sc.merged = cs.appendHappy(sc.merged[:0], t)
 				visit(t, sc.merged)
 			default:
-				visit(t, cs.members[cs.starts[k]:cs.starts[k+1]:cs.starts[k+1]])
+				visit(t, cs.members[k])
 			}
 		}
 	}
@@ -199,7 +330,7 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 func (cs *ClassSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
 	sc := classScratchPool.Get().(*classScratch)
 	defer classScratchPool.Put(sc)
-	words := (len(cs.class) + 63) / 64
+	words := (cs.n + 63) / 64
 	sc.row = slices.Grow(sc.row[:0], words)[:words]
 	row := graph.Bitset(sc.row)
 	cs.Window(from, to, func(t int64, happy []int) {

@@ -248,12 +248,14 @@ func TestClassScheduleWindowIsReadOnlySafe(t *testing.T) {
 	}
 }
 
-// TestClassScheduleConcurrentReadsUnderRefreeze: readers window whatever
-// snapshot is current while a writer churns the live scheduler and
-// republishes fresh freezes, as the serving layer's cache does. Every read
-// must match the per-family form frozen with its snapshot. Run it with
-// -race -count=10: the snapshots share their member storage with every
-// reader and the scratch buffers come from a shared pool.
+// TestClassScheduleConcurrentReadsUnderRefreeze: readers hold whatever
+// snapshot is current and query it several times while a writer churns
+// the live scheduler and publishes each recoloring as a patch of the
+// current snapshot (With), and every 50th step a fresh freeze, as the
+// serving layer does. Every read must match the per-family form of its
+// snapshot's coloring. Run it with -race -count=10: patched snapshots share
+// pages and member lists with the ones they came from and with every
+// reader, and the scratch buffers come from a shared pool.
 func TestClassScheduleConcurrentReadsUnderRefreeze(t *testing.T) {
 	const n, horizon = 64, 160
 	type snapshot struct {
@@ -264,16 +266,16 @@ func TestClassScheduleConcurrentReadsUnderRefreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	publish := func(cur *atomic.Pointer[snapshot]) {
-		cs, err := dc.FrozenSchedule()
-		if err != nil {
-			t.Fatal(err)
-		}
+	var cur atomic.Pointer[snapshot]
+	publish := func(cs *ClassSchedule) {
 		_, want := windowRows(perFamily(t, dc), 1, horizon)
 		cur.Store(&snapshot{cs: cs, want: want})
 	}
-	var cur atomic.Pointer[snapshot]
-	publish(&cur)
+	cs, err := dc.FrozenSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(cs)
 
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -294,23 +296,54 @@ func TestClassScheduleConcurrentReadsUnderRefreeze(t *testing.T) {
 						t.Errorf("holiday %d: WindowBits has %d bits, want %d", tt, got, len(s.want[tt-1]))
 					}
 				})
+				for v := int(i) % 8; v < n; v += 8 {
+					if next := s.cs.NextHappy(v, from); next < from || next <= horizon && !slices.Contains(s.want[next-1], v) {
+						t.Errorf("family %d: NextHappy(%d) = %d, not a holiday of its", v, from, next)
+					}
+				}
 			}
 		}(r)
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
+	patches := 0
 	for step := 0; step < 400; step++ {
 		u, v := rng.IntN(n), rng.IntN(n)
-		switch {
-		case u == v:
+		if u == v {
 			continue
-		case dc.HasEdge(u, v):
-			dc.RemoveEdge(u, v)
-		default:
-			if _, err := dc.AddEdge(u, v); err != nil {
+		}
+		op := EditInsert
+		if dc.HasEdge(u, v) {
+			op = EditDelete
+		}
+		res, err := dc.Apply(Edit{Op: op, U: u, V: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case step%50 == 0:
+			if cs, err = dc.FrozenSchedule(); err != nil {
 				t.Fatal(err)
 			}
+		case res.Recolored:
+			mu, err := dc.Placement(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mv, err := dc.Placement(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs, err = cur.Load().cs.With(mu, mv); err != nil {
+				t.Fatal(err)
+			}
+			patches++
+		default:
+			continue
 		}
-		publish(&cur)
+		publish(cs)
 	}
 	wg.Wait()
+	if patches == 0 {
+		t.Fatal("no recoloring patched a snapshot")
+	}
 }

@@ -150,9 +150,12 @@ const (
 	EditInsert EditOp = iota + 1
 	// EditDelete removes an edge (a divorce).
 	EditDelete
+	// EditAddNode appends an isolated node (a new family); U, V and Demand
+	// are ignored.
+	EditAddNode
 )
 
-// Edit is one edge insertion or deletion.
+// Edit is one edge insertion or deletion, or one appended node.
 type Edit struct {
 	Op   EditOp
 	U, V int
@@ -162,7 +165,7 @@ type Edit struct {
 	Demand int64
 }
 
-// EditResult reports what one edit did: whether it changed the edge set at
+// EditResult reports what one edit did: whether it changed the graph at
 // all (Applied is false for inserting an existing marriage or deleting an
 // absent one) and whether it triggered a recoloring.
 type EditResult struct {
@@ -170,14 +173,20 @@ type EditResult struct {
 	Recolored bool
 }
 
-// Apply performs one edit with the repair rule of AddEdge or RemoveEdge.
-// It is the one entry point single ops, batches and WAL replay share, so a
-// stream applied in batches is byte-identical to one applied an edit at a
-// time. (A deferred whole-batch recoloring sweep would not be: smallestFree
-// picks from the neighbor colors in effect when each edit lands.) An
-// unknown op, an endpoint outside the graph or a self-marriage is an error
-// that changes nothing; divorcing a node from itself is a no-op.
+// Apply performs one edit with the repair rule of AddEdge or RemoveEdge,
+// or appends a node with AddNode. It is the one entry point single ops,
+// batches and WAL replay share, so a stream applied in batches is
+// byte-identical to one applied an edit at a time. (A deferred whole-batch
+// recoloring sweep would not be: smallestFree picks from the neighbor
+// colors in effect when each edit lands.) An edge edit recolors at most its
+// two endpoints. An unknown op, an endpoint outside the graph or a
+// self-marriage is an error that changes nothing; divorcing a node from
+// itself is a no-op.
 func (dc *DynamicColorBound) Apply(e Edit) (EditResult, error) {
+	if e.Op == EditAddNode {
+		dc.AddNode()
+		return EditResult{Applied: true}, nil
+	}
 	if n := dc.d.N(); e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 		return EditResult{}, fmt.Errorf("core: edit (%d,%d) touches a node outside [0,%d)", e.U, e.V, n)
 	}
@@ -236,28 +245,46 @@ func (dc *DynamicColorBound) CurrentPeriod(v int) int64 {
 }
 
 // FrozenSchedule snapshots the current coloring as an immutable
-// ClassSchedule with one class per color in use, each color encoded once.
-// The snapshot stays internally consistent (every happy set independent in
-// the graph at freeze time) while the live scheduler keeps absorbing churn
-// — this is the value the serving layer caches between recolorings.
+// ClassSchedule whose class k is color k+1, for every color up to the
+// largest in use; a color no family holds is a class without members. The
+// snapshot stays internally consistent (every happy set independent in the
+// graph at freeze time) while the live scheduler keeps absorbing churn —
+// this is the value the serving layer publishes, and Placement patches it
+// after a recoloring.
 func (dc *DynamicColorBound) FrozenSchedule() (*ClassSchedule, error) {
-	class := make([]int32, dc.d.N())
-	classOf := make([]int32, len(class)+1) // color → class+1; colors are ≤ deg+1 ≤ n
-	var periods, offsets []int64
-	for v := range class {
-		c := dc.col[v]
-		if classOf[c] == 0 {
-			enc := dc.code.Encode(uint64(c))
-			if enc.Len() > 62 {
-				return nil, fmt.Errorf("core: codeword of color %d is %d bits; period overflows int64", c, enc.Len())
-			}
-			periods = append(periods, int64(1)<<uint(enc.Len()))
-			offsets = append(offsets, int64(enc.Value()))
-			classOf[c] = int32(len(periods))
+	colors := 0
+	class := make([]int32, len(dc.col))
+	for v, c := range dc.col {
+		class[v] = int32(c - 1)
+		colors = max(colors, c)
+	}
+	periods := make([]int64, colors)
+	offsets := make([]int64, colors)
+	for k := range periods {
+		var err error
+		if periods[k], offsets[k], err = dc.timing(k + 1); err != nil {
+			return nil, err
 		}
-		class[v] = classOf[c] - 1
 	}
 	return NewClassSchedule(dc.Name(), periods, offsets, class)
+}
+
+// Placement returns where family v sits in FrozenSchedule's numbering: the
+// class of its current color and that color's period and offset. It is
+// the move a schedule frozen earlier needs once v has recolored.
+func (dc *DynamicColorBound) Placement(v int) (Move, error) {
+	c := dc.col[v]
+	period, offset, err := dc.timing(c)
+	return Move{Entity: v, Class: int32(c - 1), Period: period, Offset: offset}, err
+}
+
+// timing returns the period and offset of color c's codeword.
+func (dc *DynamicColorBound) timing(c int) (period, offset int64, err error) {
+	enc := dc.code.Encode(uint64(c))
+	if enc.Len() > 62 {
+		return 0, 0, fmt.Errorf("core: codeword of color %d is %d bits; period overflows int64", c, enc.Len())
+	}
+	return int64(1) << uint(enc.Len()), int64(enc.Value()), nil
 }
 
 // Color returns v's current color.

@@ -1,11 +1,11 @@
 package poly
 
 import (
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"math/rand/v2"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -134,11 +134,13 @@ func TestPolyWindowRoundTripSeeds(t *testing.T) {
 }
 
 // TestConcurrentChurnAndFrozenReads is the race-detector leg of the
-// matching property: a writer churns the live instance and republishes
-// frozen snapshots (the serving layer's cache pattern) while readers
-// window whatever snapshot is current, asserting matching-validity on
-// every emitted timeslot. Under -race this proves frozen schedules are
-// immutable and snapshot publication is clean.
+// matching property: a writer churns the live instance and publishes each
+// edit as a patch of the current snapshot (With of the moved slot), or a
+// fresh freeze after a relayering and every 50th step — the serving
+// layer's pattern — while readers hold whatever snapshot is current and
+// window it twice, asserting matching-validity on every emitted timeslot
+// and that both passes agree. Under -race this proves patched schedules
+// share storage immutably and snapshot publication is clean.
 func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 	const n = 48
 	d, err := New(n, CodeLayering)
@@ -150,6 +152,13 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 		dyn *Dyn // restored copy pinned to the snapshot, for Edge lookups
 	}
 	var cur atomic.Pointer[frozen]
+	publish := func(s *core.ClassSchedule) {
+		pin, err := Restore(d.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Store(&frozen{s: s, dyn: pin})
+	}
 	rng := rand.New(rand.NewPCG(3, 3))
 	for i := 0; i < 60; i++ {
 		u, v := rng.IntN(n), rng.IntN(n)
@@ -157,11 +166,7 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 			d.AddEdge(u, v, 64)
 		}
 	}
-	pin, err := Restore(d.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur.Store(&frozen{s: d.FrozenSchedule(), dyn: pin})
+	publish(d.FrozenSchedule())
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -178,7 +183,9 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 				}
 				f := cur.Load()
 				from := i%800 + 1
+				var first [][]int
 				f.s.Window(from, from+63, func(tt int64, happy []int) {
+					first = append(first, happy)
 					clear(used)
 					for _, slot := range happy {
 						u, v, _, ok := f.dyn.Edge(slot)
@@ -193,30 +200,44 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 						used[u], used[v] = true, true
 					}
 				})
+				f.s.Window(from, from+63, func(tt int64, happy []int) {
+					if !slices.Equal(happy, first[tt-from]) {
+						t.Errorf("holiday %d answered %v, then %v", tt, first[tt-from], happy)
+					}
+				})
 			}
 		}(r)
 	}
+	patches := 0
 	for step := 0; step < 600; step++ {
 		u, v := rng.IntN(n), rng.IntN(n)
 		if u == v {
 			continue
 		}
+		op := core.EditDelete
 		if rng.Float64() < 0.55 {
-			d.AddEdge(u, v, int64(1)<<(4+rng.IntN(6)))
-		} else {
-			d.RemoveEdge(u, v)
+			op = core.EditInsert
 		}
-		if step%10 == 0 {
-			pin, err := Restore(d.Export())
+		res := d.Apply(core.Edit{Op: op, U: u, V: v, Demand: int64(1) << (4 + rng.IntN(6))})
+		switch {
+		case !res.Applied:
+		case res.Recolored || step%50 == 0:
+			publish(d.FrozenSchedule())
+		default:
+			s, err := cur.Load().s.With(d.Moved())
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur.Store(&frozen{s: d.FrozenSchedule(), dyn: pin})
+			publish(s)
+			patches++
 		}
 	}
 	close(stop)
 	wg.Wait()
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
+	}
+	if patches == 0 {
+		t.Fatal("no edit patched a snapshot")
 	}
 }

@@ -127,6 +127,7 @@ type Dyn struct {
 	nodeLayers [][]int32 // per node: live layers it appears in (a matching ⇒ at most once each)
 	edges      int       // live edge count
 	relayered  int64     // full relayering rebuilds (the repair escape hatch)
+	moved      int       // the slot the last AddEdge or RemoveEdge attached or vacated
 }
 
 // New creates an empty instance over n family nodes. An empty code means
@@ -279,11 +280,14 @@ func (d *Dyn) newLayerIndex() int32 {
 	return int32(len(d.layers) - 1)
 }
 
-// newSlotIndex returns the lowest vacant edge slot, growing if none.
+// newSlotIndex returns the lowest vacant edge slot, growing if none. With
+// no slot vacant it appends at once, so building m edges costs O(m).
 func (d *Dyn) newSlotIndex() int {
-	for i := range d.slots {
-		if !d.slots[i].present {
-			return i
+	if len(d.slots) > d.edges {
+		for i := range d.slots {
+			if !d.slots[i].present {
+				return i
+			}
 		}
 	}
 	d.slots = append(d.slots, edgeSlot{})
@@ -336,6 +340,7 @@ func (d *Dyn) AddEdge(u, v int, demand int64) (applied, relayered bool) {
 	d.slots[slot] = edgeSlot{u: key[0], v: key[1], demand: demand, layer: -1, present: true}
 	d.byEdge[key] = slot
 	d.edges++
+	d.moved = slot
 
 	for i := range d.layers {
 		if d.joinable(int32(i), key[0], key[1], tp) {
@@ -375,6 +380,7 @@ func (d *Dyn) RemoveEdge(u, v int) (applied bool) {
 	*s = edgeSlot{}
 	delete(d.byEdge, key)
 	d.edges--
+	d.moved = slot
 	return true
 }
 
@@ -466,11 +472,14 @@ func (d *Dyn) rebuild() {
 
 // Apply performs one edit (the core.Edit vocabulary shared with the
 // classic kind): EditInsert adds the edge with the edit's demand
-// (ClampDemand applied, so 0 means DefaultDemand), EditDelete removes it.
-// Applied reports an edge-set change; Recolored reports a relayering
-// rebuild, the poly analog of a recoloring.
+// (ClampDemand applied, so 0 means DefaultDemand), EditDelete removes it,
+// EditAddNode appends a family node. Applied reports a change; Recolored
+// reports a relayering rebuild, the poly analog of a recoloring.
 func (d *Dyn) Apply(e core.Edit) core.EditResult {
 	switch e.Op {
+	case core.EditAddNode:
+		d.AddNode()
+		return core.EditResult{Applied: true}
 	case core.EditInsert:
 		a, r := d.AddEdge(e.U, e.V, e.Demand)
 		return core.EditResult{Applied: a, Recolored: r}
@@ -482,29 +491,27 @@ func (d *Dyn) Apply(e core.Edit) core.EditResult {
 }
 
 // FrozenSchedule snapshots the current layer assignment as an immutable
-// core.ClassSchedule whose entities are the edge slots and whose classes
-// are the live layers: slot s is happy exactly at t ≡ offset (mod period)
-// of its layer, and a vacant slot is in no class, so never happy. Disjoint
-// layer classes mean at most one class fires per timeslot, so every happy
-// set is a single layer — a matching. The snapshot stays valid while the
-// live instance churns on — the serving layer's cache contract.
+// core.ClassSchedule whose entities are the edge slots and whose class k
+// is layer k: slot s is happy exactly at t ≡ offset (mod period) of its
+// layer, and a vacant slot is in no class, so never happy. A dead layer is
+// a class without members. Disjoint layer classes mean at most one class
+// fires per timeslot, so every happy set is a single layer — a matching.
+// The snapshot stays valid while the live instance churns on — the
+// serving layer's cache contract — and Moved patches it after an edit.
 func (d *Dyn) FrozenSchedule() *core.ClassSchedule {
-	classOf := make([]int32, len(d.layers))
-	periods := make([]int64, 0, len(d.layers))
-	offsets := make([]int64, 0, len(d.layers))
+	periods := make([]int64, len(d.layers))
+	offsets := make([]int64, len(d.layers))
 	for i, l := range d.layers {
-		classOf[i] = -1
-		if l.period > 0 {
-			classOf[i] = int32(len(periods))
-			periods = append(periods, l.period)
-			offsets = append(offsets, l.offset)
-		}
+		// A dead layer's period 0 becomes 1, a valid timing for a class
+		// that has no members; the layer that next takes the index sets
+		// its own (Moved).
+		periods[i], offsets[i] = max(l.period, 1), l.offset
 	}
 	class := make([]int32, len(d.slots))
 	for i, s := range d.slots {
 		class[i] = -1
 		if s.present {
-			class[i] = classOf[s.layer]
+			class[i] = s.layer
 		}
 	}
 	s, err := core.NewClassSchedule(d.Name(), periods, offsets, class)
@@ -514,6 +521,20 @@ func (d *Dyn) FrozenSchedule() *core.ClassSchedule {
 		panic(fmt.Sprintf("poly: freezing layers: %v", err))
 	}
 	return s
+}
+
+// Moved returns where the slot the last AddEdge or RemoveEdge attached or
+// vacated now sits in FrozenSchedule's numbering: its layer and that
+// layer's period and offset, or no class once vacated. That slot is the
+// one entity such an edit moves, unless it relayered, which may move
+// every slot.
+func (d *Dyn) Moved() core.Move {
+	m := core.Move{Entity: d.moved, Class: -1}
+	if s := &d.slots[d.moved]; s.present {
+		l := &d.layers[s.layer]
+		m.Class, m.Period, m.Offset = s.layer, l.period, l.offset
+	}
+	return m
 }
 
 // Verify checks the structural invariants: every layer is a matching,

@@ -21,11 +21,12 @@ const (
 
 // backend is the per-kind scheduler a Community drives: the classic dynamic
 // color-bound recolorer or the poly edge-layering scheduler. Both expose
-// the same churn vocabulary (core.Edit/EditResult) and freeze to a
-// core.ClassSchedule, which is what lets the locking, journaling, caching, and
-// both wire protocols above stay kind-agnostic. Callers hold the
-// community's write lock for every mutating call and validate edits
-// (validEdge) before applying them.
+// the same churn vocabulary (core.Edit/EditResult), freeze to a
+// core.ClassSchedule with stable class numbers and patch a schedule they
+// froze, which is what lets the locking, journaling, caching, and both
+// wire protocols above stay kind-agnostic. Callers hold the community's
+// write lock for every mutating call and validate edits (validEdge) before
+// applying them; Community.applyLocked is the one caller of Apply.
 type backend interface {
 	Kind() string
 	// SchedulerName names the algorithm for stats and frozen schedules.
@@ -35,18 +36,24 @@ type backend interface {
 	// Repairs counts the kind's disruption events: recolorings for classic,
 	// full relayerings for poly.
 	Repairs() int64
-	AddNode() int
 	HasEdge(u, v int) bool
 	// Apply performs one validated edit with the kind's repair rule
 	// (poly resolves a 0 demand to the community default; classic
-	// ignores demands) — the one edge-edit entry point, so batched,
-	// single-op and replayed edits cannot diverge.
+	// ignores demands) — the one entry point for edge edits and new
+	// families, so batched, single-op and replayed edits cannot diverge.
 	Apply(e core.Edit) (core.EditResult, error)
-	// Invalidates reports whether an edit's outcome requires dropping the
-	// cached frozen schedule (and ticking the community version). Classic
-	// schedules only change when somebody recolors; poly schedules include
-	// the edge slots themselves, so every applied edit changes them.
-	Invalidates(res core.EditResult) bool
+	// Invalidates reports whether an edit's outcome changed the frozen
+	// schedule, and so ticks the community version. Classic schedules only
+	// change when somebody recolors or a family joins; poly schedules
+	// include the edge slots themselves, so every applied edit changes
+	// them.
+	Invalidates(e core.Edit, res core.EditResult) bool
+	// Patch returns s, a schedule frozen before the edge edit e, with the
+	// entities e moved placed where they now sit: at most the two
+	// endpoints of a §6 recoloring, or the one poly slot attached or
+	// vacated. It returns nil when the edit moved more than that (a poly
+	// relayering) or the patch fails; the next read then freezes anew.
+	Patch(s *core.ClassSchedule, e core.Edit, res core.EditResult) *core.ClassSchedule
 	FrozenSchedule() (*core.ClassSchedule, error)
 	// exportInto fills the kind-specific fields of a snapshot.
 	exportInto(st *CommunityState)
@@ -62,12 +69,25 @@ func (b *classicBackend) SchedulerName() string { return b.dyn.Name() }
 func (b *classicBackend) N() int                { return b.dyn.N() }
 func (b *classicBackend) M() int                { return b.dyn.M() }
 func (b *classicBackend) Repairs() int64        { return b.dyn.Recolorings }
-func (b *classicBackend) AddNode() int          { return b.dyn.AddNode() }
 func (b *classicBackend) HasEdge(u, v int) bool { return b.dyn.HasEdge(u, v) }
 
 func (b *classicBackend) Apply(e core.Edit) (core.EditResult, error) { return b.dyn.Apply(e) }
 
-func (b *classicBackend) Invalidates(res core.EditResult) bool { return res.Recolored }
+func (b *classicBackend) Invalidates(e core.Edit, res core.EditResult) bool {
+	return res.Recolored || e.Op == core.EditAddNode
+}
+
+// Patch moves both endpoints to the classes of their current colors; the
+// one that kept its color stays where it was.
+func (b *classicBackend) Patch(s *core.ClassSchedule, e core.Edit, _ core.EditResult) *core.ClassSchedule {
+	mu, errU := b.dyn.Placement(e.U)
+	mv, errV := b.dyn.Placement(e.V)
+	if errU != nil || errV != nil {
+		return nil
+	}
+	s, _ = s.With(mu, mv) // nil when it fails; the next read's freeze reports why
+	return s
+}
 
 func (b *classicBackend) FrozenSchedule() (*core.ClassSchedule, error) { return b.dyn.FrozenSchedule() }
 
@@ -93,7 +113,6 @@ func (b *polyBackend) SchedulerName() string { return b.dyn.Name() }
 func (b *polyBackend) N() int                { return b.dyn.N() }
 func (b *polyBackend) M() int                { return b.dyn.M() }
 func (b *polyBackend) Repairs() int64        { return b.dyn.Relayerings() }
-func (b *polyBackend) AddNode() int          { return b.dyn.AddNode() }
 func (b *polyBackend) HasEdge(u, v int) bool { return b.dyn.HasEdge(u, v) }
 
 // demand resolves an edit's demand: 0 (and anything non-positive) takes the
@@ -113,7 +132,17 @@ func (b *polyBackend) Apply(e core.Edit) (core.EditResult, error) {
 // Invalidates: a poly schedule's entities are the edge slots, so any edit
 // that changed the edge set changed the schedule — unlike classic, where an
 // insert between differently colored families leaves every answer valid.
-func (b *polyBackend) Invalidates(res core.EditResult) bool { return res.Applied }
+func (b *polyBackend) Invalidates(_ core.Edit, res core.EditResult) bool { return res.Applied }
+
+// Patch moves the one slot the edit attached or vacated, unless the edit
+// relayered every slot.
+func (b *polyBackend) Patch(s *core.ClassSchedule, _ core.Edit, res core.EditResult) *core.ClassSchedule {
+	if res.Recolored {
+		return nil
+	}
+	s, _ = s.With(b.dyn.Moved()) // nil when it fails, as for classic
+	return s
+}
 
 func (b *polyBackend) FrozenSchedule() (*core.ClassSchedule, error) {
 	return b.dyn.FrozenSchedule(), nil

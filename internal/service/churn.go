@@ -14,8 +14,9 @@ import (
 // application is byte-identical to sequential application by construction,
 // which is what lets WAL replay apply the same records one at a time.
 // Readers keep serving the pre-flush frozen schedule for the whole batch:
-// in-flight queries hold immutable snapshots, and however many edits drop
-// the cache under this one lock, the next read refreezes once.
+// in-flight queries hold immutable snapshots, and each edit that changed
+// the schedule patches the published one under this one lock, so the
+// next read finds the flushed schedule without freezing it.
 //
 // Every edit is validated before anything is journaled or applied, so an
 // invalid batch is all-or-nothing. Edits that would not change the edge set

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/poly"
 )
 
@@ -58,6 +60,56 @@ func answerKey(t *testing.T, c *Community) string {
 	return s
 }
 
+// checkPublished holds the schedule c publishes — frozen in full by a read
+// when none is published, then patched by every edit — to a fresh freeze
+// of its backend: Window, WindowBits, NextHappy and HappySet must answer
+// byte for byte alike.
+func checkPublished(t *testing.T, c *Community, when string) {
+	t.Helper()
+	got, err := c.frozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.RLock()
+	want, err := c.be.FrozenSchedule()
+	c.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := scheduleAnswers(got), scheduleAnswers(want); g != w {
+		t.Fatalf("%s: the published schedule answers\n %s\nbut a fresh freeze\n %s", when, g, w)
+	}
+}
+
+// scheduleAnswers renders what s answers: Window and WindowBits over
+// [1, 96], HappySet on a few holidays and NextHappy of every entity.
+func scheduleAnswers(s *core.ClassSchedule) string {
+	b := strconv.AppendInt(nil, int64(s.Nodes()), 10)
+	s.Window(1, 96, func(t int64, happy []int) {
+		b = append(strconv.AppendInt(append(b, ';'), t, 10), ':')
+		for _, v := range happy {
+			b = append(strconv.AppendInt(b, int64(v), 10), ',')
+		}
+	})
+	s.WindowBits(1, 96, func(t int64, row graph.Bitset) {
+		b = append(strconv.AppendInt(append(b, ';'), t, 10), 'b')
+		for _, w := range row {
+			b = append(strconv.AppendUint(b, w, 16), ',')
+		}
+	})
+	for _, t := range []int64{0, 1, 2, 3, 64, 1000} {
+		b = append(strconv.AppendInt(append(b, ";h"...), t, 10), '=')
+		for _, v := range s.HappySet(t) {
+			b = append(strconv.AppendInt(b, int64(v), 10), ',')
+		}
+	}
+	for v := 0; v < s.Nodes(); v++ {
+		b = strconv.AppendInt(append(b, ";n"...), s.NextHappy(v, 1), 10)
+		b = strconv.AppendInt(append(b, ','), s.NextHappy(v, 500), 10)
+	}
+	return string(b)
+}
+
 // editPathCodes are the kinds and codes the edit-path differential covers:
 // all four prefix codes of the classic kind and both poly schedulers.
 var editPathCodes = []struct{ kind, code string }{
@@ -87,9 +139,13 @@ var editPathSeeds = []struct {
 // stream of the chosen kind and code runs through single ops
 // (MarryDemand/Divorce), through ChurnBatch at random batch sizes with an
 // Export→Restore round trip mid-stream, and through replay of the batch
-// path's journal via Owner.Apply. All of them must agree on every per-edit
-// outcome, on the answers after every batch, on the journals, and on the
-// final Export: coloring or poly state, version and recolorings included.
+// path's journal via Owner.Apply; now and then both communities gain a
+// family (AddFamily) between batches. All of them must agree on every
+// per-edit outcome, on the answers after every batch, on the journals, and
+// on the final Export: coloring or poly state, version and recolorings
+// included. After every single op, every batch, every AddFamily and every
+// replayed record, the community's published schedule must answer like a
+// fresh freeze (checkPublished).
 func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands bool) {
 	kc := editPathCodes[int(code)%len(editPathCodes)]
 	demands = demands && kc.kind == KindPoly
@@ -114,9 +170,28 @@ func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands b
 	}
 	jS, jB := &memJournal{}, &batchingJournal{}
 	single, batched := create(jS), create(jB)
+	checkPublished(t, single, "create")
+	checkPublished(t, batched, "create")
+	added := 0
 
 	restoreAt := r.IntN(int(ops)/2 + 1)
 	for done, round := 0, 0; done < int(ops); round++ {
+		if r.IntN(8) == 0 {
+			fb, err := batched.AddFamily()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := single.AddFamily()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb != n || fs != n {
+				t.Fatalf("round %d: AddFamily gave families %d and %d, want %d", round, fb, fs, n)
+			}
+			n, added = n+1, added+1
+			checkPublished(t, batched, fmt.Sprintf("round %d: batched AddFamily", round))
+			checkPublished(t, single, fmt.Sprintf("round %d: single AddFamily", round))
+		}
 		edits := randomBatch(r, n, 1+r.IntN(24))
 		for i := range edits {
 			if demands && edits[i].Op == core.EditInsert && r.IntN(2) == 0 {
@@ -135,6 +210,7 @@ func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands b
 		if _, err := batched.ChurnBatch(edits, res); err != nil {
 			t.Fatal(err)
 		}
+		checkPublished(t, batched, fmt.Sprintf("round %d: batch", round))
 		for i, e := range edits {
 			var want core.EditResult
 			var err error
@@ -150,6 +226,7 @@ func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands b
 			if res[i] != want {
 				t.Fatalf("round %d edit %d (%+v): batch %+v, single %+v", round, i, e, res[i], want)
 			}
+			checkPublished(t, single, fmt.Sprintf("round %d edit %d (%+v)", round, i, e))
 		}
 		if kb, ks := answerKey(t, batched), answerKey(t, single); kb != ks {
 			t.Fatalf("round %d: batch and single-op answers diverged", round)
@@ -158,11 +235,25 @@ func checkEditPaths(t *testing.T, code uint8, seed uint64, ops uint16, demands b
 	if !reflect.DeepEqual(jB.recs, jS.recs) {
 		t.Fatalf("journal streams diverged:\n batch:  %d recs\n single: %d recs", len(jB.recs), len(jS.recs))
 	}
+	// The single-op community was read after every edit, so it froze in
+	// full only on its first read, after each AddFamily and after each
+	// poly relayering; every other edit patched.
+	st := single.Stats()
+	wantMisses := int64(1 + added)
+	if kc.kind == KindPoly {
+		wantMisses += st.Recolorings
+	}
+	if st.CacheMisses != wantMisses {
+		t.Fatalf("single ops froze %d schedules, want %d (%d families added, %d repairs)", st.CacheMisses, wantMisses, added, st.Recolorings)
+	}
 
 	replay := New(Opts{})
 	for i, rec := range jB.recs {
 		if err := replay.Apply(uint64(i+1), rec); err != nil {
 			t.Fatal(err)
+		}
+		if c, ok := replay.Get("c"); ok {
+			checkPublished(t, c, fmt.Sprintf("replayed record %d (%s)", i+1, rec.Op))
 		}
 	}
 	replayed, ok := replay.Get("c")

@@ -383,20 +383,18 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 		if rec.Space != c.space || seq <= c.seq {
 			return nil
 		}
-		if rec.Op == OpAddFamily {
-			c.be.AddNode()
-			c.invalidateLocked()
-		} else {
-			e := core.Edit{Op: core.EditInsert, U: rec.U, V: rec.V, Demand: rec.Demand}
+		e := core.Edit{Op: core.EditAddNode}
+		if rec.Op != OpAddFamily {
+			e = core.Edit{Op: core.EditInsert, U: rec.U, V: rec.V, Demand: rec.Demand}
 			if rec.Op == OpDivorce {
 				e.Op = core.EditDelete
 			}
 			if err := validEdge(c.be.N(), rec.U, rec.V); err != nil {
 				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 			}
-			if _, err := c.applyLocked(e); err != nil {
-				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
-			}
+		}
+		if _, err := c.applyLocked(e); err != nil {
+			return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 		}
 		c.seq = seq
 		return nil

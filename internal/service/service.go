@@ -1,21 +1,24 @@
 // Package service is the concurrent multi-community serving layer: a
 // registry of independently evolving communities, each scheduled by the §6
-// dynamic color-bound scheduler, answering random-access schedule queries
-// (windows of holidays, a family's next happy holiday) from a cached
-// frozen core.Schedule.
+// dynamic color-bound scheduler or the poly edge-layering scheduler,
+// answering random-access schedule queries (windows of holidays, a
+// family's next happy holiday) from a published frozen core.ClassSchedule.
 //
-// The cache exploits the paper's headline property: the schedule is
-// perfectly periodic, so a snapshot of the current coloring answers any
-// window in closed form with no per-query scheduling work. Edge churn
-// (marriages and divorces) routes through core.DynamicColorBound; the
-// cached schedule is invalidated only when churn actually recolors a
-// family or changes the family set — an insertion between differently
-// colored families leaves every answer valid and keeps serving from cache.
+// The published schedule exploits the paper's headline property: the
+// schedule is perfectly periodic, so a snapshot of the current coloring
+// answers any window in closed form with no per-query scheduling work. A
+// community freezes its schedule in full on the first read after a create,
+// restore or replay, after a new family and after a poly relayering. Every
+// other edit patches the published schedule (core.ClassSchedule.With): a
+// §6 repair moves at most the two endpoints of the edge to other colors,
+// a poly edit attaches or vacates one edge slot, and an insertion between
+// differently colored families changes nothing and keeps the schedule as
+// it is.
 //
 // All types are safe for concurrent use: the registry and each community
 // take RW locks, reads serve concurrently, and the frozen schedules handed
 // out are immutable values, so in-flight queries keep a consistent snapshot
-// even while churn rebuilds the cache underneath them.
+// even while churn patches or drops the published one underneath them.
 package service
 
 import (
@@ -352,10 +355,11 @@ func validEdge(n, u, v int) error {
 	return nil
 }
 
-// Community is one conflict graph under churn plus its cached frozen
+// Community is one conflict graph under churn plus its published frozen
 // schedule. Queries (Window, NextHappy, Schedule) serve concurrently under
-// a read lock; churn takes the write lock and invalidates the cache only
-// when the periodic assignment actually changed.
+// a read lock; churn takes the write lock, and an edit that changed the
+// periodic assignment patches the published schedule into a new one, or
+// drops it for the next read to freeze (see applyLocked).
 type Community struct {
 	id  string
 	reg *Owner // for the journal
@@ -364,9 +368,10 @@ type Community struct {
 	// be is the kind-specific scheduler (classic color-bound or poly
 	// edge-layering); everything above it is kind-agnostic.
 	be     backend
-	cached *core.ClassSchedule // nil when invalidated; rebuilt lazily
-	// version counts cache invalidations (recolorings or family-set
-	// changes) — a cheap staleness signal for clients.
+	cached *core.ClassSchedule // the published schedule; nil until the next read freezes one
+	// version counts the edits that changed the schedule (recolorings,
+	// new families, poly edge edits) — a cheap staleness signal for
+	// clients.
 	version int64
 	// seq is the journal sequence of the last record logged for (or
 	// replayed into) this community; snapshots export it as the replay
@@ -379,8 +384,8 @@ type Community struct {
 	// Guarded by mu so an ownership change cannot interleave with a write.
 	fenced bool
 
-	hits   atomic.Int64 // queries answered from the cached schedule
-	misses atomic.Int64 // queries that had to freeze a new schedule
+	hits   atomic.Int64 // queries answered from the published schedule
+	misses atomic.Int64 // queries that had to freeze a new schedule in full
 }
 
 // ID returns the community's registry id.
@@ -471,8 +476,8 @@ func (c *Community) Families() int {
 }
 
 // AddFamily appends a new isolated family and returns its id. The schedule
-// gains a node, so the cache is invalidated. With a journal attached the
-// record is logged first; on journal failure nothing is applied.
+// gains a node, so the next read freezes it anew. With a journal attached
+// the record is logged first; on journal failure nothing is applied.
 func (c *Community) AddFamily() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -484,14 +489,15 @@ func (c *Community) AddFamily() (int, error) {
 			return 0, err
 		}
 	}
-	id := c.be.AddNode()
-	c.invalidateLocked()
-	return id, nil
+	if _, err := c.applyLocked(core.Edit{Op: core.EditAddNode}); err != nil {
+		return 0, err
+	}
+	return c.be.N() - 1, nil
 }
 
 // Marry inserts an edge, routed through the kind's repair rule (§6 dynamic
-// recoloring for classic, incremental layering for poly). The cached
-// schedule survives unless the backend says the insertion changed it. With
+// recoloring for classic, incremental layering for poly). The published
+// schedule is patched when the backend says the insertion changed it. With
 // a journal attached the record is logged (write-ahead) after validation
 // but before the insertion; on journal failure nothing is applied.
 func (c *Community) Marry(u, v int) (recolored bool, err error) {
@@ -506,9 +512,8 @@ func (c *Community) MarryDemand(u, v int, demand int64) (recolored bool, err err
 }
 
 // Divorce removes an edge (the kind's deletion path), reporting whether the
-// edge existed and whether a repair (recoloring/relayering) ran. The cache
-// survives deletions the backend says changed nothing it serves.
-// Journaling mirrors Marry.
+// edge existed and whether a repair (recoloring/relayering) ran. The
+// published schedule is patched as for Marry, and journaling mirrors it.
 func (c *Community) Divorce(u, v int) (removed, recolored bool, err error) {
 	res, err := c.edit(core.Edit{Op: core.EditDelete, U: u, V: v})
 	return res.Applied, res.Recolored, err
@@ -540,19 +545,29 @@ func (c *Community) edit(e core.Edit) (core.EditResult, error) {
 	return c.applyLocked(e)
 }
 
-// applyLocked applies one validated edit through the backend and drops the
-// cached schedule when the outcome changed it — the one place an edge edit
-// reaches a backend, whether written, batched, replayed or replicated.
-// Version ticks once per invalidating edit, however the edits arrive,
-// because version is persisted and WAL replay must land on the same value.
-// The caller holds c.mu.
+// applyLocked applies one validated edit through the backend — the one
+// place an edit or a new family reaches a backend, whether written,
+// batched, replayed or replicated — and brings the published schedule up
+// to date. An edit that changed the schedule ticks version, once per edit
+// however the edits arrive, because version is persisted and WAL replay
+// must land on the same value. It then patches the published schedule
+// (backend.Patch), or drops it after a new family or a poly relayering; a
+// community with none published stays unfrozen until its next read. The
+// caller holds c.mu.
 func (c *Community) applyLocked(e core.Edit) (core.EditResult, error) {
 	res, err := c.be.Apply(e)
 	if err != nil {
 		return res, fmt.Errorf("service: community %q: %w", c.id, err)
 	}
-	if c.be.Invalidates(res) {
-		c.invalidateLocked()
+	if !c.be.Invalidates(e, res) {
+		return res, nil
+	}
+	c.version++
+	switch {
+	case e.Op == core.EditAddNode:
+		c.cached = nil
+	case c.cached != nil:
+		c.cached = c.be.Patch(c.cached, e, res)
 	}
 	return res, nil
 }
@@ -593,16 +608,10 @@ func (c *Community) logLocked(j Journal, recs ...Record) error {
 	return nil
 }
 
-// invalidateLocked drops the cached schedule; the caller holds c.mu.
-func (c *Community) invalidateLocked() {
-	c.cached = nil
-	c.version++
-}
-
 // Schedule returns the community's frozen schedule, a *core.ClassSchedule
-// (so snapshots compare with ==), rebuilding it only when churn invalidated
-// the cache. It is immutable: callers may query it without locks, and it
-// stays consistent even if the community recolors afterwards.
+// (so snapshots compare with ==), freezing it only when none is published.
+// It is immutable: callers may query it without locks, and it stays
+// consistent even if the community recolors afterwards.
 func (c *Community) Schedule() (core.Schedule, error) {
 	s, err := c.frozen()
 	if err != nil {
@@ -611,8 +620,9 @@ func (c *Community) Schedule() (core.Schedule, error) {
 	return s, nil
 }
 
-// frozen returns the cached frozen schedule, freezing a new one when churn
-// invalidated the cache.
+// frozen returns the published schedule, freezing one in full when none is
+// published: the first read after a create, restore or replay, a new
+// family or a poly relayering. Only these freezes count as misses.
 func (c *Community) frozen() (*core.ClassSchedule, error) {
 	c.mu.RLock()
 	if s := c.cached; s != nil {

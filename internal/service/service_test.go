@@ -126,8 +126,9 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleCache: repeated queries hit the cached frozen schedule;
-// churn that recolors invalidates, churn that does not recolor keeps it.
+// TestScheduleCache: repeated queries hit the published frozen schedule;
+// churn that recolors patches it without a freeze, churn that does not
+// recolor keeps it, and a new family drops it for one full freeze.
 func TestScheduleCache(t *testing.T) {
 	reg := New(Opts{})
 	// A path 0–1–2 plus isolated 3: colors are deterministic greedy.
@@ -149,7 +150,12 @@ func TestScheduleCache(t *testing.T) {
 	}
 
 	// Families 2 and 3 share color 1 under the greedy init (colors are
-	// [2,3,1,1]); marrying them forces a recoloring → invalidation.
+	// [2,3,1,1]); marrying them forces a recoloring, which patches the
+	// published schedule and ticks the version without a freeze.
+	before, err := c.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	recolored, err := c.Marry(2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +166,12 @@ func TestScheduleCache(t *testing.T) {
 	if _, err := c.Window(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().CacheMisses; got != 2 {
-		t.Fatalf("post-recoloring misses = %d, want 2", got)
+	st = c.Stats()
+	if st.CacheMisses != 1 || st.Version != 1 {
+		t.Fatalf("post-recoloring misses = %d, version = %d; want 1, 1", st.CacheMisses, st.Version)
+	}
+	if after, err := c.Schedule(); err != nil || after == before {
+		t.Fatalf("the recoloring left the published schedule in place (err %v)", err)
 	}
 
 	// Families 0 (color 2) and 2 (color 1) differ — no shared color, so
@@ -176,8 +186,8 @@ func TestScheduleCache(t *testing.T) {
 	if _, err := c.Window(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().CacheMisses; got != 2 {
-		t.Fatalf("cache was invalidated by a non-recoloring marriage: misses = %d", got)
+	if got := c.Stats(); got.CacheMisses != 1 || got.Version != 1 {
+		t.Fatalf("a non-recoloring marriage changed the schedule: misses = %d, version = %d", got.CacheMisses, got.Version)
 	}
 
 	// Adding a family changes the node set → invalidation.
@@ -187,31 +197,50 @@ func TestScheduleCache(t *testing.T) {
 	if _, err := c.Window(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().CacheMisses; got != 3 {
-		t.Fatalf("post-AddFamily misses = %d, want 3", got)
+	if got := c.Stats().CacheMisses; got != 2 {
+		t.Fatalf("post-AddFamily misses = %d, want 2", got)
 	}
 }
 
 // TestFrozenScheduleConsistentUnderChurn: a schedule handed out before
-// churn keeps answering from its snapshot.
+// churn keeps answering from its snapshot, in both kinds, while every edit
+// patches the published schedule it came from: each edit is followed by a
+// read, so the next edit patches the schedule that read published.
 func TestFrozenScheduleConsistentUnderChurn(t *testing.T) {
-	reg := New(Opts{})
-	c, err := reg.Create("snap", 10, ringEdges(10), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := c.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := sched.HappySet(7)
-	for i := 0; i < 8; i += 2 {
-		if _, err := c.Marry(i, (i+5)%10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sched.HappySet(7); fmt.Sprint(got) != fmt.Sprint(before) {
-		t.Fatalf("frozen schedule changed under churn: %v → %v", before, got)
+	for _, kind := range []string{KindClassic, KindPoly} {
+		t.Run(kind, func(t *testing.T) {
+			reg := New(Opts{})
+			c, err := reg.CreateSpec(CreateSpec{ID: "snap", Families: 10, Edges: ringEdges(10), Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := c.Schedule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := scheduleAnswers(sched.(*core.ClassSchedule))
+			for i := 0; i < 10; i++ {
+				if _, err := c.Marry(i, (i+5)%10); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := c.Divorce(i, (i+1)%10); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Window(1, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after, err := c.Schedule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after == sched || c.Stats().CacheMisses != 1 {
+				t.Fatalf("churn did not patch the published schedule: %d freezes", c.Stats().CacheMisses)
+			}
+			if got := scheduleAnswers(sched.(*core.ClassSchedule)); got != before {
+				t.Fatalf("frozen schedule changed under churn:\n %s\n→ %s", before, got)
+			}
+		})
 	}
 }
 
