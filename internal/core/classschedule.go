@@ -244,8 +244,22 @@ func (cs *ClassSchedule) NextHappy(v int, from int64) int64 {
 		return 0
 	}
 	from = max(from, 1)
-	p := cs.periods[k]
-	return from + ((cs.offsets[k]-from)%p+p)%p
+	return from + untilFiring(cs.periods[k], cs.offsets[k], from)
+}
+
+// untilFiring returns how many holidays after t a progression of period p
+// and offset off fires next, 0 when it fires at t: (off − t) mod p, in
+// [0, p). A power-of-two period, as every color-bound and poly period is,
+// takes one mask; any other one remainder and a sign fix.
+func untilFiring(p, off, t int64) int64 {
+	d := off - t
+	if p&(p-1) == 0 {
+		return d & (p - 1)
+	}
+	if d %= p; d < 0 {
+		d += p
+	}
+	return d
 }
 
 // classScratch is the working set of one Window or WindowBits call, pooled
@@ -282,7 +296,9 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 	defer classScratchPool.Put(sc)
 	next := slices.Grow(sc.next[:0], len(cs.periods))[:len(cs.periods)]
 	for k, p := range cs.periods {
-		next[k] = ((cs.offsets[k]-from)%p + p) % p
+		if len(cs.members[k]) > 0 { // no block reads a class without members
+			next[k] = untilFiring(p, cs.offsets[k], from)
+		}
 	}
 	blockLen := int(min(to-from+1, windowBlock))
 	fire := slices.Grow(sc.fire[:0], blockLen)[:blockLen]

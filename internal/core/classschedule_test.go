@@ -347,3 +347,65 @@ func TestClassScheduleConcurrentReadsUnderRefreeze(t *testing.T) {
 		t.Fatal("no recoloring patched a snapshot")
 	}
 }
+
+// TestClassScheduleFirstFiring: Window and NextHappy find each class's
+// first firing at or after a holiday with one mask for a power-of-two
+// period and one remainder for any other. Both answer like the per-family
+// reference for periods of either kind, in windows that start below the
+// offsets, past every offset, and near MaxHoliday, and a class without
+// members is never read.
+func TestClassScheduleFirstFiring(t *testing.T) {
+	periods := []int64{8, 3, 6, 1 << 40, 7, 1_000_003, 3 << 40, MaxHoliday, MaxHoliday - 1, 12}
+	offsets := []int64{5, 2, 0, 1<<40 - 1, 6, 999, 3<<40 - 2, MaxHoliday - 300, 17, 11}
+	const empty = 9 // the class nobody is in
+	class := make([]int32, 40)
+	none := map[int]bool{}
+	for v := range class {
+		if class[v] = int32(v % len(periods)); class[v] == empty {
+			class[v], none[v] = -1, true
+		}
+	}
+	cs, err := NewClassSchedule("first", periods, offsets, append([]int32(nil), class...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range none {
+		class[v] = empty // any progression: the checks filter these entities out
+	}
+	ref := fixedFromClasses(t, periods, offsets, class)
+	checkClassSchedule(t, "first", cs, ref, len(class), none)
+
+	filter := func(happy []int) []int {
+		return slices.DeleteFunc(happy, func(v int) bool { return none[v] })
+	}
+	past := int64(1) << 50 // past every offset but the two near MaxHoliday
+	for _, w := range [][2]int64{
+		{1, 64}, {2, 3*windowBlock + 5},
+		{1000, 1000 + 2*windowBlock}, {past, past + windowBlock + 9},
+		{MaxHoliday - 299, MaxHoliday}, {MaxHoliday - 2*windowBlock - 1, MaxHoliday},
+		{MaxHoliday - 7, MaxHoliday - 7}, {MaxHoliday, MaxHoliday},
+	} {
+		wantT, want := windowRows(ref, w[0], w[1])
+		gotT, got := windowRows(cs, w[0], w[1])
+		if !slices.Equal(gotT, wantT) {
+			t.Fatalf("window [%d,%d] visited %d holidays, want %d", w[0], w[1], len(gotT), len(wantT))
+		}
+		for i := range want {
+			if want[i] = filter(want[i]); !sameSet(got[i], want[i]) {
+				t.Fatalf("window [%d,%d]: holiday %d: Window %v, per-family %v", w[0], w[1], wantT[i], got[i], want[i])
+			}
+		}
+	}
+	for v := range class {
+		for _, from := range []int64{1, 4, 998, 1000, past, past + 3, 3 << 40, MaxHoliday - 301, MaxHoliday - 300, MaxHoliday - 299, MaxHoliday - 1} {
+			want := ref.NextHappy(v, from)
+			if none[v] {
+				want = 0
+			}
+			if got := cs.NextHappy(v, from); got != want {
+				t.Fatalf("NextHappy(%d, %d) = %d, per-family %d (class period %d, offset %d)",
+					v, from, got, want, periods[class[v]], offsets[class[v]])
+			}
+		}
+	}
+}

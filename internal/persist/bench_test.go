@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,6 +50,59 @@ func BenchmarkSaveSnapshotWritePause(b *testing.B) {
 			}
 			b.ReportMetric(float64(snapshot.Microseconds())/1e3/float64(b.N), "snapshot-ms")
 			b.ReportMetric(float64(worst.Microseconds())/1e3/float64(b.N), "worst-write-ms")
+		})
+	}
+}
+
+// BenchmarkSyncAlwaysWriters measures SyncAlways writes from 1, 2, 4 and 8
+// writers, each on its own community, alternating a marriage and a
+// divorce of one couple, so each write journals one record and fsyncs.
+// The writers' fsyncs run outside the WAL's append mutex, so they overlap
+// rather than take turns. records/s is what the writers journal together;
+// ns/op is the wall time per record.
+func BenchmarkSyncAlwaysWriters(b *testing.B) {
+	for _, writers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			store, err := Open(b.TempDir(), Options{Sync: SyncAlways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			reg, err := store.Load()
+			if err != nil {
+				b.Fatal(err)
+			}
+			comms := make([]*service.Community, writers)
+			for w := range comms {
+				if comms[w], err = reg.Create(fmt.Sprintf("c%d", w), 2, nil, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var left atomic.Int64
+			left.Store(int64(b.N))
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			t0 := time.Now()
+			for _, c := range comms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for married := false; left.Add(-1) >= 0; married = !married {
+						var err error
+						if married {
+							_, _, err = c.Divorce(0, 1)
+						} else {
+							_, err = c.Marry(0, 1)
+						}
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "records/s")
 		})
 	}
 }

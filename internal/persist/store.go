@@ -22,7 +22,9 @@
 // mutation before applying it, so an acknowledged op is in the WAL buffer
 // before the client hears about it. With the default SyncBatch policy the
 // buffer is fsynced at most SyncInterval later (group commit); SyncAlways
-// fsyncs per record.
+// fsyncs per append, outside the append mutex so that concurrent appends
+// overlap their fsyncs, and acknowledges an append only once every fsync
+// that overlapped its own has returned without error.
 package persist
 
 import (

@@ -60,6 +60,8 @@ const (
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs every append before acknowledging it: no
 	// acknowledged record is ever lost, at ~one disk flush per mutation.
+	// The fsync runs outside the append mutex, so concurrent appends
+	// overlap their fsyncs instead of taking turns at the disk.
 	SyncAlways
 )
 
@@ -67,10 +69,12 @@ const (
 // attaching it to an owner (Owner.SetJournal) makes every mutation
 // durable. Safe for concurrent appends, which go to the last segment.
 type WAL struct {
-	// syncMu serializes Sync's fsync, which runs outside mu so appends go
-	// on meanwhile, with cut and Close, which switch and close the file.
+	// syncMu keeps the file an fsync outside mu runs on open and current.
+	// Appends under SyncAlways hold it shared across their fsyncs; Sync,
+	// whose fsync also runs outside mu so appends go on meanwhile, and cut
+	// and Close, which switch and close the file, take it exclusively.
 	// Taken before mu.
-	syncMu sync.Mutex
+	syncMu sync.RWMutex
 	mu     sync.Mutex
 	dir    string
 	f      *os.File // the last segment
@@ -86,6 +90,13 @@ type WAL struct {
 	// on-disk order. A restart (which replays the log as truth, torn tail
 	// included) clears the condition.
 	failed error
+	// Under SyncAlways each append's fsync takes the next ticket under mu
+	// before it starts, and marks it returned, in ticket order, by
+	// advancing fsynced, the count of fsyncs returned; fsyncDone, on mu,
+	// wakes the appends waiting for it to advance (fsyncAppendLocked).
+	tickets   uint64
+	fsynced   uint64
+	fsyncDone sync.Cond
 
 	policy   SyncPolicy
 	interval time.Duration
@@ -145,6 +156,7 @@ func openWAL(dir string, policy SyncPolicy, interval time.Duration, minSeq uint6
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	w.fsyncDone.L = &w.mu
 	go w.flusher()
 	return w, nil
 }
@@ -300,7 +312,14 @@ func Encode(dst [][]byte, recs []service.Record) ([][]byte, error) {
 // json.Marshal writes for a walRecord, so however large a record is, the
 // mutex covers no encoding. Returns the
 // sequence of the last record. A failed write or fsync fail-stops the WAL.
+//
+// Under SyncAlways the lines are flushed under the mutex, in sequence
+// order, and fsynced outside it (fsyncAppendLocked).
 func (w *WAL) LogEncoded(data [][]byte) (uint64, error) {
+	if w.policy == SyncAlways {
+		w.syncMu.RLock() // keeps the file open and current until the fsync returns
+		defer w.syncMu.RUnlock()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -324,12 +343,50 @@ func (w *WAL) LogEncoded(data [][]byte) (uint64, error) {
 	}
 	w.seq += uint64(len(data))
 	w.dirty = true
+	seq := w.seq
 	if w.policy == SyncAlways {
-		if err := w.syncLocked(); err != nil {
+		if err := w.fsyncAppendLocked(); err != nil {
 			return 0, err
 		}
 	}
-	return w.seq, nil
+	return seq, nil
+}
+
+// fsyncAppendLocked is a SyncAlways append's fsync; the caller holds w.mu,
+// and syncMu shared. It flushes the buffer, then fsyncs the last segment
+// with w.mu released, so appends that arrive meanwhile write their lines
+// and fsync alongside it, and overlapping fsyncs can share one file-system
+// journal commit, where under the mutex each waited for the one before.
+// The fsync takes the next ticket before it starts and, once it returned,
+// marks it returned in ticket order; the append then waits until every
+// fsync that had started by then has returned too, and fails if the WAL
+// fail-stopped by then. Linux reports a failed writeback once per open
+// file (errseq, since 4.13), so of two fsyncs on one file that overlap
+// only one may see the error, and a nil from the other does not make its
+// pages durable.
+func (w *WAL) fsyncAppendLocked() error {
+	f, err := w.flushLocked()
+	if f == nil {
+		return err
+	}
+	ticket := w.tickets
+	w.tickets++
+	w.mu.Unlock()
+	err = syncFile(f)
+	w.mu.Lock()
+	if err != nil && w.failed == nil {
+		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
+	}
+	started := w.tickets
+	for w.fsynced != ticket {
+		w.fsyncDone.Wait()
+	}
+	w.fsynced++
+	w.fsyncDone.Broadcast()
+	for w.fsynced < started && w.failed == nil {
+		w.fsyncDone.Wait()
+	}
+	return w.failed
 }
 
 // Seq returns the last assigned sequence number.
@@ -340,7 +397,7 @@ func (w *WAL) Seq() uint64 {
 }
 
 // Sync flushes buffered records and fsyncs the last segment. Appends wait
-// for the flush but not for the fsync, which holds syncMu alone.
+// for the flush but not for the fsync, which holds syncMu exclusively.
 func (w *WAL) Sync() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -350,7 +407,7 @@ func (w *WAL) Sync() error {
 	if f == nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(f); err != nil {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
@@ -359,14 +416,13 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// syncLocked is Sync for a caller holding w.mu: an append under
-// SyncAlways, or cut and Close, which hold syncMu too.
+// syncLocked is Sync for cut and Close, which hold syncMu and w.mu.
 func (w *WAL) syncLocked() error {
 	f, err := w.flushLocked()
 	if f == nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(f); err != nil {
 		w.failed = fmt.Errorf("persist: fsync WAL: %w", err)
 		return w.failed
 	}
@@ -395,6 +451,10 @@ func (w *WAL) flushLocked() (*os.File, error) {
 	w.dirty = false
 	return w.f, nil
 }
+
+// syncFile fsyncs a WAL segment. A variable so tests can fail one fsync
+// and hold another.
+var syncFile = (*os.File).Sync
 
 // flusher is the group-commit loop: under SyncBatch it syncs dirty batches
 // every interval; under SyncAlways it has nothing to do but still exits

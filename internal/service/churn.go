@@ -9,14 +9,14 @@ import (
 // ChurnBatch applies K marriages and divorces as one write operation: one
 // write-lock acquisition and one write-ahead journal append
 // (group-committed when the journal implements BatchJournal), against up to
-// K of each under one-at-a-time churn. Each edit then goes through
-// applyLocked exactly as a single op or a replayed record does, so batch
-// application is byte-identical to sequential application by construction,
-// which is what lets WAL replay apply the same records one at a time.
-// Readers keep serving the pre-flush frozen schedule for the whole batch:
-// in-flight queries hold immutable snapshots, and each edit that changed
-// the schedule patches the published one under this one lock, so the
-// next read finds the flushed schedule without freezing it.
+// K of each under one-at-a-time churn. The edits then go through
+// applyLocked, in order, exactly as single ops or replayed records do, so
+// batch application is byte-identical to sequential application by
+// construction, which is what lets WAL replay apply the same records one at
+// a time. Readers keep serving the pre-flush frozen schedule for the whole
+// batch: each edit that changed the schedule patches it, and applyLocked
+// publishes the result once, after the last edit, so the next read finds
+// the flushed schedule without freezing it.
 //
 // Every edit is validated before anything is journaled or applied, so an
 // invalid batch is all-or-nothing. Edits that would not change the edge set
@@ -58,18 +58,10 @@ func (c *Community) ChurnBatch(edits []core.Edit, out []core.EditResult) (recolo
 		}
 	}
 	before := c.be.Repairs()
-	for i, e := range edits {
-		res, err := c.applyLocked(e)
-		if err != nil {
-			// Unreachable: the batch was validated above. Surface rather than
-			// swallow if the backend's rules ever drift.
-			return int(c.be.Repairs() - before), err
-		}
-		if out != nil {
-			out[i] = res
-		}
-	}
-	return int(c.be.Repairs() - before), nil
+	// An error is unreachable, since the batch was validated above; surface
+	// it rather than swallow it if the backend's rules ever drift.
+	err = c.applyLocked(out, edits...)
+	return int(c.be.Repairs() - before), err
 }
 
 // effectiveRecords returns journal records for exactly the edits that will

@@ -393,7 +393,7 @@ func (r *Owner) apply(seq uint64, rec Record, replica bool) error {
 				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 			}
 		}
-		if _, err := c.applyLocked(e); err != nil {
+		if err := c.applyLocked(nil, e); err != nil {
 			return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 		}
 		c.seq = seq

@@ -15,10 +15,13 @@
 // differently colored families changes nothing and keeps the schedule as
 // it is.
 //
-// All types are safe for concurrent use: the registry and each community
-// take RW locks, reads serve concurrently, and the frozen schedules handed
-// out are immutable values, so in-flight queries keep a consistent snapshot
-// even while churn patches or drops the published one underneath them.
+// All types are safe for concurrent use. The registry and each community
+// take RW locks for writes and state reads, but a schedule read takes no
+// lock: a community publishes its frozen schedule through an atomic
+// pointer, and a read locks only to freeze one when none is published.
+// The schedules handed out are immutable values, so in-flight queries keep
+// a consistent snapshot even while churn patches or drops the published
+// one underneath them.
 package service
 
 import (
@@ -356,10 +359,11 @@ func validEdge(n, u, v int) error {
 }
 
 // Community is one conflict graph under churn plus its published frozen
-// schedule. Queries (Window, NextHappy, Schedule) serve concurrently under
-// a read lock; churn takes the write lock, and an edit that changed the
-// periodic assignment patches the published schedule into a new one, or
-// drops it for the next read to freeze (see applyLocked).
+// schedule. Schedule queries (Window, NextHappy, Schedule) load the
+// published schedule with no lock. Churn takes the write lock, journals,
+// and only then, in applyLocked, publishes a patched schedule, or drops it
+// for the next read to freeze: a reader never sees an edit before its
+// record is in the journal, and never waits for the journal.
 type Community struct {
 	id  string
 	reg *Owner // for the journal
@@ -367,8 +371,10 @@ type Community struct {
 	mu sync.RWMutex
 	// be is the kind-specific scheduler (classic color-bound or poly
 	// edge-layering); everything above it is kind-agnostic.
-	be     backend
-	cached *core.ClassSchedule // the published schedule; nil until the next read freezes one
+	be backend
+	// cached is the published schedule, nil until the next read freezes
+	// one. Readers load it with no lock; it is stored only under mu.
+	cached atomic.Pointer[core.ClassSchedule]
 	// version counts the edits that changed the schedule (recolorings,
 	// new families, poly edge edits) — a cheap staleness signal for
 	// clients.
@@ -489,7 +495,7 @@ func (c *Community) AddFamily() (int, error) {
 			return 0, err
 		}
 	}
-	if _, err := c.applyLocked(core.Edit{Op: core.EditAddNode}); err != nil {
+	if err := c.applyLocked(nil, core.Edit{Op: core.EditAddNode}); err != nil {
 		return 0, err
 	}
 	return c.be.N() - 1, nil
@@ -542,34 +548,50 @@ func (c *Community) edit(e core.Edit) (core.EditResult, error) {
 			return core.EditResult{}, err
 		}
 	}
-	return c.applyLocked(e)
+	var res [1]core.EditResult
+	err := c.applyLocked(res[:], e)
+	return res[0], err
 }
 
-// applyLocked applies one validated edit through the backend — the one
-// place an edit or a new family reaches a backend, whether written,
+// applyLocked applies validated edits in order through the backend — the
+// one place an edit or a new family reaches a backend, whether written,
 // batched, replayed or replicated — and brings the published schedule up
 // to date. An edit that changed the schedule ticks version, once per edit
 // however the edits arrive, because version is persisted and WAL replay
-// must land on the same value. It then patches the published schedule
-// (backend.Patch), or drops it after a new family or a poly relayering; a
-// community with none published stays unfrozen until its next read. The
-// caller holds c.mu.
-func (c *Community) applyLocked(e core.Edit) (core.EditResult, error) {
-	res, err := c.be.Apply(e)
-	if err != nil {
-		return res, fmt.Errorf("service: community %q: %w", c.id, err)
+// must land on the same value. It patches the schedule (backend.Patch), or
+// drops it after a new family or a poly relayering; a community with none
+// published stays unfrozen until its next read. It publishes once, after
+// the last edit, so a reader sees a batch whole or not at all. out, when
+// non-nil, receives each edit's result. The caller holds c.mu and has
+// journaled the edits.
+func (c *Community) applyLocked(out []core.EditResult, edits ...core.Edit) error {
+	pub := c.cached.Load()
+	s := pub
+	var err error
+	for i, e := range edits {
+		var res core.EditResult
+		if res, err = c.be.Apply(e); err != nil {
+			err = fmt.Errorf("service: community %q: %w", c.id, err)
+			break
+		}
+		if out != nil {
+			out[i] = res
+		}
+		if !c.be.Invalidates(e, res) {
+			continue
+		}
+		c.version++
+		switch {
+		case e.Op == core.EditAddNode:
+			s = nil
+		case s != nil:
+			s = c.be.Patch(s, e, res)
+		}
 	}
-	if !c.be.Invalidates(e, res) {
-		return res, nil
+	if s != pub {
+		c.cached.Store(s)
 	}
-	c.version++
-	switch {
-	case e.Op == core.EditAddNode:
-		c.cached = nil
-	case c.cached != nil:
-		c.cached = c.be.Patch(c.cached, e, res)
-	}
-	return res, nil
+	return err
 }
 
 // record is the journal record of an effective edit.
@@ -620,29 +642,26 @@ func (c *Community) Schedule() (core.Schedule, error) {
 	return s, nil
 }
 
-// frozen returns the published schedule, freezing one in full when none is
-// published: the first read after a create, restore or replay, a new
-// family or a poly relayering. Only these freezes count as misses.
+// frozen returns the published schedule, loaded with no lock. When none is
+// published — the first read after a create, restore or replay, a new
+// family or a poly relayering — it takes the write lock and freezes one in
+// full. Only these freezes count as misses.
 func (c *Community) frozen() (*core.ClassSchedule, error) {
-	c.mu.RLock()
-	if s := c.cached; s != nil {
-		c.mu.RUnlock()
+	if s := c.cached.Load(); s != nil {
 		c.hits.Add(1)
 		return s, nil
 	}
-	c.mu.RUnlock()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cached != nil { // another writer rebuilt while we waited
+	if s := c.cached.Load(); s != nil { // another reader froze it while we waited
 		c.hits.Add(1)
-		return c.cached, nil
+		return s, nil
 	}
 	s, err := c.be.FrozenSchedule()
 	if err != nil {
 		return nil, fmt.Errorf("service: community %q: %w", c.id, err)
 	}
-	c.cached = s
+	c.cached.Store(s)
 	c.misses.Add(1)
 	return s, nil
 }
@@ -716,9 +735,8 @@ func (c *Community) windowSchedule(from, to int64) (*core.ClassSchedule, error) 
 
 // NextHappy answers a family's next happy holiday at or after from
 // (from < 1 is clamped to 1) from the cached schedule. The family id is
-// bounds-checked against the frozen snapshot itself, so a cache hit costs a
-// single lock acquisition rather than one for the family count and one for
-// the schedule.
+// bounds-checked against the frozen snapshot itself, so a cache hit takes
+// no lock, where the family count would take the community's.
 func (c *Community) NextHappy(v int, from int64) (int64, error) {
 	if from > core.MaxHoliday {
 		return 0, fmt.Errorf("service: holiday %d beyond last servable holiday %d", from, core.MaxHoliday)
