@@ -19,26 +19,27 @@ import (
 // one class fires hands visit that class's member list as stored.
 //
 // Storage is one member list per class and a class index of one int32 per
-// entity, cut into pages of classPage entries: 12 B per entity, plus a
-// slice header per class and per page. With derives a patched schedule
-// that copies only the pages and member lists a move touches and shares
-// the rest. Schedules whose per-entity progressions overlap on most
-// holidays, such as §5 degree-bound, keep the per-entity form of
-// NewPeriodicSchedule. A ClassSchedule is immutable and safe for
-// concurrent use.
+// entity, cut into pages of classPage entries behind a table of page
+// pointers: 12 B per entity, plus a slice header per class and a pointer
+// per page. With derives a patched schedule that copies only the pages and
+// member lists a move touches and shares the rest; in the index a move
+// copies one 512 B page and the page pointer table, 8 B per page. Schedules
+// whose per-entity progressions overlap on most holidays, such as §5
+// degree-bound, keep the per-entity form of NewPeriodicSchedule. A
+// ClassSchedule is immutable and safe for concurrent use.
 type ClassSchedule struct {
 	name    string
-	periods []int64   // per class, in [1, MaxHoliday]
-	offsets []int64   // per class, in [0, period)
-	members [][]int   // per class: its entities in increasing order, capacity clipped
-	pages   [][]int32 // entity v's class, or -1 for none, is pages[v/classPage][v%classPage]
-	n       int       // entities
+	periods []int64             // per class, in [1, MaxHoliday]
+	offsets []int64             // per class, in [0, period)
+	members [][]int             // per class: its entities in increasing order, capacity clipped
+	pages   []*[classPage]int32 // entity v's class, or -1 for none, is pages[v/classPage][v%classPage]; -1 past n
+	n       int                 // entities
 }
 
 // classPage is how many entities one page of the class index covers: a
 // patch copies the page of each entity it moves, so the page bounds a
 // patch's copying of the index.
-const classPage = 256
+const classPage = 128
 
 // NewClassSchedule builds a ClassSchedule over len(class) entities: entity
 // v belongs to class class[v], or to no class when class[v] is -1, and
@@ -80,10 +81,16 @@ func NewClassSchedule(name string, periods, offsets []int64, class []int32) (*Cl
 	for k := range members {
 		members[k] = all[starts[k]:starts[k+1]:starts[k+1]]
 	}
-	pages := make([][]int32, (len(class)+classPage-1)/classPage)
-	for i := range pages {
-		hi := min((i+1)*classPage, len(class))
-		pages[i] = class[i*classPage : hi : hi]
+	// Full pages point into class; a partial last page is a copy padded
+	// with -1, so an appended entity starts in no class.
+	pages := make([]*[classPage]int32, (len(class)+classPage-1)/classPage)
+	full := len(class) / classPage
+	for i := range full {
+		pages[i] = (*[classPage]int32)(class[i*classPage:])
+	}
+	if full < len(pages) {
+		pages[full] = blankPage()
+		copy(pages[full][:], class[full*classPage:])
 	}
 	return &ClassSchedule{name: name, periods: periods, offsets: offsets, members: members, pages: pages, n: len(class)}, nil
 }
@@ -97,6 +104,16 @@ func checkTiming(k int, period, offset int64) error {
 		return fmt.Errorf("core: class %d has offset %d outside [0, %d)", k, offset, period)
 	}
 	return nil
+}
+
+// blankPage returns a new page of the class index with every entity in no
+// class.
+func blankPage() *[classPage]int32 {
+	page := new([classPage]int32)
+	for i := range page {
+		page[i] = -1
+	}
+	return page
 }
 
 // Move places one entity of a ClassSchedule in a class, or in none.
@@ -115,11 +132,11 @@ type Move struct {
 // With returns a schedule that answers like cs with the moves applied in
 // order; cs itself is unchanged and stays valid. Each move copies only what
 // it touches: the page of the class index its entity sits on, the member
-// lists of the classes it leaves and joins, and the tables of one slice
-// header per page and per class. Everything else is shared with cs. A move
-// into a class that has members at another timing, or of an entity or
-// into a class beyond the next one, is an error, returned with a nil
-// schedule.
+// lists of the classes it leaves and joins, and the tables of one pointer
+// per page and one slice header per class. Everything else is shared with
+// cs. A move into a class that has members at another timing, or of an
+// entity or into a class beyond the next one, is an error, returned with a
+// nil schedule.
 func (cs *ClassSchedule) With(moves ...Move) (*ClassSchedule, error) {
 	for _, m := range moves {
 		var err error
@@ -160,11 +177,15 @@ func (cs *ClassSchedule) with(m Move) (*ClassSchedule, error) {
 		next.n++
 	}
 	p := v / classPage
-	var page []int32 // nil for a new page
+	var page *[classPage]int32
 	if p < len(cs.pages) {
-		page = cs.pages[p]
+		page = new([classPage]int32)
+		*page = *cs.pages[p]
+	} else {
+		page = blankPage()
 	}
-	next.pages = set(cs.pages, p, set(page, v%classPage, k))
+	page[v%classPage] = k
+	next.pages = set(cs.pages, p, page)
 	if old < 0 && k < 0 {
 		return &next, nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -88,11 +89,11 @@ func randomTiming(r *rand.Rand) (period, offset int64) {
 	return period, r.Int64N(period)
 }
 
-// checkClassScheduleWith starts from a seeded class assignment of up to 599
-// entities (three pages of the class index) and applies the moves ops
-// select: an entity to another class (possibly its own), to no class, an
-// appended entity, an appended class, an emptied class taking a new
-// timing, and a move With must refuse. One op may put several moves in
+// checkClassScheduleWith starts from a seeded class assignment of up to
+// 4·classPage entities (four pages of the class index) and applies the
+// moves ops select: an entity to another class (possibly its own), to no
+// class, an appended entity, an appended class, an emptied class taking a
+// new timing, and a move With must refuse. One op may put several moves in
 // one With call. After each call the patched schedule must answer like
 // NewClassSchedule over the same assignment, also after two siblings were
 // derived from its parent; at the end every schedule of the chain must
@@ -100,7 +101,7 @@ func randomTiming(r *rand.Rand) (period, offset int64) {
 // earlier schedule shares.
 func checkClassScheduleWith(t *testing.T, seed uint64, n16 uint16, classes8 uint8, ops []byte) {
 	r := rand.New(rand.NewPCG(seed, 0xc0ffee))
-	n, classes := int(n16%600), 1+int(classes8%12)
+	n, classes := int(n16%(4*classPage+1)), 1+int(classes8%12)
 	m := &classModel{size: make([]int, classes)}
 	for range classes {
 		p, o := randomTiming(r)
@@ -208,13 +209,66 @@ func randomMove(r *rand.Rand, m *classModel, kind byte) (mv Move, ok bool) {
 }
 
 // FuzzClassScheduleWith drives checkClassScheduleWith with fuzzed
-// assignments and move sequences.
+// assignments and move sequences. The seeds sit on the class index's page
+// boundaries: one entity short of a page, whose second append (op 2) opens
+// the next page, a full page, whose first append does, one past a page, one
+// short of three pages, and no entities at all.
 func FuzzClassScheduleWith(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint8(3), []byte{0, 1, 2, 3, 4, 5, 0x10, 0x21, 0x32, 0x04})
-	f.Add(uint64(2), uint16(599), uint8(7), []byte{0, 0, 0x22, 1, 1, 4, 4, 3, 2, 2, 0x15, 0x20})
-	f.Add(uint64(3), uint16(256), uint8(0), []byte{2, 2, 2, 3, 0x23, 1, 4, 0x14})
-	f.Add(uint64(4), uint16(0), uint8(11), []byte{0, 1, 2, 2, 2, 0x20, 4, 5})
+	f.Add(uint64(2), uint16(classPage-1), uint8(7), []byte{2, 2, 0x22, 1, 1, 4, 4, 3, 0, 0x15, 0x20})
+	f.Add(uint64(3), uint16(classPage), uint8(0), []byte{2, 2, 2, 3, 0x23, 1, 4, 0x14})
+	f.Add(uint64(4), uint16(classPage+1), uint8(11), []byte{0, 1, 2, 2, 2, 0x20, 4, 5})
+	f.Add(uint64(5), uint16(3*classPage-1), uint8(5), []byte{0, 0, 0x22, 1, 1, 4, 4, 3, 2, 2, 0x15, 0x20})
+	f.Add(uint64(6), uint16(0), uint8(11), []byte{2, 1, 2, 2, 0x22, 4, 5})
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, classes uint8, ops []byte) {
 		checkClassScheduleWith(t, seed, n, classes, ops)
 	})
+}
+
+// BenchmarkClassScheduleWith patches one move into a schedule of n
+// entities: 2,604, about the edge slots of holidaybench's poly-gnp-m
+// community, and 500,000, a community at mega scale. The entities fall in
+// 32 classes at random, one in eight in none, and each move is one a poly
+// edit makes: an entity in a class to none, or one in none to a class.
+// Every move patches the same base schedule. B/op is what one move copies:
+// a page of the class index, the table of pages, the table of member lists
+// and the member list of the class the entity leaves or joins.
+func BenchmarkClassScheduleWith(b *testing.B) {
+	const classes = 32
+	for _, n := range []int{2604, 500000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewPCG(uint64(n), 1))
+			periods, offsets := make([]int64, classes), make([]int64, classes)
+			for k := range classes {
+				periods[k], offsets[k] = randomTiming(r)
+			}
+			class := make([]int32, n)
+			for v := range class {
+				class[v] = -1
+				if r.IntN(8) > 0 {
+					class[v] = int32(r.IntN(classes))
+				}
+			}
+			cs, err := NewClassSchedule("bench", periods, offsets, class)
+			if err != nil {
+				b.Fatal(err)
+			}
+			moves := make([]Move, 1024)
+			for i := range moves {
+				v := r.IntN(n)
+				moves[i] = Move{Entity: v, Class: -1}
+				if k := cs.classOf(v); k < 0 {
+					k = int32(r.IntN(classes))
+					moves[i] = Move{Entity: v, Class: k, Period: cs.periods[k], Offset: cs.offsets[k]}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cs.With(moves[i%len(moves)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

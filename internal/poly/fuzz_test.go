@@ -33,7 +33,10 @@ var polyWindowSeeds = []struct {
 // checkPolyWindowRoundTrip builds a deterministic churned instance from the
 // fuzzed parameters, streams a window through the real wire encoding
 // (WindowBits → WindowResp frame), decodes it, and requires it to match
-// HappySet exactly — and every decoded row to be a matching.
+// HappySet exactly — and every decoded row to be a matching. During the
+// churn every applied AddEdge must take the lowest slot a linear scan finds
+// vacant, or append one when none is: the placement rule replay, restore
+// and the wire depend on, whatever structure finds the slot.
 func checkPolyWindowRoundTrip(t *testing.T, seed uint64, n8, m8, churn uint8, from int64, span8 uint8) {
 	t.Helper()
 	n := int(n8)%255 + 2
@@ -55,8 +58,13 @@ func checkPolyWindowRoundTrip(t *testing.T, seed uint64, n8, m8, churn uint8, fr
 		}
 		if rng.Float64() < 0.5 {
 			d.RemoveEdge(u, v)
-		} else {
-			d.AddEdge(u, v, int64(1)<<rng.IntN(10))
+			continue
+		}
+		want := lowestVacant(d)
+		if applied, _ := d.AddEdge(u, v, int64(1)<<rng.IntN(10)); applied {
+			if got := d.byEdge[canon(u, v)]; got != want {
+				t.Fatalf("churn op %d: AddEdge(%d, %d) took slot %d, want the lowest vacant slot %d", i, u, v, got, want)
+			}
 		}
 	}
 	if err := d.Verify(); err != nil {
@@ -111,6 +119,17 @@ func checkPolyWindowRoundTrip(t *testing.T, seed uint64, n8, m8, churn uint8, fr
 			used[u], used[v] = true, true
 		}
 	}
+}
+
+// lowestVacant returns the slot the next AddEdge must take: the lowest
+// vacant one by a linear scan, or the next index when none is vacant.
+func lowestVacant(d *Dyn) int {
+	for slot := range d.Slots() {
+		if _, _, _, ok := d.Edge(slot); !ok {
+			return slot
+		}
+	}
+	return d.Slots()
 }
 
 // FuzzPolyWindowRoundTrip drives the poly window encode/decode round trip

@@ -30,6 +30,9 @@
 // placement decision is a pure function of the current state, never of the
 // operation history, which is what lets a community restored from a
 // snapshot + WAL tail answer byte-identically to the process that wrote it.
+// The vacant slots are kept in a min-heap only to find that lowest index in
+// O(log slots); Restore rebuilds the heap from the slots, so it is never
+// part of the state.
 //
 // When the demand density Σ 1/p exceeds the unit capacity of the timeline
 // (or churn has fragmented the tree), insertion falls back to a full
@@ -125,6 +128,7 @@ type Dyn struct {
 	byEdge     map[[2]int]int // canonical (u,v) → slot
 	layers     []layer
 	nodeLayers [][]int32 // per node: live layers it appears in (a matching ⇒ at most once each)
+	vacant     vacancies // the vacant slots, each once
 	edges      int       // live edge count
 	relayered  int64     // full relayering rebuilds (the repair escape hatch)
 	moved      int       // the slot the last AddEdge or RemoveEdge attached or vacated
@@ -280,18 +284,58 @@ func (d *Dyn) newLayerIndex() int32 {
 	return int32(len(d.layers) - 1)
 }
 
-// newSlotIndex returns the lowest vacant edge slot, growing if none. With
-// no slot vacant it appends at once, so building m edges costs O(m).
+// newSlotIndex returns the lowest vacant edge slot, popped from the
+// vacancy heap in O(log slots), or appends a slot when none is vacant, so
+// building m edges costs O(m).
 func (d *Dyn) newSlotIndex() int {
-	if len(d.slots) > d.edges {
-		for i := range d.slots {
-			if !d.slots[i].present {
-				return i
-			}
-		}
+	if len(d.vacant) > 0 {
+		return d.vacant.pop()
 	}
 	d.slots = append(d.slots, edgeSlot{})
 	return len(d.slots) - 1
+}
+
+// vacancies is a binary min-heap of slot indices: vacancies[0] is the
+// smallest, and each entry is at most its children at 2i+1 and 2i+2. An
+// increasing list is already one.
+type vacancies []int32
+
+// push adds slot s.
+func (h *vacancies) push(s int) {
+	q := append(*h, int32(s))
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if q[up] <= q[i] {
+			break
+		}
+		q[up], q[i] = q[i], q[up]
+		i = up
+	}
+	*h = q
+}
+
+// pop removes and returns the smallest slot; the heap must not be empty.
+func (h *vacancies) pop() int {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return int(top)
 }
 
 // joinable reports whether layer li can absorb an edge (u, v) with target
@@ -379,6 +423,7 @@ func (d *Dyn) RemoveEdge(u, v int) (applied bool) {
 	}
 	*s = edgeSlot{}
 	delete(d.byEdge, key)
+	d.vacant.push(slot)
 	d.edges--
 	d.moved = slot
 	return true
@@ -539,8 +584,10 @@ func (d *Dyn) Moved() core.Move {
 
 // Verify checks the structural invariants: every layer is a matching,
 // layer classes are pairwise disjoint, periods are powers of two within
-// range, and the membership indexes agree with the slots. Tests call it
-// after churn storms; it is never on the serving path.
+// range, the membership indexes agree with the slots, and the vacancy heap
+// holds exactly the vacant slots, each once, in heap order. Tests call it
+// after churn storms, and Restore on every state; it is never on the
+// serving path.
 func (d *Dyn) Verify() error {
 	for i := range d.layers {
 		l := &d.layers[i]
@@ -586,11 +633,6 @@ func (d *Dyn) Verify() error {
 		if s.layer < 0 || int(s.layer) >= len(d.layers) || d.layers[s.layer].period == 0 {
 			return fmt.Errorf("poly: slot %d references layer %d", slot, s.layer)
 		}
-		if d.layers[s.layer].period > s.demand {
-			// Not an invariant violation — inflation may over-period edges —
-			// but the membership must still be a matching; fall through.
-			_ = s
-		}
 		for _, nd := range []int{s.u, s.v} {
 			k := [2]int32{int32(nd), s.layer}
 			if seen[k] {
@@ -605,6 +647,19 @@ func (d *Dyn) Verify() error {
 	}
 	if live != d.edges {
 		return fmt.Errorf("poly: %d live slots but edge count %d", live, d.edges)
+	}
+	if len(d.vacant) != len(d.slots)-live {
+		return fmt.Errorf("poly: %d vacant slots but %d in the vacancy heap", len(d.slots)-live, len(d.vacant))
+	}
+	inHeap := make([]bool, len(d.slots))
+	for i, slot := range d.vacant {
+		if slot < 0 || int(slot) >= len(d.slots) || d.slots[slot].present || inHeap[slot] {
+			return fmt.Errorf("poly: vacancy heap holds slot %d, not a distinct vacant slot", slot)
+		}
+		inHeap[slot] = true
+		if i > 0 && d.vacant[(i-1)/2] > slot {
+			return fmt.Errorf("poly: vacancy heap entry %d (slot %d) is below its parent", i, slot)
+		}
 	}
 	for i, c := range counts {
 		if d.layers[i].period != 0 && c != d.layers[i].count {

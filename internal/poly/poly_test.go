@@ -3,6 +3,7 @@ package poly
 import (
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -241,6 +242,39 @@ func TestVacantSlots(t *testing.T) {
 	d.AddEdge(1, 2, 8)
 	if d.Slots() != 3 || !d.slots[1].present {
 		t.Fatalf("reinsert did not reuse slot 1 (slots %d)", d.Slots())
+	}
+}
+
+// TestVerifyChecksVacancyHeap: Verify refuses a vacancy heap that misses a
+// vacant slot, holds one twice, holds a live slot or breaks heap order.
+func TestVerifyChecksVacancyHeap(t *testing.T) {
+	d, err := New(8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < 8; v++ {
+		d.AddEdge(0, v, 8)
+	}
+	for _, v := range []int{6, 4, 2} {
+		d.RemoveEdge(0, v)
+	}
+	if err := d.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	good := slices.Clone(d.vacant)
+	if !slices.Equal(good, vacancies{1, 5, 3}) {
+		t.Fatalf("vacancy heap %v, want [1 5 3]", good)
+	}
+	for _, bad := range []vacancies{
+		{1, 5},       // slot 3 missing
+		{1, 5, 3, 3}, // slot 3 twice
+		{1, 5, 2},    // slot 2 is live
+		{5, 1, 3},    // slot 1 below its parent
+	} {
+		d.vacant = bad
+		if err := d.Verify(); err == nil {
+			t.Errorf("Verify accepted vacancy heap %v over vacant slots %v", bad, good)
+		}
 	}
 }
 

@@ -96,6 +96,11 @@ func Restore(st State) (*Dyn, error) {
 		d.edges++
 		d.attach(e.Slot, e.Layer)
 	}
+	for slot := range d.slots {
+		if !d.slots[slot].present {
+			d.vacant = append(d.vacant, int32(slot)) // increasing: a heap as it stands
+		}
+	}
 	d.relayered = st.Relayerings
 	if err := d.Verify(); err != nil {
 		return nil, err

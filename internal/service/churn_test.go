@@ -489,3 +489,65 @@ func TestChurnBatchRecordByRecordFailure(t *testing.T) {
 		t.Fatalf("community seq %d, want 3: the last record the journal accepted", c.Seq())
 	}
 }
+
+// BenchmarkPolyEdit applies marriages and divorces to the community
+// holidaybench's poly-mixed workload churns hardest, poly-gnp-m
+// (gnp:n=512,p=0.02 at demand 1024), with its schedule published, as reads
+// keep it, so every edit patches it. Churn runs over a fixed pool of
+// ⌈M/0.6⌉ couples, the M initial marriages and random others, and marries
+// with probability 0.6, so the edge count stays near M. A draw that would
+// not change the edge set is skipped before the call, so each iteration is
+// one applied edit and ns/op, B/op and allocs/op are per applied edit.
+func BenchmarkPolyEdit(b *testing.B) {
+	g, err := graph.ParseSpec("gnp:n=512,p=0.02", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(Opts{}).CreateSpec(CreateSpec{ID: "poly-gnp-m", Families: g.N(), Edges: g.EdgePairs(),
+		Kind: KindPoly, DefaultDemand: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	pool := g.EdgePairs()
+	married := make([]bool, (5*len(pool)+2)/3) // ⌈M/0.6⌉
+	inPool := make(map[[2]int]bool, len(married))
+	for k, e := range pool {
+		married[k], inPool[e] = true, true
+	}
+	for len(pool) < len(married) {
+		u, v := r.IntN(g.N()), r.IntN(g.N())
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !inPool[e] {
+			pool, inPool[e] = append(pool, e), true
+		}
+	}
+	if _, err := c.Schedule(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, marry := r.IntN(len(pool)), r.Float64() < 0.6
+		for married[k] == marry {
+			k, marry = r.IntN(len(pool)), r.Float64() < 0.6
+		}
+		u, v := pool[k][0], pool[k][1]
+		var relayered bool
+		if marry {
+			relayered, err = c.Marry(u, v)
+		} else {
+			_, relayered, err = c.Divorce(u, v)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		married[k] = marry
+		if relayered { // the schedule was dropped: publish a fresh one
+			b.StopTimer()
+			if _, err := c.Schedule(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+}
