@@ -284,15 +284,35 @@ func untilFiring(p, off, t int64) int64 {
 }
 
 // classScratch is the working set of one Window or WindowBits call, pooled
-// so that steady-state serving allocates none of it.
+// so that steady-state serving allocates none of it. rows and rowAt are
+// WindowBits' memo of the rows it has packed in the current call: each
+// call starts them empty, so no row outlives the call that packed it.
 type classScratch struct {
 	next   []int64  // per class: its next firing, counted from the block start
 	fire   []int32  // per holiday of the block: the class firing, noClass or manyClasses
 	merged []int    // the happy set of a holiday several classes share
-	row    []uint64 // WindowBits' packed row
+	rows   []uint64 // WindowBits' packed rows, ⌈n/64⌉ words each, in the order first needed
+	rowAt  []int    // per class, then for the zero row: 1 + the offset of its row in rows, or 0 before it is packed
 }
 
 var classScratchPool = sync.Pool{New: func() any { return new(classScratch) }}
+
+// classRowsMax caps the row memo, in bytes, of a scratch WindowBits returns
+// to classScratchPool: a rare giant window over a large schedule allocates
+// its own rows instead of pinning them in the pool.
+const classRowsMax = 1 << 20
+
+// pack appends a row of words words holding the bits of happy to sc.rows
+// and returns its offset there.
+func (sc *classScratch) pack(words int, happy []int) int {
+	at := len(sc.rows)
+	sc.rows = append(sc.rows, make([]uint64, words)...)
+	row := graph.Bitset(sc.rows[at:])
+	for _, v := range happy {
+		row.Set(v)
+	}
+	return at
+}
 
 // Markers in classScratch.fire: no class fires, or several classes do.
 const (
@@ -361,20 +381,40 @@ func (cs *ClassSchedule) Window(from, to int64, visit func(t int64, happy []int)
 
 // WindowBits streams the window as word-packed happy bitmaps, one
 // ⌈n/64⌉-word row per holiday — the rows the binary wire format
-// (internal/wire) serializes. Each holiday's row is cleared and gets the
-// member bits of the classes Window finds firing on it, so no per-class
-// bitmap is stored. The row is only valid for the duration of visit.
+// (internal/wire) serializes. A class's row is packed the first time the
+// class fires in the window and handed to visit again, unchanged, on every
+// later holiday of the class; the holidays no class fires on share one
+// zero row. A holiday where several classes fire, which the color-bound
+// and poly freezers never produce, gets a merged row of its own, never
+// memoized. Each row is made only when a holiday needs it, so the memo
+// never holds more rows than the window itself, and it lasts for the call
+// alone: no per-class bitmap is kept between calls. visit must not modify
+// the row, and may use it only until it returns.
 func (cs *ClassSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
 	sc := classScratchPool.Get().(*classScratch)
-	defer classScratchPool.Put(sc)
-	words := (cs.n + 63) / 64
-	sc.row = slices.Grow(sc.row[:0], words)[:words]
-	row := graph.Bitset(sc.row)
-	cs.Window(from, to, func(t int64, happy []int) {
-		clear(row)
-		for _, v := range happy {
-			row.Set(v)
+	defer func() {
+		if cap(sc.rows)*8 <= classRowsMax {
+			classScratchPool.Put(sc)
 		}
-		visit(t, row)
+	}()
+	words := (cs.n + 63) / 64
+	row := func(at int) graph.Bitset { return graph.Bitset(sc.rows[at : at+words : at+words]) }
+	rowAt := slices.Grow(sc.rowAt[:0], len(cs.periods)+1)[:len(cs.periods)+1]
+	clear(rowAt)
+	sc.rowAt, sc.rows = rowAt, sc.rows[:0]
+	cs.Window(from, to, func(t int64, happy []int) {
+		slot := len(cs.periods) // the zero row's
+		if len(happy) > 0 {
+			// Window hands a lone firing class's member list as stored, and a
+			// merged happy set is longer than any one class's.
+			if slot = int(cs.classOf(happy[0])); len(happy) > len(cs.members[slot]) {
+				visit(t, row(sc.pack(words, happy)))
+				return
+			}
+		}
+		if rowAt[slot] == 0 {
+			rowAt[slot] = 1 + sc.pack(words, happy)
+		}
+		visit(t, row(rowAt[slot]-1))
 	})
 }

@@ -409,3 +409,155 @@ func TestClassScheduleFirstFiring(t *testing.T) {
 		}
 	}
 }
+
+// windowBitsMismatch compares every row WindowBits hands for [from, to]
+// with a row packed from the happy set Window gives the same holiday, and
+// describes the first difference, or returns nil.
+func windowBitsMismatch(cs *ClassSchedule, from, to int64) error {
+	var ts []int64
+	var want []graph.Bitset
+	cs.Window(from, to, func(t int64, happy []int) {
+		row := graph.NewBitset(cs.Nodes())
+		for _, v := range happy {
+			row.Set(v)
+		}
+		ts, want = append(ts, t), append(want, row)
+	})
+	var err error
+	i := 0
+	cs.WindowBits(from, to, func(t int64, row graph.Bitset) {
+		switch {
+		case err != nil:
+		case i >= len(ts) || t != ts[i]:
+			err = fmt.Errorf("%s [%d,%d]: WindowBits visited holiday %d at position %d", cs.Name(), from, to, t, i)
+		case !slices.Equal(row, want[i]):
+			err = fmt.Errorf("%s [%d,%d]: holiday %d: WindowBits %x, packed from Window %x", cs.Name(), from, to, t, row, want[i])
+		}
+		i++
+	})
+	if err == nil && i != len(ts) {
+		err = fmt.Errorf("%s [%d,%d]: WindowBits emitted %d rows, want %d", cs.Name(), from, to, i, len(ts))
+	}
+	return err
+}
+
+// TestClassScheduleWindowBitsMemo: WindowBits packs a class's row once per
+// call and hands it on every holiday the class fires, so each row must
+// equal the one packed from Window's happy set. The schedules: "half",
+// whose period-2 class fires on every other holiday, with a class without
+// members, entities in no class and holidays no class fires on, read at
+// spans 52 and 512 and across a windowBlock boundary; "merge", whose
+// merged holidays (two different unions) fall between single-class
+// holidays of both their classes; and a frozen color-bound schedule. They
+// differ in size and class count and are read back to back, so one pooled
+// scratch serves them all, and then "half" is read from 8 goroutines at
+// once. Run it with -race -count=10.
+func TestClassScheduleWindowBitsMemo(t *testing.T) {
+	// Residue classes 1 mod 2, 0 mod 4, 2 mod 8 and 6 mod 16, and 14 mod
+	// 16 for class 4, which has no members: nothing fires at 14 mod 16.
+	half := make([]int32, 300)
+	for v := range half {
+		half[v] = int32(v % 5)
+		if v%5 == 4 || v%7 == 0 {
+			half[v] = -1
+		}
+	}
+	halfCS, err := NewClassSchedule("half", []int64{2, 4, 8, 16, 16}, []int64{1, 0, 2, 6, 14}, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Classes (2,0) and (3,0) fire together at every multiple of 6, and
+	// (2,0) and (9000,8200) at 8200; class 3 has no members.
+	mergeCS, err := NewClassSchedule("merge", []int64{2, 3, 6, 5, 9000}, []int64{0, 0, 1, 4, 8200},
+		[]int32{1, 0, 2, 0, 1, 2, 0, 1, 0, 1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := NewDynamicColorBound(graph.GNP(130, 0.06, 7), prefixcode.Omega{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := dc.FrozenSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfWindows := [][2]int64{
+		{1, 52}, {1000, 1511},
+		{windowBlock - 30, windowBlock + 21}, {windowBlock - 255, windowBlock + 256},
+		{MaxHoliday - 51, MaxHoliday},
+	}
+	for round := 0; round < 3; round++ {
+		for i, w := range halfWindows {
+			for _, err := range []error{
+				windowBitsMismatch(halfCS, w[0], w[1]),
+				windowBitsMismatch(mergeCS, 1, 52),
+				windowBitsMismatch(frozen, w[0], w[1]),
+				windowBitsMismatch(mergeCS, 8150+int64(i), 8250),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				w := halfWindows[(g+i)%len(halfWindows)]
+				if err := windowBitsMismatch(halfCS, w[0], w[1]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkWindowBits serves binary window rows from the four graphs of
+// benchkit's mixed scenario, built as its drivers build them at seed 1
+// (gnp:n=256,p=0.03, gnp:n=4096,p=0.002, cycle:n=2048 and clique:n=48 at
+// seeds 1 to 4) and frozen under the omega code. Each op is one window of
+// span 1 to 52 starting in [1, 2^30], as the scenario draws them, from a
+// fixed seed, cycling the graphs, and appends every row with AppendBytes
+// as the binary window endpoint does.
+func BenchmarkWindowBits(b *testing.B) {
+	var scheds []*ClassSchedule
+	for i, spec := range []string{"gnp:n=256,p=0.03", "gnp:n=4096,p=0.002", "cycle:n=2048", "clique:n=48"} {
+		g, err := graph.ParseSpec(spec, uint64(1+i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		dc, err := NewDynamicColorBound(g, prefixcode.Omega{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs, err := dc.FrozenSchedule()
+		if err != nil {
+			b.Fatal(err)
+		}
+		scheds = append(scheds, cs)
+	}
+	type window struct {
+		cs       *ClassSchedule
+		from, to int64
+	}
+	r := rand.New(rand.NewPCG(34, 52))
+	windows := make([]window, 1024)
+	for i := range windows {
+		from := 1 + r.Int64N(1<<30)
+		windows[i] = window{scheds[i%len(scheds)], from, from + r.Int64N(52)}
+	}
+	buf := make([]byte, 0, 64<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := windows[i%len(windows)]
+		buf = buf[:0]
+		w.cs.WindowBits(w.from, w.to, func(_ int64, row graph.Bitset) { buf = row.AppendBytes(buf) })
+	}
+}
