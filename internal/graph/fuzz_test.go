@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("1 0\n")
 	f.Add("3 1\n1 1\n")
+	f.Add("-1 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
@@ -89,5 +91,59 @@ func FuzzParseSpec(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzBuilder holds Builder.Graph to modelGraph on edge lists read from
+// the fuzz bytes: data[0] % 17 is the initial node count, then each byte
+// pair is an edge between nodes below 32. A pair whose first byte has its
+// top bit set goes through AddEdge, growing the node count (skipped if a
+// self-loop, on which AddEdge panics); any other through AddEdgeErr, which
+// must refuse exactly the self-loops and the edges outside the current
+// count. The graph is built halfway through and at the end, and each build
+// must match the model of the edges so far.
+func FuzzBuilder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{4, 0, 1, 1, 0, 1, 2, 2, 1, 0, 1})
+	f.Add([]byte{3, 0x80, 9, 0x85, 2, 2, 0, 1, 1})
+	f.Add([]byte{16, 5, 3, 3, 5, 15, 0, 0, 15, 7, 7, 4, 16, 0x8f, 31, 2, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0] % 17)
+		b := NewBuilder(n)
+		var edges []Edge
+		check := func(when string) {
+			if g := b.Graph(); !reflect.DeepEqual(g, modelGraph(n, edges)) {
+				t.Fatalf("%s: Graph %v differs from the model over %v", when, g.adj, edges)
+			}
+		}
+		pairs := data[1:]
+		for i := 0; i+1 < len(pairs); i += 2 {
+			if i == len(pairs)/4*2 {
+				check("halfway")
+			}
+			u, v := int(pairs[i]&0x1f), int(pairs[i+1]&0x1f)
+			if pairs[i]&0x80 != 0 {
+				if u == v {
+					continue
+				}
+				b.AddEdge(u, v)
+				n = max(n, u+1, v+1)
+			} else {
+				err := b.AddEdgeErr(u, v)
+				if want := u != v && u < n && v < n; (err == nil) != want {
+					t.Fatalf("AddEdgeErr(%d, %d) with n=%d: err %v", u, v, n, err)
+				}
+				if err != nil {
+					continue
+				}
+			}
+			edges = append(edges, Edge{u, v})
+		}
+		check("at the end")
 	})
 }

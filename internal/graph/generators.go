@@ -258,13 +258,14 @@ func RandomRegular(n, d int, seed uint64) *Graph {
 // heavy-tailed degree distribution, the workload the paper's locality goal
 // (per-node rather than Δ bounds) is designed for.
 // The generator is built for the mega benchmark scenarios: it assembles
-// adjacency directly (every edge is unique by construction, so the Builder's
-// dedup map would only burn memory at 10⁵–10⁶ nodes), dedups targets with a
-// linear scan over at most m candidates, and preallocates the
-// repeated-endpoint sampling list at its exact final size. It is also fully
-// deterministic: an earlier version iterated the per-node target set as a
-// map, which let Go's randomized map order change the sampling list — and
-// therefore the generated graph — between runs of the same seed.
+// adjacency directly (every edge is unique by construction, so the
+// Builder's edge list and dedupe would only burn memory at 10⁵–10⁶
+// nodes), dedups targets with a linear scan over at most m candidates, and
+// preallocates the repeated-endpoint sampling list at its exact final
+// size. It is also fully deterministic: an earlier version iterated the
+// per-node target set as a map, which let Go's randomized map order change
+// the sampling list — and therefore the generated graph — between runs of
+// the same seed.
 func PreferentialAttachment(n, m int, seed uint64) *Graph {
 	if m < 1 || n < m+1 {
 		panic(fmt.Sprintf("graph: invalid preferential attachment parameters n=%d m=%d", n, m))

@@ -3,6 +3,11 @@
 // a dynamic (edge insert/delete) variant, a zoo of generators used by the
 // experiment harness, and structural property checks.
 //
+// A Graph made from an edge list (most generators, NewFromEdges,
+// ReadEdgeList, and the serving layer's creates and restores) comes out of
+// a Builder, which collects the edges in a slice and builds by counting
+// degrees into one shared neighbor array, each list clipped to its length.
+//
 // Nodes are dense integers 0..N()-1. In the paper's terminology a node is a
 // parent and an edge joins two parents whose children are married to each
 // other (a "couple").
@@ -10,6 +15,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -176,14 +182,22 @@ func (g *Graph) String() string {
 
 // Builder accumulates edges and produces an immutable Graph. The node count
 // grows automatically to cover every referenced endpoint.
+//
+// It keeps each AddEdge call's edge, repeats included, as one 16-byte
+// canonical Edge for as long as it lives, and Graph builds by counting:
+// one pass counts each node's degree, a second places every neighbor in
+// one array shared by all the lists, in the order the edges were added,
+// and each list is then sorted (only if out of order) and its repeats
+// dropped. Edges added in canonical order, as a restore adds them, leave
+// every list sorted, so that build is O(n + m) and hashes nothing.
 type Builder struct {
 	n     int
-	edges map[Edge]bool
+	edges []Edge
 }
 
 // NewBuilder returns a builder with an initial node count of n.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[Edge]bool)}
+	return &Builder{n: n}
 }
 
 // AddEdge records the undirected edge {u, v}, growing the node count if
@@ -217,7 +231,7 @@ func (b *Builder) addEdge(u, v int, grow bool) error {
 	} else if u >= b.n || v >= b.n {
 		return fmt.Errorf("graph: edge (%d, %d) outside node range [0, %d)", u, v, b.n)
 	}
-	b.edges[Edge{u, v}.Canon()] = true
+	b.edges = append(b.edges, Edge{u, v}.Canon())
 	return nil
 }
 
@@ -228,15 +242,43 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// Graph freezes the builder into an immutable Graph.
+// Graph freezes the builder into an immutable Graph, leaving the builder
+// usable. The neighbor lists share one array, each clipped to its length
+// so that an append copies it; a node with no edge has a nil list.
 func (b *Builder) Graph() *Graph {
+	// end[v] counts v's neighbors, then is where v's next one goes, so
+	// after the fill it is where v's list ends in nbr.
+	end := make([]int, b.n)
+	for _, e := range b.edges {
+		end[e.U]++
+		end[e.V]++
+	}
+	start := 0
+	for v, d := range end {
+		end[v] = start
+		start += d
+	}
+	nbr := make([]int, start)
+	for _, e := range b.edges {
+		nbr[end[e.U]] = e.V
+		end[e.U]++
+		nbr[end[e.V]] = e.U
+		end[e.V]++
+	}
 	adj := make([][]int, b.n)
-	for e := range b.edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	degSum, lo := 0, 0
+	for v, hi := range end {
+		ns := nbr[lo:hi]
+		lo = hi
+		if len(ns) == 0 {
+			continue
+		}
+		if !slices.IsSorted(ns) {
+			slices.Sort(ns)
+		}
+		ns = slices.Compact(ns)
+		adj[v] = ns[:len(ns):len(ns)]
+		degSum += len(ns)
 	}
-	for v := range adj {
-		sort.Ints(adj[v])
-	}
-	return &Graph{adj: adj, m: len(b.edges)}
+	return &Graph{adj: adj, m: degSum / 2}
 }

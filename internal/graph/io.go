@@ -40,6 +40,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(line, "%d %d", &n, &m); err != nil {
 				return nil, fmt.Errorf("graph: bad header %q: %w", line, err)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("graph: negative node count %d", n)
+			}
 			header = true
 			b = NewBuilder(n)
 			continue

@@ -46,6 +46,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"3 1\nzero one\n", // malformed edge
 		"three two\n",     // malformed header
 		"3 1\n1 1\n",      // self loop
+		"-1 0\n",          // negative node count
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

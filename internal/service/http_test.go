@@ -176,6 +176,30 @@ func TestHTTPErrors(t *testing.T) {
 	do("GET", "/healthz", "", http.StatusOK, nil)
 }
 
+// TestHTTPCreateRejectsRepeatedEdge: a create listing one marriage twice
+// answers a 400 bad_request envelope naming it, for either kind, and
+// registers nothing.
+func TestHTTPCreateRejectsRepeatedEdge(t *testing.T) {
+	srv, do := newTestServer(t)
+	for _, kind := range []string{KindClassic, KindPoly} {
+		body := fmt.Sprintf(`{"id":"x","kind":%q,"families":4,"edges":[[0,1],[1,2],[1,0]]}`, kind)
+		resp, err := srv.Client().Post(srv.URL+"/v1/communities", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil {
+			t.Fatalf("%s create: status %d, decode error %v", kind, resp.StatusCode, err)
+		}
+		if e.Code != CodeBadRequest || !strings.Contains(e.Message, "duplicate edge (1,0)") {
+			t.Fatalf("%s create: envelope {%s, %q}, want %s naming (1,0)", kind, e.Code, e.Message, CodeBadRequest)
+		}
+		do("GET", "/v1/communities/x", "", http.StatusNotFound, nil)
+	}
+}
+
 // TestHTTPConcurrentWindows serves parallel window queries against one
 // cached schedule — with -race this pins the serving path race-clean.
 func TestHTTPConcurrentWindows(t *testing.T) {

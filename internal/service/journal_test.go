@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -212,6 +213,34 @@ func TestRestoreRejectsImproperColoring(t *testing.T) {
 	}
 }
 
+// TestCreateAndRestoreRejectRepeatedEdge: a classic create or a restore
+// whose edge list names one edge twice, in either orientation, fails naming
+// the repeat, as a poly create does; the create journals and registers
+// nothing.
+func TestCreateAndRestoreRejectRepeatedEdge(t *testing.T) {
+	reg := New(Opts{})
+	j := &memJournal{}
+	reg.SetJournal(j)
+	_, err := reg.Create("c", 4, [][2]int{{0, 1}, {1, 2}, {1, 0}}, "")
+	if err == nil || !strings.Contains(err.Error(), "duplicate edge (1,0)") {
+		t.Fatalf("create with a repeated edge: err %v, want one naming (1,0)", err)
+	}
+	if _, ok := reg.Get("c"); ok || len(j.recs) != 0 {
+		t.Fatalf("failed create registered %v and journaled %d records", ok, len(j.recs))
+	}
+
+	c, err := reg.Create("c", 12, ringEdges(12), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Export()
+	st.Edges = append(st.Edges, st.Edges[3])
+	_, err = New(Opts{}).Restore(st)
+	if err == nil || !strings.Contains(err.Error(), "duplicate edge") {
+		t.Fatalf("restore with a repeated edge: err %v", err)
+	}
+}
+
 // TestApplySkipsReplayedRecords: Apply is idempotent under sequence
 // filtering — a record at or below a community's sequence is a no-op.
 func TestApplySkipsReplayedRecords(t *testing.T) {
@@ -370,6 +399,31 @@ func BenchmarkCommunityExport(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "export-ms")
+}
+
+// BenchmarkRestore installs the export of a power-law community of 200,000
+// families (599,994 edges) as a replica, as a handoff's receiver and a
+// follower's catch-up do with each state they are sent. restore-ms is one
+// InstallReplica: the graph built from the state's canonical edge list,
+// the coloring restored and checked proper, and the registration.
+func BenchmarkRestore(b *testing.B) {
+	g, err := graph.ParseSpec("powerlaw:n=200000,m=3", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(Opts{}).CreateFromGraph("big", g, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := c.Export()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Opts{}).InstallReplica(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "restore-ms")
 }
 
 // TestTakeoverReplaysFromJournal: both forms of a takeover reach the node's

@@ -334,6 +334,8 @@ func (r *Owner) List() []string {
 
 // edgeGraph builds the conflict graph of n families over an edge list,
 // rejecting edges outside the families, self-marriages and duplicates.
+// The build drops a repeat, so only a graph with fewer edges than the list
+// is searched for the first one, to name it.
 func edgeGraph(n int, edges [][2]int) (*graph.Graph, error) {
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
@@ -344,7 +346,18 @@ func edgeGraph(n int, edges [][2]int) (*graph.Graph, error) {
 			return nil, err
 		}
 	}
-	return b.Graph(), nil
+	g := b.Graph()
+	if g.M() < len(edges) {
+		seen := make(map[graph.Edge]bool, len(edges))
+		for _, e := range edges {
+			k := graph.Edge{U: e[0], V: e[1]}.Canon()
+			if seen[k] {
+				return nil, fmt.Errorf("duplicate edge (%d,%d)", e[0], e[1])
+			}
+			seen[k] = true
+		}
+	}
+	return g, nil
 }
 
 // validEdge checks an edge against the community size.
